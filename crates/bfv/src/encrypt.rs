@@ -15,7 +15,7 @@ use rand::Rng;
 /// for testing that the representation is semantically transparent.
 #[derive(Debug, Clone)]
 pub struct Ciphertext {
-    pub(crate) parts: Vec<RnsPoly>,
+    pub parts: Vec<RnsPoly>,
 }
 
 impl Ciphertext {

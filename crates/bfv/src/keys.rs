@@ -19,34 +19,34 @@ pub use rlwe_ring::keyswitch::KeySwitchKey;
 /// The secret key: a ternary polynomial `s` (stored in evaluation form).
 #[derive(Debug, Clone)]
 pub struct SecretKey {
-    pub(crate) s: RnsPoly,
+    pub s: RnsPoly,
 }
 
 /// The public key: an RLWE sample `(b, a)` with `b = -(a·s + e)`, in
 /// evaluation form.
 #[derive(Debug, Clone)]
 pub struct PublicKey {
-    pub(crate) b: RnsPoly,
-    pub(crate) a: RnsPoly,
+    pub b: RnsPoly,
+    pub a: RnsPoly,
 }
 
 /// Relinearization key: key-switch key for `s' = s²`.
 #[derive(Debug, Clone)]
-pub struct RelinKey(pub(crate) KeySwitchKey);
+pub struct RelinKey(pub KeySwitchKey);
 
 /// One Galois element's material: the key-switch key for `s' = σ_g(s)`
 /// together with the cached evaluation-domain permutation of `σ_g` — kept
 /// in one entry so key and permutation cannot drift apart.
 #[derive(Debug, Clone)]
-pub(crate) struct GaloisKeyEntry {
-    pub(crate) key: KeySwitchKey,
-    pub(crate) perm: Vec<u32>,
+pub struct GaloisKeyEntry {
+    pub key: KeySwitchKey,
+    pub perm: Vec<u32>,
 }
 
 /// Galois keys: one [`GaloisKeyEntry`] per Galois element.
 #[derive(Debug, Clone, Default)]
 pub struct GaloisKeys {
-    pub(crate) keys: HashMap<u64, GaloisKeyEntry>,
+    pub keys: HashMap<u64, GaloisKeyEntry>,
 }
 
 impl GaloisKeys {

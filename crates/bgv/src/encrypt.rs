@@ -23,7 +23,7 @@ use rand::Rng;
 /// representation is semantically transparent.
 #[derive(Debug, Clone)]
 pub struct Ciphertext {
-    pub(crate) parts: Vec<RnsPoly>,
+    pub parts: Vec<RnsPoly>,
 }
 
 impl Ciphertext {

@@ -19,7 +19,7 @@ pub use rlwe_ring::keyswitch::KeySwitchKey;
 /// The secret key: a ternary polynomial `s` (stored in evaluation form).
 #[derive(Debug, Clone)]
 pub struct SecretKey {
-    pub(crate) s: RnsPoly,
+    pub s: RnsPoly,
 }
 
 impl SecretKey {
@@ -47,8 +47,8 @@ impl SecretKey {
 /// evaluation form.
 #[derive(Debug, Clone)]
 pub struct PublicKey {
-    pub(crate) b: RnsPoly,
-    pub(crate) a: RnsPoly,
+    pub b: RnsPoly,
+    pub a: RnsPoly,
 }
 
 /// Truncates a key-switch key to the first `keep` chain primes: drops the
@@ -78,7 +78,7 @@ fn truncate_ksk(ksk: &KeySwitchKey, keep: usize) -> KeySwitchKey {
 
 /// Relinearization key: key-switch key for `s' = s²`.
 #[derive(Debug, Clone)]
-pub struct RelinKey(pub(crate) KeySwitchKey);
+pub struct RelinKey(pub KeySwitchKey);
 
 impl RelinKey {
     /// This key under the next context down the modulus chain (see
@@ -91,15 +91,15 @@ impl RelinKey {
 /// One Galois element's material: the key-switch key for `s' = σ_g(s)`
 /// together with the cached evaluation-domain permutation of `σ_g`.
 #[derive(Debug, Clone)]
-pub(crate) struct GaloisKeyEntry {
-    pub(crate) key: KeySwitchKey,
-    pub(crate) perm: Vec<u32>,
+pub struct GaloisKeyEntry {
+    pub key: KeySwitchKey,
+    pub perm: Vec<u32>,
 }
 
 /// Galois keys: one [`GaloisKeyEntry`] per Galois element.
 #[derive(Debug, Clone, Default)]
 pub struct GaloisKeys {
-    pub(crate) keys: HashMap<u64, GaloisKeyEntry>,
+    pub keys: HashMap<u64, GaloisKeyEntry>,
 }
 
 impl GaloisKeys {

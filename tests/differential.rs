@@ -58,9 +58,11 @@ fn paper_kernels_decrypt_identically_under_paper_and_auto_params() {
 /// backend. Each scheme runs under its own auto-selected parameters, so
 /// both selectors' certificates are checked in practice on every kernel;
 /// the paper-parameter leg additionally runs wherever the scheme's noise
-/// model clears it.
+/// model clears it — and the set of (kernel, scheme) pairs where it does is
+/// pinned, so a noise-model change cannot silently drop coverage.
 #[test]
 fn paper_kernels_decrypt_identically_across_schemes() {
+    let mut paper_legs = Vec::new();
     for (i, k) in all_direct().into_iter().enumerate() {
         let legs = assert_cross_scheme_spec(&k.baseline, &k.spec, 64, 0xC501 + i as u64);
         for &scheme in SchemeId::ALL {
@@ -70,8 +72,33 @@ fn paper_kernels_decrypt_identically_across_schemes() {
                 k.name
             );
         }
+        paper_legs.extend(
+            legs.iter()
+                .filter(|l| l.label == "paper")
+                .map(|l| (k.name, l.scheme)),
+        );
     }
+    // Every paper kernel clears the paper set under both noise models, at
+    // every opt level.
+    let expected: Vec<(&str, SchemeId)> = PAPER_LEG_KERNELS
+        .iter()
+        .flat_map(|&name| SchemeId::ALL.iter().map(move |&s| (name, s)))
+        .collect();
+    assert_eq!(paper_legs, expected, "paper-parameter leg coverage changed");
 }
+
+/// The kernels whose cross-scheme paper-parameter leg runs on both schemes.
+const PAPER_LEG_KERNELS: [&str; 9] = [
+    "box-blur",
+    "dot-product",
+    "hamming-distance",
+    "l2-distance",
+    "linear-regression",
+    "polynomial-regression",
+    "gx",
+    "gy",
+    "roberts-cross",
+];
 
 /// Seeded randomized size sweep: reductions at random power-of-two lengths
 /// (synthesized stage-wise, §6.3) and stencils at random image sizes (the
