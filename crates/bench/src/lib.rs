@@ -2,7 +2,7 @@
 //!
 //! Regenerates every table and figure of the paper's evaluation (§7):
 //!
-//! | artifact | binary / bench |
+//! | artifact | binary |
 //! |---|---|
 //! | Figure 4 (speedups) | `fig4_speedup` |
 //! | Table 2 (instructions & depth) | `table2_instructions` |
@@ -10,11 +10,13 @@
 //! | Figures 5/6 (case studies) | `case_studies` |
 //! | §7.4 sketch ablation | `ablation_sketch` |
 //! | §6.1 rotation-restriction ablation | `ablation_rotations` |
-//! | HE op latency profile | `profile_latency`, `benches/he_ops.rs` |
+//! | HE op latency profile | `profile_latency`, `he_ops` |
 //! | middle-end `-O0` vs `-O2` | `fig_opt` |
-//! | Criterion kernel micro-benches | `benches/kernels.rs`, `benches/synthesis.rs` |
 //!
-//! Results are recorded in the repository's `EXPERIMENTS.md`.
+//! Results print to stdout (some binaries also write a gitignored
+//! `BENCH_*.json`). Per-layer timings of rings, HE ops, kernels and the
+//! compiler, with a committed reference run, come from the separate
+//! `perfbench` package (`perfbench/README.md`).
 
 /// Extracts a `--jobs N` flag from a binary's argument list, falling back
 /// to `PORCUPINE_JOBS` / the machine's available parallelism, and returns

@@ -1,65 +1,15 @@
-//! SIMD batch encoding: packs `N` integers mod `t` into one plaintext
-//! polynomial so HE ops act slot-wise, with SEAL-compatible 2 × (N/2) slot
-//! geometry.
-//!
-//! The slot geometry (and the Galois elements acting on it) is
-//! scheme-agnostic and lives in [`rlwe_ring::batch`]; this module adds the
-//! BFV-specific half — scaling the encoded polynomial by `Δ = ⌊Q/t⌋` on
-//! its way into the ciphertext ring.
+//! SIMD batch encoding for BFV: the shared encoder
+//! ([`rlwe_ring::encoding`]) over a [`BfvContext`]. The slot geometry is
+//! scheme-agnostic ([`rlwe_ring::batch`]); the BFV-specific half is the
+//! `Δ = ⌊Q/t⌋` scaling on the way into the ciphertext ring, which
+//! [`EvalPlaintext`] caches next to the raw lift.
 
 use crate::params::BfvContext;
-use crate::poly::RnsPoly;
 
 pub use rlwe_ring::batch::{galois_element_for_column_swap, galois_element_for_rotation};
+pub use rlwe_ring::encoding::{EvalPlaintext, Plaintext};
 
-/// A plaintext polynomial (coefficients mod `t`, degree `< N`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Plaintext {
-    pub(crate) coeffs: Vec<u64>,
-}
-
-impl Plaintext {
-    /// The raw coefficients (mod `t`).
-    pub fn coeffs(&self) -> &[u64] {
-        &self.coeffs
-    }
-}
-
-/// A plaintext pre-lifted into the ciphertext ring and NTT-transformed —
-/// SEAL's "plaintext in NTT form", the encode-once half of the evaluator
-/// hot path.
-///
-/// Both evaluation-form variants every plaintext op needs are cached:
-/// the raw lift `m` (what `mul_plain` multiplies by) and the scaled lift
-/// `Δ·m` (what `add_plain`/`sub_plain` add into `c0`). Build one per
-/// distinct plaintext — via [`EvalPlaintext::new`],
-/// [`BatchEncoder::encode_eval`], or `Evaluator::preencode` — and reuse it
-/// across operations: each reuse skips the per-op RNS lift and `k` forward
-/// NTTs the `Plaintext`-taking entry points pay.
-///
-/// Results are bit-identical to the on-the-fly path: scalar multiplication
-/// commutes with the NTT, so transforming `m` once and scaling by Δ in the
-/// evaluation domain yields exactly the residues the coefficient-domain
-/// order produced.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EvalPlaintext {
-    /// The plaintext lifted to `R_Q`, evaluation form.
-    pub(crate) m: RnsPoly,
-    /// `Δ·m`, evaluation form.
-    pub(crate) delta_m: RnsPoly,
-}
-
-impl EvalPlaintext {
-    /// Lifts and transforms `pt` once for the given context.
-    pub fn new(ctx: &BfvContext, pt: &Plaintext) -> Self {
-        let ring = ctx.ring();
-        let m = ring.to_eval(&ring.from_u64_coeffs(&pt.coeffs));
-        let delta_m = ring.mul_scalar_residues(&m, ctx.delta_residues());
-        EvalPlaintext { m, delta_m }
-    }
-}
-
-/// Encoder/decoder between slot vectors and plaintext polynomials.
+/// The batch encoder over a BFV context.
 ///
 /// # Examples
 ///
@@ -69,95 +19,11 @@ impl EvalPlaintext {
 ///
 /// let ctx = BfvContext::new(BfvParams::test_small())?;
 /// let encoder = BatchEncoder::new(&ctx);
-/// let mut v = vec![0u64; encoder.slot_count()];
-/// v[0] = 7;
-/// v[1] = 11;
-/// let pt = encoder.encode(&v);
-/// assert_eq!(encoder.decode(&pt), v);
+/// let v = vec![7u64; encoder.slot_count()];
+/// assert_eq!(encoder.decode(&encoder.encode(&v)), v);
 /// # Ok::<(), bfv::params::ParamError>(())
 /// ```
-#[derive(Debug)]
-pub struct BatchEncoder<'a> {
-    ctx: &'a BfvContext,
-    /// `slot_to_eval[slot] = j` where the slot's value is the evaluation at
-    /// `ψ^(2j+1)` (the natural-order output index of the plaintext NTT).
-    slot_to_eval: Vec<usize>,
-}
-
-impl<'a> BatchEncoder<'a> {
-    /// Builds the slot map for a context.
-    pub fn new(ctx: &'a BfvContext) -> Self {
-        let slot_to_eval = rlwe_ring::batch::slot_to_eval_map(ctx.params().poly_degree);
-        BatchEncoder { ctx, slot_to_eval }
-    }
-
-    /// Total number of slots (`N`).
-    pub fn slot_count(&self) -> usize {
-        self.ctx.params().poly_degree
-    }
-
-    /// Slots per row (`N/2`).
-    pub fn row_size(&self) -> usize {
-        self.ctx.params().poly_degree / 2
-    }
-
-    /// Encodes a slot vector (values mod `t`; shorter vectors are
-    /// zero-padded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() > N`.
-    pub fn encode(&self, values: &[u64]) -> Plaintext {
-        let n = self.slot_count();
-        assert!(values.len() <= n, "too many values for {n} slots");
-        let t = self.ctx.params().plain_modulus;
-        let mut evals = vec![0u64; n];
-        for (slot, &v) in values.iter().enumerate() {
-            evals[self.slot_to_eval[slot]] = v % t;
-        }
-        self.ctx.plain_ntt().inverse(&mut evals);
-        Plaintext { coeffs: evals }
-    }
-
-    /// Encodes a slot vector straight into evaluation form — the
-    /// encode-once entry point for plaintexts reused across many ops.
-    pub fn encode_eval(&self, values: &[u64]) -> EvalPlaintext {
-        EvalPlaintext::new(self.ctx, &self.encode(values))
-    }
-
-    /// Encodes signed values (centered mod `t`).
-    pub fn encode_signed(&self, values: &[i64]) -> Plaintext {
-        let t = self.ctx.params().plain_modulus as i64;
-        let unsigned: Vec<u64> = values.iter().map(|&v| (v.rem_euclid(t)) as u64).collect();
-        self.encode(&unsigned)
-    }
-
-    /// Decodes a plaintext back to its `N` slot values.
-    pub fn decode(&self, pt: &Plaintext) -> Vec<u64> {
-        let mut evals = pt.coeffs.clone();
-        self.ctx.plain_ntt().forward(&mut evals);
-        let mut out = vec![0u64; self.slot_count()];
-        for (slot, &j) in self.slot_to_eval.iter().enumerate() {
-            out[slot] = evals[j];
-        }
-        out
-    }
-
-    /// Decodes to centered signed values in `(-t/2, t/2]`.
-    pub fn decode_signed(&self, pt: &Plaintext) -> Vec<i64> {
-        let t = self.ctx.params().plain_modulus;
-        self.decode(pt)
-            .into_iter()
-            .map(|v| {
-                if v > t / 2 {
-                    v as i64 - t as i64
-                } else {
-                    v as i64
-                }
-            })
-            .collect()
-    }
-}
+pub type BatchEncoder<'a> = rlwe_ring::encoding::BatchEncoder<'a, BfvContext>;
 
 #[cfg(test)]
 mod tests {
@@ -251,17 +117,5 @@ mod tests {
             assert_eq!(swapped[i], v[half + i]);
             assert_eq!(swapped[half + i], v[i]);
         }
-    }
-
-    #[test]
-    fn slot_map_is_a_permutation() {
-        let ctx = small_ctx();
-        let enc = BatchEncoder::new(&ctx);
-        let mut seen = vec![false; enc.slot_count()];
-        for &j in &enc.slot_to_eval {
-            assert!(!seen[j], "duplicate eval index {j}");
-            seen[j] = true;
-        }
-        assert!(seen.iter().all(|&b| b));
     }
 }

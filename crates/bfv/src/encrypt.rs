@@ -1,132 +1,18 @@
-//! Ciphertexts, encryption, decryption, and the invariant-noise budget.
+//! BFV ciphertexts, encryption, decryption, and the invariant-noise
+//! budget: the shared machinery ([`rlwe_ring::encrypt`]) over a
+//! [`BfvContext`]. Encryption adds `Δ·m` to `c0`; decryption computes
+//! `round(t·w/Q) mod t` per phase coefficient, and the budget is SEAL's
+//! `log2(Q / (2·‖t·w mod Q‖))`.
 
-use crate::bigint::{center, BigInt};
-use crate::encoding::Plaintext;
-use crate::keys::{PublicKey, SecretKey};
 use crate::params::BfvContext;
-use crate::poly::RnsPoly;
-use rand::Rng;
 
-/// A BFV ciphertext: a vector of ring elements (size 2 fresh, size 3 after
-/// an unrelinearized multiply) decrypting via `Σ_j c_j · s^j`.
-///
-/// Parts are kept in evaluation (double-CRT) form on the hot path; the
-/// form converters below exist for storage/serialization-style uses and
-/// for testing that the representation is semantically transparent.
-#[derive(Debug, Clone)]
-pub struct Ciphertext {
-    pub parts: Vec<RnsPoly>,
-}
+pub use rlwe_ring::encrypt::Ciphertext;
 
-impl Ciphertext {
-    /// Number of polynomial parts (2 or 3 in this implementation).
-    pub fn size(&self) -> usize {
-        self.parts.len()
-    }
+/// Public-key encryptor over a BFV context.
+pub type Encryptor<'a> = rlwe_ring::encrypt::Encryptor<'a, BfvContext>;
 
-    /// This ciphertext with every part in coefficient form.
-    pub fn to_coeff_form(&self, ctx: &BfvContext) -> Ciphertext {
-        Ciphertext {
-            parts: self.parts.iter().map(|p| ctx.ring().to_coeff(p)).collect(),
-        }
-    }
-
-    /// This ciphertext with every part in evaluation (double-CRT) form.
-    pub fn to_eval_form(&self, ctx: &BfvContext) -> Ciphertext {
-        Ciphertext {
-            parts: self.parts.iter().map(|p| ctx.ring().to_eval(p)).collect(),
-        }
-    }
-}
-
-/// Public-key encryptor.
-#[derive(Debug)]
-pub struct Encryptor<'a> {
-    ctx: &'a BfvContext,
-    pk: PublicKey,
-}
-
-impl<'a> Encryptor<'a> {
-    /// Creates an encryptor from a public key.
-    pub fn new(ctx: &'a BfvContext, pk: PublicKey) -> Self {
-        Encryptor { ctx, pk }
-    }
-
-    /// Encrypts a plaintext: `(b·u + e_1 + Δ·m, a·u + e_2)`, produced in
-    /// evaluation form (the public key is already NTT-resident, so the two
-    /// products are pointwise).
-    pub fn encrypt<R: Rng + ?Sized>(&self, pt: &Plaintext, rng: &mut R) -> Ciphertext {
-        let ring = self.ctx.ring();
-        let m = ring.from_u64_coeffs(&pt.coeffs);
-        let dm = ring.to_eval(&ring.mul_scalar_residues(&m, self.ctx.delta_residues()));
-        let u = ring.to_eval(&ring.sample_ternary(rng));
-        let e1 = ring.to_eval(&ring.sample_error(rng));
-        let e2 = ring.to_eval(&ring.sample_error(rng));
-        let c0 = ring.add(&ring.add(&ring.mul(&self.pk.b, &u), &e1), &dm);
-        let c1 = ring.add(&ring.mul(&self.pk.a, &u), &e2);
-        Ciphertext {
-            parts: vec![c0, c1],
-        }
-    }
-}
-
-/// Secret-key decryptor and noise meter.
-#[derive(Debug)]
-pub struct Decryptor<'a> {
-    ctx: &'a BfvContext,
-    sk: SecretKey,
-}
-
-impl<'a> Decryptor<'a> {
-    /// Creates a decryptor from the secret key.
-    pub fn new(ctx: &'a BfvContext, sk: SecretKey) -> Self {
-        Decryptor { ctx, sk }
-    }
-
-    /// The raw phase `Σ_j c_j s^j mod Q`, lifted to centered integers.
-    fn phase(&self, ct: &Ciphertext) -> Vec<BigInt> {
-        let ring = self.ctx.ring();
-        let mut acc = ct.parts[0].clone();
-        let mut s_pow = self.sk.s.clone();
-        for part in &ct.parts[1..] {
-            acc = ring.add(&acc, &ring.mul(part, &s_pow));
-            s_pow = ring.mul(&s_pow, &self.sk.s);
-        }
-        ring.lift_centered(&acc)
-    }
-
-    /// Decrypts: `m_c = round(t · w_c / Q) mod t` per coefficient.
-    pub fn decrypt(&self, ct: &Ciphertext) -> Plaintext {
-        let t = self.ctx.params().plain_modulus;
-        let q = self.ctx.ring().modulus();
-        let coeffs = self
-            .phase(ct)
-            .iter()
-            .map(|w| w.mul_div_round(t, q).rem_euclid_u64(t))
-            .collect();
-        Plaintext { coeffs }
-    }
-
-    /// Invariant noise budget in bits, like SEAL's: `log2(Q / (2·‖t·w mod Q‖))`.
-    ///
-    /// A non-positive budget means decryption is no longer reliable.
-    pub fn invariant_noise_budget(&self, ct: &Ciphertext) -> i64 {
-        let t = self.ctx.params().plain_modulus;
-        let q = self.ctx.ring().modulus();
-        let q_bits = q.bits() as i64;
-        let mut max_bits: i64 = 0;
-        for w in self.phase(ct) {
-            let x = BigInt {
-                mag: w.mag.mul_u64(t),
-                neg: w.neg,
-            };
-            let r = x.rem_euclid_big(q);
-            let centered = center(&r, q);
-            max_bits = max_bits.max(centered.mag.bits() as i64);
-        }
-        q_bits - max_bits - 1
-    }
-}
+/// Secret-key decryptor and noise meter over a BFV context.
+pub type Decryptor<'a> = rlwe_ring::encrypt::Decryptor<'a, BfvContext>;
 
 #[cfg(test)]
 mod tests {
@@ -134,7 +20,7 @@ mod tests {
     use crate::encoding::BatchEncoder;
     use crate::keys::KeyGenerator;
     use crate::params::BfvParams;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn setup() -> (BfvContext, rand::rngs::StdRng) {
         (

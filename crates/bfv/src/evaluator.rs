@@ -1,30 +1,10 @@
-//! Homomorphic evaluation: the SIMD instruction set Porcupine targets,
-//! RNS-native end to end.
+//! Homomorphic evaluation for BFV: the shared RNS-native evaluator
+//! ([`rlwe_ring::evaluator`]) instantiated at [`BfvContext`], plus BFV's
+//! ciphertext multiply.
 //!
-//! Mirrors the SEAL evaluator surface the paper compiles to: ciphertext
-//! add/sub/negate, plaintext add/sub/multiply, ciphertext multiply with
-//! relinearization, and slot rotations via Galois automorphisms.
-//!
-//! # The double-CRT invariant
-//!
-//! Ciphertexts and keys stay in **evaluation (double-CRT) form**
-//! ([`crate::poly::PolyForm::Eval`]) between operations, so the cheap ops
-//! never touch an NTT:
-//!
-//! * `add`/`sub`/`negate` and the plaintext ops are componentwise on
-//!   evaluation residues — a plaintext operand is converted to evaluation
-//!   form **once** at [`Evaluator::preencode`] (an [`EvalPlaintext`]
-//!   caching both `Δ·m` and raw `m`) and reused by every later op;
-//! * the Galois automorphism inside rotations is a cached index
-//!   permutation of evaluation slots ([`crate::keys::GaloisKeys`] stores
-//!   one per element);
-//! * key switching transforms only the RNS *digits* of the switched
-//!   polynomial (`k` inverse + `k²` forward NTTs) and then runs pointwise
-//!   inner products against the NTT-resident key, Shoup-accelerated.
-//!
-//! Coefficient form appears in exactly three places: the digit
-//! decomposition above, the base conversions inside [`Evaluator::multiply`],
-//! and the final lift at decryption.
+//! Everything but the multiply — add/sub/negate, the plaintext ops (which
+//! add the cached `Δ·m` into `c0`), relinearization, rotations and
+//! hoisting — is the shared code, over NTT-resident ciphertexts and keys.
 //!
 //! # Multiplication
 //!
@@ -35,38 +15,18 @@
 //! base `Q·B` (pointwise in the transform domain), and rescaled by `t/Q`
 //! with exact rounding: `round(t·x/Q) = (t·x − [t·x]_Q)/Q` with the
 //! centered remainder lifted `Q → B`, the division done via `Q⁻¹ mod b_j`,
-//! and the result shrunk `B → Q`. This replaces the former per-coefficient
-//! big-integer CRT reconstruction — the textbook BFV multiply with the
-//! BEHZ-style all-RNS data flow, except that the mixed-radix conversions
-//! are exact, so no approximation error is introduced.
+//! and the result shrunk `B → Q`. This is the textbook BFV multiply with
+//! the BEHZ-style all-RNS data flow, except that the mixed-radix
+//! conversions are exact, so no approximation error is introduced.
 
-use crate::encoding::{
-    galois_element_for_column_swap, galois_element_for_rotation, EvalPlaintext, Plaintext,
-};
 use crate::encrypt::Ciphertext;
-use crate::keys::{GaloisKeys, KeySwitchKey, RelinKey};
-use crate::keyswitch::HoistedDecomposition;
-use crate::ntt::{pointwise_mul_add_into, pointwise_mul_into};
 use crate::params::BfvContext;
-use crate::poly::{PolyForm, RingContext, RnsPoly};
-use crate::pool::{PoolStats, ScratchPool};
+use crate::poly::{PolyForm, RnsPoly};
+use crate::pool::ScratchPool;
 use crate::zq::{mul_mod_shoup, sub_mod};
+use rlwe_ring::evaluator::{eval_ref, tensor};
 
-/// Evaluator over one context, with a private [`ScratchPool`] backing the
-/// allocation-free hot path.
-///
-/// Every operation comes in two flavors: a pure function returning a fresh
-/// ciphertext (`add`, `mul_plain`, `rotate_rows`, ...) and an in-place
-/// `_assign` variant mutating its first operand (`add_assign`,
-/// `mul_plain_assign`, `rotate_rows_assign`, ...). The `_assign` variants
-/// plus cached [`EvalPlaintext`]s (see [`Evaluator::preencode`]) are the
-/// hot path: after a warm-up call per operation shape they perform **zero**
-/// heap allocations — temporaries come from the pool, and dead ciphertexts
-/// can be returned to it with [`Evaluator::recycle`]. The pure variants are
-/// `clone` + `_assign`, so both flavors are bit-identical.
-///
-/// The pool uses interior mutability, so an `Evaluator` is not `Sync`;
-/// create one per worker thread over a shared context.
+/// The evaluator over a BFV context (see [`rlwe_ring::evaluator::Evaluator`]).
 ///
 /// # Examples
 ///
@@ -89,570 +49,124 @@ use crate::zq::{mul_mod_shoup, sub_mod};
 /// assert_eq!(&coder.decode(&dec.decrypt(&a))[..2], &[13, 24]);
 /// # Ok::<(), bfv::params::ParamError>(())
 /// ```
-#[derive(Debug)]
-pub struct Evaluator<'a> {
-    ctx: &'a BfvContext,
-    pool: ScratchPool,
+pub type Evaluator<'a> = rlwe_ring::evaluator::Evaluator<'a, BfvContext>;
+
+/// BFV's ciphertext multiply on two size-2 operands (see the module docs
+/// for the RNS data flow); the result is exact (`round(t/Q · tensor)` with
+/// true nearest rounding) and built entirely in pooled buffers.
+pub(crate) fn multiply(ev: &Evaluator<'_>, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
+    let ctx = ev.context();
+    let ring = ctx.ring();
+    let aux = ctx.aux_ring();
+    let (k, l, n) = (ring.num_primes(), aux.num_primes(), ring.degree());
+    let pool = ev.pool();
+
+    // Q-side operands: borrowed directly when already evaluation-resident
+    // (the steady state); a coefficient-form operand converts into a
+    // temporary on the cold path.
+    let (mut s0, mut s1, mut s2, mut s3) = (None, None, None, None);
+    let c0 = eval_ref(ring, &a.parts[0], &mut s0);
+    let c1 = eval_ref(ring, &a.parts[1], &mut s1);
+    let d0 = eval_ref(ring, &b.parts[0], &mut s2);
+    let d1 = eval_ref(ring, &b.parts[1], &mut s3);
+
+    // B-side extension of each part: centered base conversion of the
+    // coefficients, then forward transforms — all in pooled buffers.
+    let extend_aux = |p: &RnsPoly| -> Vec<Vec<u64>> {
+        let mut coeff = pool.take_matrix(k, n);
+        for ((i, row), src) in coeff.iter_mut().enumerate().zip(&p.residues) {
+            row.copy_from_slice(src);
+            if p.form() == PolyForm::Eval {
+                ring.ntt(i).inverse(row);
+            }
+        }
+        let mut ext = pool.take_matrix(l, n);
+        ctx.q_to_aux().convert_centered_into(&coeff, pool, &mut ext);
+        pool.put_matrix(coeff);
+        for (j, r) in ext.iter_mut().enumerate() {
+            aux.ntt(j).forward(r);
+        }
+        ext
+    };
+    let c0_aux = extend_aux(&a.parts[0]);
+    let c1_aux = extend_aux(&a.parts[1]);
+    let d0_aux = extend_aux(&b.parts[0]);
+    let d1_aux = extend_aux(&b.parts[1]);
+
+    // Tensor pointwise over the combined base, into pooled buffers.
+    let q_side = [c0, c1, d0, d1].map(|p| p.residues.as_slice());
+    let e_q = tensor(
+        pool,
+        ring.barretts(),
+        [q_side[0], q_side[1]],
+        [q_side[2], q_side[3]],
+    );
+    let e_aux = tensor(pool, aux.barretts(), [&c0_aux, &c1_aux], [&d0_aux, &d1_aux]);
+    for m in [c0_aux, c1_aux, d0_aux, d1_aux] {
+        pool.put_matrix(m);
+    }
+
+    // The outer part shell comes from the pool too, so a steady-state
+    // multiply of recycled operands allocates nothing at all.
+    let mut parts = pool.take_parts();
+    for (x_q, x_aux) in e_q.into_iter().zip(e_aux) {
+        parts.push(rescale(ctx, pool, x_q, x_aux));
+    }
+    Ciphertext { parts }
 }
 
-impl<'a> Evaluator<'a> {
-    /// Creates an evaluator with an empty scratch pool.
-    pub fn new(ctx: &'a BfvContext) -> Self {
-        Evaluator {
-            ctx,
-            pool: ScratchPool::new(),
+/// Rescales one tensor part: `y = (t·x − [t·x]_Q) / Q`, all in RNS and
+/// entirely in pooled buffers. Consumes (and recycles) both input
+/// matrices; the returned evaluation-form part owns a pooled matrix.
+fn rescale(
+    ctx: &BfvContext,
+    pool: &ScratchPool,
+    mut e_q: Vec<Vec<u64>>,
+    mut e_aux: Vec<Vec<u64>>,
+) -> RnsPoly {
+    let ring = ctx.ring();
+    let aux = ctx.aux_ring();
+    for (i, r) in e_q.iter_mut().enumerate() {
+        ring.ntt(i).inverse(r);
+    }
+    for (j, r) in e_aux.iter_mut().enumerate() {
+        aux.ntt(j).inverse(r);
+    }
+    // s = t·x mod Q, scaled in place (the raw tensor part is dead), then
+    // its centered remainder lifted Q → B.
+    for ((r, &q), &(t_q, t_q_shoup)) in e_q.iter_mut().zip(ring.primes()).zip(ctx.t_mod_q()) {
+        for x in r.iter_mut() {
+            *x = mul_mod_shoup(*x, t_q, t_q_shoup, q);
         }
     }
-
-    /// Allocation counters of the scratch pool — `fresh` staying constant
-    /// across a window of operations proves the window allocated nothing
-    /// (the allocation-regression tests pin exactly that).
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
-    }
-
-    /// Returns a dead ciphertext's buffers to the scratch pool so later
-    /// operations reuse them instead of allocating. Callers that know a
-    /// value's last use (e.g. the IR runner's liveness analysis) feed the
-    /// steady state this way.
-    pub fn recycle(&self, ct: Ciphertext) {
-        let mut parts = ct.parts;
-        for part in parts.drain(..) {
-            self.pool.put_matrix(part.residues);
-        }
-        self.pool.put_parts(parts);
-    }
-
-    /// A pooled all-zero polynomial in evaluation form.
-    fn take_poly_zeroed(&self) -> RnsPoly {
-        let ring = self.ctx.ring();
-        RnsPoly {
-            residues: self
-                .pool
-                .take_matrix_zeroed(ring.num_primes(), ring.degree()),
-            form: PolyForm::Eval,
+    let mut r_aux = pool.take_matrix(aux.num_primes(), aux.degree());
+    ctx.q_to_aux().convert_centered_into(&e_q, pool, &mut r_aux);
+    pool.put_matrix(e_q);
+    // y mod b_j = (t·x − r)·Q⁻¹ = x·(t·Q⁻¹) − r·Q⁻¹ mod b_j, two Shoup
+    // multiplies per slot (constants precomputed on the context).
+    for (j, yr) in e_aux.iter_mut().enumerate() {
+        let b = aux.primes()[j];
+        let (q_inv, q_inv_shoup) = ctx.q_inv_mod_aux()[j];
+        let (tq, tq_shoup) = ctx.t_q_inv_mod_aux()[j];
+        for (yc, &rc) in yr.iter_mut().zip(&r_aux[j]) {
+            *yc = sub_mod(
+                mul_mod_shoup(*yc, tq, tq_shoup, b),
+                mul_mod_shoup(rc, q_inv, q_inv_shoup, b),
+                b,
+            );
         }
     }
-
-    fn put_poly(&self, p: RnsPoly) {
-        self.pool.put_matrix(p.residues);
-    }
-
-    /// Slot-wise sum of two ciphertexts. Mismatched sizes zero-pad the
-    /// shorter operand (a missing part is the zero polynomial).
-    pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        let mut out = a.clone();
-        self.add_assign(&mut out, b);
-        out
-    }
-
-    /// `a += b` slot-wise, in place and allocation-free in the steady
-    /// state (pool buffers pad `a` if `b` is larger).
-    pub fn add_assign(&self, a: &mut Ciphertext, b: &Ciphertext) {
-        self.zip_assign(a, b, RingContext::add_assign)
-    }
-
-    /// Slot-wise difference of two ciphertexts (same zero-padding contract
-    /// as [`Evaluator::add`]).
-    pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        let mut out = a.clone();
-        self.sub_assign(&mut out, b);
-        out
-    }
-
-    /// `a -= b` slot-wise, in place (same contract as
-    /// [`Evaluator::add_assign`]).
-    pub fn sub_assign(&self, a: &mut Ciphertext, b: &Ciphertext) {
-        self.zip_assign(a, b, RingContext::sub_assign)
-    }
-
-    fn zip_assign(
-        &self,
-        a: &mut Ciphertext,
-        b: &Ciphertext,
-        f: fn(&RingContext, &mut RnsPoly, &RnsPoly),
-    ) {
-        let ring = self.ctx.ring();
-        // Extra parts of `a` combine with zero and are already correct;
-        // extra parts of `b` need explicit zero-padding on `a`.
-        while a.parts.len() < b.parts.len() {
-            a.parts.push(self.take_poly_zeroed());
-        }
-        for (x, y) in a.parts.iter_mut().zip(&b.parts) {
-            f(ring, x, y);
-        }
-    }
-
-    /// Slot-wise negation.
-    pub fn negate(&self, a: &Ciphertext) -> Ciphertext {
-        let mut out = a.clone();
-        self.negate_assign(&mut out);
-        out
-    }
-
-    /// `a = -a` slot-wise, in place, allocation-free.
-    pub fn negate_assign(&self, a: &mut Ciphertext) {
-        let ring = self.ctx.ring();
-        for p in a.parts.iter_mut() {
-            ring.neg_assign(p);
-        }
-    }
-
-    /// Lifts a plaintext into cached evaluation form for reuse across many
-    /// operations — encode once, then feed the `_plain_assign` ops. See
-    /// [`EvalPlaintext`].
-    pub fn preencode(&self, pt: &Plaintext) -> EvalPlaintext {
-        EvalPlaintext::new(self.ctx, pt)
-    }
-
-    /// Adds an encoded plaintext to a ciphertext (`c0 += Δ·m`). Encodes on
-    /// the fly; for plaintexts used more than once, [`Evaluator::preencode`]
-    /// + [`Evaluator::add_plain_assign`] skips the repeated transforms.
-    pub fn add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        let mut out = a.clone();
-        self.add_plain_assign(&mut out, &self.preencode(pt));
-        out
-    }
-
-    /// `c0 += Δ·m` with a cached plaintext: one componentwise vector add,
-    /// no transforms, no allocation.
-    pub fn add_plain_assign(&self, a: &mut Ciphertext, pt: &EvalPlaintext) {
-        self.ctx.ring().add_assign(&mut a.parts[0], &pt.delta_m);
-    }
-
-    /// Subtracts an encoded plaintext from a ciphertext (encodes on the
-    /// fly; see [`Evaluator::sub_plain_assign`] for the cached path).
-    pub fn sub_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        let mut out = a.clone();
-        self.sub_plain_assign(&mut out, &self.preencode(pt));
-        out
-    }
-
-    /// `c0 -= Δ·m` with a cached plaintext (no transforms, no allocation).
-    pub fn sub_plain_assign(&self, a: &mut Ciphertext, pt: &EvalPlaintext) {
-        self.ctx.ring().sub_assign(&mut a.parts[0], &pt.delta_m);
-    }
-
-    /// Multiplies a ciphertext by an encoded plaintext (slot-wise).
-    /// Encodes on the fly; see [`Evaluator::mul_plain_assign`] for the
-    /// cached path.
-    pub fn mul_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        let mut out = a.clone();
-        self.mul_plain_assign(&mut out, &self.preencode(pt));
-        out
-    }
-
-    /// `a *= m` slot-wise with a cached plaintext: pointwise products on
-    /// every part, no transforms, no allocation.
-    pub fn mul_plain_assign(&self, a: &mut Ciphertext, pt: &EvalPlaintext) {
-        let ring = self.ctx.ring();
-        for p in a.parts.iter_mut() {
-            ring.mul_assign(p, &pt.m);
-        }
-    }
-
-    /// Ciphertext–ciphertext multiply, producing a size-3 ciphertext.
-    /// Relinearize with [`Evaluator::relinearize`] before further rotations
-    /// or multiplies.
-    ///
-    /// See the module docs for the RNS data flow; the result is exact
-    /// (`round(t/Q · tensor)` with true nearest rounding).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either input is not size 2.
-    pub fn multiply(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        assert_eq!(
-            a.size(),
-            2,
-            "multiply requires size-2 inputs (relinearize first)"
-        );
-        assert_eq!(
-            b.size(),
-            2,
-            "multiply requires size-2 inputs (relinearize first)"
-        );
-        let ring = self.ctx.ring();
-        let aux = self.ctx.aux_ring();
-        let k = ring.num_primes();
-        let l = aux.num_primes();
-        let n = ring.degree();
-        let pool = &self.pool;
-
-        // Q-side operands: borrowed directly when already
-        // evaluation-resident (the steady state); a coefficient-form
-        // operand converts into a temporary on the cold path.
-        let (mut s0, mut s1, mut s2, mut s3) = (None, None, None, None);
-        let c0 = eval_ref(ring, &a.parts[0], &mut s0);
-        let c1 = eval_ref(ring, &a.parts[1], &mut s1);
-        let d0 = eval_ref(ring, &b.parts[0], &mut s2);
-        let d1 = eval_ref(ring, &b.parts[1], &mut s3);
-
-        // B-side extension of each part: centered base conversion of the
-        // coefficients, then forward transforms — all in pooled buffers.
-        let extend_aux = |p: &RnsPoly| -> Vec<Vec<u64>> {
-            let mut coeff = pool.take_matrix(k, n);
-            for ((i, row), src) in coeff.iter_mut().enumerate().zip(&p.residues) {
-                row.copy_from_slice(src);
-                if p.form() == PolyForm::Eval {
-                    ring.ntt(i).inverse(row);
-                }
-            }
-            let mut ext = pool.take_matrix(l, n);
-            self.ctx
-                .q_to_aux()
-                .convert_centered_into(&coeff, pool, &mut ext);
-            pool.put_matrix(coeff);
-            for (j, r) in ext.iter_mut().enumerate() {
-                aux.ntt(j).forward(r);
-            }
-            ext
-        };
-        let c0_aux = extend_aux(&a.parts[0]);
-        let c1_aux = extend_aux(&a.parts[1]);
-        let d0_aux = extend_aux(&b.parts[0]);
-        let d1_aux = extend_aux(&b.parts[1]);
-
-        // Tensor pointwise over the combined base, into pooled buffers:
-        //   e0 = c0·d0, e1 = c0·d1 + c1·d0, e2 = c1·d1.
-        let tensor_q = |x: &RnsPoly, y: &RnsPoly| -> Vec<Vec<u64>> {
-            let mut out = pool.take_matrix(k, n);
-            for (i, &bar) in ring.barretts().iter().enumerate() {
-                pointwise_mul_into(&x.residues[i], &y.residues[i], bar, &mut out[i]);
-            }
-            out
-        };
-        let tensor_aux = |x: &[Vec<u64>], y: &[Vec<u64>]| -> Vec<Vec<u64>> {
-            let mut out = pool.take_matrix(l, n);
-            for (j, &bar) in aux.barretts().iter().enumerate() {
-                pointwise_mul_into(&x[j], &y[j], bar, &mut out[j]);
-            }
-            out
-        };
-        let e0_q = tensor_q(c0, d0);
-        let mut e1_q = tensor_q(c0, d1);
-        for (i, &bar) in ring.barretts().iter().enumerate() {
-            pointwise_mul_add_into(&mut e1_q[i], &c1.residues[i], &d0.residues[i], bar);
-        }
-        let e2_q = tensor_q(c1, d1);
-        let e0_aux = tensor_aux(&c0_aux, &d0_aux);
-        let mut e1_aux = tensor_aux(&c0_aux, &d1_aux);
-        for (j, &bar) in aux.barretts().iter().enumerate() {
-            pointwise_mul_add_into(&mut e1_aux[j], &c1_aux[j], &d0_aux[j], bar);
-        }
-        let e2_aux = tensor_aux(&c1_aux, &d1_aux);
-        for m in [c0_aux, c1_aux, d0_aux, d1_aux] {
-            pool.put_matrix(m);
-        }
-
-        // The outer part shell comes from the pool too, so a steady-state
-        // multiply of recycled operands allocates nothing at all.
-        let mut parts = pool.take_parts();
-        parts.push(self.rescale(e0_q, e0_aux));
-        parts.push(self.rescale(e1_q, e1_aux));
-        parts.push(self.rescale(e2_q, e2_aux));
-        Ciphertext { parts }
-    }
-
-    /// Rescales one tensor part: `y = (t·x − [t·x]_Q) / Q`, all in RNS and
-    /// entirely in pooled buffers. Consumes (and recycles) both input
-    /// matrices; the returned evaluation-form part owns a pooled matrix.
-    fn rescale(&self, mut e_q: Vec<Vec<u64>>, mut e_aux: Vec<Vec<u64>>) -> RnsPoly {
-        let ring = self.ctx.ring();
-        let aux = self.ctx.aux_ring();
-        let pool = &self.pool;
-        for (i, r) in e_q.iter_mut().enumerate() {
-            ring.ntt(i).inverse(r);
-        }
-        for (j, r) in e_aux.iter_mut().enumerate() {
-            aux.ntt(j).inverse(r);
-        }
-        // s = t·x mod Q, scaled in place (the raw tensor part is dead),
-        // then its centered remainder lifted Q → B.
-        for ((r, &q), &(t_q, t_q_shoup)) in
-            e_q.iter_mut().zip(ring.primes()).zip(self.ctx.t_mod_q())
-        {
-            for x in r.iter_mut() {
-                *x = mul_mod_shoup(*x, t_q, t_q_shoup, q);
-            }
-        }
-        let mut r_aux = pool.take_matrix(aux.num_primes(), aux.degree());
-        self.ctx
-            .q_to_aux()
-            .convert_centered_into(&e_q, pool, &mut r_aux);
-        pool.put_matrix(e_q);
-        // y mod b_j = (t·x − r)·Q⁻¹ = x·(t·Q⁻¹) − r·Q⁻¹ mod b_j, two Shoup
-        // multiplies per slot (constants precomputed on the context).
-        for (j, yr) in e_aux.iter_mut().enumerate() {
-            let b = aux.primes()[j];
-            let (q_inv, q_inv_shoup) = self.ctx.q_inv_mod_aux()[j];
-            let (tq, tq_shoup) = self.ctx.t_q_inv_mod_aux()[j];
-            for (yc, &rc) in yr.iter_mut().zip(&r_aux[j]) {
-                *yc = sub_mod(
-                    mul_mod_shoup(*yc, tq, tq_shoup, b),
-                    mul_mod_shoup(rc, q_inv, q_inv_shoup, b),
-                    b,
-                );
-            }
-        }
-        pool.put_matrix(r_aux);
-        // Shrink B → Q and return to evaluation form.
-        let mut y_q = pool.take_matrix(ring.num_primes(), ring.degree());
-        self.ctx
-            .aux_to_q()
-            .convert_centered_into(&e_aux, pool, &mut y_q);
-        pool.put_matrix(e_aux);
-        let mut out = RnsPoly {
-            residues: y_q,
-            form: PolyForm::Coeff,
-        };
-        ring.make_eval(&mut out);
-        out
-    }
-
-    /// Key-switches polynomial `d` (under the source key of `ksk`) to the
-    /// canonical secret, accumulating the two parts into caller-provided
-    /// evaluation-form accumulators (pre-zeroed by the caller). Only the
-    /// RNS digits of `d` are transformed; the key is NTT-resident with
-    /// Shoup companions, so the inner products are pointwise Shoup
-    /// multiplies. All scratch comes from the pool.
-    fn key_switch_into(
-        &self,
-        d: &RnsPoly,
-        ksk: &KeySwitchKey,
-        acc_b: &mut RnsPoly,
-        acc_a: &mut RnsPoly,
-    ) {
-        rlwe_ring::keyswitch::key_switch_into(self.ctx.ring(), &self.pool, d, ksk, acc_b, acc_a);
-    }
-
-    /// Relinearizes a size-3 ciphertext back to size 2.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ciphertext is not size 3.
-    pub fn relinearize(&self, a: &Ciphertext, rk: &RelinKey) -> Ciphertext {
-        let mut out = a.clone();
-        self.relinearize_assign(&mut out, rk);
-        out
-    }
-
-    /// In-place relinearization: drops `c2`, folds its key switch into
-    /// `c0`/`c1`, and recycles the dead part — allocation-free in the
-    /// steady state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ciphertext is not size 3.
-    pub fn relinearize_assign(&self, a: &mut Ciphertext, rk: &RelinKey) {
-        assert_eq!(a.size(), 3, "relinearize expects a size-3 ciphertext");
-        let ring = self.ctx.ring();
-        let mut acc_b = self.take_poly_zeroed();
-        let mut acc_a = self.take_poly_zeroed();
-        let c2 = a.parts.pop().expect("size checked");
-        self.key_switch_into(&c2, &rk.0, &mut acc_b, &mut acc_a);
-        self.put_poly(c2);
-        ring.add_assign(&mut a.parts[0], &acc_b);
-        ring.add_assign(&mut a.parts[1], &acc_a);
-        self.put_poly(acc_b);
-        self.put_poly(acc_a);
-    }
-
-    /// Multiply then relinearize — the shape Porcupine's codegen emits for
-    /// every ct×ct product.
-    pub fn multiply_relin(&self, a: &Ciphertext, b: &Ciphertext, rk: &RelinKey) -> Ciphertext {
-        let mut prod = self.multiply(a, b);
-        self.relinearize_assign(&mut prod, rk);
-        prod
-    }
-
-    /// Applies the Galois automorphism `x → x^g` homomorphically. In
-    /// evaluation form the automorphism itself is a cached index
-    /// permutation; only the key switch afterwards does modular work.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ciphertext is not size 2 or no key for `g` is present.
-    pub fn apply_galois(&self, a: &Ciphertext, g: u64, gk: &GaloisKeys) -> Ciphertext {
-        let mut out = a.clone();
-        self.apply_galois_assign(&mut out, g, gk);
-        out
-    }
-
-    /// In-place Galois automorphism: permutes both parts through one
-    /// pooled scratch row, key-switches `c1` into pooled accumulators, and
-    /// recycles the dead part — allocation-free in the steady state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ciphertext is not size 2 or no key for `g` is present.
-    pub fn apply_galois_assign(&self, a: &mut Ciphertext, g: u64, gk: &GaloisKeys) {
-        assert_eq!(
-            a.size(),
-            2,
-            "apply_galois expects size-2 (relinearize first)"
-        );
-        if g == 1 {
-            return;
-        }
-        let ring = self.ctx.ring();
-        let entry = gk
-            .keys
-            .get(&g)
-            .unwrap_or_else(|| panic!("missing Galois key for element {g}"));
-        let mut scratch = self.pool.take_row(ring.degree());
-        for part in a.parts.iter_mut() {
-            ring.make_eval(part);
-            ring.apply_eval_permutation_assign(part, &entry.perm, &mut scratch);
-        }
-        self.pool.put_row(scratch);
-        let mut acc_b = self.take_poly_zeroed();
-        let mut acc_a = self.take_poly_zeroed();
-        self.key_switch_into(&a.parts[1], &entry.key, &mut acc_b, &mut acc_a);
-        ring.add_assign(&mut a.parts[0], &acc_b);
-        self.put_poly(acc_b);
-        let old_c1 = std::mem::replace(&mut a.parts[1], acc_a);
-        self.put_poly(old_c1);
-    }
-
-    /// Rotates both batching rows left by `steps` (negative = right) —
-    /// SEAL's `rotate_rows`. Any `i64` step is accepted; rotation is cyclic
-    /// with period `N/2`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the required Galois key is missing.
-    pub fn rotate_rows(&self, a: &Ciphertext, steps: i64, gk: &GaloisKeys) -> Ciphertext {
-        let mut out = a.clone();
-        self.rotate_rows_assign(&mut out, steps, gk);
-        out
-    }
-
-    /// In-place [`Evaluator::rotate_rows`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the required Galois key is missing.
-    pub fn rotate_rows_assign(&self, a: &mut Ciphertext, steps: i64, gk: &GaloisKeys) {
-        let n = self.ctx.params().poly_degree;
-        self.apply_galois_assign(a, galois_element_for_rotation(n, steps), gk)
-    }
-
-    /// Swaps the two batching rows — SEAL's `rotate_columns`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the required Galois key is missing.
-    pub fn rotate_columns(&self, a: &Ciphertext, gk: &GaloisKeys) -> Ciphertext {
-        let mut out = a.clone();
-        self.rotate_columns_assign(&mut out, gk);
-        out
-    }
-
-    /// In-place [`Evaluator::rotate_columns`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the required Galois key is missing.
-    pub fn rotate_columns_assign(&self, a: &mut Ciphertext, gk: &GaloisKeys) {
-        let n = self.ctx.params().poly_degree;
-        self.apply_galois_assign(a, galois_element_for_column_swap(n), gk)
-    }
-
-    /// The decompose phase of a hoisted rotation: digit-decomposes `c1`
-    /// once (`k` inverse + `k²` forward NTTs — the dominant cost of a
-    /// rotation's key switch) so that any number of
-    /// [`Evaluator::rotate_rows_hoisted`] calls on the same ciphertext can
-    /// skip it. Return the decomposition with
-    /// [`Evaluator::recycle_hoisted`] when the fan is done.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ciphertext is not size 2.
-    pub fn hoist(&self, a: &Ciphertext) -> HoistedDecomposition {
-        assert_eq!(a.size(), 2, "hoist expects size-2 (relinearize first)");
-        rlwe_ring::keyswitch::hoist_decompose(self.ctx.ring(), &self.pool, &a.parts[1])
-    }
-
-    /// Rotates rows by `steps` through a decomposition prepared by
-    /// [`Evaluator::hoist`] on the *same* ciphertext: the stored digit rows
-    /// are permuted by `σ_g` (a valid decomposition of `σ_g(c1)`, since the
-    /// automorphism preserves the CRT identity and digit norms) and folded
-    /// through the Galois key — per rotation only `k²` row permutations and
-    /// `2k²` pointwise Shoup multiply-adds, no NTTs. Decrypts identically
-    /// to [`Evaluator::rotate_rows`] with the same noise bound; the raw
-    /// ciphertext bits differ (the permuted digits are not the canonical
-    /// decomposition of the rotated polynomial).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ciphertext is not size 2 or the Galois key is missing.
-    pub fn rotate_rows_hoisted(
-        &self,
-        a: &Ciphertext,
-        hd: &HoistedDecomposition,
-        steps: i64,
-        gk: &GaloisKeys,
-    ) -> Ciphertext {
-        assert_eq!(a.size(), 2, "hoisted rotation expects size-2");
-        let ring = self.ctx.ring();
-        let n = self.ctx.params().poly_degree;
-        let g = galois_element_for_rotation(n, steps);
-        if g == 1 {
-            return a.clone();
-        }
-        let entry = gk
-            .keys
-            .get(&g)
-            .unwrap_or_else(|| panic!("missing Galois key for element {g}"));
-        // σ_g(c0), straight into a pooled evaluation-form poly.
-        let mut c0_store = None;
-        let c0 = eval_ref(ring, &a.parts[0], &mut c0_store);
-        let mut b = RnsPoly {
-            residues: self.pool.take_matrix(ring.num_primes(), ring.degree()),
-            form: PolyForm::Eval,
-        };
-        for (dst_row, src_row) in b.residues.iter_mut().zip(&c0.residues) {
-            for (dst, &src) in dst_row.iter_mut().zip(&entry.perm) {
-                *dst = src_row[src as usize];
-            }
-        }
-        if let Some(p) = c0_store {
-            self.put_poly(p);
-        }
-        let mut acc_b = self.take_poly_zeroed();
-        let mut acc_a = self.take_poly_zeroed();
-        rlwe_ring::keyswitch::key_switch_hoisted_into(
-            ring,
-            &self.pool,
-            hd,
-            Some(&entry.perm),
-            &entry.key,
-            &mut acc_b,
-            &mut acc_a,
-        );
-        ring.add_assign(&mut b, &acc_b);
-        self.put_poly(acc_b);
-        let mut parts = self.pool.take_parts();
-        parts.push(b);
-        parts.push(acc_a);
-        Ciphertext { parts }
-    }
-
-    /// Returns a hoisted decomposition's buffers to the scratch pool.
-    pub fn recycle_hoisted(&self, hd: HoistedDecomposition) {
-        hd.recycle(&self.pool);
-    }
-}
-
-/// Borrows `p` if already evaluation-resident, otherwise converts into
-/// `store` (cold path) and borrows that.
-fn eval_ref<'p>(ring: &RingContext, p: &'p RnsPoly, store: &'p mut Option<RnsPoly>) -> &'p RnsPoly {
-    if p.form() == PolyForm::Eval {
-        p
-    } else {
-        &*store.insert(ring.to_eval(p))
-    }
+    pool.put_matrix(r_aux);
+    // Shrink B → Q and return to evaluation form.
+    let mut y_q = pool.take_matrix(ring.num_primes(), ring.degree());
+    ctx.aux_to_q().convert_centered_into(&e_aux, pool, &mut y_q);
+    pool.put_matrix(e_aux);
+    let mut out = RnsPoly {
+        residues: y_q,
+        form: PolyForm::Coeff,
+    };
+    ring.make_eval(&mut out);
+    out
 }
 
 #[cfg(test)]

@@ -20,32 +20,29 @@
 //! # The double-CRT representation
 //!
 //! Like production RNS stacks (SEAL, Sunscreen), ciphertexts and keys are
-//! **NTT-resident**: every [`poly::RnsPoly`] carries a [`poly::PolyForm`]
-//! tag, and the evaluator keeps everything in evaluation form. Under that
-//! invariant
+//! **NTT-resident** — the invariant the shared evaluator keeps (see
+//! [`rlwe_ring::evaluator`]): componentwise add/sub and plaintext ops,
+//! pointwise products, rotations as cached slot permutations. BFV's
+//! multiply keeps it too, running entirely in 64-bit RNS arithmetic (exact
+//! base conversion into an auxiliary base, a per-prime tensor, an exact
+//! `t/Q` rescale — see [`evaluator`]) with no big-integer CRT on the hot
+//! path. The representation is semantically invisible (property-tested:
+//! both pipelines decrypt bit-identically).
 //!
-//! * add/sub/negate and plaintext ops are componentwise (a plaintext is
-//!   converted to evaluation form once — [`encoding::EvalPlaintext`] — and
-//!   reused across every op that references it),
-//! * polynomial products are pointwise,
-//! * rotations permute evaluation slots through a cached index map, and
-//! * ciphertext multiply runs entirely in 64-bit RNS arithmetic: exact
-//!   centered mixed-radix base conversion into an auxiliary base, a
-//!   per-prime tensor, and an exact `t/Q` rescale (see
-//!   [`evaluator::Evaluator::multiply`]) — no big-integer CRT on the hot
-//!   path.
+//! # What lives here
 //!
-//! Coefficient form appears only inside key-switch digit decomposition,
-//! the multiply's base conversions, and the final lift at decryption; the
-//! representation is semantically invisible (property-tested: both
-//! pipelines decrypt bit-identically).
-//!
-//! The number theory underneath — big integers, 64-bit prime fields,
-//! negacyclic NTTs with branchless Shoup/Barrett arithmetic, and CRT/RNS
-//! contexts with exact base converters — lives in the shared
-//! [`rlwe_ring`] crate (re-exported here as [`bigint`], [`zq`], [`ntt`],
-//! [`rns`], [`poly`], [`pool`]) and is also what the sibling `bgv` crate
-//! builds on.
+//! The number theory — big integers, prime fields, NTTs, RNS base
+//! conversion — and the scheme machinery on top of it — batch encoding,
+//! key generation, encryption/decryption, the evaluator — live in the
+//! shared [`rlwe_ring`] crate, written once and generic over a
+//! [`rlwe_ring::scheme::SchemePolicy`]. This crate implements that policy
+//! on [`params::BfvContext`] (`Δ·m` plaintext lift, unscaled errors, the
+//! multiply, rounding decryption) and re-exports the shared types as
+//! aliases at that context, so `bfv::evaluator::Evaluator` and friends
+//! read like a standalone backend. BFV's own code is the context
+//! precomputation, the multiply, the noise model and the selection table;
+//! the ring modules are re-exported as [`bigint`], [`zq`], [`ntt`],
+//! [`rns`], [`poly`], [`pool`].
 //!
 //! **Security caveat**: this is a research-grade implementation for
 //! reproducing a compiler paper. The samplers use a non-hardened RNG and a

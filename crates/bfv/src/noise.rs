@@ -44,7 +44,7 @@
 //!
 //! # Calibration
 //!
-//! The only empirical constant is the error bound [`NoiseModel::ERR_BOUND`]
+//! The only empirical constant is the error bound [`LogSizes::ERR_BOUND`]
 //! (exactly the sampler's support). The predicted budget additionally
 //! keeps one guard bit (see [`NoiseModel::budget`]) to stay under the
 //! integer rounding of the measured probe. To re-calibrate after changing
@@ -56,14 +56,9 @@
 use crate::params::BfvParams;
 use quill::analysis::NoiseSemantics;
 use quill::program::Program;
+use rlwe_ring::noise::{lse, LogSizes};
 
 pub use quill::analysis::NoiseReport;
-
-/// Adds two magnitudes in the log2 domain: `log2(2^a + 2^b)`.
-fn lse(a: f64, b: f64) -> f64 {
-    let (hi, lo) = if a >= b { (a, b) } else { (b, a) };
-    hi + (1.0 + (lo - hi).exp2()).log2()
-}
 
 /// Worst-case BFV invariant-noise model for one parameter set.
 ///
@@ -88,54 +83,21 @@ fn lse(a: f64, b: f64) -> f64 {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct NoiseModel {
-    /// `log2 Q` (exact, summed over the chain).
-    q_bits: f64,
-    /// `log2 t`.
-    t_bits: f64,
-    /// `log2 N`.
-    log_n: f64,
-    /// `log2 k` (number of ciphertext primes).
-    log_k: f64,
-    /// `log2` of the largest chain prime.
-    q_max_bits: f64,
+    sizes: LogSizes,
 }
 
 impl NoiseModel {
-    /// Worst-case magnitude of one coefficient of the error sampler
-    /// (centered binomial with parameter η = 10).
-    pub const ERR_BOUND: f64 = 10.0;
-
     /// Builds the model for a parameter set.
     pub fn for_params(params: &BfvParams) -> Self {
-        let q_bits = params.moduli.iter().map(|&p| (p as f64).log2()).sum();
         NoiseModel {
-            q_bits,
-            t_bits: (params.plain_modulus as f64).log2(),
-            log_n: (params.poly_degree as f64).log2(),
-            log_k: (params.moduli.len() as f64).log2(),
-            q_max_bits: (*params.moduli.iter().max().expect("nonempty chain") as f64).log2(),
+            sizes: LogSizes::of(params),
         }
     }
 
-    /// `log2` of the error-sampler bound.
-    fn err_bits(&self) -> f64 {
-        Self::ERR_BOUND.log2()
-    }
-
-    /// The additive relative noise of one RNS-decomposition key switch:
-    /// `t·k·N·q_max·B / Q`.
-    fn key_switch_bits(&self) -> f64 {
-        self.t_bits + self.log_k + self.log_n + self.q_max_bits + self.err_bits() - self.q_bits
-    }
-
-    /// Remaining noise budget, in bits, for a (log-domain) noise level.
-    ///
-    /// The exact budget of noise `ε` is `-log2(ε) - 1`; the model keeps one
-    /// extra guard bit because the measured probe rounds `‖t·w mod Q‖` and
-    /// `Q` to integer bit counts, which can shave up to one bit off the
-    /// comparison.
+    /// Remaining noise budget, in bits, for a (log-domain) noise level
+    /// (see [`LogSizes::budget`]).
     pub fn budget(&self, noise_bits: f64) -> f64 {
-        -noise_bits - 2.0
+        LogSizes::budget(noise_bits)
     }
 
     /// Predicted budget of a fresh encryption.
@@ -161,9 +123,9 @@ impl NoiseModel {
 impl NoiseSemantics for NoiseModel {
     fn fresh(&self) -> f64 {
         // t·((2N+1)·B + t) / Q
-        let inner =
-            (2.0f64.powf(self.log_n + 1.0) + 1.0) * Self::ERR_BOUND + 2.0f64.powf(self.t_bits);
-        self.t_bits + inner.log2() - self.q_bits
+        let inner = (2.0f64.powf(self.sizes.log_n + 1.0) + 1.0) * LogSizes::ERR_BOUND
+            + 2.0f64.powf(self.sizes.t_bits);
+        self.sizes.t_bits + inner.log2() - self.sizes.q_bits
     }
 
     fn add_ct_ct(&self, a: f64, b: f64) -> f64 {
@@ -172,29 +134,29 @@ impl NoiseSemantics for NoiseModel {
 
     fn mul_ct_ct(&self, a: f64, b: f64) -> f64 {
         // 2·t·N²·(ε₁ + ε₂), plus the t·N²/Q rescale-rounding floor.
-        let scaled = self.t_bits + 2.0 * self.log_n + 1.0 + lse(a, b);
-        let floor = self.t_bits + 2.0 * self.log_n - self.q_bits;
+        let scaled = self.sizes.t_bits + 2.0 * self.sizes.log_n + 1.0 + lse(a, b);
+        let floor = self.sizes.t_bits + 2.0 * self.sizes.log_n - self.sizes.q_bits;
         lse(scaled, floor)
     }
 
     fn add_ct_pt(&self, a: f64) -> f64 {
         // + (Q mod t)·m / Q with ‖m‖ < t (coefficient-wise, no convolution).
-        lse(a, 2.0 * self.t_bits - self.q_bits)
+        lse(a, 2.0 * self.sizes.t_bits - self.sizes.q_bits)
     }
 
     fn mul_ct_pt(&self, a: f64) -> f64 {
         // Negacyclic convolution with plaintext coefficients < t.
-        a + self.t_bits + self.log_n
+        a + self.sizes.t_bits + self.sizes.log_n
     }
 
     fn rot_ct(&self, a: f64) -> f64 {
         // The automorphism permutes coefficients (noise-neutral); the key
         // switch afterwards is additive.
-        lse(a, self.key_switch_bits())
+        lse(a, self.sizes.key_switch_bits())
     }
 
     fn relin_ct(&self, a: f64) -> f64 {
-        lse(a, self.key_switch_bits())
+        lse(a, self.sizes.key_switch_bits())
     }
 }
 

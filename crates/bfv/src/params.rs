@@ -5,16 +5,20 @@
 //! and live in [`rlwe_ring::params`] ([`BfvParams`] is an alias of
 //! [`rlwe_ring::params::RlweParams`]); this module adds what is BFV-specific:
 //! the [`BfvContext`] precomputation (`Δ = ⌊Q/t⌋` encoding constants and the
-//! auxiliary multiplication base) and the [`ParamSelector`] candidate table
-//! driven by the BFV [`NoiseModel`].
+//! auxiliary multiplication base), its [`SchemePolicy`] impl, and the
+//! [`ParamSelector`] candidate table driven by the BFV [`NoiseModel`].
 
-use crate::bigint::BigUint;
+use crate::bigint::{center, BigInt, BigUint};
+use crate::encrypt::Ciphertext;
+use crate::evaluator::Evaluator;
 use crate::noise::{NoiseModel, NoiseReport};
 use crate::ntt::NttTables;
-use crate::poly::RingContext;
-use crate::rns::{RnsBaseConverter, RnsContext};
+use crate::poly::{RingContext, RnsPoly};
+use crate::rns::RnsBaseConverter;
 use crate::zq;
 use quill::program::Program;
+use rlwe_ring::params::{Candidate, SelectionTable};
+use rlwe_ring::scheme::SchemePolicy;
 
 pub use rlwe_ring::params::{ParamError, ParamPolicy, SelectError, DEFAULT_MARGIN_BITS};
 
@@ -37,21 +41,7 @@ pub fn resolve_policy(
     min_slots: usize,
     t: u64,
 ) -> Result<BfvParams, SelectError> {
-    policy.resolve_with(min_slots, t, |margin_bits| {
-        ParamSelector::new(t)
-            .with_margin_bits(margin_bits)
-            .select(prog, min_slots)
-            .map(|s| s.params)
-    })
-}
-
-/// One row of the candidate table: `count` fresh primes of `bits` bits at
-/// degree `poly_degree`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Candidate {
-    poly_degree: usize,
-    prime_bits: u32,
-    count: usize,
+    ParamSelector::resolve(policy, prog, min_slots, t)
 }
 
 /// Noise-aware automatic parameter selection.
@@ -103,25 +93,18 @@ struct Candidate {
 ///     .map(|&q| 64 - q.leading_zeros()).sum::<u32>();
 /// assert!(q_bits(&larger.params) >= q_bits(&small.params));
 /// ```
-#[derive(Debug, Clone)]
-pub struct ParamSelector {
-    plain_modulus: u64,
-    margin_bits: f64,
-}
+pub type ParamSelector = rlwe_ring::params::ParamSelector<BfvContext>;
 
 /// A successful selection: the parameters plus the analysis that
 /// certified them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Selection {
-    /// The smallest satisfying parameter set.
-    pub params: BfvParams,
-    /// The noise analysis of the program under `params`.
-    pub report: NoiseReport,
-    /// How many size-compatible candidates were rejected first.
-    pub candidates_tried: usize,
-}
+pub type Selection = rlwe_ring::params::Selection<NoiseReport>;
 
-impl ParamSelector {
+/// The candidate table the shared [`ParamSelector`] walks, certified by the
+/// BFV [`NoiseModel`].
+impl SelectionTable for BfvContext {
+    type Program = Program;
+    type Report = NoiseReport;
+
     /// The candidate table, ascending by degree then total modulus bits.
     /// Prime sizes stay ≥ 45 bits: RNS-decomposition key switching adds
     /// noise proportional to the *largest* chain prime over `Q`, so chains
@@ -179,69 +162,19 @@ impl ParamSelector {
         },
     ];
 
-    /// A selector for plaintext modulus `t` with the default margin.
-    pub fn new(plain_modulus: u64) -> Self {
-        ParamSelector {
-            plain_modulus,
-            margin_bits: DEFAULT_MARGIN_BITS,
-        }
+    fn generate(
+        poly_degree: usize,
+        plain_modulus: u64,
+        prime_bits: u32,
+        count: usize,
+    ) -> Result<BfvParams, ParamError> {
+        BfvParams::generate(poly_degree, plain_modulus, prime_bits, count)
     }
 
-    /// Overrides the safety margin.
-    pub fn with_margin_bits(mut self, margin_bits: f64) -> Self {
-        self.margin_bits = margin_bits;
-        self
-    }
-
-    /// Selects the smallest satisfying parameter set for a lowered program
-    /// that needs `min_slots` slots per batching row.
-    ///
-    /// # Errors
-    ///
-    /// See [`SelectError`].
-    pub fn select(&self, prog: &Program, min_slots: usize) -> Result<Selection, SelectError> {
-        let t = self.plain_modulus;
-        let mut best: Option<(usize, f64)> = None;
-        let mut tried = 0usize;
-        let mut any_compatible = false;
-        for cand in Self::CANDIDATES {
-            let two_n = 2 * cand.poly_degree as u64;
-            if cand.poly_degree / 2 < min_slots
-                || !zq::is_prime(t)
-                || !(t - 1).is_multiple_of(two_n)
-            {
-                continue;
-            }
-            any_compatible = true;
-            let params = BfvParams::generate(cand.poly_degree, t, cand.prime_bits, cand.count)
-                .expect("table candidates are valid");
-            let report = NoiseModel::for_params(&params).analyze(prog);
-            if report.predicted_budget_bits >= self.margin_bits {
-                return Ok(Selection {
-                    params,
-                    report,
-                    candidates_tried: tried,
-                });
-            }
-            tried += 1;
-            if best.is_none_or(|(_, b)| report.predicted_budget_bits > b) {
-                best = Some((cand.poly_degree, report.predicted_budget_bits));
-            }
-        }
-        if !any_compatible && best.is_none() {
-            // Distinguish "t can never batch" from "table exhausted".
-            let t_fits_somewhere = Self::CANDIDATES
-                .iter()
-                .any(|c| zq::is_prime(t) && (t - 1).is_multiple_of(2 * c.poly_degree as u64));
-            if !t_fits_somewhere {
-                return Err(SelectError::UnsupportedPlainModulus(t));
-            }
-        }
-        Err(SelectError::NoCandidate {
-            margin_bits: self.margin_bits,
-            min_slots,
-            best,
-        })
+    fn analyze(params: &BfvParams, prog: &Program) -> (NoiseReport, f64) {
+        let report = NoiseModel::for_params(params).analyze(prog);
+        let budget = report.predicted_budget_bits;
+        (report, budget)
     }
 }
 
@@ -270,8 +203,6 @@ pub struct BfvContext {
     t_q_inv_mod_aux: Vec<(u64, u64)>,
     /// `t mod q_i` with its Shoup companion (the `t·x mod Q` scaling).
     t_mod_q: Vec<(u64, u64)>,
-    /// `t mod b_j`.
-    t_mod_aux: Vec<u64>,
     /// NTT over `Z_t` used by the batch encoder.
     plain_ntt: NttTables,
     /// `Δ = floor(Q / t)`.
@@ -328,10 +259,6 @@ impl BfvContext {
             .iter()
             .map(|&q| with_shoup(params.plain_modulus % q, q))
             .collect();
-        let t_mod_aux = aux_primes
-            .iter()
-            .map(|&b| params.plain_modulus % b)
-            .collect();
 
         let plain_ntt = NttTables::new(params.plain_modulus, n);
 
@@ -348,7 +275,6 @@ impl BfvContext {
             q_inv_mod_aux,
             t_q_inv_mod_aux,
             t_mod_q,
-            t_mod_aux,
             plain_ntt,
             delta,
             delta_residues,
@@ -369,11 +295,6 @@ impl BfvContext {
     /// The auxiliary ring used for exact tensoring.
     pub fn aux_ring(&self) -> &RingContext {
         &self.aux_ring
-    }
-
-    /// The auxiliary CRT context.
-    pub fn aux_rns(&self) -> &RnsContext {
-        self.aux_ring.rns()
     }
 
     /// Exact centered base converter `Q → B`.
@@ -401,16 +322,6 @@ impl BfvContext {
         &self.t_mod_q
     }
 
-    /// `t mod b_j` for each auxiliary prime.
-    pub fn t_mod_aux(&self) -> &[u64] {
-        &self.t_mod_aux
-    }
-
-    /// NTT over the plaintext modulus (batching transform).
-    pub fn plain_ntt(&self) -> &NttTables {
-        &self.plain_ntt
-    }
-
     /// `Δ = floor(Q/t)`.
     pub fn delta(&self) -> &BigUint {
         &self.delta
@@ -424,6 +335,51 @@ impl BfvContext {
     /// `Q mod t`.
     pub fn q_mod_t(&self) -> u64 {
         self.q_mod_t
+    }
+}
+
+/// BFV as a [`SchemePolicy`]: the message sits at the top of the phase
+/// (`Δ·m`), errors are unscaled, multiplication rescales by `t/Q`
+/// ([`crate::evaluator`]), and decryption rounds `t·w/Q`.
+impl SchemePolicy for BfvContext {
+    fn params(&self) -> &BfvParams {
+        &self.params
+    }
+
+    fn ring(&self) -> &RingContext {
+        &self.ring
+    }
+
+    fn plain_ntt(&self) -> &NttTables {
+        &self.plain_ntt
+    }
+
+    fn error_scale(&self) -> Option<&[u64]> {
+        None
+    }
+
+    fn lift_plain(&self, m: &RnsPoly) -> Option<RnsPoly> {
+        Some(self.ring.mul_scalar_residues(m, &self.delta_residues))
+    }
+
+    fn multiply(ev: &Evaluator<'_>, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
+        crate::evaluator::multiply(ev, a, b)
+    }
+
+    /// `m_c = round(t · w_c / Q) mod t`.
+    fn decrypt_coeff(&self, w: &BigInt) -> u64 {
+        let t = self.params.plain_modulus;
+        w.mul_div_round(t, self.ring.modulus()).rem_euclid_u64(t)
+    }
+
+    /// SEAL's invariant noise: the bits of `‖t·w mod Q‖` (centered).
+    fn noise_bits(&self, w: &BigInt) -> u32 {
+        let q = self.ring.modulus();
+        let tw = BigInt {
+            mag: w.mag.mul_u64(self.params.plain_modulus),
+            neg: w.neg,
+        };
+        center(&tw.rem_euclid_big(q), q).mag.bits()
     }
 }
 

@@ -1,150 +1,19 @@
-//! SIMD batch encoding for BGV: packs `N` integers mod `t` into one
-//! plaintext polynomial so HE ops act slot-wise.
+//! SIMD batch encoding for BGV: the shared encoder
+//! ([`rlwe_ring::encoding`]) over a [`BgvContext`].
 //!
-//! The slot geometry (and the Galois elements acting on it) is
-//! scheme-agnostic and lives in [`rlwe_ring::batch`]; it is byte-identical
-//! to the BFV encoder's, which is what keeps a kernel's slot semantics
-//! stable across schemes. The scheme-specific half is the ciphertext-ring
-//! lift: BGV carries the plaintext in the **least-significant digit**
+//! The slot geometry ([`rlwe_ring::batch`]) is byte-identical to the BFV
+//! encoder's, which is what keeps a kernel's slot semantics stable across
+//! schemes. BGV carries the plaintext in the **least-significant digit**
 //! (`m + t·noise`), so [`EvalPlaintext`] caches only the raw lift `m` —
 //! there is no `Δ` scaling anywhere in this backend.
 
 use crate::params::BgvContext;
-use crate::poly::RnsPoly;
 
 pub use rlwe_ring::batch::{galois_element_for_column_swap, galois_element_for_rotation};
+pub use rlwe_ring::encoding::{EvalPlaintext, Plaintext};
 
-/// A plaintext polynomial (coefficients mod `t`, degree `< N`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Plaintext {
-    pub(crate) coeffs: Vec<u64>,
-}
-
-impl Plaintext {
-    /// The raw coefficients (mod `t`).
-    pub fn coeffs(&self) -> &[u64] {
-        &self.coeffs
-    }
-}
-
-/// A plaintext pre-lifted into the ciphertext ring and NTT-transformed —
-/// the encode-once half of the evaluator hot path. BGV needs only the raw
-/// lift `m`: `add_plain` adds it to `c0` directly and `mul_plain`
-/// multiplies by it pointwise.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EvalPlaintext {
-    /// The plaintext lifted to `R_Q`, evaluation form.
-    pub(crate) m: RnsPoly,
-}
-
-impl EvalPlaintext {
-    /// Lifts and transforms `pt` once for the given context.
-    pub fn new(ctx: &BgvContext, pt: &Plaintext) -> Self {
-        let ring = ctx.ring();
-        let m = ring.to_eval(&ring.from_u64_coeffs(&pt.coeffs));
-        EvalPlaintext { m }
-    }
-}
-
-/// Encoder/decoder between slot vectors and plaintext polynomials.
-///
-/// # Examples
-///
-/// ```
-/// use bgv::params::{self, BgvContext};
-/// use bgv::encoding::BatchEncoder;
-///
-/// let ctx = BgvContext::new(params::test_small())?;
-/// let encoder = BatchEncoder::new(&ctx);
-/// let mut v = vec![0u64; encoder.slot_count()];
-/// v[0] = 7;
-/// v[1] = 11;
-/// let pt = encoder.encode(&v);
-/// assert_eq!(encoder.decode(&pt), v);
-/// # Ok::<(), bgv::params::ParamError>(())
-/// ```
-#[derive(Debug)]
-pub struct BatchEncoder<'a> {
-    ctx: &'a BgvContext,
-    /// `slot_to_eval[slot] = j` where the slot's value is the evaluation at
-    /// `ψ^(2j+1)` (the natural-order output index of the plaintext NTT).
-    slot_to_eval: Vec<usize>,
-}
-
-impl<'a> BatchEncoder<'a> {
-    /// Builds the slot map for a context.
-    pub fn new(ctx: &'a BgvContext) -> Self {
-        let slot_to_eval = rlwe_ring::batch::slot_to_eval_map(ctx.params().poly_degree);
-        BatchEncoder { ctx, slot_to_eval }
-    }
-
-    /// Total number of slots (`N`).
-    pub fn slot_count(&self) -> usize {
-        self.ctx.params().poly_degree
-    }
-
-    /// Slots per row (`N/2`).
-    pub fn row_size(&self) -> usize {
-        self.ctx.params().poly_degree / 2
-    }
-
-    /// Encodes a slot vector (values mod `t`; shorter vectors are
-    /// zero-padded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() > N`.
-    pub fn encode(&self, values: &[u64]) -> Plaintext {
-        let n = self.slot_count();
-        assert!(values.len() <= n, "too many values for {n} slots");
-        let t = self.ctx.params().plain_modulus;
-        let mut evals = vec![0u64; n];
-        for (slot, &v) in values.iter().enumerate() {
-            evals[self.slot_to_eval[slot]] = v % t;
-        }
-        self.ctx.plain_ntt().inverse(&mut evals);
-        Plaintext { coeffs: evals }
-    }
-
-    /// Encodes a slot vector straight into evaluation form — the
-    /// encode-once entry point for plaintexts reused across many ops.
-    pub fn encode_eval(&self, values: &[u64]) -> EvalPlaintext {
-        EvalPlaintext::new(self.ctx, &self.encode(values))
-    }
-
-    /// Encodes signed values (centered mod `t`).
-    pub fn encode_signed(&self, values: &[i64]) -> Plaintext {
-        let t = self.ctx.params().plain_modulus as i64;
-        let unsigned: Vec<u64> = values.iter().map(|&v| (v.rem_euclid(t)) as u64).collect();
-        self.encode(&unsigned)
-    }
-
-    /// Decodes a plaintext back to its `N` slot values.
-    pub fn decode(&self, pt: &Plaintext) -> Vec<u64> {
-        let mut evals = pt.coeffs.clone();
-        self.ctx.plain_ntt().forward(&mut evals);
-        let mut out = vec![0u64; self.slot_count()];
-        for (slot, &j) in self.slot_to_eval.iter().enumerate() {
-            out[slot] = evals[j];
-        }
-        out
-    }
-
-    /// Decodes to centered signed values in `(-t/2, t/2]`.
-    pub fn decode_signed(&self, pt: &Plaintext) -> Vec<i64> {
-        let t = self.ctx.params().plain_modulus;
-        self.decode(pt)
-            .into_iter()
-            .map(|v| {
-                if v > t / 2 {
-                    v as i64 - t as i64
-                } else {
-                    v as i64
-                }
-            })
-            .collect()
-    }
-}
+/// The batch encoder over a BGV context.
+pub type BatchEncoder<'a> = rlwe_ring::encoding::BatchEncoder<'a, BgvContext>;
 
 #[cfg(test)]
 mod tests {

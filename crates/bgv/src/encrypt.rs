@@ -1,141 +1,26 @@
-//! BGV ciphertexts, encryption, decryption, and the noise budget.
+//! BGV ciphertexts, encryption, decryption, and the noise budget: the
+//! shared machinery ([`rlwe_ring::encrypt`]) over a [`BgvContext`].
 //!
 //! BGV keeps the message in the **least-significant digit** of the phase:
 //! a ciphertext `(c0, c1)` satisfies `c0 + c1·s = m + t·E (mod Q)` for a
-//! small noise polynomial `E`. Decryption lifts the phase to centered
-//! integers (exact while `‖m + t·E‖∞ < Q/2`) and reduces mod `t`; no
-//! rounding, no `Δ` scaling. The noise budget is correspondingly direct:
-//! `log2(Q / (2·‖w‖))` bits where `w` is the centered phase.
+//! small noise polynomial `E`. Encryption is `(b·u + t·e_1 + m,
+//! a·u + t·e_2)`; decryption lifts the phase to centered integers (exact
+//! while `‖m + t·E‖∞ < Q/2`) and reduces mod `t` — no rounding, no `Δ`
+//! scaling. The noise budget is correspondingly direct:
+//! `log2(Q / (2·‖w‖))` bits where `w` is the centered phase. To decrypt a
+//! modulus-switched ciphertext, build the decryptor over the
+//! [`BgvContext::reduced`] context with a
+//! [`crate::keys::ModSwitchKey::mod_switched`] key.
 
-use crate::bigint::BigInt;
-use crate::encoding::Plaintext;
-use crate::keys::{PublicKey, SecretKey};
 use crate::params::BgvContext;
-use crate::poly::RnsPoly;
-use rand::Rng;
 
-/// A BGV ciphertext: a vector of ring elements (size 2 fresh, size 3 after
-/// an unrelinearized multiply) decrypting via `(Σ_j c_j · s^j) mod t`.
-///
-/// Parts are kept in evaluation (double-CRT) form on the hot path, exactly
-/// like the BFV backend's; the form converters exist for
-/// storage/serialization-style uses and for testing that the
-/// representation is semantically transparent.
-#[derive(Debug, Clone)]
-pub struct Ciphertext {
-    pub parts: Vec<RnsPoly>,
-}
+pub use rlwe_ring::encrypt::Ciphertext;
 
-impl Ciphertext {
-    /// Number of polynomial parts (2 or 3 in this implementation).
-    pub fn size(&self) -> usize {
-        self.parts.len()
-    }
+/// Public-key encryptor over a BGV context.
+pub type Encryptor<'a> = rlwe_ring::encrypt::Encryptor<'a, BgvContext>;
 
-    /// Number of RNS primes each part currently carries (drops as the
-    /// ciphertext modulus-switches down the chain).
-    pub fn level_primes(&self) -> usize {
-        self.parts[0].residues.len()
-    }
-
-    /// This ciphertext with every part in coefficient form.
-    pub fn to_coeff_form(&self, ctx: &BgvContext) -> Ciphertext {
-        Ciphertext {
-            parts: self.parts.iter().map(|p| ctx.ring().to_coeff(p)).collect(),
-        }
-    }
-
-    /// This ciphertext with every part in evaluation (double-CRT) form.
-    pub fn to_eval_form(&self, ctx: &BgvContext) -> Ciphertext {
-        Ciphertext {
-            parts: self.parts.iter().map(|p| ctx.ring().to_eval(p)).collect(),
-        }
-    }
-}
-
-/// Public-key encryptor.
-#[derive(Debug)]
-pub struct Encryptor<'a> {
-    ctx: &'a BgvContext,
-    pk: PublicKey,
-}
-
-impl<'a> Encryptor<'a> {
-    /// Creates an encryptor from a public key.
-    pub fn new(ctx: &'a BgvContext, pk: PublicKey) -> Self {
-        Encryptor { ctx, pk }
-    }
-
-    /// Encrypts a plaintext: `(b·u + t·e_1 + m, a·u + t·e_2)`, produced in
-    /// evaluation form (the public key is already NTT-resident, so the two
-    /// products are pointwise). The phase comes out as
-    /// `m + t·(e_1 + e_2·s − e·u)` — message in the bottom digit.
-    pub fn encrypt<R: Rng + ?Sized>(&self, pt: &Plaintext, rng: &mut R) -> Ciphertext {
-        let ring = self.ctx.ring();
-        let t_q = self.ctx.t_mod_q();
-        let m = ring.to_eval(&ring.from_u64_coeffs(&pt.coeffs));
-        let u = ring.to_eval(&ring.sample_ternary(rng));
-        let te1 = ring.mul_scalar_residues(&ring.to_eval(&ring.sample_error(rng)), t_q);
-        let te2 = ring.mul_scalar_residues(&ring.to_eval(&ring.sample_error(rng)), t_q);
-        let c0 = ring.add(&ring.add(&ring.mul(&self.pk.b, &u), &te1), &m);
-        let c1 = ring.add(&ring.mul(&self.pk.a, &u), &te2);
-        Ciphertext {
-            parts: vec![c0, c1],
-        }
-    }
-}
-
-/// Secret-key decryptor and noise meter.
-#[derive(Debug)]
-pub struct Decryptor<'a> {
-    ctx: &'a BgvContext,
-    sk: SecretKey,
-}
-
-impl<'a> Decryptor<'a> {
-    /// Creates a decryptor from the secret key.
-    ///
-    /// For a modulus-switched ciphertext, build the decryptor over the
-    /// [`crate::params::BgvContext::reduced`] context with a
-    /// [`SecretKey::mod_switched`] key.
-    pub fn new(ctx: &'a BgvContext, sk: SecretKey) -> Self {
-        Decryptor { ctx, sk }
-    }
-
-    /// The raw phase `Σ_j c_j s^j mod Q`, lifted to centered integers.
-    fn phase(&self, ct: &Ciphertext) -> Vec<BigInt> {
-        let ring = self.ctx.ring();
-        let mut acc = ct.parts[0].clone();
-        let mut s_pow = self.sk.s.clone();
-        for part in &ct.parts[1..] {
-            acc = ring.add(&acc, &ring.mul(part, &s_pow));
-            s_pow = ring.mul(&s_pow, &self.sk.s);
-        }
-        ring.lift_centered(&acc)
-    }
-
-    /// Decrypts: the centered phase reduced mod `t` per coefficient.
-    pub fn decrypt(&self, ct: &Ciphertext) -> Plaintext {
-        let t = self.ctx.params().plain_modulus;
-        let coeffs = self.phase(ct).iter().map(|w| w.rem_euclid_u64(t)).collect();
-        Plaintext { coeffs }
-    }
-
-    /// Noise budget in bits: `log2(Q / (2·‖w‖∞))` for the centered phase
-    /// `w = m + t·E`. Decryption is reliable while positive — the same
-    /// contract as the BFV backend's invariant-noise budget, so the two
-    /// meters are directly comparable in the differential harness.
-    ///
-    /// A non-positive budget means decryption is no longer reliable.
-    pub fn invariant_noise_budget(&self, ct: &Ciphertext) -> i64 {
-        let q_bits = self.ctx.ring().modulus().bits() as i64;
-        let mut max_bits: i64 = 0;
-        for w in self.phase(ct) {
-            max_bits = max_bits.max(w.mag.bits() as i64);
-        }
-        q_bits - max_bits - 1
-    }
-}
+/// Secret-key decryptor and noise meter over a BGV context.
+pub type Decryptor<'a> = rlwe_ring::encrypt::Decryptor<'a, BgvContext>;
 
 #[cfg(test)]
 mod tests {

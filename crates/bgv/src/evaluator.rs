@@ -1,14 +1,11 @@
-//! Homomorphic evaluation for BGV: the same SIMD instruction surface the
-//! BFV backend exposes, plus BGV's native level management
-//! ([`Evaluator::mod_switch_to_next`]).
+//! Homomorphic evaluation for BGV: the shared RNS-native evaluator
+//! ([`rlwe_ring::evaluator`]) instantiated at [`BgvContext`], plus BGV's
+//! ciphertext multiply and its native level management
+//! ([`ModSwitch::mod_switch_to_next`]).
 //!
-//! # The double-CRT invariant
-//!
-//! Identical to the BFV backend's: ciphertexts and keys stay in evaluation
-//! (double-CRT) form between operations, plaintext operands are lifted
-//! once ([`crate::encoding::EvalPlaintext`]), rotations permute evaluation
-//! slots through cached index maps, and key switching is the shared
-//! [`rlwe_ring::keyswitch`] digit decomposition.
+//! Everything but those two — add/sub/negate, the plaintext ops (which add
+//! the raw lift `m` into `c0`), relinearization, rotations and hoisting —
+//! is the shared code, over NTT-resident ciphertexts and keys.
 //!
 //! # Multiplication
 //!
@@ -20,9 +17,8 @@
 //! auxiliary base, no base conversions, no NTT round trip. The flip side
 //! is noise: `‖E'‖ ≈ N·‖w₁‖·‖w₂‖`, so noise *bits* roughly double per
 //! multiplication where BFV's grow additively — managed by switching down
-//! the modulus chain ([`Evaluator::mod_switch_to_next`]) after each level,
-//! and priced into the BGV [`crate::noise::NoiseModel`] and parameter
-//! selector.
+//! the modulus chain after each level, and priced into the BGV
+//! [`crate::noise::NoiseModel`] and parameter selector.
 //!
 //! # Modulus switching
 //!
@@ -38,25 +34,13 @@
 //! quill IR instruction: the synthesizer's cost/noise models see its
 //! effect through the scheme's noise semantics, not as a schedulable op.
 
-use crate::encoding::{
-    galois_element_for_column_swap, galois_element_for_rotation, EvalPlaintext, Plaintext,
-};
 use crate::encrypt::Ciphertext;
-use crate::keys::{GaloisKeys, KeySwitchKey, RelinKey};
-use crate::keyswitch::HoistedDecomposition;
-use crate::ntt::{pointwise_mul_add_into, pointwise_mul_into};
 use crate::params::BgvContext;
-use crate::poly::{PolyForm, RingContext, RnsPoly};
-use crate::pool::{PoolStats, ScratchPool};
+use crate::poly::{PolyForm, RnsPoly};
 use crate::zq;
+use rlwe_ring::evaluator::{eval_ref, tensor};
 
-/// Evaluator over one context, with a private [`ScratchPool`] backing the
-/// allocation-free hot path. Mirrors the BFV evaluator's surface: every
-/// operation has a pure flavor and an in-place `_assign` flavor, and dead
-/// ciphertexts can be recycled into the pool.
-///
-/// The pool uses interior mutability, so an `Evaluator` is not `Sync`;
-/// create one per worker thread over a shared context.
+/// The evaluator over a BGV context (see [`rlwe_ring::evaluator::Evaluator`]).
 ///
 /// # Examples
 ///
@@ -79,441 +63,37 @@ use crate::zq;
 /// assert_eq!(&coder.decode(&dec.decrypt(&a))[..2], &[13, 24]);
 /// # Ok::<(), bgv::params::ParamError>(())
 /// ```
-#[derive(Debug)]
-pub struct Evaluator<'a> {
-    ctx: &'a BgvContext,
-    pool: ScratchPool,
+pub type Evaluator<'a> = rlwe_ring::evaluator::Evaluator<'a, BgvContext>;
+
+/// BGV's ciphertext multiply on two size-2 operands: three pointwise
+/// tensor products over `Q` (see the module docs for why no rescale is
+/// needed, and what it costs in noise).
+pub(crate) fn multiply(ev: &Evaluator<'_>, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
+    let ring = ev.context().ring();
+    let (mut s0, mut s1, mut s2, mut s3) = (None, None, None, None);
+    let c0 = eval_ref(ring, &a.parts[0], &mut s0);
+    let c1 = eval_ref(ring, &a.parts[1], &mut s1);
+    let d0 = eval_ref(ring, &b.parts[0], &mut s2);
+    let d1 = eval_ref(ring, &b.parts[1], &mut s3);
+    let [c0, c1, d0, d1] = [c0, c1, d0, d1].map(|p| p.residues.as_slice());
+    let mut parts = ev.pool().take_parts();
+    for residues in tensor(ev.pool(), ring.barretts(), [c0, c1], [d0, d1]) {
+        parts.push(RnsPoly {
+            residues,
+            form: PolyForm::Eval,
+        });
+    }
+    Ciphertext { parts }
 }
 
-impl<'a> Evaluator<'a> {
-    /// Creates an evaluator with an empty scratch pool.
-    pub fn new(ctx: &'a BgvContext) -> Self {
-        Evaluator {
-            ctx,
-            pool: ScratchPool::new(),
-        }
-    }
-
-    /// Allocation counters of the scratch pool.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
-    }
-
-    /// Returns a dead ciphertext's buffers to the scratch pool.
-    pub fn recycle(&self, ct: Ciphertext) {
-        let mut parts = ct.parts;
-        for part in parts.drain(..) {
-            self.pool.put_matrix(part.residues);
-        }
-        self.pool.put_parts(parts);
-    }
-
-    /// A pooled all-zero polynomial in evaluation form.
-    fn take_poly_zeroed(&self) -> RnsPoly {
-        let ring = self.ctx.ring();
-        RnsPoly {
-            residues: self
-                .pool
-                .take_matrix_zeroed(ring.num_primes(), ring.degree()),
-            form: PolyForm::Eval,
-        }
-    }
-
-    fn put_poly(&self, p: RnsPoly) {
-        self.pool.put_matrix(p.residues);
-    }
-
-    /// Slot-wise sum of two ciphertexts. Mismatched sizes zero-pad the
-    /// shorter operand.
-    pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        let mut out = a.clone();
-        self.add_assign(&mut out, b);
-        out
-    }
-
-    /// `a += b` slot-wise, in place.
-    pub fn add_assign(&self, a: &mut Ciphertext, b: &Ciphertext) {
-        self.zip_assign(a, b, RingContext::add_assign)
-    }
-
-    /// Slot-wise difference of two ciphertexts.
-    pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        let mut out = a.clone();
-        self.sub_assign(&mut out, b);
-        out
-    }
-
-    /// `a -= b` slot-wise, in place.
-    pub fn sub_assign(&self, a: &mut Ciphertext, b: &Ciphertext) {
-        self.zip_assign(a, b, RingContext::sub_assign)
-    }
-
-    fn zip_assign(
-        &self,
-        a: &mut Ciphertext,
-        b: &Ciphertext,
-        f: fn(&RingContext, &mut RnsPoly, &RnsPoly),
-    ) {
-        let ring = self.ctx.ring();
-        while a.parts.len() < b.parts.len() {
-            a.parts.push(self.take_poly_zeroed());
-        }
-        for (x, y) in a.parts.iter_mut().zip(&b.parts) {
-            f(ring, x, y);
-        }
-    }
-
-    /// Slot-wise negation.
-    pub fn negate(&self, a: &Ciphertext) -> Ciphertext {
-        let mut out = a.clone();
-        self.negate_assign(&mut out);
-        out
-    }
-
-    /// `a = -a` slot-wise, in place.
-    pub fn negate_assign(&self, a: &mut Ciphertext) {
-        let ring = self.ctx.ring();
-        for p in a.parts.iter_mut() {
-            ring.neg_assign(p);
-        }
-    }
-
-    /// Lifts a plaintext into cached evaluation form for reuse across many
-    /// operations.
-    pub fn preencode(&self, pt: &Plaintext) -> EvalPlaintext {
-        EvalPlaintext::new(self.ctx, pt)
-    }
-
-    /// Adds an encoded plaintext to a ciphertext (`c0 += m` — the message
-    /// digit adds directly, no scaling).
-    pub fn add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        let mut out = a.clone();
-        self.add_plain_assign(&mut out, &self.preencode(pt));
-        out
-    }
-
-    /// `c0 += m` with a cached plaintext.
-    pub fn add_plain_assign(&self, a: &mut Ciphertext, pt: &EvalPlaintext) {
-        self.ctx.ring().add_assign(&mut a.parts[0], &pt.m);
-    }
-
-    /// Subtracts an encoded plaintext from a ciphertext.
-    pub fn sub_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        let mut out = a.clone();
-        self.sub_plain_assign(&mut out, &self.preencode(pt));
-        out
-    }
-
-    /// `c0 -= m` with a cached plaintext.
-    pub fn sub_plain_assign(&self, a: &mut Ciphertext, pt: &EvalPlaintext) {
-        self.ctx.ring().sub_assign(&mut a.parts[0], &pt.m);
-    }
-
-    /// Multiplies a ciphertext by an encoded plaintext (slot-wise).
-    pub fn mul_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        let mut out = a.clone();
-        self.mul_plain_assign(&mut out, &self.preencode(pt));
-        out
-    }
-
-    /// `a *= m` slot-wise with a cached plaintext: pointwise products on
-    /// every part.
-    pub fn mul_plain_assign(&self, a: &mut Ciphertext, pt: &EvalPlaintext) {
-        let ring = self.ctx.ring();
-        for p in a.parts.iter_mut() {
-            ring.mul_assign(p, &pt.m);
-        }
-    }
-
-    /// Ciphertext–ciphertext multiply, producing a size-3 ciphertext.
-    /// Relinearize with [`Evaluator::relinearize`] before further rotations
-    /// or multiplies.
-    ///
-    /// Three pointwise tensor products over `Q` — see the module docs for
-    /// why BGV needs no rescale (and what it costs in noise).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either input is not size 2.
-    pub fn multiply(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        assert_eq!(
-            a.size(),
-            2,
-            "multiply requires size-2 inputs (relinearize first)"
-        );
-        assert_eq!(
-            b.size(),
-            2,
-            "multiply requires size-2 inputs (relinearize first)"
-        );
-        let ring = self.ctx.ring();
-        let k = ring.num_primes();
-        let n = ring.degree();
-        let pool = &self.pool;
-
-        let (mut s0, mut s1, mut s2, mut s3) = (None, None, None, None);
-        let c0 = eval_ref(ring, &a.parts[0], &mut s0);
-        let c1 = eval_ref(ring, &a.parts[1], &mut s1);
-        let d0 = eval_ref(ring, &b.parts[0], &mut s2);
-        let d1 = eval_ref(ring, &b.parts[1], &mut s3);
-
-        //   e0 = c0·d0, e1 = c0·d1 + c1·d0, e2 = c1·d1 — pointwise over Q.
-        let tensor = |x: &RnsPoly, y: &RnsPoly| -> Vec<Vec<u64>> {
-            let mut out = pool.take_matrix(k, n);
-            for (i, &bar) in ring.barretts().iter().enumerate() {
-                pointwise_mul_into(&x.residues[i], &y.residues[i], bar, &mut out[i]);
-            }
-            out
-        };
-        let e0 = tensor(c0, d0);
-        let mut e1 = tensor(c0, d1);
-        for (i, &bar) in ring.barretts().iter().enumerate() {
-            pointwise_mul_add_into(&mut e1[i], &c1.residues[i], &d0.residues[i], bar);
-        }
-        let e2 = tensor(c1, d1);
-
-        let mut parts = pool.take_parts();
-        for residues in [e0, e1, e2] {
-            parts.push(RnsPoly {
-                residues,
-                form: PolyForm::Eval,
-            });
-        }
-        Ciphertext { parts }
-    }
-
-    fn key_switch_into(
-        &self,
-        d: &RnsPoly,
-        ksk: &KeySwitchKey,
-        acc_b: &mut RnsPoly,
-        acc_a: &mut RnsPoly,
-    ) {
-        rlwe_ring::keyswitch::key_switch_into(self.ctx.ring(), &self.pool, d, ksk, acc_b, acc_a);
-    }
-
-    /// Relinearizes a size-3 ciphertext back to size 2.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ciphertext is not size 3.
-    pub fn relinearize(&self, a: &Ciphertext, rk: &RelinKey) -> Ciphertext {
-        let mut out = a.clone();
-        self.relinearize_assign(&mut out, rk);
-        out
-    }
-
-    /// In-place relinearization: drops `c2`, folds its key switch into
-    /// `c0`/`c1`, and recycles the dead part.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ciphertext is not size 3.
-    pub fn relinearize_assign(&self, a: &mut Ciphertext, rk: &RelinKey) {
-        assert_eq!(a.size(), 3, "relinearize expects a size-3 ciphertext");
-        let ring = self.ctx.ring();
-        let mut acc_b = self.take_poly_zeroed();
-        let mut acc_a = self.take_poly_zeroed();
-        let c2 = a.parts.pop().expect("size checked");
-        self.key_switch_into(&c2, &rk.0, &mut acc_b, &mut acc_a);
-        self.put_poly(c2);
-        ring.add_assign(&mut a.parts[0], &acc_b);
-        ring.add_assign(&mut a.parts[1], &acc_a);
-        self.put_poly(acc_b);
-        self.put_poly(acc_a);
-    }
-
-    /// Multiply then relinearize — the shape Porcupine's codegen emits for
-    /// every ct×ct product.
-    pub fn multiply_relin(&self, a: &Ciphertext, b: &Ciphertext, rk: &RelinKey) -> Ciphertext {
-        let mut prod = self.multiply(a, b);
-        self.relinearize_assign(&mut prod, rk);
-        prod
-    }
-
-    /// Applies the Galois automorphism `x → x^g` homomorphically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ciphertext is not size 2 or no key for `g` is present.
-    pub fn apply_galois(&self, a: &Ciphertext, g: u64, gk: &GaloisKeys) -> Ciphertext {
-        let mut out = a.clone();
-        self.apply_galois_assign(&mut out, g, gk);
-        out
-    }
-
-    /// In-place Galois automorphism: permutes both parts, key-switches
-    /// `c1`, recycles the dead part.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ciphertext is not size 2 or no key for `g` is present.
-    pub fn apply_galois_assign(&self, a: &mut Ciphertext, g: u64, gk: &GaloisKeys) {
-        assert_eq!(
-            a.size(),
-            2,
-            "apply_galois expects size-2 (relinearize first)"
-        );
-        if g == 1 {
-            return;
-        }
-        let ring = self.ctx.ring();
-        let entry = gk
-            .keys
-            .get(&g)
-            .unwrap_or_else(|| panic!("missing Galois key for element {g}"));
-        let mut scratch = self.pool.take_row(ring.degree());
-        for part in a.parts.iter_mut() {
-            ring.make_eval(part);
-            ring.apply_eval_permutation_assign(part, &entry.perm, &mut scratch);
-        }
-        self.pool.put_row(scratch);
-        let mut acc_b = self.take_poly_zeroed();
-        let mut acc_a = self.take_poly_zeroed();
-        self.key_switch_into(&a.parts[1], &entry.key, &mut acc_b, &mut acc_a);
-        ring.add_assign(&mut a.parts[0], &acc_b);
-        self.put_poly(acc_b);
-        let old_c1 = std::mem::replace(&mut a.parts[1], acc_a);
-        self.put_poly(old_c1);
-    }
-
-    /// Rotates both batching rows left by `steps` (negative = right) —
-    /// SEAL's `rotate_rows`. Slot semantics are identical to the BFV
-    /// backend's (the geometry is shared).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the required Galois key is missing.
-    pub fn rotate_rows(&self, a: &Ciphertext, steps: i64, gk: &GaloisKeys) -> Ciphertext {
-        let mut out = a.clone();
-        self.rotate_rows_assign(&mut out, steps, gk);
-        out
-    }
-
-    /// In-place [`Evaluator::rotate_rows`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the required Galois key is missing.
-    pub fn rotate_rows_assign(&self, a: &mut Ciphertext, steps: i64, gk: &GaloisKeys) {
-        let n = self.ctx.params().poly_degree;
-        self.apply_galois_assign(a, galois_element_for_rotation(n, steps), gk)
-    }
-
-    /// Swaps the two batching rows — SEAL's `rotate_columns`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the required Galois key is missing.
-    pub fn rotate_columns(&self, a: &Ciphertext, gk: &GaloisKeys) -> Ciphertext {
-        let mut out = a.clone();
-        self.rotate_columns_assign(&mut out, gk);
-        out
-    }
-
-    /// In-place [`Evaluator::rotate_columns`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the required Galois key is missing.
-    pub fn rotate_columns_assign(&self, a: &mut Ciphertext, gk: &GaloisKeys) {
-        let n = self.ctx.params().poly_degree;
-        self.apply_galois_assign(a, galois_element_for_column_swap(n), gk)
-    }
-
-    /// The decompose phase of a hoisted rotation: digit-decomposes `c1`
-    /// once (`k` inverse + `k²` forward NTTs — the dominant cost of a
-    /// rotation's key switch) so that any number of
-    /// [`Evaluator::rotate_rows_hoisted`] calls on the same ciphertext can
-    /// skip it. Return the decomposition with
-    /// [`Evaluator::recycle_hoisted`] when the fan is done.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ciphertext is not size 2.
-    pub fn hoist(&self, a: &Ciphertext) -> HoistedDecomposition {
-        assert_eq!(a.size(), 2, "hoist expects size-2 (relinearize first)");
-        rlwe_ring::keyswitch::hoist_decompose(self.ctx.ring(), &self.pool, &a.parts[1])
-    }
-
-    /// Rotates rows by `steps` through a decomposition prepared by
-    /// [`Evaluator::hoist`] on the *same* ciphertext: the stored digit rows
-    /// are permuted by `σ_g` (a valid decomposition of `σ_g(c1)`, since the
-    /// automorphism preserves the CRT identity and digit norms) and folded
-    /// through the Galois key — per rotation only `k²` row permutations and
-    /// `2k²` pointwise Shoup multiply-adds, no NTTs. Decrypts identically
-    /// to [`Evaluator::rotate_rows`] with the same noise bound; the raw
-    /// ciphertext bits differ (the permuted digits are not the canonical
-    /// decomposition of the rotated polynomial). BGV's key-switch noise
-    /// stays on the multiples-of-`t` lattice — the key's `t·e` error term
-    /// is untouched by hoisting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ciphertext is not size 2 or the Galois key is missing.
-    pub fn rotate_rows_hoisted(
-        &self,
-        a: &Ciphertext,
-        hd: &HoistedDecomposition,
-        steps: i64,
-        gk: &GaloisKeys,
-    ) -> Ciphertext {
-        assert_eq!(a.size(), 2, "hoisted rotation expects size-2");
-        let ring = self.ctx.ring();
-        let n = self.ctx.params().poly_degree;
-        let g = galois_element_for_rotation(n, steps);
-        if g == 1 {
-            return a.clone();
-        }
-        let entry = gk
-            .keys
-            .get(&g)
-            .unwrap_or_else(|| panic!("missing Galois key for element {g}"));
-        // σ_g(c0), straight into a pooled evaluation-form poly.
-        let mut c0_store = None;
-        let c0 = eval_ref(ring, &a.parts[0], &mut c0_store);
-        let mut b = RnsPoly {
-            residues: self.pool.take_matrix(ring.num_primes(), ring.degree()),
-            form: PolyForm::Eval,
-        };
-        for (dst_row, src_row) in b.residues.iter_mut().zip(&c0.residues) {
-            for (dst, &src) in dst_row.iter_mut().zip(&entry.perm) {
-                *dst = src_row[src as usize];
-            }
-        }
-        if let Some(p) = c0_store {
-            self.put_poly(p);
-        }
-        let mut acc_b = self.take_poly_zeroed();
-        let mut acc_a = self.take_poly_zeroed();
-        rlwe_ring::keyswitch::key_switch_hoisted_into(
-            ring,
-            &self.pool,
-            hd,
-            Some(&entry.perm),
-            &entry.key,
-            &mut acc_b,
-            &mut acc_a,
-        );
-        ring.add_assign(&mut b, &acc_b);
-        self.put_poly(acc_b);
-        let mut parts = self.pool.take_parts();
-        parts.push(b);
-        parts.push(acc_a);
-        Ciphertext { parts }
-    }
-
-    /// Returns a hoisted decomposition's buffers to the scratch pool.
-    pub fn recycle_hoisted(&self, hd: HoistedDecomposition) {
-        hd.recycle(&self.pool);
-    }
-
+/// BGV level management on the shared evaluator.
+pub trait ModSwitch {
     /// Switches a ciphertext one level down the modulus chain: the result
     /// lives under `next` (which must be this context's
     /// [`crate::params::BgvContext::reduced`] chain) with the noise divided
     /// by the dropped prime, at the cost of a `t·(N+1)/2` rounding term.
-    /// Decrypt the result with a [`crate::keys::SecretKey::mod_switched`]
-    /// key under `next`.
+    /// Decrypt the result with a [`crate::keys::ModSwitchKey::mod_switched`]
+    /// secret key under `next`.
     ///
     /// See the module docs for the arithmetic.
     ///
@@ -522,15 +102,20 @@ impl<'a> Evaluator<'a> {
     /// Panics if `next` is not this chain minus its last prime, or if the
     /// dropped prime is not `≡ 1 (mod t)` (the plaintext digit would be
     /// scaled by `q_k⁻¹ mod t`; use switch-friendly chains).
-    pub fn mod_switch_to_next(&self, ct: &Ciphertext, next: &BgvContext) -> Ciphertext {
-        let ring = self.ctx.ring();
+    fn mod_switch_to_next(&self, ct: &Ciphertext, next: &BgvContext) -> Ciphertext;
+}
+
+impl ModSwitch for Evaluator<'_> {
+    fn mod_switch_to_next(&self, ct: &Ciphertext, next: &BgvContext) -> Ciphertext {
+        let ctx = self.context();
+        let ring = ctx.ring();
         let k = ring.num_primes();
         assert_eq!(
             next.params().moduli[..],
-            self.ctx.params().moduli[..k - 1],
+            ctx.params().moduli[..k - 1],
             "next context must drop exactly the last chain prime"
         );
-        let t = self.ctx.params().plain_modulus;
+        let t = ctx.params().plain_modulus;
         let q_k = ring.primes()[k - 1];
         assert_eq!(
             q_k % t,
@@ -585,22 +170,12 @@ impl<'a> Evaluator<'a> {
     }
 }
 
-/// Borrows `p` if already evaluation-resident, otherwise converts into
-/// `store` (cold path) and borrows that.
-fn eval_ref<'p>(ring: &RingContext, p: &'p RnsPoly, store: &'p mut Option<RnsPoly>) -> &'p RnsPoly {
-    if p.form() == PolyForm::Eval {
-        p
-    } else {
-        &*store.insert(ring.to_eval(p))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encoding::BatchEncoder;
     use crate::encrypt::{Decryptor, Encryptor};
-    use crate::keys::KeyGenerator;
+    use crate::keys::{KeyGenerator, ModSwitchKey};
     use crate::params;
     use rand::{Rng, SeedableRng};
 

@@ -1,9 +1,10 @@
-//! BGV key material: secret/public keys, relinearization keys, and Galois
-//! keys, all using the shared RNS-decomposition key switching.
+//! BGV key material: the shared RNS-decomposition keys
+//! ([`rlwe_ring::keys`]) over a [`BgvContext`], plus their truncation down
+//! the modulus chain ([`ModSwitchKey`]).
 //!
-//! The construction is [`rlwe_ring::keyswitch`]'s with one twist: every
-//! error term is **scaled by `t`** before it enters a key. BGV decryption
-//! reads the plaintext out of the least-significant digit of the phase
+//! Every error term entering a BGV key is **scaled by `t`** (the context's
+//! [`rlwe_ring::scheme::SchemePolicy::error_scale`]). BGV decryption reads
+//! the plaintext out of the least-significant digit of the phase
 //! (`w = m + t·noise mod Q`), so key material whose noise were not a
 //! multiple of `t` would corrupt the message digit rather than merely
 //! consuming budget. The public key is `b = -(a·s + t·e)`, and key-switch
@@ -11,27 +12,47 @@
 
 use crate::params::BgvContext;
 use crate::poly::RnsPoly;
-use rand::Rng;
-use std::collections::HashMap;
 
+pub use rlwe_ring::keys::{GaloisKeyEntry, GaloisKeys, PublicKey, RelinKey, SecretKey};
 pub use rlwe_ring::keyswitch::KeySwitchKey;
 
-/// The secret key: a ternary polynomial `s` (stored in evaluation form).
-#[derive(Debug, Clone)]
-pub struct SecretKey {
-    pub s: RnsPoly,
-}
+/// Generates all key material for one secret.
+///
+/// # Examples
+///
+/// ```
+/// use bgv::params::{self, BgvContext};
+/// use bgv::keys::KeyGenerator;
+/// use rand::SeedableRng;
+///
+/// let ctx = BgvContext::new(params::test_small())?;
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+/// let keygen = KeyGenerator::new(&ctx, &mut rng);
+/// let pk = keygen.public_key(&mut rng);
+/// let rk = keygen.relin_key(&mut rng);
+/// # let _ = (pk, rk);
+/// # Ok::<(), bgv::params::ParamError>(())
+/// ```
+pub type KeyGenerator<'a> = rlwe_ring::keys::KeyGenerator<'a, BgvContext>;
 
-impl SecretKey {
-    /// This secret under the next context down the modulus chain: the RNS
-    /// rows beyond `next`'s chain are dropped. Valid because evaluation
-    /// form is per-prime independent — the surviving rows are exactly the
-    /// NTT images of the same ternary `s` under the surviving primes.
+/// Key material under the next context down the modulus chain.
+///
+/// Truncation is valid because evaluation form is per-prime independent:
+/// the surviving RNS rows of a key are exactly its NTT images under the
+/// surviving primes, and the CRT unit `γ_i` of the full chain restricted to
+/// the surviving primes is still the CRT unit of the truncated chain.
+pub trait ModSwitchKey: Sized {
+    /// This key under `next`, with the RNS rows beyond `next`'s chain
+    /// dropped.
     ///
     /// # Panics
     ///
-    /// Panics if `next`'s chain is not a prefix-truncation of this key's.
-    pub fn mod_switched(&self, next: &BgvContext) -> SecretKey {
+    /// Panics if `next`'s chain is longer than the key's.
+    fn mod_switched(&self, next: &BgvContext) -> Self;
+}
+
+impl ModSwitchKey for SecretKey {
+    fn mod_switched(&self, next: &BgvContext) -> SecretKey {
         let keep = next.ring().num_primes();
         assert!(
             keep <= self.s.residues.len(),
@@ -43,20 +64,9 @@ impl SecretKey {
     }
 }
 
-/// The public key: an RLWE sample `(b, a)` with `b = -(a·s + t·e)`, in
-/// evaluation form.
-#[derive(Debug, Clone)]
-pub struct PublicKey {
-    pub b: RnsPoly,
-    pub a: RnsPoly,
-}
-
 /// Truncates a key-switch key to the first `keep` chain primes: drops the
 /// digit rows for vanished primes and each surviving row's residues beyond
-/// the new chain. Valid for the same reason [`SecretKey::mod_switched`] is
-/// — evaluation form is per-prime independent, and the CRT unit `γ_i` of
-/// the full chain restricted to the surviving primes is still the CRT unit
-/// of the truncated chain.
+/// the new chain.
 fn truncate_ksk(ksk: &KeySwitchKey, keep: usize) -> KeySwitchKey {
     assert!(keep <= ksk.parts.len(), "cannot extend a key-switch key");
     let trunc = |p: &RnsPoly| {
@@ -76,179 +86,30 @@ fn truncate_ksk(ksk: &KeySwitchKey, keep: usize) -> KeySwitchKey {
     }
 }
 
-/// Relinearization key: key-switch key for `s' = s²`.
-#[derive(Debug, Clone)]
-pub struct RelinKey(pub KeySwitchKey);
-
-impl RelinKey {
-    /// This key under the next context down the modulus chain (see
-    /// [`SecretKey::mod_switched`]).
-    pub fn mod_switched(&self, next: &BgvContext) -> RelinKey {
+impl ModSwitchKey for RelinKey {
+    fn mod_switched(&self, next: &BgvContext) -> RelinKey {
         RelinKey(truncate_ksk(&self.0, next.ring().num_primes()))
     }
 }
 
-/// One Galois element's material: the key-switch key for `s' = σ_g(s)`
-/// together with the cached evaluation-domain permutation of `σ_g`.
-#[derive(Debug, Clone)]
-pub struct GaloisKeyEntry {
-    pub key: KeySwitchKey,
-    pub perm: Vec<u32>,
-}
-
-/// Galois keys: one [`GaloisKeyEntry`] per Galois element.
-#[derive(Debug, Clone, Default)]
-pub struct GaloisKeys {
-    pub keys: HashMap<u64, GaloisKeyEntry>,
-}
-
-impl GaloisKeys {
-    /// The Galois elements covered by this key set.
-    pub fn elements(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.keys.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Whether a key for Galois element `g` is present.
-    pub fn contains(&self, g: u64) -> bool {
-        self.keys.contains_key(&g)
-    }
-
-    /// These keys under the next context down the modulus chain (see
-    /// [`SecretKey::mod_switched`]). The cached permutations are
-    /// modulus-independent and carry over unchanged.
-    pub fn mod_switched(&self, next: &BgvContext) -> GaloisKeys {
+/// The cached permutations are modulus-independent and carry over
+/// unchanged.
+impl ModSwitchKey for GaloisKeys {
+    fn mod_switched(&self, next: &BgvContext) -> GaloisKeys {
         let keep = next.ring().num_primes();
-        GaloisKeys {
-            keys: self
-                .keys
-                .iter()
-                .map(|(&g, e)| {
-                    (
-                        g,
-                        GaloisKeyEntry {
-                            key: truncate_ksk(&e.key, keep),
-                            perm: e.perm.clone(),
-                        },
-                    )
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Generates all key material for one secret.
-///
-/// # Examples
-///
-/// ```
-/// use bgv::params::{self, BgvContext};
-/// use bgv::keys::KeyGenerator;
-/// use rand::SeedableRng;
-///
-/// let ctx = BgvContext::new(params::test_small())?;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let keygen = KeyGenerator::new(&ctx, &mut rng);
-/// let pk = keygen.public_key(&mut rng);
-/// let rk = keygen.relin_key(&mut rng);
-/// # let _ = (pk, rk);
-/// # Ok::<(), bgv::params::ParamError>(())
-/// ```
-#[derive(Debug)]
-pub struct KeyGenerator<'a> {
-    ctx: &'a BgvContext,
-    sk: SecretKey,
-}
-
-impl<'a> KeyGenerator<'a> {
-    /// Samples a fresh ternary secret.
-    pub fn new<R: Rng + ?Sized>(ctx: &'a BgvContext, rng: &mut R) -> Self {
-        let ring = ctx.ring();
-        let s = ring.to_eval(&ring.sample_ternary(rng));
-        KeyGenerator {
-            ctx,
-            sk: SecretKey { s },
-        }
-    }
-
-    /// The secret key.
-    pub fn secret_key(&self) -> &SecretKey {
-        &self.sk
-    }
-
-    /// Generates a public key (`b = -(a·s + t·e)`).
-    pub fn public_key<R: Rng + ?Sized>(&self, rng: &mut R) -> PublicKey {
-        let ring = self.ctx.ring();
-        let a = ring.sample_uniform(rng);
-        let e = ring.to_eval(&ring.sample_error(rng));
-        let te = ring.mul_scalar_residues(&e, self.ctx.t_mod_q());
-        let b = ring.neg(&ring.add(&ring.mul(&a, &self.sk.s), &te));
-        PublicKey { b, a }
-    }
-
-    /// Builds a key-switch key whose source key is `target` (e.g. `s²` or
-    /// `σ_g(s)`, in evaluation form), with `t`-scaled errors.
-    fn key_switch_key<R: Rng + ?Sized>(&self, target: &RnsPoly, rng: &mut R) -> KeySwitchKey {
-        rlwe_ring::keyswitch::key_switch_key(
-            self.ctx.ring(),
-            &self.sk.s,
-            target,
-            Some(self.ctx.t_mod_q()),
-            rng,
-        )
-    }
-
-    /// Generates the relinearization key (`s' = s²`).
-    pub fn relin_key<R: Rng + ?Sized>(&self, rng: &mut R) -> RelinKey {
-        let ring = self.ctx.ring();
-        let s2 = ring.mul(&self.sk.s, &self.sk.s);
-        RelinKey(self.key_switch_key(&s2, rng))
-    }
-
-    /// Generates Galois keys for the given Galois elements, caching each
-    /// element's evaluation-domain permutation alongside its key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an element is even or out of range (see
-    /// [`crate::poly::RingContext::automorphism`]).
-    pub fn galois_keys<R: Rng + ?Sized>(&self, elements: &[u64], rng: &mut R) -> GaloisKeys {
-        let ring = self.ctx.ring();
-        let mut keys = HashMap::new();
-        for &g in elements {
-            if g == 1 || keys.contains_key(&g) {
-                continue;
-            }
-            let s_g = ring.automorphism(&self.sk.s, g);
-            keys.insert(
+        let keys = self.keys.iter().map(|(&g, e)| {
+            let key = truncate_ksk(&e.key, keep);
+            (
                 g,
                 GaloisKeyEntry {
-                    key: self.key_switch_key(&s_g, rng),
-                    perm: ring.galois_eval_permutation(g),
+                    key,
+                    perm: e.perm.clone(),
                 },
-            );
+            )
+        });
+        GaloisKeys {
+            keys: keys.collect(),
         }
-        GaloisKeys { keys }
-    }
-
-    /// Generates Galois keys sufficient for `rotate_rows` by each of
-    /// `steps` and, if `include_column_swap`, for `rotate_columns`.
-    pub fn galois_keys_for_rotations<R: Rng + ?Sized>(
-        &self,
-        steps: &[i64],
-        include_column_swap: bool,
-        rng: &mut R,
-    ) -> GaloisKeys {
-        let n = self.ctx.params().poly_degree;
-        let mut elements: Vec<u64> = steps
-            .iter()
-            .map(|&s| crate::encoding::galois_element_for_rotation(n, s))
-            .collect();
-        if include_column_swap {
-            elements.push(crate::encoding::galois_element_for_column_swap(n));
-        }
-        self.galois_keys(&elements, rng)
     }
 }
 

@@ -17,16 +17,16 @@
 //! bottom: `w = m + t·E`, so multiplication is three pointwise products
 //! and *no rescale* — but noise **bits double** per multiply instead of
 //! growing additively, which BGV counters by **modulus switching** down a
-//! prime chain ([`evaluator::Evaluator::mod_switch_to_next`]) after each
+//! prime chain ([`evaluator::ModSwitch::mod_switch_to_next`]) after each
 //! multiplicative level. Key material is the shared RNS-decomposition
 //! construction with every key error scaled by `t` so it stays out of the
 //! message digit ([`keys`]).
 //!
 //! Consequences for the compiler stack:
 //!
-//! * **Encoding is shared bit-for-bit** ([`encoding::BatchEncoder`] uses
-//!   the same slot map and plaintext NTT as BFV's), which is what makes
-//!   cross-scheme differential testing slot-exact.
+//! * **Encoding is shared bit-for-bit** ([`encoding::BatchEncoder`] is
+//!   the same encoder as BFV's), which is what makes cross-scheme
+//!   differential testing slot-exact.
 //! * **Parameters** want *switch-friendly* chains — primes
 //!   `≡ 1 (mod 2N·t)` so dropping one is plaintext-invariant
 //!   ([`params::generate_mod_switch_friendly`]); BFV-style chains still
@@ -38,6 +38,18 @@
 //! * **Cost** differs per op (no BEHZ machinery in multiply, so ct×ct is
 //!   far cheaper; everything else comparable), which the scheme-aware
 //!   latency model upstream prices in.
+//!
+//! # What lives here
+//!
+//! Encoding, keys, encryption and the evaluator are `rlwe-ring`'s shared
+//! implementations, generic over [`rlwe_ring::scheme::SchemePolicy`]; this
+//! crate implements that policy on [`params::BgvContext`] (`t`-scaled
+//! errors, unscaled plaintext lift, plain tensor multiply, mod-`t`
+//! decryption) and re-exports the shared types as aliases at that context,
+//! so `bgv::evaluator::Evaluator` and friends read like a standalone
+//! backend. What is BGV's own: the context, the multiply, modulus
+//! switching with key truncation ([`ModSwitch`], [`ModSwitchKey`]), the
+//! noise model, and the parameter-selection table.
 //!
 //! **Security caveat**: research-grade, non-hardened samplers — same
 //! caveat as the `bfv` crate; do not use to protect real data.
@@ -84,8 +96,8 @@ pub use rlwe_ring::{bigint, keyswitch, ntt, poly, pool, rns, zq};
 
 pub use encoding::{BatchEncoder, Plaintext};
 pub use encrypt::{Ciphertext, Decryptor, Encryptor};
-pub use evaluator::Evaluator;
-pub use keys::{GaloisKeys, KeyGenerator, PublicKey, RelinKey, SecretKey};
+pub use evaluator::{Evaluator, ModSwitch};
+pub use keys::{GaloisKeys, KeyGenerator, ModSwitchKey, PublicKey, RelinKey, SecretKey};
 pub use keyswitch::HoistedDecomposition;
 pub use noise::{NoiseModel, NoiseReport};
 pub use params::{

@@ -35,13 +35,13 @@
 //!   `ν' = ν₁ + ν₂ + log N + log Q` — noise **bits double** per multiply
 //!   where BFV's grow additively. This single rule is why the BGV
 //!   parameter selector escalates chains faster than BFV's, and why
-//!   [`crate::evaluator::Evaluator::mod_switch_to_next`] exists.
+//!   [`crate::evaluator::ModSwitch::mod_switch_to_next`] exists.
 //! * **key switch** (relinearization, rotation): identical machinery to
 //!   BFV's with `t`-scaled key errors, adding `t·k·N·q_max·B / Q`.
 //!
 //! # Calibration
 //!
-//! The only empirical constant is the error bound [`NoiseModel::ERR_BOUND`]
+//! The only empirical constant is the error bound [`LogSizes::ERR_BOUND`]
 //! (exactly the sampler's support); the budget keeps one guard bit for the
 //! probe's integer rounding, as in the BFV model. The unit tests below pin
 //! the model against the real evaluator for the fresh / multiply+relin /
@@ -50,14 +50,9 @@
 use crate::params::BgvParams;
 use quill::analysis::NoiseSemantics;
 use quill::program::Program;
+use rlwe_ring::noise::{lse, LogSizes};
 
 pub use quill::analysis::NoiseReport;
-
-/// Adds two magnitudes in the log2 domain: `log2(2^a + 2^b)`.
-fn lse(a: f64, b: f64) -> f64 {
-    let (hi, lo) = if a >= b { (a, b) } else { (b, a) };
-    hi + (1.0 + (lo - hi).exp2()).log2()
-}
 
 /// Worst-case BGV noise model for one parameter set.
 ///
@@ -82,51 +77,21 @@ fn lse(a: f64, b: f64) -> f64 {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct NoiseModel {
-    /// `log2 Q` (exact, summed over the chain).
-    q_bits: f64,
-    /// `log2 t`.
-    t_bits: f64,
-    /// `log2 N`.
-    log_n: f64,
-    /// `log2 k` (number of ciphertext primes).
-    log_k: f64,
-    /// `log2` of the largest chain prime.
-    q_max_bits: f64,
+    sizes: LogSizes,
 }
 
 impl NoiseModel {
-    /// Worst-case magnitude of one coefficient of the error sampler
-    /// (centered binomial with parameter η = 10 — shared with BFV).
-    pub const ERR_BOUND: f64 = 10.0;
-
     /// Builds the model for a parameter set.
     pub fn for_params(params: &BgvParams) -> Self {
-        let q_bits = params.moduli.iter().map(|&p| (p as f64).log2()).sum();
         NoiseModel {
-            q_bits,
-            t_bits: (params.plain_modulus as f64).log2(),
-            log_n: (params.poly_degree as f64).log2(),
-            log_k: (params.moduli.len() as f64).log2(),
-            q_max_bits: (*params.moduli.iter().max().expect("nonempty chain") as f64).log2(),
+            sizes: LogSizes::of(params),
         }
     }
 
-    /// `log2` of the error-sampler bound.
-    fn err_bits(&self) -> f64 {
-        Self::ERR_BOUND.log2()
-    }
-
-    /// The additive relative noise of one RNS-decomposition key switch
-    /// with `t`-scaled key errors: `t·k·N·q_max·B / Q`.
-    fn key_switch_bits(&self) -> f64 {
-        self.t_bits + self.log_k + self.log_n + self.q_max_bits + self.err_bits() - self.q_bits
-    }
-
-    /// Remaining noise budget, in bits, for a (log-domain) noise level.
-    /// One guard bit on top of the exact `-log2(ε) - 1`, for the probe's
-    /// integer rounding — the same convention as the BFV model.
+    /// Remaining noise budget, in bits, for a (log-domain) noise level
+    /// (see [`LogSizes::budget`]).
     pub fn budget(&self, noise_bits: f64) -> f64 {
-        -noise_bits - 2.0
+        LogSizes::budget(noise_bits)
     }
 
     /// Predicted budget of a fresh encryption.
@@ -152,8 +117,8 @@ impl NoiseModel {
 impl NoiseSemantics for NoiseModel {
     fn fresh(&self) -> f64 {
         // t·((2N+1)·B + 1) / Q
-        let inner = (2.0f64.powf(self.log_n + 1.0) + 1.0) * Self::ERR_BOUND + 1.0;
-        self.t_bits + inner.log2() - self.q_bits
+        let inner = (2.0f64.powf(self.sizes.log_n + 1.0) + 1.0) * LogSizes::ERR_BOUND + 1.0;
+        self.sizes.t_bits + inner.log2() - self.sizes.q_bits
     }
 
     fn add_ct_ct(&self, a: f64, b: f64) -> f64 {
@@ -162,27 +127,27 @@ impl NoiseSemantics for NoiseModel {
 
     fn mul_ct_ct(&self, a: f64, b: f64) -> f64 {
         // ‖w₁·w₂‖ ≤ N·‖w₁‖·‖w₂‖, i.e. ε' = N·Q·ε₁·ε₂: bits double.
-        a + b + self.log_n + self.q_bits
+        a + b + self.sizes.log_n + self.sizes.q_bits
     }
 
     fn add_ct_pt(&self, a: f64) -> f64 {
         // + m with ‖m‖ < t (coefficient-wise, no convolution, no Δ).
-        lse(a, self.t_bits - self.q_bits)
+        lse(a, self.sizes.t_bits - self.sizes.q_bits)
     }
 
     fn mul_ct_pt(&self, a: f64) -> f64 {
         // Negacyclic convolution with plaintext coefficients < t.
-        a + self.t_bits + self.log_n
+        a + self.sizes.t_bits + self.sizes.log_n
     }
 
     fn rot_ct(&self, a: f64) -> f64 {
         // The automorphism permutes coefficients (noise-neutral); the key
         // switch afterwards is additive.
-        lse(a, self.key_switch_bits())
+        lse(a, self.sizes.key_switch_bits())
     }
 
     fn relin_ct(&self, a: f64) -> f64 {
-        lse(a, self.key_switch_bits())
+        lse(a, self.sizes.key_switch_bits())
     }
 }
 

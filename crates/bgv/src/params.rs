@@ -7,8 +7,9 @@
 //! BGV-specific: the [`BgvContext`] precomputation (the `t mod q_i`
 //! residues that scale every error term onto the multiples-of-`t` lattice,
 //! and the modulus-chain truncation behind
-//! [`crate::evaluator::Evaluator::mod_switch_to_next`]) and the
-//! [`ParamSelector`] candidate table driven by the BGV [`NoiseModel`].
+//! [`crate::evaluator::ModSwitch::mod_switch_to_next`]), its
+//! [`SchemePolicy`] impl, and the [`ParamSelector`] candidate table driven
+//! by the BGV [`NoiseModel`].
 //!
 //! # Modulus-switch-friendly chains
 //!
@@ -21,11 +22,16 @@
 //! operation *except* `mod_switch_to_next`, which is what the cross-scheme
 //! differential tests rely on.
 
+use crate::bigint::BigInt;
+use crate::encrypt::Ciphertext;
+use crate::evaluator::Evaluator;
 use crate::noise::{NoiseModel, NoiseReport};
 use crate::ntt::NttTables;
-use crate::poly::RingContext;
+use crate::poly::{RingContext, RnsPoly};
 use crate::zq;
 use quill::program::Program;
+use rlwe_ring::params::{Candidate, SelectionTable};
+use rlwe_ring::scheme::SchemePolicy;
 
 pub use rlwe_ring::params::{ParamError, ParamPolicy, SelectError, DEFAULT_MARGIN_BITS};
 
@@ -82,21 +88,7 @@ pub fn resolve_policy(
     min_slots: usize,
     t: u64,
 ) -> Result<BgvParams, SelectError> {
-    policy.resolve_with(min_slots, t, |margin_bits| {
-        ParamSelector::new(t)
-            .with_margin_bits(margin_bits)
-            .select(prog, min_slots)
-            .map(|s| s.params)
-    })
-}
-
-/// One row of the candidate table: `count` fresh primes of `bits` bits at
-/// degree `poly_degree`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Candidate {
-    poly_degree: usize,
-    prime_bits: u32,
-    count: usize,
+    ParamSelector::resolve(policy, prog, min_slots, t)
 }
 
 /// Noise-aware automatic parameter selection for BGV.
@@ -108,25 +100,18 @@ struct Candidate {
 /// chunk — over switch-friendly chains. Deep multiplication chains
 /// therefore escalate through the table much faster than under BFV, which
 /// is the scheme trade-off the cost model and selector make visible.
-#[derive(Debug, Clone)]
-pub struct ParamSelector {
-    plain_modulus: u64,
-    margin_bits: f64,
-}
+pub type ParamSelector = rlwe_ring::params::ParamSelector<BgvContext>;
 
 /// A successful selection: the parameters plus the analysis that
 /// certified them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Selection {
-    /// The smallest satisfying parameter set.
-    pub params: BgvParams,
-    /// The noise analysis of the program under `params`.
-    pub report: NoiseReport,
-    /// How many size-compatible candidates were rejected first.
-    pub candidates_tried: usize,
-}
+pub type Selection = rlwe_ring::params::Selection<NoiseReport>;
 
-impl ParamSelector {
+/// The candidate table the shared [`ParamSelector`] walks, certified by the
+/// BGV [`NoiseModel`].
+impl SelectionTable for BgvContext {
+    type Program = Program;
+    type Report = NoiseReport;
+
     /// The candidate table, ascending by degree then total modulus bits.
     /// Compared with BFV's table the chains run longer at each degree:
     /// BGV noise bits double per multiplication, so depth is bought with
@@ -184,69 +169,19 @@ impl ParamSelector {
         },
     ];
 
-    /// A selector for plaintext modulus `t` with the default margin.
-    pub fn new(plain_modulus: u64) -> Self {
-        ParamSelector {
-            plain_modulus,
-            margin_bits: DEFAULT_MARGIN_BITS,
-        }
+    fn generate(
+        poly_degree: usize,
+        plain_modulus: u64,
+        prime_bits: u32,
+        count: usize,
+    ) -> Result<BgvParams, ParamError> {
+        generate_mod_switch_friendly(poly_degree, plain_modulus, prime_bits, count)
     }
 
-    /// Overrides the safety margin.
-    pub fn with_margin_bits(mut self, margin_bits: f64) -> Self {
-        self.margin_bits = margin_bits;
-        self
-    }
-
-    /// Selects the smallest satisfying parameter set for a lowered program
-    /// that needs `min_slots` slots per batching row.
-    ///
-    /// # Errors
-    ///
-    /// See [`SelectError`].
-    pub fn select(&self, prog: &Program, min_slots: usize) -> Result<Selection, SelectError> {
-        let t = self.plain_modulus;
-        let mut best: Option<(usize, f64)> = None;
-        let mut tried = 0usize;
-        let mut any_compatible = false;
-        for cand in Self::CANDIDATES {
-            let two_n = 2 * cand.poly_degree as u64;
-            if cand.poly_degree / 2 < min_slots
-                || !zq::is_prime(t)
-                || !(t - 1).is_multiple_of(two_n)
-            {
-                continue;
-            }
-            any_compatible = true;
-            let params =
-                generate_mod_switch_friendly(cand.poly_degree, t, cand.prime_bits, cand.count)
-                    .expect("table candidates are valid");
-            let report = NoiseModel::for_params(&params).analyze(prog);
-            if report.predicted_budget_bits >= self.margin_bits {
-                return Ok(Selection {
-                    params,
-                    report,
-                    candidates_tried: tried,
-                });
-            }
-            tried += 1;
-            if best.is_none_or(|(_, b)| report.predicted_budget_bits > b) {
-                best = Some((cand.poly_degree, report.predicted_budget_bits));
-            }
-        }
-        if !any_compatible && best.is_none() {
-            let t_fits_somewhere = Self::CANDIDATES
-                .iter()
-                .any(|c| zq::is_prime(t) && (t - 1).is_multiple_of(2 * c.poly_degree as u64));
-            if !t_fits_somewhere {
-                return Err(SelectError::UnsupportedPlainModulus(t));
-            }
-        }
-        Err(SelectError::NoCandidate {
-            margin_bits: self.margin_bits,
-            min_slots,
-            best,
-        })
+    fn analyze(params: &BgvParams, prog: &Program) -> (NoiseReport, f64) {
+        let report = NoiseModel::for_params(params).analyze(prog);
+        let budget = report.predicted_budget_bits;
+        (report, budget)
     }
 }
 
@@ -303,20 +238,10 @@ impl BgvContext {
         &self.ring
     }
 
-    /// `t mod q_i` for each ciphertext prime.
-    pub fn t_mod_q(&self) -> &[u64] {
-        &self.t_mod_q
-    }
-
-    /// NTT over the plaintext modulus (batching transform).
-    pub fn plain_ntt(&self) -> &NttTables {
-        &self.plain_ntt
-    }
-
     /// The context one level down the chain: the same parameters with the
     /// last RNS prime dropped. Ciphertexts produced by
-    /// [`crate::evaluator::Evaluator::mod_switch_to_next`] and secrets
-    /// truncated by [`crate::keys::SecretKey::mod_switched`] live under
+    /// [`crate::evaluator::ModSwitch::mod_switch_to_next`] and secrets
+    /// truncated by [`crate::keys::ModSwitchKey::mod_switched`] live under
     /// this context.
     ///
     /// # Errors
@@ -330,6 +255,45 @@ impl BgvContext {
         let mut params = self.params.clone();
         params.moduli.pop();
         BgvContext::new(params)
+    }
+}
+
+/// BGV as a [`SchemePolicy`]: the message sits in the bottom digit of the
+/// phase (`m + t·E`), so every error is scaled by `t`, plaintexts enter
+/// `c0` unscaled, multiplication is a plain tensor ([`crate::evaluator`]),
+/// and decryption reduces the centered phase mod `t`.
+impl SchemePolicy for BgvContext {
+    fn params(&self) -> &BgvParams {
+        &self.params
+    }
+
+    fn ring(&self) -> &RingContext {
+        &self.ring
+    }
+
+    fn plain_ntt(&self) -> &NttTables {
+        &self.plain_ntt
+    }
+
+    fn error_scale(&self) -> Option<&[u64]> {
+        Some(&self.t_mod_q)
+    }
+
+    fn lift_plain(&self, _m: &RnsPoly) -> Option<RnsPoly> {
+        None
+    }
+
+    fn multiply(ev: &Evaluator<'_>, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
+        crate::evaluator::multiply(ev, a, b)
+    }
+
+    fn decrypt_coeff(&self, w: &BigInt) -> u64 {
+        w.rem_euclid_u64(self.params.plain_modulus)
+    }
+
+    /// The whole centered phase `w = m + t·E` counts as noise.
+    fn noise_bits(&self, w: &BigInt) -> u32 {
+        w.mag.bits()
     }
 }
 
@@ -351,7 +315,7 @@ mod tests {
     fn candidate_table_rows_generate() {
         // Every table row must produce a valid switch-friendly chain for
         // the workhorse t = 65537 (the selector unwraps this).
-        for cand in ParamSelector::CANDIDATES {
+        for cand in BgvContext::CANDIDATES {
             let p =
                 generate_mod_switch_friendly(cand.poly_degree, 65537, cand.prime_bits, cand.count)
                     .expect("table row generates");

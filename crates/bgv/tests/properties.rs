@@ -10,6 +10,7 @@ use bgv::encrypt::{Decryptor, Encryptor};
 use bgv::evaluator::Evaluator;
 use bgv::keys::KeyGenerator;
 use bgv::params::{self, BgvContext};
+use bgv::{ModSwitch, ModSwitchKey};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 

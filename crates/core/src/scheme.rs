@@ -5,9 +5,9 @@
 //! [`quill::scheme::SchemeId`] is the lightweight identity the IR layers
 //! share (legality rules, cost tables, cache keys); this module supplies
 //! the *capability* side: the [`Scheme`] trait maps that identity onto a
-//! concrete backend crate's types (context, keys, ciphertexts, evaluator)
-//! and operations, so [`crate::codegen::Runner`] lowers Quill IR 1:1 onto
-//! any instantiation.
+//! backend's types (context, keys, ciphertexts, evaluator) and operations,
+//! so [`crate::codegen::Runner`] lowers Quill IR 1:1 onto any
+//! instantiation.
 //!
 //! Two instantiations ship:
 //!
@@ -16,15 +16,18 @@
 //! * [`BgvScheme`] — the `bgv` crate (least-significant-digit encoding,
 //!   plain tensor multiply, noise managed by modulus switching).
 //!
-//! Both expose the same method surface over the same shared ring arithmetic
-//! (`rlwe-ring`), and their parameter sets are the *same type*
-//! ([`rlwe_ring::params::RlweParams`]) — which is what makes cross-scheme
-//! differential testing (one parameter set, two backends, slot-identical
-//! decryptions) possible at all. What differs per scheme and is dispatched
-//! here: how parameters are auto-selected ([`Scheme::resolve_params`] — the
-//! BGV selector escalates faster because its noise *doubles* per multiply)
-//! and the static noise model behind the selection certificate
-//! ([`Scheme::analyze_noise`]).
+//! Both are policies over one shared RLWE core in `rlwe-ring` (encoder,
+//! keys, encryption, evaluator, generic over
+//! [`rlwe_ring::scheme::SchemePolicy`]), and their parameter sets are the
+//! *same type* ([`rlwe_ring::params::RlweParams`]) — which is what makes
+//! cross-scheme differential testing (one parameter set, two backends,
+//! slot-identical decryptions) possible at all. So the operations of
+//! [`Scheme`] are written once, in a blanket impl over [`RlweScheme`]; a
+//! backend declares only what differs: its identity, its context (the
+//! policy), how parameters are auto-selected ([`RlweScheme::resolve_params`]
+//! — the BGV selector escalates faster because its noise *doubles* per
+//! multiply) and the static noise model behind the selection certificate
+//! ([`RlweScheme::analyze_noise`]).
 //!
 //! The free functions ([`resolve_params`], [`analyze_noise`],
 //! [`default_scheme`]) are the value-level mirror for call sites that hold
@@ -34,17 +37,20 @@ use quill::analysis::NoiseReport;
 use quill::program::Program;
 use quill::scheme::SchemeId;
 use rand::Rng;
+use rlwe_ring::encoding::{BatchEncoder, EvalPlaintext, Plaintext};
+use rlwe_ring::encrypt::{Ciphertext, Decryptor, Encryptor};
+use rlwe_ring::evaluator::Evaluator;
+use rlwe_ring::keys::{GaloisKeys, KeyGenerator, RelinKey};
+use rlwe_ring::keyswitch::HoistedDecomposition;
 use rlwe_ring::params::{ParamError, ParamPolicy, RlweParams, SelectError};
+use rlwe_ring::scheme::SchemePolicy;
 
 /// A homomorphic-encryption backend the compiler can lower onto.
 ///
-/// The trait is deliberately *mechanical*: each method forwards to the
-/// backend crate's inherent method of the same name, so an instantiation is
-/// a page of one-line delegations and the generic [`crate::codegen::Runner`]
-/// body reads exactly like the scheme-specific one it replaced. Methods are
-/// associated functions (not `&self`) because a scheme is a type-level
-/// tag — [`BfvScheme`] and [`BgvScheme`] are unit structs that are never
-/// constructed.
+/// Methods are associated functions (not `&self`) because a scheme is a
+/// type-level tag — [`BfvScheme`] and [`BgvScheme`] are unit structs that
+/// are never constructed. Every [`RlweScheme`] implements this trait
+/// through one blanket impl.
 pub trait Scheme: 'static {
     /// The scheme's identity (legality rules, cost table, cache-key tag).
     const ID: SchemeId;
@@ -187,30 +193,37 @@ pub trait Scheme: 'static {
     /// of rotations on it can share the digit-decomposition NTTs
     /// ("hoisting"), or `None` when the backend does not support it — the
     /// runner then falls back to plain [`Scheme::rotate_rows_assign`] per
-    /// member. The default is that fallback.
-    fn hoist(_ev: &Self::Evaluator<'_>, _ct: &Self::Ciphertext) -> Option<Self::Hoisted> {
-        None
-    }
+    /// member. Every backend on the shared RLWE core hoists.
+    fn hoist(ev: &Self::Evaluator<'_>, ct: &Self::Ciphertext) -> Option<Self::Hoisted>;
     /// Rotates `ct` by `steps` through a decomposition obtained from
-    /// [`Scheme::hoist`] **on the same ciphertext**. Must decrypt
-    /// identically to the plain rotation (the raw ciphertext bits may
-    /// differ). The default ignores the decomposition and rotates plainly,
-    /// matching the default `hoist`.
+    /// [`Scheme::hoist`] **on the same ciphertext**. Decrypts identically
+    /// to the plain rotation (the raw ciphertext bits may differ).
     fn rotate_hoisted(
         ev: &Self::Evaluator<'_>,
         ct: &Self::Ciphertext,
-        _h: &Self::Hoisted,
+        h: &Self::Hoisted,
         steps: i64,
         gk: &Self::GaloisKeys,
-    ) -> Self::Ciphertext {
-        let mut out = ct.clone();
-        Self::rotate_rows_assign(ev, &mut out, steps, gk);
-        out
-    }
+    ) -> Self::Ciphertext;
     /// Returns a hoisted decomposition's buffers to the evaluator's
-    /// scratch pool (no-op by default).
-    fn recycle_hoisted(_ev: &Self::Evaluator<'_>, _h: Self::Hoisted) {}
+    /// scratch pool.
+    fn recycle_hoisted(ev: &Self::Evaluator<'_>, h: Self::Hoisted);
+}
 
+/// What a backend on the shared RLWE core declares to become a [`Scheme`]:
+/// its identity, its context — which implements the `rlwe-ring`
+/// [`SchemePolicy`] — and its parameter selection and noise model.
+pub trait RlweScheme: 'static {
+    /// The scheme's identity (legality rules, cost table, cache-key tag).
+    const ID: SchemeId;
+    /// The scheme's context, carrying its policy.
+    type Context: SchemePolicy + Sync;
+    /// Builds the context for a parameter set.
+    ///
+    /// # Errors
+    ///
+    /// Returns the backend's [`ParamError`] for unusable parameters.
+    fn context(params: RlweParams) -> Result<Self::Context, ParamError>;
     /// Resolves a parameter policy against a lowered program under this
     /// scheme's noise model and candidate table.
     ///
@@ -228,53 +241,50 @@ pub trait Scheme: 'static {
     fn analyze_noise(params: &RlweParams, prog: &Program) -> NoiseReport;
 }
 
-/// The `bfv` crate as a [`Scheme`] instantiation.
-#[derive(Debug, Clone, Copy)]
-pub struct BfvScheme;
+/// The shared RLWE core's types and operations, once for every backend.
+impl<B: RlweScheme> Scheme for B {
+    const ID: SchemeId = B::ID;
 
-impl Scheme for BfvScheme {
-    const ID: SchemeId = SchemeId::Bfv;
-
-    type Context = bfv::params::BfvContext;
-    type Plaintext = bfv::encoding::Plaintext;
-    type EvalPlaintext = bfv::encoding::EvalPlaintext;
-    type Ciphertext = bfv::encrypt::Ciphertext;
-    type RelinKey = bfv::keys::RelinKey;
-    type GaloisKeys = bfv::keys::GaloisKeys;
-    type Hoisted = bfv::HoistedDecomposition;
-    type Encoder<'a> = bfv::encoding::BatchEncoder<'a>;
-    type Evaluator<'a> = bfv::evaluator::Evaluator<'a>;
-    type KeyGenerator<'a> = bfv::keys::KeyGenerator<'a>;
-    type Encryptor<'a> = bfv::encrypt::Encryptor<'a>;
-    type Decryptor<'a> = bfv::encrypt::Decryptor<'a>;
+    type Context = B::Context;
+    type Plaintext = Plaintext;
+    type EvalPlaintext = EvalPlaintext;
+    type Ciphertext = Ciphertext;
+    type RelinKey = RelinKey;
+    type GaloisKeys = GaloisKeys;
+    type Hoisted = HoistedDecomposition;
+    type Encoder<'a> = BatchEncoder<'a, B::Context>;
+    type Evaluator<'a> = Evaluator<'a, B::Context>;
+    type KeyGenerator<'a> = KeyGenerator<'a, B::Context>;
+    type Encryptor<'a> = Encryptor<'a, B::Context>;
+    type Decryptor<'a> = Decryptor<'a, B::Context>;
 
     fn context(params: RlweParams) -> Result<Self::Context, ParamError> {
-        bfv::params::BfvContext::new(params)
+        B::context(params)
     }
     fn params(ctx: &Self::Context) -> &RlweParams {
         ctx.params()
     }
     fn encoder(ctx: &Self::Context) -> Self::Encoder<'_> {
-        bfv::encoding::BatchEncoder::new(ctx)
+        BatchEncoder::new(ctx)
     }
     fn evaluator(ctx: &Self::Context) -> Self::Evaluator<'_> {
-        bfv::evaluator::Evaluator::new(ctx)
+        Evaluator::new(ctx)
     }
     fn keygen<'a, R: Rng + ?Sized>(ctx: &'a Self::Context, rng: &mut R) -> Self::KeyGenerator<'a> {
-        bfv::keys::KeyGenerator::new(ctx, rng)
+        KeyGenerator::new(ctx, rng)
     }
     fn encryptor<'a, R: Rng + ?Sized>(
         ctx: &'a Self::Context,
         keygen: &Self::KeyGenerator<'a>,
         rng: &mut R,
     ) -> Self::Encryptor<'a> {
-        bfv::encrypt::Encryptor::new(ctx, keygen.public_key(rng))
+        Encryptor::new(ctx, keygen.public_key(rng))
     }
     fn decryptor<'a>(
         ctx: &'a Self::Context,
         keygen: &Self::KeyGenerator<'a>,
     ) -> Self::Decryptor<'a> {
-        bfv::encrypt::Decryptor::new(ctx, keygen.secret_key().clone())
+        Decryptor::new(ctx, keygen.secret_key().clone())
     }
     fn relin_key<R: Rng + ?Sized>(kg: &Self::KeyGenerator<'_>, rng: &mut R) -> Self::RelinKey {
         kg.relin_key(rng)
@@ -389,7 +399,19 @@ impl Scheme for BfvScheme {
     fn recycle_hoisted(ev: &Self::Evaluator<'_>, h: Self::Hoisted) {
         ev.recycle_hoisted(h);
     }
+}
 
+/// The `bfv` crate as a [`Scheme`] instantiation.
+#[derive(Debug, Clone, Copy)]
+pub struct BfvScheme;
+
+impl RlweScheme for BfvScheme {
+    const ID: SchemeId = SchemeId::Bfv;
+    type Context = bfv::params::BfvContext;
+
+    fn context(params: RlweParams) -> Result<Self::Context, ParamError> {
+        bfv::params::BfvContext::new(params)
+    }
     fn resolve_params(
         policy: &ParamPolicy,
         prog: &Program,
@@ -407,164 +429,13 @@ impl Scheme for BfvScheme {
 #[derive(Debug, Clone, Copy)]
 pub struct BgvScheme;
 
-impl Scheme for BgvScheme {
+impl RlweScheme for BgvScheme {
     const ID: SchemeId = SchemeId::Bgv;
-
     type Context = bgv::params::BgvContext;
-    type Plaintext = bgv::encoding::Plaintext;
-    type EvalPlaintext = bgv::encoding::EvalPlaintext;
-    type Ciphertext = bgv::encrypt::Ciphertext;
-    type RelinKey = bgv::keys::RelinKey;
-    type GaloisKeys = bgv::keys::GaloisKeys;
-    type Hoisted = bgv::HoistedDecomposition;
-    type Encoder<'a> = bgv::encoding::BatchEncoder<'a>;
-    type Evaluator<'a> = bgv::evaluator::Evaluator<'a>;
-    type KeyGenerator<'a> = bgv::keys::KeyGenerator<'a>;
-    type Encryptor<'a> = bgv::encrypt::Encryptor<'a>;
-    type Decryptor<'a> = bgv::encrypt::Decryptor<'a>;
 
     fn context(params: RlweParams) -> Result<Self::Context, ParamError> {
         bgv::params::BgvContext::new(params)
     }
-    fn params(ctx: &Self::Context) -> &RlweParams {
-        ctx.params()
-    }
-    fn encoder(ctx: &Self::Context) -> Self::Encoder<'_> {
-        bgv::encoding::BatchEncoder::new(ctx)
-    }
-    fn evaluator(ctx: &Self::Context) -> Self::Evaluator<'_> {
-        bgv::evaluator::Evaluator::new(ctx)
-    }
-    fn keygen<'a, R: Rng + ?Sized>(ctx: &'a Self::Context, rng: &mut R) -> Self::KeyGenerator<'a> {
-        bgv::keys::KeyGenerator::new(ctx, rng)
-    }
-    fn encryptor<'a, R: Rng + ?Sized>(
-        ctx: &'a Self::Context,
-        keygen: &Self::KeyGenerator<'a>,
-        rng: &mut R,
-    ) -> Self::Encryptor<'a> {
-        bgv::encrypt::Encryptor::new(ctx, keygen.public_key(rng))
-    }
-    fn decryptor<'a>(
-        ctx: &'a Self::Context,
-        keygen: &Self::KeyGenerator<'a>,
-    ) -> Self::Decryptor<'a> {
-        bgv::encrypt::Decryptor::new(ctx, keygen.secret_key().clone())
-    }
-    fn relin_key<R: Rng + ?Sized>(kg: &Self::KeyGenerator<'_>, rng: &mut R) -> Self::RelinKey {
-        kg.relin_key(rng)
-    }
-    fn galois_keys<R: Rng + ?Sized>(
-        kg: &Self::KeyGenerator<'_>,
-        steps: &[i64],
-        include_columns: bool,
-        rng: &mut R,
-    ) -> Self::GaloisKeys {
-        kg.galois_keys_for_rotations(steps, include_columns, rng)
-    }
-    fn galois_elements(gk: &Self::GaloisKeys) -> Vec<u64> {
-        gk.elements()
-    }
-
-    fn slot_count(enc: &Self::Encoder<'_>) -> usize {
-        enc.slot_count()
-    }
-    fn encode(enc: &Self::Encoder<'_>, values: &[u64]) -> Self::Plaintext {
-        enc.encode(values)
-    }
-    fn encode_eval(enc: &Self::Encoder<'_>, values: &[u64]) -> Self::EvalPlaintext {
-        enc.encode_eval(values)
-    }
-    fn decode(enc: &Self::Encoder<'_>, pt: &Self::Plaintext) -> Vec<u64> {
-        enc.decode(pt)
-    }
-
-    fn encrypt<R: Rng + ?Sized>(
-        enc: &Self::Encryptor<'_>,
-        pt: &Self::Plaintext,
-        rng: &mut R,
-    ) -> Self::Ciphertext {
-        enc.encrypt(pt, rng)
-    }
-    fn decrypt(dec: &Self::Decryptor<'_>, ct: &Self::Ciphertext) -> Self::Plaintext {
-        dec.decrypt(ct)
-    }
-    fn noise_budget(dec: &Self::Decryptor<'_>, ct: &Self::Ciphertext) -> i64 {
-        dec.invariant_noise_budget(ct)
-    }
-
-    fn preencode(ev: &Self::Evaluator<'_>, pt: &Self::Plaintext) -> Self::EvalPlaintext {
-        ev.preencode(pt)
-    }
-    fn add_assign(ev: &Self::Evaluator<'_>, a: &mut Self::Ciphertext, b: &Self::Ciphertext) {
-        ev.add_assign(a, b);
-    }
-    fn sub_assign(ev: &Self::Evaluator<'_>, a: &mut Self::Ciphertext, b: &Self::Ciphertext) {
-        ev.sub_assign(a, b);
-    }
-    fn multiply(
-        ev: &Self::Evaluator<'_>,
-        a: &Self::Ciphertext,
-        b: &Self::Ciphertext,
-    ) -> Self::Ciphertext {
-        ev.multiply(a, b)
-    }
-    fn relinearize_assign(
-        ev: &Self::Evaluator<'_>,
-        ct: &mut Self::Ciphertext,
-        rk: &Self::RelinKey,
-    ) {
-        ev.relinearize_assign(ct, rk);
-    }
-    fn add_plain_assign(
-        ev: &Self::Evaluator<'_>,
-        ct: &mut Self::Ciphertext,
-        pt: &Self::EvalPlaintext,
-    ) {
-        ev.add_plain_assign(ct, pt);
-    }
-    fn sub_plain_assign(
-        ev: &Self::Evaluator<'_>,
-        ct: &mut Self::Ciphertext,
-        pt: &Self::EvalPlaintext,
-    ) {
-        ev.sub_plain_assign(ct, pt);
-    }
-    fn mul_plain_assign(
-        ev: &Self::Evaluator<'_>,
-        ct: &mut Self::Ciphertext,
-        pt: &Self::EvalPlaintext,
-    ) {
-        ev.mul_plain_assign(ct, pt);
-    }
-    fn rotate_rows_assign(
-        ev: &Self::Evaluator<'_>,
-        ct: &mut Self::Ciphertext,
-        steps: i64,
-        gk: &Self::GaloisKeys,
-    ) {
-        ev.rotate_rows_assign(ct, steps, gk);
-    }
-    fn recycle(ev: &Self::Evaluator<'_>, ct: Self::Ciphertext) {
-        ev.recycle(ct);
-    }
-
-    fn hoist(ev: &Self::Evaluator<'_>, ct: &Self::Ciphertext) -> Option<Self::Hoisted> {
-        Some(ev.hoist(ct))
-    }
-    fn rotate_hoisted(
-        ev: &Self::Evaluator<'_>,
-        ct: &Self::Ciphertext,
-        h: &Self::Hoisted,
-        steps: i64,
-        gk: &Self::GaloisKeys,
-    ) -> Self::Ciphertext {
-        ev.rotate_rows_hoisted(ct, h, steps, gk)
-    }
-    fn recycle_hoisted(ev: &Self::Evaluator<'_>, h: Self::Hoisted) {
-        ev.recycle_hoisted(h);
-    }
-
     fn resolve_params(
         policy: &ParamPolicy,
         prog: &Program,
@@ -578,7 +449,7 @@ impl Scheme for BgvScheme {
     }
 }
 
-/// Value-level dispatch of [`Scheme::resolve_params`] for call sites that
+/// Value-level dispatch of [`RlweScheme::resolve_params`] for call sites that
 /// hold a runtime [`SchemeId`] (the CEGIS driver, the CLI).
 ///
 /// # Errors
@@ -598,7 +469,7 @@ pub fn resolve_params(
     }
 }
 
-/// Value-level dispatch of [`Scheme::analyze_noise`].
+/// Value-level dispatch of [`RlweScheme::analyze_noise`].
 pub fn analyze_noise(scheme: SchemeId, params: &RlweParams, prog: &Program) -> NoiseReport {
     match scheme {
         SchemeId::Bfv => BfvScheme::analyze_noise(params, prog),

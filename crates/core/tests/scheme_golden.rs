@@ -12,6 +12,7 @@
 //! If a change is *meant* to alter these bits, the failure message prints
 //! the new table in paste-ready form.
 
+use bgv::{ModSwitch, ModSwitchKey};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rlwe_ring::keyswitch::KeySwitchKey;

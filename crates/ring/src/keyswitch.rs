@@ -48,6 +48,20 @@ pub fn shoup_tables(ring: &RingContext, poly: &RnsPoly) -> ShoupTable {
         .collect()
 }
 
+/// Samples an error polynomial in evaluation form, multiplied by the
+/// scalar with per-prime residues `scale` when given (BGV's `t·e`).
+pub fn sample_scaled_error<R: Rng + ?Sized>(
+    ring: &RingContext,
+    scale: Option<&[u64]>,
+    rng: &mut R,
+) -> RnsPoly {
+    let e = ring.to_eval(&ring.sample_error(rng));
+    match scale {
+        Some(scale) => ring.mul_scalar_residues(&e, scale),
+        None => e,
+    }
+}
+
 /// Builds a key-switch key whose source key is `target` (e.g. `s²` or
 /// `σ_g(s)`, in evaluation form) under destination secret `s`.
 ///
@@ -68,10 +82,7 @@ pub fn key_switch_key<R: Rng + ?Sized>(
     let mut parts = Vec::with_capacity(k);
     for i in 0..k {
         let a_i = ring.sample_uniform(rng);
-        let mut e_i = ring.to_eval(&ring.sample_error(rng));
-        if let Some(scale) = error_scale {
-            e_i = ring.mul_scalar_residues(&e_i, scale);
-        }
+        let e_i = sample_scaled_error(ring, error_scale, rng);
         let mut b_i = ring.neg(&ring.add(&ring.mul(&a_i, s), &e_i));
         // Add γ_i · target: in RNS, γ_i is the unit vector at component
         // i, so only component i of `target` contributes — and because

@@ -5,14 +5,15 @@
 //! power-of-two degree `N`, a batching-friendly plaintext modulus `t`, and
 //! an RNS chain of NTT-friendly ciphertext primes — so the parameter
 //! *struct*, its structural validation, and the compiler-facing
-//! [`ParamPolicy`] live here. What differs per scheme is *noise*: each
-//! scheme crate provides its own `NoiseModel`, `ParamSelector` candidate
-//! table, and a `resolve_policy` function that plugs its selector into
-//! [`ParamPolicy::resolve_with`].
+//! [`ParamPolicy`] live here, as does the noise-aware [`ParamSelector`].
+//! What differs per scheme is *noise*: each scheme crate provides its own
+//! `NoiseModel` and a [`SelectionTable`] — its candidate chains, certified
+//! by that model — for the selector to walk.
 
 use crate::zq;
 use std::error::Error;
 use std::fmt;
+use std::marker::PhantomData;
 
 /// Errors from parameter validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -195,7 +196,7 @@ pub const DEFAULT_MARGIN_BITS: f64 = 10.0;
 
 /// How the compiler obtains RLWE parameters for a program. The policy is
 /// scheme-neutral data; resolving it runs the *selected scheme's* noise
-/// analysis (see each scheme crate's `resolve_policy`).
+/// analysis (see [`ParamSelector::resolve`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParamPolicy {
     /// Select the smallest satisfying set from the scheme's candidate table
@@ -306,6 +307,157 @@ impl fmt::Display for SelectError {
 }
 
 impl Error for SelectError {}
+
+/// One row of a scheme's candidate table: `count` fresh primes of
+/// `prime_bits` bits at degree `poly_degree`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Candidate {
+    /// Ring degree `N`.
+    pub poly_degree: usize,
+    /// Bits per chain prime.
+    pub prime_bits: u32,
+    /// Chain length.
+    pub count: usize,
+}
+
+/// A successful selection: the parameters plus the analysis `R` that
+/// certified them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Selection<R> {
+    /// The smallest satisfying parameter set.
+    pub params: RlweParams,
+    /// The noise analysis of the program under `params`.
+    pub report: R,
+    /// How many size-compatible candidates were rejected first.
+    pub candidates_tried: usize,
+}
+
+/// A scheme's parameter-selection table: its candidates, how a candidate's
+/// chain is generated, and the noise analysis that certifies a set.
+pub trait SelectionTable {
+    /// What is analyzed (a lowered program).
+    type Program: ?Sized;
+    /// The analysis that certifies a selection.
+    type Report;
+    /// The candidates, ascending by cost (degree, then total modulus bits).
+    const CANDIDATES: &'static [Candidate];
+    /// Builds the parameter set of one candidate row.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the set fails [`RlweParams::validate`].
+    fn generate(
+        poly_degree: usize,
+        plain_modulus: u64,
+        prime_bits: u32,
+        count: usize,
+    ) -> Result<RlweParams, ParamError>;
+    /// Analyzes `prog` under `params`: the report and the predicted
+    /// remaining noise budget in bits.
+    fn analyze(params: &RlweParams, prog: &Self::Program) -> (Self::Report, f64);
+}
+
+/// Noise-aware automatic parameter selection over a scheme's
+/// [`SelectionTable`].
+///
+/// Given a *lowered* program (post `-O`, explicit relinearizations), the
+/// selector walks the table in ascending cost order and returns the first
+/// set whose worst-case predicted noise budget leaves at least the
+/// configured safety margin at decryption, and whose batching rows hold
+/// the program's slots. Because the scheme's noise model is a sound upper
+/// bound, the selected set is *certified*: the measured budget at
+/// decryption is at least the margin.
+#[derive(Debug)]
+pub struct ParamSelector<S> {
+    plain_modulus: u64,
+    margin_bits: f64,
+    table: PhantomData<S>,
+}
+
+impl<S: SelectionTable> ParamSelector<S> {
+    /// A selector for plaintext modulus `t` with the default margin.
+    pub fn new(plain_modulus: u64) -> Self {
+        ParamSelector {
+            plain_modulus,
+            margin_bits: DEFAULT_MARGIN_BITS,
+            table: PhantomData,
+        }
+    }
+
+    /// Overrides the safety margin.
+    pub fn with_margin_bits(mut self, margin_bits: f64) -> Self {
+        self.margin_bits = margin_bits;
+        self
+    }
+
+    /// Selects the smallest satisfying parameter set for a lowered program
+    /// that needs `min_slots` slots per batching row.
+    ///
+    /// # Errors
+    ///
+    /// [`SelectError::UnsupportedPlainModulus`] if `t` batches at no
+    /// candidate degree, else [`SelectError::NoCandidate`] with the best
+    /// budget seen.
+    pub fn select(
+        &self,
+        prog: &S::Program,
+        min_slots: usize,
+    ) -> Result<Selection<S::Report>, SelectError> {
+        let t = self.plain_modulus;
+        let batches = |n: usize| zq::is_prime(t) && (t - 1).is_multiple_of(2 * n as u64);
+        let mut best: Option<(usize, f64)> = None;
+        let mut tried = 0usize;
+        for cand in S::CANDIDATES {
+            if cand.poly_degree / 2 < min_slots || !batches(cand.poly_degree) {
+                continue;
+            }
+            let params = S::generate(cand.poly_degree, t, cand.prime_bits, cand.count)
+                .expect("table candidates are valid");
+            let (report, predicted) = S::analyze(&params, prog);
+            if predicted >= self.margin_bits {
+                return Ok(Selection {
+                    params,
+                    report,
+                    candidates_tried: tried,
+                });
+            }
+            tried += 1;
+            if best.is_none_or(|(_, b)| predicted > b) {
+                best = Some((cand.poly_degree, predicted));
+            }
+        }
+        // Distinguish "t can never batch" from "table exhausted".
+        if best.is_none() && !S::CANDIDATES.iter().any(|c| batches(c.poly_degree)) {
+            return Err(SelectError::UnsupportedPlainModulus(t));
+        }
+        Err(SelectError::NoCandidate {
+            margin_bits: self.margin_bits,
+            min_slots,
+            best,
+        })
+    }
+
+    /// Resolves a [`ParamPolicy`] for a lowered program: a `Fixed` set is
+    /// validated structurally and for capacity; an `Auto` policy runs the
+    /// selector over the table.
+    ///
+    /// # Errors
+    ///
+    /// See [`SelectError`].
+    pub fn resolve(
+        policy: &ParamPolicy,
+        prog: &S::Program,
+        min_slots: usize,
+        t: u64,
+    ) -> Result<RlweParams, SelectError> {
+        policy.resolve_with(min_slots, t, |margin_bits| {
+            Self::new(t)
+                .with_margin_bits(margin_bits)
+                .select(prog, min_slots)
+                .map(|s| s.params)
+        })
+    }
+}
 
 #[cfg(test)]
 mod tests {

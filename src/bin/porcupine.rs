@@ -138,6 +138,55 @@ fn run_encrypted_check(
     }
 }
 
+/// The value after `flag` parsed as `T`: `Ok(None)` when the flag is
+/// absent, and an error naming the flag when its value is missing or
+/// malformed — never a silent fallback to the default.
+fn flag_value<T: std::str::FromStr>(
+    args: &[String],
+    flag: &str,
+    expected: &str,
+) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let value = args.get(i + 1).map(String::as_str);
+    match value.map(str::parse) {
+        Some(Ok(v)) => Ok(Some(v)),
+        _ => Err(format!(
+            "{flag} requires {expected}, got {:?}",
+            value.unwrap_or("nothing")
+        )),
+    }
+}
+
+/// `synth`'s numeric flags, each parsed strictly by [`flag_value`].
+struct NumericFlags {
+    size: Option<usize>,
+    margin_bits: Option<f64>,
+    jobs: Option<NonZeroUsize>,
+    eval_jobs: Option<NonZeroUsize>,
+    timeout: Option<u64>,
+    seed: Option<u64>,
+}
+
+impl NumericFlags {
+    fn parse(args: &[String]) -> Result<Self, String> {
+        const COUNT: &str = "a positive integer";
+        let margin_bits = flag_value::<f64>(args, "--margin-bits", "a finite number")?;
+        if let Some(m) = margin_bits.filter(|m| !m.is_finite()) {
+            return Err(format!("--margin-bits requires a finite number, got {m}"));
+        }
+        Ok(NumericFlags {
+            size: flag_value(args, "--size", COUNT)?,
+            margin_bits,
+            jobs: flag_value(args, "--jobs", COUNT)?,
+            eval_jobs: flag_value(args, "--eval-jobs", COUNT)?,
+            timeout: flag_value(args, "--timeout", "a number of seconds")?,
+            seed: flag_value(args, "--seed", "a non-negative integer")?,
+        })
+    }
+}
+
 /// Extracts an `-O0`/`-O1`/`-O2` (or `--opt-level <n>`) flag, if present.
 fn parse_opt_level(args: &[String]) -> Result<Option<OptLevel>, String> {
     if let Some(i) = args.iter().position(|a| a == "--opt-level") {
@@ -308,13 +357,14 @@ fn main() -> ExitCode {
             let Some(name) = args.get(1) else {
                 return usage();
             };
-            let grab = |flag: &str| -> Option<u64> {
-                args.iter()
-                    .position(|a| a == flag)
-                    .and_then(|i| args.get(i + 1))
-                    .and_then(|v| v.parse().ok())
+            let flags = match NumericFlags::parse(&args) {
+                Ok(flags) => flags,
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::FAILURE;
+                }
             };
-            let size = grab("--size").map(|n| n as usize);
+            let size = flags.size;
             let Some(k) = find_kernel(name, size) else {
                 match size {
                     Some(s) => eprintln!(
@@ -363,33 +413,15 @@ fn main() -> ExitCode {
             };
             let policy = match params_mode {
                 Some("paper") => ParamPolicy::Fixed(BfvParams::paper()),
-                _ => match grab("--margin-bits") {
-                    Some(m) => ParamPolicy::Auto {
-                        margin_bits: m as f64,
-                    },
+                _ => match flags.margin_bits {
+                    Some(margin_bits) => ParamPolicy::Auto { margin_bits },
                     None => ParamPolicy::auto(),
                 },
             };
-            let jobs = match grab("--jobs") {
-                Some(n) => match NonZeroUsize::new(n as usize) {
-                    Some(j) => j,
-                    None => {
-                        eprintln!("--jobs must be at least 1");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => default_parallelism(),
-            };
-            let eval_jobs = match grab("--eval-jobs") {
-                Some(n) => match NonZeroUsize::new(n as usize) {
-                    Some(j) => j,
-                    None => {
-                        eprintln!("--eval-jobs must be at least 1");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => porcupine::codegen::default_eval_jobs(),
-            };
+            let jobs = flags.jobs.unwrap_or_else(default_parallelism);
+            let eval_jobs = flags
+                .eval_jobs
+                .unwrap_or_else(porcupine::codegen::default_eval_jobs);
             let opt_level = match parse_opt_level(&args) {
                 Ok(level) => level.unwrap_or_else(opt::default_opt_level),
                 Err(e) => {
@@ -426,8 +458,8 @@ fn main() -> ExitCode {
                 }
             };
             let options = SynthesisOptions {
-                timeout: Duration::from_secs(grab("--timeout").unwrap_or(600)),
-                seed: grab("--seed").unwrap_or(0x9E3779B9),
+                timeout: Duration::from_secs(flags.timeout.unwrap_or(600)),
+                seed: flags.seed.unwrap_or(0x9E3779B9),
                 parallelism: jobs,
                 opt_level,
                 scheme,
