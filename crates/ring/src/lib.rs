@@ -11,7 +11,8 @@
 //!
 //! * [`zq`] — scalar arithmetic mod word-size primes: Barrett and Shoup
 //!   multiplication, primality testing, NTT-friendly prime generation.
-//! * [`ntt`] — negacyclic number-theoretic transforms per prime.
+//! * [`ntt`] — negacyclic number-theoretic transforms per prime
+//!   (merged-twiddle, lazily reduced butterflies; primes below 2^62).
 //! * [`rns`] — CRT contexts and exact centered base conversion between
 //!   RNS bases.
 //! * [`bigint`] — minimal arbitrary-precision integers backing CRT

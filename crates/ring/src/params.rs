@@ -10,6 +10,7 @@
 //! `NoiseModel` and a [`SelectionTable`] — its candidate chains, certified
 //! by that model — for the selector to walk.
 
+use crate::ntt::MAX_MODULUS;
 use crate::zq;
 use std::error::Error;
 use std::fmt;
@@ -20,9 +21,11 @@ use std::marker::PhantomData;
 pub enum ParamError {
     /// `N` is not a power of two in the supported range.
     BadDegree(usize),
-    /// The plaintext modulus is not a batching-compatible prime.
+    /// The plaintext modulus is not a batching-compatible prime below
+    /// 2^62.
     BadPlainModulus(u64),
-    /// A ciphertext modulus prime is invalid for this `N`.
+    /// A ciphertext modulus prime is invalid for this `N`, or not below
+    /// 2^62 (the NTT's lazy butterflies hold values up to `4p`).
     BadPrime(u64),
     /// The same prime appears twice in the ciphertext chain (CRT needs
     /// pairwise-coprime moduli; a duplicate used to panic inside the RNS
@@ -47,10 +50,13 @@ impl fmt::Display for ParamError {
             }
             ParamError::BadPlainModulus(t) => write!(
                 f,
-                "plaintext modulus {t} must be a prime congruent to 1 mod 2N for batching"
+                "plaintext modulus {t} must be a prime below 2^62 congruent to 1 mod 2N for batching"
             ),
             ParamError::BadPrime(p) => {
-                write!(f, "ciphertext modulus prime {p} must be prime and 1 mod 2N")
+                write!(
+                    f,
+                    "ciphertext modulus prime {p} must be a prime below 2^62 and 1 mod 2N"
+                )
             }
             ParamError::DuplicatePrime(p) => {
                 write!(f, "ciphertext modulus prime {p} appears more than once")
@@ -158,14 +164,16 @@ impl RlweParams {
         }
         let two_n = 2 * n as u64;
         let t = self.plain_modulus;
-        if !zq::is_prime(t) || !(t - 1).is_multiple_of(two_n) {
+        // Both `t` and every `q` get NTT tables, whose lazy butterflies
+        // need p < 2^62; wider moduli would also wrap add_mod/mul_mod_shoup.
+        if t >= MAX_MODULUS || !zq::is_prime(t) || !(t - 1).is_multiple_of(two_n) {
             return Err(ParamError::BadPlainModulus(t));
         }
         if self.moduli.len() < 2 {
             return Err(ParamError::TooFewPrimes(self.moduli.len()));
         }
         for (i, &q) in self.moduli.iter().enumerate() {
-            if !zq::is_prime(q) || (q - 1) % two_n != 0 {
+            if q >= MAX_MODULUS || !zq::is_prime(q) || (q - 1) % two_n != 0 {
                 return Err(ParamError::BadPrime(q));
             }
             if q == t {
@@ -514,6 +522,27 @@ mod tests {
         // Not prime at all.
         p.moduli[1] = (1 << 45) - 1;
         assert!(matches!(p.validate(), Err(ParamError::BadPrime(_))));
+    }
+
+    /// The largest prime `≡ 1 (mod stride)` below 2^63: NTT-friendly, but
+    /// too wide for the lazy transform.
+    fn prime_63_bits(stride: u64) -> u64 {
+        (1..)
+            .map(|k| (1u64 << 63) - k * stride + 1)
+            .find(|&p| zq::is_prime(p))
+            .unwrap()
+    }
+
+    #[test]
+    fn rejects_63_bit_moduli() {
+        let mut p = RlweParams::test_small();
+        let wide = prime_63_bits(2 * p.poly_degree as u64);
+        assert!(wide >= 1 << 62);
+        p.moduli[1] = wide;
+        assert_eq!(p.validate(), Err(ParamError::BadPrime(wide)));
+        let mut p = RlweParams::test_small();
+        p.plain_modulus = wide;
+        assert_eq!(p.validate(), Err(ParamError::BadPlainModulus(wide)));
     }
 
     #[test]
