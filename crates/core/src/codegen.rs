@@ -21,31 +21,40 @@
 //! lifted kernel passes the padding-stability check ([`crate::lift`]): data
 //! lives in row-0 slots `[0, n)` and all other slots are zero.
 //!
-//! The execution engine adds two performance layers on top of the 1:1
-//! lowering, both semantics-preserving:
+//! One execution engine runs every program: each call builds a `Plan` of
+//! tasks (the instructions plus one hoist task per rotation fan), which
+//! workers drain through one instruction dispatch. It adds three
+//! semantics-preserving performance layers to the 1:1 lowering:
 //!
 //! - **Rotation hoisting**: rotations grouped into a same-source fan by
 //!   [`quill::analysis::rotation_fans`] share one digit decomposition
-//!   ([`Scheme::hoist`]) and pay only the per-Galois-element accumulate
-//!   ([`Scheme::rotate_hoisted`]) each. Backends without a hoisted path
-//!   fall back to plain rotation per member.
-//! - **DAG-parallel scheduling**: with [`Runner::with_eval_jobs`] (or
-//!   `PORCUPINE_EVAL_JOBS`) above 1, instructions run on a ready-queue
-//!   scheduler over the dependence DAG with one evaluator (and thus one
-//!   scratch pool) per worker thread. Because every scheme op is exact
-//!   modular arithmetic and the `_assign` evaluator variants are
-//!   bit-identical to their pure counterparts, decryptions are
-//!   bit-identical at any thread count.
+//!   ([`Scheme::hoist`], the fan's hoist task) and pay only the
+//!   per-Galois-element accumulate ([`Scheme::rotate_hoisted`]) each.
+//!   Backends without a hoisted path fall back to plain rotation per
+//!   member.
+//! - **In place at last use**: an operand whose remaining use count is 1
+//!   is moved out and mutated, or recycled into the worker's scratch pool,
+//!   instead of cloned.
+//! - **DAG parallelism**: worker 0 is the caller's thread; with
+//!   [`Runner::with_eval_jobs`] (or `PORCUPINE_EVAL_JOBS`) above 1 the
+//!   other workers are scoped threads, each with its own evaluator (and
+//!   thus its own scratch pool). The ready queue hands out the lowest
+//!   program index first, so one worker runs the program in order. Because
+//!   every scheme op is exact modular arithmetic and the `_assign`
+//!   evaluator variants are bit-identical to their pure counterparts,
+//!   decryptions are bit-identical at any worker count.
 
 use crate::scheme::{BfvScheme, BgvScheme, Scheme};
-use quill::analysis::rotation_fans;
+use quill::analysis::{rotation_fans, RotationFan};
 use quill::program::{Instr, Program, PtOperand, ValRef};
 use rand::Rng;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt::Write as _;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock, RwLock, RwLockReadGuard};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// Execution statistics from [`Runner::run_with_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,16 +80,18 @@ pub struct Runner<'a, S: Scheme = BfvScheme> {
     relin: Option<S::RelinKey>,
     galois: S::GaloisKeys,
     splats: std::cell::RefCell<BTreeMap<i64, S::EvalPlaintext>>,
-    eval_jobs: NonZeroUsize,
+    /// Set by [`Runner::with_eval_jobs`]; `None` defers to
+    /// [`default_eval_jobs`] at run time.
+    eval_jobs: Option<NonZeroUsize>,
 }
 
-/// Worker-thread count for [`Runner`] execution, from `PORCUPINE_EVAL_JOBS`
-/// (default 1 — sequential, in-place execution on the caller's thread).
+/// Worker count for [`Runner`] execution, from `PORCUPINE_EVAL_JOBS`
+/// (default 1 — the caller's thread alone).
 ///
 /// # Panics
 ///
 /// Panics if the variable is set but not a positive integer, so a typo'd
-/// CI matrix leg fails loudly instead of silently running sequentially.
+/// CI matrix leg fails loudly instead of silently running on one worker.
 pub fn default_eval_jobs() -> NonZeroUsize {
     match std::env::var("PORCUPINE_EVAL_JOBS") {
         Ok(s) => s.trim().parse().unwrap_or_else(|_| {
@@ -134,23 +145,28 @@ impl<'a, S: Scheme> Runner<'a, S> {
             relin,
             galois,
             splats: std::cell::RefCell::new(BTreeMap::new()),
-            eval_jobs: default_eval_jobs(),
+            eval_jobs: None,
         }
     }
 
-    /// Sets the worker-thread count for execution. `1` (the default, unless
-    /// `PORCUPINE_EVAL_JOBS` overrides it) runs sequentially in place on
-    /// the caller's thread; above 1, programs run on a DAG-parallel
-    /// ready-queue scheduler with one evaluator per worker. Decryptions are
-    /// bit-identical at any setting.
+    /// Sets the worker count for execution; `PORCUPINE_EVAL_JOBS` is then
+    /// never read. Worker 0 is the caller's thread, running on the runner's
+    /// own evaluator, so `1` (the default) spawns no thread; each further
+    /// worker is a scoped thread with an evaluator of its own. Decryptions
+    /// are bit-identical at any setting.
     pub fn with_eval_jobs(mut self, jobs: usize) -> Self {
-        self.eval_jobs = NonZeroUsize::new(jobs).expect("eval jobs must be >= 1");
+        self.eval_jobs = Some(NonZeroUsize::new(jobs).expect("eval jobs must be >= 1"));
         self
     }
 
-    /// The worker-thread count programs execute with.
+    /// The worker count programs execute with: the one set by
+    /// [`Runner::with_eval_jobs`], else [`default_eval_jobs`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if no count was set and `PORCUPINE_EVAL_JOBS` is malformed.
     pub fn eval_jobs(&self) -> usize {
-        self.eval_jobs.get()
+        self.eval_jobs.unwrap_or_else(default_eval_jobs).get()
     }
 
     /// The batch encoder (for packing inputs and decoding outputs).
@@ -209,16 +225,15 @@ impl<'a, S: Scheme> Runner<'a, S> {
     }
 
     /// Runs a scheme-legal program over encrypted inputs and pre-encoded
-    /// plaintexts. The hot path is in place and encode-once: operands are
-    /// borrowed (never cloned per use), splat constants hit the runner's
-    /// session-level cache (each distinct value is encoded at most once
-    /// per runner — the runtime mirror of `emit_seal_cpp`'s pre-encoded
-    /// splats), and a last-use analysis lets each instruction mutate a
-    /// dying operand's buffers — or recycle them into the evaluator's
-    /// scratch pool — instead of allocating. Same-source rotation fans
-    /// execute hoisted (one shared decomposition per fan), and with
-    /// [`Runner::with_eval_jobs`] above 1 the whole program runs on the
-    /// DAG-parallel scheduler instead.
+    /// plaintexts on the execution engine: a plan of the program's tasks,
+    /// built for this call, drained by [`Runner::eval_jobs`] workers. The
+    /// hot path is in place and encode-once: operands are borrowed (never
+    /// cloned per use), splat constants hit the runner's session-level
+    /// cache (each distinct value is encoded at most once per runner — the
+    /// runtime mirror of `emit_seal_cpp`'s pre-encoded splats), an operand
+    /// at its last use is mutated in place — or recycled into the worker's
+    /// scratch pool — instead of allocating, and same-source rotation fans
+    /// execute hoisted (one shared decomposition per fan).
     pub fn run_encoded_with_stats(
         &self,
         prog: &Program,
@@ -259,519 +274,361 @@ impl<'a, S: Scheme> Runner<'a, S> {
         // map reference (`Ref` itself is not `Sync`).
         let splats_guard = self.splats.borrow();
         let splats: &BTreeMap<i64, S::EvalPlaintext> = &splats_guard;
-        let out = if self.eval_jobs.get() == 1 {
-            self.run_sequential(prog, ct_inputs, pt_inputs, splats)
-        } else {
-            self.run_parallel(prog, ct_inputs, pt_inputs, splats)
-        };
-        (out, stats)
-    }
-
-    /// Single-threaded execution: in-place mutation of dying operands,
-    /// pool recycling at last use, and hoisted rotation fans.
-    fn run_sequential(
-        &self,
-        prog: &Program,
-        ct_inputs: &[&S::Ciphertext],
-        pt_inputs: &[&S::EvalPlaintext],
-        splats: &BTreeMap<i64, S::EvalPlaintext>,
-    ) -> S::Ciphertext {
-        let ev = &self.evaluator;
-        let get_pt = |p: &PtOperand| -> &S::EvalPlaintext {
-            match p {
-                PtOperand::Input(i) => pt_inputs[*i],
-                PtOperand::Splat(v) => &splats[v],
-            }
+        let pt = |p: &PtOperand| match p {
+            PtOperand::Input(i) => pt_inputs[*i],
+            PtOperand::Splat(v) => &splats[v],
         };
 
-        let last = crate::opt::last_uses(prog);
-        let mut results: Vec<Option<S::Ciphertext>> =
-            (0..prog.instrs.len()).map(|_| None).collect();
-        // Borrow an operand without cloning — inputs stay owned by the
-        // caller, intermediate results live in `results` until recycled.
-        fn operand<'v, C>(r: ValRef, ct_inputs: &[&'v C], results: &'v [Option<C>]) -> &'v C {
-            match r {
-                ValRef::Input(i) => ct_inputs[i],
-                ValRef::Instr(j) => results[j].as_ref().expect("operand still live"),
-            }
-        }
-        // Move a dying intermediate out for in-place mutation. Only fires
-        // when `r` is an instruction result whose last use is `j`.
-        fn take_dying<C>(
-            r: ValRef,
-            j: usize,
-            last: &[Option<usize>],
-            results: &mut [Option<C>],
-        ) -> Option<C> {
-            match r {
-                ValRef::Instr(i) if last[i] == Some(j) => results[i].take(),
-                _ => None,
-            }
-        }
-        // Take-or-clone for single-ct-operand instructions.
-        fn acquire<C: Clone>(
-            r: ValRef,
-            j: usize,
-            last: &[Option<usize>],
-            ct_inputs: &[&C],
-            results: &mut [Option<C>],
-        ) -> C {
-            take_dying(r, j, last, results)
-                .unwrap_or_else(|| operand(r, ct_inputs, results).clone())
-        }
-
-        // Rotation fans share one hoisted decomposition, built lazily at
-        // the first member and recycled after the last. The inner `None`
-        // records a backend without a hoisted path, so the fallback is
-        // decided once per fan rather than re-attempted per member.
-        let fans = rotation_fans(prog);
-        let fan_of: HashMap<usize, usize> = fans
-            .iter()
-            .enumerate()
-            .flat_map(|(f, fan)| fan.members.iter().map(move |&j| (j, f)))
+        let plan = Plan::new(prog);
+        let values = Values::<S>::new(ct_inputs, &plan);
+        let queue = Queue::new(plan.pending.clone());
+        // Per fan: the hoist task's decomposition, and the members left.
+        let fans: Vec<(RwLock<Option<S::Hoisted>>, AtomicUsize)> = (plan.fans.iter())
+            .map(|f| (RwLock::new(None), AtomicUsize::new(f.members.len())))
             .collect();
-        let mut fan_state: Vec<(Option<Option<S::Hoisted>>, usize)> =
-            fans.iter().map(|f| (None, f.members.len())).collect();
-
-        for (j, instr) in prog.instrs.iter().enumerate() {
-            let out = match instr {
-                // Addition commutes bitwise, so either dying operand can
-                // become the destination; the `a != b` guard keeps an
-                // aliased operand borrowable.
-                Instr::AddCtCt(a, b) => {
-                    if let Some(mut x) = (a != b)
-                        .then(|| take_dying(*a, j, &last, &mut results))
-                        .flatten()
-                    {
-                        S::add_assign(ev, &mut x, operand(*b, ct_inputs, &results));
-                        x
-                    } else if let Some(mut x) = (a != b)
-                        .then(|| take_dying(*b, j, &last, &mut results))
-                        .flatten()
-                    {
-                        S::add_assign(ev, &mut x, operand(*a, ct_inputs, &results));
-                        x
-                    } else {
-                        let mut x = operand(*a, ct_inputs, &results).clone();
-                        S::add_assign(ev, &mut x, operand(*b, ct_inputs, &results));
-                        x
-                    }
-                }
-                Instr::SubCtCt(a, b) => {
-                    if let Some(mut x) = (a != b)
-                        .then(|| take_dying(*a, j, &last, &mut results))
-                        .flatten()
-                    {
-                        S::sub_assign(ev, &mut x, operand(*b, ct_inputs, &results));
-                        x
-                    } else {
-                        let mut x = operand(*a, ct_inputs, &results).clone();
-                        S::sub_assign(ev, &mut x, operand(*b, ct_inputs, &results));
-                        x
-                    }
-                }
-                Instr::MulCtCt(a, b) => S::multiply(
-                    ev,
-                    operand(*a, ct_inputs, &results),
-                    operand(*b, ct_inputs, &results),
-                ),
-                Instr::Relin(a) => {
-                    let rk = self
-                        .relin
-                        .as_ref()
-                        .expect("relin key prepared for relin-ct");
-                    let mut x = acquire(*a, j, &last, ct_inputs, &mut results);
-                    S::relinearize_assign(ev, &mut x, rk);
-                    x
-                }
-                Instr::AddCtPt(a, p) => {
-                    let mut x = acquire(*a, j, &last, ct_inputs, &mut results);
-                    S::add_plain_assign(ev, &mut x, get_pt(p));
-                    x
-                }
-                Instr::SubCtPt(a, p) => {
-                    let mut x = acquire(*a, j, &last, ct_inputs, &mut results);
-                    S::sub_plain_assign(ev, &mut x, get_pt(p));
-                    x
-                }
-                Instr::MulCtPt(a, p) => {
-                    let mut x = acquire(*a, j, &last, ct_inputs, &mut results);
-                    S::mul_plain_assign(ev, &mut x, get_pt(p));
-                    x
-                }
-                Instr::RotCt(a, r) => {
-                    if let Some(&f) = fan_of.get(&j) {
-                        let (hoisted, remaining) = &mut fan_state[f];
-                        if hoisted.is_none() {
-                            *hoisted = Some(S::hoist(ev, operand(*a, ct_inputs, &results)));
-                        }
-                        // The fan source is only borrowed here (never moved
-                        // out), so the post-instruction recycle loop still
-                        // frees it at its true last use.
-                        let out = match hoisted.as_ref().expect("attempted above") {
-                            Some(h) => S::rotate_hoisted(
-                                ev,
-                                operand(*a, ct_inputs, &results),
-                                h,
-                                *r,
-                                &self.galois,
-                            ),
-                            None => {
-                                let mut x = acquire(*a, j, &last, ct_inputs, &mut results);
-                                S::rotate_rows_assign(ev, &mut x, *r, &self.galois);
-                                x
-                            }
-                        };
-                        *remaining -= 1;
-                        if *remaining == 0 {
-                            if let Some(Some(h)) = hoisted.take() {
-                                S::recycle_hoisted(ev, h);
-                            }
-                        }
-                        out
-                    } else {
-                        let mut x = acquire(*a, j, &last, ct_inputs, &mut results);
-                        S::rotate_rows_assign(ev, &mut x, *r, &self.galois);
-                        x
-                    }
-                }
-            };
-            // Any operand dying here that was not moved out above (e.g.
-            // both multiply operands) goes back to the scratch pool.
-            for op in instr.ct_operands() {
-                if let ValRef::Instr(i) = op {
-                    if last[i] == Some(j) {
-                        if let Some(dead) = results[i].take() {
-                            S::recycle(ev, dead);
-                        }
-                    }
-                }
-            }
-            results[j] = Some(out);
-        }
-        match prog.output {
-            ValRef::Input(i) => ct_inputs[i].clone(),
-            ValRef::Instr(j) => results[j].take().expect("output live"),
-        }
-    }
-
-    /// DAG-parallel execution: a ready-queue scheduler over the dependence
-    /// DAG on scoped worker threads. Task IDs `0..m` are the instructions;
-    /// `m + f` is the hoist task of rotation fan `f`, on which the fan's
-    /// members (and nothing else) wait. Workers clone operands instead of
-    /// mutating them in place — bit-identical by the `_assign` ≡ pure
-    /// contract — and each owns its own evaluator, so recycled buffers land
-    /// in the pool of whichever worker released the last reference.
-    fn run_parallel(
-        &self,
-        prog: &Program,
-        ct_inputs: &[&S::Ciphertext],
-        pt_inputs: &[&S::EvalPlaintext],
-        splats: &BTreeMap<i64, S::EvalPlaintext>,
-    ) -> S::Ciphertext {
-        let m = prog.instrs.len();
-        let fans = rotation_fans(prog);
-        let fan_of: HashMap<usize, usize> = fans
-            .iter()
-            .enumerate()
-            .flat_map(|(f, fan)| fan.members.iter().map(move |&j| (j, f)))
-            .collect();
-        let total = m + fans.len();
-
-        // Forward dependency counts and reverse edges. A fan member waits
-        // only on its hoist task: the hoist task already waits on the fan
-        // source, so the source is transitively complete.
-        let mut pending: Vec<usize> = vec![0; total];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); total];
-        for (j, instr) in prog.instrs.iter().enumerate() {
-            if let Some(&f) = fan_of.get(&j) {
-                pending[j] += 1;
-                dependents[m + f].push(j);
-            } else {
-                for op in instr.ct_operands() {
-                    if let ValRef::Instr(i) = op {
-                        pending[j] += 1;
-                        dependents[i].push(j);
-                    }
-                }
-            }
-        }
-        for (f, fan) in fans.iter().enumerate() {
-            if let ValRef::Instr(i) = fan.source {
-                pending[m + f] += 1;
-                dependents[i].push(m + f);
-            }
-        }
-
-        // Remaining reads per intermediate: one per operand occurrence,
-        // one for each hoist task reading a fan source, and one — never
-        // released — for the program output. The worker that drops the
-        // count to zero recycles the buffers into its own pool.
-        let uses: Vec<AtomicUsize> = {
-            let mut counts = vec![0usize; m];
-            for instr in &prog.instrs {
-                for op in instr.ct_operands() {
-                    if let ValRef::Instr(i) = op {
-                        counts[i] += 1;
-                    }
-                }
-            }
-            for fan in &fans {
-                if let ValRef::Instr(i) = fan.source {
-                    counts[i] += 1;
-                }
-            }
-            if let ValRef::Instr(i) = prog.output {
-                counts[i] += 1;
-            }
-            counts.into_iter().map(AtomicUsize::new).collect()
-        };
-
-        let results: Vec<RwLock<Option<S::Ciphertext>>> =
-            (0..m).map(|_| RwLock::new(None)).collect();
-        let hoisted: Vec<OnceLock<Option<S::Hoisted>>> =
-            (0..fans.len()).map(|_| OnceLock::new()).collect();
-
-        let ready: VecDeque<usize> = (0..total).filter(|&t| pending[t] == 0).collect();
-        let sched = Mutex::new(Sched {
-            ready,
-            pending,
-            completed: 0,
-            total,
-            panicked: false,
-        });
-        let cv = Condvar::new();
-
         // Workers cannot borrow `self` (the splat cache cell is not
         // `Sync`); capture the Sync pieces individually.
-        let ctx = self.ctx;
-        let galois = &self.galois;
-        let relin = self.relin.as_ref();
-
-        std::thread::scope(|scope| {
-            for _ in 0..self.eval_jobs.get() {
-                scope.spawn(|| {
-                    let ev = S::evaluator(ctx);
-                    let _guard = AbortGuard {
-                        sched: &sched,
-                        cv: &cv,
-                    };
-                    let get_pt = |p: &PtOperand| -> &S::EvalPlaintext {
-                        match p {
-                            PtOperand::Input(i) => pt_inputs[*i],
-                            PtOperand::Splat(v) => &splats[v],
-                        }
-                    };
-                    // Drop one read reference; recycle at zero. Callers
-                    // release only after their operand guard is dropped,
-                    // so reaching zero means no reader is left.
-                    let release = |r: ValRef, ev: &S::Evaluator<'_>| {
-                        if let ValRef::Instr(i) = r {
-                            if uses[i].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                if let Some(dead) = results[i].write().unwrap().take() {
-                                    S::recycle(ev, dead);
-                                }
-                            }
-                        }
-                    };
-                    while let Some(task) = next_task(&sched, &cv) {
-                        if let Some(f) = task.checked_sub(m) {
-                            // Hoist task: one shared digit decomposition
-                            // for every member of the fan.
-                            let src = ParOperand::new(fans[f].source, ct_inputs, &results);
-                            let h = S::hoist(&ev, src.get());
-                            drop(src);
-                            let _ = hoisted[f].set(h);
-                            release(fans[f].source, &ev);
-                            complete(&sched, &cv, task, &dependents);
-                            continue;
-                        }
-                        let instr = &prog.instrs[task];
-                        let out = match instr {
-                            Instr::AddCtCt(a, b) => {
-                                let xa = ParOperand::new(*a, ct_inputs, &results);
-                                let xb = ParOperand::new(*b, ct_inputs, &results);
-                                let mut x = xa.get().clone();
-                                S::add_assign(&ev, &mut x, xb.get());
-                                drop((xa, xb));
-                                release(*a, &ev);
-                                release(*b, &ev);
-                                x
-                            }
-                            Instr::SubCtCt(a, b) => {
-                                let xa = ParOperand::new(*a, ct_inputs, &results);
-                                let xb = ParOperand::new(*b, ct_inputs, &results);
-                                let mut x = xa.get().clone();
-                                S::sub_assign(&ev, &mut x, xb.get());
-                                drop((xa, xb));
-                                release(*a, &ev);
-                                release(*b, &ev);
-                                x
-                            }
-                            Instr::MulCtCt(a, b) => {
-                                let xa = ParOperand::new(*a, ct_inputs, &results);
-                                let xb = ParOperand::new(*b, ct_inputs, &results);
-                                let x = S::multiply(&ev, xa.get(), xb.get());
-                                drop((xa, xb));
-                                release(*a, &ev);
-                                release(*b, &ev);
-                                x
-                            }
-                            Instr::Relin(a) => {
-                                let rk = relin.expect("relin key prepared for relin-ct");
-                                let xa = ParOperand::new(*a, ct_inputs, &results);
-                                let mut x = xa.get().clone();
-                                S::relinearize_assign(&ev, &mut x, rk);
-                                drop(xa);
-                                release(*a, &ev);
-                                x
-                            }
-                            Instr::AddCtPt(a, p) => {
-                                let xa = ParOperand::new(*a, ct_inputs, &results);
-                                let mut x = xa.get().clone();
-                                S::add_plain_assign(&ev, &mut x, get_pt(p));
-                                drop(xa);
-                                release(*a, &ev);
-                                x
-                            }
-                            Instr::SubCtPt(a, p) => {
-                                let xa = ParOperand::new(*a, ct_inputs, &results);
-                                let mut x = xa.get().clone();
-                                S::sub_plain_assign(&ev, &mut x, get_pt(p));
-                                drop(xa);
-                                release(*a, &ev);
-                                x
-                            }
-                            Instr::MulCtPt(a, p) => {
-                                let xa = ParOperand::new(*a, ct_inputs, &results);
-                                let mut x = xa.get().clone();
-                                S::mul_plain_assign(&ev, &mut x, get_pt(p));
-                                drop(xa);
-                                release(*a, &ev);
-                                x
-                            }
-                            Instr::RotCt(a, r) => {
-                                let xa = ParOperand::new(*a, ct_inputs, &results);
-                                let x = if let Some(&f) = fan_of.get(&task) {
-                                    match hoisted[f].get().expect("hoist task ordered first") {
-                                        Some(h) => S::rotate_hoisted(&ev, xa.get(), h, *r, galois),
-                                        None => {
-                                            let mut x = xa.get().clone();
-                                            S::rotate_rows_assign(&ev, &mut x, *r, galois);
-                                            x
-                                        }
-                                    }
-                                } else {
-                                    let mut x = xa.get().clone();
-                                    S::rotate_rows_assign(&ev, &mut x, *r, galois);
-                                    x
-                                };
-                                drop(xa);
-                                release(*a, &ev);
-                                x
-                            }
-                        };
-                        *results[task].write().unwrap() = Some(out);
-                        complete(&sched, &cv, task, &dependents);
+        let (ctx, galois, relin) = (self.ctx, &self.galois, self.relin.as_ref());
+        let work = |ev: &S::Evaluator<'a>| {
+            let _abort = AbortOnPanic(&queue);
+            while let Some(t) = queue.next() {
+                let j = match plan.tasks[t] {
+                    Task::Instr(j) => j,
+                    Task::Hoist(f) => {
+                        let h = values.read(plan.fans[f].source, ev, |c| S::hoist(ev, c));
+                        *fans[f].0.write().expect(POISONED) = h;
+                        queue.complete(t, &plan.dependents);
+                        continue;
                     }
-                });
+                };
+                let out = match &prog.instrs[j] {
+                    Instr::AddCtCt(a, b) => {
+                        // Addition commutes bitwise, so a dying `b` can
+                        // become the destination as well.
+                        let swap = values.dying(*b) && !values.dying(*a);
+                        let (a, b) = if swap { (*b, *a) } else { (*a, *b) };
+                        values.update(a, ev, |x| values.read(b, ev, |y| S::add_assign(ev, x, y)))
+                    }
+                    Instr::SubCtCt(a, b) => {
+                        values.update(*a, ev, |x| values.read(*b, ev, |y| S::sub_assign(ev, x, y)))
+                    }
+                    Instr::MulCtCt(a, b) => {
+                        values.read(*a, ev, |x| values.read(*b, ev, |y| S::multiply(ev, x, y)))
+                    }
+                    Instr::Relin(a) => {
+                        let rk = relin.expect("relin key prepared for relin-ct");
+                        values.update(*a, ev, |x| S::relinearize_assign(ev, x, rk))
+                    }
+                    Instr::AddCtPt(a, p) => {
+                        values.update(*a, ev, |x| S::add_plain_assign(ev, x, pt(p)))
+                    }
+                    Instr::SubCtPt(a, p) => {
+                        values.update(*a, ev, |x| S::sub_plain_assign(ev, x, pt(p)))
+                    }
+                    Instr::MulCtPt(a, p) => {
+                        values.update(*a, ev, |x| S::mul_plain_assign(ev, x, pt(p)))
+                    }
+                    Instr::RotCt(a, steps) => {
+                        // A fan member rotates through its hoist task's
+                        // decomposition; an empty slot there means the
+                        // backend has no hoisted path.
+                        let fan = plan.fan_of[j];
+                        let out = fan.and_then(|f| {
+                            let slot = fans[f].0.read().expect(POISONED);
+                            slot.as_ref().map(|h| {
+                                values.read(*a, ev, |c| S::rotate_hoisted(ev, c, h, *steps, galois))
+                            })
+                        });
+                        // The fan's last member recycles the decomposition.
+                        let last = fan.filter(|&f| fans[f].1.fetch_sub(1, Ordering::AcqRel) == 1);
+                        if let Some(h) =
+                            last.and_then(|f| fans[f].0.write().expect(POISONED).take())
+                        {
+                            S::recycle_hoisted(ev, h);
+                        }
+                        out.unwrap_or_else(|| {
+                            values.update(*a, ev, |x| S::rotate_rows_assign(ev, x, *steps, galois))
+                        })
+                    }
+                };
+                values.set(j, out);
+                queue.complete(t, &plan.dependents);
+            }
+        };
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..self.eval_jobs())
+                .map(|_| scope.spawn(|| work(&S::evaluator(ctx))))
+                .collect();
+            work(&self.evaluator);
+            // Re-raise a helper's panic with its own payload (a missing key
+            // names itself) rather than the scope's generic one.
+            if let Err(payload) = helpers.into_iter().try_for_each(|h| h.join()) {
+                std::panic::resume_unwind(payload);
             }
         });
-
-        match prog.output {
-            ValRef::Input(i) => ct_inputs[i].clone(),
-            ValRef::Instr(j) => results[j].write().unwrap().take().expect("output live"),
-        }
+        // The output is live through its pinned use.
+        let out = values.take(prog.output).expect("output live");
+        (out.into_owned(), stats)
     }
 }
 
-/// Ready-queue state shared by the DAG workers.
-struct Sched {
-    ready: VecDeque<usize>,
+const POISONED: &str = "lock poisoned by a panicked worker";
+
+/// A task of a [`Plan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Task {
+    /// Instruction `j` of the program.
+    Instr(usize),
+    /// The hoisted decomposition shared by rotation fan `f`.
+    Hoist(usize),
+}
+
+/// The execution plan of one program. It is built per call (linear in
+/// program size) rather than cached on the [`Runner`], which would need a
+/// map keyed by program for no measured gain.
+struct Plan {
+    /// The tasks by rank: program order, with each fan's hoist task
+    /// immediately before the fan's first member. Every dependency points
+    /// to a lower rank, so one worker taking the lowest ready rank runs
+    /// exactly this order.
+    tasks: Vec<Task>,
+    /// Per task, the number of task completions it waits on. A fan member
+    /// waits only on its hoist task, which waits on the fan source.
     pending: Vec<usize>,
-    completed: usize,
-    total: usize,
-    panicked: bool,
+    /// Per task, the tasks its completion counts towards.
+    dependents: Vec<Vec<usize>>,
+    /// Per value ([`value_index`]): one use per operand occurrence, one
+    /// per hoist task reading it, and one pinned, never released, for the
+    /// program output.
+    uses: Vec<usize>,
+    /// The program's rotation fans.
+    fans: Vec<RotationFan>,
+    /// Per instruction, the fan it is a member of.
+    fan_of: Vec<Option<usize>>,
 }
 
-// A poisoned scheduler lock means a sibling worker panicked while holding
-// it; the state is still sound (counters only), so keep going and let the
-// abort flag wind the workers down.
-fn sched_lock<'l>(m: &'l Mutex<Sched>) -> std::sync::MutexGuard<'l, Sched> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
+impl Plan {
+    fn new(prog: &Program) -> Plan {
+        let (m, inputs) = (prog.instrs.len(), prog.num_ct_inputs);
+        let fans = rotation_fans(prog);
+        let mut fan_of = vec![None; m];
+        for (f, fan) in fans.iter().enumerate() {
+            for &j in &fan.members {
+                fan_of[j] = Some(f);
+            }
+        }
+        let mut tasks = Vec::with_capacity(m + fans.len());
+        // Value slots produced by a task map to its rank; inputs to `None`.
+        let (mut rank_of_value, mut rank_of_hoist) = (vec![None; inputs + m], vec![0; fans.len()]);
+        for j in 0..m {
+            if let Some(f) = fan_of[j].filter(|&f| fans[f].members[0] == j) {
+                rank_of_hoist[f] = tasks.len();
+                tasks.push(Task::Hoist(f));
+            }
+            rank_of_value[inputs + j] = Some(tasks.len());
+            tasks.push(Task::Instr(j));
+        }
+        let mut pending = vec![0; tasks.len()];
+        let mut dependents = vec![Vec::new(); tasks.len()];
+        let mut uses = vec![0; inputs + m];
+        let rank_of = |r: ValRef| rank_of_value[value_index(inputs, r)];
+        for (t, task) in tasks.iter().enumerate() {
+            let (reads, member_of) = match *task {
+                Task::Instr(j) => (prog.instrs[j].ct_operands(), fan_of[j]),
+                Task::Hoist(f) => (vec![fans[f].source], None),
+            };
+            let mut wait_on = |d: usize| {
+                pending[t] += 1;
+                dependents[d].push(t);
+            };
+            match member_of {
+                Some(f) => wait_on(rank_of_hoist[f]),
+                None => reads.iter().filter_map(|&r| rank_of(r)).for_each(wait_on),
+            }
+            for &r in &reads {
+                uses[value_index(inputs, r)] += 1;
+            }
+        }
+        uses[value_index(inputs, prog.output)] += 1;
+        Plan {
+            tasks,
+            pending,
+            dependents,
+            uses,
+            fans,
+            fan_of,
+        }
     }
 }
 
-fn next_task(sched: &Mutex<Sched>, cv: &Condvar) -> Option<usize> {
-    let mut s = sched_lock(sched);
-    loop {
-        if s.panicked {
-            return None;
+/// The slot of a value: the ciphertext inputs first, then the instruction
+/// results.
+fn value_index(inputs: usize, r: ValRef) -> usize {
+    match r {
+        ValRef::Input(i) => i,
+        ValRef::Instr(j) => inputs + j,
+    }
+}
+
+/// Every value of one execution — the caller's inputs, borrowed, then the
+/// instruction results, owned — with its remaining use count.
+struct Values<'r, S: Scheme> {
+    slots: Vec<RwLock<Option<Cow<'r, S::Ciphertext>>>>,
+    uses: Vec<AtomicUsize>,
+    inputs: usize,
+}
+
+impl<'r, S: Scheme> Values<'r, S> {
+    fn new(ct_inputs: &[&'r S::Ciphertext], plan: &Plan) -> Self {
+        let mut slots: Vec<_> = ct_inputs
+            .iter()
+            .map(|&c| RwLock::new(Some(Cow::Borrowed(c))))
+            .collect();
+        slots.resize_with(plan.uses.len(), || RwLock::new(None));
+        Values {
+            slots,
+            uses: plan.uses.iter().map(|&u| AtomicUsize::new(u)).collect(),
+            inputs: ct_inputs.len(),
         }
-        if let Some(t) = s.ready.pop_front() {
-            return Some(t);
+    }
+
+    /// Whether the calling task holds the last remaining use of `r`.
+    /// `a == b` counts two uses, so an aliased operand never dies early.
+    fn dying(&self, r: ValRef) -> bool {
+        self.uses[value_index(self.inputs, r)].load(Ordering::Acquire) == 1
+    }
+
+    fn take(&self, r: ValRef) -> Option<Cow<'r, S::Ciphertext>> {
+        self.slots[value_index(self.inputs, r)]
+            .write()
+            .expect(POISONED)
+            .take()
+    }
+
+    /// Runs `f` on a borrow of `r`, then releases that use; the last
+    /// release recycles an owned value into `ev`'s scratch pool.
+    fn read<T>(&self, r: ValRef, ev: &S::Evaluator<'_>, f: impl FnOnce(&S::Ciphertext) -> T) -> T {
+        let i = value_index(self.inputs, r);
+        let slot = self.slots[i].read().expect(POISONED);
+        let out = f(slot.as_deref().expect("operand live"));
+        drop(slot);
+        if self.uses[i].fetch_sub(1, Ordering::AcqRel) == 1 {
+            if let Some(Cow::Owned(dead)) = self.take(r) {
+                S::recycle(ev, dead);
+            }
         }
-        if s.completed == s.total {
-            return None;
-        }
-        s = match cv.wait(s) {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
+        out
+    }
+
+    /// `r` with `f` applied in place: moved out at its last use (a
+    /// borrowed input is cloned then), else cloned from a borrow.
+    fn update(
+        &self,
+        r: ValRef,
+        ev: &S::Evaluator<'_>,
+        f: impl FnOnce(&mut S::Ciphertext),
+    ) -> S::Ciphertext {
+        let mut x = if self.dying(r) {
+            self.take(r).expect("operand live").into_owned()
+        } else {
+            self.read(r, ev, Clone::clone)
         };
+        f(&mut x);
+        x
+    }
+
+    fn set(&self, j: usize, ct: S::Ciphertext) {
+        *self.slots[self.inputs + j].write().expect(POISONED) = Some(Cow::Owned(ct));
     }
 }
 
-fn complete(sched: &Mutex<Sched>, cv: &Condvar, t: usize, dependents: &[Vec<usize>]) {
-    let mut s = sched_lock(sched);
-    s.completed += 1;
-    for &d in &dependents[t] {
-        s.pending[d] -= 1;
-        if s.pending[d] == 0 {
-            s.ready.push_back(d);
+/// The ready queue the workers share. Ready tasks come out lowest rank
+/// first.
+struct Queue {
+    state: Mutex<QueueState>,
+    cv: Condvar,
+}
+
+struct QueueState {
+    ready: BinaryHeap<Reverse<usize>>,
+    pending: Vec<usize>,
+    /// Tasks not completed yet.
+    left: usize,
+    /// Workers blocked in [`Queue::next`].
+    idle: usize,
+    aborted: bool,
+}
+
+impl Queue {
+    fn new(pending: Vec<usize>) -> Queue {
+        let ready = (0..pending.len()).filter(|&t| pending[t] == 0);
+        let ready = ready.map(Reverse).collect();
+        let state = QueueState {
+            ready,
+            left: pending.len(),
+            pending,
+            idle: 0,
+            aborted: false,
+        };
+        Queue {
+            state: Mutex::new(state),
+            cv: Condvar::new(),
         }
     }
-    drop(s);
-    cv.notify_all();
-}
 
-/// Unblocks sibling workers when one panics (missing key, poisoned result
-/// lock) so the panic propagates out of the thread scope instead of
-/// deadlocking the ready queue.
-struct AbortGuard<'l> {
-    sched: &'l Mutex<Sched>,
-    cv: &'l Condvar,
-}
+    // A poisoned queue lock means a worker panicked while holding it; the
+    // state is still sound (counters only), so keep going and let the abort
+    // flag wind the workers down.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
-impl Drop for AbortGuard<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            sched_lock(self.sched).panicked = true;
+    /// The next task to run, waiting for one to become ready; `None` once
+    /// every task has completed or a worker has panicked.
+    fn next(&self) -> Option<usize> {
+        let mut s = self.lock();
+        loop {
+            if s.aborted {
+                return None;
+            }
+            if let Some(Reverse(t)) = s.ready.pop() {
+                return Some(t);
+            }
+            if s.left == 0 {
+                return None;
+            }
+            s.idle += 1;
+            s = self.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
+            s.idle -= 1;
+        }
+    }
+
+    fn complete(&self, t: usize, dependents: &[Vec<usize>]) {
+        let mut s = self.lock();
+        s.left -= 1;
+        for &d in &dependents[t] {
+            s.pending[d] -= 1;
+            if s.pending[d] == 0 {
+                s.ready.push(Reverse(d));
+            }
+        }
+        if s.idle > 0 {
+            drop(s);
             self.cv.notify_all();
         }
     }
 }
 
-/// A borrowed ciphertext operand in the parallel path: either a
-/// caller-owned input or a read guard over a completed intermediate.
-enum ParOperand<'v, C> {
-    Input(&'v C),
-    Result(RwLockReadGuard<'v, Option<C>>),
-}
+/// Held by each worker: if the worker panics (a missing key, a poisoned
+/// lock) it aborts the queue, so the others stop and the panic propagates
+/// out of the thread scope instead of deadlocking it.
+struct AbortOnPanic<'q>(&'q Queue);
 
-impl<'v, C> ParOperand<'v, C> {
-    fn new(r: ValRef, ct_inputs: &[&'v C], results: &'v [RwLock<Option<C>>]) -> Self {
-        match r {
-            ValRef::Input(i) => ParOperand::Input(ct_inputs[i]),
-            ValRef::Instr(i) => ParOperand::Result(results[i].read().unwrap()),
-        }
-    }
-
-    fn get(&self) -> &C {
-        match self {
-            ParOperand::Input(c) => c,
-            ParOperand::Result(g) => g.as_ref().expect("operand complete"),
+impl Drop for AbortOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().aborted = true;
+            self.0.cv.notify_all();
         }
     }
 }
@@ -1123,6 +980,177 @@ mod tests {
                     "jobs={jobs} round={round} diverged from sequential"
                 );
             }
+        }
+    }
+
+    /// Two rotation fans — one over an input, one over an instruction —
+    /// whose members interleave with other instructions.
+    fn two_fan_program() -> Program {
+        Program::new(
+            "two-fans",
+            2,
+            0,
+            vec![
+                Instr::AddCtCt(ValRef::Input(0), ValRef::Input(1)),
+                Instr::RotCt(ValRef::Instr(0), 1),
+                Instr::RotCt(ValRef::Input(0), 1),
+                Instr::RotCt(ValRef::Instr(0), 2),
+                Instr::AddCtCt(ValRef::Instr(1), ValRef::Instr(3)),
+                Instr::RotCt(ValRef::Input(0), 3),
+                Instr::AddCtCt(ValRef::Instr(4), ValRef::Instr(5)),
+                Instr::AddCtCt(ValRef::Instr(6), ValRef::Instr(2)),
+            ],
+            ValRef::Instr(7),
+        )
+    }
+
+    fn uses_of(plan: &Plan, prog: &Program, r: ValRef) -> usize {
+        plan.uses[value_index(prog.num_ct_inputs, r)]
+    }
+
+    #[test]
+    fn plan_counts_an_aliased_operand_twice() {
+        let prog = Program::new(
+            "aliased",
+            1,
+            0,
+            vec![
+                Instr::AddCtCt(ValRef::Input(0), ValRef::Input(0)),
+                Instr::AddCtCt(ValRef::Instr(0), ValRef::Instr(0)),
+                Instr::RotCt(ValRef::Instr(1), 1),
+            ],
+            ValRef::Instr(2),
+        );
+        let plan = Plan::new(&prog);
+        assert_eq!(uses_of(&plan, &prog, ValRef::Input(0)), 2);
+        assert_eq!(uses_of(&plan, &prog, ValRef::Instr(0)), 2);
+        // Both occurrences are dependency edges too.
+        assert_eq!(plan.pending[1], 2);
+    }
+
+    #[test]
+    fn plan_pins_a_use_on_the_output() {
+        let prog = two_fan_program();
+        let plan = Plan::new(&prog);
+        // Instruction 6 has one reader; the output has none but its pin.
+        assert_eq!(uses_of(&plan, &prog, ValRef::Instr(6)), 1);
+        assert_eq!(uses_of(&plan, &prog, ValRef::Instr(7)), 1);
+        let echo = Program::new("echo", 1, 0, vec![], ValRef::Input(0));
+        assert_eq!(uses_of(&Plan::new(&echo), &echo, ValRef::Input(0)), 1);
+    }
+
+    #[test]
+    fn plan_gives_a_fan_source_one_use_for_its_hoist_task() {
+        let prog = two_fan_program();
+        let plan = Plan::new(&prog);
+        assert_eq!(plan.fans.len(), 2);
+        // Instruction 0: two fan members plus the hoist task.
+        assert_eq!(uses_of(&plan, &prog, ValRef::Instr(0)), 3);
+        // Input 0: instruction 0, two fan members plus the hoist task.
+        assert_eq!(uses_of(&plan, &prog, ValRef::Input(0)), 4);
+        assert_eq!(uses_of(&plan, &prog, ValRef::Input(1)), 1);
+    }
+
+    #[test]
+    fn plan_fan_members_wait_only_on_their_hoist_task() {
+        let prog = two_fan_program();
+        let plan = Plan::new(&prog);
+        let rank = |task| plan.tasks.iter().position(|&t| t == task).expect("planned");
+        for (f, fan) in plan.fans.iter().enumerate() {
+            for &j in &fan.members {
+                let member = rank(Task::Instr(j));
+                assert_eq!(plan.pending[member], 1, "member {j}");
+                let waited_on: Vec<usize> = (0..plan.tasks.len())
+                    .filter(|&t| plan.dependents[t].contains(&member))
+                    .collect();
+                assert_eq!(waited_on, vec![rank(Task::Hoist(f))], "member {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_worker_runs_program_order_with_hoists_just_before_their_fans() {
+        let prog = two_fan_program();
+        let plan = Plan::new(&prog);
+        let queue = Queue::new(plan.pending.clone());
+        let mut order = Vec::new();
+        while let Some(t) = queue.next() {
+            order.push(plan.tasks[t]);
+            queue.complete(t, &plan.dependents);
+        }
+        use Task::{Hoist, Instr as I};
+        let expected = [
+            I(0),
+            Hoist(0),
+            I(1),
+            Hoist(1),
+            I(2),
+            I(3),
+            I(4),
+            I(5),
+            I(6),
+            I(7),
+        ];
+        assert_eq!(order, expected);
+    }
+
+    /// A worker that panics (here: a `relin-ct` on a runner prepared
+    /// without a relin key) aborts the queue, and its own message reaches
+    /// the caller — from worker 0 on the caller's thread as from a helper —
+    /// instead of the run deadlocking.
+    #[test]
+    fn worker_panic_propagates_without_deadlock() {
+        use bfv::keys::KeyGenerator;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::time::Duration;
+
+        for jobs in [1usize, 2] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let squares = Program::new(
+                    "squares",
+                    2,
+                    0,
+                    vec![
+                        Instr::MulCtCt(ValRef::Input(0), ValRef::Input(0)),
+                        Instr::Relin(ValRef::Instr(0)),
+                        Instr::MulCtCt(ValRef::Input(1), ValRef::Input(1)),
+                        Instr::Relin(ValRef::Instr(2)),
+                        Instr::AddCtCt(ValRef::Instr(1), ValRef::Instr(3)),
+                    ],
+                    ValRef::Instr(4),
+                );
+                let adds = Program::new(
+                    "adds",
+                    2,
+                    0,
+                    vec![Instr::AddCtCt(ValRef::Input(0), ValRef::Input(1))],
+                    ValRef::Instr(0),
+                );
+                let ctx = small_ctx();
+                let mut rng = seeded_rng(0x9A1C);
+                let keygen = KeyGenerator::new(&ctx, &mut rng);
+                let runner =
+                    BfvRunner::for_programs(&ctx, &keygen, &[&adds], &mut rng).with_eval_jobs(jobs);
+                let encryptor = bfv::encrypt::Encryptor::new(&ctx, keygen.public_key(&mut rng));
+                let ct = encryptor.encrypt(&runner.encoder().encode(&[1, 2, 3]), &mut rng);
+                let payload = catch_unwind(AssertUnwindSafe(|| {
+                    runner.run(&squares, &[&ct, &ct], &[]);
+                }))
+                .expect_err("relin-ct ran without a relin key");
+                let message = payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()));
+                let _ = tx.send(message.unwrap_or_default());
+            });
+            let message = rx
+                .recv_timeout(Duration::from_secs(120))
+                .unwrap_or_else(|_| panic!("eval_jobs={jobs}: run deadlocked"));
+            assert!(
+                message.contains("relin key prepared for relin-ct"),
+                "eval_jobs={jobs}: unexpected panic {message:?}"
+            );
         }
     }
 

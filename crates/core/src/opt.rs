@@ -503,29 +503,6 @@ impl Pass for LazyRelin {
     }
 }
 
-/// Last-use analysis over a straight-line program: `last_uses(p)[i]` is the
-/// index of the final instruction that reads instruction `i`'s result, or
-/// `None` if the value is never read by a later instruction *or* escapes as
-/// the program output (an escaping value must stay live to the end, so it
-/// is reported as having no safe last use).
-///
-/// The runner uses this to execute backend-legal IR in place: at a value's
-/// last use its buffers can be mutated or recycled instead of cloned.
-pub fn last_uses(prog: &Program) -> Vec<Option<usize>> {
-    let mut last: Vec<Option<usize>> = vec![None; prog.instrs.len()];
-    for (j, instr) in prog.instrs.iter().enumerate() {
-        for op in instr.ct_operands() {
-            if let ValRef::Instr(i) = op {
-                last[i] = Some(j);
-            }
-        }
-    }
-    if let ValRef::Instr(i) = prog.output {
-        last[i] = None;
-    }
-    last
-}
-
 /// Dead-code elimination: drops instructions whose results cannot reach
 /// the output.
 pub struct Dce;

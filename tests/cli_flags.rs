@@ -42,3 +42,18 @@ fn malformed_numeric_flags_fail_before_synthesis() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--timeout requires"));
 }
+
+/// An explicit `--eval-jobs` wins over the environment: a malformed
+/// `PORCUPINE_EVAL_JOBS` is never read when the flag is given.
+#[test]
+fn explicit_eval_jobs_ignores_a_malformed_env_var() {
+    let out = Command::new(env!("CARGO_BIN_EXE_porcupine"))
+        .args(["synth", "dot-product", "--eval-jobs", "1"])
+        .args(["--no-cache", "--params", "auto"])
+        .env("PORCUPINE_EVAL_JOBS", "abc")
+        .output()
+        .expect("run the porcupine binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{}: {stderr}", out.status);
+    assert!(stderr.contains("encrypted check"), "{stderr}");
+}

@@ -8,9 +8,10 @@
 //!   with the same noise budget (±1 bit of measurement granularity), on
 //!   BFV and BGV alike.
 //! - **Thread count is invisible**: running any paper kernel with
-//!   `eval_jobs` = 2 or 4 decrypts bit-identically to the sequential
-//!   runner — exact modular arithmetic plus the `_assign` ≡ pure contract
-//!   makes the schedule unobservable.
+//!   `eval_jobs` = 1, 2 or 4 decodes to the same full slot vector as an
+//!   independent reference executor (in order, cloned operands, plain
+//!   rotations) — exact modular arithmetic plus the `_assign` ≡ pure
+//!   contract makes the schedule unobservable.
 
 use bfv::params::BfvParams;
 use porcupine::codegen::Runner;
@@ -18,6 +19,7 @@ use porcupine::opt::{optimize_with, OptLevel};
 use porcupine::scheme::{BfvScheme, BgvScheme, Scheme};
 use porcupine_kernels::{composite, stencil, PaperKernel};
 use proptest::prelude::*;
+use quill::program::{Instr, Program, PtOperand, ValRef};
 use rand::Rng;
 use test_support::{noise_test_params, seeded_rng};
 
@@ -91,9 +93,54 @@ fn paper_kernels() -> Vec<PaperKernel> {
     kernels
 }
 
+/// The reference the runner is checked against, sharing none of its
+/// engine: every instruction in program order on clones of its operands
+/// through the `_assign` ops, rotations unhoisted, nothing recycled.
+fn reference_run<S: Scheme>(
+    ctx: &S::Context,
+    keygen: &S::KeyGenerator<'_>,
+    prog: &Program,
+    cts: &[&S::Ciphertext],
+    pts: &[&S::Plaintext],
+) -> S::Ciphertext {
+    let mut rng = seeded_rng(2);
+    let (ev, encoder) = (S::evaluator(ctx), S::encoder(ctx));
+    let gk = S::galois_keys(keygen, &prog.rotation_amounts(), false, &mut rng);
+    let rk = (prog.relin_count() > 0).then(|| S::relin_key(keygen, &mut rng));
+    let t = S::params(ctx).plain_modulus as i64;
+    let pt = |p: &PtOperand| match p {
+        PtOperand::Input(i) => S::preencode(&ev, pts[*i]),
+        PtOperand::Splat(v) => S::encode_eval(
+            &encoder,
+            &vec![v.rem_euclid(t) as u64; S::slot_count(&encoder)],
+        ),
+    };
+    let mut vals: Vec<S::Ciphertext> = Vec::new();
+    let get = |vals: &[S::Ciphertext], r: ValRef| match r {
+        ValRef::Input(i) => cts[i].clone(),
+        ValRef::Instr(j) => vals[j].clone(),
+    };
+    for instr in &prog.instrs {
+        let mut x = get(&vals, instr.ct_operands()[0]);
+        match instr {
+            Instr::AddCtCt(_, b) => S::add_assign(&ev, &mut x, &get(&vals, *b)),
+            Instr::SubCtCt(_, b) => S::sub_assign(&ev, &mut x, &get(&vals, *b)),
+            Instr::MulCtCt(_, b) => x = S::multiply(&ev, &x, &get(&vals, *b)),
+            Instr::Relin(_) => S::relinearize_assign(&ev, &mut x, rk.as_ref().expect("relin key")),
+            Instr::AddCtPt(_, p) => S::add_plain_assign(&ev, &mut x, &pt(p)),
+            Instr::SubCtPt(_, p) => S::sub_plain_assign(&ev, &mut x, &pt(p)),
+            Instr::MulCtPt(_, p) => S::mul_plain_assign(&ev, &mut x, &pt(p)),
+            Instr::RotCt(_, steps) => S::rotate_rows_assign(&ev, &mut x, *steps, &gk),
+        }
+        vals.push(x);
+    }
+    get(&vals, prog.output)
+}
+
 /// Lowers a kernel's baseline at `-O2` (the fan-richest legal form),
 /// executes it at `eval_jobs` = 1, 2, and 4 on scheme `S`, and requires
-/// every decryption to match the sequential one slot for slot.
+/// every decryption to match the reference executor's slot for slot (the
+/// one-worker run directly, the others through it).
 fn jobs_are_bit_identical<S: Scheme>(k: &PaperKernel) {
     let (prog, _) = optimize_with(&k.baseline, OptLevel::O2, &S::ID.legality());
     let params = noise_test_params(&prog, k.spec.n);
@@ -136,6 +183,14 @@ fn jobs_are_bit_identical<S: Scheme>(k: &PaperKernel) {
         S::ID
     );
     let baseline = S::decode(encoder, &S::decrypt(&decryptor, &out));
+    let reference = reference_run::<S>(&ctx, &keygen, &prog, &ct_refs, &pt_refs);
+    assert_eq!(
+        baseline,
+        S::decode(encoder, &S::decrypt(&decryptor, &reference)),
+        "{} ({}): eval_jobs=1 diverged from the reference executor",
+        k.name,
+        S::ID
+    );
     for jobs in [2usize, 4] {
         let out = make(jobs).run(&prog, &ct_refs, &pt_refs);
         assert_eq!(
