@@ -1,153 +1,344 @@
-//! Profiles every Quill instruction on each scheme backend — the analogue
-//! of the paper profiling SEAL to parametrize Quill's cost model (§4.2).
+//! Prints paste-ready `quill::cost::LatencyModel` blocks from the op layer
+//! of a traced perfbench run (the paper profiles SEAL for Quill's cost
+//! model, §4.2). perfbench times the ops; this tool reads its result line,
+//! the last line of the file:
 //!
 //! ```text
-//! cargo run -p porcupine-bench --release --bin profile_latency [reps]
+//! perfbench --workload bfv-pipelines-par2 --seed 1 --seconds 2 --trace 1 > traced.out
+//! cargo run -p porcupine-bench --release --bin profile_latency -- traced.out
 //! ```
 //!
-//! Both backends are profiled in one run, through the same generic
-//! [`porcupine::scheme::Scheme`] surface the runner lowers onto, under the
-//! same `fast_4096` preset. Paste the printed constants into
-//! `quill::cost::LatencyModel::profiled_default` (BFV) and
-//! `quill::cost::LatencyModel::profiled_bgv` (BGV) when re-calibrating.
-//!
-//! The standalone relinearization row is derived (`mul+relin − mul`): the
-//! trait's `relinearize_assign` mutates in place, so timing it directly
-//! would charge a fresh size-3 clone to every rep.
+//! Fields map as in perfbench's `op_model` (`mul_ct_ct` ← `mul_ct_ct_raw`,
+//! `relin_ct` measured). BGV has no n4096k3 row, so the `profiled_bgv`
+//! candidate is the n1024k3 row rescaled with [`LatencyModel::scaled_to`]'s
+//! factors. Exits 1 if the run is not correct or lacks an op row, if an
+//! n1024k3 add/sub (ct-ct or ct-pt) is above the seed's N = 4096 constant,
+//! or if at any configuration a hoisted 4-rotation fan,
+//! `rot_hoist_setup + 4·rot_hoisted`, does not beat `4·rot_ct`.
 
-use bfv::params::BfvParams;
-use porcupine::scheme::{BfvScheme, BgvScheme, Scheme};
-use porcupine_bench::{fmt_us, time_us};
-use rand::SeedableRng;
+use quill::cost::LatencyModel;
 
-fn profile<S: Scheme>(reps: usize) {
-    let params = BfvParams::fast_4096();
-    println!(
-        "# {} instruction latencies: N={}, t={}, {} primes, median of {reps} reps",
-        S::ID,
-        params.poly_degree,
-        params.plain_modulus,
-        params.moduli.len()
-    );
-    let ctx = S::context(params).expect("valid parameters");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0xBEEF);
-    let keygen = S::keygen(&ctx, &mut rng);
-    let encryptor = S::encryptor(&ctx, &keygen, &mut rng);
-    let decryptor = S::decryptor(&ctx, &keygen);
-    let encoder = S::encoder(&ctx);
-    let ev = S::evaluator(&ctx);
-    let rk = S::relin_key(&keygen, &mut rng);
-    let gk = S::galois_keys(&keygen, &[1], false, &mut rng);
+/// `LatencyModel` field ← perfbench op row, as perfbench's `op_model`.
+const FIELDS: [(&str, &str); 10] = [
+    ("add_ct_ct", "add_ct_ct"),
+    ("sub_ct_ct", "sub_ct_ct"),
+    ("mul_ct_ct", "mul_ct_ct_raw"),
+    ("add_ct_pt", "add_ct_pt"),
+    ("sub_ct_pt", "sub_ct_pt"),
+    ("mul_ct_pt", "mul_ct_pt"),
+    ("rot_ct", "rot_ct"),
+    ("relin_ct", "relin_ct"),
+    ("rot_hoist_setup", "rot_hoist_setup"),
+    ("rot_hoisted", "rot_hoisted"),
+];
 
-    let data: Vec<u64> = (0..S::slot_count(&encoder) as u64).collect();
-    let pt = S::encode(&encoder, &data);
-    let a = S::encrypt(&encryptor, &pt, &mut rng);
-    let b = S::encrypt(&encryptor, &pt, &mut rng);
+/// The configurations perfbench's op layer measures, and their blocks' use.
+const CONFIGS: [(&str, &str); 3] = [
+    ("op.bfv.n4096k3", "measured; the profiled_default candidate"),
+    ("op.bgv.n1024k3", "measured"),
+    ("op.bgv.n16384k9", "measured"),
+];
 
-    // Profile the steady-state hot path the runner executes: cached
-    // EvalPlaintexts, in-place variants, pool-recycled results (warm the
-    // pool untimed first). `he_ops` measures the same paths against the
-    // seed baseline.
-    let ept = S::preencode(&ev, &pt);
-    let mut acc = a.clone();
-    let mut acc_rot = a.clone();
-    let mut warm = S::multiply(&ev, &a, &b);
-    S::relinearize_assign(&ev, &mut warm, &rk);
-    S::recycle(&ev, warm);
-    S::rotate_rows_assign(&ev, &mut acc_rot, 1, &gk);
+/// The seed's `profiled_default` componentwise constants (µs), measured at
+/// N = 4096 on its BigInt-CRT backend: ceilings for the n1024k3 rows.
+const SEED_CEILINGS: [(&str, f64); 4] = [
+    ("add_ct_ct", 43.9),
+    ("sub_ct_ct", 37.5),
+    ("add_ct_pt", 66.9),
+    ("sub_ct_pt", 68.4),
+];
 
-    let add = time_us(reps, || {
-        S::add_assign(&ev, std::hint::black_box(&mut acc), &b);
-    });
-    let sub = time_us(reps, || {
-        S::sub_assign(&ev, std::hint::black_box(&mut acc), &b);
-    });
-    let add_pt = time_us(reps, || {
-        S::add_plain_assign(&ev, std::hint::black_box(&mut acc), &ept);
-    });
-    let sub_pt = time_us(reps, || {
-        S::sub_plain_assign(&ev, std::hint::black_box(&mut acc), &ept);
-    });
-    let mul_pt = time_us(reps, || {
-        S::mul_plain_assign(&ev, std::hint::black_box(&mut acc), &ept);
-    });
-    let rot = time_us(reps, || {
-        S::rotate_rows_assign(&ev, std::hint::black_box(&mut acc_rot), 1, &gk);
-    });
-    let mul = time_us(reps, || {
-        S::recycle(&ev, std::hint::black_box(S::multiply(&ev, &a, &b)));
-    });
-    let mul_relin = time_us(reps, || {
-        let mut p = S::multiply(&ev, &a, &b);
-        S::relinearize_assign(&ev, std::hint::black_box(&mut p), &rk);
-        S::recycle(&ev, p);
-    });
-    let relin = (mul_relin - mul).max(0.0);
-    // The hoisting pair: the shared decomposition a rotation fan pays once
-    // (hoist + recycle, matching the Runner's lifecycle) and the
-    // per-Galois-element accumulate each member then pays.
-    let hoist_setup = time_us(reps, || {
-        if let Some(h) = S::hoist(&ev, &a) {
-            S::recycle_hoisted(&ev, h);
+/// One `LatencyModel` candidate.
+#[derive(Debug)]
+struct Block {
+    /// The perfbench metric prefix of its configuration.
+    prefix: &'static str,
+    role: &'static str,
+    /// Latencies (µs) in [`FIELDS`] order.
+    us: [f64; 10],
+}
+
+impl Block {
+    fn get(&self, field: &str) -> f64 {
+        self.us[FIELDS.iter().position(|(f, _)| *f == field).unwrap()]
+    }
+
+    /// Paste-ready Rust, plus a note if `rot_hoist_setup + rot_hoisted <
+    /// rot_ct`, which the shipped tables never allow.
+    fn render(&self) -> String {
+        let mut s = format!("// {}: {}\nLatencyModel {{\n", self.prefix, self.role);
+        for ((field, _), us) in FIELDS.iter().zip(self.us) {
+            s += &format!("    {field}: {us:.1},\n");
         }
-    });
-    let hoisted = {
-        let h = S::hoist(&ev, &a).expect("backend supports hoisting");
-        let us = time_us(reps, || {
-            S::recycle(
-                &ev,
-                std::hint::black_box(S::rotate_hoisted(&ev, &a, &h, 1, &gk)),
+        s += "}\n";
+        let pair = self.get("rot_hoist_setup") + self.get("rot_hoisted");
+        if pair < self.get("rot_ct") {
+            s += &format!(
+                "// note: rot_hoist_setup + rot_hoisted = {pair:.1} < rot_ct = {:.1}; the shipped \
+                 tables keep setup + hoisted >= rot_ct, so raise rot_hoist_setup before pasting\n",
+                self.get("rot_ct")
             );
-        });
-        S::recycle_hoisted(&ev, h);
-        us
-    };
-    let pt_encode = time_us(reps, || {
-        std::hint::black_box(S::preencode(&ev, &pt));
-    });
-    let enc_t = time_us(reps, || {
-        std::hint::black_box(S::encrypt(&encryptor, &pt, &mut rng));
-    });
-    let dec_t = time_us(reps, || {
-        std::hint::black_box(S::decrypt(&decryptor, &a));
-    });
+        }
+        s
+    }
+}
 
-    println!("{:<28} {}", "add-ct-ct", fmt_us(add));
-    println!("{:<28} {}", "sub-ct-ct", fmt_us(sub));
-    println!("{:<28} {}", "add-ct-pt", fmt_us(add_pt));
-    println!("{:<28} {}", "sub-ct-pt", fmt_us(sub_pt));
-    println!("{:<28} {}", "mul-ct-pt", fmt_us(mul_pt));
-    println!("{:<28} {}", "rot-ct (keyswitch)", fmt_us(rot));
-    println!("{:<28} {}", "rot-hoist-setup", fmt_us(hoist_setup));
-    println!("{:<28} {}", "rot-hoisted (per member)", fmt_us(hoisted));
-    println!("{:<28} {}", "mul-ct-ct (raw tensor)", fmt_us(mul));
-    println!("{:<28} {}", "relin-ct (derived)", fmt_us(relin));
-    println!("{:<28} {}", "mul-ct-ct + relin", fmt_us(mul_relin));
-    println!("{:<28} {}", "pt encode (once per pt)", fmt_us(pt_encode));
-    println!("{:<28} {}", "encrypt", fmt_us(enc_t));
-    println!("{:<28} {}", "decrypt", fmt_us(dec_t));
-    println!();
-    println!("// LatencyModel::profiled_{} candidates", S::ID);
-    println!("LatencyModel {{");
-    println!("    add_ct_ct: {add:.1},");
-    println!("    sub_ct_ct: {sub:.1},");
-    println!("    mul_ct_ct: {mul:.1},");
-    println!("    add_ct_pt: {add_pt:.1},");
-    println!("    sub_ct_pt: {sub_pt:.1},");
-    println!("    mul_ct_pt: {mul_pt:.1},");
-    println!("    rot_ct: {rot:.1},");
-    println!("    relin_ct: {relin:.1},");
-    println!("    rot_hoist_setup: {hoist_setup:.1},");
-    println!("    rot_hoisted: {hoisted:.1},");
-    println!("}}");
-    println!();
+/// A model's fields in [`FIELDS`] order.
+fn fields(m: &LatencyModel) -> [f64; 10] {
+    [
+        m.add_ct_ct,
+        m.sub_ct_ct,
+        m.mul_ct_ct,
+        m.add_ct_pt,
+        m.sub_ct_pt,
+        m.mul_ct_pt,
+        m.rot_ct,
+        m.relin_ct,
+        m.rot_hoist_setup,
+        m.rot_hoisted,
+    ]
+}
+
+/// The text of `key`'s value in a JSON line, up to the next `,` or `}`.
+fn value<'a>(json: &'a str, key: &str) -> Option<&'a str> {
+    let key = format!("\"{key}\"");
+    let rest = json[json.find(&key)? + key.len()..].trim_start();
+    let rest = rest.strip_prefix(':')?.trim_start();
+    Some(rest[..rest.find([',', '}']).unwrap_or(rest.len())].trim_end())
+}
+
+/// The measured blocks of a perfbench stdout, then the derived BGV
+/// n4096k3 block; or every gate the run fails, each naming its row.
+fn blocks(stdout: &str) -> Result<Vec<Block>, String> {
+    let line = stdout.trim_end().lines().last().unwrap_or("");
+    let (correct, failed) = (value(line, "correct"), value(line, "failed"));
+    if (correct, failed) != (Some("true"), Some("0")) {
+        return Err(format!("\"correct\": {correct:?}, \"failed\": {failed:?}"));
+    }
+    let mut out = Vec::new();
+    for (prefix, role) in CONFIGS {
+        let mut us = [0.0; 10];
+        for (v, (_, op)) in us.iter_mut().zip(FIELDS) {
+            let row = format!("{prefix}.{op}_us");
+            let metric = value(line, &row).and_then(|m| value(m, "value"));
+            *v = metric.and_then(|v| v.parse().ok()).ok_or_else(|| {
+                format!("missing op row {row} (was the run traced with --trace 1?)")
+            })?;
+        }
+        out.push(Block { prefix, role, us });
+    }
+
+    let mut failures = Vec::new();
+    for b in &out {
+        for (field, seed) in SEED_CEILINGS {
+            let us = b.get(field);
+            if b.prefix.ends_with(".n1024k3") && us > seed {
+                failures.push(format!(
+                    "{}.{field}_us = {us:.1} µs > seed {seed} µs",
+                    b.prefix
+                ));
+            }
+        }
+        let fan = b.get("rot_hoist_setup") + 4.0 * b.get("rot_hoisted");
+        let seq = 4.0 * b.get("rot_ct");
+        if fan >= seq {
+            failures.push(format!(
+                "{}: a hoisted 4-fan (rot_hoist_setup_us + 4·rot_hoisted_us = {fan:.1} µs) \
+                 does not beat 4·rot_ct_us = {seq:.1} µs",
+                b.prefix
+            ));
+        }
+    }
+    if !failures.is_empty() {
+        return Err(failures.join("\n"));
+    }
+
+    let from = fields(&LatencyModel::uniform().scaled_to(1024, 3));
+    let to = fields(&LatencyModel::uniform().scaled_to(4096, 3));
+    // out[1] is bgv n1024k3 (CONFIGS order), the nearest bgv row.
+    let mut us = out[1].us;
+    for ((v, f), t) in us.iter_mut().zip(from).zip(to) {
+        *v *= t / f;
+    }
+    let prefix = "op.bgv.n4096k3";
+    let role = "derived from op.bgv.n1024k3 with LatencyModel::scaled_to's factors \
+                (no bgv n4096k3 row is measured); the profiled_bgv candidate";
+    out.push(Block { prefix, role, us });
+    Ok(out)
 }
 
 fn main() {
-    let reps: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(9);
-    profile::<BfvScheme>(reps);
-    profile::<BgvScheme>(reps);
+    let path = std::env::args().nth(1).expect("a perfbench stdout file");
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    match blocks(&text) {
+        Ok(blocks) => blocks.iter().for_each(|b| println!("{}", b.render())),
+        Err(e) => {
+            eprintln!("profile_latency: {path}:\n{e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A traced perfbench stdout: the tags line, then the result object
+    /// (op rows from a 2-second `bfv-pipelines-par2` run, rounded; most
+    /// other metrics left out).
+    const FIXTURE: &str = concat!(
+        r#"tags: {"workload": "bfv-pipelines-par2", "seed": 1, "trace": true}"#,
+        "\n",
+        r#"{"correct": true, "attempted": 73, "failed": 0, "metrics": {"#,
+        r#""ring.ntt_fwd_us.n1024k3": {"value": 7.4, "unit": "us"}, "#,
+        r#""op.bfv.n4096k3.add_ct_ct_us": {"value": 31.8, "unit": "us"}, "#,
+        r#""op.bfv.n4096k3.sub_ct_ct_us": {"value": 15.8, "unit": "us"}, "#,
+        r#""op.bfv.n4096k3.add_ct_pt_us": {"value": 13.9, "unit": "us"}, "#,
+        r#""op.bfv.n4096k3.sub_ct_pt_us": {"value": 7, "unit": "us"}, "#,
+        r#""op.bfv.n4096k3.mul_ct_pt_us": {"value": 58.9, "unit": "us"}, "#,
+        r#""op.bfv.n4096k3.rot_ct_us": {"value": 661.2, "unit": "us"}, "#,
+        r#""op.bfv.n4096k3.rot_hoist_setup_us": {"value": 464.3, "unit": "us"}, "#,
+        r#""op.bfv.n4096k3.rot_hoisted_us": {"value": 218.3, "unit": "us"}, "#,
+        r#""op.bfv.n4096k3.mul_ct_ct_raw_us": {"value": 2892.3, "unit": "us"}, "#,
+        r#""op.bfv.n4096k3.relin_ct_us": {"value": 589.2, "unit": "us"}, "#,
+        r#""op.bfv.n4096k3.pt_encode_us": {"value": 103.8, "unit": "us"}, "#,
+        r#""op.bgv.n1024k3.add_ct_ct_us": {"value": 10.7, "unit": "us"}, "#,
+        r#""op.bgv.n1024k3.sub_ct_ct_us": {"value": 4.2, "unit": "us"}, "#,
+        r#""op.bgv.n1024k3.add_ct_pt_us": {"value": 3.5, "unit": "us"}, "#,
+        r#""op.bgv.n1024k3.sub_ct_pt_us": {"value": 1.9, "unit": "us"}, "#,
+        r#""op.bgv.n1024k3.mul_ct_pt_us": {"value": 14.7, "unit": "us"}, "#,
+        r#""op.bgv.n1024k3.rot_ct_us": {"value": 143.3, "unit": "us"}, "#,
+        r#""op.bgv.n1024k3.rot_hoist_setup_us": {"value": 81.1, "unit": "us"}, "#,
+        r#""op.bgv.n1024k3.rot_hoisted_us": {"value": 61.9, "unit": "us"}, "#,
+        r#""op.bgv.n1024k3.mul_ct_ct_raw_us": {"value": 28.5, "unit": "us"}, "#,
+        r#""op.bgv.n1024k3.relin_ct_us": {"value": 129.4, "unit": "us"}, "#,
+        r#""op.bgv.n16384k9.add_ct_ct_us": {"value": 327.7, "unit": "us"}, "#,
+        r#""op.bgv.n16384k9.sub_ct_ct_us": {"value": 276.2, "unit": "us"}, "#,
+        r#""op.bgv.n16384k9.add_ct_pt_us": {"value": 150.5, "unit": "us"}, "#,
+        r#""op.bgv.n16384k9.sub_ct_pt_us": {"value": 102.1, "unit": "us"}, "#,
+        r#""op.bgv.n16384k9.mul_ct_pt_us": {"value": 697, "unit": "us"}, "#,
+        r#""op.bgv.n16384k9.rot_ct_us": {"value": 13898.8, "unit": "us"}, "#,
+        r#""op.bgv.n16384k9.rot_hoist_setup_us": {"value": 9639.8, "unit": "us"}, "#,
+        r#""op.bgv.n16384k9.rot_hoisted_us": {"value": 4307.3, "unit": "us"}, "#,
+        r#""op.bgv.n16384k9.mul_ct_ct_raw_us": {"value": 975.1, "unit": "us"}, "#,
+        r#""op.bgv.n16384k9.relin_ct_us": {"value": 13838.7, "unit": "us"}, "#,
+        r#""op.pool_fresh": {"value": 0, "unit": "count"}}}"#,
+        "\n",
+    );
+
+    /// [`FIXTURE`] with `row`'s value replaced by `value`.
+    fn with(row: &str, value: f64) -> String {
+        let key = format!("\"{row}\": {{\"value\": ");
+        let start = FIXTURE.find(&key).expect("a fixture row") + key.len();
+        let end = start + FIXTURE[start..].find(',').expect("a unit after the value");
+        format!("{}{value}{}", &FIXTURE[..start], &FIXTURE[end..])
+    }
+
+    #[test]
+    fn field_order_matches_latency_model() {
+        let m = LatencyModel::profiled_default();
+        let debug = format!("{m:?}");
+        for ((field, _), us) in FIELDS.iter().zip(fields(&m)) {
+            assert!(debug.contains(&format!("{field}: {us:?}")), "{field}");
+        }
+    }
+
+    #[test]
+    fn bfv_block_is_the_measured_rows() {
+        let b = &blocks(FIXTURE).unwrap()[0];
+        assert_eq!(b.prefix, "op.bfv.n4096k3");
+        // mul_ct_ct is the raw multiply; relin_ct its own measured row.
+        let want = [
+            31.8, 15.8, 2892.3, 13.9, 7.0, 58.9, 661.2, 589.2, 464.3, 218.3,
+        ];
+        assert_eq!(b.us, want);
+        assert!(b.render().contains(
+            "LatencyModel {\n    add_ct_ct: 31.8,\n    sub_ct_ct: 15.8,\n    mul_ct_ct: 2892.3,\n"
+        ));
+    }
+
+    #[test]
+    fn bgv_4096_block_is_the_1024_row_rescaled() {
+        let all = blocks(FIXTURE).unwrap();
+        assert_eq!(all.len(), 4);
+        let (small, derived) = (&all[1], &all[3]);
+        assert_eq!(
+            (small.prefix, derived.prefix),
+            ("op.bgv.n1024k3", "op.bgv.n4096k3")
+        );
+        assert!(derived.render().contains("derived"));
+        // scaled_to: componentwise ops grow with k·N (×4 from N = 1024 to
+        // 4096), key switches with k²·N·log₂N (×4096·12 / (1024·10) = 4.8).
+        for (field, _) in FIELDS {
+            let key_switch = [
+                "mul_ct_ct",
+                "rot_ct",
+                "relin_ct",
+                "rot_hoist_setup",
+                "rot_hoisted",
+            ];
+            let ratio = if key_switch.contains(&field) {
+                4.8
+            } else {
+                4.0
+            };
+            let want = small.get(field) * ratio;
+            assert!((derived.get(field) - want).abs() < 1e-9 * want, "{field}");
+        }
+    }
+
+    #[test]
+    fn each_gate_names_its_row() {
+        let fails = |out: &str, needle: &str| {
+            let e = blocks(out).unwrap_err();
+            assert!(e.contains(needle), "{e:?} does not name {needle}");
+        };
+        fails(
+            &FIXTURE.replace("\"correct\": true", "\"correct\": false"),
+            "\"correct\"",
+        );
+        fails(
+            &FIXTURE.replace("\"failed\": 0", "\"failed\": 2"),
+            "\"failed\": Some(\"2\")",
+        );
+        fails(
+            &FIXTURE.replace("op.bgv.n16384k9.relin_ct_us", "op.bgv.n16384k9.relin_us"),
+            "missing op row op.bgv.n16384k9.relin_ct_us",
+        );
+        for (field, seed) in SEED_CEILINGS {
+            let row = format!("op.bgv.n1024k3.{field}_us");
+            assert!(blocks(&with(&row, seed)).is_ok(), "{row} at the ceiling");
+            fails(&with(&row, seed + 0.1), &row);
+        }
+        // The n4096k3 componentwise rows are not gated.
+        assert!(blocks(&with("op.bfv.n4096k3.add_ct_ct_us", 60.0)).is_ok());
+        // 464.3 + 4·218.3 = 1337.5 beats 4·661.2 until rot_ct drops to 334.4.
+        assert!(blocks(&with("op.bfv.n4096k3.rot_ct_us", 334.5)).is_ok());
+        fails(
+            &with("op.bfv.n4096k3.rot_ct_us", 334.375),
+            "op.bfv.n4096k3: a hoisted 4-fan",
+        );
+        fails(
+            &with("op.bgv.n16384k9.rot_hoisted_us", 12000.0),
+            "op.bgv.n16384k9",
+        );
+    }
+
+    #[test]
+    fn hoisting_note_marks_exactly_the_undercutting_blocks() {
+        const NOTE: &str = "// note: rot_hoist_setup + rot_hoisted";
+        // bgv n1024k3 (81.1 + 61.9 < 143.3) and its derived rescale do;
+        // bfv n4096k3 (464.3 + 218.3 >= 661.2) and bgv n16384k9 do not.
+        let notes: Vec<bool> = blocks(FIXTURE)
+            .unwrap()
+            .iter()
+            .map(|b| b.render().contains(NOTE))
+            .collect();
+        assert_eq!(notes, [false, true, false, true]);
+        let b = &blocks(&with("op.bgv.n1024k3.rot_hoist_setup_us", 81.5)).unwrap()[1];
+        assert!(
+            !b.render().contains(NOTE),
+            "81.5 + 61.9 does not undercut 143.3"
+        );
+    }
 }

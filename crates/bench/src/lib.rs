@@ -10,7 +10,7 @@
 //! | Figures 5/6 (case studies) | `case_studies` |
 //! | §7.4 sketch ablation | `ablation_sketch` |
 //! | §6.1 rotation-restriction ablation | `ablation_rotations` |
-//! | HE op latency profile | `profile_latency`, `he_ops` |
+//! | cost-model blocks from perfbench's op timings | `profile_latency` |
 //! | middle-end `-O0` vs `-O2` | `fig_opt` |
 //!
 //! Results print to stdout (some binaries also write a gitignored
@@ -137,19 +137,6 @@ pub fn median(mut samples: Vec<f64>) -> f64 {
     assert!(!samples.is_empty(), "median of no samples");
     samples.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
     samples[samples.len() / 2]
-}
-
-/// Runs `f` `reps` times and returns the median wall-clock in microseconds
-/// — the shared timing methodology of `profile_latency` and `he_ops` (what
-/// the cost model is calibrated from).
-pub fn time_us(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let start = std::time::Instant::now();
-        f();
-        samples.push(start.elapsed().as_secs_f64() * 1e6);
-    }
-    median(samples)
 }
 
 /// Formats a microsecond latency with a stable width for table output.

@@ -48,10 +48,11 @@
 //! (exactly the sampler's support). The predicted budget additionally
 //! keeps one guard bit (see [`NoiseModel::budget`]) to stay under the
 //! integer rounding of the measured probe. To re-calibrate after changing
-//! the sampler or the key-switching scheme, run
-//! `cargo run -p porcupine-bench --release --bin he_ops` and compare the
-//! per-op measured budget drops against [`NoiseModel`]'s predictions (the
-//! unit tests below pin the comparison for fresh/multiply/rotate).
+//! the sampler or the key-switching scheme, run the unit test
+//! `model_is_sound_and_tight_against_the_evaluator` below: it measures the
+//! budget of fresh, multiply+relin and rotated ciphertexts and compares it
+//! with [`NoiseModel`]'s per-op predictions. perfbench's
+//! `noise_budget_bits` metric tracks the budget the paper kernels end with.
 
 use crate::params::BfvParams;
 use quill::analysis::NoiseSemantics;
@@ -202,8 +203,9 @@ mod tests {
     }
 
     /// Calibration: the model's per-op predictions are sound (never above
-    /// the measured budget) yet within a sane distance of it, for the
-    /// fresh / multiply+relin / rotate probes `he_ops` measures.
+    /// the measured budget) yet within a sane distance of it, for fresh,
+    /// multiply+relin and rotated ciphertexts — the check to re-run when
+    /// re-calibrating the model (see the module doc).
     #[test]
     fn model_is_sound_and_tight_against_the_evaluator() {
         let params = BfvParams::test_small();

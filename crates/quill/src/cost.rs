@@ -2,10 +2,11 @@
 //! `cost(p) = latency(p) × (1 + mdepth(p))` objective (§5.2).
 //!
 //! The paper derives instruction latencies by profiling SEAL; we derive them
-//! by profiling the in-repo backends (see the `he_ops` bench and the
-//! `profile_latency` binary in `porcupine-bench`). The constants in
+//! by profiling the in-repo backends. perfbench's op layer (a `--trace 1`
+//! run) times every evaluator op, and `porcupine-bench`'s
+//! `profile_latency` turns its result into paste-ready blocks for
 //! [`LatencyModel::profiled_default`] (BFV) and
-//! [`LatencyModel::profiled_bgv`] were measured there; what the synthesizer
+//! [`LatencyModel::profiled_bgv`]. What the synthesizer
 //! consumes is only their *ratios*, which are stable across machines
 //! (rotation and ct×ct multiply dominate because both key-switch).
 //! [`LatencyModel::profiled_for`] picks the table for a
@@ -53,10 +54,10 @@ pub struct LatencyModel {
 impl LatencyModel {
     /// Latencies measured on the in-repo BFV backend at `N = 4096`,
     /// 3 × 46-bit primes (the `fast_4096` preset), median of repeated runs.
-    /// Regenerate with `cargo run -p porcupine-bench --release --bin
-    /// profile_latency` (or compare against the seed baseline with the
-    /// `he_ops` binary, which writes `BENCH_he_ops.json`; both track
-    /// `relinearize` and the raw multiply separately). `relin_ct` is the
+    /// Regenerate from perfbench's op timings: run `perfbench --workload
+    /// bfv-pipelines-par2 --seed 1 --seconds 2 --trace 1 > traced.out`, then
+    /// `cargo run -p porcupine-bench --release --bin profile_latency --
+    /// traced.out` and paste its bfv n4096k3 block. `relin_ct` is the
     /// measured standalone key switch; `mul_ct_ct` is the *raw*
     /// tensor/rescale (the seed model folded the relin key switch into
     /// it), so lazy relinearization placement shows up in
@@ -83,11 +84,11 @@ impl LatencyModel {
             mul_ct_pt: 67.0,
             rot_ct: 1_050.0,
             relin_ct: 1_140.0,
-            // Measured (he_ops/profile_latency): setup ~720 µs, ~175 µs
-            // per member. Setup is carried at 880 so the pair stays
-            // monotone against this table's (older-calibration) rot_ct —
-            // see the field docs; the fan credit is slightly conservative
-            // rather than ever negative.
+            // Measured with the op timers that predate perfbench: setup
+            // ~720 µs, ~175 µs per member. Setup is carried at 880 so the
+            // pair stays monotone against this table's (older-calibration)
+            // rot_ct — see the field docs; the fan credit is slightly
+            // conservative rather than ever negative.
             rot_hoist_setup: 880.0,
             rot_hoisted: 175.0,
         }
@@ -104,8 +105,11 @@ impl LatencyModel {
     /// multiply measures ~140 µs against BFV's ~4.8 ms, an order of
     /// magnitude *below* a key switch. Under BGV the relinearization (when
     /// the scheme requests one) dominates the multiply it follows.
-    /// Regenerate alongside the BFV table with
-    /// `cargo run -p porcupine-bench --release --bin profile_latency`.
+    /// Regenerate alongside the BFV table: `profile_latency` prints this
+    /// table's candidate as a derived block. perfbench measures BGV at
+    /// n1024k3 and n16384k9 only, so the block is the n1024k3 row rescaled
+    /// to this calibration point with [`LatencyModel::scaled_to`]'s
+    /// factors.
     pub fn profiled_bgv() -> Self {
         LatencyModel {
             add_ct_ct: 45.4,
@@ -116,11 +120,11 @@ impl LatencyModel {
             mul_ct_pt: 67.0,
             rot_ct: 1_050.0,
             relin_ct: 1_140.0,
-            // Measured (he_ops/profile_latency): setup ~720 µs, ~175 µs
-            // per member. Setup is carried at 880 so the pair stays
-            // monotone against this table's (older-calibration) rot_ct —
-            // see the field docs; the fan credit is slightly conservative
-            // rather than ever negative.
+            // Measured with the op timers that predate perfbench: setup
+            // ~720 µs, ~175 µs per member. Setup is carried at 880 so the
+            // pair stays monotone against this table's (older-calibration)
+            // rot_ct — see the field docs; the fan credit is slightly
+            // conservative rather than ever negative.
             rot_hoist_setup: 880.0,
             rot_hoisted: 175.0,
         }
