@@ -13,11 +13,11 @@
 //! (slower). The paper reports up to 51% speedup, 11% geometric mean.
 
 use bfv::encoding::Plaintext;
-use bfv::encrypt::{Ciphertext, Decryptor, Encryptor};
-use bfv::keys::KeyGenerator;
+use bfv::encrypt::Ciphertext;
 use bfv::params::{BfvContext, BfvParams};
 use porcupine::cegis::{synthesize, SynthesisOptions};
-use porcupine::codegen::BfvRunner;
+use porcupine::codegen::Session;
+use porcupine::scheme::BfvScheme;
 use porcupine::spec::KernelSpec;
 use porcupine_kernels::{all_direct, composite, stencil};
 use quill::program::Program;
@@ -127,9 +127,6 @@ fn main() {
     );
     let ctx = BfvContext::new(params).expect("valid parameters");
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xF16);
-    let keygen = KeyGenerator::new(&ctx, &mut rng);
-    let encryptor = Encryptor::new(&ctx, keygen.public_key(&mut rng));
-    let decryptor = Decryptor::new(&ctx, keygen.secret_key().clone());
 
     println!(
         "{:<24} {:>12} {:>12} {:>9}",
@@ -143,7 +140,8 @@ fn main() {
         let (baseline, _) = porcupine::opt::optimize(&w.baseline, options.opt_level);
         let (synthesized, _) = porcupine::opt::optimize(&w.synthesized, options.opt_level);
         let programs = [&baseline, &synthesized];
-        let runner = BfvRunner::for_programs(&ctx, &keygen, &programs, &mut rng);
+        let session = Session::<BfvScheme>::new(&ctx, &programs, &mut rng);
+        let runner = &session.runner;
         let t = w.spec.t;
 
         // Random model inputs (valid region), zero padding elsewhere.
@@ -155,22 +153,22 @@ fn main() {
             .collect();
         let expected = w.spec.eval_concrete(&ct_model, &pt_model);
 
-        let encoder = runner.encoder();
         let cts: Vec<Ciphertext> = ct_model
             .iter()
-            .map(|v| encryptor.encrypt(&encoder.encode(v), &mut rng))
+            .map(|v| session.encrypt(v, &mut rng))
             .collect();
-        let pts: Vec<Plaintext> = pt_model.iter().map(|v| encoder.encode(v)).collect();
+        let pts: Vec<Plaintext> = pt_model
+            .iter()
+            .map(|v| runner.encoder().encode(v))
+            .collect();
         let ct_refs: Vec<&Ciphertext> = cts.iter().collect();
         let pt_refs: Vec<&Plaintext> = pts.iter().collect();
 
         let mut times = [Vec::new(), Vec::new()];
         for (vi, prog) in programs.iter().enumerate() {
             // correctness check once per version
-            let out = runner.run(prog, &ct_refs, &pt_refs);
-            let budget = decryptor.invariant_noise_budget(&out);
+            let (decoded, budget) = session.decrypt(&runner.run(prog, &ct_refs, &pt_refs));
             assert!(budget > 0, "{}: noise budget exhausted ({budget})", w.name);
-            let decoded = encoder.decode(&decryptor.decrypt(&out));
             for i in 0..w.spec.n {
                 if w.spec.output_mask[i] {
                     assert_eq!(

@@ -23,9 +23,9 @@
 //! other BENCH artifacts).
 
 use bfv::params::{BfvParams, ParamPolicy};
-use porcupine::codegen::Runner;
+use porcupine::codegen::{with_scheme, SchemeTask, Session};
 use porcupine::opt::{optimize_with, OptLevel};
-use porcupine::scheme::{BfvScheme, BgvScheme, Scheme};
+use porcupine::scheme::Scheme;
 use porcupine_bench::{fmt_us, median};
 use porcupine_kernels::{all_direct, composite, stencil};
 use quill::cost::LatencyModel;
@@ -47,19 +47,26 @@ struct Row {
 }
 
 fn main() {
+    with_scheme(porcupine::scheme::default_scheme(), FigOpt);
+}
+
+/// The measurement on the backend `PORCUPINE_SCHEME` names.
+struct FigOpt;
+
+impl SchemeTask for FigOpt {
+    type Output = ();
+    fn run<S: Scheme>(self) {
+        run::<S>();
+    }
+}
+
+fn run<S: Scheme>() {
     let (policy, args) = porcupine_bench::parse_params(std::env::args().skip(1).collect());
     let smoke = args.iter().any(|a| a == "--smoke");
     let runs: usize = args
         .iter()
         .find_map(|a| a.parse().ok())
         .unwrap_or(if smoke { 1 } else { 5 });
-    match porcupine::scheme::default_scheme() {
-        SchemeId::Bfv => run::<BfvScheme>(policy, smoke, runs),
-        SchemeId::Bgv => run::<BgvScheme>(policy, smoke, runs),
-    }
-}
-
-fn run<S: Scheme>(policy: Option<ParamPolicy>, smoke: bool, runs: usize) {
     let img = stencil::default_image();
     let mut workloads: Vec<(String, Program, usize)> = all_direct()
         .into_iter()
@@ -116,9 +123,6 @@ fn run<S: Scheme>(policy: Option<ParamPolicy>, smoke: bool, runs: usize) {
     let ctx = S::context(params).expect("valid parameters");
     let model = LatencyModel::profiled_for(S::ID).scaled_to(bench_n, bench_primes);
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x0F70);
-    let keygen = S::keygen(&ctx, &mut rng);
-    let encryptor = S::encryptor(&ctx, &keygen, &mut rng);
-    let decryptor = S::decryptor(&ctx, &keygen);
 
     println!(
         "{:<24} {:>14} {:>14} {:>11} {:>11} {:>10} {:>10} {:>8}",
@@ -141,8 +145,8 @@ fn run<S: Scheme>(policy: Option<ParamPolicy>, smoke: bool, runs: usize) {
             "{name}: -O2 must be idempotent"
         );
 
-        let runner = Runner::<'_, S>::for_programs(&ctx, &keygen, &[&o0, &o2], &mut rng);
-        let encoder = runner.encoder();
+        let session = Session::<S>::new(&ctx, &[&o0, &o2], &mut rng);
+        let runner = &session.runner;
         let ct_model: Vec<Vec<u64>> = (0..raw.num_ct_inputs)
             .map(|_| (0..n).map(|_| rng.gen_range(0..64)).collect())
             .collect();
@@ -151,7 +155,7 @@ fn run<S: Scheme>(policy: Option<ParamPolicy>, smoke: bool, runs: usize) {
             .collect();
         let cts: Vec<S::Ciphertext> = ct_model
             .iter()
-            .map(|v| S::encrypt(&encryptor, &S::encode(encoder, v), &mut rng))
+            .map(|v| session.encrypt(v, &mut rng))
             .collect();
         // Plaintext inputs are encoded once per workload, outside the
         // timed loop — the encode-once usage the runner is built for (the
@@ -159,17 +163,16 @@ fn run<S: Scheme>(policy: Option<ParamPolicy>, smoke: bool, runs: usize) {
         // runs double as warm-up for the splat cache and scratch pool.
         let epts: Vec<S::EvalPlaintext> = pt_model
             .iter()
-            .map(|v| S::preencode(runner.evaluator(), &S::encode(encoder, v)))
+            .map(|v| S::preencode(runner.evaluator(), &S::encode(runner.encoder(), v)))
             .collect();
         let ct_refs: Vec<&S::Ciphertext> = cts.iter().collect();
         let pt_refs: Vec<&S::EvalPlaintext> = epts.iter().collect();
 
         // Correctness gate: bit-identical decryption across levels.
         let decode = |p: &Program| {
-            let out = runner.run_encoded(p, &ct_refs, &pt_refs);
-            let budget = S::noise_budget(&decryptor, &out);
+            let (slots, budget) = session.decrypt(&runner.run_encoded(p, &ct_refs, &pt_refs));
             assert!(budget > 0, "{name}: noise budget exhausted ({budget})");
-            S::decode(encoder, &S::decrypt(&decryptor, &out))
+            slots
         };
         assert_eq!(
             decode(&o0),

@@ -7,7 +7,7 @@
 //! [`crate::encrypt::Decryptor::invariant_noise_budget`] reports
 //! `⌊log2(1/(2ε))⌋` in bits. Everything here works in the log domain:
 //! noise values are `log2 ε` (more negative = quieter), and
-//! [`NoiseModel::budget`] converts back to bits of budget.
+//! [`NoiseSemantics::budget`] converts back to bits of budget.
 //!
 //! # Soundness contract
 //!
@@ -46,7 +46,7 @@
 //!
 //! The only empirical constant is the error bound [`LogSizes::ERR_BOUND`]
 //! (exactly the sampler's support). The predicted budget additionally
-//! keeps one guard bit (see [`NoiseModel::budget`]) to stay under the
+//! keeps one guard bit (see [`NoiseSemantics::budget`]) to stay under the
 //! integer rounding of the measured probe. To re-calibrate after changing
 //! the sampler or the key-switching scheme, run the unit test
 //! `model_is_sound_and_tight_against_the_evaluator` below: it measures the
@@ -56,7 +56,6 @@
 
 use crate::params::BfvParams;
 use quill::analysis::NoiseSemantics;
-use quill::program::Program;
 use rlwe_ring::noise::{lse, LogSizes};
 
 pub use quill::analysis::NoiseReport;
@@ -92,31 +91,6 @@ impl NoiseModel {
     pub fn for_params(params: &BfvParams) -> Self {
         NoiseModel {
             sizes: LogSizes::of(params),
-        }
-    }
-
-    /// Remaining noise budget, in bits, for a (log-domain) noise level
-    /// (see [`LogSizes::budget`]).
-    pub fn budget(&self, noise_bits: f64) -> f64 {
-        LogSizes::budget(noise_bits)
-    }
-
-    /// Predicted budget of a fresh encryption.
-    pub fn fresh_budget(&self) -> f64 {
-        self.budget(self.fresh())
-    }
-
-    /// Analyzes a lowered program: walks it with the model and reports the
-    /// worst-case output noise, the predicted remaining budget, and the
-    /// consumed budget relative to a fresh encryption.
-    pub fn analyze(&self, prog: &Program) -> NoiseReport {
-        let output_noise_bits = quill::analysis::output_noise(prog, self);
-        let predicted_budget_bits = self.budget(output_noise_bits);
-        NoiseReport {
-            output_noise_bits,
-            predicted_budget_bits,
-            fresh_budget_bits: self.fresh_budget(),
-            consumed_bits: self.fresh_budget() - predicted_budget_bits,
         }
     }
 }
@@ -158,6 +132,10 @@ impl NoiseSemantics for NoiseModel {
 
     fn relin_ct(&self, a: f64) -> f64 {
         lse(a, self.sizes.key_switch_bits())
+    }
+
+    fn budget(&self, noise_bits: f64) -> f64 {
+        LogSizes::budget(noise_bits)
     }
 }
 

@@ -16,6 +16,7 @@ use crate::ntt::NttTables;
 use crate::poly::{RingContext, RnsPoly};
 use crate::rns::RnsBaseConverter;
 use crate::zq;
+use quill::analysis::NoiseSemantics;
 use quill::program::Program;
 use rlwe_ring::params::{Candidate, SelectionTable};
 use rlwe_ring::scheme::SchemePolicy;

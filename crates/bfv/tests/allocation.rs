@@ -9,8 +9,10 @@
 //! at the cost model's op-sum; (b) is why the runner may use them freely.
 
 use bfv::Ciphertext;
+use porcupine::codegen::Session;
+use porcupine::scheme::BfvScheme;
 use proptest::prelude::*;
-use test_support::{seeded_rng, small_ctx, HeSession};
+use test_support::{seeded_rng, small_ctx};
 
 /// After one warm-up pass, the steady-state hot path must be served
 /// entirely from the pool's freelists: the `fresh` counter stays flat
@@ -19,14 +21,14 @@ use test_support::{seeded_rng, small_ctx, HeSession};
 fn hot_path_ops_take_no_fresh_buffers_after_warmup() {
     let ctx = small_ctx();
     let mut rng = seeded_rng(0xA110C);
-    let session = HeSession::new(&ctx, &mut rng);
-    let HeSession {
+    let session = Session::<BfvScheme>::new(&ctx, &[], &mut rng);
+    let Session {
         keygen,
         encryptor,
-        encoder,
-        evaluator: ev,
+        runner,
         ..
     } = &session;
+    let (encoder, ev) = (runner.encoder(), runner.evaluator());
     let rk = keygen.relin_key(&mut rng);
     let gk = keygen.galois_keys_for_rotations(&[1], true, &mut rng);
     let t = ctx.params().plain_modulus;
@@ -76,14 +78,14 @@ fn hot_path_ops_take_no_fresh_buffers_after_warmup() {
 fn recycled_ciphertext_shells_are_reused_by_multiply() {
     let ctx = small_ctx();
     let mut rng = seeded_rng(0x5E11);
-    let session = HeSession::new(&ctx, &mut rng);
-    let HeSession {
+    let session = Session::<BfvScheme>::new(&ctx, &[], &mut rng);
+    let Session {
         keygen,
         encryptor,
-        encoder,
-        evaluator: ev,
+        runner,
         ..
     } = &session;
+    let (encoder, ev) = (runner.encoder(), runner.evaluator());
     let rk = keygen.relin_key(&mut rng);
     let pt = encoder.encode(&[4, 5, 6]);
     let a = encryptor.encrypt(&pt, &mut rng);
@@ -122,14 +124,14 @@ proptest! {
 
         let ctx = small_ctx();
         let mut rng = seeded_rng(seed);
-        let session = HeSession::new(&ctx, &mut rng);
-        let HeSession {
+        let session = Session::<BfvScheme>::new(&ctx, &[], &mut rng);
+        let Session {
             keygen,
             encryptor,
             decryptor,
-            encoder,
-            evaluator: ev,
+            runner,
         } = &session;
+        let (encoder, ev) = (runner.encoder(), runner.evaluator());
         let rk = keygen.relin_key(&mut rng);
         let gk = keygen.galois_keys_for_rotations(&[3], true, &mut rng);
         let t = ctx.params().plain_modulus;

@@ -6,6 +6,8 @@ use bfv::bigint::{center, BigInt, BigUint};
 use bfv::ntt::{negacyclic_mul_schoolbook, NttTables};
 use bfv::rns::RnsContext;
 use bfv::zq;
+use porcupine::codegen::Session;
+use porcupine::scheme::BfvScheme;
 use proptest::prelude::*;
 
 proptest! {
@@ -120,18 +122,18 @@ proptest! {
 
     #[test]
     fn representation_is_transparent_to_every_op(seed in any::<u64>()) {
-        use test_support::{seeded_rng, small_ctx, HeSession};
+        use test_support::{seeded_rng, small_ctx};
 
         let ctx = small_ctx();
         let mut rng = seeded_rng(seed);
-        let session = HeSession::new(&ctx, &mut rng);
-        let HeSession {
+        let session = Session::<BfvScheme>::new(&ctx, &[], &mut rng);
+        let Session {
             keygen,
             encryptor,
             decryptor,
-            encoder,
-            evaluator: ev,
+            runner,
         } = &session;
+        let (encoder, ev) = (runner.encoder(), runner.evaluator());
         let rk = keygen.relin_key(&mut rng);
         let gk = keygen.galois_keys_for_rotations(&[2], true, &mut rng);
 
@@ -189,18 +191,18 @@ proptest! {
 #[test]
 fn hoisted_rotation_matches_sequential() {
     use rand::Rng;
-    use test_support::{seeded_rng, small_ctx, HeSession};
+    use test_support::{seeded_rng, small_ctx};
 
     let ctx = small_ctx();
     let mut rng = seeded_rng(0xB0157);
-    let session = HeSession::new(&ctx, &mut rng);
-    let HeSession {
+    let session = Session::<BfvScheme>::new(&ctx, &[], &mut rng);
+    let Session {
         keygen,
         encryptor,
         decryptor,
-        encoder,
-        evaluator: ev,
+        runner,
     } = &session;
+    let (encoder, ev) = (runner.encoder(), runner.evaluator());
     let gk = keygen.galois_keys_for_rotations(&[1, 2, 3], false, &mut rng);
     let t = ctx.params().plain_modulus;
     let va: Vec<u64> = (0..encoder.slot_count())
@@ -231,18 +233,18 @@ fn hoisted_rotation_matches_sequential() {
 #[test]
 fn random_homomorphic_circuits_agree_with_plaintext() {
     use rand::Rng;
-    use test_support::{seeded_rng, small_ctx, HeSession};
+    use test_support::{seeded_rng, small_ctx};
 
     let ctx = small_ctx();
     let mut rng = seeded_rng(0x5EED);
-    let session = HeSession::new(&ctx, &mut rng);
-    let HeSession {
+    let session = Session::<BfvScheme>::new(&ctx, &[], &mut rng);
+    let Session {
         keygen,
         encryptor,
         decryptor,
-        encoder,
-        evaluator: ev,
+        runner,
     } = &session;
+    let (encoder, ev) = (runner.encoder(), runner.evaluator());
     let rk = keygen.relin_key(&mut rng);
     let gk = keygen.galois_keys_for_rotations(&[1, 3], false, &mut rng);
 

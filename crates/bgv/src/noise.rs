@@ -8,7 +8,7 @@
 //! `⌊log2(1/(2ε))⌋` in bits — the same contract as the BFV model's, so the
 //! two are directly comparable and the scheme-generic synthesizer can walk
 //! either. Everything here works in the log domain: noise values are
-//! `log2 ε` (more negative = quieter), and [`NoiseModel::budget`] converts
+//! `log2 ε` (more negative = quieter), and [`NoiseSemantics::budget`] converts
 //! back to bits of budget.
 //!
 //! # Soundness contract
@@ -49,7 +49,6 @@
 
 use crate::params::BgvParams;
 use quill::analysis::NoiseSemantics;
-use quill::program::Program;
 use rlwe_ring::noise::{lse, LogSizes};
 
 pub use quill::analysis::NoiseReport;
@@ -85,31 +84,6 @@ impl NoiseModel {
     pub fn for_params(params: &BgvParams) -> Self {
         NoiseModel {
             sizes: LogSizes::of(params),
-        }
-    }
-
-    /// Remaining noise budget, in bits, for a (log-domain) noise level
-    /// (see [`LogSizes::budget`]).
-    pub fn budget(&self, noise_bits: f64) -> f64 {
-        LogSizes::budget(noise_bits)
-    }
-
-    /// Predicted budget of a fresh encryption.
-    pub fn fresh_budget(&self) -> f64 {
-        self.budget(self.fresh())
-    }
-
-    /// Analyzes a lowered program: walks it with the model and reports the
-    /// worst-case output noise, the predicted remaining budget, and the
-    /// consumed budget relative to a fresh encryption.
-    pub fn analyze(&self, prog: &Program) -> NoiseReport {
-        let output_noise_bits = quill::analysis::output_noise(prog, self);
-        let predicted_budget_bits = self.budget(output_noise_bits);
-        NoiseReport {
-            output_noise_bits,
-            predicted_budget_bits,
-            fresh_budget_bits: self.fresh_budget(),
-            consumed_bits: self.fresh_budget() - predicted_budget_bits,
         }
     }
 }
@@ -148,6 +122,10 @@ impl NoiseSemantics for NoiseModel {
 
     fn relin_ct(&self, a: f64) -> f64 {
         lse(a, self.sizes.key_switch_bits())
+    }
+
+    fn budget(&self, noise_bits: f64) -> f64 {
+        LogSizes::budget(noise_bits)
     }
 }
 

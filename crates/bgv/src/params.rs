@@ -29,6 +29,7 @@ use crate::noise::{NoiseModel, NoiseReport};
 use crate::ntt::NttTables;
 use crate::poly::{RingContext, RnsPoly};
 use crate::zq;
+use quill::analysis::NoiseSemantics;
 use quill::program::Program;
 use rlwe_ring::params::{Candidate, SelectionTable};
 use rlwe_ring::scheme::SchemePolicy;

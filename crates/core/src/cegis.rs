@@ -79,15 +79,21 @@ pub fn clear_synthesis_memo() {
     }
 }
 
-/// The default worker-thread count for the enumerative search: the
-/// `PORCUPINE_JOBS` environment variable when set to a positive integer,
-/// otherwise [`std::thread::available_parallelism`], otherwise 1.
-pub fn default_parallelism() -> NonZeroUsize {
-    std::env::var("PORCUPINE_JOBS")
-        .ok()
-        .and_then(|v| v.trim().parse::<NonZeroUsize>().ok())
+/// The worker-thread count for the enumerative search the `PORCUPINE_JOBS`
+/// environment variable selects (when unset,
+/// [`std::thread::available_parallelism`], otherwise 1), or an error naming
+/// the variable unless it is a positive integer.
+pub fn parallelism_from_env() -> Result<NonZeroUsize, String> {
+    let jobs = crate::env_var("PORCUPINE_JOBS", "a positive integer", |v| v.parse().ok())?;
+    Ok(jobs
         .or_else(|| std::thread::available_parallelism().ok())
-        .unwrap_or(NonZeroUsize::MIN)
+        .unwrap_or(NonZeroUsize::MIN))
+}
+
+/// [`parallelism_from_env`], panicking on a malformed `PORCUPINE_JOBS` so a
+/// typo'd CI leg fails instead of silently searching on every core.
+pub fn default_parallelism() -> NonZeroUsize {
+    parallelism_from_env().unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Which enumerator answers the phase-1 synthesis queries.
@@ -118,17 +124,22 @@ impl fmt::Display for SearchStrategy {
     }
 }
 
-/// The default search strategy: `PORCUPINE_STRATEGY` (`bottom-up` or
-/// `dfs`) when set to a recognized value, otherwise bottom-up.
+/// The search strategy the `PORCUPINE_STRATEGY` environment variable
+/// selects (`bottom-up` or `dfs`), bottom-up when unset, or an error naming
+/// the variable for any other value.
+pub fn strategy_from_env() -> Result<SearchStrategy, String> {
+    let strategy = crate::env_var("PORCUPINE_STRATEGY", "'bottom-up' or 'dfs'", |v| match v {
+        "bottom-up" => Some(SearchStrategy::BottomUp),
+        "dfs" => Some(SearchStrategy::Dfs),
+        _ => None,
+    })?;
+    Ok(strategy.unwrap_or(SearchStrategy::BottomUp))
+}
+
+/// [`strategy_from_env`], panicking on a malformed `PORCUPINE_STRATEGY` so
+/// a typo'd CI leg fails instead of silently running bottom-up.
 pub fn default_strategy() -> SearchStrategy {
-    match std::env::var("PORCUPINE_STRATEGY")
-        .ok()
-        .as_deref()
-        .map(str::trim)
-    {
-        Some("dfs") => SearchStrategy::Dfs,
-        _ => SearchStrategy::BottomUp,
-    }
+    strategy_from_env().unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Where (and whether) finished synthesis queries are cached on disk.

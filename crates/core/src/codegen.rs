@@ -21,6 +21,10 @@
 //! lifted kernel passes the padding-stability check ([`crate::lift`]): data
 //! lives in row-0 slots `[0, n)` and all other slots are zero.
 //!
+//! The paper's client/server sequence — generate keys, encrypt the packed
+//! inputs, run the kernel, decrypt and decode — is one [`Session`];
+//! [`run_encrypted`] runs it on the backend a runtime [`SchemeId`] names.
+//!
 //! One execution engine runs every program: each call builds a `Plan` of
 //! tasks (the instructions plus one hoist task per rotation fan), which
 //! workers drain through one instruction dispatch. It adds three
@@ -30,8 +34,6 @@
 //!   [`quill::analysis::rotation_fans`] share one digit decomposition
 //!   ([`Scheme::hoist`], the fan's hoist task) and pay only the
 //!   per-Galois-element accumulate ([`Scheme::rotate_hoisted`]) each.
-//!   Backends without a hoisted path fall back to plain rotation per
-//!   member.
 //! - **In place at last use**: an operand whose remaining use count is 1
 //!   is moved out and mutated, or recycled into the worker's scratch pool,
 //!   instead of cloned.
@@ -47,7 +49,9 @@
 use crate::scheme::{BfvScheme, BgvScheme, Scheme};
 use quill::analysis::{rotation_fans, RotationFan};
 use quill::program::{Instr, Program, PtOperand, ValRef};
+use quill::scheme::SchemeId;
 use rand::Rng;
+use rlwe_ring::params::{ParamError, RlweParams};
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -55,16 +59,6 @@ use std::fmt::Write as _;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, RwLock};
-
-/// Execution statistics from [`Runner::run_with_stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunStats {
-    /// Splat constants encoded during this call — cache misses against the
-    /// runner's session-level splat cache. A program referencing one
-    /// constant `k` times on a fresh runner reports 1; running it again
-    /// reports 0.
-    pub splat_encodes: usize,
-}
 
 /// Executes Quill programs on a scheme backend with the keys they need.
 ///
@@ -85,20 +79,20 @@ pub struct Runner<'a, S: Scheme = BfvScheme> {
     eval_jobs: Option<NonZeroUsize>,
 }
 
-/// Worker count for [`Runner`] execution, from `PORCUPINE_EVAL_JOBS`
-/// (default 1 — the caller's thread alone).
-///
-/// # Panics
-///
-/// Panics if the variable is set but not a positive integer, so a typo'd
-/// CI matrix leg fails loudly instead of silently running on one worker.
+/// Worker count for [`Runner`] execution the `PORCUPINE_EVAL_JOBS`
+/// environment variable selects, 1 (the caller's thread alone) when unset,
+/// or an error naming the variable unless it is a positive integer.
+pub fn eval_jobs_from_env() -> Result<NonZeroUsize, String> {
+    let jobs = crate::env_var("PORCUPINE_EVAL_JOBS", "a positive integer", |v| {
+        v.parse().ok()
+    })?;
+    Ok(jobs.unwrap_or(NonZeroUsize::MIN))
+}
+
+/// [`eval_jobs_from_env`], panicking on a malformed `PORCUPINE_EVAL_JOBS`
+/// so a typo'd CI matrix leg fails instead of running on one worker.
 pub fn default_eval_jobs() -> NonZeroUsize {
-    match std::env::var("PORCUPINE_EVAL_JOBS") {
-        Ok(s) => s.trim().parse().unwrap_or_else(|_| {
-            panic!("PORCUPINE_EVAL_JOBS must be a positive integer, got {s:?}")
-        }),
-        Err(_) => NonZeroUsize::MIN,
-    }
+    eval_jobs_from_env().unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The [`Runner`] over the BFV backend.
@@ -181,7 +175,8 @@ impl<'a, S: Scheme> Runner<'a, S> {
 
     /// Runs a scheme-legal program over encrypted inputs, executing the
     /// IR 1:1 — size-3 intermediates stay size 3 until a `relin-ct` says
-    /// otherwise.
+    /// otherwise. Encodes each plaintext input once (per call) and
+    /// delegates to [`Runner::run_encoded`].
     ///
     /// # Panics
     ///
@@ -195,33 +190,12 @@ impl<'a, S: Scheme> Runner<'a, S> {
         ct_inputs: &[&S::Ciphertext],
         pt_inputs: &[&S::Plaintext],
     ) -> S::Ciphertext {
-        self.run_with_stats(prog, ct_inputs, pt_inputs).0
-    }
-
-    /// [`Runner::run`] plus [`RunStats`]. Encodes each plaintext input
-    /// once (per call) and delegates to [`Runner::run_encoded_with_stats`].
-    pub fn run_with_stats(
-        &self,
-        prog: &Program,
-        ct_inputs: &[&S::Ciphertext],
-        pt_inputs: &[&S::Plaintext],
-    ) -> (S::Ciphertext, RunStats) {
         let pts: Vec<S::EvalPlaintext> = pt_inputs
             .iter()
             .map(|p| S::preencode(&self.evaluator, p))
             .collect();
         let pt_refs: Vec<&S::EvalPlaintext> = pts.iter().collect();
-        self.run_encoded_with_stats(prog, ct_inputs, &pt_refs)
-    }
-
-    /// [`Runner::run_encoded_with_stats`] without the stats.
-    pub fn run_encoded(
-        &self,
-        prog: &Program,
-        ct_inputs: &[&S::Ciphertext],
-        pt_inputs: &[&S::EvalPlaintext],
-    ) -> S::Ciphertext {
-        self.run_encoded_with_stats(prog, ct_inputs, pt_inputs).0
+        self.run_encoded(prog, ct_inputs, &pt_refs)
     }
 
     /// Runs a scheme-legal program over encrypted inputs and pre-encoded
@@ -234,12 +208,12 @@ impl<'a, S: Scheme> Runner<'a, S> {
     /// at its last use is mutated in place — or recycled into the worker's
     /// scratch pool — instead of allocating, and same-source rotation fans
     /// execute hoisted (one shared decomposition per fan).
-    pub fn run_encoded_with_stats(
+    pub fn run_encoded(
         &self,
         prog: &Program,
         ct_inputs: &[&S::Ciphertext],
         pt_inputs: &[&S::EvalPlaintext],
-    ) -> (S::Ciphertext, RunStats) {
+    ) -> S::Ciphertext {
         assert_eq!(ct_inputs.len(), prog.num_ct_inputs, "ct input arity");
         assert_eq!(pt_inputs.len(), prog.num_pt_inputs, "pt input arity");
         if let Err(e) = quill::analysis::check_backend_legal_with(prog, &S::ID.legality()) {
@@ -253,7 +227,6 @@ impl<'a, S: Scheme> Runner<'a, S> {
         // evicted, so the shared borrow below stays valid for the whole
         // program.
         let t = S::params(self.ctx).plain_modulus as i64;
-        let mut splat_encodes = 0usize;
         {
             let mut cache = self.splats.borrow_mut();
             for instr in &prog.instrs {
@@ -262,14 +235,12 @@ impl<'a, S: Scheme> Runner<'a, S> {
                 | Instr::MulCtPt(_, PtOperand::Splat(v)) = instr
                 {
                     cache.entry(*v).or_insert_with(|| {
-                        splat_encodes += 1;
                         let val = v.rem_euclid(t) as u64;
                         S::encode_eval(&self.encoder, &vec![val; S::slot_count(&self.encoder)])
                     });
                 }
             }
         }
-        let stats = RunStats { splat_encodes };
         // Keep the cell borrow on this frame and hand workers the plain
         // map reference (`Ref` itself is not `Sync`).
         let splats_guard = self.splats.borrow();
@@ -295,8 +266,10 @@ impl<'a, S: Scheme> Runner<'a, S> {
                 let j = match plan.tasks[t] {
                     Task::Instr(j) => j,
                     Task::Hoist(f) => {
-                        let h = values.read(plan.fans[f].source, ev, |c| S::hoist(ev, c));
-                        *fans[f].0.write().expect(POISONED) = h;
+                        let h = values.read(plan.fans[f].source, ev, |c| {
+                            S::hoist(ev, c).expect("every shipped backend hoists")
+                        });
+                        *fans[f].0.write().expect(POISONED) = Some(h);
                         queue.complete(t, &plan.dependents);
                         continue;
                     }
@@ -328,28 +301,25 @@ impl<'a, S: Scheme> Runner<'a, S> {
                     Instr::MulCtPt(a, p) => {
                         values.update(*a, ev, |x| S::mul_plain_assign(ev, x, pt(p)))
                     }
-                    Instr::RotCt(a, steps) => {
+                    Instr::RotCt(a, steps) => match plan.fan_of[j] {
                         // A fan member rotates through its hoist task's
-                        // decomposition; an empty slot there means the
-                        // backend has no hoisted path.
-                        let fan = plan.fan_of[j];
-                        let out = fan.and_then(|f| {
-                            let slot = fans[f].0.read().expect(POISONED);
-                            slot.as_ref().map(|h| {
+                        // decomposition; the fan's last member recycles it.
+                        Some(f) => {
+                            let out = {
+                                let slot = fans[f].0.read().expect(POISONED);
+                                let h = slot.as_ref().expect("hoist task ran");
                                 values.read(*a, ev, |c| S::rotate_hoisted(ev, c, h, *steps, galois))
-                            })
-                        });
-                        // The fan's last member recycles the decomposition.
-                        let last = fan.filter(|&f| fans[f].1.fetch_sub(1, Ordering::AcqRel) == 1);
-                        if let Some(h) =
-                            last.and_then(|f| fans[f].0.write().expect(POISONED).take())
-                        {
-                            S::recycle_hoisted(ev, h);
+                            };
+                            if fans[f].1.fetch_sub(1, Ordering::AcqRel) == 1 {
+                                let h = fans[f].0.write().expect(POISONED).take();
+                                S::recycle_hoisted(ev, h.expect("hoist task ran"));
+                            }
+                            out
                         }
-                        out.unwrap_or_else(|| {
+                        None => {
                             values.update(*a, ev, |x| S::rotate_rows_assign(ev, x, *steps, galois))
-                        })
-                    }
+                        }
+                    },
                 };
                 values.set(j, out);
                 queue.complete(t, &plan.dependents);
@@ -367,9 +337,154 @@ impl<'a, S: Scheme> Runner<'a, S> {
             }
         });
         // The output is live through its pinned use.
-        let out = values.take(prog.output).expect("output live");
-        (out.into_owned(), stats)
+        values.take(prog.output).expect("output live").into_owned()
     }
+}
+
+/// One client/server session (§5.3): a key generator, the public-key
+/// encryptor and secret-key decryptor under it, and a [`Runner`] prepared
+/// for a set of programs — everything needed to go from model slot vectors
+/// to decrypted results.
+///
+/// [`Session::new`] draws from the rng in a fixed order — secret key,
+/// public key, then the runner's Galois and relinearization keys — so one
+/// seed always yields the same keys, ciphertexts and noise budgets.
+/// Callers that time pre-encoded runs or build extra runners use the
+/// public fields directly.
+pub struct Session<'a, S: Scheme = BfvScheme> {
+    /// The key generator, for keys beyond the runner's.
+    pub keygen: S::KeyGenerator<'a>,
+    /// Encrypts under the session's public key.
+    pub encryptor: S::Encryptor<'a>,
+    /// Decrypts under the session's secret key.
+    pub decryptor: S::Decryptor<'a>,
+    /// The runner, holding the keys the session's programs need.
+    pub runner: Runner<'a, S>,
+}
+
+impl<'a, S: Scheme> Session<'a, S> {
+    /// Generates the session's keys and a [`Runner`] for `programs` (see
+    /// [`Runner::for_programs`]).
+    pub fn new<R: Rng + ?Sized>(ctx: &'a S::Context, programs: &[&Program], rng: &mut R) -> Self {
+        let keygen = S::keygen(ctx, rng);
+        let encryptor = S::encryptor(ctx, &keygen, rng);
+        let decryptor = S::decryptor(ctx, &keygen);
+        let runner = Runner::for_programs(ctx, &keygen, programs, rng);
+        Session {
+            keygen,
+            encryptor,
+            decryptor,
+            runner,
+        }
+    }
+
+    /// Encodes slot values and encrypts them.
+    pub fn encrypt<R: Rng + ?Sized>(&self, slots: &[u64], rng: &mut R) -> S::Ciphertext {
+        let pt = S::encode(self.runner.encoder(), slots);
+        S::encrypt(&self.encryptor, &pt, rng)
+    }
+
+    /// Decrypts and decodes a ciphertext, returning its slots and the
+    /// measured remaining noise budget in bits.
+    pub fn decrypt(&self, ct: &S::Ciphertext) -> (Vec<u64>, i64) {
+        let slots = S::decode(self.runner.encoder(), &S::decrypt(&self.decryptor, ct));
+        (slots, S::noise_budget(&self.decryptor, ct))
+    }
+
+    /// Encrypts `ct_model` (in order), encodes `pt_model`, runs `prog` and
+    /// decrypts the result: the decoded slots and the measured remaining
+    /// noise budget.
+    ///
+    /// # Panics
+    ///
+    /// As [`Runner::run`].
+    pub fn run<R: Rng + ?Sized>(
+        &self,
+        prog: &Program,
+        ct_model: &[Vec<u64>],
+        pt_model: &[Vec<u64>],
+        rng: &mut R,
+    ) -> (Vec<u64>, i64) {
+        let cts: Vec<S::Ciphertext> = ct_model.iter().map(|v| self.encrypt(v, rng)).collect();
+        let encoder = self.runner.encoder();
+        let pts: Vec<S::Plaintext> = pt_model.iter().map(|v| S::encode(encoder, v)).collect();
+        let out = self.runner.run(
+            prog,
+            &cts.iter().collect::<Vec<_>>(),
+            &pts.iter().collect::<Vec<_>>(),
+        );
+        self.decrypt(&out)
+    }
+}
+
+/// A computation generic over the scheme backend, for callers holding a
+/// runtime [`SchemeId`]: [`with_scheme`] runs it on the backend the id
+/// names.
+pub trait SchemeTask {
+    /// What the computation returns.
+    type Output;
+    /// Runs the computation on backend `S`.
+    fn run<S: Scheme>(self) -> Self::Output;
+}
+
+/// Runs `task` on the backend `scheme` names: the one place a runtime
+/// [`SchemeId`] becomes a backend type for encrypted execution.
+pub fn with_scheme<T: SchemeTask>(scheme: SchemeId, task: T) -> T::Output {
+    match scheme {
+        SchemeId::Bfv => task.run::<BfvScheme>(),
+        SchemeId::Bgv => task.run::<BgvScheme>(),
+    }
+}
+
+/// [`Session::run`] on the backend `scheme` names, under `params`: builds
+/// the context and a session for `prog`, then encrypts, runs and decrypts.
+/// `eval_jobs` sets the runner's worker count ([`Runner::with_eval_jobs`]);
+/// `None` leaves it to [`default_eval_jobs`].
+///
+/// # Errors
+///
+/// Returns the backend's [`ParamError`] for unusable parameters.
+///
+/// # Panics
+///
+/// As [`Runner::run`].
+pub fn run_encrypted<R: Rng + ?Sized>(
+    scheme: SchemeId,
+    params: RlweParams,
+    prog: &Program,
+    ct_model: &[Vec<u64>],
+    pt_model: &[Vec<u64>],
+    eval_jobs: Option<NonZeroUsize>,
+    rng: &mut R,
+) -> Result<(Vec<u64>, i64), ParamError> {
+    struct Encrypted<'r, R: ?Sized> {
+        params: RlweParams,
+        prog: &'r Program,
+        ct_model: &'r [Vec<u64>],
+        pt_model: &'r [Vec<u64>],
+        eval_jobs: Option<NonZeroUsize>,
+        rng: &'r mut R,
+    }
+    impl<R: Rng + ?Sized> SchemeTask for Encrypted<'_, R> {
+        type Output = Result<(Vec<u64>, i64), ParamError>;
+        fn run<S: Scheme>(self) -> Self::Output {
+            let ctx = S::context(self.params)?;
+            let mut session = Session::<S>::new(&ctx, &[self.prog], self.rng);
+            if let Some(jobs) = self.eval_jobs {
+                session.runner = session.runner.with_eval_jobs(jobs.get());
+            }
+            Ok(session.run(self.prog, self.ct_model, self.pt_model, self.rng))
+        }
+    }
+    let task = Encrypted {
+        params,
+        prog,
+        ct_model,
+        pt_model,
+        eval_jobs,
+        rng,
+    };
+    with_scheme(scheme, task)
 }
 
 const POISONED: &str = "lock poisoned by a panicked worker";
@@ -852,18 +967,13 @@ mod tests {
         fn run<S: Scheme>(prog: &Program, seed: u64) -> Vec<u64> {
             let ctx = S::context(rlwe_ring::params::RlweParams::test_small()).unwrap();
             let mut rng = seeded_rng(seed);
-            let kg = S::keygen(&ctx, &mut rng);
-            let runner: Runner<'_, S> = Runner::for_programs(&ctx, &kg, &[prog], &mut rng);
-            let enc = S::encryptor(&ctx, &kg, &mut rng);
-            let dec = S::decryptor(&ctx, &kg);
-            let n = S::slot_count(runner.encoder());
+            let session = Session::<S>::new(&ctx, &[prog], &mut rng);
+            let n = S::slot_count(session.runner.encoder());
             let a: Vec<u64> = (0..n as u64).map(|i| i % 31).collect();
             let b: Vec<u64> = (0..n as u64).map(|i| (7 * i + 2) % 29).collect();
-            let ca = S::encrypt(&enc, &S::encode(runner.encoder(), &a), &mut rng);
-            let cb = S::encrypt(&enc, &S::encode(runner.encoder(), &b), &mut rng);
-            let out = runner.run(prog, &[&ca, &cb], &[]);
-            assert!(S::noise_budget(&dec, &out) > 0, "{} budget", S::ID);
-            S::decode(runner.encoder(), &S::decrypt(&dec, &out))
+            let (slots, budget) = session.run(prog, &[a, b], &[], &mut rng);
+            assert!(budget > 0, "{} budget", S::ID);
+            slots
         }
 
         let bfv_out = run::<BfvScheme>(&prog, 0x0DDB);
@@ -876,8 +986,6 @@ mod tests {
     /// second run, thanks to the session-level cache.
     #[test]
     fn runner_encodes_each_splat_constant_once() {
-        use bfv::keys::KeyGenerator;
-
         let prog = Program::new(
             "splat-reuse",
             1,
@@ -892,17 +1000,15 @@ mod tests {
         );
         let ctx = small_ctx();
         let mut rng = seeded_rng(0x59A7);
-        let keygen = KeyGenerator::new(&ctx, &mut rng);
-        let runner = BfvRunner::for_programs(&ctx, &keygen, &[&prog], &mut rng);
-        let encryptor = bfv::encrypt::Encryptor::new(&ctx, keygen.public_key(&mut rng));
-        let ct = encryptor.encrypt(&runner.encoder().encode(&[1, 2, 3, 4]), &mut rng);
-        let (_, stats) = runner.run_with_stats(&prog, &[&ct], &[]);
-        assert_eq!(
-            stats.splat_encodes, 2,
-            "two distinct constants, one encode each"
-        );
-        let (_, stats) = runner.run_with_stats(&prog, &[&ct], &[]);
-        assert_eq!(stats.splat_encodes, 0, "second run hits the session cache");
+        let session = Session::<BfvScheme>::new(&ctx, &[&prog], &mut rng);
+        let ct = session.encrypt(&[1, 2, 3, 4], &mut rng);
+        let runner = &session.runner;
+        let cached = || runner.splats.borrow().keys().copied().collect::<Vec<i64>>();
+        assert!(cached().is_empty(), "a fresh runner has encoded nothing");
+        runner.run(&prog, &[&ct], &[]);
+        assert_eq!(cached(), [3, 7], "two distinct constants, one encode each");
+        runner.run(&prog, &[&ct], &[]);
+        assert_eq!(cached(), [3, 7], "second run hits the session cache");
     }
 
     /// A same-source rotation fan goes down the hoisted path; the
@@ -933,8 +1039,6 @@ mod tests {
     /// kind plus a hoisted rotation fan.
     #[test]
     fn parallel_runner_is_bit_identical_to_sequential() {
-        use bfv::keys::KeyGenerator;
-
         let prog = Program::new(
             "par-mix",
             2,
@@ -954,19 +1058,18 @@ mod tests {
         );
         let ctx = small_ctx();
         let mut rng = seeded_rng(0xDA61);
-        let keygen = KeyGenerator::new(&ctx, &mut rng);
-        let encryptor = bfv::encrypt::Encryptor::new(&ctx, keygen.public_key(&mut rng));
-        let decryptor = bfv::encrypt::Decryptor::new(&ctx, keygen.secret_key().clone());
+        let session = Session::<BfvScheme>::new(&ctx, &[], &mut rng);
+        let decryptor = &session.decryptor;
         let make = |jobs| {
-            BfvRunner::for_programs(&ctx, &keygen, &[&prog], &mut seeded_rng(0))
+            BfvRunner::for_programs(&ctx, &session.keygen, &[&prog], &mut seeded_rng(0))
                 .with_eval_jobs(jobs)
         };
         let runner1 = make(1);
         let n = runner1.encoder().slot_count();
         let a: Vec<u64> = (0..n as u64).map(|i| (3 * i + 1) % 17).collect();
         let b: Vec<u64> = (0..n as u64).map(|i| (5 * i + 4) % 13).collect();
-        let ca = encryptor.encrypt(&runner1.encoder().encode(&a), &mut rng);
-        let cb = encryptor.encrypt(&runner1.encoder().encode(&b), &mut rng);
+        let ca = session.encrypt(&a, &mut rng);
+        let cb = session.encrypt(&b, &mut rng);
         let baseline = decryptor.decrypt(&runner1.run(&prog, &[&ca, &cb], &[]));
         for jobs in [2usize, 4] {
             let runner = make(jobs);
@@ -1100,7 +1203,6 @@ mod tests {
     /// instead of the run deadlocking.
     #[test]
     fn worker_panic_propagates_without_deadlock() {
-        use bfv::keys::KeyGenerator;
         use std::panic::{catch_unwind, AssertUnwindSafe};
         use std::time::Duration;
 
@@ -1129,13 +1231,11 @@ mod tests {
                 );
                 let ctx = small_ctx();
                 let mut rng = seeded_rng(0x9A1C);
-                let keygen = KeyGenerator::new(&ctx, &mut rng);
-                let runner =
-                    BfvRunner::for_programs(&ctx, &keygen, &[&adds], &mut rng).with_eval_jobs(jobs);
-                let encryptor = bfv::encrypt::Encryptor::new(&ctx, keygen.public_key(&mut rng));
-                let ct = encryptor.encrypt(&runner.encoder().encode(&[1, 2, 3]), &mut rng);
+                let mut session = Session::<BfvScheme>::new(&ctx, &[&adds], &mut rng);
+                session.runner = session.runner.with_eval_jobs(jobs);
+                let ct = session.encrypt(&[1, 2, 3], &mut rng);
                 let payload = catch_unwind(AssertUnwindSafe(|| {
-                    runner.run(&squares, &[&ct, &ct], &[]);
+                    session.runner.run(&squares, &[&ct, &ct], &[]);
                 }))
                 .expect_err("relin-ct ran without a relin key");
                 let message = payload
@@ -1152,6 +1252,78 @@ mod tests {
                 "eval_jobs={jobs}: unexpected panic {message:?}"
             );
         }
+    }
+
+    /// The value-level path decodes to the interpreter's slots on every
+    /// scheme, with budget to spare.
+    #[test]
+    fn run_encrypted_matches_the_interpreter_on_every_scheme() {
+        let prog = Program::new(
+            "mul-rot",
+            2,
+            1,
+            vec![
+                Instr::MulCtCt(ValRef::Input(0), ValRef::Input(1)),
+                Instr::Relin(ValRef::Instr(0)),
+                Instr::RotCt(ValRef::Instr(1), 1),
+                Instr::MulCtPt(ValRef::Instr(2), PtOperand::Input(0)),
+                Instr::AddCtPt(ValRef::Instr(3), PtOperand::Splat(-4)),
+            ],
+            ValRef::Instr(4),
+        );
+        let params = rlwe_ring::params::RlweParams::test_small();
+        let t = params.plain_modulus;
+        let mut rng = seeded_rng(0x5E55);
+        let model = test_support::sample_model_inputs(3, 8, 64, &mut rng);
+        let (ct_model, pt_model) = model.split_at(2);
+        let expected = quill::interp::eval_concrete(&prog, ct_model, pt_model, t);
+        for &scheme in SchemeId::ALL {
+            let (slots, budget) = run_encrypted(
+                scheme,
+                params.clone(),
+                &prog,
+                ct_model,
+                pt_model,
+                None,
+                &mut seeded_rng(7),
+            )
+            .expect("test parameters are valid");
+            assert!(budget > 0, "{scheme}: budget exhausted ({budget})");
+            // Slot 7 reads the zero padding past the 8-slot model.
+            assert_eq!(slots[..7], expected[..7], "{scheme}");
+        }
+    }
+
+    #[test]
+    fn run_encrypted_rejects_unusable_parameters() {
+        let params = rlwe_ring::params::RlweParams {
+            poly_degree: 1000,
+            ..rlwe_ring::params::RlweParams::test_small()
+        };
+        let echo = Program::new("echo", 1, 0, vec![], ValRef::Input(0));
+        for &scheme in SchemeId::ALL {
+            let result = run_encrypted(
+                scheme,
+                params.clone(),
+                &echo,
+                &[vec![1]],
+                &[],
+                None,
+                &mut seeded_rng(0),
+            );
+            assert!(result.is_err(), "{scheme}: N = 1000 accepted");
+        }
+    }
+
+    #[test]
+    fn session_without_programs_roundtrips_a_plaintext() {
+        let ctx = small_ctx();
+        let mut rng = seeded_rng(17);
+        let session = Session::<BfvScheme>::new(&ctx, &[], &mut rng);
+        let v: Vec<u64> = (0..session.runner.encoder().slot_count() as u64).collect();
+        let (slots, budget) = session.decrypt(&session.encrypt(&v, &mut rng));
+        assert_eq!(slots, v);
+        assert!(budget > 0);
     }
 
     #[test]

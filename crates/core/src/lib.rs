@@ -91,6 +91,22 @@ pub use cegis::{
     SearchStrategy, SynthesisError, SynthesisOptions, SynthesisResult,
 };
 pub use opt::{default_opt_level, optimize, optimize_with, OptLevel, OptReport, Pass, PassManager};
+
+/// Environment variable `name` parsed by `parse`: `Ok(None)` when unset or
+/// blank, else an error naming the variable, what it accepts and the value
+/// found when `parse` rejects it. The base of every `*_from_env` reader.
+pub(crate) fn env_var<T>(
+    name: &str,
+    expected: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match std::env::var(name) {
+        Ok(v) if !v.trim().is_empty() => parse(v.trim())
+            .map(Some)
+            .ok_or_else(|| format!("{name} must be {expected}, got '{v}'")),
+        _ => Ok(None),
+    }
+}
 pub use scheme::{default_scheme, scheme_from_env, BfvScheme, BgvScheme, Scheme};
 pub use search::search_invocations;
 pub use sketch::{ArithOp, RotationSet, Sketch, SketchMode, SketchOp};

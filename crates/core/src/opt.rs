@@ -79,14 +79,18 @@ impl std::str::FromStr for OptLevel {
     }
 }
 
-/// The default optimization level: the `PORCUPINE_OPT` environment variable
-/// (`0`/`1`/`2`, as the CI matrix sets it) when present and valid,
-/// otherwise `-O2`.
+/// The optimization level the `PORCUPINE_OPT` environment variable selects
+/// (`0`/`1`/`2`, as the CI matrix sets it), `-O2` when unset, or an error
+/// naming the variable for any other value.
+pub fn opt_level_from_env() -> Result<OptLevel, String> {
+    let level = crate::env_var("PORCUPINE_OPT", "0, 1 or 2", |v| v.parse().ok())?;
+    Ok(level.unwrap_or(OptLevel::O2))
+}
+
+/// [`opt_level_from_env`], panicking on a malformed `PORCUPINE_OPT` so a
+/// typo'd CI leg fails instead of silently running `-O2`.
 pub fn default_opt_level() -> OptLevel {
-    std::env::var("PORCUPINE_OPT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(OptLevel::O2)
+    opt_level_from_env().unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// One rewrite pass over a Quill program.

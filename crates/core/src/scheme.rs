@@ -33,7 +33,7 @@
 //! [`default_scheme`]) are the value-level mirror for call sites that hold
 //! a runtime [`SchemeId`] rather than a type parameter.
 
-use quill::analysis::NoiseReport;
+use quill::analysis::{NoiseReport, NoiseSemantics};
 use quill::program::Program;
 use quill::scheme::SchemeId;
 use rand::Rng;
@@ -191,9 +191,8 @@ pub trait Scheme: 'static {
 
     /// Prepares a reusable key-switch decomposition of `ct` so that a fan
     /// of rotations on it can share the digit-decomposition NTTs
-    /// ("hoisting"), or `None` when the backend does not support it — the
-    /// runner then falls back to plain [`Scheme::rotate_rows_assign`] per
-    /// member. Every backend on the shared RLWE core hoists.
+    /// ("hoisting"). Every backend on the shared RLWE core hoists, and the
+    /// runner requires it: `None` is never returned.
     fn hoist(ev: &Self::Evaluator<'_>, ct: &Self::Ciphertext) -> Option<Self::Hoisted>;
     /// Rotates `ct` by `steps` through a decomposition obtained from
     /// [`Scheme::hoist`] **on the same ciphertext**. Decrypts identically
@@ -486,16 +485,9 @@ pub fn analyze_noise(scheme: SchemeId, params: &RlweParams, prog: &Program) -> N
 /// Returns a human-readable message for unrecognized values — the CLI
 /// surfaces it as a proper error instead of a panic.
 pub fn scheme_from_env() -> Result<SchemeId, String> {
-    match std::env::var("PORCUPINE_SCHEME") {
-        Err(_) => Ok(SchemeId::default()),
-        Ok(v) if v.trim().is_empty() => Ok(SchemeId::default()),
-        Ok(v) => SchemeId::parse(&v).ok_or_else(|| {
-            format!(
-                "PORCUPINE_SCHEME must be one of {:?}, got '{v}'",
-                SchemeId::ALL.iter().map(|s| s.name()).collect::<Vec<_>>()
-            )
-        }),
-    }
+    let names: Vec<&str> = SchemeId::ALL.iter().map(|s| s.name()).collect();
+    let expected = format!("one of {names:?}");
+    Ok(crate::env_var("PORCUPINE_SCHEME", &expected, SchemeId::parse)?.unwrap_or_default())
 }
 
 /// The default scheme for [`crate::cegis::SynthesisOptions`]:

@@ -3,13 +3,14 @@
 //! — exactly (interpreter slots) and on the encrypted backend (decryption
 //! bit-identical between the `-O0` and `-O2` lowerings).
 
-use porcupine::codegen::BfvRunner;
+use porcupine::codegen::Session;
 use porcupine::opt::{optimize, Cse, Dce, EagerRelin, LazyRelin, OptLevel, Pass, RotFold};
+use porcupine::scheme::BfvScheme;
 use proptest::prelude::*;
 use quill::analysis;
 use quill::interp;
 use quill::program::Program;
-use test_support::{arb_program, seeded_rng, small_ctx, HeSession, T};
+use test_support::{arb_program, seeded_rng, small_ctx, T};
 
 const N: usize = 8;
 
@@ -104,24 +105,18 @@ proptest! {
         prop_assume!(prog.mult_depth() <= 3);
         let ctx = small_ctx();
         let mut rng = seeded_rng(case_seed);
-        let session = HeSession::new(&ctx, &mut rng);
         let (o0, _) = optimize(&prog, OptLevel::O0);
         let (o2, _) = optimize(&prog, OptLevel::O2);
-        let runner = BfvRunner::for_programs(&ctx, &session.keygen, &[&o0, &o2], &mut rng);
-        let encoder = runner.encoder();
+        let session = Session::<BfvScheme>::new(&ctx, &[&o0, &o2], &mut rng);
 
         let inputs = test_support::sample_model_inputs(prog.num_ct_inputs, N, 64, &mut rng);
-        let cts: Vec<bfv::Ciphertext> = inputs
-            .iter()
-            .map(|v| session.encryptor.encrypt(&encoder.encode(v), &mut rng))
-            .collect();
+        let cts: Vec<bfv::Ciphertext> = inputs.iter().map(|v| session.encrypt(v, &mut rng)).collect();
         let ct_refs: Vec<&bfv::Ciphertext> = cts.iter().collect();
 
         let run = |p: &Program| {
-            let out = runner.run(p, &ct_refs, &[]);
-            let budget = session.decryptor.invariant_noise_budget(&out);
+            let (slots, budget) = session.decrypt(&session.runner.run(p, &ct_refs, &[]));
             assert!(budget > 0, "noise budget exhausted ({budget})");
-            encoder.decode(&session.decryptor.decrypt(&out))
+            slots
         };
         let dec0 = run(&o0);
         let dec2 = run(&o2);
@@ -130,7 +125,7 @@ proptest! {
         // Both agree with the interpreter on the model slots (inputs are
         // zero-padded beyond N, and rotations may read padding — compare
         // the backend against the interpreter over the full row instead).
-        let row = encoder.row_size();
+        let row = session.runner.encoder().row_size();
         let padded: Vec<Vec<u64>> = inputs
             .iter()
             .map(|v| {

@@ -118,6 +118,30 @@ pub trait NoiseSemantics {
     fn rot_ct(&self, a: f64) -> f64;
     /// `relin-ct` (one key switch).
     fn relin_ct(&self, a: f64) -> f64;
+    /// Remaining noise budget, in bits, for a noise value.
+    fn budget(&self, noise: f64) -> f64;
+
+    /// Predicted budget of a fresh encryption.
+    fn fresh_budget(&self) -> f64 {
+        self.budget(self.fresh())
+    }
+
+    /// Analyzes a lowered program: walks it with the rules and reports the
+    /// worst-case output noise, the predicted remaining budget, and the
+    /// consumed budget relative to a fresh encryption.
+    fn analyze(&self, prog: &Program) -> NoiseReport
+    where
+        Self: Sized,
+    {
+        let output_noise_bits = output_noise(prog, self);
+        let predicted_budget_bits = self.budget(output_noise_bits);
+        NoiseReport {
+            output_noise_bits,
+            predicted_budget_bits,
+            fresh_budget_bits: self.fresh_budget(),
+            consumed_bits: self.fresh_budget() - predicted_budget_bits,
+        }
+    }
 }
 
 /// Worst-case noise of each instruction result under `sem`, walking the
@@ -257,8 +281,8 @@ pub fn check_backend_legal(prog: &Program) -> Result<(), LegalityError> {
 
 /// The result of analyzing one program under a scheme's noise model:
 /// what the model predicts about the output's noise and the remaining
-/// decryption budget. Produced by each scheme crate's `NoiseModel::analyze`
-/// (both express noise as `log2` of relative noise, so the report shape is
+/// decryption budget. Produced by [`NoiseSemantics::analyze`] under each
+/// scheme crate's `NoiseModel` (both express noise as `log2` of relative noise, so the report shape is
 /// scheme-neutral), consumed by the parameter selectors and the CLI's
 /// noise diagnostics.
 #[derive(Debug, Clone, PartialEq)]
@@ -415,6 +439,9 @@ mod tests {
         fn relin_ct(&self, a: f64) -> f64 {
             a
         }
+        fn budget(&self, noise: f64) -> f64 {
+            -noise
+        }
     }
 
     #[test]
@@ -452,6 +479,9 @@ mod tests {
             }
             fn relin_ct(&self, a: f64) -> f64 {
                 a + 1.0
+            }
+            fn budget(&self, noise: f64) -> f64 {
+                -noise
             }
         }
         // relin_chain has one relin and one rotation on the output path.

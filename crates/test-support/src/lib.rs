@@ -2,22 +2,21 @@
 //!
 //! The per-crate `properties.rs` suites, the root integration tests, and the
 //! codegen unit tests all need the same scaffolding: a seeded deterministic
-//! RNG, a small BFV context that keeps key generation fast, a full
-//! encrypt/evaluate/decrypt session, and "run this Quill program on the BFV
-//! backend and compare slots against the interpreter" plumbing. This crate
-//! centralizes those so each suite states only what it actually tests.
+//! RNG, a small BFV context that keeps key generation fast, and "run this
+//! Quill program on the BFV backend and compare slots against the
+//! interpreter" plumbing. This crate centralizes those so each suite states
+//! only what it actually tests. Encrypted sessions themselves come from
+//! [`porcupine::codegen::Session`] (typed) and
+//! [`porcupine::codegen::run_encrypted`] (on a runtime [`SchemeId`]).
 //!
 //! Everything here is deterministic: the same seed always produces the same
 //! inputs, keys, and ciphertexts.
 
-use bfv::encoding::{BatchEncoder, Plaintext};
-use bfv::encrypt::{Ciphertext, Decryptor, Encryptor};
-use bfv::evaluator::Evaluator;
-use bfv::keys::KeyGenerator;
 use bfv::params::{BfvContext, BfvParams, ParamPolicy};
 use porcupine::cegis::{CachePolicy, SynthesisOptions};
-use porcupine::codegen::BfvRunner;
+use porcupine::codegen::{run_encrypted, Session};
 use porcupine::opt::{self, OptLevel};
+use porcupine::scheme::BfvScheme;
 use porcupine::spec::KernelSpec;
 use proptest::prelude::*;
 use quill::cost::LatencyModel;
@@ -64,19 +63,6 @@ pub fn param_policy_from_env() -> Option<ParamPolicy> {
         "paper" => Some(ParamPolicy::Fixed(BfvParams::paper())),
         other => panic!("PORCUPINE_PARAMS must be 'auto' or 'paper', got '{other}'"),
     }
-}
-
-/// The scheme backend selected by the `PORCUPINE_SCHEME` environment
-/// variable (`bfv` or `bgv` — the CI matrix runs a dedicated `bgv` leg),
-/// defaulting to BFV when unset.
-///
-/// # Panics
-///
-/// Panics on any other value, the same contract as
-/// [`param_policy_from_env`]: a typo'd CI leg silently falling back to the
-/// BFV backend would go green without exercising the requested scheme.
-pub fn scheme_from_env() -> SchemeId {
-    porcupine::scheme::default_scheme()
 }
 
 /// The parameter set a noise/backend suite should evaluate `prog` under:
@@ -146,31 +132,6 @@ pub fn with_strategy(
     options
 }
 
-/// One full homomorphic session: keys, encoder, encryptor, decryptor, and
-/// evaluator over a borrowed context.
-pub struct HeSession<'a> {
-    pub keygen: KeyGenerator<'a>,
-    pub encryptor: Encryptor<'a>,
-    pub decryptor: Decryptor<'a>,
-    pub encoder: BatchEncoder<'a>,
-    pub evaluator: Evaluator<'a>,
-}
-
-impl<'a> HeSession<'a> {
-    pub fn new(ctx: &'a BfvContext, rng: &mut StdRng) -> Self {
-        let keygen = KeyGenerator::new(ctx, rng);
-        let encryptor = Encryptor::new(ctx, keygen.public_key(rng));
-        let decryptor = Decryptor::new(ctx, keygen.secret_key().clone());
-        HeSession {
-            encryptor,
-            decryptor,
-            encoder: BatchEncoder::new(ctx),
-            evaluator: Evaluator::new(ctx),
-            keygen,
-        }
-    }
-}
-
 /// Proptest strategy: a random *valid* straight-line program over
 /// `num_ct_inputs` ciphertext inputs, covering the full instruction set
 /// including explicit `relin-ct` (emitted only over statically size-3
@@ -235,6 +196,13 @@ pub fn sample_model_inputs(count: usize, n: usize, bound: u64, rng: &mut StdRng)
         .collect()
 }
 
+/// The slots a spec's output mask selects.
+pub fn masked_slots(spec: &KernelSpec) -> Vec<usize> {
+    (spec.output_mask.iter().enumerate())
+        .filter_map(|(i, &on)| on.then_some(i))
+        .collect()
+}
+
 /// Asserts `got` equals `want` on every masked slot.
 pub fn assert_masked_slots_eq(got: &[u64], want: &[u64], mask: &[bool], label: &str) {
     for (i, &on) in mask.iter().enumerate() {
@@ -261,32 +229,17 @@ pub fn assert_backend_matches_interp(
     input_bound: u64,
     rng: &mut StdRng,
 ) {
-    let session = HeSession::new(ctx, rng);
     let (lowered, _) = opt::optimize(prog, test_opt_level());
-    let runner = BfvRunner::for_programs(ctx, &session.keygen, &[&lowered], rng);
-    let t = ctx.params().plain_modulus;
-
+    let session = Session::<BfvScheme>::new(ctx, &[&lowered], rng);
     let ct_model = sample_model_inputs(prog.num_ct_inputs, model_n, input_bound, rng);
     let pt_model = sample_model_inputs(prog.num_pt_inputs, model_n, input_bound, rng);
-    let expected = interp::eval_concrete(prog, &ct_model, &pt_model, t);
-
-    let encoder = runner.encoder();
-    let cts: Vec<Ciphertext> = ct_model
-        .iter()
-        .map(|v| session.encryptor.encrypt(&encoder.encode(v), rng))
-        .collect();
-    let pts: Vec<Plaintext> = pt_model.iter().map(|v| encoder.encode(v)).collect();
-    let ct_refs: Vec<&Ciphertext> = cts.iter().collect();
-    let pt_refs: Vec<&Plaintext> = pts.iter().collect();
-    let out = runner.run(&lowered, &ct_refs, &pt_refs);
-
-    let budget = session.decryptor.invariant_noise_budget(&out);
+    let expected = interp::eval_concrete(prog, &ct_model, &pt_model, ctx.params().plain_modulus);
+    let (decoded, budget) = session.run(&lowered, &ct_model, &pt_model, rng);
     assert!(
         budget > 0,
         "{}: noise budget exhausted ({budget})",
         prog.name
     );
-    let decoded = encoder.decode(&session.decryptor.decrypt(&out));
     let mut mask = vec![false; expected.len()];
     for &slot in slots {
         mask[slot] = true;
@@ -307,8 +260,7 @@ pub mod differential {
     use super::*;
     use bfv::noise::NoiseModel;
     use bfv::params::DEFAULT_MARGIN_BITS;
-    use porcupine::codegen::Runner;
-    use porcupine::scheme::{BfvScheme, BgvScheme, Scheme};
+    use quill::analysis::NoiseSemantics;
 
     /// What the auto leg measured, for reporting/extra assertions.
     #[derive(Debug, Clone)]
@@ -321,65 +273,6 @@ pub mod differential {
         pub measured_budget_auto: i64,
         /// Measured remaining budget (bits) under the paper set.
         pub measured_budget_paper: i64,
-    }
-
-    /// Encrypt-run-decrypt of a lowered program under one parameter set on
-    /// scheme `S`, returning the decoded slots and the measured remaining
-    /// budget. The whole leg goes through the [`Scheme`] trait — the same
-    /// surface the generic [`Runner`] lowers onto — so a divergence here is
-    /// a backend bug, never a harness one.
-    fn run_scheme<S: Scheme>(
-        params: BfvParams,
-        lowered: &Program,
-        ct_model: &[Vec<u64>],
-        pt_model: &[Vec<u64>],
-        seed: u64,
-    ) -> (Vec<u64>, i64) {
-        let ctx = S::context(params).expect("differential params are valid");
-        let mut rng = seeded_rng(seed);
-        let keygen = S::keygen(&ctx, &mut rng);
-        let encryptor = S::encryptor(&ctx, &keygen, &mut rng);
-        let decryptor = S::decryptor(&ctx, &keygen);
-        let runner = Runner::<'_, S>::for_programs(&ctx, &keygen, &[lowered], &mut rng);
-        let encoder = runner.encoder();
-        let cts: Vec<S::Ciphertext> = ct_model
-            .iter()
-            .map(|v| S::encrypt(&encryptor, &S::encode(encoder, v), &mut rng))
-            .collect();
-        let pts: Vec<S::Plaintext> = pt_model.iter().map(|v| S::encode(encoder, v)).collect();
-        let ct_refs: Vec<&S::Ciphertext> = cts.iter().collect();
-        let pt_refs: Vec<&S::Plaintext> = pts.iter().collect();
-        let out = runner.run(lowered, &ct_refs, &pt_refs);
-        (
-            S::decode(encoder, &S::decrypt(&decryptor, &out)),
-            S::noise_budget(&decryptor, &out),
-        )
-    }
-
-    /// [`run_scheme`] dispatched on a runtime [`SchemeId`].
-    pub fn run_under_scheme(
-        scheme: SchemeId,
-        params: BfvParams,
-        lowered: &Program,
-        ct_model: &[Vec<u64>],
-        pt_model: &[Vec<u64>],
-        seed: u64,
-    ) -> (Vec<u64>, i64) {
-        match scheme {
-            SchemeId::Bfv => run_scheme::<BfvScheme>(params, lowered, ct_model, pt_model, seed),
-            SchemeId::Bgv => run_scheme::<BgvScheme>(params, lowered, ct_model, pt_model, seed),
-        }
-    }
-
-    /// The BFV leg the original two-parameter harness runs.
-    fn run_under(
-        params: BfvParams,
-        lowered: &Program,
-        ct_model: &[Vec<u64>],
-        pt_model: &[Vec<u64>],
-        seed: u64,
-    ) -> (Vec<u64>, i64) {
-        run_scheme::<BfvScheme>(params, lowered, ct_model, pt_model, seed)
     }
 
     /// Runs `prog` (lowered at [`test_opt_level`]) on random
@@ -417,7 +310,16 @@ pub mod differential {
         }
         let mut budgets = Vec::new();
         for (label, params) in [("paper", BfvParams::paper()), ("auto", auto_params.clone())] {
-            let (decoded, budget) = run_under(params, &lowered, &ct_model, &pt_model, seed ^ 0xD1F);
+            let (decoded, budget) = run_encrypted(
+                SchemeId::Bfv,
+                params,
+                &lowered,
+                &ct_model,
+                &pt_model,
+                None,
+                &mut seeded_rng(seed ^ 0xD1F),
+            )
+            .expect("differential params are valid");
             assert!(
                 budget > 0,
                 "{} [{label}]: noise budget exhausted ({budget})",
@@ -461,13 +363,7 @@ pub mod differential {
         input_bound: u64,
         seed: u64,
     ) -> DifferentialReport {
-        let slots: Vec<usize> = spec
-            .output_mask
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &on)| on.then_some(i))
-            .collect();
-        assert_differential(prog, spec.n, &slots, input_bound, seed)
+        assert_differential(prog, spec.n, &masked_slots(spec), input_bound, seed)
     }
 
     /// One encrypted execution leg of the cross-scheme harness.
@@ -536,14 +432,16 @@ pub mod differential {
             }
 
             for (label, params) in planned {
-                let (decoded, budget) = run_under_scheme(
+                let (decoded, budget) = run_encrypted(
                     scheme,
                     params.clone(),
                     &lowered,
                     &ct_model,
                     &pt_model,
-                    seed ^ 0xC255,
-                );
+                    None,
+                    &mut seeded_rng(seed ^ 0xC255),
+                )
+                .expect("differential params are valid");
                 assert!(
                     budget > 0,
                     "{} [{scheme}/{label}]: noise budget exhausted ({budget})",
@@ -574,13 +472,7 @@ pub mod differential {
         input_bound: u64,
         seed: u64,
     ) -> Vec<CrossSchemeLeg> {
-        let slots: Vec<usize> = spec
-            .output_mask
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &on)| on.then_some(i))
-            .collect();
-        assert_cross_scheme(prog, spec.n, &slots, input_bound, seed)
+        assert_cross_scheme(prog, spec.n, &masked_slots(spec), input_bound, seed)
     }
 }
 
@@ -593,13 +485,7 @@ pub fn assert_backend_matches_spec_mask(
     input_bound: u64,
     rng: &mut StdRng,
 ) {
-    let slots: Vec<usize> = spec
-        .output_mask
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &on)| on.then_some(i))
-        .collect();
-    assert_backend_matches_interp(ctx, prog, spec.n, &slots, input_bound, rng);
+    assert_backend_matches_interp(ctx, prog, spec.n, &masked_slots(spec), input_bound, rng);
 }
 
 #[cfg(test)]
@@ -612,16 +498,6 @@ mod tests {
         let mut a = seeded_rng(9);
         let mut b = seeded_rng(9);
         assert_eq!(a.gen::<u64>(), b.gen::<u64>());
-    }
-
-    #[test]
-    fn session_roundtrips_a_plaintext() {
-        let ctx = small_ctx();
-        let mut rng = seeded_rng(17);
-        let s = HeSession::new(&ctx, &mut rng);
-        let v: Vec<u64> = (0..s.encoder.slot_count() as u64).collect();
-        let ct = s.encryptor.encrypt(&s.encoder.encode(&v), &mut rng);
-        assert_eq!(s.encoder.decode(&s.decryptor.decrypt(&ct)), v);
     }
 
     #[test]

@@ -7,11 +7,10 @@
 //! cargo run --release --example harris_corners
 //! ```
 
-use bfv::encrypt::{Decryptor, Encryptor};
-use bfv::keys::KeyGenerator;
 use bfv::params::{BfvContext, BfvParams};
 use porcupine::cegis::{synthesize, SynthesisOptions};
-use porcupine::codegen::BfvRunner;
+use porcupine::codegen::Session;
+use porcupine::scheme::BfvScheme;
 use porcupine_kernels::{composite, stencil};
 use rand::SeedableRng;
 
@@ -60,23 +59,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Harris needs multiplicative depth 3; use the 128-bit secure preset.
     let ctx = BfvContext::new(BfvParams::secure_128())?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-    let keygen = KeyGenerator::new(&ctx, &mut rng);
-    let encryptor = Encryptor::new(&ctx, keygen.public_key(&mut rng));
-    let decryptor = Decryptor::new(&ctx, keygen.secret_key().clone());
-    let runner = BfvRunner::for_programs(&ctx, &keygen, &[&harris], &mut rng);
-
-    let encoder = runner.encoder();
-    let ct = encryptor.encrypt(&encoder.encode(&slots), &mut rng);
+    let session = Session::<BfvScheme>::new(&ctx, &[&harris], &mut rng);
     println!(
         "running encrypted Harris pipeline ({} HE instructions)…",
         harris.len()
     );
-    let out = runner.run(&harris, &[&ct], &[]);
-    let budget = decryptor.invariant_noise_budget(&out);
+    let (decoded, budget) = session.run(&harris, std::slice::from_ref(&slots), &[], &mut rng);
     println!("noise budget after pipeline: {budget} bits");
     assert!(budget > 0, "parameters must survive the whole pipeline");
 
-    let decoded = encoder.decode(&decryptor.decrypt(&out));
     // Client-side: compare the response at the corner against the spec.
     let spec = composite::harris_spec(img);
     let expected = spec.eval_concrete(std::slice::from_ref(&slots), &[]);

@@ -6,12 +6,11 @@
 //! cargo run --release --example image_pipeline
 //! ```
 
-use bfv::encrypt::{Decryptor, Encryptor};
-use bfv::keys::KeyGenerator;
 use bfv::params::{BfvContext, BfvParams};
 use porcupine::cegis::{synthesize, SynthesisOptions};
-use porcupine::codegen::BfvRunner;
+use porcupine::codegen::Session;
 use porcupine::layout::PaddedImage;
+use porcupine::scheme::BfvScheme;
 use porcupine_kernels::{composite, stencil};
 use rand::SeedableRng;
 
@@ -61,15 +60,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let ctx = BfvContext::new(BfvParams::fast_4096())?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-    let keygen = KeyGenerator::new(&ctx, &mut rng);
-    let encryptor = Encryptor::new(&ctx, keygen.public_key(&mut rng));
-    let decryptor = Decryptor::new(&ctx, keygen.secret_key().clone());
-    let runner = BfvRunner::for_programs(&ctx, &keygen, &[&sobel], &mut rng);
-
-    let encoder = runner.encoder();
-    let ct = encryptor.encrypt(&encoder.encode(&slots), &mut rng);
-    let out = runner.run(&sobel, &[&ct], &[]);
-    let decoded = encoder.decode(&decryptor.decrypt(&out));
+    let session = Session::<BfvScheme>::new(&ctx, &[&sobel], &mut rng);
+    let (decoded, budget) = session.run(&sobel, &[slots], &[], &mut rng);
     let edges = img.unpack(&decoded);
 
     println!("encrypted Sobel edge magnitude (squared):");
@@ -79,10 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect();
         println!("  {}", row.join(" "));
     }
-    println!(
-        "\nnoise budget after pipeline: {} bits",
-        decryptor.invariant_noise_budget(&out)
-    );
+    println!("\nnoise budget after pipeline: {budget} bits");
     // Edges fire on the bar boundaries (columns 1–2 and 3–4), not inside.
     assert!(edges[6 + 1] > 0, "edge expected at the bar boundary");
     Ok(())

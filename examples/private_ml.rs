@@ -7,11 +7,10 @@
 //! cargo run --release --example private_ml
 //! ```
 
-use bfv::encrypt::{Decryptor, Encryptor};
-use bfv::keys::KeyGenerator;
 use bfv::params::{BfvContext, BfvParams};
 use porcupine::cegis::{synthesize, SynthesisOptions};
-use porcupine::codegen::BfvRunner;
+use porcupine::codegen::Session;
+use porcupine::scheme::BfvScheme;
 use porcupine_kernels::pointwise;
 use rand::SeedableRng;
 
@@ -36,31 +35,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let ctx = BfvContext::new(BfvParams::fast_4096())?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-    let keygen = KeyGenerator::new(&ctx, &mut rng);
-    let encryptor = Encryptor::new(&ctx, keygen.public_key(&mut rng));
-    let decryptor = Decryptor::new(&ctx, keygen.secret_key().clone());
-    let runner =
-        BfvRunner::for_programs(&ctx, &keygen, &[&lin.optimized, &poly.optimized], &mut rng);
-    let encoder = runner.encoder();
+    let session = Session::<BfvScheme>::new(&ctx, &[&lin.optimized, &poly.optimized], &mut rng);
+    // Server: model parameters stay in plaintext, one per slot vector.
+    let weights =
+        |params: &[u64]| -> Vec<Vec<u64>> { params.iter().map(|&v| vec![v; batch]).collect() };
 
     // Client: a batch of encrypted feature pairs.
-    let x1: Vec<u64> = vec![3, 7, 2, 9, 4, 1, 8, 5];
-    let x2: Vec<u64> = vec![10, 20, 5, 12, 7, 30, 2, 9];
-    let ct_x1 = encryptor.encrypt(&encoder.encode(&x1), &mut rng);
-    let ct_x2 = encryptor.encrypt(&encoder.encode(&x2), &mut rng);
-
-    // Server: model parameters stay in plaintext on the server.
+    let features = [
+        vec![3u64, 7, 2, 9, 4, 1, 8, 5],
+        vec![10u64, 20, 5, 12, 7, 30, 2, 9],
+    ];
+    let (x1, x2) = (&features[0], &features[1]);
     let theta = [3u64, 5, 40]; // y = 3·x1 + 5·x2 + 40
-    let pts: Vec<_> = theta
-        .iter()
-        .map(|&v| encoder.encode(&vec![v; batch]))
-        .collect();
-    let out = runner.run(
-        &lin.optimized,
-        &[&ct_x1, &ct_x2],
-        &[&pts[0], &pts[1], &pts[2]],
-    );
-    let y = encoder.decode(&decryptor.decrypt(&out));
+    let (y, _) = session.run(&lin.optimized, &features, &weights(&theta), &mut rng);
     println!("\nlinear predictions:    {:?}", &y[..batch]);
     for i in 0..batch {
         assert_eq!(y[i], 3 * x1[i] + 5 * x2[i] + 40);
@@ -68,12 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Quadratic model y = 2·x² + 7·x + 11 on the first feature.
     let abc = [2u64, 7, 11];
-    let pts: Vec<_> = abc
-        .iter()
-        .map(|&v| encoder.encode(&vec![v; batch]))
-        .collect();
-    let out = runner.run(&poly.optimized, &[&ct_x1], &[&pts[0], &pts[1], &pts[2]]);
-    let y = encoder.decode(&decryptor.decrypt(&out));
+    let (y, _) = session.run(&poly.optimized, &features[..1], &weights(&abc), &mut rng);
     println!("quadratic predictions: {:?}", &y[..batch]);
     for i in 0..batch {
         assert_eq!(y[i], 2 * x1[i] * x1[i] + 7 * x1[i] + 11);

@@ -1,16 +1,15 @@
 //! Quickstart: synthesize an encrypted dot-product kernel from its
 //! plaintext specification, inspect the generated code, and run it under
-//! real BFV encryption.
+//! real BFV encryption through a `porcupine::codegen::Session`.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
-use bfv::encrypt::{Decryptor, Encryptor};
-use bfv::keys::KeyGenerator;
 use bfv::params::{BfvContext, BfvParams};
 use porcupine::cegis::{synthesize, SynthesisOptions};
-use porcupine::codegen::{emit_seal_cpp, BfvRunner};
+use porcupine::codegen::{emit_seal_cpp, Session};
+use porcupine::scheme::BfvScheme;
 use porcupine_kernels::reduction;
 use rand::SeedableRng;
 
@@ -36,10 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    decrypt.
     let ctx = BfvContext::new(BfvParams::fast_4096())?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let keygen = KeyGenerator::new(&ctx, &mut rng);
-    let encryptor = Encryptor::new(&ctx, keygen.public_key(&mut rng));
-    let decryptor = Decryptor::new(&ctx, keygen.secret_key().clone());
-    let runner = BfvRunner::for_programs(&ctx, &keygen, &[&result.optimized], &mut rng);
+    let session = Session::<BfvScheme>::new(&ctx, &[&result.optimized], &mut rng);
 
     let x = [3u64, 1, 4, 1, 5, 9, 2, 6];
     let w = [2u64, 7, 1, 8, 2, 8, 1, 8];
@@ -48,21 +44,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     x_slots[..8].copy_from_slice(&x);
     w_slots[..8].copy_from_slice(&w);
 
-    let encoder = runner.encoder();
-    let ct = encryptor.encrypt(&encoder.encode(&x_slots), &mut rng);
-    let pt = encoder.encode(&w_slots);
-    let out = runner.run(&result.optimized, &[&ct], &[&pt]);
-
-    let decoded = encoder.decode(&decryptor.decrypt(&out));
+    let (decoded, budget) = session.run(&result.optimized, &[x_slots], &[w_slots], &mut rng);
     let expected: u64 = x.iter().zip(&w).map(|(a, b)| a * b).sum();
     println!(
         "encrypted dot product = {} (expected {})",
         decoded[0], expected
     );
-    println!(
-        "remaining noise budget: {} bits",
-        decryptor.invariant_noise_budget(&out)
-    );
+    println!("remaining noise budget: {budget} bits");
     assert_eq!(decoded[0], expected);
     Ok(())
 }

@@ -44,12 +44,11 @@
 use bfv::params::{BfvParams, ParamPolicy};
 use porcupine::autosketch::auto_sketch;
 use porcupine::cegis::{
-    default_parallelism, default_strategy, synthesize, CachePolicy, SearchStrategy,
+    parallelism_from_env, strategy_from_env, synthesize, CachePolicy, SearchStrategy,
     SynthesisOptions,
 };
-use porcupine::codegen::{emit_seal_cpp, Runner};
+use porcupine::codegen::{emit_seal_cpp, eval_jobs_from_env, run_encrypted};
 use porcupine::opt::{self, OptLevel};
-use porcupine::scheme::{BfvScheme, BgvScheme, Scheme};
 use porcupine::spec::KernelSpec;
 use porcupine_kernels::{all_direct, direct_kernel, PaperKernel};
 use quill::cost::{eager_cost, LatencyModel};
@@ -71,17 +70,17 @@ fn find_kernel(name: &str, size: Option<usize>) -> Option<PaperKernel> {
 }
 
 /// Encrypts seeded random inputs, executes the lowered program on the
-/// scheme backend `S` under `params`, decrypts, and compares against the
+/// `scheme` backend under `params`, decrypts, and compares against the
 /// interpreter on the spec's masked slots. Returns the measured remaining
 /// noise budget.
-fn run_encrypted_check_for<S: Scheme>(
+fn encrypted_check(
+    scheme: SchemeId,
     prog: &quill::program::Program,
     spec: &KernelSpec,
     params: BfvParams,
     seed: u64,
     eval_jobs: NonZeroUsize,
 ) -> Result<i64, String> {
-    let ctx = S::context(params).map_err(|e| e.to_string())?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let t = spec.t;
     let sample = |count: usize, rng: &mut rand::rngs::StdRng| -> Vec<Vec<u64>> {
@@ -92,26 +91,13 @@ fn run_encrypted_check_for<S: Scheme>(
     let ct_model = sample(prog.num_ct_inputs, &mut rng);
     let pt_model = sample(prog.num_pt_inputs, &mut rng);
     let expected = quill::interp::eval_concrete(prog, &ct_model, &pt_model, t);
-
-    let keygen = S::keygen(&ctx, &mut rng);
-    let encryptor = S::encryptor(&ctx, &keygen, &mut rng);
-    let decryptor = S::decryptor(&ctx, &keygen);
-    let runner: Runner<'_, S> =
-        Runner::for_programs(&ctx, &keygen, &[prog], &mut rng).with_eval_jobs(eval_jobs.get());
-    let encoder = runner.encoder();
-    let cts: Vec<S::Ciphertext> = ct_model
-        .iter()
-        .map(|v| S::encrypt(&encryptor, &S::encode(encoder, v), &mut rng))
-        .collect();
-    let pts: Vec<S::Plaintext> = pt_model.iter().map(|v| S::encode(encoder, v)).collect();
-    let ct_refs: Vec<&S::Ciphertext> = cts.iter().collect();
-    let pt_refs: Vec<&S::Plaintext> = pts.iter().collect();
-    let out = runner.run(prog, &ct_refs, &pt_refs);
-    let budget = S::noise_budget(&decryptor, &out);
+    let jobs = Some(eval_jobs);
+    let (decoded, budget) =
+        run_encrypted(scheme, params, prog, &ct_model, &pt_model, jobs, &mut rng)
+            .map_err(|e| e.to_string())?;
     if budget <= 0 {
         return Err(format!("noise budget exhausted at decryption ({budget})"));
     }
-    let decoded = S::decode(encoder, &S::decrypt(&decryptor, &out));
     for (i, &on) in spec.output_mask.iter().enumerate() {
         if on && decoded[i] != expected[i] {
             return Err(format!(
@@ -121,21 +107,6 @@ fn run_encrypted_check_for<S: Scheme>(
         }
     }
     Ok(budget)
-}
-
-/// [`run_encrypted_check_for`] dispatched on a runtime scheme identifier.
-fn run_encrypted_check(
-    scheme: SchemeId,
-    prog: &quill::program::Program,
-    spec: &KernelSpec,
-    params: BfvParams,
-    seed: u64,
-    eval_jobs: NonZeroUsize,
-) -> Result<i64, String> {
-    match scheme {
-        SchemeId::Bfv => run_encrypted_check_for::<BfvScheme>(prog, spec, params, seed, eval_jobs),
-        SchemeId::Bgv => run_encrypted_check_for::<BgvScheme>(prog, spec, params, seed, eval_jobs),
-    }
 }
 
 /// The value after `flag` parsed as `T`: `Ok(None)` when the flag is
@@ -255,7 +226,7 @@ fn finish_synth(
                 // `--params` asks for the full flow: encrypt, run on the
                 // selected scheme backend under the resolved set, decrypt,
                 // and cross-check against the interpreter.
-                match run_encrypted_check(
+                match encrypted_check(
                     options.scheme,
                     optimized,
                     &k.spec,
@@ -297,7 +268,7 @@ fn main() -> ExitCode {
         args.insert(0, "synth".to_string());
     }
     // Validate `PORCUPINE_SCHEME` up front so a typo is a clean error here
-    // rather than a panic out of `SynthesisOptions::default()`.
+    // rather than a panic out of a library default.
     let env_scheme = match porcupine::scheme::scheme_from_env() {
         Ok(s) => s,
         Err(e) => {
@@ -418,30 +389,33 @@ fn main() -> ExitCode {
                     None => ParamPolicy::auto(),
                 },
             };
-            let jobs = flags.jobs.unwrap_or_else(default_parallelism);
-            let eval_jobs = flags
-                .eval_jobs
-                .unwrap_or_else(porcupine::codegen::default_eval_jobs);
-            let opt_level = match parse_opt_level(&args) {
-                Ok(level) => level.unwrap_or_else(opt::default_opt_level),
+            // A flag wins over its environment variable, which is then
+            // never read; a malformed value in either is an error.
+            let strategy = match args.iter().position(|a| a == "--strategy") {
+                Some(i) => match args.get(i + 1).map(String::as_str) {
+                    Some("bottom-up") => Ok(SearchStrategy::BottomUp),
+                    Some("dfs") => Ok(SearchStrategy::Dfs),
+                    other => Err(format!(
+                        "--strategy requires 'bottom-up' or 'dfs', got {:?}",
+                        other.unwrap_or("nothing")
+                    )),
+                },
+                None => strategy_from_env(),
+            };
+            let resolved = (|| {
+                Ok::<_, String>((
+                    flags.jobs.map_or_else(parallelism_from_env, Ok)?,
+                    flags.eval_jobs.map_or_else(eval_jobs_from_env, Ok)?,
+                    parse_opt_level(&args)?.map_or_else(opt::opt_level_from_env, Ok)?,
+                    strategy?,
+                ))
+            })();
+            let (jobs, eval_jobs, opt_level, strategy) = match resolved {
+                Ok(resolved) => resolved,
                 Err(e) => {
                     eprintln!("{e}");
                     return ExitCode::FAILURE;
                 }
-            };
-            let strategy = match args.iter().position(|a| a == "--strategy") {
-                Some(i) => match args.get(i + 1).map(String::as_str) {
-                    Some("bottom-up") => SearchStrategy::BottomUp,
-                    Some("dfs") => SearchStrategy::Dfs,
-                    other => {
-                        eprintln!(
-                            "--strategy requires 'bottom-up' or 'dfs', got {:?}",
-                            other.unwrap_or("nothing")
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => default_strategy(),
             };
             let cache = if args.iter().any(|a| a == "--no-cache") {
                 CachePolicy::Disabled
@@ -457,17 +431,19 @@ fn main() -> ExitCode {
                     None => CachePolicy::Enabled,
                 }
             };
+            // Every field is set here: `SynthesisOptions::default()` would
+            // read the environment variables the flags above override.
             let options = SynthesisOptions {
                 timeout: Duration::from_secs(flags.timeout.unwrap_or(600)),
+                optimize: true,
+                latency: LatencyModel::profiled_for(scheme),
                 seed: flags.seed.unwrap_or(0x9E3779B9),
                 parallelism: jobs,
                 opt_level,
                 scheme,
-                latency: LatencyModel::profiled_for(scheme),
                 params: policy,
                 strategy,
                 cache,
-                ..SynthesisOptions::default()
             };
             // Reductions scaled past the strategy's wall synthesize
             // stage-wise (§6.3). The bottom-up term bank pushes the wall

@@ -21,8 +21,8 @@ fn all_baselines_execute_correctly_under_encryption() {
 /// arrive in.
 #[test]
 fn kernel_execution_is_representation_independent() {
-    use porcupine::codegen::BfvRunner;
-    use test_support::HeSession;
+    use porcupine::codegen::Session;
+    use porcupine::scheme::BfvScheme;
 
     let ctx = small_ctx();
     let kernel = all_direct()
@@ -32,21 +32,18 @@ fn kernel_execution_is_representation_independent() {
     let (lowered, _) = porcupine::opt::optimize(&kernel.baseline, test_support::test_opt_level());
     let prog = &lowered;
     let mut rng = seeded_rng(42);
-    let session = HeSession::new(&ctx, &mut rng);
-    let runner = BfvRunner::for_programs(&ctx, &session.keygen, &[prog], &mut rng);
-    let encoder = runner.encoder();
+    let session = Session::<BfvScheme>::new(&ctx, &[prog], &mut rng);
 
     let inputs = test_support::sample_model_inputs(prog.num_ct_inputs, kernel.spec.n, 64, &mut rng);
     let cts: Vec<bfv::Ciphertext> = inputs
         .iter()
-        .map(|v| session.encryptor.encrypt(&encoder.encode(v), &mut rng))
+        .map(|v| session.encrypt(v, &mut rng))
         .collect();
     let cts_coeff: Vec<bfv::Ciphertext> = cts.iter().map(|c| c.to_coeff_form(&ctx)).collect();
 
     let run = |cts: &[bfv::Ciphertext]| {
         let refs: Vec<&bfv::Ciphertext> = cts.iter().collect();
-        let out = runner.run(prog, &refs, &[]);
-        encoder.decode(&session.decryptor.decrypt(&out))
+        session.decrypt(&session.runner.run(prog, &refs, &[])).0
     };
     assert_eq!(
         run(&cts),

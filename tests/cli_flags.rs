@@ -57,3 +57,51 @@ fn explicit_eval_jobs_ignores_a_malformed_env_var() {
     assert!(out.status.success(), "{}: {stderr}", out.status);
     assert!(stderr.contains("encrypted check"), "{stderr}");
 }
+
+/// Each search/lowering variable with the `synth` flag that overrides it,
+/// and a malformed value for the variable.
+const ENV_FLAGS: &[(&str, &[&str], &str)] = &[
+    ("PORCUPINE_OPT", &["-O2"], "3"),
+    ("PORCUPINE_STRATEGY", &["--strategy", "bottom-up"], "DFS"),
+    ("PORCUPINE_JOBS", &["--jobs", "1"], "two"),
+];
+
+/// A malformed variable without its flag is a clean error naming the
+/// variable and the value, before any synthesis starts — never a silent
+/// fallback to the default, and never a panic.
+#[test]
+fn malformed_env_vars_fail_without_their_flag() {
+    for &(var, _, value) in ENV_FLAGS {
+        let out = Command::new(env!("CARGO_BIN_EXE_porcupine"))
+            .args(["synth", "dot-product", "--no-cache"])
+            .env(var, value)
+            .output()
+            .expect("run the porcupine binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{var}={value}: {stderr}");
+        assert!(
+            stderr.contains(var) && stderr.contains(value) && !stderr.contains("panicked"),
+            "{var}={value}: error does not name the variable and value: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty() && !stderr.contains("components"),
+            "{var}={value}: synthesis ran: {stderr}"
+        );
+    }
+}
+
+/// An explicit flag wins over its variable, which is then never read.
+#[test]
+fn explicit_flags_ignore_malformed_env_vars() {
+    for &(var, flag, value) in ENV_FLAGS {
+        let out = Command::new(env!("CARGO_BIN_EXE_porcupine"))
+            .args(["synth", "dot-product", "--no-cache"])
+            .args(flag)
+            .env(var, value)
+            .output()
+            .expect("run the porcupine binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{var}={value} {flag:?}: {stderr}");
+        assert!(stderr.contains("components"), "{stderr}");
+    }
+}

@@ -14,7 +14,7 @@
 //!   contract makes the schedule unobservable.
 
 use bfv::params::BfvParams;
-use porcupine::codegen::Runner;
+use porcupine::codegen::{Runner, Session};
 use porcupine::opt::{optimize_with, OptLevel};
 use porcupine::scheme::{BfvScheme, BgvScheme, Scheme};
 use porcupine_kernels::{composite, stencil, PaperKernel};
@@ -28,31 +28,28 @@ use test_support::{noise_test_params, seeded_rng};
 fn hoisted_matches_sequential<S: Scheme>(seed: u64) {
     let ctx = S::context(BfvParams::test_small()).expect("valid parameters");
     let mut rng = seeded_rng(seed);
-    let keygen = S::keygen(&ctx, &mut rng);
-    let encryptor = S::encryptor(&ctx, &keygen, &mut rng);
-    let decryptor = S::decryptor(&ctx, &keygen);
-    let encoder = S::encoder(&ctx);
-    let ev = S::evaluator(&ctx);
-    let gk = S::galois_keys(&keygen, &[1, 2, 3], false, &mut rng);
+    let session = Session::<S>::new(&ctx, &[], &mut rng);
+    let ev = session.runner.evaluator();
+    let gk = S::galois_keys(&session.keygen, &[1, 2, 3], false, &mut rng);
 
     let t = S::params(&ctx).plain_modulus;
-    let data: Vec<u64> = (0..S::slot_count(&encoder))
+    let data: Vec<u64> = (0..S::slot_count(session.runner.encoder()))
         .map(|_| rng.gen_range(0..t))
         .collect();
-    let ct = S::encrypt(&encryptor, &S::encode(&encoder, &data), &mut rng);
-    let hd = S::hoist(&ev, &ct).expect("both shipped backends hoist");
+    let ct = session.encrypt(&data, &mut rng);
+    let hd = S::hoist(ev, &ct).expect("both shipped backends hoist");
     for steps in [0i64, 1, 2, 3] {
-        let hoisted = S::rotate_hoisted(&ev, &ct, &hd, steps, &gk);
+        let hoisted = S::rotate_hoisted(ev, &ct, &hd, steps, &gk);
         let mut sequential = ct.clone();
-        S::rotate_rows_assign(&ev, &mut sequential, steps, &gk);
+        S::rotate_rows_assign(ev, &mut sequential, steps, &gk);
+        let (slots_h, nb_h) = session.decrypt(&hoisted);
+        let (slots_s, nb_s) = session.decrypt(&sequential);
         assert_eq!(
-            S::decode(&encoder, &S::decrypt(&decryptor, &hoisted)),
-            S::decode(&encoder, &S::decrypt(&decryptor, &sequential)),
+            slots_h,
+            slots_s,
             "{} steps={steps}: hoisted decryption diverged",
             S::ID
         );
-        let nb_h = S::noise_budget(&decryptor, &hoisted);
-        let nb_s = S::noise_budget(&decryptor, &sequential);
         assert!(nb_h > 0, "{} steps={steps}: budget exhausted", S::ID);
         assert!(
             (nb_h - nb_s).abs() <= 1,
@@ -60,7 +57,7 @@ fn hoisted_matches_sequential<S: Scheme>(seed: u64) {
             S::ID
         );
     }
-    S::recycle_hoisted(&ev, hd);
+    S::recycle_hoisted(ev, hd);
 }
 
 proptest! {
@@ -146,13 +143,11 @@ fn jobs_are_bit_identical<S: Scheme>(k: &PaperKernel) {
     let params = noise_test_params(&prog, k.spec.n);
     let ctx = S::context(params).expect("valid parameters");
     let mut rng = seeded_rng(0xE0B5);
-    let keygen = S::keygen(&ctx, &mut rng);
-    let encryptor = S::encryptor(&ctx, &keygen, &mut rng);
-    let decryptor = S::decryptor(&ctx, &keygen);
+    let session = Session::<S>::new(&ctx, &[], &mut rng);
     // Same key material for every runner (fresh rng per call), so the
     // only variable across configurations is the scheduler.
     let make = |jobs: usize| {
-        Runner::<'_, S>::for_programs(&ctx, &keygen, &[&prog], &mut seeded_rng(1))
+        Runner::<'_, S>::for_programs(&ctx, &session.keygen, &[&prog], &mut seeded_rng(1))
             .with_eval_jobs(jobs)
     };
 
@@ -166,7 +161,7 @@ fn jobs_are_bit_identical<S: Scheme>(k: &PaperKernel) {
     let cts: Vec<S::Ciphertext> = (0..prog.num_ct_inputs)
         .map(|_| {
             let v = sample(&mut rng);
-            S::encrypt(&encryptor, &S::encode(encoder, &v), &mut rng)
+            session.encrypt(&v, &mut rng)
         })
         .collect();
     let pts: Vec<S::Plaintext> = (0..prog.num_pt_inputs)
@@ -175,18 +170,17 @@ fn jobs_are_bit_identical<S: Scheme>(k: &PaperKernel) {
     let ct_refs: Vec<&S::Ciphertext> = cts.iter().collect();
     let pt_refs: Vec<&S::Plaintext> = pts.iter().collect();
 
-    let out = runner1.run(&prog, &ct_refs, &pt_refs);
+    let (baseline, budget) = session.decrypt(&runner1.run(&prog, &ct_refs, &pt_refs));
     assert!(
-        S::noise_budget(&decryptor, &out) > 0,
+        budget > 0,
         "{} ({}): budget exhausted at eval_jobs=1",
         k.name,
         S::ID
     );
-    let baseline = S::decode(encoder, &S::decrypt(&decryptor, &out));
-    let reference = reference_run::<S>(&ctx, &keygen, &prog, &ct_refs, &pt_refs);
+    let reference = reference_run::<S>(&ctx, &session.keygen, &prog, &ct_refs, &pt_refs);
     assert_eq!(
         baseline,
-        S::decode(encoder, &S::decrypt(&decryptor, &reference)),
+        session.decrypt(&reference).0,
         "{} ({}): eval_jobs=1 diverged from the reference executor",
         k.name,
         S::ID
@@ -194,7 +188,7 @@ fn jobs_are_bit_identical<S: Scheme>(k: &PaperKernel) {
     for jobs in [2usize, 4] {
         let out = make(jobs).run(&prog, &ct_refs, &pt_refs);
         assert_eq!(
-            S::decode(encoder, &S::decrypt(&decryptor, &out)),
+            session.decrypt(&out).0,
             baseline,
             "{} ({}): eval_jobs={jobs} diverged from sequential",
             k.name,

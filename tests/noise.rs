@@ -12,16 +12,17 @@
 //!   paper parameters, is pinned — a cost-model or optimizer change that
 //!   silently worsens noise fails loudly here.
 
-use bfv::encrypt::Ciphertext;
 use bfv::noise::NoiseModel;
 use bfv::params::{BfvContext, BfvParams};
-use porcupine::codegen::BfvRunner;
+use porcupine::codegen::Session;
 use porcupine::opt::{optimize, OptLevel};
+use porcupine::scheme::BfvScheme;
 use porcupine_kernels::{all_direct, composite, stencil};
 use proptest::prelude::*;
+use quill::analysis::NoiseSemantics;
 use quill::program::Program;
 use rand::Rng;
-use test_support::{arb_program, noise_test_params, seeded_rng, HeSession, T};
+use test_support::{arb_program, noise_test_params, seeded_rng, T};
 
 /// Model size the generated programs' rotations stay within.
 const MODEL_N: usize = 8;
@@ -38,19 +39,12 @@ fn measured_vs_predicted(prog: &Program, level: OptLevel, seed: u64) -> (i64, f6
 
     let ctx = BfvContext::new(params).expect("suite params are valid");
     let mut rng = seeded_rng(seed);
-    let session = HeSession::new(&ctx, &mut rng);
-    let runner = BfvRunner::for_programs(&ctx, &session.keygen, &[&lowered], &mut rng);
-    let encoder = runner.encoder();
-    let slots = encoder.slot_count();
-    let cts: Vec<Ciphertext> = (0..lowered.num_ct_inputs)
-        .map(|_| {
-            let v: Vec<u64> = (0..slots).map(|_| rng.gen_range(0..T)).collect();
-            session.encryptor.encrypt(&encoder.encode(&v), &mut rng)
-        })
+    let session = Session::<BfvScheme>::new(&ctx, &[&lowered], &mut rng);
+    let slots = session.runner.encoder().slot_count();
+    let ct_model: Vec<Vec<u64>> = (0..lowered.num_ct_inputs)
+        .map(|_| (0..slots).map(|_| rng.gen_range(0..T)).collect())
         .collect();
-    let ct_refs: Vec<&Ciphertext> = cts.iter().collect();
-    let out = runner.run(&lowered, &ct_refs, &[]);
-    (session.decryptor.invariant_noise_budget(&out), predicted)
+    (session.run(&lowered, &ct_model, &[], &mut rng).1, predicted)
 }
 
 proptest! {

@@ -10,12 +10,13 @@
 //! * Re-running `-O2` on already-optimized programs is a fixpoint with
 //!   zero rewrites (the CI idempotence check).
 
-use porcupine::codegen::BfvRunner;
+use porcupine::codegen::Session;
 use porcupine::opt::{optimize, OptLevel};
+use porcupine::scheme::BfvScheme;
 use porcupine_kernels::{all_direct, composite, stencil};
 use quill::cost::LatencyModel;
 use quill::program::{Instr, Program, ValRef};
-use test_support::{sample_model_inputs, seeded_rng, small_ctx, HeSession};
+use test_support::{sample_model_inputs, seeded_rng, small_ctx};
 
 fn pipelines() -> Vec<Program> {
     let img = stencil::default_image();
@@ -110,24 +111,21 @@ fn pipeline_lowerings_decrypt_bit_identically() {
     let img = stencil::default_image();
     for (seed, prog) in pipelines().into_iter().enumerate() {
         let mut rng = seeded_rng(0x0B7 + seed as u64);
-        let session = HeSession::new(&ctx, &mut rng);
         let (o0, _) = optimize(&prog, OptLevel::O0);
         let (o2, _) = optimize(&prog, OptLevel::O2);
-        let runner = BfvRunner::for_programs(&ctx, &session.keygen, &[&o0, &o2], &mut rng);
-        let encoder = runner.encoder();
+        let session = Session::<BfvScheme>::new(&ctx, &[&o0, &o2], &mut rng);
 
         let inputs = sample_model_inputs(prog.num_ct_inputs, img.slots(), 32, &mut rng);
         let cts: Vec<bfv::Ciphertext> = inputs
             .iter()
-            .map(|v| session.encryptor.encrypt(&encoder.encode(v), &mut rng))
+            .map(|v| session.encrypt(v, &mut rng))
             .collect();
         let refs: Vec<&bfv::Ciphertext> = cts.iter().collect();
 
         let run = |p: &Program| {
-            let out = runner.run(p, &refs, &[]);
-            let budget = session.decryptor.invariant_noise_budget(&out);
+            let (slots, budget) = session.decrypt(&session.runner.run(p, &refs, &[]));
             assert!(budget > 0, "{}: noise budget exhausted ({budget})", p.name);
-            encoder.decode(&session.decryptor.decrypt(&out))
+            slots
         };
         assert_eq!(run(&o0), run(&o2), "{}: decryptions differ", prog.name);
     }
