@@ -21,6 +21,7 @@ use porcupine::scheme::BfvScheme;
 use porcupine::spec::KernelSpec;
 use porcupine_kernels::{all_direct, composite, stencil};
 use quill::program::Program;
+use quill::scheme::SchemeId;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
 
@@ -114,7 +115,7 @@ fn main() {
                 })
                 .collect();
             let refs: Vec<(&Program, usize)> = lowered.iter().map(|(p, n)| (p, *n)).collect();
-            porcupine_bench::params_covering(&refs, 65537, policy)
+            porcupine_bench::params_covering_for(SchemeId::Bfv, &refs, 65537, policy)
         }
         None if secure => BfvParams::secure_128(),
         None => BfvParams::fast_4096(),

@@ -66,16 +66,6 @@ pub fn parse_params(mut args: Vec<String>) -> (Option<bfv::params::ParamPolicy>,
     (Some(policy), args)
 }
 
-/// [`params_covering_for`] on the BFV backend — the historical signature
-/// the BFV-only binaries call.
-pub fn params_covering(
-    programs: &[(&quill::program::Program, usize)],
-    t: u64,
-    policy: &bfv::params::ParamPolicy,
-) -> bfv::params::BfvParams {
-    params_covering_for(quill::scheme::SchemeId::Bfv, programs, t, policy)
-}
-
 /// Resolves a parameter policy against *several* lowered programs at once
 /// under one scheme's selector and noise model, returning the largest
 /// individual selection — the single parameter set a whole-suite benchmark

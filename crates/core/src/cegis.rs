@@ -124,14 +124,26 @@ impl fmt::Display for SearchStrategy {
     }
 }
 
+impl std::str::FromStr for SearchStrategy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "bottom-up" => Ok(SearchStrategy::BottomUp),
+            "dfs" => Ok(SearchStrategy::Dfs),
+            _ => Err(format!(
+                "unknown strategy '{s}' (expected 'bottom-up' or 'dfs')"
+            )),
+        }
+    }
+}
+
 /// The search strategy the `PORCUPINE_STRATEGY` environment variable
 /// selects (`bottom-up` or `dfs`), bottom-up when unset, or an error naming
 /// the variable for any other value.
 pub fn strategy_from_env() -> Result<SearchStrategy, String> {
-    let strategy = crate::env_var("PORCUPINE_STRATEGY", "'bottom-up' or 'dfs'", |v| match v {
-        "bottom-up" => Some(SearchStrategy::BottomUp),
-        "dfs" => Some(SearchStrategy::Dfs),
-        _ => None,
+    let strategy = crate::env_var("PORCUPINE_STRATEGY", "'bottom-up' or 'dfs'", |v| {
+        v.parse().ok()
     })?;
     Ok(strategy.unwrap_or(SearchStrategy::BottomUp))
 }
@@ -353,17 +365,17 @@ pub fn synthesize(
     options: &SynthesisOptions,
 ) -> Result<SynthesisResult, SynthesisError> {
     let start = Instant::now();
-    let deadline = start + options.timeout;
     let mut rng = StdRng::seed_from_u64(options.seed);
 
     // Cache consult: a usable entry skips both search phases. The entry
     // is never trusted as-is — full symbolic verification runs first, so
     // a corrupted or maliciously edited cache degrades to a miss.
-    let cache_dir = options.cache.directory();
-    let cache_key = cache_dir
-        .as_ref()
-        .map(|_| cache_key_for(spec, sketch, options));
-    if let (Some(dir), Some(key)) = (&cache_dir, &cache_key) {
+    let cache_at = options
+        .cache
+        .directory()
+        .map(|dir| (dir, cache_key_for(spec, sketch, options)));
+    let mut cached = None;
+    if let Some((dir, key)) = &cache_at {
         // Memo tier first: a result this process already verified replays
         // without touching the disk or re-verifying.
         if let Some(mut hit) = memo_lookup(dir, key) {
@@ -373,142 +385,141 @@ pub fn synthesize(
             hit.time_total = start.elapsed();
             return Ok(hit);
         }
-        if let Some(entry) = cache::lookup(dir, key) {
-            if verify(&entry.program, spec, &mut rng).is_ok() {
+        match cache::lookup(dir, key) {
+            Some(entry) if verify(&entry.program, spec, &mut rng).is_ok() => {
                 cache::record_hit();
-                let (optimized, opt_report) = opt::optimize_with(
-                    &entry.program,
-                    options.opt_level,
-                    &options.scheme.legality(),
-                );
-                let params = crate::scheme::resolve_params(
-                    options.scheme,
-                    &options.params,
-                    &optimized,
-                    spec.n,
-                    spec.t,
-                );
-                let time_to_initial = start.elapsed();
-                let result = SynthesisResult {
-                    initial_program: entry.program.clone(),
-                    program: entry.program,
-                    optimized,
-                    opt_report,
-                    params,
-                    initial_cost: entry.final_cost,
-                    final_cost: entry.final_cost,
-                    components: entry.components,
-                    examples_used: entry.examples_used,
-                    time_to_initial,
-                    time_total: start.elapsed(),
-                    proved_optimal: entry.proved_optimal,
-                    strategy_used: options.strategy,
-                    cache_hit: true,
-                };
-                memo_store(dir, key, &result);
-                return Ok(result);
+                cached = Some(entry);
             }
-            cache::record_rejected();
+            rejected => {
+                if rejected.is_some() {
+                    cache::record_rejected();
+                }
+                cache::record_miss();
+            }
         }
-        cache::record_miss();
     }
 
-    let mut examples: Vec<Example> = vec![spec.sample_example(&mut rng)];
+    // A verified entry stands in for both search phases: its program is
+    // the initial and the final one.
+    let cache_hit = cached.is_some();
+    let (entry, initial_program, initial_cost, time_to_initial, strategy_used) = match cached {
+        Some(entry) => {
+            let initial = entry.program.clone();
+            let cost = entry.final_cost;
+            (entry, initial, cost, start.elapsed(), options.strategy)
+        }
+        None => synthesize_uncached(spec, sketch, options, start, rng)?,
+    };
+
+    // Write back a finished answer. Timed-out partials are deliberately
+    // not cached: they are timing-dependent, and the cache must only ever
+    // serve the canonical result of a query.
+    let finished = cache_hit || entry.proved_optimal || !options.optimize;
+    let write_back = cache_at.as_ref().filter(|_| finished);
+    if let Some((dir, key)) = write_back.filter(|_| !cache_hit) {
+        let _ = cache::store(dir, key, &entry);
+    }
+    // A parameter resolution failure is recorded, not fatal: the verified
+    // program is still the synthesis result.
+    let (optimized, opt_report, params) = opt::optimize_for(
+        &entry.program,
+        options.scheme,
+        options.opt_level,
+        &options.params,
+        spec.n,
+        spec.t,
+    );
+    let result = SynthesisResult {
+        program: entry.program,
+        optimized,
+        opt_report,
+        params,
+        initial_program,
+        initial_cost,
+        final_cost: entry.final_cost,
+        components: entry.components,
+        examples_used: entry.examples_used,
+        time_to_initial,
+        time_total: start.elapsed(),
+        proved_optimal: entry.proved_optimal,
+        strategy_used,
+        cache_hit,
+    };
+    // Memoize under the same finished-only condition as the disk tier.
+    if let Some((dir, key)) = write_back {
+        memo_store(dir, key, &result);
+    }
+    Ok(result)
+}
+
+/// Both phases of Algorithm 1 from scratch. Returns the finished query as
+/// the cache stores it, plus the initial program, its cost, the time it
+/// took and the strategy that found it.
+fn synthesize_uncached(
+    spec: &KernelSpec,
+    sketch: &Sketch,
+    options: &SynthesisOptions,
+    start: Instant,
+    mut rng: StdRng,
+) -> Result<(CacheEntry, Program, f64, Duration, SearchStrategy), SynthesisError> {
+    let mut cegis = Refinement {
+        spec,
+        sketch,
+        options,
+        deadline: start + options.timeout,
+        examples: vec![spec.sample_example(&mut rng)],
+        rng,
+    };
 
     // Phase 1: find the initial solution at minimal component count.
     // Bottom-up grows its bank level-by-level to the same effect as the
     // DFS's iterative deepening: both return a program with the fewest
     // components in the sketch.
-    let mut initial: Option<(Program, usize)> = None;
+    let floor = sketch.min_components.max(1);
+    let mut initial = None;
     let mut strategy_used = options.strategy;
     if options.strategy == SearchStrategy::BottomUp {
-        loop {
-            if Instant::now() >= deadline {
-                return Err(SynthesisError::Timeout);
-            }
-            let searcher = SearchContext::new(
-                spec,
-                sketch,
-                &examples,
-                &options.latency,
-                Some(deadline),
-                None,
-            );
-            match searcher.run_bottom_up(
-                sketch.min_components.max(1),
-                sketch.max_components,
-                options.parallelism,
-            ) {
+        let mut components = 0;
+        let outcome = cegis.refine(None, |searcher| {
+            match searcher.run_bottom_up(floor, sketch.max_components, options.parallelism) {
                 BottomUpOutcome::Found {
                     program,
-                    components,
-                } => match verify(&program, spec, &mut rng) {
-                    Ok(()) => {
-                        initial = Some((program, components));
-                        break;
-                    }
-                    Err(failure) => {
-                        let cex = failure
-                            .counter_example
-                            .ok_or(SynthesisError::CounterExampleExtraction)?;
-                        examples.push(cex);
-                    }
-                },
-                BottomUpOutcome::Exhausted => {
-                    // The capped bank came up dry; that is *not* an Unsat
-                    // proof. Hand the query to the complete DFS below.
-                    strategy_used = SearchStrategy::Dfs;
-                    break;
+                    components: c,
+                } => {
+                    components = c;
+                    SearchOutcome::Found(program)
                 }
-                BottomUpOutcome::Timeout => return Err(SynthesisError::Timeout),
+                // The capped bank came up dry; that is *not* an Unsat
+                // proof, so the complete DFS below takes the query over.
+                BottomUpOutcome::Exhausted => SearchOutcome::Unsat,
+                BottomUpOutcome::Timeout => SearchOutcome::Timeout { best: None },
             }
+        })?;
+        match outcome {
+            SearchOutcome::Found(program) => initial = Some((program, components)),
+            SearchOutcome::Unsat => strategy_used = SearchStrategy::Dfs,
+            SearchOutcome::Timeout { .. } => return Err(SynthesisError::Timeout),
         }
     }
     // Top-down iterative deepening: the requested strategy, or the
     // completeness fallback after an exhausted bank (deepening starts at
     // the sketch's floor — see `Sketch::min_components`).
-    'deepening: for num_components in sketch.min_components.max(1)..=sketch.max_components {
+    for num_components in floor..=sketch.max_components {
         if initial.is_some() {
-            break 'deepening;
+            break;
         }
-        loop {
-            if Instant::now() >= deadline {
-                return Err(SynthesisError::Timeout);
+        match cegis.refine(None, |searcher| {
+            searcher.run(num_components, options.parallelism)
+        })? {
+            SearchOutcome::Unsat => {} // try a larger sketch
+            // A program salvaged just before the deadline still counts.
+            SearchOutcome::Found(program)
+            | SearchOutcome::Timeout {
+                best: Some(program),
+            } => {
+                initial = Some((program, num_components));
             }
-            let searcher = SearchContext::new(
-                spec,
-                sketch,
-                &examples,
-                &options.latency,
-                Some(deadline),
-                None,
-            );
-            match searcher.run(num_components, options.parallelism) {
-                SearchOutcome::Unsat => break, // try a larger sketch
-                SearchOutcome::Timeout { best } => {
-                    // Salvage partial progress: a program found just before
-                    // the deadline still counts if it verifies.
-                    if let Some(program) = best {
-                        if verify(&program, spec, &mut rng).is_ok() {
-                            initial = Some((program, num_components));
-                            break 'deepening;
-                        }
-                    }
-                    return Err(SynthesisError::Timeout);
-                }
-                SearchOutcome::Found(program) => match verify(&program, spec, &mut rng) {
-                    Ok(()) => {
-                        initial = Some((program, num_components));
-                        break 'deepening;
-                    }
-                    Err(failure) => {
-                        let cex = failure
-                            .counter_example
-                            .ok_or(SynthesisError::CounterExampleExtraction)?;
-                        examples.push(cex);
-                    }
-                },
-            }
+            SearchOutcome::Timeout { best: None } => return Err(SynthesisError::Timeout),
         }
     }
     let (initial_program, components) = initial.ok_or(SynthesisError::SketchTooRestrictive {
@@ -526,114 +537,104 @@ pub fn synthesize(
     let mut best_cost = initial_cost;
     let mut proved_optimal = false;
     if options.optimize {
-        loop {
-            if Instant::now() >= deadline {
-                break;
+        match cegis.refine(Some(initial_cost), |searcher| {
+            searcher.run(components, options.parallelism)
+        })? {
+            // With a cost bound the search is exhaustive and
+            // tie-inclusive: `Found` is the canonical cheapest
+            // example-satisfying program of cost ≤ the bound, so a
+            // verified result is optimal within the sketch (every
+            // spec-correct program also satisfies the examples), and —
+            // because the incumbent itself is in the space — `Unsat` is
+            // unreachable here.
+            SearchOutcome::Found(program) => {
+                best_cost = eager_cost(&program, &options.latency);
+                best = program;
+                proved_optimal = true;
             }
-            let searcher = SearchContext::new(
-                spec,
-                sketch,
-                &examples,
-                &options.latency,
-                Some(deadline),
-                Some(best_cost),
-            );
-            match searcher.run(components, options.parallelism) {
-                SearchOutcome::Unsat => {
-                    proved_optimal = true;
-                    break;
-                }
-                SearchOutcome::Timeout { best: partial } => {
-                    // Keep the best program the interrupted search saw
-                    // instead of discarding the optimization progress.
-                    if let Some(program) = partial {
-                        if verify(&program, spec, &mut rng).is_ok() {
-                            let c = eager_cost(&program, &options.latency);
-                            if c < best_cost {
-                                best_cost = c;
-                                best = program;
-                            }
-                        }
-                    }
-                    break;
-                }
-                // With a cost bound the search is exhaustive and
-                // tie-inclusive: `Found` is the canonical cheapest
-                // example-satisfying program of cost ≤ the bound, so a
-                // verified result is optimal within the sketch (every
-                // spec-correct program also satisfies the examples), and —
-                // because the incumbent itself is in the space — `Unsat`
-                // is unreachable here.
-                SearchOutcome::Found(program) => match verify(&program, spec, &mut rng) {
-                    Ok(()) => {
-                        best_cost = eager_cost(&program, &options.latency);
+            SearchOutcome::Unsat => proved_optimal = true,
+            // Keep the best program the interrupted search saw instead of
+            // discarding the optimization progress.
+            SearchOutcome::Timeout { best: partial } => {
+                if let Some(program) = partial {
+                    let c = eager_cost(&program, &options.latency);
+                    if c < best_cost {
+                        best_cost = c;
                         best = program;
-                        proved_optimal = true;
-                        break;
                     }
-                    Err(failure) => {
-                        let cex = failure
-                            .counter_example
-                            .ok_or(SynthesisError::CounterExampleExtraction)?;
-                        examples.push(cex);
-                    }
-                },
+                }
             }
         }
     }
-
-    // Write back a finished answer. Timed-out partials are deliberately
-    // not cached: they are timing-dependent, and the cache must only ever
-    // serve the canonical result of a query.
-    let finished = proved_optimal || !options.optimize;
-    if finished {
-        if let (Some(dir), Some(key)) = (&cache_dir, &cache_key) {
-            let _ = cache::store(
-                dir,
-                key,
-                &CacheEntry {
-                    program: best.clone(),
-                    components,
-                    examples_used: examples.len(),
-                    final_cost: best_cost,
-                    proved_optimal,
-                },
-            );
-        }
-    }
-
-    let (optimized, opt_report) =
-        opt::optimize_with(&best, options.opt_level, &options.scheme.legality());
-    // Resolve the parameter policy against the program that will actually
-    // execute — the lowered one, so lazy relin placement is what gets
-    // charged by the scheme's noise analysis. A resolution failure is
-    // recorded, not fatal: the verified program is still the synthesis
-    // result.
-    let params =
-        crate::scheme::resolve_params(options.scheme, &options.params, &optimized, spec.n, spec.t);
-    let result = SynthesisResult {
+    let entry = CacheEntry {
         program: best,
-        optimized,
-        opt_report,
-        params,
+        components,
+        examples_used: cegis.examples.len(),
+        final_cost: best_cost,
+        proved_optimal,
+    };
+    Ok((
+        entry,
         initial_program,
         initial_cost,
-        final_cost: best_cost,
-        components,
-        examples_used: examples.len(),
         time_to_initial,
-        time_total: start.elapsed(),
-        proved_optimal,
         strategy_used,
-        cache_hit: false,
-    };
-    // Memoize under the same finished-only condition as the disk tier.
-    if finished {
-        if let (Some(dir), Some(key)) = (&cache_dir, &cache_key) {
-            memo_store(dir, key, &result);
+    ))
+}
+
+/// The state Algorithm 1 threads through every query: the examples so far
+/// and the rng that samples the spec's counter-examples.
+struct Refinement<'a> {
+    spec: &'a KernelSpec,
+    sketch: &'a Sketch,
+    options: &'a SynthesisOptions,
+    deadline: Instant,
+    examples: Vec<Example>,
+    rng: StdRng,
+}
+
+impl Refinement<'_> {
+    /// The refinement loop: runs `query` on a searcher over the examples
+    /// (under the cost `bound`, if any) and verifies the program it finds;
+    /// a failed verification adds its counter-example and queries again.
+    ///
+    /// Returns `Found` only for a verified program, `Unsat` when the query
+    /// has no candidate, and `Timeout` at the deadline, carrying the
+    /// query's partial best only if that verifies.
+    fn refine(
+        &mut self,
+        bound: Option<f64>,
+        mut query: impl FnMut(&SearchContext) -> SearchOutcome,
+    ) -> Result<SearchOutcome, SynthesisError> {
+        loop {
+            if Instant::now() >= self.deadline {
+                return Ok(SearchOutcome::Timeout { best: None });
+            }
+            let outcome = query(&SearchContext::new(
+                self.spec,
+                self.sketch,
+                &self.examples,
+                &self.options.latency,
+                Some(self.deadline),
+                bound,
+            ));
+            match outcome {
+                SearchOutcome::Found(program) => match verify(&program, self.spec, &mut self.rng) {
+                    Ok(()) => return Ok(SearchOutcome::Found(program)),
+                    Err(failure) => self.examples.push(
+                        failure
+                            .counter_example
+                            .ok_or(SynthesisError::CounterExampleExtraction)?,
+                    ),
+                },
+                SearchOutcome::Timeout { best } => {
+                    let best = best.filter(|p| verify(p, self.spec, &mut self.rng).is_ok());
+                    return Ok(SearchOutcome::Timeout { best });
+                }
+                SearchOutcome::Unsat => return Ok(SearchOutcome::Unsat),
+            }
         }
     }
-    Ok(result)
 }
 
 /// Renders the content-addressed cache key for one query (see

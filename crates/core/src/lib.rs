@@ -23,10 +23,11 @@
 //!   at model size run on full-size ciphertexts.
 //! * [`multistep`] — composing synthesized kernels into pipelines (Sobel,
 //!   Harris).
-//! * [`opt`] — the optimizing middle-end between synthesis and codegen: a
-//!   pass manager driving global CSE, rotation folding, lazy
-//!   relinearization, and DCE to a fixpoint, behind an `-O0`/`-O1`/`-O2`
-//!   knob.
+//! * [`opt`] — the optimizing middle-end between synthesis and codegen:
+//!   global CSE, rotation folding, lazy relinearization, and DCE driven to
+//!   a fixpoint at `-O2`, eager relinearization only at `-O0`, and
+//!   [`opt::optimize_for`], which lowers and then resolves the scheme
+//!   parameters against the lowered program.
 //! * [`scheme`] — the scheme abstraction: a [`scheme::Scheme`] trait
 //!   mapping [`quill::scheme::SchemeId`] onto a concrete backend crate
 //!   (context, keys, evaluator, parameter selection, noise model), with
@@ -90,7 +91,9 @@ pub use cegis::{
     clear_synthesis_memo, default_parallelism, default_strategy, synthesize, CachePolicy,
     SearchStrategy, SynthesisError, SynthesisOptions, SynthesisResult,
 };
-pub use opt::{default_opt_level, optimize, optimize_with, OptLevel, OptReport, Pass, PassManager};
+pub use opt::{
+    default_opt_level, optimize, optimize_for, optimize_with, OptLevel, OptReport, Pass,
+};
 
 /// Environment variable `name` parsed by `parse`: `Ok(None)` when unset or
 /// blank, else an error naming the variable, what it accepts and the value

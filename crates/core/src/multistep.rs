@@ -9,9 +9,9 @@
 //! stitched pipeline cheap live in the middle-end ([`crate::opt`]):
 //! [`PipelineBuilder::finish`] runs the builder's historical local cleanup
 //! (syntactic CSE + DCE, so stages over the same input share identical
-//! rotations), and [`PipelineBuilder::finish_optimized`] additionally runs
-//! the full `-O` pipeline — global CSE, rotation folding, lazy
-//! relinearization, DCE — and returns backend-legal IR.
+//! rotations), and [`crate::opt::optimize_for`] lowers the stitched
+//! program to backend-legal IR and resolves the scheme parameters against
+//! it, like any single kernel.
 //!
 //! Each stage goes through [`crate::cegis::synthesize`] unchanged, so
 //! staged pipelines inherit both the phase-1 strategy selection
@@ -111,92 +111,13 @@ impl PipelineBuilder {
     /// Finishes the pipeline with the given output, then runs CSE and dead
     /// code elimination so stages share identical rotations. The result
     /// carries no explicit relinearizations — lower it through
-    /// [`crate::opt::optimize`] (or use
-    /// [`PipelineBuilder::finish_optimized`]) before executing on the BFV
+    /// [`crate::opt::optimize_for`] before executing it on a scheme
     /// backend.
     pub fn finish(mut self, output: ValRef) -> Program {
         self.prog.output = output;
         let prog = self.prog.cse();
         debug_assert!(prog.validate().is_ok());
         prog
-    }
-
-    /// [`PipelineBuilder::finish`] plus the middle-end at `level`: returns
-    /// backend-legal IR (relinearizations placed — eagerly at `-O0`,
-    /// lazily at `-O2`) and the per-pass rewrite report.
-    pub fn finish_optimized(
-        self,
-        output: ValRef,
-        level: crate::opt::OptLevel,
-    ) -> (Program, crate::opt::OptReport) {
-        crate::opt::optimize(&self.finish(output), level)
-    }
-
-    /// [`PipelineBuilder::finish_with_params_for`] on the BFV backend —
-    /// the historical single-scheme entry point, kept so existing call
-    /// sites read unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`bfv::params::SelectError`] when no parameter set
-    /// satisfies the policy for this pipeline.
-    pub fn finish_with_params(
-        self,
-        output: ValRef,
-        level: crate::opt::OptLevel,
-        policy: &rlwe_ring::params::ParamPolicy,
-        min_slots: usize,
-        t: u64,
-    ) -> Result<
-        (
-            Program,
-            crate::opt::OptReport,
-            rlwe_ring::params::RlweParams,
-        ),
-        rlwe_ring::params::SelectError,
-    > {
-        self.finish_with_params_for(
-            quill::scheme::SchemeId::Bfv,
-            output,
-            level,
-            policy,
-            min_slots,
-            t,
-        )
-    }
-
-    /// [`PipelineBuilder::finish_optimized`] plus scheme parameter
-    /// resolution for the lowered pipeline: the middle-end runs gated on
-    /// `scheme`'s instruction legality, then `policy` is resolved against
-    /// the backend-legal program under that scheme's noise model (so
-    /// multi-step noise — shared rotations, lazy relins across stage
-    /// seams, BGV's per-multiply bit doubling — is what gets charged),
-    /// needing `min_slots` batching slots and plaintext modulus `t`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the scheme selector's [`rlwe_ring::params::SelectError`]
-    /// when no parameter set satisfies the policy for this pipeline.
-    pub fn finish_with_params_for(
-        self,
-        scheme: quill::scheme::SchemeId,
-        output: ValRef,
-        level: crate::opt::OptLevel,
-        policy: &rlwe_ring::params::ParamPolicy,
-        min_slots: usize,
-        t: u64,
-    ) -> Result<
-        (
-            Program,
-            crate::opt::OptReport,
-            rlwe_ring::params::RlweParams,
-        ),
-        rlwe_ring::params::SelectError,
-    > {
-        let (prog, report) =
-            crate::opt::optimize_with(&self.finish(output), level, &scheme.legality());
-        let params = crate::scheme::resolve_params(scheme, policy, &prog, min_slots, t)?;
-        Ok((prog, report, params))
     }
 }
 
@@ -299,8 +220,10 @@ mod tests {
     }
 
     #[test]
-    fn finish_with_params_selects_for_the_whole_pipeline() {
+    fn optimize_for_selects_for_the_whole_pipeline() {
+        use crate::opt::{optimize_for, OptLevel};
         use bfv::params::ParamPolicy;
+        use quill::scheme::SchemeId;
         let square = Program::new(
             "square",
             1,
@@ -316,17 +239,16 @@ mod tests {
             for _ in 0..stages {
                 cur = b.add_stage(&square, &[cur], &[]);
             }
-            let (prog, _, params) = b
-                .finish_with_params(
-                    cur,
-                    crate::opt::OptLevel::O2,
-                    &ParamPolicy::auto(),
-                    8,
-                    65537,
-                )
-                .expect("selection succeeds");
+            let (prog, _, params) = optimize_for(
+                &b.finish(cur),
+                SchemeId::Bfv,
+                OptLevel::O2,
+                &ParamPolicy::auto(),
+                8,
+                65537,
+            );
             assert!(quill::analysis::check_backend_legal(&prog).is_ok());
-            params
+            params.expect("selection succeeds")
         };
         let shallow = build(1);
         let deep = build(3);

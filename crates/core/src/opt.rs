@@ -28,18 +28,20 @@
 //!
 //! * `-O0` — [`EagerRelin`] only: byte-for-byte today's backend behavior
 //!   (multiply, then relinearize, for every ct×ct product).
-//! * `-O1` — `-O0` placement plus [`Cse`] and [`Dce`].
 //! * `-O2` — [`Cse`] → [`RotFold`] → [`LazyRelin`] → [`Dce`], iterated to a
 //!   fixpoint.
 //!
-//! The [`PassManager`] drives a pass list to a fixpoint (a full sweep with
-//! zero rewrites) and records per-pass rewrite counts in an [`OptReport`];
-//! re-optimizing an already-optimized program is a fixpoint with zero
-//! rewrites, which CI checks.
+//! [`optimize_with`] drives a level's fixed pass list to a fixpoint (a full
+//! sweep with zero rewrites) and records per-pass rewrite counts in an
+//! [`OptReport`]; re-optimizing an already-optimized program is a fixpoint
+//! with zero rewrites, which CI checks. [`optimize_for`] adds the step
+//! every driver takes next: resolving the scheme parameters against the
+//! lowered program.
 
 use quill::analysis;
 use quill::program::{Instr, Program, ValRef};
-use quill::scheme::SchemeLegality;
+use quill::scheme::{SchemeId, SchemeLegality};
+use rlwe_ring::params::{ParamPolicy, RlweParams, SelectError};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -49,8 +51,6 @@ pub enum OptLevel {
     /// Eager relinearization only — reproduces the pre-middle-end compiler
     /// exactly.
     O0,
-    /// Eager relinearization plus CSE and DCE.
-    O1,
     /// The full pipeline: CSE, rotation folding, lazy relinearization, DCE,
     /// to a fixpoint.
     O2,
@@ -60,7 +60,6 @@ impl fmt::Display for OptLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             OptLevel::O0 => write!(f, "O0"),
-            OptLevel::O1 => write!(f, "O1"),
             OptLevel::O2 => write!(f, "O2"),
         }
     }
@@ -72,18 +71,17 @@ impl std::str::FromStr for OptLevel {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim_start_matches("-").trim_start_matches(['O', 'o']) {
             "0" => Ok(OptLevel::O0),
-            "1" => Ok(OptLevel::O1),
             "2" => Ok(OptLevel::O2),
-            _ => Err(format!("unknown opt level '{s}' (expected 0, 1, or 2)")),
+            _ => Err(format!("unknown opt level '{s}' (expected 0 or 2)")),
         }
     }
 }
 
 /// The optimization level the `PORCUPINE_OPT` environment variable selects
-/// (`0`/`1`/`2`, as the CI matrix sets it), `-O2` when unset, or an error
+/// (`0` or `2`, as the CI matrix sets it), `-O2` when unset, or an error
 /// naming the variable for any other value.
 pub fn opt_level_from_env() -> Result<OptLevel, String> {
-    let level = crate::env_var("PORCUPINE_OPT", "0, 1 or 2", |v| v.parse().ok())?;
+    let level = crate::env_var("PORCUPINE_OPT", "0 or 2", |v| v.parse().ok())?;
     Ok(level.unwrap_or(OptLevel::O2))
 }
 
@@ -550,104 +548,46 @@ impl fmt::Display for OptReport {
     }
 }
 
-/// Drives a pass list to a fixpoint: sweeps run in order until a full
-/// sweep applies zero rewrites (or the sweep cap fires — a backstop; the
-/// shipped pipelines converge in one or two sweeps).
-pub struct PassManager {
-    passes: Vec<Box<dyn Pass>>,
-    max_sweeps: usize,
-}
-
-impl PassManager {
-    /// A manager over the given passes (sweep cap 8).
-    pub fn new(passes: Vec<Box<dyn Pass>>) -> Self {
-        PassManager {
-            passes,
-            max_sweeps: 8,
+/// Sweeps `passes` in order until a full sweep applies zero rewrites (or
+/// the sweep cap fires — a backstop; the shipped pipelines converge in one
+/// or two sweeps).
+///
+/// # Panics
+///
+/// Panics (debug builds) if a pass produces a structurally invalid program.
+fn run_to_fixpoint(passes: &[&dyn Pass], prog: &Program) -> (Program, OptReport) {
+    const MAX_SWEEPS: usize = 8;
+    let mut current = prog.clone();
+    let mut totals: Vec<(&'static str, usize)> = passes.iter().map(|p| (p.name(), 0)).collect();
+    let mut sweeps = 0usize;
+    loop {
+        sweeps += 1;
+        let mut sweep_rewrites = 0usize;
+        for (i, pass) in passes.iter().enumerate() {
+            let (next, n) = pass.run(&current);
+            debug_assert!(
+                next.validate().is_ok(),
+                "pass {} produced an invalid program: {:?}",
+                pass.name(),
+                next.validate()
+            );
+            totals[i].1 += n;
+            sweep_rewrites += n;
+            current = next;
+        }
+        if sweep_rewrites == 0 || sweeps >= MAX_SWEEPS {
+            break;
         }
     }
-
-    /// The pipeline for an [`OptLevel`] targeting the full instruction set.
-    pub fn for_level(level: OptLevel) -> Self {
-        PassManager::for_level_with(level, &SchemeLegality::full())
-    }
-
-    /// The pipeline for an [`OptLevel`], restricted to what the target
-    /// scheme can execute: when the scheme lacks relinearization
-    /// (`!legality.relin`), the relin-placement passes ([`EagerRelin`],
-    /// [`LazyRelin`]) are omitted entirely — inserting a `relin-ct` the
-    /// backend cannot run would trade a legal program for an illegal one.
-    /// The remaining passes ([`Cse`], [`RotFold`], [`Dce`]) never introduce
-    /// instructions absent from the input, so they are safe under any
-    /// legality.
-    pub fn for_level_with(level: OptLevel, legality: &SchemeLegality) -> Self {
-        let relin = legality.relin;
-        let mut passes: Vec<Box<dyn Pass>> = Vec::new();
-        match level {
-            OptLevel::O0 => {
-                if relin {
-                    passes.push(Box::new(EagerRelin));
-                }
-            }
-            OptLevel::O1 => {
-                if relin {
-                    passes.push(Box::new(EagerRelin));
-                }
-                passes.push(Box::new(Cse));
-                passes.push(Box::new(Dce));
-            }
-            OptLevel::O2 => {
-                passes.push(Box::new(Cse));
-                passes.push(Box::new(RotFold));
-                if relin {
-                    passes.push(Box::new(LazyRelin));
-                }
-                passes.push(Box::new(Dce));
-            }
-        }
-        PassManager::new(passes)
-    }
-
-    /// Runs the pipeline to a fixpoint.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if a pass produces a structurally invalid
-    /// program.
-    pub fn run(&self, prog: &Program) -> (Program, OptReport) {
-        let mut current = prog.clone();
-        let mut totals: Vec<(&'static str, usize)> =
-            self.passes.iter().map(|p| (p.name(), 0)).collect();
-        let mut sweeps = 0usize;
-        loop {
-            sweeps += 1;
-            let mut sweep_rewrites = 0usize;
-            for (i, pass) in self.passes.iter().enumerate() {
-                let (next, n) = pass.run(&current);
-                debug_assert!(
-                    next.validate().is_ok(),
-                    "pass {} produced an invalid program: {:?}",
-                    pass.name(),
-                    next.validate()
-                );
-                totals[i].1 += n;
-                sweep_rewrites += n;
-                current = next;
-            }
-            if sweep_rewrites == 0 || sweeps >= self.max_sweeps {
-                break;
-            }
-        }
-        let total_rewrites = totals.iter().map(|(_, n)| n).sum();
-        (
-            current,
-            OptReport {
-                passes: totals,
-                sweeps,
-                total_rewrites,
-            },
-        )
-    }
+    let total_rewrites = totals.iter().map(|(_, n)| n).sum();
+    (
+        current,
+        OptReport {
+            passes: totals,
+            sweeps,
+            total_rewrites,
+        },
+    )
 }
 
 /// Optimizes and lowers `prog` at `level` for the full instruction set.
@@ -659,20 +599,32 @@ pub fn optimize(prog: &Program, level: OptLevel) -> (Program, OptReport) {
 }
 
 /// Optimizes and lowers `prog` at `level` for a scheme with the given
-/// instruction-set legality (see [`PassManager::for_level_with`]).
+/// instruction-set legality.
+///
+/// When the scheme lacks relinearization (`!legality.relin`), the
+/// relin-placement passes ([`EagerRelin`], [`LazyRelin`]) are omitted
+/// entirely — inserting a `relin-ct` the backend cannot run would trade a
+/// legal program for an illegal one. The remaining passes ([`Cse`],
+/// [`RotFold`], [`Dce`]) never introduce instructions absent from the
+/// input, so they are safe under any legality.
 ///
 /// When the scheme supports relinearization, the output is guaranteed
-/// backend-legal (debug-asserted). Without relin support no placement pass
-/// runs, so a program whose multiplies genuinely need relinearization
-/// comes out *reported* illegal by
-/// [`quill::analysis::check_backend_legal_with`] rather than silently
+/// backend-legal (debug-asserted). Without relin support a program whose
+/// multiplies genuinely need relinearization comes out *reported* illegal
+/// by [`quill::analysis::check_backend_legal_with`] rather than silently
 /// rewritten — the caller decides whether that is a hard error.
 pub fn optimize_with(
     prog: &Program,
     level: OptLevel,
     legality: &SchemeLegality,
 ) -> (Program, OptReport) {
-    let (out, report) = PassManager::for_level_with(level, legality).run(prog);
+    let passes: &[&dyn Pass] = match (level, legality.relin) {
+        (OptLevel::O0, true) => &[&EagerRelin],
+        (OptLevel::O0, false) => &[],
+        (OptLevel::O2, true) => &[&Cse, &RotFold, &LazyRelin, &Dce],
+        (OptLevel::O2, false) => &[&Cse, &RotFold, &Dce],
+    };
+    let (out, report) = run_to_fixpoint(passes, prog);
     if legality.relin {
         debug_assert!(
             analysis::check_backend_legal_with(&out, legality).is_ok(),
@@ -681,6 +633,28 @@ pub fn optimize_with(
         );
     }
     (out, report)
+}
+
+/// Lowers `prog` at `level` under `scheme`'s legality, then resolves
+/// `policy` against the lowered program under that scheme's noise model,
+/// needing `min_slots` batching slots and plaintext modulus `t` — so what
+/// executes (lazy relins, shared rotations across stage seams) is what
+/// gets charged.
+///
+/// A resolution failure is returned alongside the lowered program, not
+/// instead of it: callers that pick parameters some other way lose
+/// nothing.
+pub fn optimize_for(
+    prog: &Program,
+    scheme: SchemeId,
+    level: OptLevel,
+    policy: &ParamPolicy,
+    min_slots: usize,
+    t: u64,
+) -> (Program, OptReport, Result<RlweParams, SelectError>) {
+    let (lowered, report) = optimize_with(prog, level, &scheme.legality());
+    let params = crate::scheme::resolve_params(scheme, policy, &lowered, min_slots, t);
+    (lowered, report, params)
 }
 
 #[cfg(test)]
@@ -895,7 +869,7 @@ mod tests {
             ],
             ValRef::Instr(5),
         );
-        for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+        for level in [OptLevel::O0, OptLevel::O2] {
             let (once, _) = optimize(&raw, level);
             let (twice, report) = optimize(&once, level);
             assert_eq!(once, twice, "{level} not idempotent");
@@ -925,7 +899,7 @@ mod tests {
             ],
             ValRef::Instr(1),
         );
-        for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+        for level in [OptLevel::O0, OptLevel::O2] {
             let (out, _) = optimize_with(&with_mul, level, &no_relin);
             assert_eq!(out.relin_count(), 0, "{level} inserted forbidden relin");
             assert_same_semantics(&with_mul, &out, 6);
@@ -944,7 +918,7 @@ mod tests {
             ],
             ValRef::Instr(2),
         );
-        for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+        for level in [OptLevel::O0, OptLevel::O2] {
             let (out, _) = optimize_with(&rot_only, level, &no_relin);
             assert!(analysis::check_backend_legal_with(&out, &no_relin).is_ok());
             assert_same_semantics(&rot_only, &out, 6);
@@ -959,12 +933,14 @@ mod tests {
     fn opt_level_parses_common_spellings() {
         for (s, want) in [
             ("0", OptLevel::O0),
-            ("O1", OptLevel::O1),
+            ("O0", OptLevel::O0),
             ("-O2", OptLevel::O2),
             ("o2", OptLevel::O2),
         ] {
             assert_eq!(s.parse::<OptLevel>().unwrap(), want);
         }
-        assert!("fast".parse::<OptLevel>().is_err());
+        for bad in ["fast", "1", "-O1", "3"] {
+            assert!(bad.parse::<OptLevel>().is_err(), "{bad}");
+        }
     }
 }

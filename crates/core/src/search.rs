@@ -32,7 +32,7 @@
 //! * **top-down DFS** (this module) — complete at a fixed component count;
 //!   an `Unsat` is a proof. This is what iterative deepening and the
 //!   cost-minimization phase run.
-//! * **bottom-up term bank** ([`crate::bottom_up`]) — grows a bank of
+//! * **bottom-up term bank** (the crate-private `bottom_up` module) — grows a bank of
 //!   sub-terms level by level, deduplicated by their output vector on the
 //!   CEGIS examples (observational equivalence) and by cost within a
 //!   class, so shared subprograms are derived once instead of re-derived
@@ -46,7 +46,7 @@
 //!
 //! The search is split into two layers:
 //!
-//! * [`SearchContext`] — everything immutable for the duration of one
+//! * `SearchContext` — everything immutable for the duration of one
 //!   query: the sketch, the concatenated example values, the masked target,
 //!   plaintext operand values, and the latency table. It is `Sync` and
 //!   shared by reference across worker threads.
@@ -57,7 +57,7 @@
 //!
 //! # Subtree partitioning and the determinism contract
 //!
-//! [`SearchContext::run`] enumerates the candidates for the *first*
+//! `SearchContext::run` enumerates the candidates for the *first*
 //! component slot once; each candidate roots a disjoint subtree of the
 //! program space. Workers claim subtrees from a shared atomic counter (a
 //! single-queue form of work stealing: an idle worker always takes the next

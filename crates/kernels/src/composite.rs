@@ -20,13 +20,6 @@ use quill::program::{Program, PtOperand, ValRef};
 use quill::ring::Ring;
 use quill::sexpr::parse_program;
 
-/// Mask of slots whose flat reads `[lo, hi]` stay in bounds.
-fn bounded_mask(slots: usize, lo: isize, hi: isize) -> Vec<bool> {
-    (0..slots as isize)
-        .map(|i| i + lo >= 0 && i + hi < slots as isize)
-        .collect()
-}
-
 // ---------------------------------------------------------------- Sobel --
 
 /// The Sobel combine stage: `out = a² + b²` (synthesizable at L = 3).
@@ -117,7 +110,7 @@ pub fn sobel_spec(img: PaddedImage) -> KernelSpec {
         img.slots(),
         1,
         0,
-        bounded_mask(img.slots(), -w - 1, w + 1),
+        stencil::bounded_mask(img.slots(), -w - 1, w + 1),
         T,
         Box::new(Sobel { w }),
     )
@@ -343,7 +336,7 @@ pub fn harris_spec(img: PaddedImage) -> KernelSpec {
         img.slots(),
         1,
         0,
-        bounded_mask(img.slots(), -(w + 1), 2 * (w + 1)),
+        stencil::bounded_mask(img.slots(), -(w + 1), 2 * (w + 1)),
         T,
         Box::new(Harris { w }),
     )

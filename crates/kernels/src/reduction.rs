@@ -65,7 +65,7 @@ pub fn dot_product(len: usize) -> PaperKernel {
     .with_min_components(1 + len.ilog2() as usize);
     // Depth-minimized baseline: multiply, then a balanced rotate-add tree.
     // For len = 8: 7 instructions, depth 7 (Table 2).
-    let baseline = reduction_baseline("dot-product-baseline", len, 1, 1, "(mul-ct-pt c0 p0)");
+    let baseline = reduction_baseline("dot-product-baseline", len, 1, 1, &["(mul-ct-pt c0 p0)"]);
     PaperKernel {
         name: "dot-product",
         spec,
@@ -116,12 +116,13 @@ fn squared_distance_kernel(name: &'static str, len: usize) -> PaperKernel {
         2 + len.ilog2() as usize,
     )
     .with_min_components(1 + len.ilog2() as usize);
+    // Subtract, square, then the reduction tree.
     let baseline = reduction_baseline(
-        Box::leak(format!("{name}-baseline").into_boxed_str()),
+        &format!("{name}-baseline"),
         len,
         2,
         0,
-        "(sub-ct-ct c0 c1)",
+        &["(sub-ct-ct c0 c1)", "(mul-ct-ct c2 c2)"],
     );
     PaperKernel {
         name,
@@ -135,18 +136,13 @@ fn squared_distance_kernel(name: &'static str, len: usize) -> PaperKernel {
 /// `Σ (x_i − y_i)²` (= popcount of XOR on binary inputs). Table 2 size:
 /// `len = 4` gives 6 instructions at depth 6.
 pub fn hamming_distance(len: usize) -> PaperKernel {
-    let mut k = squared_distance_kernel("hamming-distance", len);
-    // Hamming = sub, square, then the reduction tree.
-    k.baseline = hamming_l2_baseline("hamming-distance-baseline", len);
-    k
+    squared_distance_kernel("hamming-distance", len)
 }
 
 /// Squared L2 distance between two packed vectors of `len` elements
 /// (k-NN-style workloads use squared distance per §7.1).
 pub fn l2_distance(len: usize) -> PaperKernel {
-    let mut k = squared_distance_kernel("l2-distance", len);
-    k.baseline = hamming_l2_baseline("l2-distance-baseline", len);
-    k
+    squared_distance_kernel("l2-distance", len)
 }
 
 /// Multi-step synthesis (§6.3) for a reduction kernel past the direct
@@ -342,43 +338,24 @@ pub fn direct_search_wall(strategy: porcupine::cegis::SearchStrategy) -> usize {
     }
 }
 
-/// Builds `first_instr` followed by a balanced rotate-add reduction over
-/// `len` slots, in surface syntax.
+/// Builds the `head` instructions (bound in order, from the first free
+/// `c` index) followed by a balanced rotate-add reduction over `len` slots
+/// of the last one, in surface syntax.
 fn reduction_baseline(
     name: &str,
     len: usize,
     num_ct: usize,
     num_pt: usize,
-    first_instr: &str,
+    head: &[&str],
 ) -> quill::program::Program {
     assert!(len.is_power_of_two());
     let mut src = format!("(kernel {name} (inputs (ct {num_ct}) (pt {num_pt}))\n");
     let mut next = num_ct; // index of next binding
-    src.push_str(&format!("  (let c{next} {first_instr})\n"));
-    let mut acc = next;
-    next += 1;
-    let mut step = len / 2;
-    while step >= 1 {
-        src.push_str(&format!("  (let c{next} (rot-ct c{acc} {step}))\n"));
-        src.push_str(&format!(
-            "  (let c{} (add-ct-ct c{acc} c{next}))\n",
-            next + 1
-        ));
-        acc = next + 1;
-        next += 2;
-        step /= 2;
+    for instr in head {
+        src.push_str(&format!("  (let c{next} {instr})\n"));
+        next += 1;
     }
-    src.push_str(&format!("  (return c{acc}))"));
-    parse_program(&src).expect("baseline source is valid")
-}
-
-fn hamming_l2_baseline(name: &str, len: usize) -> quill::program::Program {
-    assert!(len.is_power_of_two());
-    let mut src = format!("(kernel {name} (inputs (ct 2) (pt 0))\n");
-    src.push_str("  (let c2 (sub-ct-ct c0 c1))\n");
-    src.push_str("  (let c3 (mul-ct-ct c2 c2))\n");
-    let mut acc = 3;
-    let mut next = 4;
+    let mut acc = next - 1;
     let mut step = len / 2;
     while step >= 1 {
         src.push_str(&format!("  (let c{next} (rot-ct c{acc} {step}))\n"));

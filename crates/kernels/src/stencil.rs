@@ -35,7 +35,7 @@ impl GenericReference for Stencil {
 
 /// Mask of slots whose window reads `[lo, hi]` (flat offsets) stay inside
 /// the packed vector, so circular and padded semantics agree.
-fn bounded_mask(slots: usize, lo: isize, hi: isize) -> Vec<bool> {
+pub(crate) fn bounded_mask(slots: usize, lo: isize, hi: isize) -> Vec<bool> {
     (0..slots as isize)
         .map(|i| i + lo >= 0 && i + hi < slots as isize)
         .collect()

@@ -17,7 +17,7 @@
 //! * [`scheme`] — which backend the pipeline targets ([`scheme::SchemeId`])
 //!   and which instructions that backend can execute
 //!   ([`scheme::SchemeLegality`]).
-//! * [`cost`] — the paper's `latency × (1 + mdepth)` objective, with
+//! * [`cost`](mod@cost) — the paper's `latency × (1 + mdepth)` objective, with
 //!   per-scheme latency tables profiled from the in-repo backends.
 //! * [`sexpr`] — a Racket-flavoured surface syntax with a round-tripping
 //!   parser and printer.

@@ -273,28 +273,13 @@ impl Program {
         }
     }
 
-    /// Multiplicative depth per Table 1: fresh inputs are 0; ct×ct takes
-    /// `max + 1`; ct×pt takes `+1`; everything else takes the operand max.
+    /// Multiplicative depth per Table 1: the output's level under
+    /// [`crate::analysis::ct_levels`] (fresh inputs are 0; ct×ct takes
+    /// `max + 1`; ct×pt takes `+1`; everything else takes the operand max).
     pub fn mult_depth(&self) -> u32 {
-        let mut noise = vec![0u32; self.instrs.len()];
-        let get = |r: &ValRef, noise: &[u32]| match r {
-            ValRef::Input(_) => 0,
-            ValRef::Instr(j) => noise[*j],
-        };
-        for (i, instr) in self.instrs.iter().enumerate() {
-            noise[i] = match instr {
-                Instr::AddCtCt(a, b) | Instr::SubCtCt(a, b) => get(a, &noise).max(get(b, &noise)),
-                Instr::MulCtCt(a, b) => get(a, &noise).max(get(b, &noise)) + 1,
-                Instr::AddCtPt(a, _)
-                | Instr::SubCtPt(a, _)
-                | Instr::RotCt(a, _)
-                | Instr::Relin(a) => get(a, &noise),
-                Instr::MulCtPt(a, _) => get(a, &noise) + 1,
-            };
-        }
         match self.output {
             ValRef::Input(_) => 0,
-            ValRef::Instr(j) => noise[j],
+            ValRef::Instr(j) => crate::analysis::ct_levels(self)[j],
         }
     }
 

@@ -251,11 +251,13 @@ pub fn assert_backend_matches_interp(
 /// inputs, executed by the Quill interpreter and by encrypted backends
 /// under multiple parameter sets — all asserted slot-identical.
 ///
-/// Two harnesses share the machinery: [`assert_differential`] (BFV under
+/// Two harnesses share the machinery:
+/// [`assert_differential`](differential::assert_differential) (BFV under
 /// paper + auto parameters, with the selection-margin certificate) and
-/// [`assert_cross_scheme`] (every [`SchemeId`] backend against the
-/// interpreter and against each other, each under its own auto-selected
-/// parameters plus — noise model permitting — the paper set).
+/// [`assert_cross_scheme`](differential::assert_cross_scheme) (every
+/// [`SchemeId`] backend against the interpreter and against each other,
+/// each under its own auto-selected parameters plus — noise model
+/// permitting — the paper set).
 pub mod differential {
     use super::*;
     use bfv::noise::NoiseModel;
@@ -291,15 +293,21 @@ pub mod differential {
         input_bound: u64,
         seed: u64,
     ) -> DifferentialReport {
-        let (lowered, _) = opt::optimize(prog, test_opt_level());
+        let (lowered, _, auto_params) = opt::optimize_for(
+            prog,
+            SchemeId::Bfv,
+            test_opt_level(),
+            &ParamPolicy::auto(),
+            model_n,
+            T,
+        );
+        let auto_params =
+            auto_params.unwrap_or_else(|e| panic!("{}: auto selection failed: {e}", prog.name));
         let mut rng = seeded_rng(seed);
         let ct_model = sample_model_inputs(prog.num_ct_inputs, model_n, input_bound, &mut rng);
         let pt_model = sample_model_inputs(prog.num_pt_inputs, model_n, input_bound, &mut rng);
         let expected = interp::eval_concrete(prog, &ct_model, &pt_model, T);
 
-        let auto_params =
-            bfv::params::resolve_policy(&bfv::params::ParamPolicy::auto(), &lowered, model_n, T)
-                .unwrap_or_else(|e| panic!("{}: auto selection failed: {e}", prog.name));
         let predicted = NoiseModel::for_params(&auto_params)
             .analyze(&lowered)
             .predicted_budget_bits;
@@ -407,15 +415,16 @@ pub mod differential {
 
         let mut legs = Vec::new();
         for &scheme in SchemeId::ALL {
-            let (lowered, _) = opt::optimize_with(prog, test_opt_level(), &scheme.legality());
-            let auto_params = porcupine::scheme::resolve_params(
+            let (lowered, _, auto_params) = opt::optimize_for(
+                prog,
                 scheme,
+                test_opt_level(),
                 &ParamPolicy::auto(),
-                &lowered,
                 model_n,
                 T,
-            )
-            .unwrap_or_else(|e| panic!("{} [{scheme}]: auto selection failed: {e}", prog.name));
+            );
+            let auto_params = auto_params
+                .unwrap_or_else(|e| panic!("{} [{scheme}]: auto selection failed: {e}", prog.name));
 
             let mut planned: Vec<(&'static str, BfvParams)> = vec![("auto", auto_params)];
             let paper = BfvParams::paper();

@@ -8,7 +8,7 @@
 //! porcupine synth gx --explicit          # §7.4 ablation sketch mode
 //! porcupine synth box-blur --auto        # infer the sketch from the spec
 //! porcupine synth gx --jobs 4            # search with 4 worker threads
-//! porcupine synth sobel-combine -O0      # middle-end level (also -O1/-O2)
+//! porcupine synth sobel-combine -O0      # middle-end level (also -O2)
 //! porcupine synth dot-product --size 64 --params auto
 //!                                        # bigger kernel, auto-selected
 //!                                        # params, encrypted check
@@ -44,8 +44,7 @@
 use bfv::params::{BfvParams, ParamPolicy};
 use porcupine::autosketch::auto_sketch;
 use porcupine::cegis::{
-    parallelism_from_env, strategy_from_env, synthesize, CachePolicy, SearchStrategy,
-    SynthesisOptions,
+    parallelism_from_env, strategy_from_env, synthesize, CachePolicy, SynthesisOptions,
 };
 use porcupine::codegen::{emit_seal_cpp, eval_jobs_from_env, run_encrypted};
 use porcupine::opt::{self, OptLevel};
@@ -60,13 +59,9 @@ use std::time::Duration;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  porcupine list\n  porcupine synth <kernel> [--timeout <s>] [--emit seal|quill] [--explicit] [--auto] [--seed <n>] [--jobs <n>] [-O<0|1|2>] [--scheme bfv|bgv] [--size <n>] [--params auto|paper] [--margin-bits <n>] [--strategy bottom-up|dfs] [--cache <dir>] [--no-cache] [--eval-jobs <n>]\n  porcupine baseline <kernel> [--emit seal|quill] [-O<0|1|2>]"
+        "usage:\n  porcupine list\n  porcupine synth <kernel> [--timeout <s>] [--emit seal|quill] [--explicit] [--auto] [--seed <n>] [--jobs <n>] [-O<0|2>] [--scheme bfv|bgv] [--size <n>] [--params auto|paper] [--margin-bits <n>] [--strategy bottom-up|dfs] [--cache <dir>] [--no-cache] [--eval-jobs <n>]\n  porcupine baseline <kernel> [--emit seal|quill] [-O<0|2>]"
     );
     ExitCode::FAILURE
-}
-
-fn find_kernel(name: &str, size: Option<usize>) -> Option<PaperKernel> {
-    direct_kernel(name, size)
 }
 
 /// Encrypts seeded random inputs, executes the lowered program on the
@@ -109,24 +104,52 @@ fn encrypted_check(
     Ok(budget)
 }
 
-/// The value after `flag` parsed as `T`: `Ok(None)` when the flag is
-/// absent, and an error naming the flag when its value is missing or
-/// malformed — never a silent fallback to the default.
-fn flag_value<T: std::str::FromStr>(
+/// The value after `flag` read by `parse`: `Ok(None)` when the flag is
+/// absent, and an error naming the flag and `expected` when its value is
+/// missing or `parse` rejects it — never a silent fallback to the default.
+fn flag_with<T>(
     args: &[String],
     flag: &str,
     expected: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
 ) -> Result<Option<T>, String> {
     let Some(i) = args.iter().position(|a| a == flag) else {
         return Ok(None);
     };
     let value = args.get(i + 1).map(String::as_str);
-    match value.map(str::parse) {
-        Some(Ok(v)) => Ok(Some(v)),
-        _ => Err(format!(
+    value.and_then(parse).map(Some).ok_or_else(|| {
+        format!(
             "{flag} requires {expected}, got {:?}",
             value.unwrap_or("nothing")
-        )),
+        )
+    })
+}
+
+/// [`flag_with`] for a value parsed as `T`.
+fn flag_value<T: std::str::FromStr>(
+    args: &[String],
+    flag: &str,
+    expected: &str,
+) -> Result<Option<T>, String> {
+    flag_with(args, flag, expected, |v| v.parse().ok())
+}
+
+/// `--emit seal|quill`: whether to print SEAL C++ rather than Quill.
+fn emit_seal(args: &[String]) -> Result<bool, String> {
+    let emit = flag_with(args, "--emit", "'seal' or 'quill'", |v| match v {
+        "seal" => Some(true),
+        "quill" => Some(false),
+        _ => None,
+    })?;
+    Ok(emit.unwrap_or(false))
+}
+
+/// Prints `prog` as SEAL C++ or as Quill.
+fn emit(prog: &quill::program::Program, seal: bool) {
+    if seal {
+        print!("{}", emit_seal_cpp(prog));
+    } else {
+        print!("{prog}");
     }
 }
 
@@ -158,13 +181,10 @@ impl NumericFlags {
     }
 }
 
-/// Extracts an `-O0`/`-O1`/`-O2` (or `--opt-level <n>`) flag, if present.
+/// Extracts an `-O0`/`-O2` (or `--opt-level <n>`) flag, if present.
 fn parse_opt_level(args: &[String]) -> Result<Option<OptLevel>, String> {
-    if let Some(i) = args.iter().position(|a| a == "--opt-level") {
-        let v = args
-            .get(i + 1)
-            .ok_or_else(|| "--opt-level requires a value".to_string())?;
-        return v.parse().map(Some);
+    if let Some(level) = flag_value(args, "--opt-level", "0 or 2")? {
+        return Ok(Some(level));
     }
     match args.iter().find(|a| a.starts_with("-O")) {
         Some(flag) => flag.parse().map(Some),
@@ -209,7 +229,7 @@ fn finish_synth(
     optimized: &quill::program::Program,
     params: &Result<BfvParams, bfv::params::SelectError>,
     options: &SynthesisOptions,
-    args: &[String],
+    seal: bool,
     run_check: bool,
     eval_jobs: NonZeroUsize,
 ) -> ExitCode {
@@ -253,18 +273,17 @@ fn finish_synth(
         }
         Err(e) => eprintln!("; params: selection failed ({e}); emitting code only"),
     }
-    if args.iter().any(|a| a == "seal") {
-        print!("{}", emit_seal_cpp(optimized));
-    } else {
-        print!("{optimized}");
-    }
+    emit(optimized, seal);
     ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // `porcupine dot-product` is shorthand for `porcupine synth dot-product`.
-    if args.first().is_some_and(|a| find_kernel(a, None).is_some()) {
+    if args
+        .first()
+        .is_some_and(|a| direct_kernel(a, None).is_some())
+    {
         args.insert(0, "synth".to_string());
     }
     // Validate `PORCUPINE_SCHEME` up front so a typo is a clean error here
@@ -299,28 +318,27 @@ fn main() -> ExitCode {
             let Some(name) = args.get(1) else {
                 return usage();
             };
-            let Some(k) = find_kernel(name, None) else {
+            let Some(k) = direct_kernel(name, None) else {
                 eprintln!("unknown kernel '{name}' (try `porcupine list`)");
                 return ExitCode::FAILURE;
             };
             // Without an explicit -O flag the raw baseline prints as-is;
             // with one, the middle-end runs first.
-            let prog = match parse_opt_level(&args) {
-                Ok(None) => k.baseline.clone(),
-                Ok(Some(level)) => {
+            let (level, seal) =
+                match parse_opt_level(&args).and_then(|l| Ok((l, emit_seal(&args)?))) {
+                    Ok(flags) => flags,
+                    Err(e) => {
+                        eprintln!("{e}");
+                        return ExitCode::FAILURE;
+                    }
+                };
+            match level {
+                None => emit(&k.baseline, seal),
+                Some(level) => {
                     let (optimized, report) = opt::optimize(&k.baseline, level);
                     eprintln!("; -{level}: {report}");
-                    optimized
+                    emit(&optimized, seal);
                 }
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if args.iter().any(|a| a == "seal") {
-                print!("{}", emit_seal_cpp(&prog));
-            } else {
-                print!("{prog}");
             }
             ExitCode::SUCCESS
         }
@@ -336,7 +354,7 @@ fn main() -> ExitCode {
                 }
             };
             let size = flags.size;
-            let Some(k) = find_kernel(name, size) else {
+            let Some(k) = direct_kernel(name, size) else {
                 match size {
                     Some(s) => eprintln!(
                         "kernel '{name}' does not exist or cannot take size {s} \
@@ -346,90 +364,44 @@ fn main() -> ExitCode {
                 }
                 return ExitCode::FAILURE;
             };
-            // `--params` present with a missing value is an error, not a
-            // silently skipped encrypted check.
-            let params_mode = match args.iter().position(|a| a == "--params") {
-                Some(i) => match args.get(i + 1).map(String::as_str) {
-                    Some(mode @ ("auto" | "paper")) => Some(mode),
-                    other => {
-                        eprintln!(
-                            "--params requires 'auto' or 'paper', got {:?}",
-                            other.unwrap_or("nothing")
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => None,
-            };
-            // `--scheme` beats `PORCUPINE_SCHEME` beats the BFV default;
-            // an unknown name is an error, never a silent fallback.
-            let scheme = match args.iter().position(|a| a == "--scheme") {
-                Some(i) => match args.get(i + 1).map(String::as_str) {
-                    Some(v) => match SchemeId::parse(v) {
-                        Some(s) => s,
-                        None => {
-                            eprintln!(
-                                "--scheme requires one of {:?}, got '{v}'",
-                                SchemeId::ALL.iter().map(|s| s.name()).collect::<Vec<_>>()
-                            );
-                            return ExitCode::FAILURE;
-                        }
-                    },
-                    None => {
-                        eprintln!("--scheme requires a value (bfv or bgv)");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => env_scheme,
-            };
-            let policy = match params_mode {
-                Some("paper") => ParamPolicy::Fixed(BfvParams::paper()),
-                _ => match flags.margin_bits {
-                    Some(margin_bits) => ParamPolicy::Auto { margin_bits },
-                    None => ParamPolicy::auto(),
-                },
-            };
             // A flag wins over its environment variable, which is then
-            // never read; a malformed value in either is an error.
-            let strategy = match args.iter().position(|a| a == "--strategy") {
-                Some(i) => match args.get(i + 1).map(String::as_str) {
-                    Some("bottom-up") => Ok(SearchStrategy::BottomUp),
-                    Some("dfs") => Ok(SearchStrategy::Dfs),
-                    other => Err(format!(
-                        "--strategy requires 'bottom-up' or 'dfs', got {:?}",
-                        other.unwrap_or("nothing")
-                    )),
-                },
-                None => strategy_from_env(),
-            };
+            // never read; a malformed value in either is an error — and
+            // `--params` with a missing value is one too, not a silently
+            // skipped encrypted check.
             let resolved = (|| {
                 Ok::<_, String>((
+                    flag_with(&args, "--params", "'auto' or 'paper'", |v| {
+                        matches!(v, "auto" | "paper").then(|| v.to_string())
+                    })?,
+                    // `--scheme` beats `PORCUPINE_SCHEME` beats the BFV default.
+                    flag_with(&args, "--scheme", "'bfv' or 'bgv'", SchemeId::parse)?
+                        .unwrap_or(env_scheme),
                     flags.jobs.map_or_else(parallelism_from_env, Ok)?,
                     flags.eval_jobs.map_or_else(eval_jobs_from_env, Ok)?,
                     parse_opt_level(&args)?.map_or_else(opt::opt_level_from_env, Ok)?,
-                    strategy?,
+                    flag_value(&args, "--strategy", "'bottom-up' or 'dfs'")?
+                        .map_or_else(strategy_from_env, Ok)?,
+                    flag_with(&args, "--cache", "a directory", |v| Some(v.to_string()))?,
+                    emit_seal(&args)?,
                 ))
             })();
-            let (jobs, eval_jobs, opt_level, strategy) = match resolved {
-                Ok(resolved) => resolved,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
+            let (params_mode, scheme, jobs, eval_jobs, opt_level, strategy, cache_dir, seal) =
+                match resolved {
+                    Ok(resolved) => resolved,
+                    Err(e) => {
+                        eprintln!("{e}");
+                        return ExitCode::FAILURE;
+                    }
+                };
+            let policy = match (params_mode.as_deref(), flags.margin_bits) {
+                (Some("paper"), _) => ParamPolicy::Fixed(BfvParams::paper()),
+                (_, Some(margin_bits)) => ParamPolicy::Auto { margin_bits },
+                (_, None) => ParamPolicy::auto(),
             };
-            let cache = if args.iter().any(|a| a == "--no-cache") {
-                CachePolicy::Disabled
-            } else {
-                match args.iter().position(|a| a == "--cache") {
-                    Some(i) => match args.get(i + 1) {
-                        Some(dir) => CachePolicy::At(dir.into()),
-                        None => {
-                            eprintln!("--cache requires a directory");
-                            return ExitCode::FAILURE;
-                        }
-                    },
-                    None => CachePolicy::Enabled,
-                }
+            let cache = match cache_dir {
+                _ if args.iter().any(|a| a == "--no-cache") => CachePolicy::Disabled,
+                Some(dir) => CachePolicy::At(dir.into()),
+                None => CachePolicy::Enabled,
             };
             // Every field is set here: `SynthesisOptions::default()` would
             // read the environment variables the flags above override.
@@ -464,12 +436,11 @@ fn main() -> ExitCode {
                             return ExitCode::FAILURE;
                         }
                     };
-                    let (optimized, opt_report) =
-                        opt::optimize_with(&program, options.opt_level, &options.scheme.legality());
-                    let params = porcupine::scheme::resolve_params(
+                    let (optimized, opt_report, params) = opt::optimize_for(
+                        &program,
                         options.scheme,
+                        options.opt_level,
                         &options.params,
-                        &optimized,
                         k.spec.n,
                         k.spec.t,
                     );
@@ -493,7 +464,7 @@ fn main() -> ExitCode {
                         &optimized,
                         &params,
                         &options,
-                        &args,
+                        seal,
                         params_mode.is_some(),
                         eval_jobs,
                     );
@@ -544,7 +515,7 @@ fn main() -> ExitCode {
                         &r.optimized,
                         &r.params,
                         &options,
-                        &args,
+                        seal,
                         params_mode.is_some(),
                         eval_jobs,
                     )

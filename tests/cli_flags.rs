@@ -1,5 +1,6 @@
-//! `porcupine synth` rejects malformed numeric flags as usage errors before
-//! any synthesis starts, instead of silently running with the default.
+//! `porcupine synth` rejects malformed numeric flags (and a malformed
+//! `--emit`) as usage errors before any synthesis starts, instead of
+//! silently running with the default.
 
 use std::process::Command;
 
@@ -17,6 +18,7 @@ fn malformed_numeric_flags_fail_before_synthesis() {
         ("--margin-bits", "lots"),
         ("--margin-bits", "NaN"),
         ("--margin-bits", "inf"),
+        ("--emit", "sael"),
     ];
     for &(flag, value) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_porcupine"))
@@ -43,6 +45,45 @@ fn malformed_numeric_flags_fail_before_synthesis() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--timeout requires"));
 }
 
+/// `--emit` takes `seal` or `quill`: a missing value is a usage error
+/// naming the flag, on `baseline` as on `synth` (a bad `synth` value is in
+/// the table above), and a `seal` elsewhere on the line — here a cache
+/// directory so named — does not switch the output to C++.
+#[test]
+fn emit_is_parsed_not_pattern_matched() {
+    let dir = std::env::temp_dir().join(format!("porcupine-emit-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create a scratch directory");
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_porcupine"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("run the porcupine binary")
+    };
+    for args in [
+        &["synth", "box-blur", "--no-cache", "--emit"][..],
+        &["baseline", "box-blur", "--emit"],
+        &["baseline", "box-blur", "--emit", "sael"],
+    ] {
+        let out = run(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("--emit requires"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: printed a program");
+    }
+    for (args, seal) in [
+        (&["synth", "box-blur", "--cache", "seal"][..], false),
+        (&["baseline", "box-blur", "seal"], false),
+        (&["baseline", "box-blur", "--emit", "seal"], true),
+    ] {
+        let out = run(args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{args:?}");
+        assert_eq!(!stdout.starts_with("(kernel"), seal, "{args:?}: {stdout}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// An explicit `--eval-jobs` wins over the environment: a malformed
 /// `PORCUPINE_EVAL_JOBS` is never read when the flag is given.
 #[test]
@@ -62,6 +103,7 @@ fn explicit_eval_jobs_ignores_a_malformed_env_var() {
 /// and a malformed value for the variable.
 const ENV_FLAGS: &[(&str, &[&str], &str)] = &[
     ("PORCUPINE_OPT", &["-O2"], "3"),
+    ("PORCUPINE_OPT", &["-O2"], "1"),
     ("PORCUPINE_STRATEGY", &["--strategy", "bottom-up"], "DFS"),
     ("PORCUPINE_JOBS", &["--jobs", "1"], "two"),
 ];
