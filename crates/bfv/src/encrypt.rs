@@ -1,8 +1,9 @@
 //! BFV ciphertexts, encryption, decryption, and the invariant-noise
 //! budget: the shared machinery ([`rlwe_ring::encrypt`]) over a
 //! [`BfvContext`]. Encryption adds `Δ·m` to `c0`; decryption computes
-//! `round(t·w/Q) mod t` per phase coefficient, and the budget is SEAL's
-//! `log2(Q / (2·‖t·w mod Q‖))`.
+//! `round(t·w/Q) mod t` per phase coefficient in machine words, as
+//! `−[t·w]_Q·Q⁻¹ mod t` through an exact base conversion onto `t`; and the
+//! budget is SEAL's `log2(Q / (2·‖t·w mod Q‖))`.
 
 use crate::params::BfvContext;
 

@@ -212,6 +212,8 @@ pub struct BfvContext {
     delta_residues: Vec<u64>,
     /// `Q mod t`.
     q_mod_t: u64,
+    /// `−Q⁻¹ mod t`, decryption's post-factor.
+    neg_q_inv_mod_t: u64,
 }
 
 impl BfvContext {
@@ -266,6 +268,7 @@ impl BfvContext {
         let (delta, _) = ring.modulus().div_rem_u64(params.plain_modulus);
         let delta_residues = params.moduli.iter().map(|&q| delta.rem_u64(q)).collect();
         let q_mod_t = ring.modulus().rem_u64(params.plain_modulus);
+        let neg_q_inv_mod_t = params.plain_modulus - zq::inv_mod(q_mod_t, params.plain_modulus);
 
         Ok(BfvContext {
             params,
@@ -280,6 +283,7 @@ impl BfvContext {
             delta,
             delta_residues,
             q_mod_t,
+            neg_q_inv_mod_t,
         })
     }
 
@@ -367,10 +371,11 @@ impl SchemePolicy for BfvContext {
         crate::evaluator::multiply(ev, a, b)
     }
 
-    /// `m_c = round(t · w_c / Q) mod t`.
-    fn decrypt_coeff(&self, w: &BigInt) -> u64 {
-        let t = self.params.plain_modulus;
-        w.mul_div_round(t, self.ring.modulus()).rem_euclid_u64(t)
+    /// `m_c = round(t·w_c/Q) mod t = −[t·w_c]_Q·Q⁻¹ mod t`: `Q` is odd and
+    /// coprime to `t`, so `t·w = Q·y + r` with `|r| < Q/2` has no ties and
+    /// `y ≡ −r·Q⁻¹ (mod t)`.
+    fn decrypt_rescale(&self) -> Option<(&[(u64, u64)], u64)> {
+        Some((&self.t_mod_q, self.neg_q_inv_mod_t))
     }
 
     /// SEAL's invariant noise: the bits of `‖t·w mod Q‖` (centered).

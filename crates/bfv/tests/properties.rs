@@ -300,3 +300,117 @@ fn random_homomorphic_circuits_agree_with_plaintext() {
         );
     }
 }
+
+/// The parameter sets the decryption oracle tests cover: the unit-test
+/// preset, the integration preset, and a nine-prime 60-bit chain (Garner
+/// and Shoup arithmetic at the widest supported primes).
+fn oracle_param_sets() -> Vec<bfv::BfvParams> {
+    vec![
+        bfv::BfvParams::test_small(),
+        bfv::BfvParams::fast_4096(),
+        bfv::BfvParams::generate(64, 65537, 60, 9).unwrap(),
+    ]
+}
+
+/// BFV decryption by big integers: the centered phase `w = Σ c_j·s^j`,
+/// then `round(t·w/Q) mod t` per coefficient.
+fn bigint_oracle_decrypt(
+    ctx: &bfv::BfvContext,
+    sk: &bfv::SecretKey,
+    ct: &bfv::Ciphertext,
+) -> Vec<u64> {
+    let ring = ctx.ring();
+    let t = ctx.params().plain_modulus;
+    let mut w = ct.parts[0].clone();
+    let mut s_pow = sk.s.clone();
+    for part in &ct.parts[1..] {
+        w = ring.add(&w, &ring.mul(part, &s_pow));
+        s_pow = ring.mul(&s_pow, &sk.s);
+    }
+    ring.lift_centered(&w)
+        .iter()
+        .map(|w| w.mul_div_round(t, ring.modulus()).rem_euclid_u64(t))
+        .collect()
+}
+
+// Decryption never leaves machine words (an exact base conversion onto
+// `t`); on arbitrary ciphertexts — uniform parts, so no noise bound holds —
+// it still equals the big-integer rounding.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn decrypt_matches_bigint_oracle(seed in any::<u64>()) {
+        let mut rng = test_support::seeded_rng(seed);
+        for params in oracle_param_sets() {
+            let ctx = bfv::BfvContext::new(params).unwrap();
+            let sk = bfv::KeyGenerator::new(&ctx, &mut rng).secret_key().clone();
+            let dec = bfv::Decryptor::new(&ctx, sk.clone());
+            for size in [2, 3] {
+                let parts = (0..size).map(|_| ctx.ring().sample_uniform(&mut rng)).collect();
+                let ct = bfv::Ciphertext { parts };
+                prop_assert_eq!(
+                    dec.decrypt(&ct).coeffs,
+                    bigint_oracle_decrypt(&ctx, &sk, &ct),
+                    "N = {}, {} primes, size {}",
+                    ctx.ring().degree(), ctx.ring().num_primes(), size
+                );
+            }
+        }
+    }
+}
+
+/// Crafted phases at the edges of the centered range and on both sides of
+/// every rounding boundary `⌊(2y+1)·Q/(2t)⌋ + {0, 1}` (where `t·w/Q`
+/// crosses `y + 1/2`) decrypt to the known rounding, as the big-integer
+/// oracle does.
+#[test]
+fn decrypt_matches_bigint_oracle_on_crafted_phases() {
+    let mut rng = test_support::seeded_rng(0xDEC);
+    for params in oracle_param_sets() {
+        let ctx = bfv::BfvContext::new(params).unwrap();
+        let ring = ctx.ring();
+        let q = ring.modulus();
+        let t = ctx.params().plain_modulus;
+        let neg = |m: u64| (t - m) % t;
+        // (phase, round(t·phase/Q) mod t); ±⌊Q/2⌋ sits just inside ±t/2.
+        let half_q = BigInt::from_biguint(q.shr_bits(1));
+        let mut cases = vec![
+            (BigInt::zero(), 0),
+            (BigInt::from_i64(1), 0),
+            (BigInt::from_i64(-1), 0),
+            (half_q.clone(), t / 2),
+            (half_q.negate(), neg(t / 2)),
+        ];
+        for y in [0, 1, t / 2 - 1, t / 2, t - 2, t - 1] {
+            let (edge, _) = q.mul_u64(2 * y + 1).div_rem_u64(2 * t);
+            let edge = BigInt::from_biguint(edge);
+            let above = edge.add(&BigInt::from_i64(1));
+            let y1 = (y + 1) % t;
+            cases.extend([
+                (edge.negate(), neg(y)),
+                (above.negate(), neg(y1)),
+                (edge, y),
+                (above, y1),
+            ]);
+        }
+
+        let sk = bfv::KeyGenerator::new(&ctx, &mut rng).secret_key().clone();
+        let dec = bfv::Decryptor::new(&ctx, sk.clone());
+        for chunk in cases.chunks(ring.degree()) {
+            let mut phase: Vec<BigInt> = chunk.iter().map(|(w, _)| w.clone()).collect();
+            phase.resize(ring.degree(), BigInt::zero());
+            // (w − c1·s, c1) has phase exactly w.
+            let c1 = ring.sample_uniform(&mut rng);
+            let c0 = ring.sub(&ring.from_centered(&phase), &ring.mul(&c1, &sk.s));
+            let ct = bfv::Ciphertext {
+                parts: vec![c0, c1],
+            };
+            let oracle = bigint_oracle_decrypt(&ctx, &sk, &ct);
+            let got = dec.decrypt(&ct).coeffs;
+            assert_eq!(got, oracle, "N = {}", ring.degree());
+            let known: Vec<u64> = chunk.iter().map(|&(_, m)| m).collect();
+            assert_eq!(got[..chunk.len()], known[..], "N = {}", ring.degree());
+        }
+    }
+}

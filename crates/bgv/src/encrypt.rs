@@ -4,9 +4,10 @@
 //! BGV keeps the message in the **least-significant digit** of the phase:
 //! a ciphertext `(c0, c1)` satisfies `c0 + c1·s = m + t·E (mod Q)` for a
 //! small noise polynomial `E`. Encryption is `(b·u + t·e_1 + m,
-//! a·u + t·e_2)`; decryption lifts the phase to centered integers (exact
-//! while `‖m + t·E‖∞ < Q/2`) and reduces mod `t` — no rounding, no `Δ`
-//! scaling. The noise budget is correspondingly direct:
+//! a·u + t·e_2)`; decryption converts the phase exactly onto `t` from its
+//! centered representative (correct while `‖m + t·E‖∞ < Q/2`), all in
+//! machine words — no rounding, no `Δ` scaling. The noise budget is
+//! correspondingly direct:
 //! `log2(Q / (2·‖w‖))` bits where `w` is the centered phase. To decrypt a
 //! modulus-switched ciphertext, build the decryptor over the
 //! [`BgvContext::reduced`] context with a

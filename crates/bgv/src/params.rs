@@ -288,8 +288,8 @@ impl SchemePolicy for BgvContext {
         crate::evaluator::multiply(ev, a, b)
     }
 
-    fn decrypt_coeff(&self, w: &BigInt) -> u64 {
-        w.rem_euclid_u64(self.params.plain_modulus)
+    fn decrypt_rescale(&self) -> Option<(&[(u64, u64)], u64)> {
+        None
     }
 
     /// The whole centered phase `w = m + t·E` counts as noise.

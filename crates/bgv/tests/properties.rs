@@ -239,3 +239,105 @@ fn random_homomorphic_circuits_agree_with_plaintext() {
         );
     }
 }
+
+/// The parameter sets the decryption oracle tests cover: the switch-friendly
+/// unit-test preset, the BFV integration preset (BGV runs over plain NTT
+/// chains too), and a nine-prime 60-bit chain (Garner and Shoup arithmetic
+/// at the widest supported primes).
+fn oracle_param_sets() -> Vec<params::BgvParams> {
+    vec![
+        params::test_small(),
+        params::BgvParams::fast_4096(),
+        params::BgvParams::generate(64, 65537, 60, 9).unwrap(),
+    ]
+}
+
+/// BGV decryption by big integers: the centered phase `w = Σ c_j·s^j`,
+/// then `w mod t` per coefficient.
+fn bigint_oracle_decrypt(ctx: &BgvContext, sk: &bgv::SecretKey, ct: &bgv::Ciphertext) -> Vec<u64> {
+    let ring = ctx.ring();
+    let t = ctx.params().plain_modulus;
+    let mut w = ct.parts[0].clone();
+    let mut s_pow = sk.s.clone();
+    for part in &ct.parts[1..] {
+        w = ring.add(&w, &ring.mul(part, &s_pow));
+        s_pow = ring.mul(&s_pow, &sk.s);
+    }
+    ring.lift_centered(&w)
+        .iter()
+        .map(|w| w.rem_euclid_u64(t))
+        .collect()
+}
+
+// Decryption never leaves machine words (an exact centered base conversion
+// onto `t`); on arbitrary ciphertexts — uniform parts, so no noise bound
+// holds — it still equals the big-integer reduction.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn decrypt_matches_bigint_oracle(seed in any::<u64>()) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        for params in oracle_param_sets() {
+            let ctx = BgvContext::new(params).unwrap();
+            let sk = KeyGenerator::new(&ctx, &mut rng).secret_key().clone();
+            let dec = Decryptor::new(&ctx, sk.clone());
+            for size in [2, 3] {
+                let parts = (0..size).map(|_| ctx.ring().sample_uniform(&mut rng)).collect();
+                let ct = bgv::Ciphertext { parts };
+                prop_assert_eq!(
+                    dec.decrypt(&ct).coeffs,
+                    bigint_oracle_decrypt(&ctx, &sk, &ct),
+                    "N = {}, {} primes, size {}",
+                    ctx.ring().degree(), ctx.ring().num_primes(), size
+                );
+            }
+        }
+    }
+}
+
+/// Crafted phases at the edges of the centered range decrypt to the known
+/// reduction, as the big-integer oracle does: `±⌊Q/2⌋` must be read as the
+/// centered values, not as `⌊Q/2⌋` and `Q − ⌊Q/2⌋`.
+#[test]
+fn decrypt_matches_bigint_oracle_on_crafted_phases() {
+    use bgv::bigint::BigInt;
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xDEC);
+    for params in oracle_param_sets() {
+        let ctx = BgvContext::new(params).unwrap();
+        let ring = ctx.ring();
+        let t = ctx.params().plain_modulus;
+        let half_q = ring.modulus().shr_bits(1);
+        let half_q_mod_t = half_q.rem_u64(t);
+        let half_q = BigInt::from_biguint(half_q);
+        // (phase, phase mod t)
+        let cases = [
+            (BigInt::zero(), 0),
+            (BigInt::from_i64(1), 1),
+            (BigInt::from_i64(-1), t - 1),
+            (half_q.clone(), half_q_mod_t),
+            (half_q.negate(), (t - half_q_mod_t) % t),
+        ];
+
+        let sk = KeyGenerator::new(&ctx, &mut rng).secret_key().clone();
+        let dec = Decryptor::new(&ctx, sk.clone());
+        let mut phase: Vec<BigInt> = cases.iter().map(|(w, _)| w.clone()).collect();
+        phase.resize(ring.degree(), BigInt::zero());
+        // (w − c1·s, c1) has phase exactly w.
+        let c1 = ring.sample_uniform(&mut rng);
+        let c0 = ring.sub(&ring.from_centered(&phase), &ring.mul(&c1, &sk.s));
+        let ct = bgv::Ciphertext {
+            parts: vec![c0, c1],
+        };
+        let got = dec.decrypt(&ct).coeffs;
+        assert_eq!(
+            got,
+            bigint_oracle_decrypt(&ctx, &sk, &ct),
+            "N = {}",
+            ring.degree()
+        );
+        let known: Vec<u64> = cases.iter().map(|&(_, m)| m).collect();
+        assert_eq!(got[..cases.len()], known[..], "N = {}", ring.degree());
+    }
+}

@@ -1,19 +1,24 @@
 //! Ciphertexts, public-key encryption, decryption, and the noise budget.
 //!
 //! A ciphertext `(c0, c1, …)` decrypts through its phase
-//! `w = Σ_j c_j·s^j mod Q`, lifted to centered integers; the scheme policy
-//! turns each phase coefficient into a plaintext coefficient (BFV rounds
-//! `t·w/Q`, BGV reduces `w mod t`) and measures its noise. The budget is
+//! `w = Σ_j c_j·s^j mod Q`. Decryption stays in machine words: one exact
+//! centered base conversion moves the phase from `Q` onto `t`, between the
+//! scheme's [`SchemePolicy::decrypt_rescale`] scalars (BFV rounds `t·w/Q`,
+//! BGV reduces `w mod t`). Only the noise meter lifts the phase to centered
+//! big integers and asks the policy how much noise each carries. The budget is
 //! SEAL's invariant-noise budget for BFV and the directly comparable
 //! `log2(Q / (2·‖w‖))` for BGV, so the two meters line up in the
 //! differential harness.
 
-use crate::bigint::BigInt;
-use crate::encoding::{EvalPlaintext, Plaintext};
+use crate::encoding::Plaintext;
 use crate::keys::{PublicKey, SecretKey};
+use crate::keyswitch::{sample_scaled_error, sample_scaled_error_coeff};
 use crate::poly::RnsPoly;
+use crate::rns::RnsBaseConverter;
 use crate::scheme::SchemePolicy;
+use crate::zq::{mul_mod_shoup, shoup_precompute};
 use rand::Rng;
+use std::borrow::Cow;
 
 /// An RLWE ciphertext: a vector of ring elements (size 2 fresh, size 3
 /// after an unrelinearized multiply) decrypting via `Σ_j c_j · s^j`.
@@ -70,16 +75,22 @@ impl<'a, C: SchemePolicy> Encryptor<'a, C> {
     /// Encrypts a plaintext: `(b·u + ε_1 + [m], a·u + ε_2)` with `[m]` the
     /// scheme's lift of `m` (`Δ·m` or `m`) and `ε` the scheme-scaled
     /// errors, produced in evaluation form (the public key is already
-    /// NTT-resident, so the two products are pointwise).
+    /// NTT-resident, so the two products are pointwise). `ε_1 + [m]` is
+    /// summed in coefficient form and transformed once: the NTT is linear,
+    /// so the residues match transforming each term on its own.
     pub fn encrypt<R: Rng + ?Sized>(&self, pt: &Plaintext, rng: &mut R) -> Ciphertext {
         let ring = self.ctx.ring();
         let scale = self.ctx.error_scale();
-        let m = EvalPlaintext::new(self.ctx, pt);
         let u = ring.to_eval(&ring.sample_ternary(rng));
-        let e1 = crate::keyswitch::sample_scaled_error(ring, scale, rng);
-        let e2 = crate::keyswitch::sample_scaled_error(ring, scale, rng);
-        let c0 = ring.add(&ring.add(&ring.mul(&self.pk.b, &u), &e1), m.c0_term());
-        let c1 = ring.add(&ring.mul(&self.pk.a, &u), &e2);
+        let mut e1_m = sample_scaled_error_coeff(ring, scale, rng);
+        let m = ring.from_u64_coeffs(&pt.coeffs);
+        ring.add_assign(&mut e1_m, &self.ctx.lift_plain(&m).unwrap_or(m));
+        ring.make_eval(&mut e1_m);
+        let e2 = sample_scaled_error(ring, scale, rng);
+        let mut c0 = ring.mul(&self.pk.b, &u);
+        ring.add_assign(&mut c0, &e1_m);
+        let mut c1 = ring.mul(&self.pk.a, &u);
+        ring.add_assign(&mut c1, &e2);
         Ciphertext {
             parts: vec![c0, c1],
         }
@@ -91,6 +102,8 @@ impl<'a, C: SchemePolicy> Encryptor<'a, C> {
 pub struct Decryptor<'a, C> {
     ctx: &'a C,
     sk: SecretKey,
+    /// Exact centered conversion of the phase from `Q` onto `[t]`.
+    to_plain: RnsBaseConverter,
 }
 
 impl<'a, C: SchemePolicy> Decryptor<'a, C> {
@@ -98,28 +111,47 @@ impl<'a, C: SchemePolicy> Decryptor<'a, C> {
     /// same chain as `ctx` (for a modulus-switched BGV ciphertext, the
     /// reduced context and a truncated key).
     pub fn new(ctx: &'a C, sk: SecretKey) -> Self {
-        Decryptor { ctx, sk }
+        let to_plain = RnsBaseConverter::new(ctx.ring().rns(), &[ctx.params().plain_modulus]);
+        Decryptor { ctx, sk, to_plain }
     }
 
-    /// The raw phase `Σ_j c_j s^j mod Q`, lifted to centered integers.
-    fn phase(&self, ct: &Ciphertext) -> Vec<BigInt> {
+    /// The raw phase `Σ_j c_j s^j mod Q`, in coefficient form.
+    fn phase(&self, ct: &Ciphertext) -> RnsPoly {
         let ring = self.ctx.ring();
         let mut acc = ct.parts[0].clone();
-        let mut s_pow = self.sk.s.clone();
-        for part in &ct.parts[1..] {
-            acc = ring.add(&acc, &ring.mul(part, &s_pow));
-            s_pow = ring.mul(&s_pow, &self.sk.s);
+        let mut s_pow = Cow::Borrowed(&self.sk.s);
+        for (j, part) in ct.parts.iter().enumerate().skip(1) {
+            if j > 1 {
+                s_pow = Cow::Owned(ring.mul(&s_pow, &self.sk.s));
+            }
+            ring.add_assign(&mut acc, &ring.mul(part, &s_pow));
         }
-        ring.lift_centered(&acc)
+        ring.make_coeff(&mut acc);
+        acc
     }
 
-    /// Decrypts each phase coefficient through the scheme policy.
+    /// Decrypts without leaving machine words: `[w]_Q mod t` for BGV, and
+    /// for BFV `round(t·w/Q) mod t` as `−[t·w]_Q·Q⁻¹ mod t` (see
+    /// [`SchemePolicy::decrypt_rescale`]). Exact for every ciphertext.
     pub fn decrypt(&self, ct: &Ciphertext) -> Plaintext {
-        let coeffs = self
-            .phase(ct)
-            .iter()
-            .map(|w| self.ctx.decrypt_coeff(w))
-            .collect();
+        let ring = self.ctx.ring();
+        let rescale = self.ctx.decrypt_rescale();
+        let mut w = self.phase(ct);
+        if let Some((t_mod_q, _)) = rescale {
+            for ((row, &q), &(f, f_shoup)) in w.residues.iter_mut().zip(ring.primes()).zip(t_mod_q)
+            {
+                row.iter_mut()
+                    .for_each(|x| *x = mul_mod_shoup(*x, f, f_shoup, q));
+            }
+        }
+        let mut coeffs = self.to_plain.convert_centered(&w.residues).swap_remove(0);
+        if let Some((_, post)) = rescale {
+            let t = self.ctx.params().plain_modulus;
+            let post_shoup = shoup_precompute(post, t);
+            coeffs
+                .iter_mut()
+                .for_each(|c| *c = mul_mod_shoup(*c, post, post_shoup, t));
+        }
         Plaintext { coeffs }
     }
 
@@ -128,8 +160,13 @@ impl<'a, C: SchemePolicy> Decryptor<'a, C> {
     ///
     /// A non-positive budget means decryption is no longer reliable.
     pub fn invariant_noise_budget(&self, ct: &Ciphertext) -> i64 {
-        let q_bits = i64::from(self.ctx.ring().modulus().bits());
-        let max_bits = self.phase(ct).iter().map(|w| self.ctx.noise_bits(w)).max();
+        let ring = self.ctx.ring();
+        let q_bits = i64::from(ring.modulus().bits());
+        let max_bits = ring
+            .lift_centered(&self.phase(ct))
+            .iter()
+            .map(|w| self.ctx.noise_bits(w))
+            .max();
         q_bits - i64::from(max_bits.unwrap_or(0)) - 1
     }
 }

@@ -55,7 +55,19 @@ pub fn sample_scaled_error<R: Rng + ?Sized>(
     scale: Option<&[u64]>,
     rng: &mut R,
 ) -> RnsPoly {
-    let e = ring.to_eval(&ring.sample_error(rng));
+    let mut e = sample_scaled_error_coeff(ring, scale, rng);
+    ring.make_eval(&mut e);
+    e
+}
+
+/// [`sample_scaled_error`] left in coefficient form, for callers that add
+/// more terms before paying the transform.
+pub fn sample_scaled_error_coeff<R: Rng + ?Sized>(
+    ring: &RingContext,
+    scale: Option<&[u64]>,
+    rng: &mut R,
+) -> RnsPoly {
+    let e = ring.sample_error(rng);
     match scale {
         Some(scale) => ring.mul_scalar_residues(&e, scale),
         None => e,

@@ -8,13 +8,13 @@
 //! polynomial products, and Galois automorphisms (a pure index permutation
 //! in the evaluation domain) never pay a number-theoretic transform;
 //! [`PolyForm::Coeff`] appears only where an operation genuinely needs
-//! coefficients — RNS digit decomposition for key switching, base
-//! conversion inside the multiply, and the final lift at decryption.
-//! Conversions are exact NTT round-trips, so the represented ring element
-//! is identical in either form.
+//! coefficients — RNS digit decomposition for key switching, and base
+//! conversion inside the multiply and at decryption. Conversions are exact
+//! NTT round-trips, so the represented ring element is identical in either
+//! form.
 //!
-//! Exact lifting to centered big integers (decryption and noise metering)
-//! goes through [`RingContext::lift_centered`].
+//! Exact lifting to centered big integers (noise metering) goes through
+//! [`RingContext::lift_centered`].
 
 use crate::bigint::{center, BigInt, BigUint};
 use crate::ntt::NttTables;

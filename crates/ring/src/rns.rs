@@ -4,9 +4,10 @@
 //! BFV ciphertext coefficients live modulo `Q = q_0 · q_1 · ... · q_{k-1}`.
 //! Cheap operations stay componentwise. The multiply hot path never leaves
 //! machine words: [`RnsBaseConverter`] moves centered values between bases
-//! through Garner's mixed-radix digits (u64-only), and big-integer
-//! reconstruction via [`RnsContext::reconstruct`] is reserved for decryption
-//! and noise metering, where exact magnitudes are genuinely needed.
+//! through Garner's mixed-radix digits (u64-only), and so does decryption
+//! (the phase converted onto the one-prime base `[t]`). Big-integer
+//! reconstruction via [`RnsContext::reconstruct`] is reserved for noise
+//! metering, where exact magnitudes are genuinely needed.
 
 use crate::bigint::BigUint;
 use crate::zq::{add_mod, inv_mod, mul_mod, mul_mod_shoup, shoup_precompute, sub_mod};
@@ -232,7 +233,8 @@ impl RnsContext {
 /// is exact — no `α·A` overflow term — while still touching nothing wider
 /// than a machine word. This is the primitive the BFV multiply uses to
 /// extend operands into the auxiliary tensoring base and to shrink the
-/// rescaled product back (see the scheme evaluators).
+/// rescaled product back (see the scheme evaluators), and the one
+/// decryption uses to move the phase from `Q` onto `t`.
 #[derive(Debug, Clone)]
 pub struct RnsBaseConverter {
     src: RnsContext,

@@ -16,8 +16,10 @@
 //!   [`SchemePolicy::error_scale`]);
 //! * ciphertext multiplication ([`SchemePolicy::multiply`]: BFV's exact
 //!   `t/Q` rescale through an auxiliary base, BGV's plain tensor);
-//! * how a phase coefficient decrypts and how much noise it carries
-//!   ([`SchemePolicy::decrypt_coeff`], [`SchemePolicy::noise_bits`]).
+//! * whether decryption rounds the phase — BFV's `round(t·w/Q)`, run as
+//!   scalars around an exact u64 base conversion onto `t`, against BGV's
+//!   plain `w mod t` ([`SchemePolicy::decrypt_rescale`]) — and how much
+//!   noise a phase coefficient carries ([`SchemePolicy::noise_bits`]).
 
 use crate::bigint::BigInt;
 use crate::encrypt::Ciphertext;
@@ -39,16 +41,21 @@ pub trait SchemePolicy: Sized {
     /// encryption error (`t mod q_i` for BGV, whose noise must stay a
     /// multiple of `t`), or `None` to use errors unscaled (BFV).
     fn error_scale(&self) -> Option<&[u64]>;
-    /// The term a plaintext `m` (evaluation form) contributes to `c0` on
-    /// encryption and plaintext add/sub — BFV's `Δ·m` — or `None` when it
-    /// is `m` itself (BGV).
+    /// The term a plaintext `m` contributes to `c0` on encryption and
+    /// plaintext add/sub — BFV's `Δ·m` — or `None` when it is `m` itself
+    /// (BGV). Form-preserving: encryption lifts `m` in coefficient form,
+    /// the evaluator in evaluation form.
     fn lift_plain(&self, m: &RnsPoly) -> Option<RnsPoly>;
     /// Ciphertext × ciphertext on two size-2 operands, producing a size-3
     /// ciphertext (the evaluator checks the sizes). Scratch comes from
     /// [`Evaluator::pool`].
     fn multiply(ev: &Evaluator<'_, Self>, a: &Ciphertext, b: &Ciphertext) -> Ciphertext;
-    /// Decrypts one coefficient of the centered phase `w = Σ c_j·s^j`.
-    fn decrypt_coeff(&self, w: &BigInt) -> u64;
+    /// The scalars that turn decryption's rounding `round(t·w/Q) mod t`
+    /// into the exact centered conversion of `[t·w]_Q` onto `t`: the
+    /// pre-factor `t mod q_i` (with Shoup companions) and the post-factor
+    /// `−Q⁻¹ mod t` (BFV). `None` when the phase reduces mod `t` as it
+    /// stands (BGV).
+    fn decrypt_rescale(&self) -> Option<(&[(u64, u64)], u64)>;
     /// Bit length of the noise in one coefficient of the centered phase;
     /// the noise budget is `log2 Q` minus the maximum over coefficients,
     /// minus one.

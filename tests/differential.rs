@@ -6,7 +6,7 @@
 //! budget (the selector's certificate, checked in practice).
 //!
 //! The backend legs execute the program lowered at `PORCUPINE_OPT` (the CI
-//! matrix covers `-O0`/`-O1`/`-O2`), so every assertion here also
+//! matrix covers `-O0`/`-O2`), so every assertion here also
 //! exercises the middle-end. A seeded sweep additionally runs randomized
 //! kernel sizes through the same harness — sizes the paper never measured.
 //!
