@@ -51,6 +51,8 @@ fn hot_path_ops_take_no_fresh_buffers_after_warmup() {
         ev.rotate_columns_assign(acc_rot, &gk);
         ev.recycle(ev.multiply(&a, &b));
         ev.recycle(ev.multiply_relin(&a, &b, &rk));
+        ev.recycle(ev.multiply(&a, &a));
+        ev.recycle(ev.multiply_relin(&a, &a, &rk));
     };
     // Warm-up: the first pass may allocate its working set.
     pass(&mut acc, &mut acc_rot);

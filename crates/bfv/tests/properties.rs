@@ -184,6 +184,39 @@ proptest! {
     }
 }
 
+// A square (one ciphertext passed as both multiply operands) extends its
+// operand into the auxiliary base once and reuses it on both sides of the
+// tensor; the result must be bit-for-bit the general two-operand multiply
+// of a copy, relinearized or not, for evaluation- and coefficient-form
+// operands alike.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn square_matches_multiply_by_a_copy(seed in any::<u64>()) {
+        use rand::Rng;
+        use test_support::{seeded_rng, small_ctx};
+
+        let ctx = small_ctx();
+        let mut rng = seeded_rng(seed);
+        let session = Session::<BfvScheme>::new(&ctx, &[], &mut rng);
+        let Session { keygen, encryptor, runner, .. } = &session;
+        let (encoder, ev) = (runner.encoder(), runner.evaluator());
+        let rk = keygen.relin_key(&mut rng);
+        let t = ctx.params().plain_modulus;
+        let va: Vec<u64> = (0..encoder.slot_count()).map(|_| rng.gen_range(0..t)).collect();
+        let a = encryptor.encrypt(&encoder.encode(&va), &mut rng);
+        for a in [a.to_coeff_form(&ctx), a] {
+            let copy = a.clone();
+            prop_assert_eq!(ev.multiply(&a, &a).parts, ev.multiply(&a, &copy).parts);
+            prop_assert_eq!(
+                ev.multiply_relin(&a, &a, &rk).parts,
+                ev.multiply_relin(&a, &copy, &rk).parts
+            );
+        }
+    }
+}
+
 /// Hoisted rotations (one shared digit decomposition, permuted per Galois
 /// element) decrypt slot-for-slot identically to sequential rotations,
 /// with the same noise budget up to ±1 bit — the permuted digits are a

@@ -103,6 +103,7 @@ macro_rules! fingerprints {
 
         let rot1 = rlwe_ring::batch::galois_element_for_rotation(n as usize, 1);
         let prod = ev.multiply(&a, &b);
+        let square = ev.multiply(&a, &a);
         let hoisted = ev.hoist(&a);
         let ct = |c: &$krate::Ciphertext| fp_polys(&c.parts);
         vec![
@@ -119,6 +120,8 @@ macro_rules! fingerprints {
             ("mul_plain", ct(&ev.mul_plain(&a, &pt))),
             ("multiply", ct(&prod)),
             ("relinearize", ct(&ev.relinearize(&prod, &rk))),
+            ("square", ct(&square)),
+            ("square_relinearized", ct(&ev.relinearize(&square, &rk))),
             ("rotate_rows", ct(&ev.rotate_rows(&a, 1, &gk))),
             ("rotate_columns", ct(&ev.rotate_columns(&a, &gk))),
             (
@@ -186,6 +189,8 @@ const BFV: &[(&str, u64)] = &[
     ("mul_plain", 0x69def97a9f769031),
     ("multiply", 0x58244c235c5f0ec5),
     ("relinearize", 0x6085086466ee600e),
+    ("square", 0xcb54d010f0e4f598),
+    ("square_relinearized", 0x897c1b2245c29dce),
     ("rotate_rows", 0x230a214b9057581e),
     ("rotate_columns", 0x1c04d31c49e0f34d),
     ("rotate_rows_hoisted", 0xef2137b15cf6a627),
@@ -205,6 +210,8 @@ const BGV: &[(&str, u64)] = &[
     ("mul_plain", 0xd91b5eac508ffdb4),
     ("multiply", 0xd1baa2aa4c97c269),
     ("relinearize", 0x65641216683a8e3e),
+    ("square", 0x257e7562fb08fd5b),
+    ("square_relinearized", 0x593329fdbf9ddae5),
     ("rotate_rows", 0x0d8742d8ccc0226a),
     ("rotate_columns", 0xcf5466da04b7d429),
     ("rotate_rows_hoisted", 0x5c3decf08d660581),

@@ -134,26 +134,31 @@ fn reference_run<S: Scheme>(
     get(&vals, prog.output)
 }
 
-/// Lowers a kernel's baseline at `-O2` (the fan-richest legal form),
-/// executes it at `eval_jobs` = 1, 2, and 4 on scheme `S`, and requires
-/// every decryption to match the reference executor's slot for slot (the
-/// one-worker run directly, the others through it).
+/// Lowers a kernel's baseline at `-O2` (the fan-richest legal form) and
+/// checks it with [`program_jobs_are_bit_identical`].
 fn jobs_are_bit_identical<S: Scheme>(k: &PaperKernel) {
     let (prog, _) = optimize_with(&k.baseline, OptLevel::O2, &S::ID.legality());
-    let params = noise_test_params(&prog, k.spec.n);
+    program_jobs_are_bit_identical::<S>(k.name, &prog, k.spec.n, k.spec.t);
+}
+
+/// Executes `prog` at `eval_jobs` = 1, 2, and 4 on scheme `S` over random
+/// inputs mod `t`, and requires every decryption to match the reference
+/// executor's slot for slot (the one-worker run directly, the others
+/// through it).
+fn program_jobs_are_bit_identical<S: Scheme>(name: &str, prog: &Program, n: usize, t: u64) {
+    let params = noise_test_params(prog, n);
     let ctx = S::context(params).expect("valid parameters");
     let mut rng = seeded_rng(0xE0B5);
     let session = Session::<S>::new(&ctx, &[], &mut rng);
     // Same key material for every runner (fresh rng per call), so the
     // only variable across configurations is the scheduler.
     let make = |jobs: usize| {
-        Runner::<'_, S>::for_programs(&ctx, &session.keygen, &[&prog], &mut seeded_rng(1))
+        Runner::<'_, S>::for_programs(&ctx, &session.keygen, &[prog], &mut seeded_rng(1))
             .with_eval_jobs(jobs)
     };
 
     let runner1 = make(1);
     let encoder = runner1.encoder();
-    let t = k.spec.t;
     let n = S::slot_count(encoder);
     let sample = |rng: &mut rand::rngs::StdRng| -> Vec<u64> {
         (0..n).map(|_| rng.gen_range(0..t)).collect()
@@ -170,28 +175,28 @@ fn jobs_are_bit_identical<S: Scheme>(k: &PaperKernel) {
     let ct_refs: Vec<&S::Ciphertext> = cts.iter().collect();
     let pt_refs: Vec<&S::Plaintext> = pts.iter().collect();
 
-    let (baseline, budget) = session.decrypt(&runner1.run(&prog, &ct_refs, &pt_refs));
+    let (baseline, budget) = session.decrypt(&runner1.run(prog, &ct_refs, &pt_refs));
     assert!(
         budget > 0,
         "{} ({}): budget exhausted at eval_jobs=1",
-        k.name,
+        name,
         S::ID
     );
-    let reference = reference_run::<S>(&ctx, &session.keygen, &prog, &ct_refs, &pt_refs);
+    let reference = reference_run::<S>(&ctx, &session.keygen, prog, &ct_refs, &pt_refs);
     assert_eq!(
         baseline,
         session.decrypt(&reference).0,
         "{} ({}): eval_jobs=1 diverged from the reference executor",
-        k.name,
+        name,
         S::ID
     );
     for jobs in [2usize, 4] {
-        let out = make(jobs).run(&prog, &ct_refs, &pt_refs);
+        let out = make(jobs).run(prog, &ct_refs, &pt_refs);
         assert_eq!(
             session.decrypt(&out).0,
             baseline,
             "{} ({}): eval_jobs={jobs} diverged from sequential",
-            k.name,
+            name,
             S::ID
         );
     }
@@ -210,4 +215,45 @@ fn eval_jobs_is_invisible_on_every_paper_kernel() {
 fn eval_jobs_is_invisible_under_bgv() {
     let k = porcupine_kernels::direct_kernel("box-blur", None).expect("registry name");
     jobs_are_bit_identical::<BgvScheme>(&k);
+}
+
+/// Squares (`mul-ct-ct x x`): the runner passes one borrowed ciphertext as
+/// both operands, which takes BFV's single-extension square path, while
+/// the reference executor multiplies two clones through the general one.
+/// Covers a square whose operand dies at the square, one whose operand
+/// stays live past it, and a square of a program input.
+#[test]
+fn eval_jobs_is_invisible_on_squares() {
+    use ValRef::{Input, Instr as Val};
+    let dying = Program::new(
+        "square-dying",
+        1,
+        0,
+        vec![
+            Instr::RotCt(Input(0), 1),
+            Instr::MulCtCt(Val(0), Val(0)),
+            Instr::Relin(Val(1)),
+            Instr::AddCtCt(Val(2), Input(0)),
+        ],
+        Val(3),
+    );
+    let live = Program::new(
+        "square-live",
+        1,
+        0,
+        vec![
+            Instr::RotCt(Input(0), 1),
+            Instr::MulCtCt(Val(0), Val(0)),
+            Instr::Relin(Val(1)),
+            Instr::AddCtCt(Val(2), Val(0)),
+            Instr::MulCtCt(Input(0), Input(0)),
+            Instr::Relin(Val(4)),
+            Instr::SubCtCt(Val(3), Val(5)),
+        ],
+        Val(6),
+    );
+    for prog in [dying, live] {
+        prog.validate().expect("well-formed square program");
+        program_jobs_are_bit_identical::<BfvScheme>(&prog.name, &prog, 16, test_support::T);
+    }
 }
