@@ -18,6 +18,12 @@
 //! and the result shrunk `B → Q`. This is the textbook BFV multiply with
 //! the BEHZ-style all-RNS data flow, except that the mixed-radix
 //! conversions are exact, so no approximation error is introduced.
+//!
+//! Each operand extension costs `k` inverse plus `l` forward NTTs and one
+//! base conversion. A square — `multiply(&a, &a)`, one ciphertext passed
+//! as both operands — extends that ciphertext once and feeds the same
+//! matrices to both sides of the tensor, so it pays two extensions
+//! instead of four and gives the same bits as multiplying two copies.
 
 use crate::encrypt::Ciphertext;
 use crate::params::BfvContext;
@@ -61,14 +67,26 @@ pub(crate) fn multiply(ev: &Evaluator<'_>, a: &Ciphertext, b: &Ciphertext) -> Ci
     let (k, l, n) = (ring.num_primes(), aux.num_primes(), ring.degree());
     let pool = ev.pool();
 
+    // A square (`a` and `b` the same ciphertext) converts and extends its
+    // operand once (see the module docs).
+    let square = std::ptr::eq(a, b);
+
     // Q-side operands: borrowed directly when already evaluation-resident
     // (the steady state); a coefficient-form operand converts into a
     // temporary on the cold path.
     let (mut s0, mut s1, mut s2, mut s3) = (None, None, None, None);
-    let c0 = eval_ref(ring, &a.parts[0], &mut s0);
-    let c1 = eval_ref(ring, &a.parts[1], &mut s1);
-    let d0 = eval_ref(ring, &b.parts[0], &mut s2);
-    let d1 = eval_ref(ring, &b.parts[1], &mut s3);
+    let c_q = [
+        eval_ref(ring, &a.parts[0], &mut s0),
+        eval_ref(ring, &a.parts[1], &mut s1),
+    ];
+    let d_q = if square {
+        c_q
+    } else {
+        [
+            eval_ref(ring, &b.parts[0], &mut s2),
+            eval_ref(ring, &b.parts[1], &mut s3),
+        ]
+    };
 
     // B-side extension of each part: centered base conversion of the
     // coefficients, then forward transforms — all in pooled buffers.
@@ -88,21 +106,16 @@ pub(crate) fn multiply(ev: &Evaluator<'_>, a: &Ciphertext, b: &Ciphertext) -> Ci
         }
         ext
     };
-    let c0_aux = extend_aux(&a.parts[0]);
-    let c1_aux = extend_aux(&a.parts[1]);
-    let d0_aux = extend_aux(&b.parts[0]);
-    let d1_aux = extend_aux(&b.parts[1]);
+    let c_aux = [extend_aux(&a.parts[0]), extend_aux(&a.parts[1])];
+    let d_aux = (!square).then(|| [extend_aux(&b.parts[0]), extend_aux(&b.parts[1])]);
 
     // Tensor pointwise over the combined base, into pooled buffers.
-    let q_side = [c0, c1, d0, d1].map(|p| p.residues.as_slice());
-    let e_q = tensor(
-        pool,
-        ring.barretts(),
-        [q_side[0], q_side[1]],
-        [q_side[2], q_side[3]],
-    );
-    let e_aux = tensor(pool, aux.barretts(), [&c0_aux, &c1_aux], [&d0_aux, &d1_aux]);
-    for m in [c0_aux, c1_aux, d0_aux, d1_aux] {
+    let [c_q, d_q] = [c_q, d_q].map(|x| x.map(|p| p.residues.as_slice()));
+    let e_q = tensor(pool, ring.barretts(), c_q, d_q);
+    let [c0_aux, c1_aux] = &c_aux;
+    let [d0_aux, d1_aux] = d_aux.as_ref().unwrap_or(&c_aux);
+    let e_aux = tensor(pool, aux.barretts(), [c0_aux, c1_aux], [d0_aux, d1_aux]);
+    for m in c_aux.into_iter().chain(d_aux.into_iter().flatten()) {
         pool.put_matrix(m);
     }
 

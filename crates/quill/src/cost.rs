@@ -39,7 +39,7 @@ pub struct LatencyModel {
     /// Relinearization of a size-3 ciphertext (one key switch).
     pub relin_ct: f64,
     /// One-time decompose phase of a hoisted rotation fan: the `k` inverse
-    /// and `k²` forward NTTs of the key-switch digit decomposition, paid
+    /// and `k² − k` forward NTTs of the key-switch digit decomposition, paid
     /// once per fan source (see `rlwe_ring::keyswitch::hoist_decompose`).
     pub rot_hoist_setup: f64,
     /// Per-member accumulate of a hoisted rotation: digit-row permutations

@@ -21,8 +21,10 @@
 //!   permutation of evaluation slots ([`GaloisKeys`] stores one per
 //!   element);
 //! * key switching transforms only the RNS *digits* of the switched
-//!   polynomial (`k` inverse + `k²` forward NTTs) and then runs pointwise
-//!   inner products against the NTT-resident key, Shoup-accelerated.
+//!   polynomial (`k` inverse + `k² − k` forward NTTs: each digit at its
+//!   own prime is the input's evaluation row, reused as is) and then runs
+//!   pointwise inner products against the NTT-resident key,
+//!   Shoup-accelerated.
 
 use crate::batch::{galois_element_for_column_swap, galois_element_for_rotation};
 use crate::encoding::{EvalPlaintext, Plaintext};
@@ -381,7 +383,7 @@ impl<'a, C: SchemePolicy> Evaluator<'a, C> {
     }
 
     /// The decompose phase of a hoisted rotation: digit-decomposes `c1`
-    /// once (`k` inverse + `k²` forward NTTs — the dominant cost of a
+    /// once (`k` inverse + `k² − k` forward NTTs — the dominant cost of a
     /// rotation's key switch) so that any number of
     /// [`Evaluator::rotate_rows_hoisted`] calls on the same ciphertext can
     /// skip it. Return the decomposition with

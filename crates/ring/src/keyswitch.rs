@@ -113,12 +113,14 @@ pub fn key_switch_key<R: Rng + ?Sized>(
     KeySwitchKey { parts, shoup }
 }
 
-/// Lifts digit `i` of a coefficient-domain source row into prime `j`'s
-/// residue field: the identity when `i == j`, a Barrett reduction
-/// otherwise. The shared decompose kernel of [`key_switch_into`] and
+/// Lifts digit `i` of the coefficient view `d_coeff` (row `i`) into prime
+/// `j`'s residue field (the identity when `i == j`, a Barrett reduction
+/// otherwise) and forward-transforms it there: `NTT_j(lift([d]_{q_i}))`.
+/// The shared decompose kernel of [`key_switch_into`] and
 /// [`hoist_decompose`].
 #[inline]
-fn lift_digit_row(ring: &RingContext, src: &[u64], i: usize, j: usize, out: &mut [u64]) {
+fn lift_digit_row(ring: &RingContext, d_coeff: &[Vec<u64>], i: usize, j: usize, out: &mut [u64]) {
+    let src = &d_coeff[i];
     if i == j {
         out.copy_from_slice(src);
     } else {
@@ -127,6 +129,31 @@ fn lift_digit_row(ring: &RingContext, src: &[u64], i: usize, j: usize, out: &mut
             *dst = bar.reduce_u64(x);
         }
     }
+    ring.ntt(j).forward(out);
+}
+
+/// The diagonal digit row `NTT_i(lift([d]_{q_i}))` at prime `i`, when `d`
+/// already holds it: for an evaluation-form `d` the lift at its own prime
+/// is the identity and `NTT_i(NTT_i⁻¹(d_i)) = d_i`, so the row is
+/// `d.residues[i]` itself and costs no transform. `None` off the diagonal
+/// or for a coefficient-form `d`.
+#[inline]
+fn diagonal_digit_row<'a>(
+    ring: &RingContext,
+    d: &'a RnsPoly,
+    i: usize,
+    j: usize,
+) -> Option<&'a [u64]> {
+    if i != j || d.form() != PolyForm::Eval {
+        return None;
+    }
+    let row = &d.residues[i];
+    let p = ring.primes()[i];
+    debug_assert!(
+        row.iter().all(|&x| x < p),
+        "reused diagonal digit row is not canonical mod {p}"
+    );
+    Some(row)
 }
 
 /// Folds one NTT'd digit row into the two accumulators at prime `j`: the
@@ -152,9 +179,10 @@ fn accumulate_digit_row(
     }
 }
 
-/// Borrows the coefficient-domain view of `d`: the residues themselves if
-/// already there, else a pooled copy through `k` inverse transforms stored
-/// in `store` (return it to the pool when done).
+/// Borrows the coefficient-domain view of `d` that the off-diagonal
+/// digits are lifted from: the residues themselves if already there, else
+/// a pooled copy through `k` inverse transforms stored in `store` (return
+/// it to the pool when done).
 fn coeff_view<'a>(
     ring: &RingContext,
     pool: &ScratchPool,
@@ -179,10 +207,14 @@ fn coeff_view<'a>(
 /// products into the accumulators. Scratch rows come from `pool`.
 ///
 /// This is the streaming one-shot form — each digit row is lifted,
-/// transformed, and consumed in place through a single scratch row. When
-/// several key switches share the same `d` (rotations of one ciphertext),
-/// [`hoist_decompose`] + [`key_switch_hoisted_into`] pay the transforms
-/// once instead.
+/// transformed, and consumed in place through a single scratch row. An
+/// evaluation-form `d` (the steady state) costs `k` inverse plus `k² − k`
+/// forward NTTs: digit `i` at its own prime `i` is `d`'s residue row `i`
+/// (the lift there is the identity and the transform round-trips), read
+/// without a transform; a coefficient-form `d` costs `k²` forward NTTs.
+/// When several key switches share the same `d` (rotations of one
+/// ciphertext), [`hoist_decompose`] + [`key_switch_hoisted_into`] pay the
+/// transforms once instead.
 pub fn key_switch_into(
     ring: &RingContext,
     pool: &ScratchPool,
@@ -196,13 +228,18 @@ pub fn key_switch_into(
     let mut d_store: Option<Vec<Vec<u64>>> = None;
     let d_coeff = coeff_view(ring, pool, d, &mut d_store);
     let mut digit = pool.take_row(n);
-    for (i, src) in d_coeff.iter().enumerate().take(k) {
+    for i in 0..k {
         for j in 0..k {
             let p = ring.primes()[j];
-            lift_digit_row(ring, src, i, j, &mut digit);
-            ring.ntt(j).forward(&mut digit);
+            let row = match diagonal_digit_row(ring, d, i, j) {
+                Some(row) => row,
+                None => {
+                    lift_digit_row(ring, d_coeff, i, j, &mut digit);
+                    &digit
+                }
+            };
             accumulate_digit_row(
-                &digit,
+                row,
                 ksk,
                 i,
                 j,
@@ -219,9 +256,11 @@ pub fn key_switch_into(
 }
 
 /// The reusable decompose phase of a key switch: every RNS digit of one
-/// polynomial, lifted to all `k` primes and forward-NTT'd — the `k`
-/// inverse plus `k²` forward transforms that dominate key switching, paid
-/// once and shared by every subsequent accumulate ("hoisting").
+/// polynomial, lifted to all `k` primes and forward-NTT'd — for an
+/// evaluation-form polynomial the `k` inverse plus `k² − k` forward
+/// transforms that dominate key switching (the `k` diagonal rows are
+/// copies of the input's rows), paid once and shared by every subsequent
+/// accumulate ("hoisting").
 ///
 /// `σ_g` is a ring automorphism, so applying it to the already-lifted
 /// digits `D_i` preserves the decomposition identity
@@ -257,7 +296,10 @@ impl HoistedDecomposition {
 
 /// Runs the decompose phase of a key switch on `d` (any form), producing a
 /// [`HoistedDecomposition`] whose matrices come from `pool` (recycle with
-/// [`HoistedDecomposition::recycle`]).
+/// [`HoistedDecomposition::recycle`]). Same transform count as
+/// [`key_switch_into`]: `k` inverse plus `k² − k` forward NTTs for an
+/// evaluation-form `d`, whose diagonal digit rows are copies of its own
+/// rows, and `k²` forward NTTs for a coefficient-form one.
 pub fn hoist_decompose(
     ring: &RingContext,
     pool: &ScratchPool,
@@ -268,11 +310,13 @@ pub fn hoist_decompose(
     let mut d_store: Option<Vec<Vec<u64>>> = None;
     let d_coeff = coeff_view(ring, pool, d, &mut d_store);
     let mut digits = Vec::with_capacity(k);
-    for (i, src) in d_coeff.iter().enumerate().take(k) {
+    for i in 0..k {
         let mut m = pool.take_matrix(k, n);
         for (j, row) in m.iter_mut().enumerate() {
-            lift_digit_row(ring, src, i, j, row);
-            ring.ntt(j).forward(row);
+            match diagonal_digit_row(ring, d, i, j) {
+                Some(diag) => row.copy_from_slice(diag),
+                None => lift_digit_row(ring, d_coeff, i, j, row),
+            }
         }
         digits.push(m);
     }
@@ -339,29 +383,37 @@ mod tests {
     }
 
     /// The hoisted accumulate over canonical digits (`perm = None`) is the
-    /// same computation as the streaming one-shot key switch, reassociated
-    /// — the results must match bit for bit.
+    /// same computation as the streaming one-shot key switch, reassociated;
+    /// and an evaluation-form input, which reuses its own rows as the
+    /// diagonal digits, must by the NTT round trip key-switch exactly like
+    /// its coefficient form, which transforms every digit. All four
+    /// accumulators must match bit for bit at every prime count.
     #[test]
     fn hoisted_accumulate_matches_one_shot_key_switch() {
-        let ring = ctx(64, 3);
         let pool = ScratchPool::new();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let s = ring.to_eval(&ring.sample_error(&mut rng));
-        let s_prime = ring.to_eval(&ring.sample_error(&mut rng));
-        let ksk = key_switch_key(&ring, &s, &s_prime, None, &mut rng);
-        for form in [PolyForm::Eval, PolyForm::Coeff] {
-            let d = match form {
-                PolyForm::Eval => ring.sample_uniform(&mut rng),
-                PolyForm::Coeff => ring.to_coeff(&ring.sample_uniform(&mut rng)),
-            };
-            let (mut b1, mut a1) = (ring.zero_eval(), ring.zero_eval());
-            key_switch_into(&ring, &pool, &d, &ksk, &mut b1, &mut a1);
-            let hd = hoist_decompose(&ring, &pool, &d);
-            let (mut b2, mut a2) = (ring.zero_eval(), ring.zero_eval());
-            key_switch_hoisted_into(&ring, &pool, &hd, None, &ksk, &mut b2, &mut a2);
-            hd.recycle(&pool);
-            assert_eq!(b1, b2, "acc_b diverged ({form:?} input)");
-            assert_eq!(a1, a2, "acc_a diverged ({form:?} input)");
+        for k in 1..=3 {
+            let ring = ctx(64, k);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(42 + k as u64);
+            let s = ring.to_eval(&ring.sample_error(&mut rng));
+            let s_prime = ring.to_eval(&ring.sample_error(&mut rng));
+            let ksk = key_switch_key(&ring, &s, &s_prime, None, &mut rng);
+            let d = ring.sample_uniform(&mut rng);
+            assert_eq!(d.form(), PolyForm::Eval);
+            let mut accs = Vec::new();
+            for input in [d.clone(), ring.to_coeff(&d)] {
+                let (mut b, mut a) = (ring.zero_eval(), ring.zero_eval());
+                key_switch_into(&ring, &pool, &input, &ksk, &mut b, &mut a);
+                accs.push((b, a));
+                let hd = hoist_decompose(&ring, &pool, &input);
+                let (mut b, mut a) = (ring.zero_eval(), ring.zero_eval());
+                key_switch_hoisted_into(&ring, &pool, &hd, None, &ksk, &mut b, &mut a);
+                hd.recycle(&pool);
+                accs.push((b, a));
+            }
+            // Order: eval one-shot, eval hoisted, coeff one-shot, coeff hoisted.
+            for (idx, acc) in accs.iter().enumerate().skip(1) {
+                assert_eq!(acc, &accs[0], "k = {k}: accumulator {idx} diverged");
+            }
         }
     }
 
