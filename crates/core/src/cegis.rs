@@ -385,8 +385,14 @@ pub fn synthesize(
             hit.time_total = start.elapsed();
             return Ok(hit);
         }
+        // An entry over other inputs than the spec's cannot implement it
+        // (and the verifier would index inputs the spec does not have).
+        let arity = |p: &Program| (p.num_ct_inputs, p.num_pt_inputs);
         match cache::lookup(dir, key) {
-            Some(entry) if verify(&entry.program, spec, &mut rng).is_ok() => {
+            Some(entry)
+                if arity(&entry.program) == (spec.num_ct_inputs, spec.num_pt_inputs)
+                    && verify(&entry.program, spec, &mut rng).is_ok() =>
+            {
                 cache::record_hit();
                 cached = Some(entry);
             }
@@ -669,6 +675,7 @@ mod tests {
     use crate::sketch::{ArithOp, RotationSet, SketchOp};
     use crate::spec::GenericReference;
     use quill::interp;
+    use quill::program::ValRef;
     use quill::ring::Ring;
 
     struct Sum {
@@ -779,5 +786,43 @@ mod tests {
         let x = vec![11u64, 22, 33, 44];
         let out = interp::eval_concrete(&r.program, &[x], &[], 65537);
         assert_eq!(out[0], 110);
+    }
+
+    /// Stages synthesized one by one and appended compose into a pipeline
+    /// (§6.3), and the stage results are independent of the `parallelism`
+    /// knob.
+    #[test]
+    fn synthesized_stages_compose_and_ignore_thread_count() {
+        struct PairSum;
+        impl GenericReference for PairSum {
+            fn compute<R: Ring>(&self, ct: &[Vec<R>], _pt: &[Vec<R>]) -> Vec<R> {
+                let x = &ct[0];
+                let n = x.len();
+                (0..n).map(|i| x[i].add(&x[(i + 1) % n])).collect()
+            }
+        }
+        let mut mask = vec![true; 4];
+        mask[3] = false;
+        let spec = KernelSpec::new("pairsum", 4, 1, 0, mask, 65537, Box::new(PairSum));
+        let sketch = Sketch::new(
+            vec![SketchOp::rotated(ArithOp::AddCtCt)],
+            RotationSet::Explicit(vec![1]),
+            2,
+        );
+        let build = |jobs: usize| {
+            let options = SynthesisOptions {
+                parallelism: NonZeroUsize::new(jobs).unwrap(),
+                ..SynthesisOptions::default()
+            };
+            let stage = || synthesize(&spec, &sketch, &options).expect("stage synthesizes");
+            let mut p = Program::new("pairsum-twice", 1, 0, Vec::new(), ValRef::Input(0));
+            let s1 = p.append(&stage().program, &[ValRef::Input(0)], &[]);
+            p.output = p.append(&stage().program, &[s1], &[]);
+            p.cse()
+        };
+        let sequential = build(1);
+        assert_eq!(sequential, build(3));
+        let out = interp::eval_concrete(&sequential, &[vec![1, 2, 3, 4]], &[], 65537);
+        assert_eq!(out[0], 1 + 2 + 2 + 3);
     }
 }

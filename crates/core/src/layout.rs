@@ -90,32 +90,6 @@ impl PaddedImage {
         }
         out
     }
-
-    /// Mask selecting exactly the interior slots.
-    pub fn interior_mask(&self) -> Vec<bool> {
-        let mut mask = vec![false; self.slots()];
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                mask[self.index(r, c)] = true;
-            }
-        }
-        mask
-    }
-
-    /// Mask selecting interior slots at least `margin` pixels from the
-    /// interior border (for kernels whose output shrinks).
-    pub fn eroded_mask(&self, margin: usize) -> Vec<bool> {
-        let mut mask = vec![false; self.slots()];
-        if self.rows <= 2 * margin || self.cols <= 2 * margin {
-            return mask;
-        }
-        for r in margin..self.rows - margin {
-            for c in margin..self.cols - margin {
-                mask[self.index(r, c)] = true;
-            }
-        }
-        mask
-    }
 }
 
 /// A packed vector of `len` elements whose kernel reduces into slot 0,
@@ -177,24 +151,6 @@ mod tests {
         assert_eq!(slots[0], 0);
         assert_eq!(slots[4], 0);
         assert_eq!(slots[19], 0);
-    }
-
-    #[test]
-    fn interior_mask_counts() {
-        let l = PaddedImage::new(3, 3, 1);
-        let m = l.interior_mask();
-        assert_eq!(m.iter().filter(|&&b| b).count(), 9);
-        assert!(m[l.index(1, 1)]);
-        assert!(!m[0]);
-    }
-
-    #[test]
-    fn eroded_mask_shrinks() {
-        let l = PaddedImage::new(4, 4, 1);
-        let m = l.eroded_mask(1);
-        assert_eq!(m.iter().filter(|&&b| b).count(), 4);
-        let empty = l.eroded_mask(2);
-        assert_eq!(empty.iter().filter(|&&b| b).count(), 0);
     }
 
     #[test]

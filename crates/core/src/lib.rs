@@ -21,8 +21,6 @@
 //!   forms, with Schwartz–Zippel counter-example extraction.
 //! * [`lift`] — the padding-stability theorem that lets kernels synthesized
 //!   at model size run on full-size ciphertexts.
-//! * [`multistep`] — composing synthesized kernels into pipelines (Sobel,
-//!   Harris).
 //! * [`opt`] — the optimizing middle-end between synthesis and codegen:
 //!   global CSE, rotation folding, lazy relinearization, and DCE driven to
 //!   a fixpoint at `-O2`, eager relinearization only at `-O0`, and
@@ -78,7 +76,6 @@ pub mod cegis;
 pub mod codegen;
 pub mod layout;
 pub mod lift;
-pub mod multistep;
 pub mod opt;
 pub mod scheme;
 pub mod search;

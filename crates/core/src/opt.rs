@@ -14,7 +14,7 @@
 //! | pass | rewrite |
 //! |---|---|
 //! | [`EagerRelin`] | insert `relin-ct` immediately after every `mul-ct-ct` (the paper's §5.3 lowering; what `-O0` executes) |
-//! | [`Cse`] | global value-numbering CSE over syntactically identical instructions — subsumes the cross-stage rotation sharing multistep composition needs |
+//! | [`Cse`] | global value-numbering CSE over syntactically identical instructions — subsumes the cross-stage rotation sharing multi-step composition needs |
 //! | [`RotFold`] | `rot(rot(x,a),b) → rot(x,a+b)`; a chain folding to offset 0 becomes a copy of `x` (identity rotations never reach the IR) |
 //! | [`LazyRelin`] | re-place relinearizations minimally: a size-3 value is relinearized only where a rotation or multiply consumes it or where it escapes as the program output; additions, subtractions, and plaintext ops operate on size-3 ciphertexts directly |
 //! | [`Dce`] | drop instructions unreachable from the output |
@@ -22,7 +22,9 @@
 //! Every pass preserves the interpreter semantics exactly (`relin-ct` is
 //! the identity on slots) and BFV decryption bit-for-bit (relinearization
 //! and rotation-chain folding change ciphertext *representation* and noise,
-//! never the decrypted slots, given adequate noise budget).
+//! never the decrypted slots, given adequate noise budget). Each pass
+//! states only its rule for what replaces an instruction;
+//! [`Program::rebuild`] maps the operands and the output.
 //!
 //! # Levels
 //!
@@ -117,41 +119,14 @@ fn counted(input: &Program, result: Program, count: usize) -> (Program, usize) {
     }
 }
 
-/// Removes every `relin-ct`, aliasing its uses to the operand. Returns the
-/// stripped program and the number of relins removed. Slot semantics are
-/// unchanged (relin is the identity); the result is generally *not*
-/// backend-legal until a relin-placement pass runs.
-fn strip_relins(prog: &Program) -> (Program, usize) {
-    let mut canon: Vec<ValRef> = Vec::with_capacity(prog.instrs.len());
-    let mut instrs: Vec<Instr> = Vec::new();
-    let mut removed = 0usize;
-    for instr in &prog.instrs {
-        let fix = |r: ValRef| match r {
-            ValRef::Instr(j) => canon[j],
-            other => other,
-        };
-        if let Instr::Relin(a) = instr {
-            canon.push(fix(*a));
-            removed += 1;
-        } else {
-            instrs.push(instr.map_ct_operands(fix));
-            canon.push(ValRef::Instr(instrs.len() - 1));
-        }
-    }
-    let output = match prog.output {
-        ValRef::Instr(j) => canon[j],
-        other => other,
-    };
-    (
-        Program::new(
-            prog.name.clone(),
-            prog.num_ct_inputs,
-            prog.num_pt_inputs,
-            instrs,
-            output,
-        ),
-        removed,
-    )
+/// Removes every `relin-ct`, aliasing its uses to the operand. Slot
+/// semantics are unchanged (relin is the identity); the result is
+/// generally *not* backend-legal until a relin-placement pass runs.
+fn strip_relins(prog: &Program) -> Program {
+    prog.rebuild(|_, instr, out| match instr {
+        Instr::Relin(a) => a,
+        other => out.push(other),
+    })
 }
 
 /// Inserts a `relin-ct` immediately after every `mul-ct-ct` — the paper's
@@ -165,43 +140,23 @@ impl Pass for EagerRelin {
     }
 
     fn run(&self, prog: &Program) -> (Program, usize) {
-        let (stripped, _) = strip_relins(prog);
-        let mut instrs: Vec<Instr> = Vec::with_capacity(stripped.instrs.len());
-        let mut map: Vec<ValRef> = Vec::with_capacity(stripped.instrs.len());
-        let mut inserted = 0usize;
-        for instr in &stripped.instrs {
-            let fix = |r: ValRef| match r {
-                ValRef::Instr(j) => map[j],
-                other => other,
-            };
+        let result = strip_relins(prog).rebuild(|_, instr, out| {
             let is_mul = matches!(instr, Instr::MulCtCt(..));
-            instrs.push(instr.map_ct_operands(fix));
-            let mut val = ValRef::Instr(instrs.len() - 1);
+            let val = out.push(instr);
             if is_mul {
-                instrs.push(Instr::Relin(val));
-                val = ValRef::Instr(instrs.len() - 1);
-                inserted += 1;
+                out.push(Instr::Relin(val))
+            } else {
+                val
             }
-            map.push(val);
-        }
-        let output = match stripped.output {
-            ValRef::Instr(j) => map[j],
-            other => other,
-        };
-        let result = Program::new(
-            stripped.name.clone(),
-            stripped.num_ct_inputs,
-            stripped.num_pt_inputs,
-            instrs,
-            output,
-        );
+        });
+        let inserted = result.relin_count();
         counted(prog, result, inserted)
     }
 }
 
 /// Global common-subexpression elimination: syntactically identical
 /// instructions (after canonicalizing operands) share one definition. This
-/// is what makes multistep pipeline stages share rotations — duplicate
+/// is what makes multi-step pipeline stages share rotations — duplicate
 /// `rot-ct` of the same input across two appended stages collapses to one.
 pub struct Cse;
 
@@ -229,49 +184,28 @@ impl Pass for RotFold {
     }
 
     fn run(&self, prog: &Program) -> (Program, usize) {
-        let mut instrs: Vec<Instr> = Vec::with_capacity(prog.instrs.len());
-        let mut map: Vec<ValRef> = Vec::with_capacity(prog.instrs.len());
         let mut folds = 0usize;
-        for instr in &prog.instrs {
-            let fix = |r: ValRef| match r {
-                ValRef::Instr(j) => map[j],
-                other => other,
-            };
-            if let Instr::RotCt(a, r) = instr {
-                let a = fix(*a);
+        let result = prog.rebuild(|_, instr, out| match instr {
+            Instr::RotCt(a, r) => {
                 // Look through an inner rotation already emitted.
                 let (base, total) = match a {
-                    ValRef::Instr(j) => match instrs[j] {
+                    ValRef::Instr(j) => match out.instrs[j] {
                         Instr::RotCt(inner, s) => (inner, r + s),
-                        _ => (a, *r),
+                        _ => (a, r),
                     },
-                    _ => (a, *r),
+                    _ => (a, r),
                 };
-                if (base, total) != (a, *r) {
+                if (base, total) != (a, r) {
                     folds += 1;
                 }
                 if total == 0 {
-                    map.push(base);
+                    base
                 } else {
-                    instrs.push(Instr::RotCt(base, total));
-                    map.push(ValRef::Instr(instrs.len() - 1));
+                    out.push(Instr::RotCt(base, total))
                 }
-            } else {
-                instrs.push(instr.map_ct_operands(fix));
-                map.push(ValRef::Instr(instrs.len() - 1));
             }
-        }
-        let output = match prog.output {
-            ValRef::Instr(j) => map[j],
-            other => other,
-        };
-        let result = Program::new(
-            prog.name.clone(),
-            prog.num_ct_inputs,
-            prog.num_pt_inputs,
-            instrs,
-            output,
-        );
+            other => out.push(other),
+        });
         counted(prog, result, folds)
     }
 }
@@ -412,96 +346,65 @@ impl Pass for LazyRelin {
     }
 
     fn run(&self, prog: &Program) -> (Program, usize) {
-        let (stripped, removed) = strip_relins(prog);
+        let stripped = strip_relins(prog);
         let relin_at_def = LazyRelin::source_cut_defs(&stripped);
-        let mut instrs: Vec<Instr> = Vec::with_capacity(stripped.instrs.len());
         // Size of every value of the program being built (indexed per
         // emitted instruction).
         let mut sizes: Vec<u8> = Vec::new();
-        // Old value → its raw new form.
-        let mut map: Vec<ValRef> = Vec::with_capacity(stripped.instrs.len());
         // Raw new form → its relinearized form, once forced.
         let mut relinned: HashMap<ValRef, ValRef> = HashMap::new();
-        let mut inserted = 0usize;
 
-        let size_of = |r: ValRef, sizes: &[u8]| match r {
-            ValRef::Input(_) => 2,
-            ValRef::Instr(j) => sizes[j],
-        };
-        // Resolves an operand that MUST be size 2, inserting a shared
-        // relin right before the consumer if needed.
-        let force2 = |raw: ValRef,
-                      instrs: &mut Vec<Instr>,
-                      sizes: &mut Vec<u8>,
-                      relinned: &mut HashMap<ValRef, ValRef>,
-                      inserted: &mut usize| {
+        fn size_of(r: ValRef, sizes: &[u8]) -> u8 {
+            match r {
+                ValRef::Input(_) => 2,
+                ValRef::Instr(j) => sizes[j],
+            }
+        }
+        // Resolves an operand that MUST be size 2: its relinearized form
+        // if a consumer already forced one, else a relin inserted right
+        // before this consumer and shared by every later one.
+        fn force2(
+            raw: ValRef,
+            out: &mut Program,
+            sizes: &mut Vec<u8>,
+            relinned: &mut HashMap<ValRef, ValRef>,
+        ) -> ValRef {
             if size_of(raw, sizes) < 3 {
                 return raw;
             }
             *relinned.entry(raw).or_insert_with(|| {
-                instrs.push(Instr::Relin(raw));
                 sizes.push(2);
-                *inserted += 1;
-                ValRef::Instr(instrs.len() - 1)
+                out.push(Instr::Relin(raw))
             })
-        };
+        }
 
-        for (idx, instr) in stripped.instrs.iter().enumerate() {
-            // Tolerant uses prefer the relinearized form when a prior
-            // consumer already paid for it (it is never worse).
-            let best = |r: ValRef, relinned: &HashMap<ValRef, ValRef>| {
-                let raw = match r {
-                    ValRef::Instr(j) => map[j],
-                    other => other,
-                };
-                relinned.get(&raw).copied().unwrap_or(raw)
-            };
-            let new_instr = match instr {
-                Instr::RotCt(a, r) => {
-                    let a = best(*a, &relinned);
-                    let a = force2(a, &mut instrs, &mut sizes, &mut relinned, &mut inserted);
-                    Instr::RotCt(a, *r)
-                }
+        let mut result = stripped.rebuild(|idx, instr, out| {
+            let instr = match instr {
+                Instr::RotCt(a, r) => Instr::RotCt(force2(a, out, &mut sizes, &mut relinned), r),
                 Instr::MulCtCt(a, b) => {
-                    let a = best(*a, &relinned);
-                    let b = best(*b, &relinned);
-                    let a = force2(a, &mut instrs, &mut sizes, &mut relinned, &mut inserted);
-                    let b = force2(b, &mut instrs, &mut sizes, &mut relinned, &mut inserted);
+                    let a = force2(a, out, &mut sizes, &mut relinned);
+                    let b = force2(b, out, &mut sizes, &mut relinned);
                     Instr::MulCtCt(a, b)
                 }
-                other => other.map_ct_operands(|r| best(r, &relinned)),
+                // Tolerant uses prefer the relinearized form when a prior
+                // consumer already paid for it (it is never worse).
+                other => other.map_ct_operands(|r| relinned.get(&r).copied().unwrap_or(r)),
             };
-            let size = analysis::instr_result_size(&new_instr, |r| size_of(r, &sizes));
-            instrs.push(new_instr);
-            sizes.push(size);
-            let mut val = ValRef::Instr(instrs.len() - 1);
+            sizes.push(analysis::instr_result_size(&instr, |r| size_of(r, &sizes)));
+            let val = out.push(instr);
             // Source-cut component: relinearize right after the multiply;
             // every later use reads the size-2 form.
             if relin_at_def.contains(&idx) {
-                instrs.push(Instr::Relin(val));
                 sizes.push(2);
-                inserted += 1;
-                val = ValRef::Instr(instrs.len() - 1);
+                out.push(Instr::Relin(val))
+            } else {
+                val
             }
-            map.push(val);
-        }
-        let output = {
-            let raw = match stripped.output {
-                ValRef::Instr(j) => map[j],
-                other => other,
-            };
-            let raw = relinned.get(&raw).copied().unwrap_or(raw);
-            force2(raw, &mut instrs, &mut sizes, &mut relinned, &mut inserted)
-        };
-        let result = Program::new(
-            stripped.name.clone(),
-            stripped.num_ct_inputs,
-            stripped.num_pt_inputs,
-            instrs,
-            output,
-        );
+        });
+        result.output = force2(result.output, &mut result, &mut sizes, &mut relinned);
         debug_assert!(analysis::check_backend_legal(&result).is_ok());
-        counted(prog, result, removed + inserted)
+        let rewrites = prog.relin_count() + result.relin_count();
+        counted(prog, result, rewrites)
     }
 }
 
@@ -927,6 +830,47 @@ mod tests {
         let (gated, _) = optimize_with(&with_mul, OptLevel::O2, &SchemeLegality::full());
         let (ungated, _) = optimize(&with_mul, OptLevel::O2);
         assert_eq!(gated, ungated);
+    }
+
+    /// A pipeline's parameters are selected for the composed depth, not
+    /// the depth of one stage.
+    #[test]
+    fn optimize_for_selects_for_the_whole_pipeline() {
+        use bfv::params::ParamPolicy;
+        let square = Program::new(
+            "square",
+            1,
+            0,
+            vec![Instr::MulCtCt(ValRef::Input(0), ValRef::Input(0))],
+            ValRef::Instr(0),
+        );
+        // One squaring stage vs three chained ones: the pipeline-level
+        // selection must charge the composed depth, not the stage depth.
+        let build = |stages: usize| {
+            let mut p = Program::new("chain", 1, 0, Vec::new(), ValRef::Input(0));
+            for _ in 0..stages {
+                p.output = p.append(&square, &[p.output], &[]);
+            }
+            let (prog, _, params) = optimize_for(
+                &p.cse(),
+                SchemeId::Bfv,
+                OptLevel::O2,
+                &ParamPolicy::auto(),
+                8,
+                65537,
+            );
+            assert!(quill::analysis::check_backend_legal(&prog).is_ok());
+            params.expect("selection succeeds")
+        };
+        let shallow = build(1);
+        let deep = build(3);
+        let q_bits = |p: &bfv::params::BfvParams| {
+            p.moduli
+                .iter()
+                .map(|&q| 64 - q.leading_zeros())
+                .sum::<u32>()
+        };
+        assert!(q_bits(&deep) > q_bits(&shallow));
     }
 
     #[test]

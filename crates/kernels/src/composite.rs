@@ -2,6 +2,12 @@
 //! corner detector, composed from independently synthesized kernels at
 //! their natural break points.
 //!
+//! A pipeline starts as an empty program. Each stage is appended with
+//! [`Program::append`], wired to the values it reads, and the stitched
+//! program goes through [`Program::cse`], so stages over the same input
+//! share identical rotations. Like any kernel, it is lowered with
+//! `porcupine::opt::optimize_for` before it runs on a scheme backend.
+//!
 //! Per §7.1, operations HE cannot express are computed "up to a branch":
 //! Sobel returns the squared gradient magnitude `Gx² + Gy²` (no square
 //! root) and Harris returns the response map (the client thresholds after
@@ -13,7 +19,6 @@ use crate::stencil;
 use crate::util::stencil as stencil_taps;
 use crate::PaperKernel;
 use porcupine::layout::PaddedImage;
-use porcupine::multistep::PipelineBuilder;
 use porcupine::sketch::{ArithOp, RotationSet, Sketch, SketchOp};
 use porcupine::spec::{GenericReference, KernelSpec};
 use quill::program::{Program, PtOperand, ValRef};
@@ -61,11 +66,11 @@ pub fn sobel_combine(n: usize) -> PaperKernel {
 
 /// Stitches Gx, Gy, and a combine stage into the full Sobel operator.
 pub fn sobel_from(gx: &Program, gy: &Program, combine: &Program) -> Program {
-    let mut b = PipelineBuilder::new("sobel", 1, 0);
-    let ix = b.add_stage(gx, &[ValRef::Input(0)], &[]);
-    let iy = b.add_stage(gy, &[ValRef::Input(0)], &[]);
-    let out = b.add_stage(combine, &[ix, iy], &[]);
-    b.finish(out)
+    let mut p = Program::new("sobel", 1, 0, Vec::new(), ValRef::Input(0));
+    let ix = p.append(gx, &[ValRef::Input(0)], &[]);
+    let iy = p.append(gy, &[ValRef::Input(0)], &[]);
+    p.output = p.append(combine, &[ix, iy], &[]);
+    p.cse()
 }
 
 /// Whole-pipeline Sobel specification (for end-to-end verification).
@@ -120,14 +125,13 @@ pub fn sobel_spec(img: PaddedImage) -> KernelSpec {
 /// combine baseline, with shared rotations merged (31 instructions in the
 /// paper's count; ours shares four gradient rotations).
 pub fn sobel_baseline(img: PaddedImage) -> Program {
-    let gxb = stencil::gx(img).baseline;
-    let gyb = stencil::gy(img).baseline;
-    let cb = sobel_combine(img.slots()).baseline;
-    let mut b = PipelineBuilder::new("sobel-baseline", 1, 0);
-    let ix = b.add_stage(&gxb, &[ValRef::Input(0)], &[]);
-    let iy = b.add_stage(&gyb, &[ValRef::Input(0)], &[]);
-    let out = b.add_stage(&cb, &[ix, iy], &[]);
-    b.finish(out)
+    let mut p = sobel_from(
+        &stencil::gx(img).baseline,
+        &stencil::gy(img).baseline,
+        &sobel_combine(img.slots()).baseline,
+    );
+    p.name = "sobel-baseline".into();
+    p
 }
 
 // --------------------------------------------------------------- Harris --
@@ -251,19 +255,19 @@ pub struct HarrisStages {
 
 /// Stitches the full Harris corner detector from its stages.
 pub fn harris_from(stages: &HarrisStages) -> Program {
-    let mut b = PipelineBuilder::new("harris", 1, 0);
     let input = ValRef::Input(0);
-    let ix = b.add_stage(&stages.gx, &[input], &[]);
-    let iy = b.add_stage(&stages.gy, &[input], &[]);
-    let ixx = b.add_stage(&square_stage(), &[ix], &[]);
-    let iyy = b.add_stage(&square_stage(), &[iy], &[]);
-    let ixy = b.add_stage(&mul_stage(), &[ix, iy], &[]);
-    let sxx = b.add_stage(&stages.blur, &[ixx], &[]);
-    let syy = b.add_stage(&stages.blur, &[iyy], &[]);
-    let sxy = b.add_stage(&stages.blur, &[ixy], &[]);
-    let det = b.add_stage(&stages.det, &[sxx, syy, sxy], &[]);
-    let resp = b.add_stage(&stages.trace, &[sxx, syy, det], &[]);
-    b.finish(resp)
+    let mut p = Program::new("harris", 1, 0, Vec::new(), input);
+    let ix = p.append(&stages.gx, &[input], &[]);
+    let iy = p.append(&stages.gy, &[input], &[]);
+    let ixx = p.append(&square_stage(), &[ix], &[]);
+    let iyy = p.append(&square_stage(), &[iy], &[]);
+    let ixy = p.append(&mul_stage(), &[ix, iy], &[]);
+    let sxx = p.append(&stages.blur, &[ixx], &[]);
+    let syy = p.append(&stages.blur, &[iyy], &[]);
+    let sxy = p.append(&stages.blur, &[ixy], &[]);
+    let det = p.append(&stages.det, &[sxx, syy, sxy], &[]);
+    p.output = p.append(&stages.trace, &[sxx, syy, det], &[]);
+    p.cse()
 }
 
 /// The hand-written monolithic Harris baseline (every stage is its

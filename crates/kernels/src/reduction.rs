@@ -7,11 +7,14 @@
 //! arithmetic: Hamming distance uses `Σ (x_i − y_i)²` (which equals the
 //! Hamming distance on binary inputs) and L2 distance is the *squared*
 //! distance (no square root).
+//!
+//! Past the direct search's scaling wall, [`synthesize_staged`] builds a
+//! reduction in §6.3 stages instead: each stage is synthesized on its own
+//! and appended onto one program with [`Program::append`].
 
 use crate::PaperKernel;
-use porcupine::cegis::{SynthesisError, SynthesisOptions};
+use porcupine::cegis::{synthesize, SynthesisError, SynthesisOptions};
 use porcupine::layout::ReductionLayout;
-use porcupine::multistep::PipelineBuilder;
 use porcupine::sketch::{ArithOp, RotationSet, Sketch, SketchOp};
 use porcupine::spec::{GenericReference, KernelSpec};
 use quill::program::{Program, PtOperand, ValRef};
@@ -154,10 +157,10 @@ pub fn l2_distance(len: usize) -> PaperKernel {
 /// reduction has in abundance: an elementwise *head* (the multiply /
 /// subtract-and-square) followed by `log2 len` distance-halving tree
 /// levels, each an independently synthesized one-component kernel. This
-/// function runs that decomposition through [`PipelineBuilder`] and
-/// returns the stitched program (identical in shape to what the direct
-/// search finds at paper sizes — head, then `add(acc, rot(acc, s))` for
-/// `s = len/2 … 1`).
+/// function synthesizes each stage with `synthesize`, appends it with
+/// [`Program::append`] and returns the stitched program after
+/// [`Program::cse`] (identical in shape to what the direct search finds at
+/// paper sizes — head, then `add(acc, rot(acc, s))` for `s = len/2 … 1`).
 ///
 /// Returns `None` for kernels that are not reductions or a non-power-of-two
 /// `len`; `Some(Err(_))` propagates a stage's [`SynthesisError`].
@@ -290,17 +293,18 @@ pub fn synthesize_staged(
     };
 
     let run = || -> Result<Program, SynthesisError> {
-        let mut b = PipelineBuilder::new(name, num_ct, num_pt);
+        let mut p = Program::new(name, num_ct, num_pt, Vec::new(), ValRef::Input(0));
         let ct_binding: Vec<ValRef> = (0..num_ct).map(ValRef::Input).collect();
         let pt_binding: Vec<usize> = (0..num_pt).collect();
-        let mut cur =
-            b.synthesize_stage(&head_spec, &head_sketch, options, &ct_binding, &pt_binding)?;
+        let head = synthesize(&head_spec, &head_sketch, options)?.program;
+        p.output = p.append(&head, &ct_binding, &pt_binding);
         let mut s = len / 2;
         while s >= 1 {
-            cur = b.synthesize_stage(&halving_spec(s), &halving_sketch(s), options, &[cur], &[])?;
+            let level = synthesize(&halving_spec(s), &halving_sketch(s), options)?.program;
+            p.output = p.append(&level, &[p.output], &[]);
             s /= 2;
         }
-        Ok(b.finish(cur))
+        Ok(p.cse())
     };
     Some(run())
 }

@@ -5,7 +5,6 @@
 //! instruction defines one new ciphertext; the program's single output is a
 //! ciphertext reference, matching the kernels in the paper (Figures 3e, 5, 6).
 
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -72,8 +71,7 @@ impl Instr {
     }
 
     /// The same instruction with every ciphertext operand rewritten by `f`
-    /// (the shared plumbing of DCE, CSE, `append`, and the optimizer
-    /// passes).
+    /// (how [`Program::rebuild`] maps operands).
     pub fn map_ct_operands(&self, mut f: impl FnMut(ValRef) -> ValRef) -> Instr {
         match self.clone() {
             Instr::AddCtCt(a, b) => Instr::AddCtCt(f(a), f(b)),
@@ -337,6 +335,54 @@ impl Program {
             .count()
     }
 
+    /// Appends `instr` and returns the value it defines.
+    pub fn push(&mut self, instr: Instr) -> ValRef {
+        self.instrs.push(instr);
+        ValRef::Instr(self.instrs.len() - 1)
+    }
+
+    /// The one remap loop behind [`Program::rebuild`] and
+    /// [`Program::append`]: copies `self`'s instructions onto the end of
+    /// `out` through `rule`, with input `i` mapped to `input(i)` and each
+    /// earlier instruction to whatever `rule` returned for it. Returns the
+    /// mapped output.
+    fn remap_into(
+        &self,
+        out: &mut Program,
+        input: impl Fn(usize) -> ValRef,
+        mut rule: impl FnMut(usize, Instr, &mut Program) -> ValRef,
+    ) -> ValRef {
+        let mut map: Vec<ValRef> = Vec::with_capacity(self.instrs.len());
+        let mapped = |r: ValRef, map: &[ValRef]| match r {
+            ValRef::Input(i) => input(i),
+            ValRef::Instr(j) => map[j],
+        };
+        for (i, instr) in self.instrs.iter().enumerate() {
+            let instr = instr.map_ct_operands(|r| mapped(r, &map));
+            map.push(rule(i, instr, out));
+        }
+        mapped(self.output, &map)
+    }
+
+    /// The program rewritten instruction by instruction: same name and
+    /// inputs, each instruction replaced as `rule` decides. Instructions
+    /// are visited in order; each reaches `rule` with its old index and its
+    /// ciphertext operands already mapped into the program being built,
+    /// which `rule` pushes the replacement onto (nothing, one instruction
+    /// or several) before returning the value that now stands for it. The
+    /// output is mapped the same way.
+    pub fn rebuild(&self, rule: impl FnMut(usize, Instr, &mut Program) -> ValRef) -> Program {
+        let mut out = Program::new(
+            self.name.clone(),
+            self.num_ct_inputs,
+            self.num_pt_inputs,
+            Vec::with_capacity(self.instrs.len()),
+            self.output,
+        );
+        out.output = self.remap_into(&mut out, ValRef::Input, rule);
+        out
+    }
+
     /// Removes instructions whose results cannot reach the output,
     /// remapping references. Returns the cleaned program.
     pub fn eliminate_dead_code(&self) -> Program {
@@ -356,29 +402,15 @@ impl Program {
                 }
             }
         }
-        let mut remap = vec![usize::MAX; self.instrs.len()];
-        let mut instrs = Vec::new();
-        for (i, instr) in self.instrs.iter().enumerate() {
-            if !live[i] {
-                continue;
+        // Only dead instructions read a dead value, so its stand-in is
+        // never emitted.
+        self.rebuild(|i, instr, out| {
+            if live[i] {
+                out.push(instr)
+            } else {
+                ValRef::Instr(usize::MAX)
             }
-            remap[i] = instrs.len();
-            instrs.push(instr.map_ct_operands(|r| match r {
-                ValRef::Instr(j) => ValRef::Instr(remap[j]),
-                other => other,
-            }));
-        }
-        let output = match self.output {
-            ValRef::Instr(j) => ValRef::Instr(remap[j]),
-            other => other,
-        };
-        Program {
-            name: self.name.clone(),
-            num_ct_inputs: self.num_ct_inputs,
-            num_pt_inputs: self.num_pt_inputs,
-            instrs,
-            output,
-        }
+        })
     }
 
     /// Appends `other` to `self`, binding `other`'s ciphertext inputs to
@@ -386,8 +418,16 @@ impl Program {
     /// space via `pt_binding` (indices into `self`'s plaintext inputs).
     /// Returns the reference to `other`'s output in the combined program.
     ///
-    /// This is the primitive multi-step synthesis composes kernels with
-    /// (§6.3: Sobel from Gx/Gy, Harris from gradients and box blur).
+    /// This is multi-step synthesis's composition primitive (§6.3).
+    /// Synthesis stops scaling around 10–12 instructions, so Porcupine
+    /// partitions applications such as Sobel (Gx + Gy + magnitude) and the
+    /// Harris corner detector (gradients + blurs + response) into stages at
+    /// their natural break points, synthesizes each stage with
+    /// `porcupine::cegis::synthesize`, and appends the stage programs onto
+    /// one pipeline that starts empty. [`Program::cse`] then lets stages
+    /// over the same input share identical rotations, and the middle-end
+    /// (`porcupine::opt`) lowers the stitched program like any single
+    /// kernel.
     ///
     /// # Panics
     ///
@@ -410,79 +450,33 @@ impl Program {
         for p in pt_binding {
             assert!(*p < self.num_pt_inputs, "pt binding out of range");
         }
-        let base = self.instrs.len();
-        let fix = |r: ValRef| match r {
-            ValRef::Input(i) => ct_binding[i],
-            ValRef::Instr(j) => ValRef::Instr(base + j),
-        };
         let fix_pt = |p: PtOperand| match p {
             PtOperand::Input(i) => PtOperand::Input(pt_binding[i]),
             s => s,
         };
-        for instr in &other.instrs {
-            let instr = match instr.map_ct_operands(fix) {
-                Instr::AddCtPt(a, p) => Instr::AddCtPt(a, fix_pt(p)),
-                Instr::SubCtPt(a, p) => Instr::SubCtPt(a, fix_pt(p)),
-                Instr::MulCtPt(a, p) => Instr::MulCtPt(a, fix_pt(p)),
-                other => other,
-            };
-            self.instrs.push(instr);
-        }
-        fix(other.output)
+        let bind_pt = |instr: Instr| match instr {
+            Instr::AddCtPt(a, p) => Instr::AddCtPt(a, fix_pt(p)),
+            Instr::SubCtPt(a, p) => Instr::SubCtPt(a, fix_pt(p)),
+            Instr::MulCtPt(a, p) => Instr::MulCtPt(a, fix_pt(p)),
+            other => other,
+        };
+        other.remap_into(
+            self,
+            |i| ct_binding[i],
+            |_, instr, out| out.push(bind_pt(instr)),
+        )
     }
 
     /// Common-subexpression elimination over syntactically identical
     /// instructions (used after composing kernels that share rotations).
     pub fn cse(&self) -> Program {
-        let mut canon: Vec<ValRef> = Vec::with_capacity(self.instrs.len());
-        let mut seen: Vec<(Instr, ValRef)> = Vec::new();
-        let mut instrs: Vec<Instr> = Vec::new();
-        for instr in &self.instrs {
-            let rewritten = instr.map_ct_operands(|r| match r {
-                ValRef::Instr(j) => canon[j],
-                other => other,
-            });
-            if let Some((_, r)) = seen.iter().find(|(i, _)| *i == rewritten) {
-                canon.push(*r);
-            } else {
-                let r = ValRef::Instr(instrs.len());
-                instrs.push(rewritten.clone());
-                seen.push((rewritten, r));
-                canon.push(r);
-            }
-        }
-        let output = match self.output {
-            ValRef::Instr(j) => canon[j],
-            other => other,
-        };
-        Program {
-            name: self.name.clone(),
-            num_ct_inputs: self.num_ct_inputs,
-            num_pt_inputs: self.num_pt_inputs,
-            instrs,
-            output,
-        }
+        self.rebuild(
+            |_, instr, out| match out.instrs.iter().position(|i| *i == instr) {
+                Some(j) => ValRef::Instr(j),
+                None => out.push(instr),
+            },
+        )
         .eliminate_dead_code()
-    }
-
-    /// The set of live instruction indices (reachable from the output).
-    pub fn live_set(&self) -> HashSet<usize> {
-        let mut live = HashSet::new();
-        let mut stack = Vec::new();
-        if let ValRef::Instr(j) = self.output {
-            stack.push(j);
-        }
-        while let Some(j) = stack.pop() {
-            if !live.insert(j) {
-                continue;
-            }
-            for op in self.instrs[j].ct_operands() {
-                if let ValRef::Instr(k) = op {
-                    stack.push(k);
-                }
-            }
-        }
-        live
     }
 }
 
@@ -658,6 +652,76 @@ mod tests {
         let c = p.cse();
         assert_eq!(c.len(), 2);
         assert!(c.validate().is_ok());
+    }
+
+    fn shift_sum() -> Program {
+        Program::new(
+            "shift-sum",
+            1,
+            0,
+            vec![
+                Instr::RotCt(ValRef::Input(0), 1),
+                Instr::AddCtCt(ValRef::Input(0), ValRef::Instr(0)),
+            ],
+            ValRef::Instr(1),
+        )
+    }
+
+    /// An empty pipeline that stages are appended onto.
+    fn pipeline(name: &str, num_ct: usize, num_pt: usize) -> Program {
+        Program::new(name, num_ct, num_pt, Vec::new(), ValRef::Input(0))
+    }
+
+    #[test]
+    fn two_stage_pipeline_computes_composition() {
+        // stage1 = x + rot(x,1); stage2 = y + rot(y,1) ⇒ out = sum of 4 window.
+        let mut p = pipeline("twice", 1, 0);
+        let s1 = p.append(&shift_sum(), &[ValRef::Input(0)], &[]);
+        p.output = p.append(&shift_sum(), &[s1], &[]);
+        let p = p.cse();
+        let out = crate::interp::eval_concrete(&p, &[vec![1, 2, 3, 4]], &[], 65537);
+        // out[0] = (x0+x1) + (x1+x2) = 1+2+2+3
+        assert_eq!(out[0], 8);
+    }
+
+    #[test]
+    fn shared_rotations_are_cse_d() {
+        // Two stages over the *same* input duplicate rot(x,1); CSE merges.
+        let mut p = pipeline("shared", 1, 0);
+        let s1 = p.append(&shift_sum(), &[ValRef::Input(0)], &[]);
+        let s2 = p.append(&shift_sum(), &[ValRef::Input(0)], &[]);
+        // combine the two (identical) stage outputs
+        let combine = Program::new(
+            "add",
+            2,
+            0,
+            vec![Instr::AddCtCt(ValRef::Input(0), ValRef::Input(1))],
+            ValRef::Instr(0),
+        );
+        p.output = p.append(&combine, &[s1, s2], &[]);
+        let p = p.cse();
+        // Without CSE: 2 rots + 2 adds + 1 add = 5. With CSE the duplicate
+        // rot AND the duplicate add collapse: 1 rot + 1 add + 1 add = 3.
+        assert_eq!(p.len(), 3);
+        let out = crate::interp::eval_concrete(&p, &[vec![1, 2, 3, 4]], &[], 65537);
+        assert_eq!(out[0], 2 * (1 + 2));
+    }
+
+    #[test]
+    fn pt_bindings_remap() {
+        let stage = Program::new(
+            "weighted",
+            1,
+            1,
+            vec![Instr::MulCtPt(ValRef::Input(0), PtOperand::Input(0))],
+            ValRef::Instr(0),
+        );
+        let mut p = pipeline("pipeline", 1, 2);
+        p.output = p.append(&stage, &[ValRef::Input(0)], &[1]); // bind to pt input 1
+        let p = p.cse();
+        let out =
+            crate::interp::eval_concrete(&p, &[vec![3, 4]], &[vec![10, 10], vec![7, 7]], 65537);
+        assert_eq!(out, vec![21, 28]);
     }
 
     #[test]

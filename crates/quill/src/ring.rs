@@ -134,11 +134,6 @@ pub fn zt_vec(values: &[i64], modulus: u64) -> Vec<Zt> {
         .collect()
 }
 
-/// Extracts the unsigned values of a `Z_t` slot vector.
-pub fn zt_values(slots: &[Zt]) -> Vec<u64> {
-    slots.iter().map(|z| z.value()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,8 +169,9 @@ mod tests {
     }
 
     #[test]
-    fn vec_helpers_roundtrip() {
+    fn zt_vec_reduces_signed_values() {
         let v = zt_vec(&[1, -1, 100], 65537);
-        assert_eq!(zt_values(&v), vec![1, 65536, 100]);
+        let values: Vec<u64> = v.iter().map(Zt::value).collect();
+        assert_eq!(values, vec![1, 65536, 100]);
     }
 }

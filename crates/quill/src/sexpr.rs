@@ -48,46 +48,44 @@ impl Sexp {
     }
 }
 
-fn tokenize(src: &str) -> Result<Vec<(String, usize)>, ParseError> {
+/// How deeply lists may nest. The grammar needs four levels (`kernel`,
+/// `let`, the operation, `splat`); the cap keeps hostile input from
+/// overflowing the stack of the recursive parser.
+const MAX_DEPTH: usize = 32;
+
+fn tokenize(src: &str) -> Vec<(String, usize)> {
+    let is_delim = |c: char| c.is_whitespace() || c == '(' || c == ')' || c == ';';
     let mut tokens = Vec::new();
-    let bytes = src.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
+    let mut chars = src.char_indices().peekable();
+    while let Some((i, c)) = chars.next() {
         match c {
-            '(' | ')' => {
-                tokens.push((c.to_string(), i));
-                i += 1;
-            }
-            ';' => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            c if c.is_whitespace() => i += 1,
+            '(' | ')' => tokens.push((c.to_string(), i)),
+            ';' => while chars.next_if(|&(_, c)| c != '\n').is_some() {},
+            c if c.is_whitespace() => {}
             _ => {
-                let start = i;
-                while i < bytes.len() {
-                    let c = bytes[i] as char;
-                    if c.is_whitespace() || c == '(' || c == ')' || c == ';' {
-                        break;
-                    }
-                    i += 1;
+                let mut end = i + c.len_utf8();
+                while let Some((j, c)) = chars.next_if(|&(_, c)| !is_delim(c)) {
+                    end = j + c.len_utf8();
                 }
-                tokens.push((src[start..i].to_string(), start));
+                tokens.push((src[i..end].to_string(), i));
             }
         }
     }
-    Ok(tokens)
+    tokens
 }
 
-fn parse_sexp(tokens: &[(String, usize)], pos: &mut usize) -> Result<Sexp, ParseError> {
+fn parse_sexp(
+    tokens: &[(String, usize)],
+    pos: &mut usize,
+    depth: usize,
+) -> Result<Sexp, ParseError> {
     let (tok, off) = tokens.get(*pos).ok_or(ParseError {
         offset: tokens.last().map(|t| t.1).unwrap_or(0),
         message: "unexpected end of input".into(),
     })?;
     *pos += 1;
     match tok.as_str() {
+        "(" if depth == MAX_DEPTH => Err(err(*off, format!("lists nest deeper than {MAX_DEPTH}"))),
         "(" => {
             let mut items = Vec::new();
             loop {
@@ -96,7 +94,7 @@ fn parse_sexp(tokens: &[(String, usize)], pos: &mut usize) -> Result<Sexp, Parse
                         *pos += 1;
                         return Ok(Sexp::List(items, *off));
                     }
-                    Some(_) => items.push(parse_sexp(tokens, pos)?),
+                    Some(_) => items.push(parse_sexp(tokens, pos, depth + 1)?),
                     None => {
                         return Err(ParseError {
                             offset: *off,
@@ -126,6 +124,11 @@ fn expect_atom(s: &Sexp) -> Result<(&str, usize), ParseError> {
         Sexp::Atom(a, o) => Ok((a, *o)),
         Sexp::List(_, o) => Err(err(*o, "expected an atom")),
     }
+}
+
+/// The leading atom of the list at `offset`.
+fn expect_head(list: &[Sexp], offset: usize) -> Result<(&str, usize), ParseError> {
+    expect_atom(list.first().ok_or_else(|| err(offset, "empty list"))?)
 }
 
 fn parse_val_ref(name: &str, offset: usize, num_ct: usize) -> Result<ValRef, ParseError> {
@@ -170,9 +173,9 @@ fn parse_pt_operand(s: &Sexp) -> Result<PtOperand, ParseError> {
 /// Returns a [`ParseError`] describing the first syntactic or structural
 /// problem.
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    let tokens = tokenize(src)?;
+    let tokens = tokenize(src);
     let mut pos = 0;
-    let top = parse_sexp(&tokens, &mut pos)?;
+    let top = parse_sexp(&tokens, &mut pos, 0)?;
     if pos != tokens.len() {
         return Err(err(tokens[pos].1, "trailing input after kernel form"));
     }
@@ -194,7 +197,7 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
         Sexp::List(input_items, o) => {
             let mut ct = None;
             let mut pt = None;
-            let (kw, kwo) = expect_atom(&input_items[0])?;
+            let (kw, kwo) = expect_head(input_items, *o)?;
             if kw != "inputs" {
                 return Err(err(kwo, "expected (inputs …)"));
             }
@@ -227,18 +230,21 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let mut instrs: Vec<Instr> = Vec::new();
     let mut output: Option<ValRef> = None;
     for form in &items[3..] {
-        let list = match form {
-            Sexp::List(l, _) => l,
+        let (list, lo) = match form {
+            Sexp::List(l, o) => (l, *o),
             Sexp::Atom(_, o) => return Err(err(*o, "expected (let …) or (return …)")),
         };
-        let (head, ho) = expect_atom(&list[0])?;
+        let (head, ho) = expect_head(list, lo)?;
         match head {
             "let" => {
                 if list.len() != 3 {
                     return Err(err(ho, "(let c<i> (op …)) takes two arguments"));
                 }
                 let (bind_name, bo) = expect_atom(&list[1])?;
-                let expected = format!("c{}", num_ct + instrs.len());
+                let next = num_ct
+                    .checked_add(instrs.len())
+                    .ok_or_else(|| err(bo, "too many ciphertext values"))?;
+                let expected = format!("c{next}");
                 if bind_name != expected {
                     return Err(err(
                         bo,
@@ -432,6 +438,32 @@ mod tests {
     fn reports_unclosed_list() {
         let e = parse_program("(kernel k (inputs (ct 1) (pt 0)").unwrap_err();
         assert!(e.message.contains("unclosed"), "{e}");
+    }
+
+    /// Hostile text is a parse error, never a panic or a stack overflow:
+    /// empty lists where a head is expected, a UTF-8 character whose
+    /// continuation byte reads as Latin-1 whitespace, nesting past the
+    /// depth cap, and a binding index past `usize::MAX`.
+    #[test]
+    fn hostile_text_is_an_error() {
+        let deep = "(".repeat(200_000);
+        let max = usize::MAX;
+        let overflow = format!(
+            "(kernel k (inputs (ct {max})) (let c{max} (rot-ct c0 1)) (let c0 (rot-ct c0 1)))"
+        );
+        for src in [
+            "(kernel k ())",
+            "(kernel k (inputs (ct 1)) ())",
+            "(kernel \u{e0} (inputs (ct 1)) (return c0) \u{e0})",
+            "(kernel k\u{85} (inputs (ct 1)) (return c0))x",
+            &deep,
+            &overflow,
+        ] {
+            assert!(parse_program(src).is_err(), "{src:.60}");
+        }
+        // Non-ASCII names are still atoms.
+        let p = parse_program("(kernel \u{e0}-blur (inputs (ct 1)) (return c0))").unwrap();
+        assert_eq!(p.name, "\u{e0}-blur");
     }
 
     #[test]

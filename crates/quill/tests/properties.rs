@@ -17,8 +17,72 @@ fn arb_program(max_len: usize) -> impl Strategy<Value = Program> {
     test_support::arb_program(1, max_len)
 }
 
+/// Surface-syntax fragments, so random text reaches past the tokenizer
+/// into the form parser, plus Latin-1 whitespace and accented letters.
+const PIECES: &[&str] = &[
+    "(",
+    ")",
+    "(",
+    ")",
+    " ",
+    "\n",
+    ";",
+    "kernel",
+    "inputs",
+    "ct",
+    "pt",
+    "let",
+    "return",
+    "splat",
+    "c0",
+    "c1",
+    "c2",
+    "p0",
+    "1",
+    "-3",
+    "18446744073709551615",
+    "rot-ct",
+    "add-ct-ct",
+    "mul-ct-ct",
+    "mul-ct-pt",
+    "relin-ct",
+    "\u{e0}",
+    "\u{85}",
+    "\u{a0}",
+];
+
+/// Arbitrary text: grammar fragments and arbitrary `char`s, non-ASCII
+/// included, sometimes behind a well-formed kernel header.
+fn arb_text() -> impl Strategy<Value = String> {
+    (
+        any::<bool>(),
+        prop::collection::vec((any::<u32>(), any::<bool>()), 0..64),
+    )
+        .prop_map(|(header, parts)| {
+            let mut src = String::new();
+            if header {
+                src.push_str("(kernel k (inputs (ct 2) (pt 1)) ");
+            }
+            for (x, raw) in parts {
+                match raw {
+                    true => src.push(char::from_u32(x % 0x11_0000).unwrap_or('\u{fffd}')),
+                    false => src.push_str(PIECES[x as usize % PIECES.len()]),
+                }
+            }
+            src
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The parser returns `Ok` or `Err` on any text; it never panics.
+    #[test]
+    fn parser_never_panics_on_arbitrary_text(src in arb_text()) {
+        if let Ok(prog) = parse_program(&src) {
+            prop_assert!(prog.validate().is_ok());
+        }
+    }
 
     #[test]
     fn random_programs_validate(prog in arb_program(8)) {

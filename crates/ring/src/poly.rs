@@ -522,29 +522,6 @@ impl RingContext {
         }
         out
     }
-
-    /// Extracts RNS component `i` as a polynomial with small coefficients
-    /// (`< q_i`) reduced modulo **every** prime — the RNS-decomposition step
-    /// of key switching. Requires coefficient form (digits are defined on
-    /// coefficients).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is in evaluation form.
-    pub fn decompose_component(&self, a: &RnsPoly, i: usize) -> RnsPoly {
-        assert_eq!(a.form, PolyForm::Coeff, "decomposition needs coefficients");
-        let src = &a.residues[i];
-        let residues = self
-            .rns
-            .primes()
-            .iter()
-            .map(|&p| src.iter().map(|&x| x % p).collect())
-            .collect();
-        RnsPoly {
-            residues,
-            form: PolyForm::Coeff,
-        }
-    }
 }
 
 /// A polynomial in `Z_Q[x]/(x^N + 1)`, stored as one residue vector per RNS
@@ -712,18 +689,6 @@ mod tests {
         assert_eq!(lifted[7], BigInt::from_i64(-1));
         for coeff in lifted.iter().take(7) {
             assert!(coeff.is_zero());
-        }
-    }
-
-    #[test]
-    fn decompose_component_small_coeffs() {
-        let ctx = ctx(8, 3);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let a = ctx.to_coeff(&ctx.sample_uniform(&mut rng));
-        for i in 0..3 {
-            let d = ctx.decompose_component(&a, i);
-            // Its own component is unchanged.
-            assert_eq!(d.component(i), a.component(i));
         }
     }
 

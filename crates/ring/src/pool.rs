@@ -86,13 +86,6 @@ impl ScratchPool {
         }
     }
 
-    /// A zero-filled row of `len` u64s.
-    pub fn take_row_zeroed(&self, len: usize) -> Vec<u64> {
-        let mut row = self.take_row(len);
-        row.iter_mut().for_each(|x| *x = 0);
-        row
-    }
-
     /// Returns a row to the pool.
     pub fn put_row(&self, row: Vec<u64>) {
         self.rows.borrow_mut().push(row);
@@ -180,7 +173,7 @@ mod tests {
             }
         );
         pool.put_row(r);
-        let r = pool.take_row_zeroed(8);
+        let r = pool.take_row(8);
         assert_eq!(
             pool.stats(),
             PoolStats {
@@ -188,7 +181,6 @@ mod tests {
                 reused: 1
             }
         );
-        assert!(r.iter().all(|&x| x == 0));
         pool.put_row(r);
     }
 

@@ -17,7 +17,7 @@
 
 use porcupine::cegis::{synthesize, CachePolicy, SearchStrategy};
 use porcupine::{clear_synthesis_memo, search_invocations};
-use porcupine_kernels::{reduction, stencil};
+use porcupine_kernels::{composite, reduction, stencil};
 use quill::scheme::SchemeId;
 use test_support::{fast_synthesis_options, with_strategy};
 
@@ -213,6 +213,51 @@ fn corrupted_entries_rebuild_cold() {
         clear_synthesis_memo();
         let warm = synthesize(&k.spec, &k.sketch, &options).expect("repaired gx");
         assert!(warm.cache_hit, "{name}: rebuilt entry must hit");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `entry` with its program text replaced by `body`, every header line
+/// (the program's byte length included) well-formed.
+fn with_program_text(entry: &[u8], body: &str) -> Vec<u8> {
+    let text = std::str::from_utf8(entry).expect("entries are UTF-8");
+    let at = text
+        .find("program-bytes ")
+        .expect("entry has a program length");
+    format!("{}program-bytes {}\n{body}", &text[..at], body.len()).into_bytes()
+}
+
+/// A well-framed entry whose program text is hostile (text the parser
+/// used to panic on, or a program over other inputs than the spec's) is
+/// a miss and a cold rebuild, never a crash.
+#[test]
+fn hostile_program_text_reads_as_a_miss() {
+    let dir = temp_cache_dir("hostile");
+    let k = composite::sobel_combine(stencil::default_image().slots());
+    let mut options = fast_synthesis_options();
+    options.cache = CachePolicy::At(dir.clone());
+    let cold = synthesize(&k.spec, &k.sketch, &options).expect("cold sobel-combine");
+    let entry = std::fs::read_dir(&dir)
+        .expect("cache dir exists")
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .find(|p| p.extension().is_some_and(|x| x == "synth"))
+        .expect("cold run stored an entry");
+    let pristine = std::fs::read(&entry).expect("entry readable");
+
+    let deep = "(".repeat(200_000);
+    for body in [
+        "(kernel k ())",
+        "(kernel k (inputs (ct 2)) ())",
+        "(kernel \u{e0} (inputs (ct 2)) (return c0))",
+        &deep,
+        "(kernel k (inputs (ct 3) (pt 0)) (let c3 (mul-ct-ct c2 c2)) (return c3))",
+    ] {
+        std::fs::write(&entry, with_program_text(&pristine, body)).expect("rewrite entry");
+        clear_synthesis_memo();
+        let r = synthesize(&k.spec, &k.sketch, &options).expect("hostile entry is a miss");
+        assert!(!r.cache_hit, "{body:.40}: hostile entry must miss");
+        assert_eq!(r.program, cold.program, "{body:.40}: rebuild is canonical");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
