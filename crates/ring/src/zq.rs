@@ -364,4 +364,194 @@ mod tests {
         // 3 is the canonical primitive root of 65537.
         assert_eq!(primitive_root(65537), 3);
     }
+
+    /// The factorization `primitive_root` used before Pollard–Brent rho:
+    /// trial division up to the square root, distinct primes ascending.
+    /// Kept as the oracle [`factorize`] must agree with.
+    fn trial_division(mut n: u64) -> Vec<u64> {
+        let mut factors = Vec::new();
+        let mut d = 2u64;
+        while d * d <= n {
+            if n.is_multiple_of(d) {
+                factors.push(d);
+                while n.is_multiple_of(d) {
+                    n /= d;
+                }
+            }
+            d += 1;
+        }
+        if n > 1 {
+            factors.push(n);
+        }
+        factors
+    }
+
+    /// Every prime a context roots, once each, in generation order: the plaintext
+    /// modulus 65537, the longest BFV chain per `(N, bits)` of
+    /// `bfv::params`' candidate table (`≡ 1 mod 2N`), the longest BGV chain
+    /// per `(N, bits)` of `bgv::params`' table (`≡ 1 mod 2N·t`), and the
+    /// first twelve 60-bit BEHZ auxiliary primes at each degree — more
+    /// than the longest chain in either table needs.
+    fn context_primes() -> Vec<u64> {
+        const T: u64 = 65537;
+        const BFV_CHAINS: [(u64, u32, usize); 6] = [
+            (1024, 45, 3),
+            (2048, 46, 3),
+            (4096, 46, 4),
+            (8192, 50, 5),
+            (8192, 53, 6),
+            (16384, 55, 9),
+        ];
+        const BGV_CHAINS: [(u64, u32, usize); 7] = [
+            (1024, 45, 3),
+            (2048, 46, 3),
+            (4096, 46, 5),
+            (8192, 50, 5),
+            (8192, 53, 6),
+            (8192, 54, 7),
+            (16384, 55, 12),
+        ];
+        let mut primes = vec![T];
+        for (n, bits, count) in BFV_CHAINS {
+            primes.extend(ntt_primes(bits, 2 * n, count, &[T]));
+        }
+        for (n, bits, count) in BGV_CHAINS {
+            primes.extend(primes_in_progression(bits, 2 * n * T, count, &[T]));
+        }
+        for log_n in 10..=14 {
+            primes.extend(ntt_primes(60, 2 << log_n, 12, &[T]));
+        }
+        let mut seen = std::collections::HashSet::new();
+        primes.retain(|&p| seen.insert(p));
+        primes
+    }
+
+    /// `(p, primitive_root(p))` for [`context_primes`], recorded with the
+    /// trial-division factorization. A root that moves changes ψ, every
+    /// twiddle, key and ciphertext.
+    const ROOT_TABLE: &[(u64, u64)] = &[
+        (65537, 3),
+        (35184372060161, 3),
+        (35184371986433, 3),
+        (35184371961857, 3),
+        (70368744067073, 5),
+        (70368743755777, 5),
+        (70368743669761, 7),
+        (70368743587841, 3),
+        (70368743489537, 3),
+        (70368743374849, 14),
+        (1125899906826241, 22),
+        (1125899906629633, 10),
+        (1125899905744897, 7),
+        (1125899905351681, 13),
+        (1125899905220609, 3),
+        (9007199254429697, 3),
+        (9007199254364161, 31),
+        (9007199254331393, 3),
+        (9007199253921793, 5),
+        (9007199252840449, 7),
+        (9007199252807681, 3),
+        (36028797017456641, 7),
+        (36028797016178689, 11),
+        (36028797014704129, 7),
+        (36028797014573057, 3),
+        (36028797014376449, 3),
+        (36028797014081537, 3),
+        (36028797013327873, 5),
+        (36028797013098497, 3),
+        (36028797013000193, 3),
+        (35182090344449, 3),
+        (35180748146689, 11),
+        (35180479707137, 3),
+        (70366059765761, 3),
+        (70358275018753, 5),
+        (70356664381441, 23),
+        (70346732118017, 3),
+        (70335457656833, 3),
+        (70320425041921, 7),
+        (70306466185217, 3),
+        (1125889168998401, 3),
+        (1125874136383489, 14),
+        (1125873062625281, 3),
+        (1125818300956673, 3),
+        (1125812932165633, 7),
+        (9007176703721473, 5),
+        (9007131605876737, 10),
+        (9007092950581249, 7),
+        (9007072549175297, 3),
+        (9007053221527553, 3),
+        (9007038188912641, 13),
+        (18014384546430977, 3),
+        (18014343743619073, 5),
+        (18014336227311617, 3),
+        (18014333006036993, 3),
+        (18014297572016129, 3),
+        (18014269654302721, 26),
+        (18014234220281857, 10),
+        (36028786272993281, 6),
+        (36028700372336641, 11),
+        (36028681044688897, 5),
+        (36028674602139649, 17),
+        (36028638094360577, 3),
+        (36028635946844161, 17),
+        (36028509243375617, 3),
+        (36028481325662209, 7),
+        (36028457702981633, 3),
+        (36028449112915969, 7),
+        (36028438375333889, 3),
+        (36028384687423489, 73),
+        (1152921504606830593, 10),
+        (1152921504606791681, 3),
+        (1152921504606748673, 3),
+        (1152921504606683137, 5),
+        (1152921504606631937, 3),
+        (1152921504606601217, 3),
+        (1152921504606588929, 3),
+        (1152921504606584833, 10),
+        (1152921504606570497, 3),
+        (1152921504606515201, 6),
+        (1152921504606504961, 7),
+        (1152921504606441473, 5),
+        (1152921504606375937, 5),
+        (1152921504606195713, 3),
+        (1152921504606109697, 3),
+        (1152921504606031873, 5),
+        (1152921504605962241, 3),
+        (1152921504605913089, 3),
+        (1152921504605847553, 7),
+        (1152921504605822977, 5),
+        (1152921504605618177, 5),
+        (1152921504605331457, 7),
+        (1152921504604979201, 3),
+        (1152921504604766209, 14),
+        (1152921504600260609, 3),
+        (1152921504599080961, 3),
+        (1152921504598720513, 5),
+        (1152921504597114881, 6),
+        (1152921504597016577, 3),
+        (1152921504596525057, 3),
+        (1152921504595968001, 13),
+    ];
+
+    #[test]
+    fn primitive_roots_of_context_primes_are_pinned() {
+        let table: Vec<(u64, u64)> = context_primes()
+            .into_iter()
+            .map(|p| (p, primitive_root(p)))
+            .collect();
+        if table != ROOT_TABLE {
+            let rows: String = table
+                .iter()
+                .map(|(p, g)| format!("    ({p}, {g}),\n"))
+                .collect();
+            panic!("primitive-root table moved; new table:\n{rows}");
+        }
+    }
+
+    #[test]
+    fn factorize_matches_trial_division() {
+        for p in context_primes() {
+            assert_eq!(factorize(p - 1), trial_division(p - 1), "p - 1 = {}", p - 1);
+        }
+    }
 }
