@@ -385,14 +385,10 @@ pub fn synthesize(
             hit.time_total = start.elapsed();
             return Ok(hit);
         }
-        // An entry over other inputs than the spec's cannot implement it
-        // (and the verifier would index inputs the spec does not have).
-        let arity = |p: &Program| (p.num_ct_inputs, p.num_pt_inputs);
+        // An entry over other inputs than the spec's fails verification
+        // like any wrong program.
         match cache::lookup(dir, key) {
-            Some(entry)
-                if arity(&entry.program) == (spec.num_ct_inputs, spec.num_pt_inputs)
-                    && verify(&entry.program, spec, &mut rng).is_ok() =>
-            {
+            Some(entry) if verify(&entry.program, spec, &mut rng).is_ok() => {
                 cache::record_hit();
                 cached = Some(entry);
             }
@@ -629,7 +625,7 @@ impl Refinement<'_> {
                     Ok(()) => return Ok(SearchOutcome::Found(program)),
                     Err(failure) => self.examples.push(
                         failure
-                            .counter_example
+                            .counter_example()
                             .ok_or(SynthesisError::CounterExampleExtraction)?,
                     ),
                 },

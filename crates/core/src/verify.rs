@@ -19,21 +19,51 @@ use std::fmt;
 
 /// A verification failure.
 #[derive(Debug, Clone)]
-pub struct VerifyFailure {
-    /// The first masked slot whose polynomial differs.
-    pub slot: usize,
-    /// A concrete input on which candidate and spec disagree (absent only
-    /// if sampling failed, which is probabilistically negligible).
-    pub counter_example: Option<Example>,
+pub enum VerifyFailure {
+    /// The program reads other inputs than the specification provides:
+    /// `(ciphertext, plaintext)` input counts of each. No input can witness
+    /// this, so there is no counter-example.
+    Arity {
+        /// The program's input counts.
+        program: (usize, usize),
+        /// The specification's input counts.
+        spec: (usize, usize),
+    },
+    /// A masked output slot computes another polynomial than the spec's.
+    Mismatch {
+        /// The first masked slot whose polynomial differs.
+        slot: usize,
+        /// A concrete input on which candidate and spec disagree (absent
+        /// only if sampling failed, which is probabilistically negligible).
+        counter_example: Option<Example>,
+    },
+}
+
+impl VerifyFailure {
+    /// The concrete input the candidate gets wrong, if there is one.
+    pub fn counter_example(self) -> Option<Example> {
+        match self {
+            VerifyFailure::Arity { .. } => None,
+            VerifyFailure::Mismatch {
+                counter_example, ..
+            } => counter_example,
+        }
+    }
 }
 
 impl fmt::Display for VerifyFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "candidate disagrees with the specification at slot {}",
-            self.slot
-        )
+        match self {
+            VerifyFailure::Arity { program, spec } => write!(
+                f,
+                "candidate takes {} ct / {} pt inputs, the specification {} ct / {} pt",
+                program.0, program.1, spec.0, spec.1
+            ),
+            VerifyFailure::Mismatch { slot, .. } => write!(
+                f,
+                "candidate disagrees with the specification at slot {slot}"
+            ),
+        }
     }
 }
 
@@ -46,13 +76,22 @@ const MAX_SAMPLING_TRIES: usize = 10_000;
 ///
 /// # Errors
 ///
-/// Returns a [`VerifyFailure`] (with a concrete counter-example for the
-/// CEGIS loop) if any masked output slot differs.
+/// Returns [`VerifyFailure::Arity`] if the program's input counts differ
+/// from the spec's, and [`VerifyFailure::Mismatch`] (with a concrete
+/// counter-example for the CEGIS loop) if any masked output slot differs.
 pub fn verify<R: Rng + ?Sized>(
     prog: &Program,
     spec: &KernelSpec,
     rng: &mut R,
 ) -> Result<(), VerifyFailure> {
+    let program = (prog.num_ct_inputs, prog.num_pt_inputs);
+    let expected = (spec.num_ct_inputs, spec.num_pt_inputs);
+    if program != expected {
+        return Err(VerifyFailure::Arity {
+            program,
+            spec: expected,
+        });
+    }
     let prog_sym = interp::eval_symbolic(prog, spec.n, spec.t);
     let spec_sym = spec.eval_symbolic();
     let bad_slot = (0..spec.n).find(|&i| spec.output_mask[i] && prog_sym[i] != spec_sym[i]);
@@ -66,13 +105,13 @@ pub fn verify<R: Rng + ?Sized>(
         let got = interp::eval_concrete(prog, &ex.ct_inputs, &ex.pt_inputs, spec.t);
         let differs = (0..spec.n).any(|i| spec.output_mask[i] && got[i] != ex.output[i]);
         if differs {
-            return Err(VerifyFailure {
+            return Err(VerifyFailure::Mismatch {
                 slot,
                 counter_example: Some(ex),
             });
         }
     }
-    Err(VerifyFailure {
+    Err(VerifyFailure::Mismatch {
         slot,
         counter_example: None,
     })
@@ -141,9 +180,42 @@ mod tests {
         );
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         let err = verify(&p, &spec(), &mut rng).unwrap_err();
-        let ex = err.counter_example.expect("sampling finds a witness");
+        let ex = err.counter_example().expect("sampling finds a witness");
         let got = interp::eval_concrete(&p, &ex.ct_inputs, &ex.pt_inputs, 65537);
         assert_ne!(got, ex.output);
+    }
+
+    #[test]
+    fn rejects_program_over_other_inputs_without_panicking() {
+        // x0 + x0 against a two-input spec: the interpreter would index an
+        // input the program does not declare.
+        struct Sum2;
+        impl GenericReference for Sum2 {
+            fn compute<R: Ring>(&self, ct: &[Vec<R>], _pt: &[Vec<R>]) -> Vec<R> {
+                ct[0].iter().zip(&ct[1]).map(|(a, b)| a.add(b)).collect()
+            }
+        }
+        let two_inputs = KernelSpec::new("sum2", 4, 2, 0, vec![], 65537, Box::new(Sum2));
+        let p = Program::new(
+            "double",
+            1,
+            0,
+            vec![Instr::AddCtCt(ValRef::Input(0), ValRef::Input(0))],
+            ValRef::Instr(0),
+        );
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        let err = verify(&p, &two_inputs, &mut rng).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                VerifyFailure::Arity {
+                    program: (1, 0),
+                    spec: (2, 0)
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(err.counter_example().is_none());
     }
 
     #[test]

@@ -172,7 +172,7 @@ proptest! {
             let failure = verify(&m, &spec, &mut rng);
             prop_assert!(failure.is_err(), "{} accepted", m.name);
             let f = failure.unwrap_err();
-            prop_assert!(f.counter_example.is_some(), "{} lacks witness", m.name);
+            prop_assert!(f.counter_example().is_some(), "{} lacks witness", m.name);
         }
     }
 }

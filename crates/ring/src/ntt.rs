@@ -448,24 +448,14 @@ mod tests {
     /// Tables over one NTT-friendly prime of each width the transform must
     /// support: the plaintext modulus 65537 (17 bits), the 46-bit primes of
     /// the benchmark sets, 60-bit auxiliary primes, and the 62-bit maximum.
-    /// The primes and their 2·MAX_N-th roots are found once; a smaller `n`
-    /// takes a power of the root.
+    /// Every `n` uses the same primes (those `≡ 1 mod 2·MAX_N`).
     fn tables_for(n: usize) -> Vec<NttTables> {
-        static ROOTS: std::sync::OnceLock<Vec<(u64, u64)>> = std::sync::OnceLock::new();
-        let roots = ROOTS.get_or_init(|| {
-            let two_n = 2 * MAX_N as u64;
-            let mut ps = vec![65537];
-            for bits in [46, 60, 62] {
-                ps.push(zq::ntt_primes(bits, two_n, 1, &[])[0]);
-            }
-            ps.into_iter()
-                .map(|p| (p, zq::root_of_unity(two_n, p)))
-                .collect()
-        });
-        roots
-            .iter()
-            .map(|&(p, psi)| NttTables::with_root(p, n, zq::pow_mod(psi, (MAX_N / n) as u64, p)))
-            .collect()
+        let two_max_n = 2 * MAX_N as u64;
+        let mut ps = vec![65537];
+        for bits in [46, 60, 62] {
+            ps.push(zq::ntt_primes(bits, two_max_n, 1, &[])[0]);
+        }
+        ps.into_iter().map(|p| NttTables::new(p, n)).collect()
     }
 
     /// Random residues, plus the all-`(p − 1)` vector that drives every

@@ -1,9 +1,13 @@
 //! Arithmetic in 64-bit prime fields: modular ops, deterministic
-//! Miller–Rabin primality, NTT-friendly prime search, and roots of unity.
+//! Miller–Rabin primality, NTT-friendly prime search, and primitive roots.
 //!
-//! Every RNS component of a BFV ciphertext lives in `Z_p` for a prime
+//! Every RNS component of a ciphertext lives in `Z_p` for a prime
 //! `p ≡ 1 (mod 2N)` so the negacyclic NTT exists. This module finds those
-//! primes and the 2N-th roots of unity the NTT tables need.
+//! primes and the 2N-th roots of unity the NTT tables need. A root of unity
+//! is a power of the smallest generator of `Z_p^*`, found by testing
+//! candidates against the distinct prime factors of `p − 1`; those come
+//! from Pollard–Brent rho and Miller–Rabin, so rooting a 60-bit prime costs
+//! microseconds, not the ~√(p − 1) divisions of trial division.
 
 /// `(a + b) mod m` for `a, b < m < 2^63`.
 ///
@@ -221,7 +225,16 @@ pub fn primes_in_progression(bits: u32, stride: u64, count: usize, exclude: &[u6
     out
 }
 
-/// Finds a generator of the multiplicative group of `Z_p` (p prime).
+/// Finds the smallest generator of the multiplicative group of `Z_p`
+/// (p prime).
+///
+/// `g` generates the group exactly when `g^((p−1)/f) ≠ 1` for every
+/// distinct prime `f | p − 1`, so the candidates `2, 3, …` are tested
+/// against those primes, found by Pollard–Brent rho and Miller–Rabin
+/// (microseconds even for a 60-bit `p`). That set is a property of `p − 1`
+/// alone, whatever algorithm finds it, so the root returned — and with it
+/// every NTT twiddle, key and ciphertext derived from it — depends only on
+/// `p`.
 pub fn primitive_root(p: u64) -> u64 {
     let phi = p - 1;
     let factors = factorize(phi);
@@ -253,24 +266,97 @@ pub fn root_of_unity(order: u64, p: u64) -> u64 {
     root
 }
 
-/// Trial-division factorization (distinct prime factors only). The inputs
-/// here are `p - 1` values that are smooth by construction, so this is fast.
-fn factorize(mut n: u64) -> Vec<u64> {
+/// The distinct prime factors of `n ≥ 1`, ascending.
+///
+/// Strips the power of two, then splits the odd cofactor with
+/// Pollard–Brent rho ([`rho_divisor`]) until every part passes the
+/// deterministic [`is_prime`]. An NTT prime's `p − 1 = 2N·m` usually has a
+/// large prime or semiprime cofactor `m` (for a 60-bit `p`, `m` can exceed
+/// 2^45), which trial division pays ~√m divisions for; rho splits a
+/// composite `m` in about `√f` steps for its smallest prime factor `f`
+/// (at most `m^¼`), and a prime `m` costs one Miller–Rabin test. The
+/// result is sorted and deduplicated, so it is the same set in the same
+/// order however the cofactor happened to split.
+fn factorize(n: u64) -> Vec<u64> {
+    debug_assert!(n > 0);
     let mut factors = Vec::new();
-    let mut d = 2u64;
-    while d * d <= n {
-        if n.is_multiple_of(d) {
-            factors.push(d);
-            while n.is_multiple_of(d) {
-                n /= d;
+    if n.is_multiple_of(2) {
+        factors.push(2);
+    }
+    let mut pending = vec![n >> n.trailing_zeros()];
+    while let Some(m) = pending.pop() {
+        if m == 1 {
+            continue;
+        }
+        if is_prime(m) {
+            factors.push(m);
+            continue;
+        }
+        let d = rho_divisor(m);
+        pending.push(d);
+        pending.push(m / d);
+    }
+    factors.sort_unstable();
+    factors.dedup();
+    factors
+}
+
+/// A proper divisor of the odd composite `n`, by Brent's variant of
+/// Pollard's rho over `x ↦ x² + c (mod n)`: the walk cycles modulo an
+/// unknown prime factor long before it cycles modulo `n`, and the gcd of
+/// the accumulated differences with `n` exposes that factor. Differences
+/// are multiplied together in batches so one gcd serves many steps; a
+/// batch whose product collapses to `0 (mod n)` is replayed step by step,
+/// and a walk that only finds `n` itself restarts with the next `c`.
+/// Deterministic: the same `n` always takes the same walk.
+fn rho_divisor(n: u64) -> u64 {
+    debug_assert!(n % 2 == 1 && n > 1 && !is_prime(n));
+    const BATCH: u64 = 128;
+    let step = |x: u64, c: u64| ((x as u128 * x as u128 + c as u128) % n as u128) as u64;
+    for c in 1..n {
+        let (mut x, mut y, mut ys) = (0u64, 2u64, 2u64);
+        let (mut g, mut r, mut q) = (1u64, 1u64, 1u64);
+        while g == 1 {
+            x = y;
+            for _ in 0..r {
+                y = step(y, c);
+            }
+            let mut k = 0;
+            while k < r && g == 1 {
+                ys = y;
+                for _ in 0..BATCH.min(r - k) {
+                    y = step(y, c);
+                    q = mul_mod(q, x.abs_diff(y), n);
+                }
+                g = gcd(q, n);
+                k += BATCH;
+            }
+            r *= 2;
+        }
+        if g == n {
+            // The batch overshot (or the walk closed on itself): replay it
+            // one difference at a time.
+            loop {
+                ys = step(ys, c);
+                g = gcd(x.abs_diff(ys), n);
+                if g > 1 {
+                    break;
+                }
             }
         }
-        d += 1;
+        if g != n {
+            return g;
+        }
     }
-    if n > 1 {
-        factors.push(n);
+    unreachable!("rho found no divisor of composite {n}")
+}
+
+/// Greatest common divisor (Euclid).
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
     }
-    factors
+    a
 }
 
 #[cfg(test)]
@@ -552,6 +638,43 @@ mod tests {
     fn factorize_matches_trial_division() {
         for p in context_primes() {
             assert_eq!(factorize(p - 1), trial_division(p - 1), "p - 1 = {}", p - 1);
+        }
+        // Every small value, including prime powers and the squares of
+        // small primes that a rho walk can close on without splitting.
+        for n in 1..20_000 {
+            assert_eq!(factorize(n), trial_division(n), "n = {n}");
+        }
+    }
+
+    /// 62-bit values whose cofactor defeats trial division: a product of
+    /// two ~31-bit primes, `2·q` with `q` prime, a prime square, and a
+    /// prime times a 2^k·3^j smooth part. Trial division on these takes
+    /// ~2^31 steps, so each is checked against its construction; the same
+    /// shapes at ~40 bits are also checked against [`trial_division`].
+    #[test]
+    fn factorize_splits_large_cofactors() {
+        let below = |bits: u32, k: usize| primes_in_progression(bits, 2, k, &[]);
+        let [a, b] = below(31, 2)[..] else {
+            unreachable!()
+        };
+        let q61 = below(61, 1)[0];
+        let c = below(44, 1)[0];
+        let cases: [(u64, Vec<u64>); 4] = [
+            (a * b, vec![b, a]),
+            (2 * q61, vec![2, q61]),
+            (a * a, vec![a]),
+            ((1 << 12) * 9 * 5 * c, vec![2, 3, 5, c]),
+        ];
+        for (n, want) in cases {
+            assert!(n >= 1 << 61, "{n} is not a 62-bit case");
+            assert_eq!(factorize(n), want, "n = {n}");
+        }
+        let [a, b] = below(20, 2)[..] else {
+            unreachable!()
+        };
+        let q39 = below(39, 1)[0];
+        for n in [a * b, 2 * q39, a * a, a * a * b, 9 * 7 * q39] {
+            assert_eq!(factorize(n), trial_division(n), "n = {n}");
         }
     }
 }

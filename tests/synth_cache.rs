@@ -168,13 +168,15 @@ fn changing_the_scheme_misses_the_cache() {
 
 /// Every corruption mode — truncation, bit flips, a version bump, or raw
 /// garbage — turns into a silent cold rebuild that repairs the entry.
+/// Sobel-combine rebuilds in about a millisecond and takes the same
+/// disk-tier paths as any kernel.
 #[test]
 fn corrupted_entries_rebuild_cold() {
     let dir = temp_cache_dir("corrupt");
-    let k = stencil::gx(stencil::default_image());
+    let k = composite::sobel_combine(stencil::default_image().slots());
     let mut options = fast_synthesis_options();
     options.cache = CachePolicy::At(dir.clone());
-    let cold = synthesize(&k.spec, &k.sketch, &options).expect("cold gx");
+    let cold = synthesize(&k.spec, &k.sketch, &options).expect("cold sobel-combine");
 
     let entry = std::fs::read_dir(&dir)
         .expect("cache dir exists")
@@ -211,7 +213,7 @@ fn corrupted_entries_rebuild_cold() {
         // The rebuild wrote the entry back; confirm the *disk* entry (not
         // the memo) hits again.
         clear_synthesis_memo();
-        let warm = synthesize(&k.spec, &k.sketch, &options).expect("repaired gx");
+        let warm = synthesize(&k.spec, &k.sketch, &options).expect("repaired sobel-combine");
         assert!(warm.cache_hit, "{name}: rebuilt entry must hit");
     }
     let _ = std::fs::remove_dir_all(&dir);
