@@ -38,7 +38,6 @@ mod tests {
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let rk = kg.relin_key(&mut rng);
         assert_eq!(rk.0.parts.len(), ctx.ring().num_primes());
-        assert_eq!(rk.0.shoup.len(), ctx.ring().num_primes());
         assert_ne!(rk.0.parts[0].1, rk.0.parts[1].1);
     }
 

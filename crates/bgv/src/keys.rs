@@ -79,10 +79,6 @@ fn truncate_ksk(ksk: &KeySwitchKey, keep: usize) -> KeySwitchKey {
             .iter()
             .map(|(b, a)| (trunc(b), trunc(a)))
             .collect(),
-        shoup: ksk.shoup[..keep]
-            .iter()
-            .map(|(bs, as_)| (bs[..keep].to_vec(), as_[..keep].to_vec()))
-            .collect(),
     }
 }
 
@@ -126,7 +122,6 @@ mod tests {
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let rk = kg.relin_key(&mut rng);
         assert_eq!(rk.0.parts.len(), ctx.ring().num_primes());
-        assert_eq!(rk.0.shoup.len(), ctx.ring().num_primes());
         assert_ne!(rk.0.parts[0].1, rk.0.parts[1].1);
     }
 

@@ -18,6 +18,7 @@ use rand::SeedableRng;
 use rlwe_ring::keyswitch::KeySwitchKey;
 use rlwe_ring::params::RlweParams;
 use rlwe_ring::poly::{PolyForm, RnsPoly};
+use rlwe_ring::zq::shoup_precompute;
 
 /// FNV-1a, 64-bit.
 struct Fnv(u64);
@@ -57,16 +58,22 @@ fn fp_polys<'a>(ps: impl IntoIterator<Item = &'a RnsPoly>) -> u64 {
     Fnv::new().polys(ps)
 }
 
-fn fp_ksk(k: &KeySwitchKey) -> u64 {
+/// Fingerprints a key-switch key's parts, then the Shoup companion
+/// `⌊w·2^64/p⌋` of every residue at the key's chain `primes`. The pinned
+/// values cover those companions; they are a function of the residues
+/// alone, so the fingerprint is one of the key bytes.
+fn fp_ksk(k: &KeySwitchKey, primes: &[u64]) -> u64 {
     let mut h = Fnv::new();
     for (b, a) in &k.parts {
         h.poly(b);
         h.poly(a);
     }
-    for (bs, as_) in &k.shoup {
-        for row in bs.iter().chain(as_) {
-            for &x in row {
-                h.word(x);
+    for (b, a) in &k.parts {
+        for part in [b, a] {
+            for (row, &p) in part.residues.iter().zip(primes) {
+                for &w in row {
+                    h.word(shoup_precompute(w, p));
+                }
             }
         }
     }
@@ -109,8 +116,11 @@ macro_rules! fingerprints {
         vec![
             ("secret_key", fp_polys([&kg.secret_key().s])),
             ("public_key", fp_polys([&pk.b, &pk.a])),
-            ("relin_key", fp_ksk(&rk.0)),
-            ("galois_key_step1", fp_ksk(&gk.keys[&rot1].key)),
+            ("relin_key", fp_ksk(&rk.0, ctx.ring().primes())),
+            (
+                "galois_key_step1",
+                fp_ksk(&gk.keys[&rot1].key, ctx.ring().primes()),
+            ),
             ("fresh_ct", ct(&a)),
             ("add", ct(&ev.add(&a, &b))),
             ("sub", ct(&ev.sub(&a, &b))),
@@ -171,7 +181,10 @@ fn bgv_keys_ciphertexts_and_ops_are_byte_identical() {
         "secret_key_mod_switched",
         fp_polys([&kg.secret_key().mod_switched(&next).s]),
     ));
-    got.push(("relin_key_mod_switched", fp_ksk(&rk.mod_switched(&next).0)));
+    got.push((
+        "relin_key_mod_switched",
+        fp_ksk(&rk.mod_switched(&next).0, next.ring().primes()),
+    ));
     check("bgv", &got, BGV);
 }
 

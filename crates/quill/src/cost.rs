@@ -43,7 +43,7 @@ pub struct LatencyModel {
     /// once per fan source (see `rlwe_ring::keyswitch::hoist_decompose`).
     pub rot_hoist_setup: f64,
     /// Per-member accumulate of a hoisted rotation: digit-row permutations
-    /// plus the pointwise Shoup inner products — no NTTs. The shipped
+    /// plus the pointwise key inner products — no NTTs. The shipped
     /// tables keep `rot_hoist_setup + rot_hoisted ≥ rot_ct` (a one-member
     /// "fan" is never cheaper than a plain rotation, which also keeps
     /// [`LatencyModel::program_latency`] monotone under appending

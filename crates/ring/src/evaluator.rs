@@ -23,8 +23,8 @@
 //! * key switching transforms only the RNS *digits* of the switched
 //!   polynomial (`k` inverse + `k² − k` forward NTTs: each digit at its
 //!   own prime is the input's evaluation row, reused as is) and then runs
-//!   pointwise inner products against the NTT-resident key,
-//!   Shoup-accelerated.
+//!   pointwise inner products against the NTT-resident key, summed in
+//!   128 bits with one reduction per output residue.
 
 use crate::batch::{galois_element_for_column_swap, galois_element_for_rotation};
 use crate::encoding::{EvalPlaintext, Plaintext};
@@ -402,7 +402,7 @@ impl<'a, C: SchemePolicy> Evaluator<'a, C> {
     /// are permuted by `σ_g` (a valid decomposition of `σ_g(c1)`, since the
     /// automorphism preserves the CRT identity and digit norms) and folded
     /// through the Galois key — per rotation only `k²` row permutations and
-    /// `2k²` pointwise Shoup multiply-adds, no NTTs. Decrypts identically
+    /// `2k²` pointwise 128-bit multiply-adds, no NTTs. Decrypts identically
     /// to [`Evaluator::rotate_rows`] with the same noise bound (a scaled
     /// key error such as BGV's `t·e` is untouched by hoisting); the raw
     /// ciphertext bits differ (the permuted digits are not the canonical

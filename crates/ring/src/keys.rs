@@ -122,7 +122,7 @@ impl<'a, C: SchemePolicy> KeyGenerator<'a, C> {
     /// # Panics
     ///
     /// Panics if an element is even or out of range (see
-    /// [`crate::poly::RingContext::automorphism`]).
+    /// [`crate::poly::RingContext::galois_eval_permutation`]).
     pub fn galois_keys<R: Rng + ?Sized>(&self, elements: &[u64], rng: &mut R) -> GaloisKeys {
         let ring = self.ctx.ring();
         let mut keys = HashMap::new();
@@ -130,12 +130,13 @@ impl<'a, C: SchemePolicy> KeyGenerator<'a, C> {
             if g == 1 || keys.contains_key(&g) {
                 continue;
             }
-            let s_g = ring.automorphism(&self.sk.s, g);
+            let perm = ring.galois_eval_permutation(g);
+            let s_g = ring.apply_eval_permutation(&self.sk.s, &perm);
             keys.insert(
                 g,
                 GaloisKeyEntry {
                     key: self.key_switch_key(&s_g, rng),
-                    perm: ring.galois_eval_permutation(g),
+                    perm,
                 },
             );
         }

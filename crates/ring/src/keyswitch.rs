@@ -10,42 +10,25 @@
 //! under `s` with only small added noise (each digit is `< q_i`).
 //!
 //! All key polynomials are stored in **evaluation (double-CRT) form**, so
-//! the inner products of key switching are pointwise; every key residue
-//! additionally carries a Shoup precomputation (keys are the fixed
-//! multiplicand of the digit product, the textbook Shoup setting).
+//! the inner products of key switching are pointwise. They are summed
+//! lazily: per output coefficient, `acc + Σ_i digit_i·key_i` runs in a
+//! `u128` and meets one exact Barrett reduction (SEAL's key-switch inner
+//! product), so a key stores only its `2·k²·N` residues and no per-residue
+//! precomputation. That is 8 bytes per residue: 21.2 MB at N = 16384 with
+//! nine primes, 1.6 MB at N = 4096 with five, 0.59 MB at N = 4096 with
+//! three and 0.15 MB at N = 1024 with three. A stored Shoup companion per
+//! residue would double each.
 
 use crate::poly::{PolyForm, RingContext, RnsPoly};
 use crate::pool::ScratchPool;
-use crate::zq::{add_mod, mul_mod_shoup, shoup_precompute};
+use crate::zq::{add_mod, Barrett};
 use rand::Rng;
 
-/// Shoup companion table of one evaluation-form key polynomial, indexed
-/// `[prime][coeff]`.
-pub type ShoupTable = Vec<Vec<u64>>;
-
-/// A key-switch key from some `s'` back to `s` (one part per RNS prime),
-/// with Shoup companions for the digit inner products.
+/// A key-switch key from some `s'` back to `s` (one part per RNS prime).
 #[derive(Debug, Clone)]
 pub struct KeySwitchKey {
     /// `(b_i, a_i)` in evaluation form.
     pub parts: Vec<(RnsPoly, RnsPoly)>,
-    /// Shoup precomputations of `parts`: `shoup[i] = (b_shoup, a_shoup)`.
-    pub shoup: Vec<(ShoupTable, ShoupTable)>,
-}
-
-/// Shoup precomputations for every residue of an evaluation-form key
-/// polynomial.
-pub fn shoup_tables(ring: &RingContext, poly: &RnsPoly) -> ShoupTable {
-    ring.primes()
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| {
-            poly.residues[i]
-                .iter()
-                .map(|&w| shoup_precompute(w, p))
-                .collect()
-        })
-        .collect()
 }
 
 /// Samples an error polynomial in evaluation form, multiplied by the
@@ -106,11 +89,7 @@ pub fn key_switch_key<R: Rng + ?Sized>(
         }
         parts.push((b_i, a_i));
     }
-    let shoup = parts
-        .iter()
-        .map(|(b_i, a_i)| (shoup_tables(ring, b_i), shoup_tables(ring, a_i)))
-        .collect();
-    KeySwitchKey { parts, shoup }
+    KeySwitchKey { parts }
 }
 
 /// Lifts digit `i` of the coefficient view `d_coeff` (row `i`) into prime
@@ -156,26 +135,122 @@ fn diagonal_digit_row<'a>(
     Some(row)
 }
 
-/// Folds one NTT'd digit row into the two accumulators at prime `j`: the
-/// pointwise Shoup inner product against key part `i`. The shared
-/// accumulate kernel of [`key_switch_into`] and [`key_switch_hoisted_into`].
-#[inline]
-fn accumulate_digit_row(
-    digit: &[u64],
-    ksk: &KeySwitchKey,
-    i: usize,
-    j: usize,
-    p: u64,
-    acc_b: &mut [u64],
-    acc_a: &mut [u64],
-) {
-    let (b_i, a_i) = &ksk.parts[i];
-    let (b_shoup, a_shoup) = &ksk.shoup[i];
-    let (bb, aa) = (&b_i.residues[j], &a_i.residues[j]);
-    let (bs, asg) = (&b_shoup[j], &a_shoup[j]);
-    for c in 0..digit.len() {
-        acc_b[c] = add_mod(acc_b[c], mul_mod_shoup(digit[c], bb[c], bs[c], p), p);
-        acc_a[c] = add_mod(acc_a[c], mul_mod_shoup(digit[c], aa[c], asg[c], p), p);
+/// How many digit × key products a `u128` accumulator seeded with a
+/// canonical residue mod `p` absorbs before it must be reduced:
+/// `⌊(2^128 − p)/(p − 1)²⌋`, so that `(p − 1) + m·(p − 1)² < 2^128`. At
+/// least 16 for any `p < 2^62`, and at least 64 below 2^61.
+fn lazy_fold_limit(p: u64) -> usize {
+    let top = u128::from(p - 1);
+    usize::try_from((u128::MAX - top) / (top * top)).unwrap_or(usize::MAX)
+}
+
+/// The lazy inner product at one prime, shared by [`key_switch_into`] and
+/// [`key_switch_hoisted_into`]: two pooled `u128` rows absorb every digit
+/// row's products with key part `i`'s residues unreduced, and each output
+/// coefficient meets one exact reduction. The first fold seeds the rows
+/// from the accumulators and the last one reduces straight back into
+/// them, so the wide rows are written once and read once per digit. A
+/// partial reduction runs whenever one more product could overflow, which
+/// only chains of more than 16 primes ever reach.
+struct LazyAccumulator {
+    b: Vec<u128>,
+    a: Vec<u128>,
+    bar: Barrett,
+    /// Products the rows absorb between reductions.
+    limit: usize,
+    /// Products the rows can still absorb before the next reduction.
+    room: usize,
+    /// Digits folded so far at this prime, and how many there are.
+    folded: usize,
+    digits: usize,
+}
+
+impl LazyAccumulator {
+    /// Pooled rows for `ring`; [`LazyAccumulator::start`] picks the prime.
+    fn take(ring: &RingContext, pool: &ScratchPool) -> Self {
+        LazyAccumulator {
+            b: pool.take_wide_row(ring.degree()),
+            a: pool.take_wide_row(ring.degree()),
+            bar: ring.barretts()[0],
+            limit: 0,
+            room: 0,
+            folded: 0,
+            digits: 0,
+        }
+    }
+
+    /// Starts the sum of the `k` digit rows at prime `j`.
+    fn start(&mut self, ring: &RingContext, j: usize) {
+        self.bar = ring.barretts()[j];
+        self.limit = lazy_fold_limit(ring.primes()[j]);
+        self.room = self.limit;
+        self.folded = 0;
+        self.digits = ring.num_primes();
+    }
+
+    /// Adds `digit ⊙ key_b` and `digit ⊙ key_a` (canonical residues) to
+    /// `acc_b`/`acc_a`, which hold canonical residues before the first
+    /// fold and the reduced sums after the last.
+    #[inline]
+    fn fold(
+        &mut self,
+        digit: &[u64],
+        key_b: &[u64],
+        key_a: &[u64],
+        acc_b: &mut [u64],
+        acc_a: &mut [u64],
+    ) {
+        let first = self.folded == 0;
+        self.folded += 1;
+        let last = self.folded == self.digits;
+        let bar = self.bar;
+        if self.room == 0 {
+            for w in self.b.iter_mut().chain(self.a.iter_mut()) {
+                *w = u128::from(bar.reduce(*w));
+            }
+            self.room = self.limit;
+        }
+        self.room -= 1;
+        debug_assert!(
+            !first || acc_b.iter().chain(&*acc_a).all(|&x| x < bar.modulus()),
+            "key-switch accumulator is not canonical mod {}",
+            bar.modulus()
+        );
+        let mul = |x: u64, y: u64| u128::from(x) * u128::from(y);
+        let wide = self.b.iter_mut().zip(self.a.iter_mut());
+        let acc = acc_b.iter_mut().zip(acc_a.iter_mut());
+        let rows = digit.iter().zip(key_b).zip(key_a);
+        match (first, last) {
+            (true, true) => {
+                for ((xb, xa), ((&d, &kb), &ka)) in acc.zip(rows) {
+                    *xb = bar.reduce(u128::from(*xb) + mul(d, kb));
+                    *xa = bar.reduce(u128::from(*xa) + mul(d, ka));
+                }
+            }
+            (true, false) => {
+                for (((wb, wa), (xb, xa)), ((&d, &kb), &ka)) in wide.zip(acc).zip(rows) {
+                    *wb = u128::from(*xb) + mul(d, kb);
+                    *wa = u128::from(*xa) + mul(d, ka);
+                }
+            }
+            (false, false) => {
+                for ((wb, wa), ((&d, &kb), &ka)) in wide.zip(rows) {
+                    *wb += mul(d, kb);
+                    *wa += mul(d, ka);
+                }
+            }
+            (false, true) => {
+                for (((wb, wa), (xb, xa)), ((&d, &kb), &ka)) in wide.zip(acc).zip(rows) {
+                    *xb = bar.reduce(*wb + mul(d, kb));
+                    *xa = bar.reduce(*wa + mul(d, ka));
+                }
+            }
+        }
+    }
+
+    fn recycle(self, pool: &ScratchPool) {
+        pool.put_wide_row(self.b);
+        pool.put_wide_row(self.a);
     }
 }
 
@@ -225,12 +300,15 @@ pub fn key_switch_into(
 ) {
     let k = ring.num_primes();
     let n = ring.degree();
+    assert_eq!(ksk.parts.len(), k, "key-switch key from a different ring");
     let mut d_store: Option<Vec<Vec<u64>>> = None;
     let d_coeff = coeff_view(ring, pool, d, &mut d_store);
     let mut digit = pool.take_row(n);
-    for i in 0..k {
-        for j in 0..k {
-            let p = ring.primes()[j];
+    let mut lazy = LazyAccumulator::take(ring, pool);
+    for j in 0..k {
+        lazy.start(ring, j);
+        let (acc_b, acc_a) = (&mut acc_b.residues[j], &mut acc_a.residues[j]);
+        for (i, (b_i, a_i)) in ksk.parts.iter().enumerate() {
             let row = match diagonal_digit_row(ring, d, i, j) {
                 Some(row) => row,
                 None => {
@@ -238,17 +316,10 @@ pub fn key_switch_into(
                     &digit
                 }
             };
-            accumulate_digit_row(
-                row,
-                ksk,
-                i,
-                j,
-                p,
-                &mut acc_b.residues[j],
-                &mut acc_a.residues[j],
-            );
+            lazy.fold(row, &b_i.residues[j], &a_i.residues[j], acc_b, acc_a);
         }
     }
+    lazy.recycle(pool);
     pool.put_row(digit);
     if let Some(m) = d_store {
         pool.put_matrix(m);
@@ -328,11 +399,11 @@ pub fn hoist_decompose(
 
 /// The accumulate phase of a hoisted key switch: folds a prepared
 /// decomposition through `ksk` into `acc_b`/`acc_a` (evaluation form,
-/// pre-zeroed by the caller), optionally applying the evaluation-domain
+/// canonical residues), optionally applying the evaluation-domain
 /// automorphism permutation `perm` to every digit row first (the hoisted
 /// rotation path; `None` reproduces [`key_switch_into`] bit for bit).
-/// Per call this costs only `k²` row permutations and `2k²` pointwise
-/// Shoup multiply-adds — no NTTs.
+/// Per call this costs only `k²` row permutations, `2k²` pointwise
+/// 128-bit multiply-adds and one reduction per output residue — no NTTs.
 pub fn key_switch_hoisted_into(
     ring: &RingContext,
     pool: &ScratchPool,
@@ -345,30 +416,26 @@ pub fn key_switch_hoisted_into(
     let k = ring.num_primes();
     let n = ring.degree();
     assert_eq!(hd.num_digits(), k, "decomposition from a different ring");
+    assert_eq!(ksk.parts.len(), k, "key-switch key from a different ring");
     let mut scratch = pool.take_row(n);
-    for (i, digit) in hd.digits.iter().enumerate() {
-        for (j, row) in digit.iter().enumerate() {
-            let p = ring.primes()[j];
+    let mut lazy = LazyAccumulator::take(ring, pool);
+    for j in 0..k {
+        lazy.start(ring, j);
+        let (acc_b, acc_a) = (&mut acc_b.residues[j], &mut acc_a.residues[j]);
+        for (digit, (b_i, a_i)) in hd.digits.iter().zip(&ksk.parts) {
             let row: &[u64] = match perm {
                 Some(perm) => {
                     for (dst, &src) in scratch.iter_mut().zip(perm) {
-                        *dst = row[src as usize];
+                        *dst = digit[j][src as usize];
                     }
                     &scratch
                 }
-                None => row,
+                None => &digit[j],
             };
-            accumulate_digit_row(
-                row,
-                ksk,
-                i,
-                j,
-                p,
-                &mut acc_b.residues[j],
-                &mut acc_a.residues[j],
-            );
+            lazy.fold(row, &b_i.residues[j], &a_i.residues[j], acc_b, acc_a);
         }
     }
+    lazy.recycle(pool);
     pool.put_row(scratch);
 }
 
@@ -414,6 +481,81 @@ mod tests {
             for (idx, acc) in accs.iter().enumerate().skip(1) {
                 assert_eq!(acc, &accs[0], "k = {k}: accumulator {idx} diverged");
             }
+        }
+    }
+
+    /// The lazy inner product at its overflow bound. With every key and
+    /// accumulator residue at `p − 1`, the widest primes, and more primes
+    /// than a `u128` absorbs products, each prime's sum must reduce part
+    /// way through; a missed reduction overflows (a panic under overflow
+    /// checks, a wrong residue without them). Hoisted digits are all
+    /// `p − 1`. The one-shot input has every evaluation residue at `p − 1`,
+    /// i.e. the constant `−1` at each prime, so digit `i` at prime `j` is
+    /// the constant `(p_i − 1) mod p_j`; at the largest prime that is every
+    /// digit within a hair of its maximum. Each output is checked against a
+    /// per-element `mul_mod`/`add_mod` sum.
+    #[test]
+    fn lazy_accumulation_is_exact_past_the_reduction_bound() {
+        use crate::zq::{mul_mod, ntt_primes};
+        let n = 8;
+        let pool = ScratchPool::new();
+        for bits in [61, 62] {
+            let limit = lazy_fold_limit(ntt_primes(bits, 2 * n as u64, 1, &[])[0]);
+            let k = limit + 2;
+            let ring = RingContext::new(n, ntt_primes(bits, 2 * n as u64, k, &[]));
+            assert!(ring.primes().iter().all(|&p| lazy_fold_limit(p) < k));
+            let mut full = ring.zero_eval();
+            for (row, &p) in full.residues.iter_mut().zip(ring.primes()) {
+                row.fill(p - 1);
+            }
+            let ksk = KeySwitchKey {
+                parts: vec![(full.clone(), full.clone()); k],
+            };
+            // The expected residue at prime `j` when digit `i` is
+            // `digit(i, j)` everywhere: acc + Σ_i digit·key, all at p − 1.
+            let expect = |digit: &dyn Fn(usize, usize) -> u64| -> Vec<u64> {
+                let primes = ring.primes();
+                (0..k)
+                    .map(|j| {
+                        let p = primes[j];
+                        (0..k).fold(p - 1, |acc, i| {
+                            add_mod(acc, mul_mod(digit(i, j), p - 1, p), p)
+                        })
+                    })
+                    .collect()
+            };
+            let check = |what: &str, acc: &RnsPoly, want: &[u64]| {
+                for (j, (row, &w)) in acc.residues.iter().zip(want).enumerate() {
+                    assert!(row.iter().all(|&x| x == w), "{bits}-bit {what}: prime {j}");
+                }
+            };
+            let perm = ring.galois_eval_permutation(3);
+            let primes = ring.primes().to_vec();
+
+            let hd = HoistedDecomposition {
+                digits: vec![full.residues.clone(); k],
+            };
+            let want = expect(&|_, j| primes[j] - 1);
+            for p in [None, Some(&perm[..])] {
+                let (mut b, mut a) = (full.clone(), full.clone());
+                key_switch_hoisted_into(&ring, &pool, &hd, p, &ksk, &mut b, &mut a);
+                check("hoisted b", &b, &want);
+                check("hoisted a", &a, &want);
+            }
+
+            let want = expect(&|i, j| (primes[i] - 1) % primes[j]);
+            let (mut b, mut a) = (full.clone(), full.clone());
+            key_switch_into(&ring, &pool, &full, &ksk, &mut b, &mut a);
+            check("one-shot b", &b, &want);
+            check("one-shot a", &a, &want);
+            let hd = hoist_decompose(&ring, &pool, &full);
+            for p in [None, Some(&perm[..])] {
+                let (mut b, mut a) = (full.clone(), full.clone());
+                key_switch_hoisted_into(&ring, &pool, &hd, p, &ksk, &mut b, &mut a);
+                check("decomposed b", &b, &want);
+                check("decomposed a", &a, &want);
+            }
+            hd.recycle(&pool);
         }
     }
 

@@ -183,19 +183,7 @@ impl RingContext {
             .rns
             .primes()
             .iter()
-            .map(|&p| {
-                coeffs
-                    .iter()
-                    .map(|&c| {
-                        let r = c % p as i64;
-                        if r < 0 {
-                            (r + p as i64) as u64
-                        } else {
-                            r as u64
-                        }
-                    })
-                    .collect()
-            })
+            .map(|&p| coeffs.iter().map(|&c| signed_residue(c, p)).collect())
             .collect();
         RnsPoly {
             residues,
@@ -524,6 +512,24 @@ impl RingContext {
     }
 }
 
+/// `c mod p` in `[0, p)`. Every sampled secret and error coefficient is
+/// below `p` in magnitude, which needs only a conditional add of `p`; the
+/// division is left for the rest (e.g. `i64::MIN`).
+#[inline]
+fn signed_residue(c: i64, p: u64) -> u64 {
+    if c.unsigned_abs() < p {
+        // |c| < p < 2^62, so c + p cannot overflow.
+        (c + ((c >> 63) & p as i64)) as u64
+    } else {
+        let r = c % p as i64;
+        if r < 0 {
+            (r + p as i64) as u64
+        } else {
+            r as u64
+        }
+    }
+}
+
 /// A polynomial in `Z_Q[x]/(x^N + 1)`, stored as one residue vector per RNS
 /// prime, in either coefficient or evaluation (double-CRT) form. Equality
 /// compares representation as well as value: the same ring element in two
@@ -648,6 +654,43 @@ mod tests {
         assert_eq!(lifted[1], BigInt::from_i64(2));
         assert_eq!(lifted[2], BigInt::from_i64(-3));
         assert_eq!(lifted[3], BigInt::from_i64(0));
+    }
+
+    /// The conditional-add path for `|c| < p` agrees with the division it
+    /// skips, at the edges of both paths.
+    #[test]
+    fn signed_residue_matches_remainder() {
+        let rem = |c: i64, p: u64| {
+            let r = c % p as i64;
+            if r < 0 {
+                (r + p as i64) as u64
+            } else {
+                r as u64
+            }
+        };
+        for p in [
+            3,
+            65537,
+            (1u64 << 61) - 1,
+            crate::zq::ntt_primes(62, 8, 1, &[])[0],
+        ] {
+            let q = p as i64;
+            for c in [
+                0,
+                1,
+                -1,
+                q - 1,
+                1 - q,
+                q,
+                -q,
+                q + 1,
+                -q - 1,
+                i64::MIN,
+                i64::MAX,
+            ] {
+                assert_eq!(signed_residue(c, p), rem(c, p), "c = {c}, p = {p}");
+            }
+        }
     }
 
     #[test]

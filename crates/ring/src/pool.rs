@@ -1,10 +1,11 @@
 //! Reusable scratch buffers for the evaluator hot path.
 //!
-//! Every temporary the evaluator needs is one of two shapes: a single
+//! Every temporary the evaluator needs is one of three shapes: a single
 //! residue **row** (`N` u64 values — one RNS component, a key-switch digit,
-//! an auxiliary-base lane) or a residue **matrix** (a `rows × N` stack — an
-//! `RnsPoly`'s residues or an auxiliary-base extension). The pool keeps
-//! free lists of both so that, after a warm-up call per operation, the hot
+//! an auxiliary-base lane), a residue **matrix** (a `rows × N` stack — an
+//! `RnsPoly`'s residues or an auxiliary-base extension), or a **wide row**
+//! (`N` u128 values — a key-switch inner product summed before its
+//! reduction). The pool keeps free lists of all three so that, after a warm-up call per operation, the hot
 //! ops (`add`/`sub`/plaintext ops/rotation/relinearization — and the
 //! multiply's temporaries) touch the allocator **zero** times: buffers are
 //! taken, used, and returned, and dead ciphertexts are recycled back in by
@@ -12,14 +13,14 @@
 //!
 //! # Ownership rules
 //!
-//! * [`ScratchPool::take_row`] / [`ScratchPool::take_matrix`] hand out a
-//!   buffer with the requested shape but **unspecified contents** — the
-//!   caller must overwrite before reading (use the `_zeroed` variants for
-//!   accumulators).
+//! * [`ScratchPool::take_row`] / [`ScratchPool::take_wide_row`] /
+//!   [`ScratchPool::take_matrix`] hand out a buffer with the requested
+//!   shape but **unspecified contents** — the caller must overwrite before
+//!   reading (use the `_zeroed` variants for accumulators).
 //! * Every taken buffer should be returned with [`ScratchPool::put_row`] /
-//!   [`ScratchPool::put_matrix`] once dead. Dropping one instead is safe
-//!   (merely a missed reuse), so early returns and panics cannot corrupt
-//!   the pool.
+//!   [`ScratchPool::put_wide_row`] / [`ScratchPool::put_matrix`] once
+//!   dead. Dropping one instead is safe (merely a missed reuse), so early
+//!   returns and panics cannot corrupt the pool.
 //! * Buffers with the wrong row length are rejected on `put` (debug
 //!   assert) rather than poisoning later takes.
 //!
@@ -50,6 +51,7 @@ pub struct PoolStats {
 #[derive(Debug, Default)]
 pub struct ScratchPool {
     rows: RefCell<Vec<Vec<u64>>>,
+    wide_rows: RefCell<Vec<Vec<u128>>>,
     matrices: RefCell<Vec<Vec<Vec<u64>>>>,
     parts: RefCell<Vec<Vec<crate::poly::RnsPoly>>>,
     fresh: Cell<u64>,
@@ -89,6 +91,27 @@ impl ScratchPool {
     /// Returns a row to the pool.
     pub fn put_row(&self, row: Vec<u64>) {
         self.rows.borrow_mut().push(row);
+    }
+
+    /// A row of `len` u128s with unspecified contents.
+    pub fn take_wide_row(&self, len: usize) -> Vec<u128> {
+        match self.wide_rows.borrow_mut().pop() {
+            Some(mut row) => {
+                self.reused.set(self.reused.get() + 1);
+                debug_assert_eq!(row.len(), len, "pool rows have one length per context");
+                row.resize(len, 0);
+                row
+            }
+            None => {
+                self.fresh.set(self.fresh.get() + 1);
+                vec![0u128; len]
+            }
+        }
+    }
+
+    /// Returns a wide row to the pool.
+    pub fn put_wide_row(&self, row: Vec<u128>) {
+        self.wide_rows.borrow_mut().push(row);
     }
 
     /// A `rows × len` matrix with unspecified contents. The outer shell is
@@ -182,6 +205,23 @@ mod tests {
             }
         );
         pool.put_row(r);
+    }
+
+    #[test]
+    fn wide_rows_are_reused_and_counted() {
+        let pool = ScratchPool::new();
+        let r = pool.take_wide_row(8);
+        assert_eq!(r.len(), 8);
+        pool.put_wide_row(r);
+        let r = pool.take_wide_row(8);
+        assert_eq!(
+            pool.stats(),
+            PoolStats {
+                fresh: 1,
+                reused: 1
+            }
+        );
+        pool.put_wide_row(r);
     }
 
     #[test]
