@@ -7,14 +7,14 @@
 //! cargo run -p porcupine-bench --release --bin fig_opt [-- [--smoke] [runs]]
 //! ```
 //!
-//! Runs on the scheme selected by `PORCUPINE_SCHEME` (default BFV) — the
-//! same knob the test suites honor — with the matching per-scheme latency
+//! Runs on every scheme in turn, each with its own per-scheme latency
 //! model **scaled to the resolved parameter set** (the profiled constants
 //! are calibrated at N = 4096 with 3 primes; `LatencyModel::scaled_to`
 //! extrapolates them, so `model_ratio` stays meaningful under `--params`),
-//! and tags the recorded JSON with the scheme, the resolved N and prime
-//! count, and the `PORCUPINE_EVAL_JOBS` worker count. Default mode times
-//! `runs` (default 5) executions per version on the `fast_4096` preset.
+//! and tags each scheme's section of the recorded JSON with the scheme,
+//! the resolved N and prime count, and the runner's worker count (1).
+//! Default mode times `runs` (default 5) executions per version on the
+//! `fast_4096` preset (BFV; BGV uses its own covering auto selection).
 //! Every workload is correctness-gated first: the `-O0` and `-O2`
 //! lowerings must decrypt bit-identically. `--smoke` uses the small preset
 //! with one run (CI-speed; measured times are then not meaningful, but
@@ -47,26 +47,47 @@ struct Row {
 }
 
 fn main() {
-    with_scheme(porcupine::scheme::default_scheme(), FigOpt);
-}
-
-/// The measurement on the backend `PORCUPINE_SCHEME` names.
-struct FigOpt;
-
-impl SchemeTask for FigOpt {
-    type Output = ();
-    fn run<S: Scheme>(self) {
-        run::<S>();
-    }
-}
-
-fn run<S: Scheme>() {
     let (policy, args) = porcupine_bench::parse_params(std::env::args().skip(1).collect());
     let smoke = args.iter().any(|a| a == "--smoke");
     let runs: usize = args
         .iter()
         .find_map(|a| a.parse().ok())
         .unwrap_or(if smoke { 1 } else { 5 });
+    let sections: Vec<String> = SchemeId::ALL
+        .iter()
+        .map(|&scheme| {
+            let task = FigOpt {
+                policy: policy.clone(),
+                smoke,
+                runs,
+            };
+            with_scheme(scheme, task)
+        })
+        .collect();
+    let path = "BENCH_fig_opt.json";
+    let json = format!(
+        "{{\n  \"smoke\": {smoke},\n  \"runs\": {runs},\n  \"schemes\": [\n{}\n  ]\n}}\n",
+        sections.join(",\n")
+    );
+    std::fs::write(path, json).expect("write BENCH_fig_opt.json");
+    println!("wrote {path}");
+}
+
+/// The measurement on one backend; returns its section of the JSON summary.
+struct FigOpt {
+    policy: Option<ParamPolicy>,
+    smoke: bool,
+    runs: usize,
+}
+
+impl SchemeTask for FigOpt {
+    type Output = String;
+    fn run<S: Scheme>(self) -> String {
+        run::<S>(self.policy, self.smoke, self.runs)
+    }
+}
+
+fn run<S: Scheme>(policy: Option<ParamPolicy>, smoke: bool, runs: usize) -> String {
     let img = stencil::default_image();
     let mut workloads: Vec<(String, Program, usize)> = all_direct()
         .into_iter()
@@ -119,7 +140,6 @@ fn run<S: Scheme>() {
         if policy.is_some() { " [--params]" } else { "" },
     );
     let (bench_n, bench_primes) = (params.poly_degree, params.moduli.len());
-    let eval_jobs = porcupine::codegen::default_eval_jobs().get();
     let ctx = S::context(params).expect("valid parameters");
     let model = LatencyModel::profiled_for(S::ID).scaled_to(bench_n, bench_primes);
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x0F70);
@@ -217,12 +237,6 @@ fn run<S: Scheme>() {
         rows.push(row);
     }
 
-    let path = "BENCH_fig_opt.json";
-    std::fs::write(
-        path,
-        summary_json(S::ID, smoke, runs, bench_n, bench_primes, eval_jobs, &rows),
-    )
-    .expect("write BENCH_fig_opt.json");
     if !smoke {
         // How honest the cost model is about what the backend executes:
         // with the allocation-free runner this should sit near 1.0 (the
@@ -233,25 +247,19 @@ fn run<S: Scheme>() {
             .fold(0.0f64, f64::max);
         println!("worst -O2 measured/modeled ratio: {worst:.2}x");
     }
-    println!("\nwrote {path}");
+    println!();
+    scheme_json(S::ID, bench_n, bench_primes, &rows)
 }
 
-/// Hand-rolled JSON (the workspace is offline; no serde). Kernel names are
-/// ASCII identifiers, so no string escaping is needed.
-fn summary_json(
-    scheme: SchemeId,
-    smoke: bool,
-    runs: usize,
-    n: usize,
-    primes: usize,
-    eval_jobs: usize,
-    rows: &[Row],
-) -> String {
-    let mut s = String::from("{\n");
+/// One scheme's section of the summary, as hand-rolled JSON (the workspace
+/// is offline; no serde). Kernel names are ASCII identifiers, so no string
+/// escaping is needed. Every run uses the runner's default single worker.
+fn scheme_json(scheme: SchemeId, n: usize, primes: usize, rows: &[Row]) -> String {
+    let mut s = String::from("    {\n");
     s.push_str(&format!(
-        "  \"scheme\": \"{scheme}\",\n  \"smoke\": {smoke},\n  \"runs\": {runs},\n  \"eval_jobs\": {eval_jobs},\n"
+        "      \"scheme\": \"{scheme}\",\n      \"eval_jobs\": 1,\n"
     ));
-    s.push_str("  \"kernels\": [\n");
+    s.push_str("      \"kernels\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let v = |v: &Version| {
             format!(
@@ -265,7 +273,7 @@ fn summary_json(
             )
         };
         s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"n\": {n}, \"primes\": {primes}, \"o0\": {}, \"o2\": {}, \"measured_speedup\": {:.4}}}{}\n",
+            "        {{\"name\": \"{}\", \"n\": {n}, \"primes\": {primes}, \"o0\": {}, \"o2\": {}, \"measured_speedup\": {:.4}}}{}\n",
             r.name,
             v(&r.o0),
             v(&r.o2),
@@ -273,6 +281,6 @@ fn summary_json(
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
-    s.push_str("  ]\n}\n");
+    s.push_str("      ]\n    }");
     s
 }

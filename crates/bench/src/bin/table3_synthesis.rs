@@ -10,9 +10,9 @@
 //! cargo run -p porcupine-bench --release --bin table3_synthesis [timeout_secs] [kernel-name] [--jobs N]
 //! ```
 //!
-//! `--jobs` defaults to `PORCUPINE_JOBS` or the machine's available
-//! parallelism. Two summaries are written to the current directory — run
-//! from the repo root to land them there:
+//! `--jobs` defaults to the machine's available parallelism. Two summaries
+//! are written to the current directory — run from the repo root to land
+//! them there:
 //!
 //! * `BENCH_synthesis.json` — per-kernel wall-clock at both thread counts
 //!   plus the parallel speedup (unchanged from before).

@@ -19,9 +19,10 @@
 //! `perfbench` package (`perfbench/README.md`).
 
 /// Extracts a `--jobs N` flag from a binary's argument list, falling back
-/// to `PORCUPINE_JOBS` / the machine's available parallelism, and returns
-/// the remaining arguments with the flag and its value removed — so
-/// positional arguments keep their indices wherever the flag appears.
+/// to `SynthesisOptions::default()`'s count (the machine's available
+/// parallelism), and returns the remaining arguments with the flag and its
+/// value removed — so positional arguments keep their indices wherever the
+/// flag appears.
 /// Every synthesis binary accepts this flag; results are identical at any
 /// value (the search's determinism contract) — only wall-clock changes.
 ///
@@ -30,7 +31,10 @@
 /// would corrupt the very measurement it was asked to make.
 pub fn parse_jobs(mut args: Vec<String>) -> (std::num::NonZeroUsize, Vec<String>) {
     let Some(i) = args.iter().position(|a| a == "--jobs") else {
-        return (porcupine::cegis::default_parallelism(), args);
+        return (
+            porcupine::cegis::SynthesisOptions::default().parallelism,
+            args,
+        );
     };
     let Some(jobs) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
         eprintln!(

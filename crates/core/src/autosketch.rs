@@ -27,24 +27,9 @@
 //! part of the cache key, so regenerating the same sketch re-hits the
 //! same entry.
 
-use crate::cegis::{synthesize, SynthesisError, SynthesisOptions, SynthesisResult};
 use crate::sketch::{ArithOp, RotationSet, Sketch, SketchOp};
 use crate::spec::KernelSpec;
 use quill::program::PtOperand;
-
-/// Derives a sketch from the spec and synthesizes against it in one step —
-/// the fully automatic front door. All the [`SynthesisOptions`] knobs,
-/// including `parallelism`, flow straight through to the search.
-///
-/// # Errors
-///
-/// See [`SynthesisError`].
-pub fn auto_synthesize(
-    spec: &KernelSpec,
-    options: &SynthesisOptions,
-) -> Result<SynthesisResult, SynthesisError> {
-    synthesize(spec, &auto_sketch(spec), options)
-}
 
 /// Derives a sketch from the specification's symbolic structure.
 ///
@@ -245,7 +230,7 @@ mod tests {
     #[test]
     fn auto_sketch_synthesizes_the_stencil() {
         let spec = stencil_spec();
-        let r = auto_synthesize(&spec, &SynthesisOptions::default())
+        let r = synthesize(&spec, &auto_sketch(&spec), &SynthesisOptions::default())
             .expect("auto sketch is sufficient");
         let mut rng = {
             use rand::SeedableRng;

@@ -79,23 +79,6 @@ pub fn clear_synthesis_memo() {
     }
 }
 
-/// The worker-thread count for the enumerative search the `PORCUPINE_JOBS`
-/// environment variable selects (when unset,
-/// [`std::thread::available_parallelism`], otherwise 1), or an error naming
-/// the variable unless it is a positive integer.
-pub fn parallelism_from_env() -> Result<NonZeroUsize, String> {
-    let jobs = crate::env_var("PORCUPINE_JOBS", "a positive integer", |v| v.parse().ok())?;
-    Ok(jobs
-        .or_else(|| std::thread::available_parallelism().ok())
-        .unwrap_or(NonZeroUsize::MIN))
-}
-
-/// [`parallelism_from_env`], panicking on a malformed `PORCUPINE_JOBS` so a
-/// typo'd CI leg fails instead of silently searching on every core.
-pub fn default_parallelism() -> NonZeroUsize {
-    parallelism_from_env().unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Which enumerator answers the phase-1 synthesis queries.
 ///
 /// Both strategies honor the determinism contract — same query, same
@@ -138,22 +121,6 @@ impl std::str::FromStr for SearchStrategy {
     }
 }
 
-/// The search strategy the `PORCUPINE_STRATEGY` environment variable
-/// selects (`bottom-up` or `dfs`), bottom-up when unset, or an error naming
-/// the variable for any other value.
-pub fn strategy_from_env() -> Result<SearchStrategy, String> {
-    let strategy = crate::env_var("PORCUPINE_STRATEGY", "'bottom-up' or 'dfs'", |v| {
-        v.parse().ok()
-    })?;
-    Ok(strategy.unwrap_or(SearchStrategy::BottomUp))
-}
-
-/// [`strategy_from_env`], panicking on a malformed `PORCUPINE_STRATEGY` so
-/// a typo'd CI leg fails instead of silently running bottom-up.
-pub fn default_strategy() -> SearchStrategy {
-    strategy_from_env().unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Where (and whether) finished synthesis queries are cached on disk.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum CachePolicy {
@@ -191,19 +158,18 @@ pub struct SynthesisOptions {
     /// RNG seed (examples and counter-example sampling are deterministic
     /// given the seed).
     pub seed: u64,
-    /// Worker threads for the search. The synthesized program and its cost
-    /// are identical at every value (the determinism contract of
+    /// Worker threads for the search. Defaults to
+    /// [`std::thread::available_parallelism`]. The synthesized program and
+    /// its cost are identical at every value (the determinism contract of
     /// [`crate::search`]); parallelism only changes wall-clock time.
     pub parallelism: NonZeroUsize,
     /// Middle-end level for the [`SynthesisResult::optimized`] program
-    /// (the raw searched program is untouched). Defaults to
-    /// [`opt::default_opt_level`] (`PORCUPINE_OPT` or `-O2`).
+    /// (the raw searched program is untouched). Defaults to `-O2`.
     pub opt_level: OptLevel,
     /// The target scheme backend. Gates which lowering passes run (via
     /// the scheme's instruction legality), selects the noise model behind
     /// parameter resolution, and tags the synthesis cache key — the same
-    /// query under two schemes never shares an entry. Defaults to
-    /// [`crate::scheme::default_scheme`] (`PORCUPINE_SCHEME`, else BFV).
+    /// query under two schemes never shares an entry. Defaults to BFV.
     pub scheme: SchemeId,
     /// How scheme parameters for the synthesized kernel are obtained:
     /// noise-aware automatic selection against the lowered program under
@@ -211,8 +177,8 @@ pub struct SynthesisOptions {
     /// caller-fixed set. The resolved set lands in
     /// [`SynthesisResult::params`].
     pub params: ParamPolicy,
-    /// Phase-1 enumeration strategy. Defaults to [`default_strategy`]
-    /// (`PORCUPINE_STRATEGY`, else bottom-up with DFS fallback).
+    /// Phase-1 enumeration strategy. Defaults to bottom-up with DFS
+    /// fallback.
     pub strategy: SearchStrategy,
     /// Persistent synthesis cache policy. Defaults to
     /// [`CachePolicy::Enabled`]. Cached entries are re-verified against
@@ -223,18 +189,20 @@ pub struct SynthesisOptions {
 }
 
 impl Default for SynthesisOptions {
+    /// BFV at `-O2` with its profiled latency model, bottom-up search on
+    /// every available core, auto-selected parameters and the default
+    /// cache directory.
     fn default() -> Self {
-        let scheme = crate::scheme::default_scheme();
         SynthesisOptions {
             timeout: Duration::from_secs(600),
             optimize: true,
-            latency: LatencyModel::profiled_for(scheme),
+            latency: LatencyModel::profiled_for(SchemeId::Bfv),
             seed: 0x9E3779B9,
-            parallelism: default_parallelism(),
-            opt_level: opt::default_opt_level(),
-            scheme,
+            parallelism: std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN),
+            opt_level: OptLevel::O2,
+            scheme: SchemeId::Bfv,
             params: ParamPolicy::default(),
-            strategy: default_strategy(),
+            strategy: SearchStrategy::BottomUp,
             cache: CachePolicy::default(),
         }
     }

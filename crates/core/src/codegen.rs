@@ -38,9 +38,8 @@
 //!   is moved out and mutated, or recycled into the worker's scratch pool,
 //!   instead of cloned.
 //! - **DAG parallelism**: worker 0 is the caller's thread; with
-//!   [`Runner::with_eval_jobs`] (or `PORCUPINE_EVAL_JOBS`) above 1 the
-//!   other workers are scoped threads, each with its own evaluator (and
-//!   thus its own scratch pool). The ready queue hands out the lowest
+//!   [`Runner::with_eval_jobs`] above 1 the other workers are scoped
+//!   threads, each with its own evaluator (and thus its own scratch pool). The ready queue hands out the lowest
 //!   program index first, so one worker runs the program in order. Because
 //!   every scheme op is exact modular arithmetic and the `_assign`
 //!   evaluator variants are bit-identical to their pure counterparts,
@@ -74,25 +73,8 @@ pub struct Runner<'a, S: Scheme = BfvScheme> {
     relin: Option<S::RelinKey>,
     galois: S::GaloisKeys,
     splats: std::cell::RefCell<BTreeMap<i64, S::EvalPlaintext>>,
-    /// Set by [`Runner::with_eval_jobs`]; `None` defers to
-    /// [`default_eval_jobs`] at run time.
-    eval_jobs: Option<NonZeroUsize>,
-}
-
-/// Worker count for [`Runner`] execution the `PORCUPINE_EVAL_JOBS`
-/// environment variable selects, 1 (the caller's thread alone) when unset,
-/// or an error naming the variable unless it is a positive integer.
-pub fn eval_jobs_from_env() -> Result<NonZeroUsize, String> {
-    let jobs = crate::env_var("PORCUPINE_EVAL_JOBS", "a positive integer", |v| {
-        v.parse().ok()
-    })?;
-    Ok(jobs.unwrap_or(NonZeroUsize::MIN))
-}
-
-/// [`eval_jobs_from_env`], panicking on a malformed `PORCUPINE_EVAL_JOBS`
-/// so a typo'd CI matrix leg fails instead of running on one worker.
-pub fn default_eval_jobs() -> NonZeroUsize {
-    eval_jobs_from_env().unwrap_or_else(|e| panic!("{e}"))
+    /// Workers per run: 1 unless set by [`Runner::with_eval_jobs`].
+    eval_jobs: NonZeroUsize,
 }
 
 /// The [`Runner`] over the BFV backend.
@@ -139,28 +121,27 @@ impl<'a, S: Scheme> Runner<'a, S> {
             relin,
             galois,
             splats: std::cell::RefCell::new(BTreeMap::new()),
-            eval_jobs: None,
+            eval_jobs: NonZeroUsize::MIN,
         }
     }
 
-    /// Sets the worker count for execution; `PORCUPINE_EVAL_JOBS` is then
-    /// never read. Worker 0 is the caller's thread, running on the runner's
-    /// own evaluator, so `1` (the default) spawns no thread; each further
-    /// worker is a scoped thread with an evaluator of its own. Decryptions
-    /// are bit-identical at any setting.
-    pub fn with_eval_jobs(mut self, jobs: usize) -> Self {
-        self.eval_jobs = Some(NonZeroUsize::new(jobs).expect("eval jobs must be >= 1"));
-        self
-    }
-
-    /// The worker count programs execute with: the one set by
-    /// [`Runner::with_eval_jobs`], else [`default_eval_jobs`].
+    /// Sets the worker count for execution. Worker 0 is the caller's
+    /// thread, running on the runner's own evaluator, so `1` (the default)
+    /// spawns no thread; each further worker is a scoped thread with an
+    /// evaluator of its own. Decryptions are bit-identical at any setting.
     ///
     /// # Panics
     ///
-    /// Panics if no count was set and `PORCUPINE_EVAL_JOBS` is malformed.
+    /// Panics if `jobs` is 0.
+    pub fn with_eval_jobs(mut self, jobs: usize) -> Self {
+        self.eval_jobs = NonZeroUsize::new(jobs).expect("eval jobs must be >= 1");
+        self
+    }
+
+    /// The worker count programs execute with (see
+    /// [`Runner::with_eval_jobs`]).
     pub fn eval_jobs(&self) -> usize {
-        self.eval_jobs.unwrap_or_else(default_eval_jobs).get()
+        self.eval_jobs.get()
     }
 
     /// The batch encoder (for packing inputs and decoding outputs).
@@ -437,9 +418,8 @@ pub fn with_scheme<T: SchemeTask>(scheme: SchemeId, task: T) -> T::Output {
 }
 
 /// [`Session::run`] on the backend `scheme` names, under `params`: builds
-/// the context and a session for `prog`, then encrypts, runs and decrypts.
-/// `eval_jobs` sets the runner's worker count ([`Runner::with_eval_jobs`]);
-/// `None` leaves it to [`default_eval_jobs`].
+/// the context and a session for `prog`, then encrypts, runs and decrypts
+/// on `eval_jobs` workers ([`Runner::with_eval_jobs`]).
 ///
 /// # Errors
 ///
@@ -454,7 +434,7 @@ pub fn run_encrypted<R: Rng + ?Sized>(
     prog: &Program,
     ct_model: &[Vec<u64>],
     pt_model: &[Vec<u64>],
-    eval_jobs: Option<NonZeroUsize>,
+    eval_jobs: NonZeroUsize,
     rng: &mut R,
 ) -> Result<(Vec<u64>, i64), ParamError> {
     struct Encrypted<'r, R: ?Sized> {
@@ -462,7 +442,7 @@ pub fn run_encrypted<R: Rng + ?Sized>(
         prog: &'r Program,
         ct_model: &'r [Vec<u64>],
         pt_model: &'r [Vec<u64>],
-        eval_jobs: Option<NonZeroUsize>,
+        eval_jobs: NonZeroUsize,
         rng: &'r mut R,
     }
     impl<R: Rng + ?Sized> SchemeTask for Encrypted<'_, R> {
@@ -470,9 +450,7 @@ pub fn run_encrypted<R: Rng + ?Sized>(
         fn run<S: Scheme>(self) -> Self::Output {
             let ctx = S::context(self.params)?;
             let mut session = Session::<S>::new(&ctx, &[self.prog], self.rng);
-            if let Some(jobs) = self.eval_jobs {
-                session.runner = session.runner.with_eval_jobs(jobs.get());
-            }
+            session.runner.eval_jobs = self.eval_jobs;
             Ok(session.run(self.prog, self.ct_model, self.pt_model, self.rng))
         }
     }
@@ -1284,7 +1262,7 @@ mod tests {
                 &prog,
                 ct_model,
                 pt_model,
-                None,
+                NonZeroUsize::MIN,
                 &mut seeded_rng(7),
             )
             .expect("test parameters are valid");
@@ -1308,7 +1286,7 @@ mod tests {
                 &echo,
                 &[vec![1]],
                 &[],
-                None,
+                NonZeroUsize::MIN,
                 &mut seeded_rng(0),
             );
             assert!(result.is_err(), "{scheme}: N = 1000 accepted");

@@ -5,7 +5,7 @@
 //! plus a data layout ([`spec`], [`layout`]) — and a **sketch** — a template
 //! HE kernel with holes ([`sketch`]) — and synthesizes a verified,
 //! cost-optimized vectorized HE kernel for a chosen scheme backend (BFV by
-//! default, BGV via `--scheme bgv` / `PORCUPINE_SCHEME=bgv`):
+//! default, BGV via `SynthesisOptions::scheme` or `--scheme bgv`):
 //!
 //! * [`cegis`] — the CEGIS engine (Algorithm 1): iterative sketch
 //!   deepening, counter-example refinement, cost minimization.
@@ -83,31 +83,13 @@ pub mod sketch;
 pub mod spec;
 pub mod verify;
 
-pub use autosketch::{auto_sketch, auto_synthesize};
+pub use autosketch::auto_sketch;
 pub use cegis::{
-    clear_synthesis_memo, default_parallelism, default_strategy, synthesize, CachePolicy,
-    SearchStrategy, SynthesisError, SynthesisOptions, SynthesisResult,
+    clear_synthesis_memo, synthesize, CachePolicy, SearchStrategy, SynthesisError,
+    SynthesisOptions, SynthesisResult,
 };
-pub use opt::{
-    default_opt_level, optimize, optimize_for, optimize_with, OptLevel, OptReport, Pass,
-};
-
-/// Environment variable `name` parsed by `parse`: `Ok(None)` when unset or
-/// blank, else an error naming the variable, what it accepts and the value
-/// found when `parse` rejects it. The base of every `*_from_env` reader.
-pub(crate) fn env_var<T>(
-    name: &str,
-    expected: &str,
-    parse: impl FnOnce(&str) -> Option<T>,
-) -> Result<Option<T>, String> {
-    match std::env::var(name) {
-        Ok(v) if !v.trim().is_empty() => parse(v.trim())
-            .map(Some)
-            .ok_or_else(|| format!("{name} must be {expected}, got '{v}'")),
-        _ => Ok(None),
-    }
-}
-pub use scheme::{default_scheme, scheme_from_env, BfvScheme, BgvScheme, Scheme};
+pub use opt::{optimize, optimize_for, optimize_with, OptLevel, OptReport, Pass};
+pub use scheme::{BfvScheme, BgvScheme, Scheme};
 pub use search::search_invocations;
 pub use sketch::{ArithOp, RotationSet, Sketch, SketchMode, SketchOp};
 pub use spec::{Example, GenericReference, KernelSpec, Reference};

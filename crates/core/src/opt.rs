@@ -79,20 +79,6 @@ impl std::str::FromStr for OptLevel {
     }
 }
 
-/// The optimization level the `PORCUPINE_OPT` environment variable selects
-/// (`0` or `2`, as the CI matrix sets it), `-O2` when unset, or an error
-/// naming the variable for any other value.
-pub fn opt_level_from_env() -> Result<OptLevel, String> {
-    let level = crate::env_var("PORCUPINE_OPT", "0 or 2", |v| v.parse().ok())?;
-    Ok(level.unwrap_or(OptLevel::O2))
-}
-
-/// [`opt_level_from_env`], panicking on a malformed `PORCUPINE_OPT` so a
-/// typo'd CI leg fails instead of silently running `-O2`.
-pub fn default_opt_level() -> OptLevel {
-    opt_level_from_env().unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// One rewrite pass over a Quill program.
 ///
 /// The contract: `run` returns a semantics-equivalent program (identical

@@ -29,9 +29,9 @@
 //! multiply) and the static noise model behind the selection certificate
 //! ([`RlweScheme::analyze_noise`]).
 //!
-//! The free functions ([`resolve_params`], [`analyze_noise`],
-//! [`default_scheme`]) are the value-level mirror for call sites that hold
-//! a runtime [`SchemeId`] rather than a type parameter.
+//! The free functions ([`resolve_params`], [`analyze_noise`]) are the
+//! value-level mirror for call sites that hold a runtime [`SchemeId`]
+//! rather than a type parameter.
 
 use quill::analysis::{NoiseReport, NoiseSemantics};
 use quill::program::Program;
@@ -476,33 +476,6 @@ pub fn analyze_noise(scheme: SchemeId, params: &RlweParams, prog: &Program) -> N
     }
 }
 
-/// The scheme selected by the `PORCUPINE_SCHEME` environment variable
-/// (`bfv` or `bgv`), or an error naming the unknown value. Unset/empty
-/// means the default ([`SchemeId::Bfv`]).
-///
-/// # Errors
-///
-/// Returns a human-readable message for unrecognized values — the CLI
-/// surfaces it as a proper error instead of a panic.
-pub fn scheme_from_env() -> Result<SchemeId, String> {
-    let names: Vec<&str> = SchemeId::ALL.iter().map(|s| s.name()).collect();
-    let expected = format!("one of {names:?}");
-    Ok(crate::env_var("PORCUPINE_SCHEME", &expected, SchemeId::parse)?.unwrap_or_default())
-}
-
-/// The default scheme for [`crate::cegis::SynthesisOptions`]:
-/// `PORCUPINE_SCHEME` when set, else BFV.
-///
-/// # Panics
-///
-/// Panics on an unrecognized `PORCUPINE_SCHEME` — a typo'd CI leg silently
-/// running the default backend would go green without exercising the
-/// requested scheme at all. The CLI validates the variable first (via
-/// [`scheme_from_env`]) and reports a clean error instead.
-pub fn default_scheme() -> SchemeId {
-    scheme_from_env().unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,15 +548,5 @@ mod tests {
                 "{id}: selector certificate must hold under its own model"
             );
         }
-    }
-
-    #[test]
-    fn env_scheme_parses_and_reports_unknowns() {
-        // Not set in the test environment: default.
-        if std::env::var("PORCUPINE_SCHEME").is_err() {
-            assert_eq!(scheme_from_env(), Ok(SchemeId::Bfv));
-        }
-        assert_eq!(SchemeId::parse("bgv"), Some(SchemeId::Bgv));
-        assert!(SchemeId::parse("ckks").is_none());
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! * [`SchemeId`] — which backend the pipeline targets. It parameterizes
 //!   the cost model ([`crate::cost::LatencyModel::profiled_for`]), the
-//!   legality rules below, the synthesis cache key, and the CLI/test
-//!   surface (`--scheme`, `PORCUPINE_SCHEME`).
+//!   legality rules below, the synthesis cache key, and the CLI's
+//!   `--scheme` flag.
 //! * [`SchemeLegality`] — which Quill instructions the backend can execute,
 //!   consulted by [`crate::analysis::check_backend_legal_with`] and by the
 //!   lowering passes when they decide whether inserting a `relin-ct` is
@@ -38,8 +38,8 @@ impl SchemeId {
     /// Every scheme the workspace ships, in display order.
     pub const ALL: &'static [SchemeId] = &[SchemeId::Bfv, SchemeId::Bgv];
 
-    /// The lower-case name used by `--scheme`, `PORCUPINE_SCHEME`, the
-    /// synthesis cache key, and benchmark JSON.
+    /// The lower-case name used by `--scheme`, the synthesis cache key, and
+    /// benchmark JSON.
     pub fn name(&self) -> &'static str {
         match self {
             SchemeId::Bfv => "bfv",
@@ -47,7 +47,7 @@ impl SchemeId {
         }
     }
 
-    /// Parses a scheme name (as accepted by `--scheme` / `PORCUPINE_SCHEME`).
+    /// Parses a scheme name (as accepted by `--scheme`).
     /// Returns `None` for unknown names — callers surface their own error.
     pub fn parse(s: &str) -> Option<Self> {
         match s.trim().to_ascii_lowercase().as_str() {

@@ -253,7 +253,7 @@ impl<'a, C: SchemePolicy> Evaluator<'a, C> {
         out
     }
 
-    /// In-place relinearization: drops `c2`, folds its key switch into
+    /// In-place relinearization: drops `c2`, key-switches it straight into
     /// `c0`/`c1`, and recycles the dead part — allocation-free in the
     /// steady state.
     ///
@@ -263,15 +263,14 @@ impl<'a, C: SchemePolicy> Evaluator<'a, C> {
     pub fn relinearize_assign(&self, a: &mut Ciphertext, rk: &RelinKey) {
         assert_eq!(a.size(), 3, "relinearize expects a size-3 ciphertext");
         let ring = self.ctx.ring();
-        let mut acc_b = self.take_poly_zeroed();
-        let mut acc_a = self.take_poly_zeroed();
         let c2 = a.parts.pop().expect("size checked");
-        keyswitch::key_switch_into(ring, &self.pool, &c2, &rk.0, &mut acc_b, &mut acc_a);
+        let [c0, c1] = &mut a.parts[..] else {
+            unreachable!("size checked")
+        };
+        ring.make_eval(c0);
+        ring.make_eval(c1);
+        keyswitch::key_switch_into(ring, &self.pool, &c2, &rk.0, c0, c1);
         self.put_poly(c2);
-        ring.add_assign(&mut a.parts[0], &acc_b);
-        ring.add_assign(&mut a.parts[1], &acc_a);
-        self.put_poly(acc_b);
-        self.put_poly(acc_a);
     }
 
     /// Multiply then relinearize — the shape Porcupine's codegen emits for
@@ -282,22 +281,13 @@ impl<'a, C: SchemePolicy> Evaluator<'a, C> {
         prod
     }
 
-    /// Applies the Galois automorphism `x → x^g` homomorphically. In
-    /// evaluation form the automorphism itself is a cached index
-    /// permutation; only the key switch afterwards does modular work.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ciphertext is not size 2 or no key for `g` is present.
-    pub fn apply_galois(&self, a: &Ciphertext, g: u64, gk: &GaloisKeys) -> Ciphertext {
-        let mut out = a.clone();
-        self.apply_galois_assign(&mut out, g, gk);
-        out
-    }
-
-    /// In-place Galois automorphism: permutes both parts through one
-    /// pooled scratch row, key-switches `c1` into pooled accumulators, and
-    /// recycles the dead part — allocation-free in the steady state.
+    /// Applies the Galois automorphism `x → x^g` homomorphically, in place.
+    /// In evaluation form the automorphism itself is a cached index
+    /// permutation, applied to both parts through one pooled scratch row;
+    /// only the key switch of `c1` afterwards does modular work. It
+    /// accumulates into `c0` and into a pooled zero polynomial that
+    /// replaces `c1`, whose buffers are recycled — allocation-free in the
+    /// steady state.
     ///
     /// # Panics
     ///
@@ -322,19 +312,12 @@ impl<'a, C: SchemePolicy> Evaluator<'a, C> {
             ring.apply_eval_permutation_assign(part, &entry.perm, &mut scratch);
         }
         self.pool.put_row(scratch);
-        let mut acc_b = self.take_poly_zeroed();
-        let mut acc_a = self.take_poly_zeroed();
-        keyswitch::key_switch_into(
-            ring,
-            &self.pool,
-            &a.parts[1],
-            &entry.key,
-            &mut acc_b,
-            &mut acc_a,
-        );
-        ring.add_assign(&mut a.parts[0], &acc_b);
-        self.put_poly(acc_b);
-        let old_c1 = std::mem::replace(&mut a.parts[1], acc_a);
+        let mut new_c1 = self.take_poly_zeroed();
+        let [c0, c1] = &mut a.parts[..] else {
+            unreachable!("size checked")
+        };
+        keyswitch::key_switch_into(ring, &self.pool, c1, &entry.key, c0, &mut new_c1);
+        let old_c1 = std::mem::replace(c1, new_c1);
         self.put_poly(old_c1);
     }
 
@@ -444,22 +427,19 @@ impl<'a, C: SchemePolicy> Evaluator<'a, C> {
         if let Some(p) = c0_store {
             self.put_poly(p);
         }
-        let mut acc_b = self.take_poly_zeroed();
-        let mut acc_a = self.take_poly_zeroed();
+        let mut c1 = self.take_poly_zeroed();
         keyswitch::key_switch_hoisted_into(
             ring,
             &self.pool,
             hd,
             Some(&entry.perm),
             &entry.key,
-            &mut acc_b,
-            &mut acc_a,
+            &mut b,
+            &mut c1,
         );
-        ring.add_assign(&mut b, &acc_b);
-        self.put_poly(acc_b);
         let mut parts = self.pool.take_parts();
         parts.push(b);
-        parts.push(acc_a);
+        parts.push(c1);
         Ciphertext { parts }
     }
 

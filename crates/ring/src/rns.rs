@@ -150,25 +150,10 @@ impl RnsContext {
     /// Garner mixed-radix digits for a whole residue matrix
     /// (`residues[prime][coeff]`, each entry `< p_i`), vectorized over
     /// coefficients: the sequential Garner recurrence runs as per-prime
-    /// vector passes with fixed (Shoup) multiplicands, which is what the
-    /// multiply hot path needs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix shape does not match the prime count.
-    pub fn mixed_radix_digit_matrix(&self, residues: &[Vec<u64>]) -> Vec<Vec<u64>> {
-        let k = self.primes.len();
-        assert_eq!(residues.len(), k);
-        let n = residues[0].len();
-        let mut digits = vec![vec![0u64; n]; k];
-        let mut acc = vec![0u64; n];
-        self.mixed_radix_digit_matrix_into(residues, &mut digits, &mut acc);
-        digits
-    }
-
-    /// [`RnsContext::mixed_radix_digit_matrix`] into caller-provided
-    /// buffers — `digits` is the `k × n` output and `acc` an `n`-length
-    /// scratch row — so the multiply hot path allocates nothing.
+    /// vector passes with fixed (Shoup) multiplicands. The digits land in
+    /// caller-provided buffers — `digits` is the `k × n` output and `acc`
+    /// an `n`-length scratch row — so the multiply hot path allocates
+    /// nothing.
     ///
     /// # Panics
     ///
@@ -288,7 +273,7 @@ impl RnsBaseConverter {
     /// Converts a residue matrix (`src_residues[prime][coeff]`, coefficient
     /// domain, entries `< p_i`) into target residues of the centered
     /// values, allocating the output. Runs as vector passes: Garner digits
-    /// via [`RnsContext::mixed_radix_digit_matrix`], a per-coefficient sign
+    /// via [`RnsContext::mixed_radix_digit_matrix_into`], a per-coefficient sign
     /// mask, then Shoup dot products per target prime with a branchless
     /// centering correction.
     ///

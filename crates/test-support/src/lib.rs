@@ -10,7 +10,10 @@
 //! [`porcupine::codegen::run_encrypted`] (on a runtime [`SchemeId`]).
 //!
 //! Everything here is deterministic: the same seed always produces the same
-//! inputs, keys, and ciphertexts.
+//! inputs, keys, and ciphertexts, and no fixture reads the environment. A
+//! contract that must hold across a knob (opt level, worker count,
+//! strategy, scheme, parameter policy) is tested by a suite that lists the
+//! values it compares.
 
 use bfv::params::{BfvContext, BfvParams, ParamPolicy};
 use porcupine::cegis::{CachePolicy, SynthesisOptions};
@@ -25,6 +28,7 @@ use quill::program::{Instr, Program, PtOperand, ValRef};
 use quill::scheme::SchemeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::num::NonZeroUsize;
 use std::time::Duration;
 
 /// The plaintext modulus every suite models with (SEAL's 65537 default).
@@ -41,50 +45,8 @@ pub fn small_ctx() -> BfvContext {
     BfvContext::new(BfvParams::test_small()).expect("test_small parameters are valid")
 }
 
-/// The middle-end level the suites lower programs with before backend
-/// execution: `PORCUPINE_OPT` (the CI matrix runs the root suites at `0`
-/// and `2`) or the library default.
-pub fn test_opt_level() -> OptLevel {
-    opt::default_opt_level()
-}
-
-/// The parameter policy selected by the `PORCUPINE_PARAMS` environment
-/// variable: `auto` → noise-aware automatic selection, `paper` → the
-/// paper's fixed `N = 8192` set, unset → `None` (suites fall back to
-/// their fast fixed presets).
-///
-/// # Panics
-///
-/// Panics on any other value. A typo'd CI leg silently falling back to
-/// the fast preset would go green without exercising the selector at all.
-pub fn param_policy_from_env() -> Option<ParamPolicy> {
-    match std::env::var("PORCUPINE_PARAMS").ok()?.trim() {
-        "auto" => Some(ParamPolicy::auto()),
-        "paper" => Some(ParamPolicy::Fixed(BfvParams::paper())),
-        other => panic!("PORCUPINE_PARAMS must be 'auto' or 'paper', got '{other}'"),
-    }
-}
-
-/// The parameter set a noise/backend suite should evaluate `prog` under:
-/// honors `PORCUPINE_PARAMS` (the dedicated CI leg sets `auto`, exercising
-/// the selector end to end on every generated program), defaulting to the
-/// fast `test_small` preset. Auto selection that exhausts the candidate
-/// table (a random program deeper than any real kernel) falls back to the
-/// paper set — the suites assert inequalities that hold under *any*
-/// parameters, so the fallback keeps them meaningful.
-pub fn noise_test_params(prog: &Program, min_slots: usize) -> BfvParams {
-    match param_policy_from_env() {
-        Some(policy) => bfv::params::resolve_policy(&policy, prog, min_slots, T)
-            .unwrap_or_else(|_| BfvParams::paper()),
-        None => BfvParams::test_small(),
-    }
-}
-
 /// Synthesis options for property tests: uniform latency model and a budget
-/// far below tier-1's patience. Honors `PORCUPINE_JOBS` (the CI matrix sets
-/// it to exercise the parallel-determinism contract on every push),
-/// `PORCUPINE_OPT` (ditto, for the middle-end), and `PORCUPINE_STRATEGY`
-/// (the CI determinism legs run the suites under both enumerators). The
+/// far below tier-1's patience, otherwise `SynthesisOptions::default()`. The
 /// persistent cache is **disabled**: a test must exercise the search it
 /// claims to test, never a previous run's on-disk answer — suites that
 /// test the cache itself opt in with an explicit temp directory.
@@ -100,10 +62,9 @@ pub fn quick_synthesis_options(seed: u64) -> SynthesisOptions {
 }
 
 /// Synthesis options for the end-to-end kernel tests: the paper's profiled
-/// latency model with a generous (but bounded) budget. Honors
-/// `PORCUPINE_JOBS`, `PORCUPINE_OPT`, and `PORCUPINE_STRATEGY` like
-/// [`quick_synthesis_options`], and disables the persistent cache for the
-/// same hermeticity reason.
+/// latency model with a generous (but bounded) budget. Disables the
+/// persistent cache like [`quick_synthesis_options`], for the same
+/// hermeticity reason.
 pub fn fast_synthesis_options() -> SynthesisOptions {
     SynthesisOptions {
         timeout: Duration::from_secs(300),
@@ -217,10 +178,9 @@ pub fn assert_masked_slots_eq(got: &[u64], want: &[u64], mask: &[bool], label: &
 /// `slots` agree and that the ciphertext retains noise budget.
 ///
 /// The interpreter evaluates `prog` as given; the backend executes it
-/// lowered through the middle-end at [`test_opt_level`] (the backend runs
+/// lowered through the middle-end at `-O0` and at `-O2` (the backend runs
 /// only legal IR, and lowering must not change any decrypted slot — so
-/// every call doubles as a middle-end soundness check at the CI matrix's
-/// `-O` level).
+/// every call doubles as a middle-end soundness check at both levels).
 pub fn assert_backend_matches_interp(
     ctx: &BfvContext,
     prog: &Program,
@@ -229,150 +189,32 @@ pub fn assert_backend_matches_interp(
     input_bound: u64,
     rng: &mut StdRng,
 ) {
-    let (lowered, _) = opt::optimize(prog, test_opt_level());
-    let session = Session::<BfvScheme>::new(ctx, &[&lowered], rng);
     let ct_model = sample_model_inputs(prog.num_ct_inputs, model_n, input_bound, rng);
     let pt_model = sample_model_inputs(prog.num_pt_inputs, model_n, input_bound, rng);
     let expected = interp::eval_concrete(prog, &ct_model, &pt_model, ctx.params().plain_modulus);
-    let (decoded, budget) = session.run(&lowered, &ct_model, &pt_model, rng);
-    assert!(
-        budget > 0,
-        "{}: noise budget exhausted ({budget})",
-        prog.name
-    );
     let mut mask = vec![false; expected.len()];
     for &slot in slots {
         mask[slot] = true;
     }
-    assert_masked_slots_eq(&decoded, &expected, &mask, &prog.name);
+    let levels = [OptLevel::O0, OptLevel::O2];
+    let lowered: Vec<Program> = levels.iter().map(|&l| opt::optimize(prog, l).0).collect();
+    let session = Session::<BfvScheme>::new(ctx, &lowered.iter().collect::<Vec<_>>(), rng);
+    for (level, lowered) in levels.iter().zip(&lowered) {
+        let label = format!("{} [-{level}]", prog.name);
+        let (decoded, budget) = session.run(lowered, &ct_model, &pt_model, rng);
+        assert!(budget > 0, "{label}: noise budget exhausted ({budget})");
+        assert_masked_slots_eq(&decoded, &expected, &mask, &label);
+    }
 }
 
 /// Differential testing across the whole pipeline: one program, one set of
-/// inputs, executed by the Quill interpreter and by encrypted backends
-/// under multiple parameter sets — all asserted slot-identical.
-///
-/// Two harnesses share the machinery:
-/// [`assert_differential`](differential::assert_differential) (BFV under
-/// paper + auto parameters, with the selection-margin certificate) and
-/// [`assert_cross_scheme`](differential::assert_cross_scheme) (every
-/// [`SchemeId`] backend against the interpreter and against each other,
-/// each under its own auto-selected parameters plus — noise model
-/// permitting — the paper set).
+/// inputs, executed by the Quill interpreter and by every [`SchemeId`]
+/// backend under multiple parameter sets — all asserted slot-identical —
+/// through one harness,
+/// [`assert_cross_scheme`](differential::assert_cross_scheme).
 pub mod differential {
     use super::*;
-    use bfv::noise::NoiseModel;
     use bfv::params::DEFAULT_MARGIN_BITS;
-    use quill::analysis::NoiseSemantics;
-
-    /// What the auto leg measured, for reporting/extra assertions.
-    #[derive(Debug, Clone)]
-    pub struct DifferentialReport {
-        /// The auto-selected parameter set.
-        pub auto_params: BfvParams,
-        /// Predicted remaining budget (bits) under the auto set.
-        pub predicted_budget_bits: f64,
-        /// Measured remaining budget (bits) under the auto set.
-        pub measured_budget_auto: i64,
-        /// Measured remaining budget (bits) under the paper set.
-        pub measured_budget_paper: i64,
-    }
-
-    /// Runs `prog` (lowered at [`test_opt_level`]) on random
-    /// `[0, input_bound)` inputs through the interpreter and through the
-    /// BFV backend under **both** the paper parameters and auto-selected
-    /// parameters, asserting:
-    ///
-    /// * all three agree on every slot in `slots`;
-    /// * both backend legs retain positive measured budget;
-    /// * the auto leg's measured budget is at least the selection margin
-    ///   (the selector's certificate holds in practice).
-    pub fn assert_differential(
-        prog: &Program,
-        model_n: usize,
-        slots: &[usize],
-        input_bound: u64,
-        seed: u64,
-    ) -> DifferentialReport {
-        let (lowered, _, auto_params) = opt::optimize_for(
-            prog,
-            SchemeId::Bfv,
-            test_opt_level(),
-            &ParamPolicy::auto(),
-            model_n,
-            T,
-        );
-        let auto_params =
-            auto_params.unwrap_or_else(|e| panic!("{}: auto selection failed: {e}", prog.name));
-        let mut rng = seeded_rng(seed);
-        let ct_model = sample_model_inputs(prog.num_ct_inputs, model_n, input_bound, &mut rng);
-        let pt_model = sample_model_inputs(prog.num_pt_inputs, model_n, input_bound, &mut rng);
-        let expected = interp::eval_concrete(prog, &ct_model, &pt_model, T);
-
-        let predicted = NoiseModel::for_params(&auto_params)
-            .analyze(&lowered)
-            .predicted_budget_bits;
-
-        let mut mask = vec![false; model_n];
-        for &slot in slots {
-            mask[slot] = true;
-        }
-        let mut budgets = Vec::new();
-        for (label, params) in [("paper", BfvParams::paper()), ("auto", auto_params.clone())] {
-            let (decoded, budget) = run_encrypted(
-                SchemeId::Bfv,
-                params,
-                &lowered,
-                &ct_model,
-                &pt_model,
-                None,
-                &mut seeded_rng(seed ^ 0xD1F),
-            )
-            .expect("differential params are valid");
-            assert!(
-                budget > 0,
-                "{} [{label}]: noise budget exhausted ({budget})",
-                prog.name
-            );
-            assert_masked_slots_eq(
-                &decoded,
-                &expected,
-                &mask,
-                &format!("{} [{label}]", prog.name),
-            );
-            budgets.push(budget);
-        }
-        let report = DifferentialReport {
-            auto_params,
-            predicted_budget_bits: predicted,
-            measured_budget_paper: budgets[0],
-            measured_budget_auto: budgets[1],
-        };
-        assert!(
-            report.measured_budget_auto as f64 >= DEFAULT_MARGIN_BITS,
-            "{}: auto-selected params left {} bits measured, margin is {DEFAULT_MARGIN_BITS}",
-            prog.name,
-            report.measured_budget_auto
-        );
-        assert!(
-            report.measured_budget_auto as f64 >= report.predicted_budget_bits,
-            "{}: measured {} below predicted {:.1} — noise model unsound",
-            prog.name,
-            report.measured_budget_auto,
-            report.predicted_budget_bits
-        );
-        report
-    }
-
-    /// [`assert_differential`] with the comparison slots taken from a
-    /// spec's output mask.
-    pub fn assert_differential_spec(
-        prog: &Program,
-        spec: &KernelSpec,
-        input_bound: u64,
-        seed: u64,
-    ) -> DifferentialReport {
-        assert_differential(prog, spec.n, &masked_slots(spec), input_bound, seed)
-    }
 
     /// One encrypted execution leg of the cross-scheme harness.
     #[derive(Debug, Clone)]
@@ -387,16 +229,20 @@ pub mod differential {
         pub measured_budget: i64,
     }
 
-    /// Runs `prog` on the same random inputs through the interpreter and
-    /// through **every** [`SchemeId`] backend, asserting all executions
-    /// agree on every slot in `slots` with positive measured budget.
+    /// Runs `prog` (lowered at `-O2`) on the same random inputs through the
+    /// interpreter and through **every** [`SchemeId`] backend, asserting
+    /// all executions agree on every slot in `slots` with positive
+    /// measured budget.
     ///
     /// Each scheme is lowered under its own legality rules and runs under
-    /// its own auto-selected parameters (its selector's certificate must
-    /// hold), plus the paper's fixed `N = 8192` set whenever the scheme's
-    /// own noise model predicts positive remaining budget there. A skipped
-    /// paper leg is reported on stderr — never silently dropped — and at
-    /// least the auto leg always runs, so every scheme is exercised.
+    /// its own auto-selected parameters, plus the paper's fixed `N = 8192`
+    /// set whenever the scheme's own noise model predicts positive
+    /// remaining budget there. A skipped paper leg is reported on stderr —
+    /// never silently dropped — and at least the auto leg always runs, so
+    /// every scheme is exercised. Each auto leg checks its selector's
+    /// certificate in practice: the measured budget is at least the
+    /// selection margin and at least the scheme's predicted budget (the
+    /// noise model is sound).
     pub fn assert_cross_scheme(
         prog: &Program,
         model_n: usize,
@@ -415,21 +261,17 @@ pub mod differential {
 
         let mut legs = Vec::new();
         for &scheme in SchemeId::ALL {
-            let (lowered, _, auto_params) = opt::optimize_for(
-                prog,
-                scheme,
-                test_opt_level(),
-                &ParamPolicy::auto(),
-                model_n,
-                T,
-            );
+            let (lowered, _, auto_params) =
+                opt::optimize_for(prog, scheme, OptLevel::O2, &ParamPolicy::auto(), model_n, T);
             let auto_params = auto_params
                 .unwrap_or_else(|e| panic!("{} [{scheme}]: auto selection failed: {e}", prog.name));
 
+            let predict = |params: &BfvParams| {
+                porcupine::scheme::analyze_noise(scheme, params, &lowered).predicted_budget_bits
+            };
             let mut planned: Vec<(&'static str, BfvParams)> = vec![("auto", auto_params)];
             let paper = BfvParams::paper();
-            let paper_predicted =
-                porcupine::scheme::analyze_noise(scheme, &paper, &lowered).predicted_budget_bits;
+            let paper_predicted = predict(&paper);
             if paper_predicted > 0.0 {
                 planned.push(("paper", paper));
             } else {
@@ -441,27 +283,32 @@ pub mod differential {
             }
 
             for (label, params) in planned {
+                let name = format!("{} [{scheme}/{label}]", prog.name);
                 let (decoded, budget) = run_encrypted(
                     scheme,
                     params.clone(),
                     &lowered,
                     &ct_model,
                     &pt_model,
-                    None,
+                    NonZeroUsize::MIN,
                     &mut seeded_rng(seed ^ 0xC255),
                 )
                 .expect("differential params are valid");
-                assert!(
-                    budget > 0,
-                    "{} [{scheme}/{label}]: noise budget exhausted ({budget})",
-                    prog.name
-                );
-                assert_masked_slots_eq(
-                    &decoded,
-                    &expected,
-                    &mask,
-                    &format!("{} [{scheme}/{label}]", prog.name),
-                );
+                assert!(budget > 0, "{name}: noise budget exhausted ({budget})");
+                assert_masked_slots_eq(&decoded, &expected, &mask, &name);
+                if label == "auto" {
+                    let predicted = predict(&params);
+                    assert!(
+                        budget as f64 >= DEFAULT_MARGIN_BITS,
+                        "{name}: {budget} bits measured, the selection margin is \
+                         {DEFAULT_MARGIN_BITS}"
+                    );
+                    assert!(
+                        budget as f64 >= predicted,
+                        "{name}: measured {budget} below predicted {predicted:.1} — \
+                         noise model unsound"
+                    );
+                }
                 legs.push(CrossSchemeLeg {
                     scheme,
                     label,

@@ -17,18 +17,17 @@
 //! porcupine baseline gx                  # print the hand-written baseline
 //! ```
 //!
-//! `--jobs` defaults to `PORCUPINE_JOBS` or the machine's available
-//! parallelism; the synthesized program is identical at any value.
-//! `--eval-jobs` (default: `PORCUPINE_EVAL_JOBS`, else 1) sets the worker
-//! count for the encrypted check's execution engine — decryptions are
-//! bit-identical at any setting. The
-//! printed program is the middle-end's output at the selected `-O` level
-//! (default: `PORCUPINE_OPT` or `-O2`) — backend-legal IR with explicit
-//! `relin-ct` placement; `-O0` reproduces the eager
-//! relin-after-every-multiply lowering.
+//! Every flag defaults to the field it sets in `SynthesisOptions::default()`.
+//! `--jobs` defaults to the machine's available parallelism; the
+//! synthesized program is identical at any value. `--eval-jobs` (default 1)
+//! sets the worker count for the encrypted check's execution engine —
+//! decryptions are bit-identical at any setting. The printed program is
+//! the middle-end's output at the selected `-O` level (default `-O2`) —
+//! backend-legal IR with explicit `relin-ct` placement; `-O0` reproduces
+//! the eager relin-after-every-multiply lowering. `--strategy` (default
+//! `bottom-up`) picks the phase-1 enumerator.
 //!
-//! `--scheme bfv|bgv` (default: `PORCUPINE_SCHEME`, else `bfv`) picks the
-//! backend the kernel targets: it selects the lowering legality, the
+//! `--scheme bfv|bgv` (default `bfv`) picks the backend the kernel targets: it selects the lowering legality, the
 //! latency model behind the cost objective, the noise model behind
 //! parameter selection, and which evaluator the encrypted check runs on.
 //!
@@ -43,10 +42,8 @@
 
 use bfv::params::{BfvParams, ParamPolicy};
 use porcupine::autosketch::auto_sketch;
-use porcupine::cegis::{
-    parallelism_from_env, strategy_from_env, synthesize, CachePolicy, SynthesisOptions,
-};
-use porcupine::codegen::{emit_seal_cpp, eval_jobs_from_env, run_encrypted};
+use porcupine::cegis::{synthesize, CachePolicy, SynthesisOptions};
+use porcupine::codegen::{emit_seal_cpp, run_encrypted};
 use porcupine::opt::{self, OptLevel};
 use porcupine::spec::KernelSpec;
 use porcupine_kernels::{all_direct, direct_kernel, PaperKernel};
@@ -86,10 +83,10 @@ fn encrypted_check(
     let ct_model = sample(prog.num_ct_inputs, &mut rng);
     let pt_model = sample(prog.num_pt_inputs, &mut rng);
     let expected = quill::interp::eval_concrete(prog, &ct_model, &pt_model, t);
-    let jobs = Some(eval_jobs);
-    let (decoded, budget) =
-        run_encrypted(scheme, params, prog, &ct_model, &pt_model, jobs, &mut rng)
-            .map_err(|e| e.to_string())?;
+    let (decoded, budget) = run_encrypted(
+        scheme, params, prog, &ct_model, &pt_model, eval_jobs, &mut rng,
+    )
+    .map_err(|e| e.to_string())?;
     if budget <= 0 {
         return Err(format!("noise budget exhausted at decryption ({budget})"));
     }
@@ -286,15 +283,6 @@ fn main() -> ExitCode {
     {
         args.insert(0, "synth".to_string());
     }
-    // Validate `PORCUPINE_SCHEME` up front so a typo is a clean error here
-    // rather than a panic out of a library default.
-    let env_scheme = match porcupine::scheme::scheme_from_env() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let model = LatencyModel::profiled_default();
     match args.first().map(String::as_str) {
         Some("list") => {
@@ -364,35 +352,27 @@ fn main() -> ExitCode {
                 }
                 return ExitCode::FAILURE;
             };
-            // A flag wins over its environment variable, which is then
-            // never read; a malformed value in either is an error — and
-            // `--params` with a missing value is one too, not a silently
-            // skipped encrypted check.
+            // A malformed flag is an error — and `--params` with a missing
+            // value is one too, not a silently skipped encrypted check.
             let resolved = (|| {
                 Ok::<_, String>((
                     flag_with(&args, "--params", "'auto' or 'paper'", |v| {
                         matches!(v, "auto" | "paper").then(|| v.to_string())
                     })?,
-                    // `--scheme` beats `PORCUPINE_SCHEME` beats the BFV default.
-                    flag_with(&args, "--scheme", "'bfv' or 'bgv'", SchemeId::parse)?
-                        .unwrap_or(env_scheme),
-                    flags.jobs.map_or_else(parallelism_from_env, Ok)?,
-                    flags.eval_jobs.map_or_else(eval_jobs_from_env, Ok)?,
-                    parse_opt_level(&args)?.map_or_else(opt::opt_level_from_env, Ok)?,
-                    flag_value(&args, "--strategy", "'bottom-up' or 'dfs'")?
-                        .map_or_else(strategy_from_env, Ok)?,
+                    flag_with(&args, "--scheme", "'bfv' or 'bgv'", SchemeId::parse)?,
+                    parse_opt_level(&args)?,
+                    flag_value(&args, "--strategy", "'bottom-up' or 'dfs'")?,
                     flag_with(&args, "--cache", "a directory", |v| Some(v.to_string()))?,
                     emit_seal(&args)?,
                 ))
             })();
-            let (params_mode, scheme, jobs, eval_jobs, opt_level, strategy, cache_dir, seal) =
-                match resolved {
-                    Ok(resolved) => resolved,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
+            let (params_mode, scheme, opt_level, strategy, cache_dir, seal) = match resolved {
+                Ok(resolved) => resolved,
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::FAILURE;
+                }
+            };
             let policy = match (params_mode.as_deref(), flags.margin_bits) {
                 (Some("paper"), _) => ParamPolicy::Fixed(BfvParams::paper()),
                 (_, Some(margin_bits)) => ParamPolicy::Auto { margin_bits },
@@ -403,20 +383,21 @@ fn main() -> ExitCode {
                 Some(dir) => CachePolicy::At(dir.into()),
                 None => CachePolicy::Enabled,
             };
-            // Every field is set here: `SynthesisOptions::default()` would
-            // read the environment variables the flags above override.
+            let defaults = SynthesisOptions::default();
+            let scheme = scheme.unwrap_or(defaults.scheme);
             let options = SynthesisOptions {
-                timeout: Duration::from_secs(flags.timeout.unwrap_or(600)),
-                optimize: true,
+                timeout: flags.timeout.map_or(defaults.timeout, Duration::from_secs),
                 latency: LatencyModel::profiled_for(scheme),
-                seed: flags.seed.unwrap_or(0x9E3779B9),
-                parallelism: jobs,
-                opt_level,
+                seed: flags.seed.unwrap_or(defaults.seed),
+                parallelism: flags.jobs.unwrap_or(defaults.parallelism),
+                opt_level: opt_level.unwrap_or(defaults.opt_level),
                 scheme,
                 params: policy,
-                strategy,
+                strategy: strategy.unwrap_or(defaults.strategy),
                 cache,
+                ..defaults
             };
+            let eval_jobs = flags.eval_jobs.unwrap_or(NonZeroUsize::MIN);
             // Reductions scaled past the strategy's wall synthesize
             // stage-wise (§6.3). The bottom-up term bank pushes the wall
             // past the DFS's ~10–12 instructions, so sizes that used to

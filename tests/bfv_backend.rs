@@ -29,7 +29,7 @@ fn kernel_execution_is_representation_independent() {
         .into_iter()
         .next()
         .expect("at least one kernel");
-    let (lowered, _) = porcupine::opt::optimize(&kernel.baseline, test_support::test_opt_level());
+    let (lowered, _) = porcupine::opt::optimize(&kernel.baseline, porcupine::opt::OptLevel::O2);
     let prog = &lowered;
     let mut rng = seeded_rng(42);
     let session = Session::<BfvScheme>::new(&ctx, &[prog], &mut rng);

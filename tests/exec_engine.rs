@@ -21,7 +21,7 @@ use porcupine_kernels::{composite, stencil, PaperKernel};
 use proptest::prelude::*;
 use quill::program::{Instr, Program, PtOperand, ValRef};
 use rand::Rng;
-use test_support::{noise_test_params, seeded_rng};
+use test_support::seeded_rng;
 
 /// Hoisted rotation (shared digit decomposition, per-element accumulate)
 /// against the one-shot key switch, over random plaintexts.
@@ -138,16 +138,15 @@ fn reference_run<S: Scheme>(
 /// checks it with [`program_jobs_are_bit_identical`].
 fn jobs_are_bit_identical<S: Scheme>(k: &PaperKernel) {
     let (prog, _) = optimize_with(&k.baseline, OptLevel::O2, &S::ID.legality());
-    program_jobs_are_bit_identical::<S>(k.name, &prog, k.spec.n, k.spec.t);
+    program_jobs_are_bit_identical::<S>(k.name, &prog, k.spec.t);
 }
 
 /// Executes `prog` at `eval_jobs` = 1, 2, and 4 on scheme `S` over random
 /// inputs mod `t`, and requires every decryption to match the reference
 /// executor's slot for slot (the one-worker run directly, the others
 /// through it).
-fn program_jobs_are_bit_identical<S: Scheme>(name: &str, prog: &Program, n: usize, t: u64) {
-    let params = noise_test_params(prog, n);
-    let ctx = S::context(params).expect("valid parameters");
+fn program_jobs_are_bit_identical<S: Scheme>(name: &str, prog: &Program, t: u64) {
+    let ctx = S::context(BfvParams::test_small()).expect("valid parameters");
     let mut rng = seeded_rng(0xE0B5);
     let session = Session::<S>::new(&ctx, &[], &mut rng);
     // Same key material for every runner (fresh rng per call), so the
@@ -254,6 +253,6 @@ fn eval_jobs_is_invisible_on_squares() {
     );
     for prog in [dying, live] {
         prog.validate().expect("well-formed square program");
-        program_jobs_are_bit_identical::<BfvScheme>(&prog.name, &prog, 16, test_support::T);
+        program_jobs_are_bit_identical::<BfvScheme>(&prog.name, &prog, test_support::T);
     }
 }

@@ -114,9 +114,7 @@ fn changing_the_scheme_misses_the_cache() {
     let k = reduction::hamming_distance(4);
     let mut options = fast_synthesis_options();
     options.cache = CachePolicy::At(dir.clone());
-    // Pin the scheme explicitly: the options default follows
-    // `PORCUPINE_SCHEME`, and this test must compare the two fixed
-    // backends whatever leg of the CI matrix it runs under.
+    // Pin the scheme explicitly: this test compares the two backends.
     options.scheme = SchemeId::Bfv;
 
     let cold = synthesize(&k.spec, &k.sketch, &options).expect("cold bfv hamming");

@@ -79,8 +79,8 @@ fn strategies_agree_on_every_paper_kernel() {
 
 /// One recorded CEGIS trajectory: what [`synthesize`] returns for a paper
 /// kernel under [`fast_synthesis_options`] and one strategy. None of these
-/// fields depends on `PORCUPINE_JOBS`, `PORCUPINE_OPT` or
-/// `PORCUPINE_SCHEME`, so every CI leg checks the same table.
+/// fields depends on the worker count, so the table holds at any
+/// `parallelism`.
 struct Pinned {
     kernel: &'static str,
     strategy: SearchStrategy,
