@@ -130,3 +130,43 @@ fn retired_env_vars_are_ignored() {
         assert_eq!(check_line(&stderr), clean_check, "{var}={value}: {stderr}");
     }
 }
+
+/// An explicit `--eval-jobs` runs with a malformed `PORCUPINE_EVAL_JOBS`
+/// set: the flag alone decides the worker count.
+#[test]
+fn explicit_eval_jobs_ignores_a_malformed_env_var() {
+    let out = Command::new(env!("CARGO_BIN_EXE_porcupine"))
+        .args(["synth", "dot-product", "--eval-jobs", "1"])
+        .args(["--no-cache", "--params", "auto"])
+        .env("PORCUPINE_EVAL_JOBS", "abc")
+        .output()
+        .expect("run the porcupine binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{}: {stderr}", out.status);
+    assert!(stderr.contains("encrypted check"), "{stderr}");
+}
+
+/// Each retired search/lowering variable with the `synth` flag that sets
+/// the same option, and a malformed value for the variable.
+const ENV_FLAGS: &[(&str, &[&str], &str)] = &[
+    ("PORCUPINE_OPT", &["-O2"], "3"),
+    ("PORCUPINE_OPT", &["-O2"], "1"),
+    ("PORCUPINE_STRATEGY", &["--strategy", "bottom-up"], "DFS"),
+    ("PORCUPINE_JOBS", &["--jobs", "1"], "two"),
+];
+
+/// An explicit flag runs with its malformed retired variable set.
+#[test]
+fn explicit_flags_ignore_malformed_env_vars() {
+    for &(var, flag, value) in ENV_FLAGS {
+        let out = Command::new(env!("CARGO_BIN_EXE_porcupine"))
+            .args(["synth", "dot-product", "--no-cache"])
+            .args(flag)
+            .env(var, value)
+            .output()
+            .expect("run the porcupine binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{var}={value} {flag:?}: {stderr}");
+        assert!(stderr.contains("components"), "{stderr}");
+    }
+}
