@@ -14,8 +14,9 @@
 //!   relinearization and Galois key switching ([`evaluator::Evaluator`]).
 //! * **Noise metering**: SEAL-style invariant noise budget
 //!   ([`encrypt::Decryptor::invariant_noise_budget`]), a static worst-case
-//!   noise-growth model ([`noise::NoiseModel`]), and noise-aware automatic
-//!   parameter selection ([`params::ParamSelector`]).
+//!   noise-growth model ([`noise::NoiseModel`]), and the candidate table
+//!   for noise-aware automatic parameter selection
+//!   ([`params::CANDIDATES`]).
 //!
 //! # The double-CRT representation
 //!
@@ -40,7 +41,7 @@
 //! multiply, rounding decryption) and re-exports the shared types as
 //! aliases at that context, so `bfv::evaluator::Evaluator` and friends
 //! read like a standalone backend. BFV's own code is the context
-//! precomputation, the multiply, the noise model and the selection table;
+//! precomputation, the multiply, the noise model and the candidate table;
 //! the ring modules are re-exported as [`bigint`], [`zq`], [`ntt`],
 //! [`rns`], [`poly`], [`pool`].
 //!
@@ -96,6 +97,4 @@ pub use evaluator::Evaluator;
 pub use keys::{GaloisKeys, KeyGenerator, PublicKey, RelinKey, SecretKey};
 pub use keyswitch::HoistedDecomposition;
 pub use noise::{NoiseModel, NoiseReport};
-pub use params::{
-    BfvContext, BfvParams, ParamError, ParamPolicy, ParamSelector, SelectError, Selection,
-};
+pub use params::{BfvContext, BfvParams, ParamError, ParamPolicy, SelectError};

@@ -13,8 +13,9 @@
 //!
 //! Every transfer rule is a *worst-case* bound: for any program and any
 //! inputs, the measured remaining budget after evaluation is at least the
-//! predicted remaining budget. This is what lets the parameter selector
-//! ([`crate::params::ParamSelector`]) certify a parameter set without
+//! predicted remaining budget. This is what lets automatic parameter
+//! selection (`porcupine::scheme::resolve_params`, over
+//! [`crate::params::CANDIDATES`]) certify a parameter set without
 //! running the program, and it is property-tested at the workspace root
 //! (`tests/noise.rs`) against the real evaluator at `-O0` and `-O2`.
 //!

@@ -1,24 +1,22 @@
-//! BFV parameter sets, the shared evaluation context, and noise-aware
-//! automatic parameter selection ([`ParamSelector`]).
+//! BFV parameter sets, the shared evaluation context, and the candidate
+//! table for automatic parameter selection ([`CANDIDATES`]).
 //!
 //! The parameter *struct* and its structural validation are scheme-neutral
 //! and live in [`rlwe_ring::params`] ([`BfvParams`] is an alias of
 //! [`rlwe_ring::params::RlweParams`]); this module adds what is BFV-specific:
 //! the [`BfvContext`] precomputation (`Δ = ⌊Q/t⌋` encoding constants and the
 //! auxiliary multiplication base), its [`SchemePolicy`] impl, and the
-//! [`ParamSelector`] candidate table driven by the BFV [`NoiseModel`].
+//! candidate chains the compiler's parameter walk certifies with the BFV
+//! [`NoiseModel`](crate::noise::NoiseModel).
 
 use crate::bigint::{center, BigInt, BigUint};
 use crate::encrypt::Ciphertext;
 use crate::evaluator::Evaluator;
-use crate::noise::{NoiseModel, NoiseReport};
 use crate::ntt::NttTables;
 use crate::poly::{RingContext, RnsPoly};
 use crate::rns::RnsBaseConverter;
 use crate::zq;
-use quill::analysis::NoiseSemantics;
-use quill::program::Program;
-use rlwe_ring::params::{Candidate, SelectionTable};
+use rlwe_ring::params::Candidate;
 use rlwe_ring::scheme::SchemePolicy;
 
 pub use rlwe_ring::params::{ParamError, ParamPolicy, SelectError, DEFAULT_MARGIN_BITS};
@@ -29,155 +27,75 @@ pub use rlwe_ring::params::{ParamError, ParamPolicy, SelectError, DEFAULT_MARGIN
 /// cross-scheme differential tests rely on.
 pub type BfvParams = rlwe_ring::params::RlweParams;
 
-/// Resolves a [`ParamPolicy`] for a lowered program under the **BFV** noise
-/// model: a `Fixed` set is validated structurally and for capacity; an
-/// `Auto` policy runs the [`ParamSelector`] over its candidate table.
+/// The BFV candidate table, ascending by cost: degree first, then total
+/// modulus bits (key switching and NTTs scale with `N·log N·k²`, so smaller
+/// `N` wins). The compiler's parameter walk
+/// (`porcupine::scheme::resolve_params`) returns the first row whose
+/// chain ([`BfvParams::generate`]) leaves the requested margin of
+/// predicted noise budget under the BFV
+/// [`NoiseModel`](crate::noise::NoiseModel) and whose batching rows hold
+/// the program's slots.
 ///
-/// # Errors
-///
-/// See [`SelectError`].
-pub fn resolve_policy(
-    policy: &ParamPolicy,
-    prog: &Program,
-    min_slots: usize,
-    t: u64,
-) -> Result<BfvParams, SelectError> {
-    ParamSelector::resolve(policy, prog, min_slots, t)
-}
-
-/// Noise-aware automatic parameter selection.
-///
-/// Given a *lowered* program (post `-O`, explicit relinearizations), the
-/// selector walks a table of NTT-friendly candidate parameter sets in
-/// ascending cost order (degree first, then total modulus size — key
-/// switching and NTTs scale with `N·log N·k²`, so smaller `N` wins) and
-/// returns the first set whose worst-case predicted noise budget
-/// ([`NoiseModel`]) leaves at least the configured safety margin at
-/// decryption, and whose batching rows hold the program's slots.
-///
-/// Because the noise model is a sound upper bound, the selected set is
-/// *certified*: the measured budget at decryption is at least the margin.
+/// Prime sizes stay ≥ 45 bits: RNS-decomposition key switching adds noise
+/// proportional to the *largest* chain prime over `Q`, so chains of few
+/// large primes beat many small ones.
 ///
 /// **Security caveat**: like the rest of this crate, the table trades
 /// lattice-security margin for speed at small degrees (the sub-`N = 8192`
-/// rows mirror the repo's test presets). The `N = 8192` row equals
+/// rows mirror the repo's test presets). The first `N = 8192` row equals
 /// [`BfvParams::paper`].
-///
-/// # Examples
-///
-/// ```
-/// use bfv::params::ParamSelector;
-/// use quill::program::{Instr, Program, ValRef};
-///
-/// // A rotate-and-add kernel needs only a small set...
-/// let shallow = Program::new(
-///     "pairsum", 1, 0,
-///     vec![
-///         Instr::RotCt(ValRef::Input(0), 1),
-///         Instr::AddCtCt(ValRef::Input(0), ValRef::Instr(0)),
-///     ],
-///     ValRef::Instr(1),
-/// );
-/// let sel = ParamSelector::new(65537);
-/// let small = sel.select(&shallow, 8).unwrap();
-/// // ...and deeper programs force a larger modulus chain.
-/// let square = Program::new(
-///     "square", 1, 0,
-///     vec![
-///         Instr::MulCtCt(ValRef::Input(0), ValRef::Input(0)),
-///         Instr::Relin(ValRef::Instr(0)),
-///     ],
-///     ValRef::Instr(1),
-/// );
-/// let larger = sel.select(&square, 8).unwrap();
-/// let q_bits = |p: &bfv::params::BfvParams| p.moduli.iter()
-///     .map(|&q| 64 - q.leading_zeros()).sum::<u32>();
-/// assert!(q_bits(&larger.params) >= q_bits(&small.params));
-/// ```
-pub type ParamSelector = rlwe_ring::params::ParamSelector<BfvContext>;
-
-/// A successful selection: the parameters plus the analysis that
-/// certified them.
-pub type Selection = rlwe_ring::params::Selection<NoiseReport>;
-
-/// The candidate table the shared [`ParamSelector`] walks, certified by the
-/// BFV [`NoiseModel`].
-impl SelectionTable for BfvContext {
-    type Program = Program;
-    type Report = NoiseReport;
-
-    /// The candidate table, ascending by degree then total modulus bits.
-    /// Prime sizes stay ≥ 45 bits: RNS-decomposition key switching adds
-    /// noise proportional to the *largest* chain prime over `Q`, so chains
-    /// of few large primes beat many small ones.
-    const CANDIDATES: &'static [Candidate] = &[
-        Candidate {
-            poly_degree: 1024,
-            prime_bits: 45,
-            count: 2,
-        },
-        Candidate {
-            poly_degree: 1024,
-            prime_bits: 45,
-            count: 3,
-        },
-        Candidate {
-            poly_degree: 2048,
-            prime_bits: 46,
-            count: 3,
-        },
-        Candidate {
-            poly_degree: 4096,
-            prime_bits: 46,
-            count: 3,
-        },
-        Candidate {
-            poly_degree: 4096,
-            prime_bits: 46,
-            count: 4,
-        },
-        Candidate {
-            poly_degree: 8192,
-            prime_bits: 50,
-            count: 4,
-        },
-        Candidate {
-            poly_degree: 8192,
-            prime_bits: 50,
-            count: 5,
-        },
-        Candidate {
-            poly_degree: 8192,
-            prime_bits: 53,
-            count: 6,
-        },
-        Candidate {
-            poly_degree: 16384,
-            prime_bits: 55,
-            count: 7,
-        },
-        Candidate {
-            poly_degree: 16384,
-            prime_bits: 55,
-            count: 9,
-        },
-    ];
-
-    fn generate(
-        poly_degree: usize,
-        plain_modulus: u64,
-        prime_bits: u32,
-        count: usize,
-    ) -> Result<BfvParams, ParamError> {
-        BfvParams::generate(poly_degree, plain_modulus, prime_bits, count)
-    }
-
-    fn analyze(params: &BfvParams, prog: &Program) -> (NoiseReport, f64) {
-        let report = NoiseModel::for_params(params).analyze(prog);
-        let budget = report.predicted_budget_bits;
-        (report, budget)
-    }
-}
+pub const CANDIDATES: &[Candidate] = &[
+    Candidate {
+        poly_degree: 1024,
+        prime_bits: 45,
+        count: 2,
+    },
+    Candidate {
+        poly_degree: 1024,
+        prime_bits: 45,
+        count: 3,
+    },
+    Candidate {
+        poly_degree: 2048,
+        prime_bits: 46,
+        count: 3,
+    },
+    Candidate {
+        poly_degree: 4096,
+        prime_bits: 46,
+        count: 3,
+    },
+    Candidate {
+        poly_degree: 4096,
+        prime_bits: 46,
+        count: 4,
+    },
+    Candidate {
+        poly_degree: 8192,
+        prime_bits: 50,
+        count: 4,
+    },
+    Candidate {
+        poly_degree: 8192,
+        prime_bits: 50,
+        count: 5,
+    },
+    Candidate {
+        poly_degree: 8192,
+        prime_bits: 53,
+        count: 6,
+    },
+    Candidate {
+        poly_degree: 16384,
+        prime_bits: 55,
+        count: 7,
+    },
+    Candidate {
+        poly_degree: 16384,
+        prime_bits: 55,
+        count: 9,
+    },
+];
 
 /// Shared precomputation for one parameter set: the ciphertext ring, the
 /// auxiliary multiplication base with its exact base converters, the
@@ -405,109 +323,6 @@ mod tests {
             BfvContext::new(p).err(),
             Some(ParamError::DuplicatePrime(dup))
         );
-    }
-
-    #[test]
-    fn selector_scales_params_with_program_depth() {
-        use quill::program::{Instr, Program, ValRef};
-        let sel = ParamSelector::new(65537);
-        let rot_add = Program::new(
-            "pairsum",
-            1,
-            0,
-            vec![
-                Instr::RotCt(ValRef::Input(0), 1),
-                Instr::AddCtCt(ValRef::Input(0), ValRef::Instr(0)),
-            ],
-            ValRef::Instr(1),
-        );
-        let shallow = sel.select(&rot_add, 8).expect("shallow program selects");
-        assert!(shallow.report.predicted_budget_bits >= DEFAULT_MARGIN_BITS);
-
-        // A depth-3 squaring chain needs strictly more modulus.
-        let mut instrs = Vec::new();
-        let mut cur = ValRef::Input(0);
-        for _ in 0..3 {
-            instrs.push(Instr::MulCtCt(cur, cur));
-            instrs.push(Instr::Relin(ValRef::Instr(instrs.len() - 1)));
-            cur = ValRef::Instr(instrs.len() - 1);
-        }
-        let deep = Program::new("pow8", 1, 0, instrs, cur);
-        let selected = sel.select(&deep, 8).expect("depth-3 program selects");
-        let q_bits =
-            |p: &BfvParams| -> u32 { p.moduli.iter().map(|&q| 64 - q.leading_zeros()).sum() };
-        assert!(q_bits(&selected.params) > q_bits(&shallow.params));
-        assert!(selected.params.validate().is_ok());
-    }
-
-    #[test]
-    fn selector_honors_min_slots() {
-        use quill::program::{Instr, Program, ValRef};
-        let prog = Program::new(
-            "rot",
-            1,
-            0,
-            vec![Instr::RotCt(ValRef::Input(0), 1)],
-            ValRef::Instr(0),
-        );
-        let sel = ParamSelector::new(65537);
-        let s = sel.select(&prog, 4000).expect("needs N ≥ 8192");
-        assert!(s.params.row_size() >= 4000);
-        assert!(s.params.poly_degree >= 8192);
-    }
-
-    #[test]
-    fn selector_reports_exhaustion_with_best_attempt() {
-        use quill::program::{Instr, Program, ValRef};
-        // An absurdly deep chain no table entry can absorb.
-        let mut instrs = Vec::new();
-        let mut cur = ValRef::Input(0);
-        for _ in 0..20 {
-            instrs.push(Instr::MulCtCt(cur, cur));
-            instrs.push(Instr::Relin(ValRef::Instr(instrs.len() - 1)));
-            cur = ValRef::Instr(instrs.len() - 1);
-        }
-        let deep = Program::new("pow-2-20", 1, 0, instrs, cur);
-        match ParamSelector::new(65537).select(&deep, 8) {
-            Err(SelectError::NoCandidate {
-                best: Some((n, remaining)),
-                ..
-            }) => {
-                assert!(n >= 16384);
-                assert!(remaining < DEFAULT_MARGIN_BITS);
-            }
-            other => panic!("expected NoCandidate with best attempt, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn policy_resolution() {
-        use quill::program::{Instr, Program, ValRef};
-        let prog = Program::new(
-            "rot",
-            1,
-            0,
-            vec![Instr::RotCt(ValRef::Input(0), 1)],
-            ValRef::Instr(0),
-        );
-        let auto = resolve_policy(&ParamPolicy::auto(), &prog, 8, 65537).unwrap();
-        assert!(auto.validate().is_ok());
-        let fixed = resolve_policy(
-            &ParamPolicy::Fixed(BfvParams::test_small()),
-            &prog,
-            8,
-            65537,
-        )
-        .unwrap();
-        assert_eq!(fixed, BfvParams::test_small());
-        // A fixed set that cannot hold the slots is rejected.
-        let err = resolve_policy(
-            &ParamPolicy::Fixed(BfvParams::test_small()),
-            &prog,
-            4096,
-            65537,
-        );
-        assert!(matches!(err, Err(SelectError::BadFixedParams(_))));
     }
 
     #[test]

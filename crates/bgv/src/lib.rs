@@ -32,9 +32,9 @@
 //!   ([`params::generate_mod_switch_friendly`]); BFV-style chains still
 //!   work for everything except modulus switching.
 //! * **Noise** follows a different static model ([`noise::NoiseModel`],
-//!   multiplicative rather than additive growth), so the automatic
-//!   parameter selector ([`params::ParamSelector`]) escalates faster on
-//!   deep programs.
+//!   multiplicative rather than additive growth), so automatic parameter
+//!   selection escalates through its candidate table
+//!   ([`params::CANDIDATES`]) faster on deep programs.
 //! * **Cost** differs per op (no BEHZ machinery in multiply, so ct×ct is
 //!   far cheaper; everything else comparable), which the scheme-aware
 //!   latency model upstream prices in.
@@ -49,7 +49,7 @@
 //! so `bgv::evaluator::Evaluator` and friends read like a standalone
 //! backend. What is BGV's own: the context, the multiply, modulus
 //! switching with key truncation ([`ModSwitch`], [`ModSwitchKey`]), the
-//! noise model, and the parameter-selection table.
+//! noise model, and the parameter-selection candidate table.
 //!
 //! **Security caveat**: research-grade, non-hardened samplers — same
 //! caveat as the `bfv` crate; do not use to protect real data.
@@ -100,6 +100,4 @@ pub use evaluator::{Evaluator, ModSwitch};
 pub use keys::{GaloisKeys, KeyGenerator, ModSwitchKey, PublicKey, RelinKey, SecretKey};
 pub use keyswitch::HoistedDecomposition;
 pub use noise::{NoiseModel, NoiseReport};
-pub use params::{
-    BgvContext, BgvParams, ParamError, ParamPolicy, ParamSelector, SelectError, Selection,
-};
+pub use params::{BgvContext, BgvParams, ParamError, ParamPolicy, SelectError};

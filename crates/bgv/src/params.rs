@@ -1,5 +1,5 @@
-//! BGV parameter sets, the shared evaluation context, and noise-aware
-//! automatic parameter selection ([`ParamSelector`]).
+//! BGV parameter sets, the shared evaluation context, and the candidate
+//! table for automatic parameter selection ([`CANDIDATES`]).
 //!
 //! The parameter *struct* and its structural validation are scheme-neutral
 //! and live in [`rlwe_ring::params`] ([`BgvParams`] is an alias of
@@ -8,14 +8,14 @@
 //! residues that scale every error term onto the multiples-of-`t` lattice,
 //! and the modulus-chain truncation behind
 //! [`crate::evaluator::ModSwitch::mod_switch_to_next`]), its
-//! [`SchemePolicy`] impl, and the [`ParamSelector`] candidate table driven
-//! by the BGV [`NoiseModel`].
+//! [`SchemePolicy`] impl, and the candidate chains the compiler's parameter
+//! walk certifies with the BGV [`NoiseModel`](crate::noise::NoiseModel).
 //!
 //! # Modulus-switch-friendly chains
 //!
 //! BGV's level management drops the last chain prime `q_k`; the plaintext
-//! digit survives unchanged only when `q_k ≡ 1 (mod t)`. The selector's
-//! candidate table therefore generates its primes in the arithmetic
+//! digit survives unchanged only when `q_k ≡ 1 (mod t)`. The candidate
+//! table therefore generates its primes in the arithmetic
 //! progression `1 mod 2N·t` ([`generate_mod_switch_friendly`]) — every
 //! prime is simultaneously NTT-friendly and switch-friendly. Chains built
 //! for BFV (plain `1 mod 2N` primes) still run on this backend for every
@@ -25,13 +25,9 @@
 use crate::bigint::BigInt;
 use crate::encrypt::Ciphertext;
 use crate::evaluator::Evaluator;
-use crate::noise::{NoiseModel, NoiseReport};
 use crate::ntt::NttTables;
 use crate::poly::{RingContext, RnsPoly};
-use crate::zq;
-use quill::analysis::NoiseSemantics;
-use quill::program::Program;
-use rlwe_ring::params::{Candidate, SelectionTable};
+use rlwe_ring::params::Candidate;
 use rlwe_ring::scheme::SchemePolicy;
 
 pub use rlwe_ring::params::{ParamError, ParamPolicy, SelectError, DEFAULT_MARGIN_BITS};
@@ -48,26 +44,16 @@ pub type BgvParams = rlwe_ring::params::RlweParams;
 ///
 /// # Errors
 ///
-/// Returns an error if the resulting set fails
-/// [`rlwe_ring::params::RlweParams::validate`].
+/// See [`rlwe_ring::params::RlweParams::generate_in_progression`]; a `t`
+/// so large that no `bits`-bit prime is `≡ 1 (mod 2N·t)` is
+/// [`ParamError::NoChainPrimes`].
 pub fn generate_mod_switch_friendly(
     poly_degree: usize,
     plain_modulus: u64,
     bits: u32,
     count: usize,
 ) -> Result<BgvParams, ParamError> {
-    if !poly_degree.is_power_of_two() || !(16..=32768).contains(&poly_degree) {
-        return Err(ParamError::BadDegree(poly_degree));
-    }
-    let stride = 2 * poly_degree as u64 * plain_modulus;
-    let moduli = zq::primes_in_progression(bits, stride, count, &[plain_modulus]);
-    let params = BgvParams {
-        poly_degree,
-        plain_modulus,
-        moduli,
-    };
-    params.validate()?;
-    Ok(params)
+    BgvParams::generate_in_progression(poly_degree, plain_modulus, bits, count, plain_modulus)
 }
 
 /// Small switch-friendly parameters for unit tests: `N = 1024`,
@@ -76,115 +62,71 @@ pub fn test_small() -> BgvParams {
     generate_mod_switch_friendly(1024, 65537, 45, 3).expect("static parameters are valid")
 }
 
-/// Resolves a [`ParamPolicy`] for a lowered program under the **BGV** noise
-/// model: a `Fixed` set is validated structurally and for capacity; an
-/// `Auto` policy runs the [`ParamSelector`] over its candidate table.
+/// The BGV candidate table, ascending by cost: degree first, then total
+/// modulus bits. The compiler's parameter walk
+/// (`porcupine::scheme::resolve_params`) returns the first row whose
+/// switch-friendly chain ([`generate_mod_switch_friendly`]) leaves the
+/// requested margin of predicted noise budget under the BGV
+/// [`NoiseModel`](crate::noise::NoiseModel) and whose batching rows hold
+/// the program's slots.
 ///
-/// # Errors
-///
-/// See [`SelectError`].
-pub fn resolve_policy(
-    policy: &ParamPolicy,
-    prog: &Program,
-    min_slots: usize,
-    t: u64,
-) -> Result<BgvParams, SelectError> {
-    ParamSelector::resolve(policy, prog, min_slots, t)
-}
-
-/// Noise-aware automatic parameter selection for BGV.
-///
-/// Same contract as the BFV selector (walk a candidate table in ascending
-/// cost order, return the first set whose worst-case predicted budget
-/// clears the margin), but driven by the BGV [`NoiseModel`] — whose
+/// Compared with BFV's table the chains run longer at each degree: the BGV
 /// multiply rule *doubles* the noise bit count instead of adding a fixed
-/// chunk — over switch-friendly chains. Deep multiplication chains
-/// therefore escalate through the table much faster than under BFV, which
-/// is the scheme trade-off the cost model and selector make visible.
-pub type ParamSelector = rlwe_ring::params::ParamSelector<BgvContext>;
-
-/// A successful selection: the parameters plus the analysis that
-/// certified them.
-pub type Selection = rlwe_ring::params::Selection<NoiseReport>;
-
-/// The candidate table the shared [`ParamSelector`] walks, certified by the
-/// BGV [`NoiseModel`].
-impl SelectionTable for BgvContext {
-    type Program = Program;
-    type Report = NoiseReport;
-
-    /// The candidate table, ascending by degree then total modulus bits.
-    /// Compared with BFV's table the chains run longer at each degree:
-    /// BGV noise bits double per multiplication, so depth is bought with
-    /// modulus, not margin.
-    const CANDIDATES: &'static [Candidate] = &[
-        Candidate {
-            poly_degree: 1024,
-            prime_bits: 45,
-            count: 2,
-        },
-        Candidate {
-            poly_degree: 1024,
-            prime_bits: 45,
-            count: 3,
-        },
-        Candidate {
-            poly_degree: 2048,
-            prime_bits: 46,
-            count: 3,
-        },
-        Candidate {
-            poly_degree: 4096,
-            prime_bits: 46,
-            count: 4,
-        },
-        Candidate {
-            poly_degree: 4096,
-            prime_bits: 46,
-            count: 5,
-        },
-        Candidate {
-            poly_degree: 8192,
-            prime_bits: 50,
-            count: 5,
-        },
-        Candidate {
-            poly_degree: 8192,
-            prime_bits: 53,
-            count: 6,
-        },
-        Candidate {
-            poly_degree: 8192,
-            prime_bits: 54,
-            count: 7,
-        },
-        Candidate {
-            poly_degree: 16384,
-            prime_bits: 55,
-            count: 9,
-        },
-        Candidate {
-            poly_degree: 16384,
-            prime_bits: 55,
-            count: 12,
-        },
-    ];
-
-    fn generate(
-        poly_degree: usize,
-        plain_modulus: u64,
-        prime_bits: u32,
-        count: usize,
-    ) -> Result<BgvParams, ParamError> {
-        generate_mod_switch_friendly(poly_degree, plain_modulus, prime_bits, count)
-    }
-
-    fn analyze(params: &BgvParams, prog: &Program) -> (NoiseReport, f64) {
-        let report = NoiseModel::for_params(params).analyze(prog);
-        let budget = report.predicted_budget_bits;
-        (report, budget)
-    }
-}
+/// chunk, so depth is bought with modulus, not margin, and deep
+/// multiplication chains escalate through the table much faster than
+/// under BFV.
+pub const CANDIDATES: &[Candidate] = &[
+    Candidate {
+        poly_degree: 1024,
+        prime_bits: 45,
+        count: 2,
+    },
+    Candidate {
+        poly_degree: 1024,
+        prime_bits: 45,
+        count: 3,
+    },
+    Candidate {
+        poly_degree: 2048,
+        prime_bits: 46,
+        count: 3,
+    },
+    Candidate {
+        poly_degree: 4096,
+        prime_bits: 46,
+        count: 4,
+    },
+    Candidate {
+        poly_degree: 4096,
+        prime_bits: 46,
+        count: 5,
+    },
+    Candidate {
+        poly_degree: 8192,
+        prime_bits: 50,
+        count: 5,
+    },
+    Candidate {
+        poly_degree: 8192,
+        prime_bits: 53,
+        count: 6,
+    },
+    Candidate {
+        poly_degree: 8192,
+        prime_bits: 54,
+        count: 7,
+    },
+    Candidate {
+        poly_degree: 16384,
+        prime_bits: 55,
+        count: 9,
+    },
+    Candidate {
+        poly_degree: 16384,
+        prime_bits: 55,
+        count: 12,
+    },
+];
 
 /// Shared precomputation for one parameter set: the ciphertext ring, the
 /// `t mod q_i` residues (the error scale every BGV sample carries), and
@@ -315,116 +257,13 @@ mod tests {
     #[test]
     fn candidate_table_rows_generate() {
         // Every table row must produce a valid switch-friendly chain for
-        // the workhorse t = 65537 (the selector unwraps this).
-        for cand in BgvContext::CANDIDATES {
+        // the workhorse t = 65537.
+        for cand in CANDIDATES {
             let p =
                 generate_mod_switch_friendly(cand.poly_degree, 65537, cand.prime_bits, cand.count)
                     .expect("table row generates");
             assert_eq!(p.moduli.len(), cand.count);
         }
-    }
-
-    #[test]
-    fn selector_scales_params_with_program_depth() {
-        use quill::program::{Instr, Program, ValRef};
-        let sel = ParamSelector::new(65537);
-        let rot_add = Program::new(
-            "pairsum",
-            1,
-            0,
-            vec![
-                Instr::RotCt(ValRef::Input(0), 1),
-                Instr::AddCtCt(ValRef::Input(0), ValRef::Instr(0)),
-            ],
-            ValRef::Instr(1),
-        );
-        let shallow = sel.select(&rot_add, 8).expect("shallow program selects");
-        assert!(shallow.report.predicted_budget_bits >= DEFAULT_MARGIN_BITS);
-
-        let mut instrs = Vec::new();
-        let mut cur = ValRef::Input(0);
-        for _ in 0..2 {
-            instrs.push(Instr::MulCtCt(cur, cur));
-            instrs.push(Instr::Relin(ValRef::Instr(instrs.len() - 1)));
-            cur = ValRef::Instr(instrs.len() - 1);
-        }
-        let deep = Program::new("pow4", 1, 0, instrs, cur);
-        let selected = sel.select(&deep, 8).expect("depth-2 program selects");
-        let q_bits =
-            |p: &BgvParams| -> u32 { p.moduli.iter().map(|&q| 64 - q.leading_zeros()).sum() };
-        assert!(q_bits(&selected.params) > q_bits(&shallow.params));
-    }
-
-    /// BGV noise bits double per multiply, so the same program must select
-    /// at least as much modulus under BGV as under BFV.
-    #[test]
-    fn bgv_selects_no_smaller_than_bfv_on_deep_programs() {
-        use quill::program::{Instr, Program, ValRef};
-        let mut instrs = Vec::new();
-        let mut cur = ValRef::Input(0);
-        for _ in 0..2 {
-            instrs.push(Instr::MulCtCt(cur, cur));
-            instrs.push(Instr::Relin(ValRef::Instr(instrs.len() - 1)));
-            cur = ValRef::Instr(instrs.len() - 1);
-        }
-        let deep = Program::new("pow4", 1, 0, instrs, cur);
-        let bgv = ParamSelector::new(65537).select(&deep, 8).unwrap();
-        let bfv = bfv::params::ParamSelector::new(65537)
-            .select(&deep, 8)
-            .unwrap();
-        let q_bits =
-            |p: &BgvParams| -> u32 { p.moduli.iter().map(|&q| 64 - q.leading_zeros()).sum() };
-        assert!(q_bits(&bgv.params) >= q_bits(&bfv.params));
-    }
-
-    #[test]
-    fn selector_reports_exhaustion_with_best_attempt() {
-        use quill::program::{Instr, Program, ValRef};
-        let mut instrs = Vec::new();
-        let mut cur = ValRef::Input(0);
-        for _ in 0..20 {
-            instrs.push(Instr::MulCtCt(cur, cur));
-            instrs.push(Instr::Relin(ValRef::Instr(instrs.len() - 1)));
-            cur = ValRef::Instr(instrs.len() - 1);
-        }
-        let deep = Program::new("pow-2-20", 1, 0, instrs, cur);
-        match ParamSelector::new(65537).select(&deep, 8) {
-            Err(SelectError::NoCandidate {
-                best: Some((n, remaining)),
-                ..
-            }) => {
-                // Unlike BFV, the least-bad attempt is a *small* degree:
-                // the mul rule doubles noise bits, so the log2 N term
-                // compounds 2^20-fold and dwarfs what extra modulus buys.
-                assert!(n >= 1024);
-                assert!(remaining < DEFAULT_MARGIN_BITS);
-            }
-            other => panic!("expected NoCandidate with best attempt, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn policy_resolution_accepts_bfv_style_fixed_sets() {
-        use quill::program::{Instr, Program, ValRef};
-        let prog = Program::new(
-            "rot",
-            1,
-            0,
-            vec![Instr::RotCt(ValRef::Input(0), 1)],
-            ValRef::Instr(0),
-        );
-        // A plain-NTT-prime set (BFV's test preset) is structurally valid
-        // for BGV too — the alias types make this a round trip.
-        let fixed = resolve_policy(
-            &ParamPolicy::Fixed(BgvParams::test_small()),
-            &prog,
-            8,
-            65537,
-        )
-        .unwrap();
-        assert_eq!(fixed, BgvParams::test_small());
-        let auto = resolve_policy(&ParamPolicy::auto(), &prog, 8, 65537).unwrap();
-        assert!(auto.validate().is_ok());
     }
 
     #[test]

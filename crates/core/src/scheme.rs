@@ -23,15 +23,13 @@
 //! cross-scheme differential testing (one parameter set, two backends,
 //! slot-identical decryptions) possible at all. So the operations of
 //! [`Scheme`] are written once, in a blanket impl over [`RlweScheme`]; a
-//! backend declares only what differs: its identity, its context (the
-//! policy), how parameters are auto-selected ([`RlweScheme::resolve_params`]
-//! — the BGV selector escalates faster because its noise *doubles* per
-//! multiply) and the static noise model behind the selection certificate
-//! ([`RlweScheme::analyze_noise`]).
+//! backend declares only its identity and its context (the policy).
 //!
-//! The free functions ([`resolve_params`], [`analyze_noise`]) are the
-//! value-level mirror for call sites that hold a runtime [`SchemeId`]
-//! rather than a type parameter.
+//! Parameter selection is written once too, keyed by a runtime
+//! [`SchemeId`]: [`analyze_noise`] runs the scheme's static noise model,
+//! and [`resolve_params`] walks the scheme's candidate table
+//! (`bfv::params::CANDIDATES`, `bgv::params::CANDIDATES`) with it — the
+//! BGV walk escalates faster because its noise *doubles* per multiply.
 
 use quill::analysis::{NoiseReport, NoiseSemantics};
 use quill::program::Program;
@@ -42,8 +40,9 @@ use rlwe_ring::encrypt::{Ciphertext, Decryptor, Encryptor};
 use rlwe_ring::evaluator::Evaluator;
 use rlwe_ring::keys::{GaloisKeys, KeyGenerator, RelinKey};
 use rlwe_ring::keyswitch::HoistedDecomposition;
-use rlwe_ring::params::{ParamError, ParamPolicy, RlweParams, SelectError};
+use rlwe_ring::params::{Candidate, ParamError, ParamPolicy, RlweParams, SelectError};
 use rlwe_ring::scheme::SchemePolicy;
+use rlwe_ring::zq;
 
 /// A homomorphic-encryption backend the compiler can lower onto.
 ///
@@ -210,8 +209,8 @@ pub trait Scheme: 'static {
 }
 
 /// What a backend on the shared RLWE core declares to become a [`Scheme`]:
-/// its identity, its context — which implements the `rlwe-ring`
-/// [`SchemePolicy`] — and its parameter selection and noise model.
+/// its identity and its context, which implements the `rlwe-ring`
+/// [`SchemePolicy`].
 pub trait RlweScheme: 'static {
     /// The scheme's identity (legality rules, cost table, cache-key tag).
     const ID: SchemeId;
@@ -223,21 +222,6 @@ pub trait RlweScheme: 'static {
     ///
     /// Returns the backend's [`ParamError`] for unusable parameters.
     fn context(params: RlweParams) -> Result<Self::Context, ParamError>;
-    /// Resolves a parameter policy against a lowered program under this
-    /// scheme's noise model and candidate table.
-    ///
-    /// # Errors
-    ///
-    /// Returns the scheme selector's [`SelectError`] when no set satisfies
-    /// the policy.
-    fn resolve_params(
-        policy: &ParamPolicy,
-        prog: &Program,
-        min_slots: usize,
-        t: u64,
-    ) -> Result<RlweParams, SelectError>;
-    /// Static noise analysis of a lowered program under this scheme's model.
-    fn analyze_noise(params: &RlweParams, prog: &Program) -> NoiseReport;
 }
 
 /// The shared RLWE core's types and operations, once for every backend.
@@ -411,17 +395,6 @@ impl RlweScheme for BfvScheme {
     fn context(params: RlweParams) -> Result<Self::Context, ParamError> {
         bfv::params::BfvContext::new(params)
     }
-    fn resolve_params(
-        policy: &ParamPolicy,
-        prog: &Program,
-        min_slots: usize,
-        t: u64,
-    ) -> Result<RlweParams, SelectError> {
-        bfv::params::resolve_policy(policy, prog, min_slots, t)
-    }
-    fn analyze_noise(params: &RlweParams, prog: &Program) -> NoiseReport {
-        bfv::NoiseModel::for_params(params).analyze(prog)
-    }
 }
 
 /// The `bgv` crate as a [`Scheme`] instantiation.
@@ -435,26 +408,69 @@ impl RlweScheme for BgvScheme {
     fn context(params: RlweParams) -> Result<Self::Context, ParamError> {
         bgv::params::BgvContext::new(params)
     }
-    fn resolve_params(
-        policy: &ParamPolicy,
-        prog: &Program,
-        min_slots: usize,
-        t: u64,
-    ) -> Result<RlweParams, SelectError> {
-        bgv::params::resolve_policy(policy, prog, min_slots, t)
-    }
-    fn analyze_noise(params: &RlweParams, prog: &Program) -> NoiseReport {
-        bgv::NoiseModel::for_params(params).analyze(prog)
+}
+
+/// Static noise analysis of a lowered program under `params` and the
+/// scheme's noise model.
+pub fn analyze_noise(scheme: SchemeId, params: &RlweParams, prog: &Program) -> NoiseReport {
+    match scheme {
+        SchemeId::Bfv => bfv::NoiseModel::for_params(params).analyze(prog),
+        SchemeId::Bgv => bgv::NoiseModel::for_params(params).analyze(prog),
     }
 }
 
-/// Value-level dispatch of [`RlweScheme::resolve_params`] for call sites that
-/// hold a runtime [`SchemeId`] (the CEGIS driver, the CLI).
+/// Resolves a parameter policy for a *lowered* program (post `-O`,
+/// explicit relinearizations) that needs `min_slots` slots per batching row
+/// and plaintext modulus `t`.
+///
+/// A `Fixed` set is validated structurally and for capacity. An `Auto`
+/// policy walks the scheme's candidate table in ascending cost order and
+/// returns the first generated chain that batches `t`, holds the slots, and
+/// leaves at least the policy's margin of predicted noise budget
+/// ([`analyze_noise`]) at decryption; a row whose chain cannot be built is
+/// skipped. Because each noise model is a sound upper bound, the selected
+/// set is *certified*: the measured budget at decryption is at least the
+/// margin.
 ///
 /// # Errors
 ///
-/// Returns the scheme selector's [`SelectError`] when no parameter set
-/// satisfies the policy for this program.
+/// [`SelectError::BadFixedParams`] for an unusable `Fixed` set,
+/// [`SelectError::UnsupportedPlainModulus`] if `t` batches at no candidate
+/// degree, else [`SelectError::NoCandidate`] with the best budget seen.
+///
+/// # Examples
+///
+/// ```
+/// use porcupine::scheme::resolve_params;
+/// use quill::program::{Instr, Program, ValRef};
+/// use quill::scheme::SchemeId;
+/// use rlwe_ring::params::{ParamPolicy, RlweParams};
+///
+/// // A rotate-and-add kernel needs only a small set...
+/// let shallow = Program::new(
+///     "pairsum", 1, 0,
+///     vec![
+///         Instr::RotCt(ValRef::Input(0), 1),
+///         Instr::AddCtCt(ValRef::Input(0), ValRef::Instr(0)),
+///     ],
+///     ValRef::Instr(1),
+/// );
+/// let auto = ParamPolicy::auto();
+/// let small = resolve_params(SchemeId::Bfv, &auto, &shallow, 8, 65537).unwrap();
+/// // ...and deeper programs force a larger modulus chain.
+/// let square = Program::new(
+///     "square", 1, 0,
+///     vec![
+///         Instr::MulCtCt(ValRef::Input(0), ValRef::Input(0)),
+///         Instr::Relin(ValRef::Instr(0)),
+///     ],
+///     ValRef::Instr(1),
+/// );
+/// let larger = resolve_params(SchemeId::Bfv, &auto, &square, 8, 65537).unwrap();
+/// let q_bits = |p: &RlweParams| p.moduli.iter()
+///     .map(|&q| 64 - q.leading_zeros()).sum::<u32>();
+/// assert!(q_bits(&larger) >= q_bits(&small));
+/// ```
 pub fn resolve_params(
     scheme: SchemeId,
     policy: &ParamPolicy,
@@ -462,24 +478,63 @@ pub fn resolve_params(
     min_slots: usize,
     t: u64,
 ) -> Result<RlweParams, SelectError> {
-    match scheme {
-        SchemeId::Bfv => BfvScheme::resolve_params(policy, prog, min_slots, t),
-        SchemeId::Bgv => BgvScheme::resolve_params(policy, prog, min_slots, t),
+    let margin_bits = match policy {
+        ParamPolicy::Auto { margin_bits } => *margin_bits,
+        ParamPolicy::Fixed(params) => {
+            params
+                .validate()
+                .map_err(|e| SelectError::BadFixedParams(e.to_string()))?;
+            if params.row_size() < min_slots || params.plain_modulus != t {
+                return Err(SelectError::BadFixedParams(format!(
+                    "fixed set (N = {}, t = {}) cannot hold {min_slots} slots of a \
+                     t = {t} program",
+                    params.poly_degree, params.plain_modulus
+                )));
+            }
+            return Ok(params.clone());
+        }
+    };
+    type Generate = fn(usize, u64, u32, usize) -> Result<RlweParams, ParamError>;
+    let (candidates, generate): (&[Candidate], Generate) = match scheme {
+        SchemeId::Bfv => (bfv::params::CANDIDATES, RlweParams::generate),
+        SchemeId::Bgv => (
+            bgv::params::CANDIDATES,
+            bgv::params::generate_mod_switch_friendly,
+        ),
+    };
+    let batches = |n: usize| zq::is_prime(t) && (t - 1).is_multiple_of(2 * n as u64);
+    if !candidates.iter().any(|c| batches(c.poly_degree)) {
+        return Err(SelectError::UnsupportedPlainModulus(t));
     }
-}
-
-/// Value-level dispatch of [`RlweScheme::analyze_noise`].
-pub fn analyze_noise(scheme: SchemeId, params: &RlweParams, prog: &Program) -> NoiseReport {
-    match scheme {
-        SchemeId::Bfv => BfvScheme::analyze_noise(params, prog),
-        SchemeId::Bgv => BgvScheme::analyze_noise(params, prog),
+    let mut best: Option<(usize, f64)> = None;
+    for cand in candidates {
+        if cand.poly_degree / 2 < min_slots || !batches(cand.poly_degree) {
+            continue;
+        }
+        let Ok(params) = generate(cand.poly_degree, t, cand.prime_bits, cand.count) else {
+            continue;
+        };
+        let predicted = analyze_noise(scheme, &params, prog).predicted_budget_bits;
+        if predicted >= margin_bits {
+            return Ok(params);
+        }
+        if best.is_none_or(|(_, b)| predicted > b) {
+            best = Some((cand.poly_degree, predicted));
+        }
     }
+    Err(SelectError::NoCandidate {
+        margin_bits,
+        min_slots,
+        best,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quill::program::{Instr, ValRef};
     use rand::SeedableRng;
+    use rlwe_ring::params::DEFAULT_MARGIN_BITS;
 
     /// One generic encrypt–evaluate–decrypt round trip, instantiated for
     /// both schemes: the trait surface is sufficient to drive a backend
@@ -526,27 +581,143 @@ mod tests {
         assert_eq!(bfv_out[0], expect);
     }
 
+    /// `x^(2^depth)` by repeated squaring, each product relinearized.
+    fn squarings(depth: usize) -> Program {
+        let mut instrs = Vec::new();
+        let mut cur = ValRef::Input(0);
+        for _ in 0..depth {
+            instrs.push(Instr::MulCtCt(cur, cur));
+            instrs.push(Instr::Relin(ValRef::Instr(instrs.len() - 1)));
+            cur = ValRef::Instr(instrs.len() - 1);
+        }
+        Program::new("squarings", 1, 0, instrs, cur)
+    }
+
+    fn rot() -> Program {
+        Program::new(
+            "rot",
+            1,
+            0,
+            vec![Instr::RotCt(ValRef::Input(0), 1)],
+            ValRef::Instr(0),
+        )
+    }
+
+    fn auto(scheme: SchemeId, prog: &Program, min_slots: usize) -> Result<RlweParams, SelectError> {
+        resolve_params(scheme, &ParamPolicy::auto(), prog, min_slots, 65537)
+    }
+
+    fn q_bits(p: &RlweParams) -> u32 {
+        p.moduli.iter().map(|&q| 64 - q.leading_zeros()).sum()
+    }
+
     #[test]
-    fn value_level_dispatch_matches_the_typed_path() {
-        use quill::program::{Instr, Program, ValRef};
-        let prog = Program::new(
-            "square",
+    fn selection_certificate_holds_under_its_own_model() {
+        for &id in SchemeId::ALL {
+            let prog = squarings(1);
+            let params =
+                auto(id, &prog, 8).expect("depth-1 square must be selectable under both schemes");
+            let report = analyze_noise(id, &params, &prog);
+            assert!(
+                report.predicted_budget_bits >= DEFAULT_MARGIN_BITS,
+                "{id}: selector certificate must hold under its own model"
+            );
+        }
+    }
+
+    #[test]
+    fn selection_scales_params_with_program_depth() {
+        let pairsum = Program::new(
+            "pairsum",
             1,
             0,
             vec![
-                Instr::MulCtCt(ValRef::Input(0), ValRef::Input(0)),
-                Instr::Relin(ValRef::Instr(0)),
+                Instr::RotCt(ValRef::Input(0), 1),
+                Instr::AddCtCt(ValRef::Input(0), ValRef::Instr(0)),
             ],
             ValRef::Instr(1),
         );
+        // BGV noise bits double per multiply, so a shallower squaring chain
+        // already needs more modulus there.
+        for (id, depth) in [(SchemeId::Bfv, 3), (SchemeId::Bgv, 2)] {
+            let shallow = auto(id, &pairsum, 8).expect("shallow program selects");
+            let budget = analyze_noise(id, &shallow, &pairsum).predicted_budget_bits;
+            assert!(budget >= DEFAULT_MARGIN_BITS);
+            let deep = auto(id, &squarings(depth), 8).expect("squaring chain selects");
+            assert!(q_bits(&deep) > q_bits(&shallow), "{id}");
+            assert!(deep.validate().is_ok());
+        }
+    }
+
+    #[test]
+    fn bgv_selects_no_smaller_than_bfv_on_deep_programs() {
+        let deep = squarings(2);
+        let bgv = auto(SchemeId::Bgv, &deep, 8).unwrap();
+        let bfv = auto(SchemeId::Bfv, &deep, 8).unwrap();
+        assert!(q_bits(&bgv) >= q_bits(&bfv));
+    }
+
+    #[test]
+    fn selection_honors_min_slots() {
+        let params = auto(SchemeId::Bfv, &rot(), 4000).expect("needs N ≥ 8192");
+        assert!(params.row_size() >= 4000);
+        assert!(params.poly_degree >= 8192);
+    }
+
+    #[test]
+    fn exhaustion_reports_the_best_attempt() {
+        // An absurdly deep chain no table row can absorb. Under BFV the
+        // least-bad attempt is the largest degree; under BGV it may be a
+        // small one: the multiply rule doubles noise bits, so the log2 N
+        // term compounds 2^20-fold and dwarfs what extra modulus buys.
+        for (id, min_n) in [(SchemeId::Bfv, 16384), (SchemeId::Bgv, 1024)] {
+            match auto(id, &squarings(20), 8) {
+                Err(SelectError::NoCandidate {
+                    margin_bits,
+                    best: Some((n, remaining)),
+                    ..
+                }) => {
+                    assert_eq!(margin_bits.to_bits(), DEFAULT_MARGIN_BITS.to_bits());
+                    assert!(n >= min_n, "{id}");
+                    assert!(remaining < DEFAULT_MARGIN_BITS);
+                }
+                other => panic!("{id}: expected NoCandidate with best attempt, got {other:?}"),
+            }
+        }
+    }
+
+    /// A 40-bit `t` leaves no 45- to 55-bit prime `≡ 1 mod 2N·t`, so every
+    /// BGV row is skipped and the walk ends in an error, not a panic; BFV
+    /// chains need only `≡ 1 mod 2N` and still select.
+    #[test]
+    fn unbuildable_rows_are_skipped() {
+        let t = 1_099_511_922_689;
+        let square = squarings(1);
+        let bgv = resolve_params(SchemeId::Bgv, &ParamPolicy::auto(), &square, 8, t);
+        assert!(
+            matches!(bgv, Err(SelectError::NoCandidate { best: None, .. })),
+            "{bgv:?}"
+        );
+        let bfv = resolve_params(SchemeId::Bfv, &ParamPolicy::auto(), &square, 8, t).unwrap();
+        assert_eq!((bfv.poly_degree, bfv.moduli.len()), (4096, 4));
+    }
+
+    #[test]
+    fn fixed_policy_capacity_checks() {
         for &id in SchemeId::ALL {
-            let params = resolve_params(id, &ParamPolicy::auto(), &prog, 8, 65537)
-                .expect("depth-1 square must be selectable under both schemes");
-            let report = analyze_noise(id, &params, &prog);
-            assert!(
-                report.predicted_budget_bits > 0.0,
-                "{id}: selector certificate must hold under its own model"
-            );
+            // A plain-NTT-prime set (BFV's test preset) is structurally
+            // valid for BGV too: the shared type makes this a round trip.
+            let fixed = ParamPolicy::Fixed(RlweParams::test_small());
+            let ok = resolve_params(id, &fixed, &rot(), 8, 65537).unwrap();
+            assert_eq!(ok, RlweParams::test_small());
+            // A fixed set that cannot hold the slots, or runs another `t`,
+            // is rejected.
+            for (min_slots, t) in [(4096, 65537), (8, 786433)] {
+                let err = resolve_params(id, &fixed, &rot(), min_slots, t);
+                assert!(matches!(err, Err(SelectError::BadFixedParams(_))), "{id}");
+            }
+            let auto = auto(id, &rot(), 8).unwrap();
+            assert!(auto.validate().is_ok());
         }
     }
 }

@@ -22,10 +22,10 @@
 //!   RNS-decomposition step of key switching.
 //! * [`pool`] — a scratch-buffer pool for allocation-free evaluator hot
 //!   paths.
-//! * [`params`] — the shared [`params::RlweParams`] parameter sets,
-//!   validation, the compiler-facing [`params::ParamPolicy`] vocabulary,
-//!   and the candidate-table selector loop the schemes' noise-aware
-//!   selectors run.
+//! * [`params`] — the shared [`params::RlweParams`] parameter sets, their
+//!   validation and chain generation, and the compiler-facing
+//!   [`params::ParamPolicy`] / [`params::Candidate`] vocabulary of
+//!   automatic parameter selection.
 //! * [`batch`] — the SEAL-compatible 2 × (N/2) slot geometry and the
 //!   Galois elements for row rotation / column swap.
 //! * [`keyswitch`] — RNS-decomposition key switching: key generation

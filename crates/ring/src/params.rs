@@ -4,17 +4,16 @@
 //! Every scheme backend (BFV, BGV) runs over the same ring shape — a
 //! power-of-two degree `N`, a batching-friendly plaintext modulus `t`, and
 //! an RNS chain of NTT-friendly ciphertext primes — so the parameter
-//! *struct*, its structural validation, and the compiler-facing
-//! [`ParamPolicy`] live here, as does the noise-aware [`ParamSelector`].
-//! What differs per scheme is *noise*: each scheme crate provides its own
-//! `NoiseModel` and a [`SelectionTable`] — its candidate chains, certified
-//! by that model — for the selector to walk.
+//! *struct*, its structural validation, the compiler-facing
+//! [`ParamPolicy`] and the [`Candidate`] row type live here. What differs
+//! per scheme is *noise*: each scheme crate provides its own `NoiseModel`
+//! and a table of candidate chains, which the compiler walks in
+//! `porcupine::scheme::resolve_params`.
 
 use crate::ntt::MAX_MODULUS;
 use crate::zq;
 use std::error::Error;
 use std::fmt;
-use std::marker::PhantomData;
 
 /// Errors from parameter validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,6 +36,15 @@ pub enum ParamError {
     PlainNotCoprime(u64),
     /// Fewer than two RNS primes (RNS-decomposition key switching needs ≥ 2).
     TooFewPrimes(usize),
+    /// A chain of `count` distinct `bits`-bit primes in the required
+    /// progression does not exist: `bits` is outside `[20, 62]`, or the
+    /// progression's stride leaves too few primes of that size.
+    NoChainPrimes {
+        /// Requested bits per prime.
+        bits: u32,
+        /// Requested chain length.
+        count: usize,
+    },
 }
 
 impl fmt::Display for ParamError {
@@ -68,6 +76,11 @@ impl fmt::Display for ParamError {
             ParamError::TooFewPrimes(k) => {
                 write!(f, "need at least 2 RNS primes for key switching, got {k}")
             }
+            ParamError::NoChainPrimes { bits, count } => write!(
+                f,
+                "no chain of {count} distinct {bits}-bit primes exists for this degree and \
+                 plaintext modulus (chain primes have 20 to 62 bits)"
+            ),
         }
     }
 }
@@ -103,17 +116,43 @@ impl RlweParams {
     ///
     /// # Errors
     ///
-    /// Returns an error if the resulting set fails [`RlweParams::validate`].
+    /// [`ParamError::NoChainPrimes`] if no such chain exists, else an error
+    /// if the resulting set fails [`RlweParams::validate`].
     pub fn generate(
         poly_degree: usize,
         plain_modulus: u64,
         bits: u32,
         count: usize,
     ) -> Result<Self, ParamError> {
+        RlweParams::generate_in_progression(poly_degree, plain_modulus, bits, count, 1)
+    }
+
+    /// Generates a parameter set whose `count` fresh `bits`-bit primes are
+    /// all `≡ 1 (mod 2N·stride_factor)`: a factor of 1 gives plain
+    /// NTT-friendly primes ([`RlweParams::generate`]), a factor of `t` the
+    /// modulus-switch-friendly chains BGV wants.
+    ///
+    /// # Errors
+    ///
+    /// [`ParamError::BadDegree`] for an unsupported `N`,
+    /// [`ParamError::NoChainPrimes`] if no such chain exists, else an error
+    /// if the resulting set fails [`RlweParams::validate`].
+    pub fn generate_in_progression(
+        poly_degree: usize,
+        plain_modulus: u64,
+        bits: u32,
+        count: usize,
+        stride_factor: u64,
+    ) -> Result<Self, ParamError> {
         if !poly_degree.is_power_of_two() || !(16..=32768).contains(&poly_degree) {
             return Err(ParamError::BadDegree(poly_degree));
         }
-        let moduli = zq::ntt_primes(bits, 2 * poly_degree as u64, count, &[plain_modulus]);
+        let no_chain = ParamError::NoChainPrimes { bits, count };
+        let stride = (2 * poly_degree as u64)
+            .checked_mul(stride_factor)
+            .ok_or(no_chain.clone())?;
+        let moduli =
+            zq::primes_in_progression(bits, stride, count, &[plain_modulus]).ok_or(no_chain)?;
         let params = RlweParams {
             poly_degree,
             plain_modulus,
@@ -203,8 +242,8 @@ impl RlweParams {
 pub const DEFAULT_MARGIN_BITS: f64 = 10.0;
 
 /// How the compiler obtains RLWE parameters for a program. The policy is
-/// scheme-neutral data; resolving it runs the *selected scheme's* noise
-/// analysis (see [`ParamSelector::resolve`]).
+/// scheme-neutral data; resolving it (`porcupine::scheme::resolve_params`)
+/// runs the *selected scheme's* noise analysis.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParamPolicy {
     /// Select the smallest satisfying set from the scheme's candidate table
@@ -230,38 +269,6 @@ impl ParamPolicy {
             margin_bits: DEFAULT_MARGIN_BITS,
         }
     }
-
-    /// Resolves the policy: a `Fixed` set is validated structurally and for
-    /// capacity; an `Auto` policy defers to `select`, the scheme-specific
-    /// noise-aware selector (called with the requested margin).
-    ///
-    /// # Errors
-    ///
-    /// [`SelectError`] if the selector finds no candidate, or if a `Fixed`
-    /// set fails validation / has too few slots.
-    pub fn resolve_with(
-        &self,
-        min_slots: usize,
-        t: u64,
-        select: impl FnOnce(f64) -> Result<RlweParams, SelectError>,
-    ) -> Result<RlweParams, SelectError> {
-        match self {
-            ParamPolicy::Auto { margin_bits } => select(*margin_bits),
-            ParamPolicy::Fixed(params) => {
-                params
-                    .validate()
-                    .map_err(|e| SelectError::BadFixedParams(e.to_string()))?;
-                if params.row_size() < min_slots || params.plain_modulus != t {
-                    return Err(SelectError::BadFixedParams(format!(
-                        "fixed set (N = {}, t = {}) cannot hold {min_slots} slots of a \
-                         t = {t} program",
-                        params.poly_degree, params.plain_modulus
-                    )));
-                }
-                Ok(params.clone())
-            }
-        }
-    }
 }
 
 /// Why automatic parameter selection failed.
@@ -274,8 +281,9 @@ pub enum SelectError {
         margin_bits: f64,
         /// Slots the program needs per batching row.
         min_slots: usize,
-        /// Best predicted remaining budget over all size-compatible
-        /// candidates, with the `N` that achieved it.
+        /// Best predicted remaining budget over the size-compatible
+        /// candidates whose chains could be built, with the `N` that
+        /// achieved it (`None` if no such candidate was left).
         best: Option<(usize, f64)>,
     },
     /// The plaintext modulus is incompatible with every candidate degree
@@ -326,145 +334,6 @@ pub struct Candidate {
     pub prime_bits: u32,
     /// Chain length.
     pub count: usize,
-}
-
-/// A successful selection: the parameters plus the analysis `R` that
-/// certified them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Selection<R> {
-    /// The smallest satisfying parameter set.
-    pub params: RlweParams,
-    /// The noise analysis of the program under `params`.
-    pub report: R,
-    /// How many size-compatible candidates were rejected first.
-    pub candidates_tried: usize,
-}
-
-/// A scheme's parameter-selection table: its candidates, how a candidate's
-/// chain is generated, and the noise analysis that certifies a set.
-pub trait SelectionTable {
-    /// What is analyzed (a lowered program).
-    type Program: ?Sized;
-    /// The analysis that certifies a selection.
-    type Report;
-    /// The candidates, ascending by cost (degree, then total modulus bits).
-    const CANDIDATES: &'static [Candidate];
-    /// Builds the parameter set of one candidate row.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the set fails [`RlweParams::validate`].
-    fn generate(
-        poly_degree: usize,
-        plain_modulus: u64,
-        prime_bits: u32,
-        count: usize,
-    ) -> Result<RlweParams, ParamError>;
-    /// Analyzes `prog` under `params`: the report and the predicted
-    /// remaining noise budget in bits.
-    fn analyze(params: &RlweParams, prog: &Self::Program) -> (Self::Report, f64);
-}
-
-/// Noise-aware automatic parameter selection over a scheme's
-/// [`SelectionTable`].
-///
-/// Given a *lowered* program (post `-O`, explicit relinearizations), the
-/// selector walks the table in ascending cost order and returns the first
-/// set whose worst-case predicted noise budget leaves at least the
-/// configured safety margin at decryption, and whose batching rows hold
-/// the program's slots. Because the scheme's noise model is a sound upper
-/// bound, the selected set is *certified*: the measured budget at
-/// decryption is at least the margin.
-#[derive(Debug)]
-pub struct ParamSelector<S> {
-    plain_modulus: u64,
-    margin_bits: f64,
-    table: PhantomData<S>,
-}
-
-impl<S: SelectionTable> ParamSelector<S> {
-    /// A selector for plaintext modulus `t` with the default margin.
-    pub fn new(plain_modulus: u64) -> Self {
-        ParamSelector {
-            plain_modulus,
-            margin_bits: DEFAULT_MARGIN_BITS,
-            table: PhantomData,
-        }
-    }
-
-    /// Overrides the safety margin.
-    pub fn with_margin_bits(mut self, margin_bits: f64) -> Self {
-        self.margin_bits = margin_bits;
-        self
-    }
-
-    /// Selects the smallest satisfying parameter set for a lowered program
-    /// that needs `min_slots` slots per batching row.
-    ///
-    /// # Errors
-    ///
-    /// [`SelectError::UnsupportedPlainModulus`] if `t` batches at no
-    /// candidate degree, else [`SelectError::NoCandidate`] with the best
-    /// budget seen.
-    pub fn select(
-        &self,
-        prog: &S::Program,
-        min_slots: usize,
-    ) -> Result<Selection<S::Report>, SelectError> {
-        let t = self.plain_modulus;
-        let batches = |n: usize| zq::is_prime(t) && (t - 1).is_multiple_of(2 * n as u64);
-        let mut best: Option<(usize, f64)> = None;
-        let mut tried = 0usize;
-        for cand in S::CANDIDATES {
-            if cand.poly_degree / 2 < min_slots || !batches(cand.poly_degree) {
-                continue;
-            }
-            let params = S::generate(cand.poly_degree, t, cand.prime_bits, cand.count)
-                .expect("table candidates are valid");
-            let (report, predicted) = S::analyze(&params, prog);
-            if predicted >= self.margin_bits {
-                return Ok(Selection {
-                    params,
-                    report,
-                    candidates_tried: tried,
-                });
-            }
-            tried += 1;
-            if best.is_none_or(|(_, b)| predicted > b) {
-                best = Some((cand.poly_degree, predicted));
-            }
-        }
-        // Distinguish "t can never batch" from "table exhausted".
-        if best.is_none() && !S::CANDIDATES.iter().any(|c| batches(c.poly_degree)) {
-            return Err(SelectError::UnsupportedPlainModulus(t));
-        }
-        Err(SelectError::NoCandidate {
-            margin_bits: self.margin_bits,
-            min_slots,
-            best,
-        })
-    }
-
-    /// Resolves a [`ParamPolicy`] for a lowered program: a `Fixed` set is
-    /// validated structurally and for capacity; an `Auto` policy runs the
-    /// selector over the table.
-    ///
-    /// # Errors
-    ///
-    /// See [`SelectError`].
-    pub fn resolve(
-        policy: &ParamPolicy,
-        prog: &S::Program,
-        min_slots: usize,
-        t: u64,
-    ) -> Result<RlweParams, SelectError> {
-        policy.resolve_with(min_slots, t, |margin_bits| {
-            Self::new(t)
-                .with_margin_bits(margin_bits)
-                .select(prog, min_slots)
-                .map(|s| s.params)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -564,31 +433,29 @@ mod tests {
         assert_eq!(p.validate(), Err(ParamError::PlainNotCoprime(65537)));
     }
 
+    /// A chain that cannot be built is an error, not a panic: 70-bit
+    /// primes are out of range, and a 40-bit `t` leaves no 45-bit prime
+    /// `≡ 1 mod 2N·t`.
     #[test]
-    fn paper_params_alias_secure_128() {
-        assert_eq!(RlweParams::paper(), RlweParams::secure_128());
+    fn unbuildable_chains_are_errors() {
+        assert_eq!(
+            RlweParams::generate(1024, 65537, 70, 3),
+            Err(ParamError::NoChainPrimes { bits: 70, count: 3 })
+        );
+        let t = 1_099_511_922_689;
+        assert_eq!(
+            RlweParams::generate_in_progression(1024, t, 45, 2, t),
+            Err(ParamError::NoChainPrimes { bits: 45, count: 2 })
+        );
+        // 2N·t overflows 64 bits.
+        assert_eq!(
+            RlweParams::generate_in_progression(32768, 1 << 60, 55, 2, 1 << 60),
+            Err(ParamError::NoChainPrimes { bits: 55, count: 2 })
+        );
     }
 
     #[test]
-    fn fixed_policy_capacity_checks() {
-        let ok = ParamPolicy::Fixed(RlweParams::test_small())
-            .resolve_with(8, 65537, |_| unreachable!("fixed policy never selects"))
-            .unwrap();
-        assert_eq!(ok, RlweParams::test_small());
-        // A fixed set that cannot hold the slots is rejected.
-        let err = ParamPolicy::Fixed(RlweParams::test_small()).resolve_with(
-            4096,
-            65537,
-            |_| unreachable!(),
-        );
-        assert!(matches!(err, Err(SelectError::BadFixedParams(_))));
-        // Auto defers to the scheme selector with its margin.
-        let auto = ParamPolicy::auto()
-            .resolve_with(8, 65537, |margin| {
-                assert_eq!(margin.to_bits(), DEFAULT_MARGIN_BITS.to_bits());
-                Ok(RlweParams::fast_4096())
-            })
-            .unwrap();
-        assert_eq!(auto, RlweParams::fast_4096());
+    fn paper_params_alias_secure_128() {
+        assert_eq!(RlweParams::paper(), RlweParams::secure_128());
     }
 }

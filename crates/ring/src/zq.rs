@@ -188,11 +188,12 @@ pub fn is_prime(n: u64) -> bool {
 ///
 /// # Panics
 ///
-/// Panics if `bits > 62`, `modulus` is not a power of two, or not enough
-/// primes exist in range (never happens for the sizes used here).
+/// Panics if `modulus` is not a power of two, or if
+/// [`primes_in_progression`] finds too few primes (never happens for the
+/// sizes used here).
 pub fn ntt_primes(bits: u32, modulus: u64, count: usize, exclude: &[u64]) -> Vec<u64> {
     assert!(modulus.is_power_of_two());
-    primes_in_progression(bits, modulus, count, exclude)
+    primes_in_progression(bits, modulus, count, exclude).expect("enough NTT-friendly primes")
 }
 
 /// Returns `count` distinct primes `p ≡ 1 (mod stride)` just below
@@ -202,27 +203,38 @@ pub fn ntt_primes(bits: u32, modulus: u64, count: usize, exclude: &[u64]) -> Vec
 /// (`≡ 1 mod 2N`) and modulus-switch-friendly (`≡ 1 mod t`, which keeps
 /// dropping a prime plaintext-invariant).
 ///
+/// Returns `None` if `bits` is out of `[20, 62]` or fewer than `count`
+/// such primes lie in `(2^(bits−1), 2^bits)`.
+///
 /// # Panics
 ///
-/// Panics if `bits` is out of `[20, 62]`, `stride` is odd (candidates
-/// must be odd), or not enough primes exist in range.
-pub fn primes_in_progression(bits: u32, stride: u64, count: usize, exclude: &[u64]) -> Vec<u64> {
-    assert!((20..=62).contains(&bits), "prime size out of range");
+/// Panics if `stride` is odd (candidates must be odd).
+pub fn primes_in_progression(
+    bits: u32,
+    stride: u64,
+    count: usize,
+    exclude: &[u64],
+) -> Option<Vec<u64>> {
     assert!(
         stride >= 2 && stride.is_multiple_of(2),
         "stride must be even"
     );
+    if !(20..=62).contains(&bits) {
+        return None;
+    }
     let mut out = Vec::with_capacity(count);
     // Largest candidate ≡ 1 mod `stride` below 2^bits.
     let mut cand = ((1u64 << bits) - 1) / stride * stride + 1;
     while out.len() < count {
-        assert!(cand > (1u64 << (bits - 1)), "ran out of candidate primes");
+        if cand <= 1u64 << (bits - 1) {
+            return None;
+        }
         if is_prime(cand) && !exclude.contains(&cand) && !out.contains(&cand) {
             out.push(cand);
         }
         cand -= stride;
     }
-    out
+    Some(out)
 }
 
 /// Finds the smallest generator of the multiplicative group of `Z_p`
@@ -502,7 +514,7 @@ mod tests {
             primes.extend(ntt_primes(bits, 2 * n, count, &[T]));
         }
         for (n, bits, count) in BGV_CHAINS {
-            primes.extend(primes_in_progression(bits, 2 * n * T, count, &[T]));
+            primes.extend(primes_in_progression(bits, 2 * n * T, count, &[T]).unwrap());
         }
         for log_n in 10..=14 {
             primes.extend(ntt_primes(60, 2 << log_n, 12, &[T]));
@@ -653,7 +665,7 @@ mod tests {
     /// shapes at ~40 bits are also checked against [`trial_division`].
     #[test]
     fn factorize_splits_large_cofactors() {
-        let below = |bits: u32, k: usize| primes_in_progression(bits, 2, k, &[]);
+        let below = |bits: u32, k: usize| primes_in_progression(bits, 2, k, &[]).unwrap();
         let [a, b] = below(31, 2)[..] else {
             unreachable!()
         };

@@ -50,6 +50,7 @@ use porcupine_kernels::{all_direct, direct_kernel, PaperKernel};
 use quill::cost::{eager_cost, LatencyModel};
 use quill::scheme::SchemeId;
 use rand::{Rng, SeedableRng};
+use std::io::{self, Write};
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -141,12 +142,51 @@ fn emit_seal(args: &[String]) -> Result<bool, String> {
     Ok(emit.unwrap_or(false))
 }
 
-/// Prints `prog` as SEAL C++ or as Quill.
-fn emit(prog: &quill::program::Program, seal: bool) {
+/// Writes `prog` to stdout as SEAL C++ or as Quill.
+fn emit(prog: &quill::program::Program, seal: bool) -> io::Result<()> {
+    let mut out = io::stdout().lock();
     if seal {
-        print!("{}", emit_seal_cpp(prog));
+        write!(out, "{}", emit_seal_cpp(prog))?;
     } else {
-        print!("{prog}");
+        write!(out, "{prog}")?;
+    }
+    out.flush()
+}
+
+/// Writes the kernel registry table to stdout.
+fn list(model: &LatencyModel) -> io::Result<()> {
+    let mut out = io::stdout().lock();
+    writeln!(
+        out,
+        "{:<24} {:>6} {:>7} {:>7} {:>12}",
+        "kernel", "instr", "depth", "mdepth", "cost"
+    )?;
+    for k in all_direct() {
+        writeln!(
+            out,
+            "{:<24} {:>6} {:>7} {:>7} {:>12.0}",
+            k.name,
+            k.baseline.len(),
+            k.baseline.logic_depth(),
+            k.baseline.mult_depth(),
+            eager_cost(&k.baseline, model),
+        )?;
+    }
+    out.flush()
+}
+
+/// The exit status after writing to stdout. A failed write is a failure,
+/// reported on stderr unless the reader has gone away (`porcupine list |
+/// head -1`): then the command ends quietly.
+fn exit_after(written: io::Result<()>) -> ExitCode {
+    match written {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            if e.kind() != io::ErrorKind::BrokenPipe {
+                eprintln!("writing to stdout failed: {e}");
+            }
+            ExitCode::FAILURE
+        }
     }
 }
 
@@ -270,8 +310,7 @@ fn finish_synth(
         }
         Err(e) => eprintln!("; params: selection failed ({e}); emitting code only"),
     }
-    emit(optimized, seal);
-    ExitCode::SUCCESS
+    exit_after(emit(optimized, seal))
 }
 
 fn main() -> ExitCode {
@@ -285,23 +324,7 @@ fn main() -> ExitCode {
     }
     let model = LatencyModel::profiled_default();
     match args.first().map(String::as_str) {
-        Some("list") => {
-            println!(
-                "{:<24} {:>6} {:>7} {:>7} {:>12}",
-                "kernel", "instr", "depth", "mdepth", "cost"
-            );
-            for k in all_direct() {
-                println!(
-                    "{:<24} {:>6} {:>7} {:>7} {:>12.0}",
-                    k.name,
-                    k.baseline.len(),
-                    k.baseline.logic_depth(),
-                    k.baseline.mult_depth(),
-                    eager_cost(&k.baseline, &model),
-                );
-            }
-            ExitCode::SUCCESS
-        }
+        Some("list") => exit_after(list(&model)),
         Some("baseline") => {
             let Some(name) = args.get(1) else {
                 return usage();
@@ -320,15 +343,14 @@ fn main() -> ExitCode {
                         return ExitCode::FAILURE;
                     }
                 };
-            match level {
+            exit_after(match level {
                 None => emit(&k.baseline, seal),
                 Some(level) => {
                     let (optimized, report) = opt::optimize(&k.baseline, level);
                     eprintln!("; -{level}: {report}");
-                    emit(&optimized, seal);
+                    emit(&optimized, seal)
                 }
-            }
-            ExitCode::SUCCESS
+            })
         }
         Some("synth") => {
             let Some(name) = args.get(1) else {

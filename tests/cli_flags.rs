@@ -1,6 +1,7 @@
 //! `porcupine synth` rejects malformed numeric flags (and a malformed
 //! `--emit`) as usage errors before any synthesis starts, instead of
-//! silently running with the default.
+//! silently running with the default; and a closed stdout ends a command
+//! quietly instead of panicking.
 
 use std::process::Command;
 
@@ -168,5 +169,26 @@ fn explicit_flags_ignore_malformed_env_vars() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(out.status.success(), "{var}={value} {flag:?}: {stderr}");
         assert!(stderr.contains("components"), "{stderr}");
+    }
+}
+
+/// Writing to a pipe whose reader is gone (`porcupine list | head -0`)
+/// ends the command with a failure status and nothing on stderr: no panic
+/// (status 101), no "Broken pipe" message, no backtrace.
+#[test]
+fn closed_stdout_ends_quietly() {
+    for args in [&["list"][..], &["baseline", "box-blur"]] {
+        let (reader, writer) = std::io::pipe().expect("create a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_porcupine"))
+            .args(args)
+            .stdout(writer)
+            .env("RUST_BACKTRACE", "1")
+            .output()
+            .expect("run the porcupine binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?}: succeeded");
+        assert_ne!(out.status.code(), Some(101), "{args:?} panicked: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
     }
 }

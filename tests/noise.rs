@@ -13,14 +13,15 @@
 //!   silently worsens noise fails loudly here.
 
 use bfv::noise::NoiseModel;
-use bfv::params::{resolve_policy, BfvContext, BfvParams, ParamPolicy};
+use bfv::params::{BfvContext, BfvParams, ParamPolicy};
 use porcupine::codegen::Session;
 use porcupine::opt::{optimize, OptLevel};
-use porcupine::scheme::BfvScheme;
+use porcupine::scheme::{resolve_params, BfvScheme};
 use porcupine_kernels::{all_direct, composite, stencil};
 use proptest::prelude::*;
 use quill::analysis::NoiseSemantics;
 use quill::program::Program;
+use quill::scheme::SchemeId;
 use rand::Rng;
 use test_support::{arb_program, seeded_rng, T};
 
@@ -33,7 +34,7 @@ const MODEL_N: usize = 8;
 /// kernel) falls back to the paper set — the property is an inequality
 /// that holds under *any* parameters, so the fallback keeps it meaningful.
 fn suite_params(prog: &Program) -> [(&'static str, BfvParams); 2] {
-    let auto = resolve_policy(&ParamPolicy::auto(), prog, MODEL_N, T)
+    let auto = resolve_params(SchemeId::Bfv, &ParamPolicy::auto(), prog, MODEL_N, T)
         .unwrap_or_else(|_| BfvParams::paper());
     [("test_small", BfvParams::test_small()), ("auto", auto)]
 }
