@@ -30,6 +30,15 @@
 //!   further, so it is only checked against the masked target (the DFS's
 //!   goal-directed last level) and otherwise discarded without ever
 //!   materializing its full value vector.
+//! * Expanding the level just below the ceiling makes only such checks,
+//!   so its partners are looked up rather than scanned: one index per
+//!   ceiling expansion maps every partner's rotated value at the first
+//!   masked slot to its `(id, rotation)` pairs, and each rotation of `x`
+//!   asks it for the value the op needs there (`target − x` for add,
+//!   `x − target` or `target + x` for sub, `target · x⁻¹` for mul). Only
+//!   the hits go through the full masked check; a multiply by a value
+//!   with no inverse falls back to every partner. The pairs, symmetry
+//!   rules and goal set are those of the scan.
 //!
 //! The caps make the strategy **incomplete**: a returned
 //! [`BottomUpOutcome::Exhausted`] is *not* a proof that the sketch has no
@@ -47,7 +56,7 @@
 //! returns the byte-identical program at any thread count, matching the
 //! DFS driver's contract. Only a deadline expiry is timing-dependent.
 
-use crate::search::{count_search_invocation, Comp, SearchContext};
+use crate::search::{count_search_invocation, Comp, PartnerValue, SearchContext};
 use crate::sketch::{ArithOp, SketchMode, SketchOp};
 use quill::program::Program;
 use std::collections::hash_map::Entry;
@@ -182,10 +191,8 @@ struct BankTerm {
 
 struct Bank<'s, 'a> {
     ctx: &'s SearchContext<'a>,
-    /// Operand rotation amounts, 0 first (`[0]` in explicit mode).
-    rots: Vec<i64>,
     terms: Vec<BankTerm>,
-    /// `rotated[id][k]` = the term's value rotated by `rots[k]`
+    /// `rotated[id][k]` = the term's value rotated by `ctx.rots[k]`
     /// (`rotated[id][0]` is the value itself).
     rotated: Vec<Vec<Vec<u64>>>,
     /// Value vectors already represented in the bank (inputs included).
@@ -227,6 +234,15 @@ impl Ticker<'_> {
         }
         false
     }
+}
+
+/// The ceiling level's partners (the inputs and the cross pool) by their
+/// rotated value at the first masked slot.
+struct PartnerIndex {
+    by_value: HashMap<u64, Vec<(u32, usize)>>,
+    /// Every `(partner, rotation index)`, for slots that do not pin the
+    /// partner down.
+    all: Vec<(u32, usize)>,
 }
 
 fn union_support(a: &[u32], b: &[u32]) -> Vec<u32> {
@@ -298,14 +314,8 @@ impl<'a> SearchContext<'a> {
 
 impl<'s, 'a> Bank<'s, 'a> {
     fn new(ctx: &'s SearchContext<'a>, min_c: usize, max_c: usize) -> Self {
-        let rots = if ctx.sketch.mode == SketchMode::ExplicitRotate {
-            vec![0]
-        } else {
-            ctx.sketch.operand_rotations()
-        };
         let mut bank = Bank {
             ctx,
-            rots,
             terms: Vec::new(),
             rotated: Vec::new(),
             classes: HashSet::new(),
@@ -325,7 +335,7 @@ impl<'s, 'a> Bank<'s, 'a> {
             let id = bank.terms.len() as u32;
             bank.classes.insert(vec.clone());
             bank.rotated.push(
-                bank.rots
+                ctx.rots
                     .iter()
                     .map(|&r| ctx.rotate_concat(&vec, r))
                     .collect(),
@@ -355,12 +365,16 @@ impl<'s, 'a> Bank<'s, 'a> {
             deadline: self.ctx.deadline,
             timed_out: &timed_out,
         };
+        // At the ceiling every pair is a goal check; look its partners up.
+        let index = (level + 1 == self.max_c && !self.ctx.mask_idx.is_empty())
+            .then(|| self.partner_index());
+        let index = index.as_ref();
         let workers = jobs.get().min(ids.len());
         let results: Vec<Vec<GenCand>> = if workers <= 1 {
             let mut local = 0u64;
             let mut out = Vec::with_capacity(ids.len());
             for &x in &ids {
-                match self.expand_unit(x, &ticker, &mut local) {
+                match self.expand_unit(x, index, &ticker, &mut local) {
                     Some(cands) => out.push(cands),
                     None => return Err(()),
                 }
@@ -383,7 +397,7 @@ impl<'s, 'a> Bank<'s, 'a> {
                             if i >= ids.len() || ticker.timed_out.load(Relaxed) {
                                 break;
                             }
-                            match bank.expand_unit(ids[i], ticker, &mut local) {
+                            match bank.expand_unit(ids[i], index, ticker, &mut local) {
                                 Some(cands) => {
                                     collected
                                         .lock()
@@ -415,18 +429,46 @@ impl<'s, 'a> Bank<'s, 'a> {
         Ok(())
     }
 
+    /// Indexes the partners of a ceiling expansion; see [`PartnerIndex`].
+    fn partner_index(&self) -> PartnerIndex {
+        let m0 = self.ctx.mask_idx[0];
+        let all: Vec<(u32, usize)> = (0..self.ctx.num_inputs as u32)
+            .chain(self.pool.iter().copied())
+            .flat_map(|p| (0..self.ctx.rots.len()).map(move |k| (p, k)))
+            .collect();
+        let mut by_value: HashMap<u64, Vec<(u32, usize)>> = HashMap::new();
+        for &(p, k) in &all {
+            by_value
+                .entry(self.rotated[p as usize][k][m0])
+                .or_default()
+                .push((p, k));
+        }
+        PartnerIndex { by_value, all }
+    }
+
     /// All combinations rooted at `x`: unary sketch ops, `(x, x)`,
     /// `(x, p)`/`(p, x)` for every older partner `p` (inputs always; other
-    /// terms only through the cross pool), and explicit rotations.
-    /// Candidate order is a pure function of the bank, never of thread
-    /// timing.
-    fn expand_unit(&self, x: u32, ticker: &Ticker<'_>, local: &mut u64) -> Option<Vec<GenCand>> {
+    /// terms only through the cross pool), and explicit rotations. With a
+    /// ceiling `index`, the partners come from the lookup instead of a
+    /// scan. Candidate order is a pure function of the bank, never of
+    /// thread timing.
+    fn expand_unit(
+        &self,
+        x: u32,
+        index: Option<&PartnerIndex>,
+        ticker: &Ticker<'_>,
+        local: &mut u64,
+    ) -> Option<Vec<GenCand>> {
         let mut out = Vec::new();
         let explicit = self.ctx.sketch.mode == SketchMode::ExplicitRotate;
         let num_inputs = self.ctx.num_inputs as u32;
         for (op_idx, sop) in self.ctx.sketch.ops.iter().enumerate() {
             if sop.op.binary_ct() {
                 self.expand_pair(op_idx, sop, x, x, &mut out, ticker, local)?;
+                if let Some(index) = index {
+                    self.expand_ceiling_partners(op_idx, sop, x, index, &mut out, ticker, local)?;
+                    continue;
+                }
                 for p in 0..num_inputs.min(x) {
                     self.expand_pair(op_idx, sop, x, p, &mut out, ticker, local)?;
                     self.expand_pair(op_idx, sop, p, x, &mut out, ticker, local)?;
@@ -436,12 +478,7 @@ impl<'s, 'a> Bank<'s, 'a> {
                     self.expand_pair(op_idx, sop, p, x, &mut out, ticker, local)?;
                 }
             } else {
-                let lhs_rots = if !explicit && sop.lhs_rot {
-                    self.rots.len()
-                } else {
-                    1
-                };
-                for lr in 0..lhs_rots {
+                for lr in 0..self.ctx.hole_rots(sop).0 {
                     if ticker.check(local) {
                         return None;
                     }
@@ -460,8 +497,22 @@ impl<'s, 'a> Bank<'s, 'a> {
         Some(out)
     }
 
-    /// Enumerates the rotation assignments of one ordered operand pair,
-    /// with the DFS's commutative symmetry breaks mirrored onto bank ids.
+    /// The DFS's commutative symmetry breaks mirrored onto bank ids, and
+    /// the zero `x − x`: whether the pair `(a` rotated by `lr`, `b` rotated
+    /// by `rr)` is left out.
+    fn pair_skipped(&self, sop: &SketchOp, a: u32, lr: usize, b: u32, rr: usize) -> bool {
+        if sop.op.commutative() {
+            if sop.lhs_rot == sop.rhs_rot && (b, rr) < (a, lr) {
+                return true;
+            }
+            if sop.lhs_rot != sop.rhs_rot && self.ctx.rots[rr] == 0 && b < a {
+                return true;
+            }
+        }
+        matches!(sop.op, ArithOp::SubCtCt) && a == b && lr == rr
+    }
+
+    /// Enumerates the rotation assignments of one ordered operand pair.
     #[allow(clippy::too_many_arguments)]
     fn expand_pair(
         &self,
@@ -473,35 +524,60 @@ impl<'s, 'a> Bank<'s, 'a> {
         ticker: &Ticker<'_>,
         local: &mut u64,
     ) -> Option<()> {
-        let explicit = self.ctx.sketch.mode == SketchMode::ExplicitRotate;
-        let lhs_rots = if !explicit && sop.lhs_rot {
-            self.rots.len()
-        } else {
-            1
-        };
-        let rhs_rots = if !explicit && sop.rhs_rot {
-            self.rots.len()
-        } else {
-            1
-        };
-        let symmetric_holes = sop.lhs_rot == sop.rhs_rot;
+        let (lhs_rots, rhs_rots) = self.ctx.hole_rots(sop);
         for lr in 0..lhs_rots {
             for rr in 0..rhs_rots {
                 if ticker.check(local) {
                     return None;
                 }
-                if sop.op.commutative() {
-                    if symmetric_holes && (b, rr) < (a, lr) {
-                        continue;
-                    }
-                    if !symmetric_holes && self.rots[rr] == 0 && b < a {
-                        continue;
+                if !self.pair_skipped(sop, a, lr, b, rr) {
+                    self.emit(op_idx, sop, a, lr, Some((b, rr)), out);
+                }
+            }
+        }
+        Some(())
+    }
+
+    /// The `(x, p)` and `(p, x)` pairs of a ceiling expansion. Each is only
+    /// a goal check, so for every rotation of `x` the partners come from
+    /// `index` by the value the op needs at the first masked slot; `emit`
+    /// then checks every masked slot. The pairs emitted, and the rules
+    /// that admit them, are exactly those of the scan in
+    /// [`Self::expand_unit`].
+    #[allow(clippy::too_many_arguments)]
+    fn expand_ceiling_partners(
+        &self,
+        op_idx: usize,
+        sop: &SketchOp,
+        x: u32,
+        index: &PartnerIndex,
+        out: &mut Vec<GenCand>,
+        ticker: &Ticker<'_>,
+        local: &mut u64,
+    ) -> Option<()> {
+        let (lhs_rots, rhs_rots) = self.ctx.hole_rots(sop);
+        for (x_is_lhs, x_rots, p_rots) in [(true, lhs_rots, rhs_rots), (false, rhs_rots, lhs_rots)]
+        {
+            for xr in 0..x_rots {
+                if ticker.check(local) {
+                    return None;
+                }
+                let known = &self.rotated[x as usize][xr];
+                let hits: &[(u32, usize)] = match self.ctx.partner_need(&sop.op, known, x_is_lhs) {
+                    PartnerValue::Exactly(v) => index.by_value.get(&v).map_or(&[], Vec::as_slice),
+                    PartnerValue::Nothing => continue,
+                    PartnerValue::Any => &index.all,
+                };
+                for &(p, pr) in hits.iter().filter(|&&(p, pr)| p < x && pr < p_rots) {
+                    let (a, lr, b, rr) = if x_is_lhs {
+                        (x, xr, p, pr)
+                    } else {
+                        (p, pr, x, xr)
+                    };
+                    if !self.pair_skipped(sop, a, lr, b, rr) {
+                        self.emit(op_idx, sop, a, lr, Some((b, rr)), out);
                     }
                 }
-                if matches!(sop.op, ArithOp::SubCtCt) && a == b && lr == rr {
-                    continue;
-                }
-                self.emit(op_idx, sop, a, lr, Some((b, rr)), out);
             }
         }
         Some(())
@@ -556,16 +632,16 @@ impl<'s, 'a> Bank<'s, 'a> {
         let is_mul = matches!(sop.op, ArithOp::MulCtCt | ArithOp::MulCtPt(_));
         let mdepth = a_term.mdepth.max(b_md) + is_mul as u32;
         let mut cost = a_term.cost + b_cost + self.ctx.op_latencies[op_idx];
-        if self.rots[lr] != 0 {
+        if self.ctx.rots[lr] != 0 {
             cost += self.ctx.rot_latency;
         }
-        if rhs.is_some() && self.rots[rr] != 0 {
+        if rhs.is_some() && self.ctx.rots[rr] != 0 {
             cost += self.ctx.rot_latency;
         }
         let node = Node::Arith {
             op_idx: op_idx as u32,
-            lhs: (a, self.rots[lr]),
-            rhs: rhs.map(|(b, rr)| (b, self.rots[rr])),
+            lhs: (a, self.ctx.rots[lr]),
+            rhs: rhs.map(|(b, rr)| (b, self.ctx.rots[rr])),
         };
         // A chain step pairs the previous chain node with *itself* (or is
         // unary); terms built purely from inputs seed new chains. Mixing a
@@ -704,7 +780,8 @@ impl<'s, 'a> Bank<'s, 'a> {
             let mut support = cand.support;
             support.push(id);
             self.rotated.push(
-                self.rots
+                self.ctx
+                    .rots
                     .iter()
                     .map(|&r| self.ctx.rotate_concat(&vec, r))
                     .collect(),
@@ -1000,6 +1077,113 @@ mod tests {
                 }
             }
             other => panic!("expected a solution, got {other:?}"),
+        }
+    }
+
+    /// A two-input target, `x_i · y_{i+1} − x_{i+2}`.
+    struct Mixed;
+
+    impl GenericReference for Mixed {
+        fn compute<R: Ring>(&self, ct: &[Vec<R>], _pt: &[Vec<R>]) -> Vec<R> {
+            let (x, y, n) = (&ct[0], &ct[1], ct[0].len());
+            (0..n)
+                .map(|i| x[i].mul(&y[(i + 1) % n]).sub(&x[(i + 2) % n]))
+                .collect()
+        }
+    }
+
+    type Rank = (u64, (u32, u32, i64, u32, i64));
+
+    /// Grows a bank up to its ceiling level and returns the ceiling goals
+    /// its lookup emits, as sorted ranks, with the bank.
+    fn lookup_goals<'s, 'a>(
+        ctx: &'s SearchContext<'a>,
+        max_c: usize,
+        jobs: NonZeroUsize,
+    ) -> (Vec<Rank>, Bank<'s, 'a>) {
+        let mut bank = Bank::new(ctx, 1, max_c);
+        for d in 0..max_c - 1 {
+            bank.expand_level(d, jobs).expect("no deadline");
+            bank.finalize_level(d + 1);
+        }
+        bank.goals[max_c].clear();
+        bank.expand_level(max_c - 1, jobs).expect("no deadline");
+        let mut ranks: Vec<Rank> = bank.goals[max_c].iter().map(cand_rank).collect();
+        ranks.sort_unstable();
+        (ranks, bank)
+    }
+
+    /// The brute-force oracle: every `(term, partner, rotation pair)` of
+    /// the ceiling level through `emit`'s `masked_match`, as the levels
+    /// below the ceiling are expanded.
+    fn scanned_goals(bank: &Bank<'_, '_>) -> Vec<Rank> {
+        let timed_out = AtomicBool::new(false);
+        let ticker = Ticker {
+            deadline: None,
+            timed_out: &timed_out,
+        };
+        let mut ranks: Vec<Rank> = Vec::new();
+        for &x in &bank.levels[bank.max_c - 1] {
+            let unit = bank
+                .expand_unit(x, None, &ticker, &mut 0)
+                .expect("no deadline");
+            ranks.extend(
+                unit.iter()
+                    .filter(|gc| gc.goal)
+                    .map(|gc| cand_rank(&gc.cand)),
+            );
+        }
+        ranks.sort_unstable();
+        ranks
+    }
+
+    /// The ceiling lookup emits exactly the goals a scan of every pair
+    /// does: on a reduction and a stencil rotation set, in both sketch
+    /// modes, under the kernels' `t = 65537`, a small prime and a
+    /// composite `t`, at one and two jobs. A small `t` makes chance goals
+    /// common, so every op meets the lookup with the partner on either
+    /// side, and under `t = 16` half the multiplies have no inverse.
+    #[test]
+    fn ceiling_lookup_matches_a_scan_of_every_pair() {
+        let ops = vec![
+            SketchOp::rotated(ArithOp::SubCtCt),
+            SketchOp::rhs_rotated(ArithOp::AddCtCt),
+            SketchOp::rotated(ArithOp::MulCtCt),
+        ];
+        let sketches = [
+            (8, RotationSet::PowersOfTwo { extent: 8 }),
+            (
+                9,
+                RotationSet::Window {
+                    stride: 3,
+                    radius: 1,
+                },
+            ),
+        ];
+        let model = LatencyModel::profiled_default();
+        for (n, rotations) in sketches {
+            for t in [65537, 17, 16] {
+                let mut mask = vec![false; n];
+                mask[0] = true;
+                let spec = KernelSpec::new("mixed", n, 2, 0, mask, t, Box::new(Mixed));
+                let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+                let examples = vec![spec.sample_example(&mut rng), spec.sample_example(&mut rng)];
+                let local = Sketch::new(ops.clone(), rotations.clone(), 3);
+                let explicit = local.clone().with_explicit_rotations();
+                for (sketch, max_c) in [(local, 2), (explicit, 3)] {
+                    let ctx = SearchContext::new(&spec, &sketch, &examples, &model, None, None);
+                    let (lookup, bank) = lookup_goals(&ctx, max_c, jobs(1));
+                    let scan = scanned_goals(&bank);
+                    let case = format!("n={n} t={t} {:?}", sketch.mode);
+                    // Under t = 65537 chance goals are rare, and explicit
+                    // rotations build the target in four components, past
+                    // this ceiling.
+                    let chance_goals = t < 65537 || sketch.mode == SketchMode::LocalRotate;
+                    assert!(!chance_goals || !scan.is_empty(), "{case}: no goal");
+                    assert_eq!(lookup, scan, "{case}");
+                    assert_eq!(lookup_goals(&ctx, max_c, jobs(2)).0, scan, "{case} jobs=2");
+                }
+            }
         }
     }
 

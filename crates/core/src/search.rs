@@ -16,7 +16,9 @@
 //!   counter-examples restore any distinction that mattered;
 //! * **rotation restrictions** — the sketch's rotation vocabulary (§6.1);
 //! * **goal-directed last level** — only candidates whose value hits the
-//!   target on the masked slots are expanded at the final component;
+//!   target on the masked slots are expanded at the final component; a
+//!   right operand is first tested on the first masked slot against the
+//!   value the left one needs there, before the full masked comparison;
 //! * **branch-and-bound** — in the optimization phase, prefixes whose cost
 //!   lower bound already exceeds the bound are pruned.
 //!
@@ -51,9 +53,12 @@
 //!   plaintext operand values, and the latency table. It is `Sync` and
 //!   shared by reference across worker threads.
 //! * `WorkerState` — the mutable DFS state (placed components, the
-//!   available-value arena, the observational-equivalence map, the running
-//!   cost). Each worker owns one and restores it with snapshots on
-//!   backtrack, exactly as the sequential search always did.
+//!   available-value arena and its operand rotations, the
+//!   observational-equivalence map, the running cost). Each worker owns
+//!   one and restores it with snapshots on backtrack, exactly as the
+//!   sequential search always did. Each available value is rotated once,
+//!   when the first node that can use it enumerates its candidates, and
+//!   the rotations are dropped with the value on backtrack.
 //!
 //! # Subtree partitioning and the determinism contract
 //!
@@ -86,7 +91,7 @@
 //! thread-count-dependent result; it still carries the best program found
 //! so far rather than discarding the partial progress.
 
-use crate::sketch::{ArithOp, Sketch, SketchMode};
+use crate::sketch::{ArithOp, Sketch, SketchMode, SketchOp};
 use crate::spec::{Example, KernelSpec};
 use quill::cost::LatencyModel;
 use quill::program::{Instr, Program, PtOperand, ValRef};
@@ -161,6 +166,8 @@ pub(crate) struct SearchContext<'a> {
     /// Target output, concatenated; compared only at `mask_idx`.
     pub(crate) target: Vec<u64>,
     pub(crate) mask_idx: Vec<usize>,
+    /// Operand rotation amounts, 0 first (`[0]` in explicit mode).
+    pub(crate) rots: Vec<i64>,
     /// Plaintext operand value per sketch op (concatenated), if any.
     pub(crate) pt_values: Vec<Option<Vec<u64>>>,
     pub(crate) op_latencies: Vec<f64>,
@@ -267,9 +274,25 @@ impl<'a> SearchContext<'a> {
             examples.iter().flat_map(|e| f(e).iter().copied()).collect()
         };
         let target = concat(&|e| &e.output);
+        // The partner lookups compare slot values directly, so every
+        // example value must already be a residue.
+        debug_assert!(
+            examples.iter().all(|e| e
+                .ct_inputs
+                .iter()
+                .chain(&e.pt_inputs)
+                .chain([&e.output])
+                .all(|v| v.iter().all(|&x| x < t))),
+            "example values must be reduced mod t"
+        );
         let mask_idx = (0..examples.len() * n)
             .filter(|i| spec.output_mask[i % n])
             .collect();
+        let rots = if sketch.mode == SketchMode::ExplicitRotate {
+            vec![0]
+        } else {
+            sketch.operand_rotations()
+        };
         let pt_values = sketch
             .ops
             .iter()
@@ -309,6 +332,7 @@ impl<'a> SearchContext<'a> {
             num_inputs: spec.num_ct_inputs,
             target,
             mask_idx,
+            rots,
             pt_values,
             op_latencies,
             min_op_latency,
@@ -334,6 +358,7 @@ impl<'a> SearchContext<'a> {
             Goal::First
         };
         let mut root = WorkerState::root(self);
+        root.fill_rotations(self);
         let subtrees = self.candidates(&root, None, num_components == 1);
         let shared = SharedSearch::new();
         let workers = jobs.get().min(subtrees.len()).max(1);
@@ -553,6 +578,7 @@ impl<'a> SearchContext<'a> {
         }
 
         let is_last = remaining == 1;
+        state.fill_rotations(self);
         let candidates = self.candidates(state, comps.last(), is_last);
         for cand in candidates {
             if state.abort != Abort::No {
@@ -628,59 +654,67 @@ impl<'a> SearchContext<'a> {
         self.mask_idx.iter().all(|&i| v[i] == self.target[i])
     }
 
-    /// Enumerates the legal components for the next slot.
+    /// Enumerates the legal components for the next slot. The caller has
+    /// filled `state`'s rotation cache for every available value.
     fn candidates(
         &self,
         state: &WorkerState,
         prev: Option<&Comp>,
         is_last: bool,
     ) -> Vec<Candidate> {
-        let rotated = self.rotated_variants(state);
+        debug_assert_eq!(state.rotated.len(), state.avail.len());
         if is_last {
-            self.candidates_last(state, prev, &rotated)
+            self.candidates_last(state, prev)
         } else {
-            self.candidates_mid(state, prev, &rotated)
+            self.candidates_mid(state, prev)
         }
     }
 
-    /// Pre-computes the rotated variants of every available value.
-    fn rotated_variants(&self, state: &WorkerState) -> Vec<Vec<(i64, Vec<u64>)>> {
-        let rot_choices: Vec<i64> = if self.sketch.mode == SketchMode::ExplicitRotate {
-            vec![0]
-        } else {
-            self.sketch.operand_rotations()
+    /// How many operand rotations each hole of `sop` ranges over (indices
+    /// into `rots`; only rotation 0 in explicit mode or on a plain hole).
+    pub(crate) fn hole_rots(&self, sop: &SketchOp) -> (usize, usize) {
+        let explicit = self.sketch.mode == SketchMode::ExplicitRotate;
+        let count = |rotated: bool| {
+            if !explicit && rotated {
+                self.rots.len()
+            } else {
+                1
+            }
         };
-        state
-            .avail
-            .iter()
-            .map(|a| {
-                rot_choices
-                    .iter()
-                    .map(|&r| (r, self.rotate_concat(&a.vec, r)))
-                    .collect()
-            })
-            .collect()
+        (count(sop.lhs_rot), count(sop.rhs_rot))
     }
 
-    fn candidates_mid(
+    /// What the other operand of a binary ciphertext op must hold at the
+    /// first masked slot for `op` to hit the target there, given one
+    /// operand's value vector `known` (the left operand when
+    /// `known_is_lhs`).
+    pub(crate) fn partner_need(
         &self,
-        state: &WorkerState,
-        prev: Option<&Comp>,
-        rotated: &[Vec<(i64, Vec<u64>)>],
-    ) -> Vec<Candidate> {
+        op: &ArithOp,
+        known: &[u64],
+        known_is_lhs: bool,
+    ) -> PartnerValue {
+        match self.mask_idx.first() {
+            Some(&i) => partner_value(op, self.t, known[i], known_is_lhs, self.target[i]),
+            None => PartnerValue::Any,
+        }
+    }
+
+    /// Whether `partner` passes [`Self::partner_need`]'s first-slot test.
+    fn partner_admits(&self, need: PartnerValue, partner: &[u64]) -> bool {
+        match need {
+            PartnerValue::Exactly(v) => partner[self.mask_idx[0]] == v,
+            PartnerValue::Nothing => false,
+            PartnerValue::Any => true,
+        }
+    }
+
+    fn candidates_mid(&self, state: &WorkerState, prev: Option<&Comp>) -> Vec<Candidate> {
         let mut out = Vec::new();
+        let rotated = &state.rotated;
         let explicit = self.sketch.mode == SketchMode::ExplicitRotate;
         for (op_idx, sop) in self.sketch.ops.iter().enumerate() {
-            let lhs_rots = if !explicit && sop.lhs_rot {
-                rotated[0].len()
-            } else {
-                1
-            };
-            let rhs_rots = if !explicit && sop.rhs_rot {
-                rotated[0].len()
-            } else {
-                1
-            };
+            let (lhs_rots, rhs_rots) = self.hole_rots(sop);
             if sop.op.binary_ct() {
                 let symmetric_holes = sop.lhs_rot == sop.rhs_rot;
                 for li in 0..state.avail.len() {
@@ -694,7 +728,7 @@ impl<'a> SearchContext<'a> {
                                     }
                                     // Asymmetric holes: only the unrotated
                                     // case is genuinely symmetric.
-                                    if !symmetric_holes && rotated[ri][rr].0 == 0 && ri < li {
+                                    if !symmetric_holes && self.rots[rr] == 0 && ri < li {
                                         continue;
                                     }
                                 }
@@ -702,17 +736,20 @@ impl<'a> SearchContext<'a> {
                                 if matches!(sop.op, ArithOp::SubCtCt) && li == ri && lr == rr {
                                     continue;
                                 }
-                                let lhs = &rotated[li][lr];
-                                let rhs = &rotated[ri][rr];
-                                let vec = self.apply_op(&sop.op, op_idx, &lhs.1, Some(&rhs.1));
+                                let vec = self.apply_op(
+                                    &sop.op,
+                                    op_idx,
+                                    &rotated[li][lr],
+                                    Some(&rotated[ri][rr]),
+                                );
                                 self.consider(
                                     state,
                                     prev,
                                     false,
                                     Comp::Arith {
                                         op_idx,
-                                        lhs: (li, lhs.0),
-                                        rhs: Some((ri, rhs.0)),
+                                        lhs: (li, self.rots[lr]),
+                                        rhs: Some((ri, self.rots[rr])),
                                     },
                                     vec,
                                     &mut out,
@@ -723,15 +760,15 @@ impl<'a> SearchContext<'a> {
                 }
             } else {
                 for (li, variants) in rotated.iter().enumerate() {
-                    for lhs in variants.iter().take(lhs_rots) {
-                        let vec = self.apply_op(&sop.op, op_idx, &lhs.1, None);
+                    for (lr, lhs) in variants.iter().enumerate().take(lhs_rots) {
+                        let vec = self.apply_op(&sop.op, op_idx, lhs, None);
                         self.consider(
                             state,
                             prev,
                             false,
                             Comp::Arith {
                                 op_idx,
-                                lhs: (li, lhs.0),
+                                lhs: (li, self.rots[lr]),
                                 rhs: None,
                             },
                             vec,
@@ -767,15 +804,13 @@ impl<'a> SearchContext<'a> {
     /// Goal-directed final component (§6-style formulation optimization):
     /// it must produce the target on the masked slots *and* consume every
     /// still-unused intermediate, so enumeration is restricted to the (at
-    /// most two) unused values and checked with an early-exit masked
-    /// comparison before the full vector is materialized.
-    fn candidates_last(
-        &self,
-        state: &WorkerState,
-        prev: Option<&Comp>,
-        rotated: &[Vec<(i64, Vec<u64>)>],
-    ) -> Vec<Candidate> {
+    /// most two) unused values. A right operand is first tested on the
+    /// first masked slot against the value the left one needs there
+    /// ([`partner_value`]), then with an early-exit masked comparison,
+    /// before the full vector is materialized.
+    fn candidates_last(&self, state: &WorkerState, prev: Option<&Comp>) -> Vec<Candidate> {
         let mut out = Vec::new();
+        let rotated = &state.rotated;
         let unused: Vec<usize> = state
             .avail
             .iter()
@@ -792,6 +827,7 @@ impl<'a> SearchContext<'a> {
 
         for (op_idx, sop) in self.sketch.ops.iter().enumerate() {
             let op = sop.op.clone();
+            let (lhs_rots, rhs_rots) = self.hole_rots(sop);
             if sop.op.binary_ct() {
                 // (lhs pool, rhs pool) pairs that cover the unused values.
                 let pools: Vec<(Vec<usize>, Vec<usize>)> = match unused.len() {
@@ -808,41 +844,41 @@ impl<'a> SearchContext<'a> {
                 let symmetric_holes = sop.lhs_rot == sop.rhs_rot;
                 for (lhs_pool, rhs_pool) in pools {
                     for &li in &lhs_pool {
-                        let lhs_variants: &[(i64, Vec<u64>)] = if !explicit && sop.lhs_rot {
-                            &rotated[li]
-                        } else {
-                            &rotated[li][..1]
-                        };
-                        for lhs in lhs_variants {
+                        for (lr, lhs) in rotated[li].iter().enumerate().take(lhs_rots) {
+                            let lhs_rot = self.rots[lr];
+                            let need = self.partner_need(&op, lhs, true);
+                            if need == PartnerValue::Nothing {
+                                continue;
+                            }
                             for &ri in &rhs_pool {
-                                let rhs_variants: &[(i64, Vec<u64>)] = if !explicit && sop.rhs_rot {
-                                    &rotated[ri]
-                                } else {
-                                    &rotated[ri][..1]
-                                };
-                                for rhs in rhs_variants {
+                                for (rr, rhs) in rotated[ri].iter().enumerate().take(rhs_rots) {
+                                    let rhs_rot = self.rots[rr];
                                     if op.commutative()
                                         && symmetric_holes
-                                        && (ri, rhs.0) < (li, lhs.0)
+                                        && (ri, rhs_rot) < (li, lhs_rot)
                                     {
                                         continue;
                                     }
-                                    if matches!(op, ArithOp::SubCtCt) && li == ri && lhs.0 == rhs.0
+                                    if matches!(op, ArithOp::SubCtCt)
+                                        && li == ri
+                                        && lhs_rot == rhs_rot
                                     {
                                         continue;
                                     }
-                                    if !self.masked_match(&op, op_idx, &lhs.1, Some(&rhs.1)) {
+                                    if !self.partner_admits(need, rhs)
+                                        || !self.masked_match(&op, op_idx, lhs, Some(rhs))
+                                    {
                                         continue;
                                     }
-                                    let vec = self.apply_op(&op, op_idx, &lhs.1, Some(&rhs.1));
+                                    let vec = self.apply_op(&op, op_idx, lhs, Some(rhs));
                                     self.consider(
                                         state,
                                         prev,
                                         true,
                                         Comp::Arith {
                                             op_idx,
-                                            lhs: (li, lhs.0),
-                                            rhs: Some((ri, rhs.0)),
+                                            lhs: (li, lhs_rot),
+                                            rhs: Some((ri, rhs_rot)),
                                         },
                                         vec,
                                         &mut out,
@@ -862,23 +898,18 @@ impl<'a> SearchContext<'a> {
                     all.clone()
                 };
                 for &li in &pool {
-                    let lhs_variants: &[(i64, Vec<u64>)] = if !explicit && sop.lhs_rot {
-                        &rotated[li]
-                    } else {
-                        &rotated[li][..1]
-                    };
-                    for lhs in lhs_variants {
-                        if !self.masked_match(&op, op_idx, &lhs.1, None) {
+                    for (lr, lhs) in rotated[li].iter().enumerate().take(lhs_rots) {
+                        if !self.masked_match(&op, op_idx, lhs, None) {
                             continue;
                         }
-                        let vec = self.apply_op(&op, op_idx, &lhs.1, None);
+                        let vec = self.apply_op(&op, op_idx, lhs, None);
                         self.consider(
                             state,
                             prev,
                             true,
                             Comp::Arith {
                                 op_idx,
-                                lhs: (li, lhs.0),
+                                lhs: (li, self.rots[lr]),
                                 rhs: None,
                             },
                             vec,
@@ -1066,6 +1097,10 @@ fn comp_uses_last(c: &Comp, last_idx: usize) -> bool {
 /// snapshots on backtrack.
 struct WorkerState {
     avail: Vec<AvailEntry>,
+    /// `rotated[i][k]` is `avail[i].vec` rotated by `ctx.rots[k]`. Filled
+    /// by [`WorkerState::fill_rotations`] just before a node enumerates
+    /// candidates and truncated by `pop`, so each value is rotated once.
+    rotated: Vec<Vec<Vec<u64>>>,
     value_set: HashMap<Vec<u64>, u32>,
     /// Distinct (value, rotation) pairs charged a rotation latency.
     rot_used: HashMap<(usize, i64), u32>,
@@ -1103,12 +1138,25 @@ impl WorkerState {
         }
         WorkerState {
             avail,
+            rotated: Vec::new(),
             value_set,
             rot_used: HashMap::new(),
             latency_sum: 0.0,
             max_mdepth: 0,
             nodes: 0,
             abort: Abort::No,
+        }
+    }
+
+    /// Rotates every value pushed since the last fill.
+    fn fill_rotations(&mut self, ctx: &SearchContext<'_>) {
+        for a in &self.avail[self.rotated.len()..] {
+            self.rotated.push(
+                ctx.rots
+                    .iter()
+                    .map(|&r| ctx.rotate_concat(&a.vec, r))
+                    .collect(),
+            );
         }
     }
 
@@ -1169,6 +1217,7 @@ impl WorkerState {
 
     fn pop(&mut self, snap: Snapshot) {
         let entry = self.avail.pop().expect("state underflow");
+        self.rotated.truncate(self.avail.len());
         if let Some(c) = self.value_set.get_mut(&entry.vec) {
             *c -= 1;
             if *c == 0 {
@@ -1189,6 +1238,64 @@ impl WorkerState {
         self.latency_sum = snap.latency_sum;
         self.max_mdepth = snap.max_mdepth;
     }
+}
+
+/// What one slot of a binary ciphertext op's unknown operand must hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PartnerValue {
+    /// Exactly this residue.
+    Exactly(u64),
+    /// No residue: `0 · b` never equals a nonzero target.
+    Nothing,
+    /// The slot does not pin the operand down: `0 · b = 0` for every `b`,
+    /// or the known operand is a zero divisor of a composite `t`.
+    Any,
+}
+
+/// The value the unknown operand of `op` must hold at one slot for the op
+/// to produce `target` there, given the other operand's value `known` (the
+/// left operand when `known_is_lhs`). `known` and `target` are residues
+/// mod `t`. Add needs `target − known`; sub needs `known − target` as its
+/// right operand or `target + known` as its left; mul needs
+/// `target · known⁻¹`.
+pub(crate) fn partner_value(
+    op: &ArithOp,
+    t: u64,
+    known: u64,
+    known_is_lhs: bool,
+    target: u64,
+) -> PartnerValue {
+    let (t128, k, g) = (t as u128, known as u128, target as u128);
+    let v = match op {
+        ArithOp::AddCtCt => (g + t128 - k) % t128,
+        ArithOp::SubCtCt if known_is_lhs => (k + t128 - g) % t128,
+        ArithOp::SubCtCt => (g + k) % t128,
+        ArithOp::MulCtCt if known == 0 => {
+            return if target == 0 {
+                PartnerValue::Any
+            } else {
+                PartnerValue::Nothing
+            };
+        }
+        ArithOp::MulCtCt => match inverse_mod(known, t) {
+            Some(inv) => g * inv as u128 % t128,
+            None => return PartnerValue::Any,
+        },
+        _ => unreachable!("partner values exist for binary ciphertext ops only"),
+    };
+    PartnerValue::Exactly(v as u64)
+}
+
+/// `a⁻¹ mod t`, if `a` is a unit.
+fn inverse_mod(a: u64, t: u64) -> Option<u64> {
+    let (mut r0, mut r1) = (t as i128, a as i128 % t as i128);
+    let (mut s0, mut s1) = (0i128, 1i128);
+    while r1 != 0 {
+        let q = r0 / r1;
+        (r0, r1) = (r1, r0 - q * r1);
+        (s0, s1) = (s1, s0 - q * s1);
+    }
+    (r0 == 1).then(|| s0.rem_euclid(t as i128) as u64)
 }
 
 fn zip_mod(a: &[u64], b: &[u64], t: u64, f: impl Fn(u128, u128) -> u128) -> Vec<u64> {
@@ -1293,6 +1400,74 @@ mod tests {
                 assert_eq!(out[0], examples[0].output[0]);
             }
             other => panic!("expected solution, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn partner_values_solve_each_op_for_either_operand() {
+        use PartnerValue::{Any, Exactly, Nothing};
+        let t = 17;
+        // 5 + 15 = 3 (mod 17), whichever side 5 is on.
+        assert_eq!(partner_value(&ArithOp::AddCtCt, t, 5, true, 3), Exactly(15));
+        assert_eq!(
+            partner_value(&ArithOp::AddCtCt, t, 5, false, 3),
+            Exactly(15)
+        );
+        // 5 − 2 = 3 and 8 − 5 = 3; 3 − 15 = 5 wraps.
+        assert_eq!(partner_value(&ArithOp::SubCtCt, t, 5, true, 3), Exactly(2));
+        assert_eq!(partner_value(&ArithOp::SubCtCt, t, 5, false, 3), Exactly(8));
+        assert_eq!(partner_value(&ArithOp::SubCtCt, t, 3, true, 5), Exactly(15));
+        // 5 · 4 = 20 = 3 (mod 17).
+        assert_eq!(partner_value(&ArithOp::MulCtCt, t, 5, true, 3), Exactly(4));
+        assert_eq!(partner_value(&ArithOp::MulCtCt, t, 5, false, 3), Exactly(4));
+        // 0 · b is 0 for every b, and never anything else.
+        assert_eq!(partner_value(&ArithOp::MulCtCt, t, 0, true, 0), Any);
+        assert_eq!(partner_value(&ArithOp::MulCtCt, t, 0, false, 7), Nothing);
+        // Under t = 2^16 an even value has no inverse: enumerate instead.
+        let t = 1 << 16;
+        assert_eq!(partner_value(&ArithOp::MulCtCt, t, 2, true, 6), Any);
+        assert_eq!(partner_value(&ArithOp::MulCtCt, t, 6, false, 4), Any);
+        // An odd one does: 3 · 43691 = 131073 = 1 (mod 2^16).
+        assert_eq!(
+            partner_value(&ArithOp::MulCtCt, t, 3, true, 1),
+            Exactly(43691)
+        );
+    }
+
+    /// Against brute force over every residue of a prime and two composite
+    /// moduli: `Exactly(v)` means `v` is the one solution, `Nothing` that
+    /// there is none, and every unit gets an `Exactly`.
+    #[test]
+    fn partner_values_match_brute_force() {
+        for t in [17u64, 12, 16] {
+            for op in [ArithOp::AddCtCt, ArithOp::SubCtCt, ArithOp::MulCtCt] {
+                for known in 0..t {
+                    for target in 0..t {
+                        for known_is_lhs in [true, false] {
+                            let apply = |b: u64| {
+                                let (l, r) = if known_is_lhs { (known, b) } else { (b, known) };
+                                match op {
+                                    ArithOp::AddCtCt => (l + r) % t,
+                                    ArithOp::SubCtCt => (l + t - r) % t,
+                                    _ => l * r % t,
+                                }
+                            };
+                            let sols: Vec<u64> = (0..t).filter(|&b| apply(b) == target).collect();
+                            let got = partner_value(&op, t, known, known_is_lhs, target);
+                            let case = format!("t={t} {op:?} known={known} target={target}");
+                            match got {
+                                PartnerValue::Exactly(v) => assert_eq!(sols, vec![v], "{case}"),
+                                PartnerValue::Nothing => assert!(sols.is_empty(), "{case}"),
+                                PartnerValue::Any => assert!(
+                                    matches!(op, ArithOp::MulCtCt)
+                                        && inverse_mod(known, t).is_none(),
+                                    "{case}"
+                                ),
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

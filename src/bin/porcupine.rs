@@ -55,8 +55,21 @@ use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use std::time::Duration;
 
-fn usage() -> ExitCode {
-    eprintln!(
+/// Stderr, locked once for the whole run. Report lines are diagnostics:
+/// one that cannot be written (say, its reader has gone away) is dropped,
+/// so a closed stderr neither panics nor keeps the program from stdout.
+struct Report(io::StderrLock<'static>);
+
+impl Report {
+    /// What `writeln!(err, …)` calls: write, and ignore a failure.
+    fn write_fmt(&mut self, args: std::fmt::Arguments<'_>) {
+        let _ = self.0.write_fmt(args);
+    }
+}
+
+fn usage(err: &mut Report) -> ExitCode {
+    writeln!(
+        err,
         "usage:\n  porcupine list\n  porcupine synth <kernel> [--timeout <s>] [--emit seal|quill] [--explicit] [--auto] [--seed <n>] [--jobs <n>] [-O<0|2>] [--scheme bfv|bgv] [--size <n>] [--params auto|paper] [--margin-bits <n>] [--strategy bottom-up|dfs] [--cache <dir>] [--no-cache] [--eval-jobs <n>]\n  porcupine baseline <kernel> [--emit seal|quill] [-O<0|2>]"
     );
     ExitCode::FAILURE
@@ -178,12 +191,12 @@ fn list(model: &LatencyModel) -> io::Result<()> {
 /// The exit status after writing to stdout. A failed write is a failure,
 /// reported on stderr unless the reader has gone away (`porcupine list |
 /// head -1`): then the command ends quietly.
-fn exit_after(written: io::Result<()>) -> ExitCode {
+fn exit_after(err: &mut Report, written: io::Result<()>) -> ExitCode {
     match written {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             if e.kind() != io::ErrorKind::BrokenPipe {
-                eprintln!("writing to stdout failed: {e}");
+                writeln!(err, "writing to stdout failed: {e}");
             }
             ExitCode::FAILURE
         }
@@ -232,6 +245,7 @@ fn parse_opt_level(args: &[String]) -> Result<Option<OptLevel>, String> {
 /// Prints the resolved parameter set and, for auto selection, the noise
 /// analysis behind it.
 fn report_params(
+    err: &mut Report,
     scheme: SchemeId,
     optimized: &quill::program::Program,
     params: &BfvParams,
@@ -243,7 +257,8 @@ fn report_params(
         ParamPolicy::Auto { .. } => "auto",
         ParamPolicy::Fixed(_) => "fixed",
     };
-    eprintln!(
+    writeln!(
+        err,
         "; params ({mode}, {scheme}): N = {}, t = {}, q = {} primes / {total_bits} bits",
         params.poly_degree,
         params.plain_modulus,
@@ -251,7 +266,8 @@ fn report_params(
     );
     if verbose {
         let report = porcupine::scheme::analyze_noise(scheme, params, optimized);
-        eprintln!(
+        writeln!(
+            err,
             "; noise: fresh budget {:.1} bits, worst-case consumed {:.1}, predicted >= {:.1} at decryption",
             report.fresh_budget_bits, report.consumed_bits, report.predicted_budget_bits,
         );
@@ -262,6 +278,7 @@ fn report_params(
 /// encrypted cross-check, and program/SEAL emission.
 #[allow(clippy::too_many_arguments)]
 fn finish_synth(
+    err: &mut Report,
     k: &PaperKernel,
     optimized: &quill::program::Program,
     params: &Result<BfvParams, bfv::params::SelectError>,
@@ -273,6 +290,7 @@ fn finish_synth(
     match params {
         Ok(params) => {
             report_params(
+                err,
                 options.scheme,
                 optimized,
                 params,
@@ -291,12 +309,13 @@ fn finish_synth(
                     options.seed,
                     eval_jobs,
                 ) {
-                    Ok(budget) => eprintln!(
+                    Ok(budget) => writeln!(
+                        err,
                         "; encrypted check: backend matches interpreter on all masked \
                          slots, {budget} bits of noise budget left"
                     ),
                     Err(e) => {
-                        eprintln!("encrypted check failed: {e}");
+                        writeln!(err, "encrypted check failed: {e}");
                         return ExitCode::FAILURE;
                     }
                 }
@@ -305,12 +324,12 @@ fn finish_synth(
         // With `--params` the user asked for certified parameters: fail.
         // Without, emission needs no parameters; note the failure and go on.
         Err(e) if run_check => {
-            eprintln!("parameter selection failed: {e}");
+            writeln!(err, "parameter selection failed: {e}");
             return ExitCode::FAILURE;
         }
-        Err(e) => eprintln!("; params: selection failed ({e}); emitting code only"),
+        Err(e) => writeln!(err, "; params: selection failed ({e}); emitting code only"),
     }
-    exit_after(emit(optimized, seal))
+    exit_after(err, emit(optimized, seal))
 }
 
 fn main() -> ExitCode {
@@ -323,14 +342,15 @@ fn main() -> ExitCode {
         args.insert(0, "synth".to_string());
     }
     let model = LatencyModel::profiled_default();
+    let err = &mut Report(io::stderr().lock());
     match args.first().map(String::as_str) {
-        Some("list") => exit_after(list(&model)),
+        Some("list") => exit_after(err, list(&model)),
         Some("baseline") => {
             let Some(name) = args.get(1) else {
-                return usage();
+                return usage(err);
             };
             let Some(k) = direct_kernel(name, None) else {
-                eprintln!("unknown kernel '{name}' (try `porcupine list`)");
+                writeln!(err, "unknown kernel '{name}' (try `porcupine list`)");
                 return ExitCode::FAILURE;
             };
             // Without an explicit -O flag the raw baseline prints as-is;
@@ -339,38 +359,40 @@ fn main() -> ExitCode {
                 match parse_opt_level(&args).and_then(|l| Ok((l, emit_seal(&args)?))) {
                     Ok(flags) => flags,
                     Err(e) => {
-                        eprintln!("{e}");
+                        writeln!(err, "{e}");
                         return ExitCode::FAILURE;
                     }
                 };
-            exit_after(match level {
+            let written = match level {
                 None => emit(&k.baseline, seal),
                 Some(level) => {
                     let (optimized, report) = opt::optimize(&k.baseline, level);
-                    eprintln!("; -{level}: {report}");
+                    writeln!(err, "; -{level}: {report}");
                     emit(&optimized, seal)
                 }
-            })
+            };
+            exit_after(err, written)
         }
         Some("synth") => {
             let Some(name) = args.get(1) else {
-                return usage();
+                return usage(err);
             };
             let flags = match NumericFlags::parse(&args) {
                 Ok(flags) => flags,
                 Err(e) => {
-                    eprintln!("{e}");
+                    writeln!(err, "{e}");
                     return ExitCode::FAILURE;
                 }
             };
             let size = flags.size;
             let Some(k) = direct_kernel(name, size) else {
                 match size {
-                    Some(s) => eprintln!(
+                    Some(s) => writeln!(
+                        err,
                         "kernel '{name}' does not exist or cannot take size {s} \
                          (reductions need a power of two; try `porcupine list`)"
                     ),
-                    None => eprintln!("unknown kernel '{name}' (try `porcupine list`)"),
+                    None => writeln!(err, "unknown kernel '{name}' (try `porcupine list`)"),
                 }
                 return ExitCode::FAILURE;
             };
@@ -391,7 +413,7 @@ fn main() -> ExitCode {
             let (params_mode, scheme, opt_level, strategy, cache_dir, seal) = match resolved {
                 Ok(resolved) => resolved,
                 Err(e) => {
-                    eprintln!("{e}");
+                    writeln!(err, "{e}");
                     return ExitCode::FAILURE;
                 }
             };
@@ -435,7 +457,7 @@ fn main() -> ExitCode {
                     {
                         Ok(p) => p,
                         Err(e) => {
-                            eprintln!("staged synthesis failed: {e}");
+                            writeln!(err, "staged synthesis failed: {e}");
                             return ExitCode::FAILURE;
                         }
                     };
@@ -447,13 +469,15 @@ fn main() -> ExitCode {
                         k.spec.n,
                         k.spec.t,
                     );
-                    eprintln!(
+                    writeln!(
+                        err,
                         "; multi-step (§6.3): {} stages, total {:.2?}, jobs: {}",
                         1 + len.ilog2(),
                         start.elapsed(),
                         options.parallelism,
                     );
-                    eprintln!(
+                    writeln!(
+                        err,
                         "; -{}: {} ({} instrs stitched → {} lowered, {} relin, {} rot)",
                         options.opt_level,
                         opt_report,
@@ -463,6 +487,7 @@ fn main() -> ExitCode {
                         optimized.rot_count(),
                     );
                     return finish_synth(
+                        err,
                         &k,
                         &optimized,
                         &params,
@@ -484,7 +509,8 @@ fn main() -> ExitCode {
             };
             match synthesize(&k.spec, &sketch, &options) {
                 Ok(r) => {
-                    eprintln!(
+                    writeln!(
+                        err,
                         "; {} components, {} examples, initial {:.2?}, total {:.2?}, optimal: {}, jobs: {}",
                         r.components,
                         r.examples_used,
@@ -493,18 +519,21 @@ fn main() -> ExitCode {
                         r.proved_optimal,
                         options.parallelism,
                     );
-                    eprintln!(
+                    writeln!(
+                        err,
                         "; strategy: {}, cache: {}",
                         r.strategy_used,
                         if r.cache_hit { "hit" } else { "miss" },
                     );
-                    eprintln!(
+                    writeln!(
+                        err,
                         "; cost {:.0} (baseline {:.0}, {} latency model)",
                         r.final_cost,
                         eager_cost(&k.baseline, &options.latency),
                         options.scheme,
                     );
-                    eprintln!(
+                    writeln!(
+                        err,
                         "; -{}: {} ({} instrs searched → {} lowered, {} relin, {} rot)",
                         options.opt_level,
                         r.opt_report,
@@ -514,6 +543,7 @@ fn main() -> ExitCode {
                         r.optimized.rot_count(),
                     );
                     finish_synth(
+                        err,
                         &k,
                         &r.optimized,
                         &r.params,
@@ -524,11 +554,11 @@ fn main() -> ExitCode {
                     )
                 }
                 Err(e) => {
-                    eprintln!("synthesis failed: {e}");
+                    writeln!(err, "synthesis failed: {e}");
                     ExitCode::FAILURE
                 }
             }
         }
-        _ => usage(),
+        _ => usage(err),
     }
 }

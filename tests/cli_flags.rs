@@ -1,7 +1,8 @@
 //! `porcupine synth` rejects malformed numeric flags (and a malformed
 //! `--emit`) as usage errors before any synthesis starts, instead of
-//! silently running with the default; and a closed stdout ends a command
-//! quietly instead of panicking.
+//! silently running with the default; a closed stdout ends a command
+//! quietly instead of panicking; and a closed stderr costs only the report
+//! lines.
 
 use std::process::Command;
 
@@ -190,5 +191,27 @@ fn closed_stdout_ends_quietly() {
         assert!(!out.status.success(), "{args:?}: succeeded");
         assert_ne!(out.status.code(), Some(101), "{args:?} panicked: {stderr}");
         assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
+}
+
+/// With stderr a pipe whose reader is gone, the report lines are lost but
+/// nothing else: the command exits 0 with its program on stdout, where a
+/// report line written before the program used to panic (status 101).
+#[test]
+fn closed_stderr_still_prints_the_program() {
+    for args in [
+        &["baseline", "box-blur", "-O2"][..],
+        &["synth", "box-blur", "--no-cache"],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("create a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_porcupine"))
+            .args(args)
+            .stderr(writer)
+            .output()
+            .expect("run the porcupine binary");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stdout}");
+        assert!(stdout.starts_with("(kernel box-blur"), "{args:?}: {stdout}");
     }
 }
