@@ -629,7 +629,7 @@ impl<'s, 'a> Bank<'s, 'a> {
         if size > self.max_c {
             return;
         }
-        let is_mul = matches!(sop.op, ArithOp::MulCtCt | ArithOp::MulCtPt(_));
+        let is_mul = sop.op.is_mul();
         let mdepth = a_term.mdepth.max(b_md) + is_mul as u32;
         let mut cost = a_term.cost + b_cost + self.ctx.op_latencies[op_idx];
         if self.ctx.rots[lr] != 0 {

@@ -273,6 +273,17 @@ pub enum SynthesisError {
     /// Verification failed but no concrete counter-example could be
     /// sampled (probabilistically negligible).
     CounterExampleExtraction,
+    /// An entry of [`SynthesisOptions::latency`] is negative, NaN or
+    /// infinite. Branch-and-bound, its optimality proof and the search's
+    /// bit-pattern ordering of costs all assume non-negative finite
+    /// latencies, so [`synthesize`] rejects the model before the cache or
+    /// any search is consulted.
+    InvalidLatency {
+        /// The [`LatencyModel`] field.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for SynthesisError {
@@ -286,6 +297,10 @@ impl fmt::Display for SynthesisError {
             SynthesisError::CounterExampleExtraction => {
                 write!(f, "could not extract a concrete counter-example")
             }
+            SynthesisError::InvalidLatency { field, value } => write!(
+                f,
+                "latency model entry `{field}` is {value}; latencies must be finite and non-negative"
+            ),
         }
     }
 }
@@ -332,6 +347,16 @@ pub fn synthesize(
     sketch: &Sketch,
     options: &SynthesisOptions,
 ) -> Result<SynthesisResult, SynthesisError> {
+    // `-0.0` is rejected too: its bit pattern would sort above every
+    // positive cost.
+    if let Some(&(field, value)) = options
+        .latency
+        .entries()
+        .iter()
+        .find(|(_, v)| !(v.is_finite() && v.is_sign_positive()))
+    {
+        return Err(SynthesisError::InvalidLatency { field, value });
+    }
     let start = Instant::now();
     let mut rng = StdRng::seed_from_u64(options.seed);
 
@@ -729,6 +754,43 @@ mod tests {
             err,
             SynthesisError::SketchTooRestrictive { max_components: 1 }
         );
+    }
+
+    /// A negative or NaN latency would silently break branch-and-bound
+    /// and still claim `proved_optimal`; it is rejected before any search.
+    #[test]
+    fn malformed_latency_models_are_typed_errors() {
+        let spec = sum_spec(8);
+        let sketch = Sketch::new(
+            vec![SketchOp::rotated(ArithOp::AddCtCt)],
+            RotationSet::PowersOfTwo { extent: 8 },
+            4,
+        );
+        let with_latency = |latency| SynthesisOptions {
+            latency,
+            ..quick_options()
+        };
+        let negative = LatencyModel {
+            rot_ct: -1.0,
+            ..LatencyModel::uniform()
+        };
+        assert_eq!(
+            synthesize(&spec, &sketch, &with_latency(negative)).unwrap_err(),
+            SynthesisError::InvalidLatency {
+                field: "rot_ct",
+                value: -1.0
+            }
+        );
+        let nan = LatencyModel {
+            add_ct_ct: f64::NAN,
+            ..LatencyModel::uniform()
+        };
+        let err = synthesize(&spec, &sketch, &with_latency(nan)).unwrap_err();
+        assert!(
+            matches!(err, SynthesisError::InvalidLatency { field: "add_ct_ct", value } if value.is_nan()),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("add_ct_ct"), "{err}");
     }
 
     #[test]

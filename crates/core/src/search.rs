@@ -20,7 +20,14 @@
 //!   right operand is first tested on the first masked slot against the
 //!   value the left one needs there, before the full masked comparison;
 //! * **branch-and-bound** — in the optimization phase, prefixes whose cost
-//!   lower bound already exceeds the bound are pruned.
+//!   lower bound already exceeds the bound are pruned. The bound prices
+//!   what the prefix has placed, every missing component at the cheapest
+//!   op, and what the spec itself forces on any correct completion: the
+//!   multiplies still needed to reach the output's degree, and the
+//!   rotations still needed to gather its slot offsets (see
+//!   [`spec_bounds`] and `SearchContext::bnb_cut`). It is applied to each
+//!   candidate before its value vector is computed, and the last
+//!   component is priced exactly.
 //!
 //! Like the SMT query, an exhausted search is a *proof* that no program (of
 //! the given component count, satisfying the examples, under the cost
@@ -57,8 +64,8 @@
 //!   observational-equivalence map, the running cost). Each worker owns
 //!   one and restores it with snapshots on backtrack, exactly as the
 //!   sequential search always did. Each available value is rotated once,
-//!   when the first node that can use it enumerates its candidates, and
-//!   the rotations are dropped with the value on backtrack.
+//!   when the first node that can use it enumerates its candidates; on
+//!   backtrack its rotation buffers are kept for the next value.
 //!
 //! # Subtree partitioning and the determinism contract
 //!
@@ -95,6 +102,7 @@ use crate::sketch::{ArithOp, Sketch, SketchMode, SketchOp};
 use crate::spec::{Example, KernelSpec};
 use quill::cost::LatencyModel;
 use quill::program::{Instr, Program, PtOperand, ValRef};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
@@ -172,10 +180,61 @@ pub(crate) struct SearchContext<'a> {
     pub(crate) pt_values: Vec<Option<Vec<u64>>>,
     pub(crate) op_latencies: Vec<f64>,
     pub(crate) min_op_latency: f64,
+    /// The cheapest multiply in the sketch (a ct×ct one with its eager
+    /// relin), or infinity when the sketch has none.
+    min_mul_latency: f64,
     pub(crate) rot_latency: f64,
+    /// [`SpecBounds::mult_depth`] in cheapest mode, else 0.
+    spec_depth: u32,
+    /// [`SpecBounds::rotations`] in cheapest mode with operand rotations,
+    /// else 0 (explicit-rotation components are priced as components).
+    spec_rotations: usize,
     pub(crate) deadline: Option<Instant>,
     pub(crate) cost_bound: Option<f64>,
     pub(crate) name: String,
+}
+
+/// Lower bounds that every program correct for a spec meets, read off the
+/// spec's symbolic outputs on the masked slots. The DFS adds them
+/// to the branch-and-bound cost bound of the optimization phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpecBounds {
+    /// `max ⌈log₂ deg⌉` over the masked output polynomials. A value at
+    /// multiplicative depth `m` (ct×ct and ct×pt both count) has degree at
+    /// most `2^m`, so a correct program's depth is at least this.
+    pub mult_depth: u32,
+    /// `max ⌈log₂ w⌉` over the masked outputs, where `w` counts the
+    /// distinct slot offsets `(k − i) mod n` of the ciphertext and
+    /// plaintext variables in output slot `i`'s polynomial. Slot `i` reads
+    /// slot `i + s` of a leaf, where `s` sums the rotations on the path
+    /// between them; a path visits each of a program's `r` rotation
+    /// instructions at most once, so it reaches at most `2^r` offsets.
+    pub rotations: usize,
+}
+
+/// Computes [`SpecBounds`] for `spec`.
+pub fn spec_bounds(spec: &KernelSpec) -> SpecBounds {
+    let ceil_log2 = |x: usize| x.next_power_of_two().trailing_zeros();
+    let n = spec.n;
+    let mut bounds = SpecBounds {
+        mult_depth: 0,
+        rotations: 0,
+    };
+    let masked = spec.eval_symbolic().iter().enumerate();
+    for (i, poly) in masked.filter(|(i, _)| spec.output_mask[*i]) {
+        // Ciphertext variable `j·n + k` and plaintext variable
+        // `(ct inputs + j)·n + k` both read slot `k`.
+        let mut offsets: Vec<usize> = poly
+            .variables()
+            .iter()
+            .map(|&v| (v as usize % n + n - i) % n)
+            .collect();
+        offsets.sort_unstable();
+        offsets.dedup();
+        bounds.mult_depth = bounds.mult_depth.max(ceil_log2(poly.degree() as usize));
+        bounds.rotations = bounds.rotations.max(ceil_log2(offsets.len()) as usize);
+    }
+    bounds
 }
 
 /// Total [`SearchContext::run`] / bottom-up invocations in this process.
@@ -288,10 +347,16 @@ impl<'a> SearchContext<'a> {
         let mask_idx = (0..examples.len() * n)
             .filter(|i| spec.output_mask[i % n])
             .collect();
-        let rots = if sketch.mode == SketchMode::ExplicitRotate {
+        let explicit = sketch.mode == SketchMode::ExplicitRotate;
+        let rots = if explicit {
             vec![0]
         } else {
-            sketch.operand_rotations()
+            // One entry per amount: the DFS charges a rotation per
+            // `(value, index into rots)` pair.
+            let mut rots = sketch.operand_rotations();
+            let mut seen = std::collections::HashSet::new();
+            rots.retain(|&r| seen.insert(r));
+            rots
         };
         let pt_values = sketch
             .ops
@@ -324,6 +389,22 @@ impl<'a> SearchContext<'a> {
             })
             .collect();
         let min_op_latency = op_latencies.iter().copied().fold(f64::INFINITY, f64::min);
+        let min_mul_latency = sketch
+            .ops
+            .iter()
+            .zip(&op_latencies)
+            .filter(|(op, _)| op.op.is_mul())
+            .map(|(_, &l)| l)
+            .fold(f64::INFINITY, f64::min);
+        // The spec terms only tighten a cost bound, so first-solution
+        // queries (phase 1) skip them.
+        let bounds = match cost_bound {
+            Some(_) => spec_bounds(spec),
+            None => SpecBounds {
+                mult_depth: 0,
+                rotations: 0,
+            },
+        };
         SearchContext {
             sketch,
             examples,
@@ -336,7 +417,10 @@ impl<'a> SearchContext<'a> {
             pt_values,
             op_latencies,
             min_op_latency,
+            min_mul_latency,
             rot_latency: latency.rot_ct,
+            spec_depth: bounds.mult_depth,
+            spec_rotations: if explicit { 0 } else { bounds.rotations },
             deadline,
             cost_bound,
             name: spec.name.clone(),
@@ -359,8 +443,8 @@ impl<'a> SearchContext<'a> {
         };
         let mut root = WorkerState::root(self);
         root.fill_rotations(self);
-        let subtrees = self.candidates(&root, None, num_components == 1);
         let shared = SharedSearch::new();
+        let subtrees = self.candidates(&root, None, num_components, self.cut(&shared));
         let workers = jobs.get().min(subtrees.len()).max(1);
         let yields: Vec<WorkerYield> = if workers == 1 {
             vec![self.worker(&shared, &subtrees, num_components, goal, &mut root)]
@@ -426,7 +510,7 @@ impl<'a> SearchContext<'a> {
             }
             state.abort = Abort::No;
             let cand = &subtrees[i];
-            let snap = state.push(self, cand);
+            let snap = state.push(self, &cand.comp, cand.vec.clone());
             comps.push(cand.comp.clone());
             let found = if num_components == 1 {
                 self.try_complete(sh, state, &comps, goal, &mut y.best)
@@ -442,7 +526,7 @@ impl<'a> SearchContext<'a> {
                 )
             };
             comps.pop();
-            state.pop(snap);
+            state.pop(self, snap);
             if let Some(p) = found {
                 y.firsts.push((i, p));
                 sh.found_idx.fetch_min(i, Relaxed);
@@ -477,6 +561,14 @@ impl<'a> SearchContext<'a> {
         state.abort != Abort::No
     }
 
+    /// The threshold of branch-and-bound (cheapest mode): the caller's
+    /// bound, tightened to the cheapest complete program found anywhere so
+    /// far. `None` in first-solution mode, which never cuts on cost.
+    fn cut(&self, sh: &SharedSearch) -> Option<f64> {
+        self.cost_bound
+            .map(|b| b.min(f64::from_bits(sh.best_bound.load(Relaxed))))
+    }
+
     /// Branch-and-bound (cheapest mode): cut a prefix whose cost lower
     /// bound *strictly* exceeds the caller's bound or the best cost found
     /// anywhere so far. Both comparisons are strict — the bound is
@@ -487,14 +579,98 @@ impl<'a> SearchContext<'a> {
     /// canonical function of the query alone: the CEGIS optimizer passes
     /// the incumbent's cost as the bound and always gets the canonical
     /// minimum of the whole tied-or-better class back, regardless of which
-    /// strategy produced the incumbent.
+    /// strategy produced the incumbent. See [`Self::lower_bound`] for what
+    /// the bound prices.
     fn bnb_cut(&self, sh: &SharedSearch, state: &WorkerState, remaining: usize) -> bool {
-        let Some(bound) = self.cost_bound else {
+        self.cut(sh).is_some_and(|cut| {
+            let lb = self.lower_bound(
+                state.latency_sum,
+                state.max_mdepth,
+                state.rots_charged,
+                remaining,
+            );
+            lb > cut
+        })
+    }
+
+    /// A lower bound on the cost of every *correct* completion of a prefix
+    /// with running latency `latency_sum`, maximum multiplicative depth `m`,
+    /// `rots_charged` distinct `(value, rotation)` pairs and `remaining`
+    /// components still to place. With `D` = [`SpecBounds::mult_depth`]
+    /// and `R` = [`SpecBounds::rotations`]:
+    ///
+    /// * the output of a correct program has depth ≥ `D`, and each
+    ///   component raises depth by at most one, and only if it multiplies,
+    ///   so at least `D − m` of the remaining components are multiplies
+    ///   (cut outright if fewer components remain), each priced at the
+    ///   sketch's cheapest multiply;
+    /// * the other remaining components cost at least the cheapest op;
+    /// * a correct program materializes at least `R` rotations, one per
+    ///   distinct `(value, rotation)` pair, so `R − rots_charged` more are
+    ///   priced at the rotation latency;
+    /// * the final depth factor is at least `1 + max(m, D)`.
+    ///
+    /// Every term is what an extension adds at least, so the bound is
+    /// admissible for every correct program, and the optimum, being
+    /// correct, is never cut. Programs that match the examples without
+    /// being correct may be cut, which only spares CEGIS their failed
+    /// verifications. The terms are summed in another order than `push`
+    /// accumulates a completion's latency, so the bound is shrunk by a
+    /// relative [`BOUND_MARGIN`]: a completion tied with the bound then
+    /// survives the strict comparison despite rounding.
+    fn lower_bound(
+        &self,
+        latency_sum: f64,
+        max_mdepth: u32,
+        rots_charged: usize,
+        remaining: usize,
+    ) -> f64 {
+        let muls = self.spec_depth.saturating_sub(max_mdepth) as usize;
+        if muls > remaining {
+            return f64::INFINITY;
+        }
+        // `muls · ∞` for a sketch without multiplies only when one is needed.
+        let mul_term = if muls == 0 {
+            0.0
+        } else {
+            muls as f64 * self.min_mul_latency
+        };
+        let rot_term = self.spec_rotations.saturating_sub(rots_charged) as f64 * self.rot_latency;
+        let rest = (remaining - muls) as f64 * self.min_op_latency;
+        (latency_sum + mul_term + rot_term + rest)
+            * (1.0 + max_mdepth.max(self.spec_depth) as f64)
+            * (1.0 - BOUND_MARGIN)
+    }
+
+    /// Whether a candidate component (sketch op `op_idx`, `None` for an
+    /// explicit rotation, on `(value, index into rots)` operands) can be
+    /// dropped before its value is computed: with `remaining` components
+    /// after it, its child's [`Self::lower_bound`] exceeds `cut`, or, for
+    /// the last component, the completed program's exact cost does (the
+    /// test [`Self::try_complete`] applies). The spec terms stay out of the
+    /// last test: a completion below the spec's depth is wrong, but phase 2
+    /// returning it is what adds a counter-example today, so cutting it
+    /// would change how many examples a query ends with.
+    fn prices_out(
+        &self,
+        state: &WorkerState,
+        cut: Option<f64>,
+        op_idx: Option<usize>,
+        lhs: (usize, usize),
+        rhs: Option<(usize, usize)>,
+        remaining: usize,
+    ) -> bool {
+        let Some(cut) = cut else {
             return false;
         };
-        let lb = (state.latency_sum + remaining as f64 * self.min_op_latency)
-            * (1.0 + state.max_mdepth as f64);
-        lb > bound || lb > f64::from_bits(sh.best_bound.load(Relaxed))
+        let p = state.price(self, op_idx, lhs, rhs);
+        let max_mdepth = state.max_mdepth.max(p.mdepth);
+        let cost = if remaining == 0 {
+            final_cost(p.latency_sum, max_mdepth)
+        } else {
+            self.lower_bound(p.latency_sum, max_mdepth, p.rots_charged, remaining)
+        };
+        cost > cut
     }
 
     /// Accepts or rejects a fully placed component list. In first-solution
@@ -520,7 +696,7 @@ impl<'a> SearchContext<'a> {
         if !all_used {
             return None;
         }
-        let final_cost = state.latency_sum * (1.0 + state.max_mdepth as f64);
+        let final_cost = final_cost(state.latency_sum, state.max_mdepth);
         match goal {
             Goal::First => Some(self.materialize(comps)),
             Goal::Cheapest => {
@@ -579,20 +755,20 @@ impl<'a> SearchContext<'a> {
 
         let is_last = remaining == 1;
         state.fill_rotations(self);
-        let candidates = self.candidates(state, comps.last(), is_last);
+        let candidates = self.candidates(state, comps.last(), remaining, self.cut(sh));
         for cand in candidates {
             if state.abort != Abort::No {
                 return None;
             }
-            let snap = state.push(self, &cand);
-            comps.push(cand.comp.clone());
+            let snap = state.push(self, &cand.comp, cand.vec);
+            comps.push(cand.comp);
             let found = if is_last {
                 self.try_complete(sh, state, comps, goal, best)
             } else {
                 self.dfs(sh, state, comps, remaining - 1, goal, best, my_idx)
             };
             comps.pop();
-            state.pop(snap);
+            state.pop(self, snap);
             if found.is_some() {
                 return found;
             }
@@ -601,17 +777,19 @@ impl<'a> SearchContext<'a> {
     }
 
     pub(crate) fn rotate_concat(&self, v: &[u64], r: i64) -> Vec<u64> {
-        if r == 0 {
-            return v.to_vec();
-        }
-        let n = self.n;
-        let shift = r.rem_euclid(n as i64) as usize;
         let mut out = Vec::with_capacity(v.len());
-        for chunk in v.chunks_exact(n) {
+        self.rotate_into(v, r, &mut out);
+        out
+    }
+
+    /// [`Self::rotate_concat`] into `out`'s buffer.
+    fn rotate_into(&self, v: &[u64], r: i64, out: &mut Vec<u64>) {
+        out.clear();
+        let shift = r.rem_euclid(self.n as i64) as usize;
+        for chunk in v.chunks_exact(self.n) {
             out.extend_from_slice(&chunk[shift..]);
             out.extend_from_slice(&chunk[..shift]);
         }
-        out
     }
 
     pub(crate) fn apply_op(
@@ -654,19 +832,22 @@ impl<'a> SearchContext<'a> {
         self.mask_idx.iter().all(|&i| v[i] == self.target[i])
     }
 
-    /// Enumerates the legal components for the next slot. The caller has
-    /// filled `state`'s rotation cache for every available value.
+    /// Enumerates the legal components for the next slot, `remaining`
+    /// counting it, minus those [`Self::prices_out`] drops under `cut`.
+    /// The caller has filled `state`'s rotation cache for every available
+    /// value.
     fn candidates(
         &self,
         state: &WorkerState,
         prev: Option<&Comp>,
-        is_last: bool,
+        remaining: usize,
+        cut: Option<f64>,
     ) -> Vec<Candidate> {
-        debug_assert_eq!(state.rotated.len(), state.avail.len());
-        if is_last {
-            self.candidates_last(state, prev)
+        debug_assert_eq!(state.rotated_filled, state.avail.len());
+        if remaining == 1 {
+            self.candidates_last(state, prev, cut)
         } else {
-            self.candidates_mid(state, prev)
+            self.candidates_mid(state, prev, remaining, cut)
         }
     }
 
@@ -709,9 +890,15 @@ impl<'a> SearchContext<'a> {
         }
     }
 
-    fn candidates_mid(&self, state: &WorkerState, prev: Option<&Comp>) -> Vec<Candidate> {
+    fn candidates_mid(
+        &self,
+        state: &WorkerState,
+        prev: Option<&Comp>,
+        remaining: usize,
+        cut: Option<f64>,
+    ) -> Vec<Candidate> {
         let mut out = Vec::new();
-        let rotated = &state.rotated;
+        let rotated = state.rotations();
         let explicit = self.sketch.mode == SketchMode::ExplicitRotate;
         for (op_idx, sop) in self.sketch.ops.iter().enumerate() {
             let (lhs_rots, rhs_rots) = self.hole_rots(sop);
@@ -734,6 +921,16 @@ impl<'a> SearchContext<'a> {
                                 }
                                 // sub of identical operands is zero: skip.
                                 if matches!(sop.op, ArithOp::SubCtCt) && li == ri && lr == rr {
+                                    continue;
+                                }
+                                if self.prices_out(
+                                    state,
+                                    cut,
+                                    Some(op_idx),
+                                    (li, lr),
+                                    Some((ri, rr)),
+                                    remaining - 1,
+                                ) {
                                     continue;
                                 }
                                 let vec = self.apply_op(
@@ -761,6 +958,10 @@ impl<'a> SearchContext<'a> {
             } else {
                 for (li, variants) in rotated.iter().enumerate() {
                     for (lr, lhs) in variants.iter().enumerate().take(lhs_rots) {
+                        if self.prices_out(state, cut, Some(op_idx), (li, lr), None, remaining - 1)
+                        {
+                            continue;
+                        }
                         let vec = self.apply_op(&sop.op, op_idx, lhs, None);
                         self.consider(
                             state,
@@ -785,6 +986,9 @@ impl<'a> SearchContext<'a> {
                 if a.is_rot_result {
                     continue; // no nested rotations, as in the paper
                 }
+                if self.prices_out(state, cut, None, (val, 0), None, remaining - 1) {
+                    continue;
+                }
                 for &r in &self.sketch.rotation_amounts {
                     let vec = self.rotate_concat(&a.vec, r);
                     self.consider(
@@ -808,49 +1012,61 @@ impl<'a> SearchContext<'a> {
     /// first masked slot against the value the left one needs there
     /// ([`partner_value`]), then with an early-exit masked comparison,
     /// before the full vector is materialized.
-    fn candidates_last(&self, state: &WorkerState, prev: Option<&Comp>) -> Vec<Candidate> {
+    fn candidates_last(
+        &self,
+        state: &WorkerState,
+        prev: Option<&Comp>,
+        cut: Option<f64>,
+    ) -> Vec<Candidate> {
         let mut out = Vec::new();
-        let rotated = &state.rotated;
-        let unused: Vec<usize> = state
-            .avail
-            .iter()
-            .enumerate()
-            .skip(self.num_inputs)
-            .filter(|(_, a)| a.uses == 0)
-            .map(|(i, _)| i)
-            .collect();
-        if unused.len() > 2 {
-            return out;
+        let rotated = state.rotations();
+        let (mut unused, mut num_unused) = ([0; 2], 0);
+        for (i, a) in state.avail.iter().enumerate().skip(self.num_inputs) {
+            if a.uses == 0 {
+                if num_unused == 2 {
+                    return out;
+                }
+                unused[num_unused] = i;
+                num_unused += 1;
+            }
         }
         let explicit = self.sketch.mode == SketchMode::ExplicitRotate;
-        let all: Vec<usize> = (0..state.avail.len()).collect();
+        // Operand pools as value ranges: one unused value, or every value.
+        let (one, all) = (|i: usize| i..i + 1, 0..state.avail.len());
+        // (lhs pool, rhs pool) pairs that cover the unused values.
+        let pools = match unused[..num_unused] {
+            [a, b] => [Some((one(a), one(b))), Some((one(b), one(a)))],
+            [a] => [Some((one(a), all.clone())), Some((all.clone(), one(a)))],
+            _ => [Some((all.clone(), all.clone())), None],
+        };
+        // The pool of a unary op or rotation, which consumes one value.
+        let unary_pool = match unused[..num_unused] {
+            [a] => Some(one(a)),
+            [] => Some(all),
+            _ => None,
+        };
 
         for (op_idx, sop) in self.sketch.ops.iter().enumerate() {
-            let op = sop.op.clone();
+            let op = &sop.op;
             let (lhs_rots, rhs_rots) = self.hole_rots(sop);
-            if sop.op.binary_ct() {
-                // (lhs pool, rhs pool) pairs that cover the unused values.
-                let pools: Vec<(Vec<usize>, Vec<usize>)> = match unused.len() {
-                    2 => vec![
-                        (vec![unused[0]], vec![unused[1]]),
-                        (vec![unused[1]], vec![unused[0]]),
-                    ],
-                    1 => vec![
-                        (vec![unused[0]], all.clone()),
-                        (all.clone(), vec![unused[0]]),
-                    ],
-                    _ => vec![(all.clone(), all.clone())],
-                };
+            if op.binary_ct() {
                 let symmetric_holes = sop.lhs_rot == sop.rhs_rot;
-                for (lhs_pool, rhs_pool) in pools {
-                    for &li in &lhs_pool {
+                for (lhs_pool, rhs_pool) in pools.iter().flatten() {
+                    for li in lhs_pool.clone() {
                         for (lr, lhs) in rotated[li].iter().enumerate().take(lhs_rots) {
+                            // Priced without its right operand, the program
+                            // costs no more than with it (float sums and
+                            // products are monotone), so this floors every
+                            // completion with this left operand.
+                            if self.prices_out(state, cut, Some(op_idx), (li, lr), None, 0) {
+                                continue;
+                            }
                             let lhs_rot = self.rots[lr];
-                            let need = self.partner_need(&op, lhs, true);
+                            let need = self.partner_need(op, lhs, true);
                             if need == PartnerValue::Nothing {
                                 continue;
                             }
-                            for &ri in &rhs_pool {
+                            for ri in rhs_pool.clone() {
                                 for (rr, rhs) in rotated[ri].iter().enumerate().take(rhs_rots) {
                                     let rhs_rot = self.rots[rr];
                                     if op.commutative()
@@ -866,11 +1082,19 @@ impl<'a> SearchContext<'a> {
                                         continue;
                                     }
                                     if !self.partner_admits(need, rhs)
-                                        || !self.masked_match(&op, op_idx, lhs, Some(rhs))
+                                        || self.prices_out(
+                                            state,
+                                            cut,
+                                            Some(op_idx),
+                                            (li, lr),
+                                            Some((ri, rr)),
+                                            0,
+                                        )
+                                        || !self.masked_match(op, op_idx, lhs, Some(rhs))
                                     {
                                         continue;
                                     }
-                                    let vec = self.apply_op(&op, op_idx, lhs, Some(rhs));
+                                    let vec = self.apply_op(op, op_idx, lhs, Some(rhs));
                                     self.consider(
                                         state,
                                         prev,
@@ -888,21 +1112,15 @@ impl<'a> SearchContext<'a> {
                         }
                     }
                 }
-            } else {
-                if unused.len() > 1 {
-                    continue; // a unary op cannot consume two values
-                }
-                let pool: Vec<usize> = if unused.len() == 1 {
-                    vec![unused[0]]
-                } else {
-                    all.clone()
-                };
-                for &li in &pool {
+            } else if let Some(pool) = &unary_pool {
+                for li in pool.clone() {
                     for (lr, lhs) in rotated[li].iter().enumerate().take(lhs_rots) {
-                        if !self.masked_match(&op, op_idx, lhs, None) {
+                        if self.prices_out(state, cut, Some(op_idx), (li, lr), None, 0)
+                            || !self.masked_match(op, op_idx, lhs, None)
+                        {
                             continue;
                         }
-                        let vec = self.apply_op(&op, op_idx, lhs, None);
+                        let vec = self.apply_op(op, op_idx, lhs, None);
                         self.consider(
                             state,
                             prev,
@@ -920,14 +1138,11 @@ impl<'a> SearchContext<'a> {
             }
         }
 
-        if explicit && unused.len() <= 1 {
-            let pool: Vec<usize> = if unused.len() == 1 {
-                vec![unused[0]]
-            } else {
-                all
-            };
-            for &val in &pool {
-                if state.avail[val].is_rot_result {
+        if let Some(pool) = unary_pool.filter(|_| explicit) {
+            for val in pool {
+                if state.avail[val].is_rot_result
+                    || self.prices_out(state, cut, None, (val, 0), None, 0)
+                {
                     continue;
                 }
                 for &r in &self.sketch.rotation_amounts {
@@ -1097,13 +1312,21 @@ fn comp_uses_last(c: &Comp, last_idx: usize) -> bool {
 /// snapshots on backtrack.
 struct WorkerState {
     avail: Vec<AvailEntry>,
-    /// `rotated[i][k]` is `avail[i].vec` rotated by `ctx.rots[k]`. Filled
-    /// by [`WorkerState::fill_rotations`] just before a node enumerates
-    /// candidates and truncated by `pop`, so each value is rotated once.
+    /// `rotated[i][k]` is `avail[i].vec` rotated by `ctx.rots[k]`, for
+    /// `i < rotated_filled`. Filled by [`WorkerState::fill_rotations`]
+    /// just before a node enumerates candidates, so each value is rotated
+    /// once. `pop` only lowers `rotated_filled`: the buffers past it are
+    /// reused by the next value, so the DFS allocates none in steady state.
     rotated: Vec<Vec<Vec<u64>>>,
+    rotated_filled: usize,
     value_set: HashMap<Vec<u64>, u32>,
-    /// Distinct (value, rotation) pairs charged a rotation latency.
-    rot_used: HashMap<(usize, i64), u32>,
+    /// `rot_reads[i · ctx.rots.len() + k]`: how many placed operands read
+    /// `avail[i]` rotated by `ctx.rots[k]`. Kept in step with `avail`.
+    rot_reads: Vec<u32>,
+    /// Nonzero-rotation pairs in `rot_reads` with a nonzero count: each is
+    /// one `rot-ct` of the materialized program, charged one rotation
+    /// latency.
+    rots_charged: usize,
     latency_sum: f64,
     max_mdepth: u32,
     /// Expansions since the worker started (drives the deadline cadence).
@@ -1114,8 +1337,19 @@ struct WorkerState {
 struct Snapshot {
     latency_sum: f64,
     max_mdepth: u32,
-    touched_rots: Vec<(usize, i64)>,
-    used_vals: Vec<usize>,
+    rots_charged: usize,
+    /// The placed component's `(value, rotation index)` operands.
+    operands: [Option<(usize, usize)>; 2],
+}
+
+/// What placing one component makes of the running cost: the latency sum
+/// (accumulated in the one order `push` uses, so a completion priced
+/// before it is placed costs bit-for-bit what `try_complete` computes),
+/// the new value's multiplicative depth and the distinct rotations charged.
+struct Priced {
+    latency_sum: f64,
+    mdepth: u32,
+    rots_charged: usize,
 }
 
 impl WorkerState {
@@ -1137,10 +1371,12 @@ impl WorkerState {
             });
         }
         WorkerState {
+            rot_reads: vec![0; avail.len() * ctx.rots.len()],
             avail,
             rotated: Vec::new(),
+            rotated_filled: 0,
             value_set,
-            rot_used: HashMap::new(),
+            rots_charged: 0,
             latency_sum: 0.0,
             max_mdepth: 0,
             nodes: 0,
@@ -1150,94 +1386,124 @@ impl WorkerState {
 
     /// Rotates every value pushed since the last fill.
     fn fill_rotations(&mut self, ctx: &SearchContext<'_>) {
-        for a in &self.avail[self.rotated.len()..] {
-            self.rotated.push(
-                ctx.rots
-                    .iter()
-                    .map(|&r| ctx.rotate_concat(&a.vec, r))
-                    .collect(),
-            );
+        for i in self.rotated_filled..self.avail.len() {
+            if i == self.rotated.len() {
+                self.rotated.push(vec![Vec::new(); ctx.rots.len()]);
+            }
+            for (out, &r) in self.rotated[i].iter_mut().zip(&ctx.rots) {
+                ctx.rotate_into(&self.avail[i].vec, r, out);
+            }
         }
+        self.rotated_filled = self.avail.len();
     }
 
-    fn push(&mut self, ctx: &SearchContext<'_>, cand: &Candidate) -> Snapshot {
-        let mut snap = Snapshot {
+    /// The filled rotations, one row per available value.
+    fn rotations(&self) -> &[Vec<Vec<u64>>] {
+        &self.rotated[..self.rotated_filled]
+    }
+
+    /// Prices sketch op `op_idx` (`None`: an explicit rotation of
+    /// `lhs.0`) on `(value, index into ctx.rots)` operands without placing
+    /// it. A nonzero rotation of a value is charged once, by its first
+    /// reader.
+    fn price(
+        &self,
+        ctx: &SearchContext<'_>,
+        op_idx: Option<usize>,
+        lhs: (usize, usize),
+        rhs: Option<(usize, usize)>,
+    ) -> Priced {
+        let mut p = Priced {
+            latency_sum: self.latency_sum,
+            mdepth: 0,
+            rots_charged: self.rots_charged,
+        };
+        let fresh_rhs = rhs.filter(|&r| r != lhs);
+        for (val, k) in [Some(lhs), fresh_rhs].into_iter().flatten() {
+            if ctx.rots[k] != 0 && self.rot_reads[val * ctx.rots.len() + k] == 0 {
+                p.latency_sum += ctx.rot_latency;
+                p.rots_charged += 1;
+            }
+        }
+        for (val, _) in [Some(lhs), rhs].into_iter().flatten() {
+            p.mdepth = p.mdepth.max(self.avail[val].mdepth);
+        }
+        match op_idx {
+            Some(op) => {
+                p.latency_sum += ctx.op_latencies[op];
+                p.mdepth += ctx.sketch.ops[op].op.is_mul() as u32;
+            }
+            None => p.latency_sum += ctx.rot_latency,
+        }
+        p
+    }
+
+    /// Places `comp`, whose value is `vec`.
+    fn push(&mut self, ctx: &SearchContext<'_>, comp: &Comp, vec: Vec<u64>) -> Snapshot {
+        let rot_index = |(val, amount): (usize, i64)| {
+            let k = ctx.rots.iter().position(|&r| r == amount);
+            (val, k.expect("operand rotation comes from ctx.rots"))
+        };
+        let (op_idx, lhs, rhs, is_rot) = match comp {
+            Comp::Arith { op_idx, lhs, rhs } => {
+                (Some(*op_idx), rot_index(*lhs), rhs.map(rot_index), false)
+            }
+            Comp::Rot { val, .. } => (None, (*val, 0), None, true),
+        };
+        let p = self.price(ctx, op_idx, lhs, rhs);
+        let snap = Snapshot {
             latency_sum: self.latency_sum,
             max_mdepth: self.max_mdepth,
-            touched_rots: Vec::new(),
-            used_vals: Vec::new(),
+            rots_charged: self.rots_charged,
+            operands: [Some(lhs), rhs],
         };
-        let charge_rot = |state: &mut WorkerState, val: usize, rot: i64, snap: &mut Snapshot| {
-            if rot == 0 {
-                return;
-            }
-            let e = state.rot_used.entry((val, rot)).or_insert(0);
-            if *e == 0 {
-                state.latency_sum += ctx.rot_latency;
-            }
-            *e += 1;
-            snap.touched_rots.push((val, rot));
-        };
-        let (mdepth, is_rot) = match &cand.comp {
-            Comp::Arith { op_idx, lhs, rhs } => {
-                self.avail[lhs.0].uses += 1;
-                snap.used_vals.push(lhs.0);
-                charge_rot(self, lhs.0, lhs.1, &mut snap);
-                let mut md = self.avail[lhs.0].mdepth;
-                if let Some(rhs) = rhs {
-                    self.avail[rhs.0].uses += 1;
-                    snap.used_vals.push(rhs.0);
-                    charge_rot(self, rhs.0, rhs.1, &mut snap);
-                    md = md.max(self.avail[rhs.0].mdepth);
-                }
-                self.latency_sum += ctx.op_latencies[*op_idx];
-                let md = match ctx.sketch.ops[*op_idx].op {
-                    ArithOp::MulCtCt | ArithOp::MulCtPt(_) => md + 1,
-                    _ => md,
-                };
-                (md, false)
-            }
-            Comp::Rot { val, amount: _ } => {
-                self.avail[*val].uses += 1;
-                snap.used_vals.push(*val);
-                self.latency_sum += ctx.rot_latency;
-                (self.avail[*val].mdepth, true)
-            }
-        };
-        self.max_mdepth = self.max_mdepth.max(mdepth);
-        *self.value_set.entry(cand.vec.clone()).or_insert(0) += 1;
+        for (val, k) in [Some(lhs), rhs].into_iter().flatten() {
+            self.avail[val].uses += 1;
+            self.rot_reads[val * ctx.rots.len() + k] += 1;
+        }
+        self.latency_sum = p.latency_sum;
+        self.rots_charged = p.rots_charged;
+        self.max_mdepth = self.max_mdepth.max(p.mdepth);
+        *self.value_set.entry(vec.clone()).or_insert(0) += 1;
         self.avail.push(AvailEntry {
-            vec: cand.vec.clone(),
-            mdepth,
+            vec,
+            mdepth: p.mdepth,
             uses: 0,
             is_rot_result: is_rot,
         });
+        self.rot_reads.resize(self.avail.len() * ctx.rots.len(), 0);
         snap
     }
 
-    fn pop(&mut self, snap: Snapshot) {
+    fn pop(&mut self, ctx: &SearchContext<'_>, snap: Snapshot) {
         let entry = self.avail.pop().expect("state underflow");
-        self.rotated.truncate(self.avail.len());
-        if let Some(c) = self.value_set.get_mut(&entry.vec) {
-            *c -= 1;
-            if *c == 0 {
-                self.value_set.remove(&entry.vec);
+        self.rotated_filled = self.rotated_filled.min(self.avail.len());
+        self.rot_reads.truncate(self.avail.len() * ctx.rots.len());
+        if let Entry::Occupied(mut count) = self.value_set.entry(entry.vec) {
+            *count.get_mut() -= 1;
+            if *count.get() == 0 {
+                count.remove();
             }
         }
-        for v in snap.used_vals {
-            self.avail[v].uses -= 1;
-        }
-        for key in snap.touched_rots {
-            if let Some(c) = self.rot_used.get_mut(&key) {
-                *c -= 1;
-                if *c == 0 {
-                    self.rot_used.remove(&key);
-                }
-            }
+        for (val, k) in snap.operands.into_iter().flatten() {
+            self.avail[val].uses -= 1;
+            self.rot_reads[val * ctx.rots.len() + k] -= 1;
         }
         self.latency_sum = snap.latency_sum;
         self.max_mdepth = snap.max_mdepth;
+        self.rots_charged = snap.rots_charged;
     }
+}
+
+/// The relative amount [`SearchContext::lower_bound`] is shrunk by, so a
+/// completion tied with the bound is never cut by rounding: far above the
+/// error of summing a few dozen latencies (~1e-15 relative). A smaller
+/// bound only prunes less, so the margin never changes a result.
+const BOUND_MARGIN: f64 = 1e-12;
+
+/// §5.2's objective of a complete program: latency × (1 + depth).
+fn final_cost(latency_sum: f64, max_mdepth: u32) -> f64 {
+    latency_sum * (1.0 + max_mdepth as f64)
 }
 
 /// What one slot of a binary ciphertext op's unknown operand must hold.
@@ -1286,16 +1552,19 @@ pub(crate) fn partner_value(
     PartnerValue::Exactly(v as u64)
 }
 
-/// `a⁻¹ mod t`, if `a` is a unit.
+/// `a⁻¹ mod t`, if `a` is a unit. The remainders stay in `u64` (a 128-bit
+/// division is a slow library call, and the last-level DFS asks for an
+/// inverse per left operand); the Bézout coefficients, bounded by `t` in
+/// magnitude, need a sign.
 fn inverse_mod(a: u64, t: u64) -> Option<u64> {
-    let (mut r0, mut r1) = (t as i128, a as i128 % t as i128);
+    let (mut r0, mut r1) = (t, a % t);
     let (mut s0, mut s1) = (0i128, 1i128);
     while r1 != 0 {
         let q = r0 / r1;
-        (r0, r1) = (r1, r0 - q * r1);
-        (s0, s1) = (s1, s0 - q * s1);
+        (r0, r1) = (r1, r0 % r1);
+        (s0, s1) = (s1, s0 - q as i128 * s1);
     }
-    (r0 == 1).then(|| s0.rem_euclid(t as i128) as u64)
+    (r0 == 1).then(|| (if s0 < 0 { s0 + t as i128 } else { s0 }) as u64)
 }
 
 fn zip_mod(a: &[u64], b: &[u64], t: u64, f: impl Fn(u128, u128) -> u128) -> Vec<u64> {
@@ -1467,6 +1736,131 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Slot 0 holds `Σ_k f(x_k, y_k)` over all `n` slots: `f = x·p` with a
+    /// plaintext `p` (a dot product) or `(x − y)²` (a squared distance).
+    struct Reduce {
+        n: usize,
+        squared_distance: bool,
+    }
+
+    impl GenericReference for Reduce {
+        fn compute<R: Ring>(&self, ct: &[Vec<R>], pt: &[Vec<R>]) -> Vec<R> {
+            let zero = ct[0][0].from_i64(0);
+            let total = (0..self.n).fold(zero.clone(), |acc, k| {
+                let term = if self.squared_distance {
+                    let d = ct[0][k].sub(&ct[1][k]);
+                    d.mul(&d)
+                } else {
+                    ct[0][k].mul(&pt[0][k])
+                };
+                acc.add(&term)
+            });
+            let mut out = vec![zero; self.n];
+            out[0] = total;
+            out
+        }
+    }
+
+    fn reduce_spec(n: usize, squared_distance: bool) -> KernelSpec {
+        let mut mask = vec![false; n];
+        mask[0] = true;
+        let (ct, pt) = if squared_distance { (2, 0) } else { (1, 1) };
+        let reference = Box::new(Reduce {
+            n,
+            squared_distance,
+        });
+        KernelSpec::new("reduce", n, ct, pt, mask, 65537, reference)
+    }
+
+    #[test]
+    fn spec_bounds_read_degree_and_slot_offsets() {
+        let bounds = |mult_depth, rotations| SpecBounds {
+            mult_depth,
+            rotations,
+        };
+        // Four offsets of one input: two rotations, no multiply.
+        assert_eq!(spec_bounds(&sum_spec(4)), bounds(0, 2));
+        // Plaintext variables count toward the offsets and the degree.
+        assert_eq!(spec_bounds(&reduce_spec(8, false)), bounds(1, 3));
+        assert_eq!(spec_bounds(&reduce_spec(4, true)), bounds(1, 2));
+        // Only a constant slot is masked: nothing to multiply or gather.
+        let mut constant = reduce_spec(2, true);
+        constant.output_mask = vec![false, true];
+        assert_eq!(spec_bounds(&constant), bounds(0, 0));
+    }
+
+    /// The spec terms only prune: cheapest mode returns the identical
+    /// program with them zeroed, at one and two workers; the terms are off
+    /// outside cheapest mode and the rotation term in explicit mode.
+    #[test]
+    fn spec_terms_leave_the_cheapest_program_unchanged() {
+        let model = LatencyModel::profiled_default();
+        let cases = [
+            (
+                sum_spec(4),
+                vec![SketchOp::rotated(ArithOp::AddCtCt)],
+                RotationSet::PowersOfTwo { extent: 4 },
+                2,
+            ),
+            (
+                reduce_spec(4, false),
+                vec![
+                    SketchOp::plain(ArithOp::MulCtPt(PtOperand::Input(0))),
+                    SketchOp::rotated(ArithOp::AddCtCt),
+                ],
+                RotationSet::PowersOfTwo { extent: 4 },
+                3,
+            ),
+            (
+                reduce_spec(4, true),
+                vec![
+                    SketchOp::plain(ArithOp::SubCtCt),
+                    SketchOp::plain(ArithOp::MulCtCt),
+                    SketchOp::rotated(ArithOp::AddCtCt),
+                ],
+                RotationSet::PowersOfTwo { extent: 4 },
+                4,
+            ),
+        ];
+        for (spec, ops, rotations, components) in cases {
+            let sketch = Sketch::new(ops, rotations, components);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+            let examples: Vec<Example> = (0..3).map(|_| spec.sample_example(&mut rng)).collect();
+            let bounds = spec_bounds(&spec);
+            let first = SearchContext::new(&spec, &sketch, &examples, &model, None, None);
+            assert_eq!((first.spec_depth, first.spec_rotations), (0, 0));
+            let explicit = sketch.clone().with_explicit_rotations();
+            let ablation =
+                SearchContext::new(&spec, &explicit, &examples, &model, None, Some(1e12));
+            assert_eq!(ablation.spec_rotations, 0);
+            assert_eq!(ablation.spec_depth, bounds.mult_depth);
+
+            let mut ctx = SearchContext::new(&spec, &sketch, &examples, &model, None, Some(1e12));
+            assert_eq!(ctx.spec_depth, bounds.mult_depth);
+            assert_eq!(ctx.spec_rotations, bounds.rotations);
+            for j in [1, 2] {
+                ctx.spec_depth = bounds.mult_depth;
+                ctx.spec_rotations = bounds.rotations;
+                let SearchOutcome::Found(priced) = ctx.run(components, jobs(j)) else {
+                    panic!("{components} components, jobs={j}: no program");
+                };
+                ctx.spec_depth = 0;
+                ctx.spec_rotations = 0;
+                let plain = ctx.run(components, jobs(j));
+                assert_eq!(plain, SearchOutcome::Found(priced.clone()), "jobs={j}");
+                let out = interp::eval_concrete(
+                    &priced,
+                    &examples[0].ct_inputs,
+                    &examples[0].pt_inputs,
+                    65537,
+                );
+                assert_eq!(out[0], examples[0].output[0]);
+                assert!(priced.mult_depth() >= bounds.mult_depth);
+                assert!(priced.rot_count() >= bounds.rotations);
             }
         }
     }

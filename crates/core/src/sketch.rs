@@ -39,6 +39,11 @@ impl ArithOp {
     pub fn binary_ct(&self) -> bool {
         matches!(self, ArithOp::AddCtCt | ArithOp::SubCtCt | ArithOp::MulCtCt)
     }
+
+    /// Does the op raise multiplicative depth (ct×ct or ct×pt)?
+    pub fn is_mul(&self) -> bool {
+        matches!(self, ArithOp::MulCtCt | ArithOp::MulCtPt(_))
+    }
 }
 
 /// One component slot in the sketch: an opcode and, per ciphertext operand,

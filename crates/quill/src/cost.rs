@@ -158,6 +158,22 @@ impl LatencyModel {
         }
     }
 
+    /// Every entry of the table with its field name, in declaration order.
+    pub fn entries(&self) -> [(&'static str, f64); 10] {
+        [
+            ("add_ct_ct", self.add_ct_ct),
+            ("sub_ct_ct", self.sub_ct_ct),
+            ("mul_ct_ct", self.mul_ct_ct),
+            ("add_ct_pt", self.add_ct_pt),
+            ("sub_ct_pt", self.sub_ct_pt),
+            ("mul_ct_pt", self.mul_ct_pt),
+            ("rot_ct", self.rot_ct),
+            ("relin_ct", self.relin_ct),
+            ("rot_hoist_setup", self.rot_hoist_setup),
+            ("rot_hoisted", self.rot_hoisted),
+        ]
+    }
+
     /// Latency of one instruction.
     pub fn instr_latency(&self, instr: &Instr) -> f64 {
         match instr {
@@ -274,6 +290,16 @@ pub fn eager_cost(prog: &Program, model: &LatencyModel) -> f64 {
 mod tests {
     use super::*;
     use crate::program::{Instr, Program, PtOperand, ValRef};
+
+    #[test]
+    fn entries_name_every_field() {
+        let m = LatencyModel::profiled_default();
+        let debug = format!("{m:?}");
+        for (field, us) in m.entries() {
+            assert!(debug.contains(&format!("{field}: {us:?}")), "{field}");
+        }
+        assert_eq!(debug.matches(": ").count(), m.entries().len());
+    }
 
     #[test]
     fn cost_penalizes_depth() {
