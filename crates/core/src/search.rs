@@ -20,14 +20,17 @@
 //!   right operand is first tested on the first masked slot against the
 //!   value the left one needs there, before the full masked comparison;
 //! * **branch-and-bound** — in the optimization phase, prefixes whose cost
-//!   lower bound already exceeds the bound are pruned. The bound prices
-//!   what the prefix has placed, every missing component at the cheapest
-//!   op, and what the spec itself forces on any correct completion: the
-//!   multiplies still needed to reach the output's degree, and the
-//!   rotations still needed to gather its slot offsets (see
-//!   [`spec_bounds`] and `SearchContext::bnb_cut`). It is applied to each
-//!   candidate before its value vector is computed, and the last
-//!   component is priced exactly.
+//!   lower bound already exceeds the bound are pruned. One bound prices
+//!   what the prefix has placed and every missing component at the
+//!   cheapest op; it floors every completion and is compared with the
+//!   cheapest cost found so far. A second one adds what the spec itself
+//!   forces on any *correct* completion: the multiplies still needed to
+//!   reach the output's degree, and the rotations still needed to gather
+//!   its slot offsets (see [`spec_bounds`]). It is compared with the
+//!   caller's fixed bound only, since a wrong program that matches the
+//!   examples may be cheaper (see `SearchContext::exceeds`). Both are
+//!   applied to each candidate before its value vector is computed, and
+//!   the last component is priced exactly.
 //!
 //! Like the SMT query, an exhausted search is a *proof* that no program (of
 //! the given component count, satisfying the examples, under the cost
@@ -77,8 +80,10 @@
 //! Two pieces of shared state let workers prune each other:
 //!
 //! * a shared `AtomicU64` cost bound (bits of the cheapest complete program
-//!   found so far) — prefixes whose lower bound *strictly exceeds* it are
-//!   cut, which can never cut a program tied with the eventual optimum;
+//!   found so far) — prefixes whose every completion costs *strictly more*
+//!   are cut, which can never cut a program tied with the eventual optimum.
+//!   The spec-derived bound, which floors only correct completions, is
+//!   never compared with it, so what it cuts does not depend on timing;
 //! * a cancellation word — in first-solution mode, the lowest subtree index
 //!   that found a program; workers on higher-indexed subtrees stop early
 //!   because their result cannot win.
@@ -184,11 +189,10 @@ pub(crate) struct SearchContext<'a> {
     /// relin), or infinity when the sketch has none.
     min_mul_latency: f64,
     pub(crate) rot_latency: f64,
-    /// [`SpecBounds::mult_depth`] in cheapest mode, else 0.
-    spec_depth: u32,
-    /// [`SpecBounds::rotations`] in cheapest mode with operand rotations,
-    /// else 0 (explicit-rotation components are priced as components).
-    spec_rotations: usize,
+    /// [`spec_bounds`] in cheapest mode, else [`SpecBounds::NONE`]; the
+    /// rotation term is 0 in explicit-rotation mode, whose rotations are
+    /// priced as components.
+    spec: SpecBounds,
     pub(crate) deadline: Option<Instant>,
     pub(crate) cost_bound: Option<f64>,
     pub(crate) name: String,
@@ -212,14 +216,19 @@ pub struct SpecBounds {
     pub rotations: usize,
 }
 
+impl SpecBounds {
+    /// No bound: what every program meets, correct or not.
+    pub const NONE: SpecBounds = SpecBounds {
+        mult_depth: 0,
+        rotations: 0,
+    };
+}
+
 /// Computes [`SpecBounds`] for `spec`.
 pub fn spec_bounds(spec: &KernelSpec) -> SpecBounds {
     let ceil_log2 = |x: usize| x.next_power_of_two().trailing_zeros();
     let n = spec.n;
-    let mut bounds = SpecBounds {
-        mult_depth: 0,
-        rotations: 0,
-    };
+    let mut bounds = SpecBounds::NONE;
     let masked = spec.eval_symbolic().iter().enumerate();
     for (i, poly) in masked.filter(|(i, _)| spec.output_mask[*i]) {
         // Ciphertext variable `j·n + k` and plaintext variable
@@ -281,6 +290,17 @@ impl SharedSearch {
             timed_out: AtomicBool::new(false),
         }
     }
+}
+
+/// The two thresholds of branch-and-bound (cheapest mode); see
+/// [`SearchContext::exceeds`] for which bound meets which.
+#[derive(Debug, Clone, Copy)]
+struct Cut {
+    /// The caller's cost bound, fixed for the query.
+    query: f64,
+    /// `query` tightened to the cheapest complete program found anywhere
+    /// so far. Other workers lower it at moments that depend on timing.
+    best: f64,
 }
 
 /// Why a worker abandoned its current subtree.
@@ -351,12 +371,7 @@ impl<'a> SearchContext<'a> {
         let rots = if explicit {
             vec![0]
         } else {
-            // One entry per amount: the DFS charges a rotation per
-            // `(value, index into rots)` pair.
-            let mut rots = sketch.operand_rotations();
-            let mut seen = std::collections::HashSet::new();
-            rots.retain(|&r| seen.insert(r));
-            rots
+            sketch.operand_rotations()
         };
         let pt_values = sketch
             .ops
@@ -398,13 +413,13 @@ impl<'a> SearchContext<'a> {
             .fold(f64::INFINITY, f64::min);
         // The spec terms only tighten a cost bound, so first-solution
         // queries (phase 1) skip them.
-        let bounds = match cost_bound {
+        let mut spec_terms = match cost_bound {
             Some(_) => spec_bounds(spec),
-            None => SpecBounds {
-                mult_depth: 0,
-                rotations: 0,
-            },
+            None => SpecBounds::NONE,
         };
+        if explicit {
+            spec_terms.rotations = 0;
+        }
         SearchContext {
             sketch,
             examples,
@@ -419,8 +434,7 @@ impl<'a> SearchContext<'a> {
             min_op_latency,
             min_mul_latency,
             rot_latency: latency.rot_ct,
-            spec_depth: bounds.mult_depth,
-            spec_rotations: if explicit { 0 } else { bounds.rotations },
+            spec: spec_terms,
             deadline,
             cost_bound,
             name: spec.name.clone(),
@@ -561,71 +575,97 @@ impl<'a> SearchContext<'a> {
         state.abort != Abort::No
     }
 
-    /// The threshold of branch-and-bound (cheapest mode): the caller's
-    /// bound, tightened to the cheapest complete program found anywhere so
-    /// far. `None` in first-solution mode, which never cuts on cost.
-    fn cut(&self, sh: &SharedSearch) -> Option<f64> {
-        self.cost_bound
-            .map(|b| b.min(f64::from_bits(sh.best_bound.load(Relaxed))))
+    /// The thresholds of branch-and-bound (cheapest mode); `None` in
+    /// first-solution mode, which never cuts on cost.
+    fn cut(&self, sh: &SharedSearch) -> Option<Cut> {
+        self.cost_bound.map(|query| Cut {
+            query,
+            best: query.min(f64::from_bits(sh.best_bound.load(Relaxed))),
+        })
     }
 
-    /// Branch-and-bound (cheapest mode): cut a prefix whose cost lower
-    /// bound *strictly* exceeds the caller's bound or the best cost found
-    /// anywhere so far. Both comparisons are strict — the bound is
-    /// *tie-inclusive* — so every program costing exactly the bound (or
-    /// tied with the global optimum) stays alive in every subtree. That is
-    /// what makes the canonical `(cost, serialization)` merge
-    /// partition-independent, and it also makes the cheapest-mode result a
-    /// canonical function of the query alone: the CEGIS optimizer passes
-    /// the incumbent's cost as the bound and always gets the canonical
-    /// minimum of the whole tied-or-better class back, regardless of which
-    /// strategy produced the incumbent. See [`Self::lower_bound`] for what
-    /// the bound prices.
+    /// Branch-and-bound (cheapest mode): cut a prefix when
+    /// [`Self::exceeds`] shows no completion of it can be the result.
     fn bnb_cut(&self, sh: &SharedSearch, state: &WorkerState, remaining: usize) -> bool {
         self.cut(sh).is_some_and(|cut| {
-            let lb = self.lower_bound(
+            self.exceeds(
+                cut,
                 state.latency_sum,
                 state.max_mdepth,
                 state.rots_charged,
                 remaining,
-            );
-            lb > cut
+            )
         })
     }
 
-    /// A lower bound on the cost of every *correct* completion of a prefix
-    /// with running latency `latency_sum`, maximum multiplicative depth `m`,
-    /// `rots_charged` distinct `(value, rotation)` pairs and `remaining`
-    /// components still to place. With `D` = [`SpecBounds::mult_depth`]
-    /// and `R` = [`SpecBounds::rotations`]:
+    /// Whether a prefix with running latency `latency_sum`, maximum
+    /// multiplicative depth `max_mdepth`, `rots_charged` distinct
+    /// `(value, rotation)` pairs and `remaining` components still to place
+    /// can be cut under `cut`. Two bounds, each against its own threshold:
     ///
-    /// * the output of a correct program has depth ≥ `D`, and each
+    /// * without spec terms, [`Self::lower_bound`] floors *every*
+    ///   completion, so a prefix it puts strictly above `cut.best` only
+    ///   extends to programs strictly costlier than one already found.
+    ///   Cutting it can never change the canonical minimum, however the
+    ///   workers' timing lowered `cut.best`;
+    /// * with the spec terms, it floors only the *correct* completions.
+    ///   A program that matches the examples without being correct may
+    ///   cost less, and returning it is what makes CEGIS add a
+    ///   counter-example. So this bound is compared with the caller's
+    ///   fixed `cut.query` only: which programs it cuts is then a function
+    ///   of the query, never of when another worker found what.
+    ///
+    /// Both comparisons are strict — the bound is *tie-inclusive* — so a
+    /// program costing exactly the bound (or tied with the optimum) stays
+    /// alive in every subtree. That is what makes the canonical
+    /// `(cost, serialization)` merge partition-independent, and the
+    /// cheapest-mode result a canonical function of the query alone: the
+    /// CEGIS optimizer passes the incumbent's cost as the bound and gets
+    /// the canonical minimum of the tied-or-better class back, whichever
+    /// strategy produced the incumbent.
+    fn exceeds(
+        &self,
+        cut: Cut,
+        latency_sum: f64,
+        max_mdepth: u32,
+        rots_charged: usize,
+        remaining: usize,
+    ) -> bool {
+        let bound = |spec| self.lower_bound(spec, latency_sum, max_mdepth, rots_charged, remaining);
+        bound(SpecBounds::NONE) > cut.best || bound(self.spec) > cut.query
+    }
+
+    /// A lower bound on the cost of every completion of a prefix (see
+    /// [`Self::exceeds`] for the arguments) that meets `spec`; with
+    /// [`SpecBounds::NONE`], of every completion. With `D` =
+    /// `spec.mult_depth` and `R` = `spec.rotations`:
+    ///
+    /// * the output of a program meeting `spec` has depth ≥ `D`, and each
     ///   component raises depth by at most one, and only if it multiplies,
     ///   so at least `D − m` of the remaining components are multiplies
-    ///   (cut outright if fewer components remain), each priced at the
+    ///   (infinite if fewer components remain), each priced at the
     ///   sketch's cheapest multiply;
     /// * the other remaining components cost at least the cheapest op;
-    /// * a correct program materializes at least `R` rotations, one per
+    /// * such a program materializes at least `R` rotations, one per
     ///   distinct `(value, rotation)` pair, so `R − rots_charged` more are
     ///   priced at the rotation latency;
     /// * the final depth factor is at least `1 + max(m, D)`.
     ///
     /// Every term is what an extension adds at least, so the bound is
-    /// admissible for every correct program, and the optimum, being
-    /// correct, is never cut. Programs that match the examples without
-    /// being correct may be cut, which only spares CEGIS their failed
-    /// verifications. The terms are summed in another order than `push`
-    /// accumulates a completion's latency, so the bound is shrunk by a
-    /// relative [`BOUND_MARGIN`]: a completion tied with the bound then
-    /// survives the strict comparison despite rounding.
+    /// admissible, and the optimum, being correct, is never cut. The terms
+    /// are summed in another order than `push` accumulates a completion's
+    /// latency, so the bound is shrunk by a relative [`BOUND_MARGIN`]: a
+    /// completion tied with the threshold then survives the strict
+    /// comparison despite rounding.
     fn lower_bound(
         &self,
+        spec: SpecBounds,
         latency_sum: f64,
         max_mdepth: u32,
         rots_charged: usize,
         remaining: usize,
     ) -> f64 {
-        let muls = self.spec_depth.saturating_sub(max_mdepth) as usize;
+        let muls = spec.mult_depth.saturating_sub(max_mdepth) as usize;
         if muls > remaining {
             return f64::INFINITY;
         }
@@ -635,26 +675,28 @@ impl<'a> SearchContext<'a> {
         } else {
             muls as f64 * self.min_mul_latency
         };
-        let rot_term = self.spec_rotations.saturating_sub(rots_charged) as f64 * self.rot_latency;
+        let rot_term = spec.rotations.saturating_sub(rots_charged) as f64 * self.rot_latency;
         let rest = (remaining - muls) as f64 * self.min_op_latency;
         (latency_sum + mul_term + rot_term + rest)
-            * (1.0 + max_mdepth.max(self.spec_depth) as f64)
+            * (1.0 + max_mdepth.max(spec.mult_depth) as f64)
             * (1.0 - BOUND_MARGIN)
     }
 
     /// Whether a candidate component (sketch op `op_idx`, `None` for an
     /// explicit rotation, on `(value, index into rots)` operands) can be
     /// dropped before its value is computed: with `remaining` components
-    /// after it, its child's [`Self::lower_bound`] exceeds `cut`, or, for
-    /// the last component, the completed program's exact cost does (the
-    /// test [`Self::try_complete`] applies). The spec terms stay out of the
-    /// last test: a completion below the spec's depth is wrong, but phase 2
+    /// after it, its child [`Self::exceeds`] `cut`, or, for the last
+    /// component, the completed program's exact cost exceeds `cut.best`:
+    /// such a program is over the caller's bound or strictly costlier than
+    /// one already found, so dropping it never changes the result. The
+    /// spec terms stay out
+    /// of it: a completion below the spec's depth is wrong, but phase 2
     /// returning it is what adds a counter-example today, so cutting it
     /// would change how many examples a query ends with.
     fn prices_out(
         &self,
         state: &WorkerState,
-        cut: Option<f64>,
+        cut: Option<Cut>,
         op_idx: Option<usize>,
         lhs: (usize, usize),
         rhs: Option<(usize, usize)>,
@@ -665,12 +707,11 @@ impl<'a> SearchContext<'a> {
         };
         let p = state.price(self, op_idx, lhs, rhs);
         let max_mdepth = state.max_mdepth.max(p.mdepth);
-        let cost = if remaining == 0 {
-            final_cost(p.latency_sum, max_mdepth)
+        if remaining == 0 {
+            final_cost(p.latency_sum, max_mdepth) > cut.best
         } else {
-            self.lower_bound(p.latency_sum, max_mdepth, p.rots_charged, remaining)
-        };
-        cost > cut
+            self.exceeds(cut, p.latency_sum, max_mdepth, p.rots_charged, remaining)
+        }
     }
 
     /// Accepts or rejects a fully placed component list. In first-solution
@@ -841,7 +882,7 @@ impl<'a> SearchContext<'a> {
         state: &WorkerState,
         prev: Option<&Comp>,
         remaining: usize,
-        cut: Option<f64>,
+        cut: Option<Cut>,
     ) -> Vec<Candidate> {
         debug_assert_eq!(state.rotated_filled, state.avail.len());
         if remaining == 1 {
@@ -895,7 +936,7 @@ impl<'a> SearchContext<'a> {
         state: &WorkerState,
         prev: Option<&Comp>,
         remaining: usize,
-        cut: Option<f64>,
+        cut: Option<Cut>,
     ) -> Vec<Candidate> {
         let mut out = Vec::new();
         let rotated = state.rotations();
@@ -1016,7 +1057,7 @@ impl<'a> SearchContext<'a> {
         &self,
         state: &WorkerState,
         prev: Option<&Comp>,
-        cut: Option<f64>,
+        cut: Option<Cut>,
     ) -> Vec<Candidate> {
         let mut out = Vec::new();
         let rotated = state.rotations();
@@ -1832,24 +1873,21 @@ mod tests {
             let examples: Vec<Example> = (0..3).map(|_| spec.sample_example(&mut rng)).collect();
             let bounds = spec_bounds(&spec);
             let first = SearchContext::new(&spec, &sketch, &examples, &model, None, None);
-            assert_eq!((first.spec_depth, first.spec_rotations), (0, 0));
+            assert_eq!(first.spec, SpecBounds::NONE);
             let explicit = sketch.clone().with_explicit_rotations();
             let ablation =
                 SearchContext::new(&spec, &explicit, &examples, &model, None, Some(1e12));
-            assert_eq!(ablation.spec_rotations, 0);
-            assert_eq!(ablation.spec_depth, bounds.mult_depth);
+            assert_eq!(ablation.spec.rotations, 0);
+            assert_eq!(ablation.spec.mult_depth, bounds.mult_depth);
 
             let mut ctx = SearchContext::new(&spec, &sketch, &examples, &model, None, Some(1e12));
-            assert_eq!(ctx.spec_depth, bounds.mult_depth);
-            assert_eq!(ctx.spec_rotations, bounds.rotations);
+            assert_eq!(ctx.spec, bounds);
             for j in [1, 2] {
-                ctx.spec_depth = bounds.mult_depth;
-                ctx.spec_rotations = bounds.rotations;
+                ctx.spec = bounds;
                 let SearchOutcome::Found(priced) = ctx.run(components, jobs(j)) else {
                     panic!("{components} components, jobs={j}: no program");
                 };
-                ctx.spec_depth = 0;
-                ctx.spec_rotations = 0;
+                ctx.spec = SpecBounds::NONE;
                 let plain = ctx.run(components, jobs(j));
                 assert_eq!(plain, SearchOutcome::Found(priced.clone()), "jobs={j}");
                 let out = interp::eval_concrete(
@@ -1861,6 +1899,72 @@ mod tests {
                 assert_eq!(out[0], examples[0].output[0]);
                 assert!(priced.mult_depth() >= bounds.mult_depth);
                 assert!(priced.rot_count() >= bounds.rotations);
+            }
+        }
+    }
+
+    /// A program that matches the examples without being correct can cost
+    /// less than every correct one, and the spec-derived bound floors only
+    /// correct completions. Whether it cuts such a program must not depend
+    /// on when a worker found a cheaper one: with one example of a dot
+    /// product under a small modulus, where many wrong programs match, a
+    /// cheapest query under the correct optimum's cost returns the same
+    /// outcome at every thread count and on every run.
+    #[test]
+    fn spec_terms_cut_the_same_programs_at_any_thread_count() {
+        let (n, t) = (4, 17);
+        let mut mask = vec![false; n];
+        mask[0] = true;
+        let reference = Box::new(Reduce {
+            n,
+            squared_distance: false,
+        });
+        let spec = KernelSpec::new("dot", n, 1, 1, mask, t, reference);
+        let sketch = Sketch::new(
+            vec![
+                SketchOp::plain(ArithOp::MulCtPt(PtOperand::Input(0))),
+                SketchOp::rotated(ArithOp::AddCtCt),
+                SketchOp::rotated(ArithOp::SubCtCt),
+            ],
+            RotationSet::PowersOfTwo { extent: n },
+            3,
+        );
+        let model = LatencyModel::profiled_default();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let examples: Vec<Example> = (0..8).map(|_| spec.sample_example(&mut rng)).collect();
+        let correct = |p: &Program| {
+            examples
+                .iter()
+                .all(|e| interp::eval_concrete(p, &e.ct_inputs, &e.pt_inputs, t)[0] == e.output[0])
+        };
+        let full = SearchContext::new(&spec, &sketch, &examples, &model, None, Some(1e12));
+        let SearchOutcome::Found(optimum) = full.run(3, jobs(1)) else {
+            panic!("no dot product in the sketch");
+        };
+        assert!(correct(&optimum));
+        let bound = quill::cost::eager_cost(&optimum, &model);
+
+        let one = &examples[..1];
+        let mut ctx = SearchContext::new(&spec, &sketch, one, &model, None, Some(bound));
+        let first = ctx.run(3, jobs(1));
+        let SearchOutcome::Found(cheapest) = &first else {
+            panic!("the optimum matches its own examples: {first:?}");
+        };
+        assert!(
+            !correct(cheapest) && quill::cost::eager_cost(cheapest, &model) < bound,
+            "one example admits a cheaper wrong program: {cheapest}"
+        );
+        // The cheapest matching program of all has no multiply, and every
+        // prefix of it prices within the bound, so the spec terms keep it.
+        // Compared with the cheapest cost found so far, they would cut it
+        // once a costlier matching program had been found first.
+        assert_eq!(cheapest.mult_depth(), 0);
+        ctx.spec = SpecBounds::NONE;
+        assert_eq!(ctx.run(3, jobs(1)), first, "spec terms zeroed");
+        ctx.spec = spec_bounds(&spec);
+        for round in 0..3 {
+            for j in [1, 2, 4] {
+                assert_eq!(ctx.run(3, jobs(j)), first, "jobs={j}, round {round}");
             }
         }
     }

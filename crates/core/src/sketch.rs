@@ -244,11 +244,16 @@ impl Sketch {
         self
     }
 
-    /// The legal rotation choices for a `??ct-r` hole, including "no
-    /// rotation" (0).
+    /// The legal rotation choices for a `??ct-r` hole: "no rotation" (0)
+    /// first, then each distinct amount of `rotation_amounts` once (the
+    /// search charges a rotation per value and index into this list).
     pub fn operand_rotations(&self) -> Vec<i64> {
         let mut v = vec![0];
-        v.extend_from_slice(&self.rotation_amounts);
+        for &r in &self.rotation_amounts {
+            if !v.contains(&r) {
+                v.push(r);
+            }
+        }
         v
     }
 }
@@ -294,6 +299,10 @@ mod tests {
             4,
         );
         assert_eq!(s.operand_rotations(), vec![0, 1, 2]);
+        // A hand-set amount list still yields each choice once.
+        let mut hand = s.clone();
+        hand.rotation_amounts = vec![2, 0, 2, 1];
+        assert_eq!(hand.operand_rotations(), vec![0, 2, 1]);
         assert_eq!(s.mode, SketchMode::LocalRotate);
         assert_eq!(
             s.clone().with_explicit_rotations().mode,
