@@ -2,11 +2,14 @@
 //! with the sliding-window / power-of-two rotation vocabularies vs the
 //! unrestricted set (any amount in `1..n`).
 //!
+//! Every run synthesizes cold (the synthesis cache is disabled), so the
+//! times are synthesis times, not cache hits left by an earlier run.
+//!
 //! ```text
 //! cargo run -p porcupine-bench --release --bin ablation_rotations [timeout_secs] [--jobs N]
 //! ```
 
-use porcupine::cegis::{synthesize, SynthesisOptions};
+use porcupine::cegis::{synthesize, CachePolicy, SynthesisOptions};
 use porcupine::sketch::{RotationSet, Sketch};
 use porcupine_bench::parse_jobs;
 use porcupine_kernels::{reduction, stencil};
@@ -18,6 +21,7 @@ fn main() {
     let options = SynthesisOptions {
         timeout: Duration::from_secs(timeout),
         parallelism: jobs,
+        cache: CachePolicy::Disabled,
         ..SynthesisOptions::default()
     };
     println!("# §6.1 ablation: restricted vs unrestricted rotation sets (timeout {timeout}s)");

@@ -8,11 +8,14 @@
 //! search depth — grows. Our enumerative engine shows the same shape at
 //! smaller absolute times.
 //!
+//! Every run synthesizes cold (the synthesis cache is disabled), so the
+//! times are synthesis times, not cache hits left by an earlier run.
+//!
 //! ```text
 //! cargo run -p porcupine-bench --release --bin ablation_sketch [timeout_secs] [--jobs N]
 //! ```
 
-use porcupine::cegis::{synthesize, SynthesisOptions};
+use porcupine::cegis::{synthesize, CachePolicy, SynthesisOptions};
 use porcupine::sketch::Sketch;
 use porcupine_bench::parse_jobs;
 use porcupine_kernels::{stencil, PaperKernel};
@@ -38,6 +41,7 @@ fn main() {
     let options = SynthesisOptions {
         timeout: Duration::from_secs(timeout),
         parallelism: jobs,
+        cache: CachePolicy::Disabled,
         ..SynthesisOptions::default()
     };
     println!("# §7.4 ablation: local-rotate vs explicit-rotation sketches (timeout {timeout}s)");

@@ -26,19 +26,30 @@
 //!   `x`. Self-pairs and input-pairs are never capped — they are linear in
 //!   the bank and are exactly what reductions and stencils are made of;
 //!   only the quadratic cross-pairs go through the pool.
-//! * A candidate whose size equals the bank ceiling can never be consumed
+//! * A pair's size — its operands' union DAG plus the new node — is
+//!   counted once, without allocating, before its operand rotations are
+//!   enumerated. A pair over the bank ceiling is skipped whole.
+//! * A candidate whose size equals the ceiling can never be consumed
 //!   further, so it is only checked against the masked target (the DFS's
 //!   goal-directed last level) and otherwise discarded without ever
-//!   materializing its full value vector.
-//! * Expanding the level just below the ceiling makes only such checks,
-//!   so its partners are looked up rather than scanned: one index per
-//!   ceiling expansion maps every partner's rotated value at the first
-//!   masked slot to its `(id, rotation)` pairs, and each rotation of `x`
-//!   asks it for the value the op needs there (`target − x` for add,
-//!   `x − target` or `target + x` for sub, `target · x⁻¹` for mul). Only
-//!   the hits go through the full masked check; a multiply by a value
-//!   with no inverse falls back to every partner. The pairs, symmetry
-//!   rules and goal set are those of the scan.
+//!   materializing its value vector or its support. Its right operand is
+//!   first tested on the first masked slot against the value the left
+//!   one needs there (`target − x` for add, `x − target` or
+//!   `target + x` for sub, `target · x⁻¹` for mul).
+//! * The ceiling-sized `(x, p)`/`(p, x)` pairs of any level are looked
+//!   up rather than scanned: one index per level maps every partner's
+//!   rotated value at the first masked slot to its `(id, rotation)`
+//!   pairs, each rotation of `x` asks it for the value the op needs
+//!   there, and only hits whose union with `x` is ceiling-sized go
+//!   through the full masked check. A multiply by a value with no inverse
+//!   falls back to every partner. The smaller pairs are scanned; the
+//!   pairs, symmetry rules and goal set are those of a scan of every
+//!   pair.
+//! * A growth candidate's value is computed into a reused buffer first.
+//!   Unless it hits the target, a value the bank already holds, or one a
+//!   pending builder at least as cheap already claims, drops the
+//!   candidate before its support and value are allocated: neither could
+//!   survive finalization.
 //!
 //! The caps make the strategy **incomplete**: a returned
 //! [`BottomUpOutcome::Exhausted`] is *not* a proof that the sketch has no
@@ -192,9 +203,9 @@ struct BankTerm {
 struct Bank<'s, 'a> {
     ctx: &'s SearchContext<'a>,
     terms: Vec<BankTerm>,
-    /// `rotated[id][k]` = the term's value rotated by `ctx.rots[k]`
-    /// (`rotated[id][0]` is the value itself).
-    rotated: Vec<Vec<Vec<u64>>>,
+    /// `rotated[id]` = the term's value under every `ctx.rots[k]`, back to
+    /// back; see [`Bank::rot`].
+    rotated: Vec<Vec<u64>>,
     /// Value vectors already represented in the bank (inputs included).
     classes: HashSet<Vec<u64>>,
     /// Bank ids by exact component count (level 0 = inputs).
@@ -236,13 +247,30 @@ impl Ticker<'_> {
     }
 }
 
-/// The ceiling level's partners (the inputs and the cross pool) by their
-/// rotated value at the first masked slot.
+/// A level's partners (the inputs and the cross pool) by their rotated
+/// value at the first masked slot.
 struct PartnerIndex {
     by_value: HashMap<u64, Vec<(u32, usize)>>,
     /// Every `(partner, rotation index)`, for slots that do not pin the
     /// partner down.
     all: Vec<(u32, usize)>,
+}
+
+/// `union_support(a, b).len()`, without building the union.
+fn union_len(a: &[u32], b: &[u32]) -> usize {
+    let (mut i, mut j, mut shared) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                shared += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    a.len() + b.len() - shared
 }
 
 fn union_support(a: &[u32], b: &[u32]) -> Vec<u32> {
@@ -333,13 +361,8 @@ impl<'s, 'a> Bank<'s, 'a> {
                 .flat_map(|e| e.ct_inputs[j].iter().copied())
                 .collect();
             let id = bank.terms.len() as u32;
-            bank.classes.insert(vec.clone());
-            bank.rotated.push(
-                ctx.rots
-                    .iter()
-                    .map(|&r| ctx.rotate_concat(&vec, r))
-                    .collect(),
-            );
+            bank.rotated.push(bank.rotations_of(&vec));
+            bank.classes.insert(vec);
             bank.terms.push(BankTerm {
                 node: Node::Input,
                 support: Vec::new(),
@@ -365,10 +388,7 @@ impl<'s, 'a> Bank<'s, 'a> {
             deadline: self.ctx.deadline,
             timed_out: &timed_out,
         };
-        // At the ceiling every pair is a goal check; look its partners up.
-        let index = (level + 1 == self.max_c && !self.ctx.mask_idx.is_empty())
-            .then(|| self.partner_index());
-        let index = index.as_ref();
+        let index = &self.partner_index();
         let workers = jobs.get().min(ids.len());
         let results: Vec<Vec<GenCand>> = if workers <= 1 {
             let mut local = 0u64;
@@ -429,60 +449,79 @@ impl<'s, 'a> Bank<'s, 'a> {
         Ok(())
     }
 
-    /// Indexes the partners of a ceiling expansion; see [`PartnerIndex`].
+    /// Term `id`'s value rotated by `ctx.rots[k]` (`k = 0`: the value
+    /// itself).
+    fn rot(&self, id: u32, k: usize) -> &[u64] {
+        let len = self.ctx.target.len();
+        &self.rotated[id as usize][k * len..(k + 1) * len]
+    }
+
+    /// `vec` under every operand rotation, back to back.
+    fn rotations_of(&self, vec: &[u64]) -> Vec<u64> {
+        let mut out = Vec::with_capacity(vec.len() * self.ctx.rots.len());
+        for &r in &self.ctx.rots {
+            self.ctx.rotate_onto(vec, r, &mut out);
+        }
+        out
+    }
+
+    /// Indexes the partners of this level's expansion; see
+    /// [`PartnerIndex`].
     fn partner_index(&self) -> PartnerIndex {
-        let m0 = self.ctx.mask_idx[0];
         let all: Vec<(u32, usize)> = (0..self.ctx.num_inputs as u32)
             .chain(self.pool.iter().copied())
             .flat_map(|p| (0..self.ctx.rots.len()).map(move |k| (p, k)))
             .collect();
         let mut by_value: HashMap<u64, Vec<(u32, usize)>> = HashMap::new();
-        for &(p, k) in &all {
-            by_value
-                .entry(self.rotated[p as usize][k][m0])
-                .or_default()
-                .push((p, k));
+        if let Some(&m0) = self.ctx.mask_idx.first() {
+            for &(p, k) in &all {
+                by_value.entry(self.rot(p, k)[m0]).or_default().push((p, k));
+            }
         }
         PartnerIndex { by_value, all }
     }
 
     /// All combinations rooted at `x`: unary sketch ops, `(x, x)`,
     /// `(x, p)`/`(p, x)` for every older partner `p` (inputs always; other
-    /// terms only through the cross pool), and explicit rotations. With a
-    /// ceiling `index`, the partners come from the lookup instead of a
-    /// scan. Candidate order is a pure function of the bank, never of
-    /// thread timing.
+    /// terms only through the cross pool), and explicit rotations. A pair
+    /// whose DAG outgrows the ceiling is skipped whole; the ceiling-sized
+    /// `(x, p)`/`(p, x)` pairs come from the `index` lookup, the smaller
+    /// ones from a scan. Candidate order is a pure function of the bank,
+    /// never of thread timing.
     fn expand_unit(
         &self,
         x: u32,
-        index: Option<&PartnerIndex>,
+        index: &PartnerIndex,
         ticker: &Ticker<'_>,
         local: &mut u64,
     ) -> Option<Vec<GenCand>> {
         let mut out = Vec::new();
+        let mut buf = Vec::with_capacity(self.ctx.target.len());
         let explicit = self.ctx.sketch.mode == SketchMode::ExplicitRotate;
         let num_inputs = self.ctx.num_inputs as u32;
+        let x_sup = &self.terms[x as usize].support;
+        let x_size = x_sup.len() + 1;
+        // The older partners whose pair with `x` stays under the ceiling,
+        // with the pair's size; the ceiling-sized ones are looked up.
+        let growth_partners: Vec<(u32, usize)> = (0..num_inputs.min(x))
+            .chain(self.pool.iter().copied().filter(|&p| p < x))
+            .map(|p| (p, union_len(x_sup, &self.terms[p as usize].support) + 1))
+            .filter(|&(_, size)| size < self.max_c)
+            .collect();
         for (op_idx, sop) in self.ctx.sketch.ops.iter().enumerate() {
             if sop.op.binary_ct() {
-                self.expand_pair(op_idx, sop, x, x, &mut out, ticker, local)?;
-                if let Some(index) = index {
-                    self.expand_ceiling_partners(op_idx, sop, x, index, &mut out, ticker, local)?;
-                    continue;
-                }
-                for p in 0..num_inputs.min(x) {
-                    self.expand_pair(op_idx, sop, x, p, &mut out, ticker, local)?;
-                    self.expand_pair(op_idx, sop, p, x, &mut out, ticker, local)?;
-                }
-                for &p in self.pool.iter().filter(|&&p| p < x) {
-                    self.expand_pair(op_idx, sop, x, p, &mut out, ticker, local)?;
-                    self.expand_pair(op_idx, sop, p, x, &mut out, ticker, local)?;
+                self.expand_pair(op_idx, sop, x, x, x_size, &mut buf, &mut out, ticker, local)?;
+                self.expand_ceiling_partners(op_idx, sop, x, index, &mut out, ticker, local)?;
+                for &(p, size) in &growth_partners {
+                    self.expand_pair(op_idx, sop, x, p, size, &mut buf, &mut out, ticker, local)?;
+                    self.expand_pair(op_idx, sop, p, x, size, &mut buf, &mut out, ticker, local)?;
                 }
             } else {
                 for lr in 0..self.ctx.hole_rots(sop).0 {
                     if ticker.check(local) {
                         return None;
                     }
-                    self.emit(op_idx, sop, x, lr, None, &mut out);
+                    self.emit(op_idx, sop, x, lr, None, x_size, &mut buf, &mut out);
                 }
             }
         }
@@ -491,7 +530,7 @@ impl<'s, 'a> Bank<'s, 'a> {
                 if ticker.check(local) {
                     return None;
                 }
-                self.emit_rot(x, amount, &mut out);
+                self.emit_rot(x, amount, &mut buf, &mut out);
             }
         }
         Some(out)
@@ -512,7 +551,10 @@ impl<'s, 'a> Bank<'s, 'a> {
         matches!(sop.op, ArithOp::SubCtCt) && a == b && lr == rr
     }
 
-    /// Enumerates the rotation assignments of one ordered operand pair.
+    /// Enumerates the rotation assignments of one ordered operand pair
+    /// whose DAG has `size ≤ max_c` components. At the ceiling a pair is
+    /// only a goal check, so each right operand is first tested on the
+    /// first masked slot against the value the left one needs there.
     #[allow(clippy::too_many_arguments)]
     fn expand_pair(
         &self,
@@ -520,30 +562,44 @@ impl<'s, 'a> Bank<'s, 'a> {
         sop: &SketchOp,
         a: u32,
         b: u32,
+        size: usize,
+        buf: &mut Vec<u64>,
         out: &mut Vec<GenCand>,
         ticker: &Ticker<'_>,
         local: &mut u64,
     ) -> Option<()> {
         let (lhs_rots, rhs_rots) = self.ctx.hole_rots(sop);
+        let at_ceiling = size == self.max_c;
         for lr in 0..lhs_rots {
+            let need = if at_ceiling {
+                self.ctx.partner_need(&sop.op, self.rot(a, lr), true)
+            } else {
+                PartnerValue::Any
+            };
             for rr in 0..rhs_rots {
                 if ticker.check(local) {
                     return None;
                 }
-                if !self.pair_skipped(sop, a, lr, b, rr) {
-                    self.emit(op_idx, sop, a, lr, Some((b, rr)), out);
+                if self.pair_skipped(sop, a, lr, b, rr) {
+                    continue;
+                }
+                if !at_ceiling {
+                    self.emit(op_idx, sop, a, lr, Some((b, rr)), size, buf, out);
+                } else if self.ctx.partner_admits(need, self.rot(b, rr)) {
+                    self.emit_goal(op_idx, sop, a, lr, Some((b, rr)), out);
                 }
             }
         }
         Some(())
     }
 
-    /// The `(x, p)` and `(p, x)` pairs of a ceiling expansion. Each is only
-    /// a goal check, so for every rotation of `x` the partners come from
-    /// `index` by the value the op needs at the first masked slot; `emit`
-    /// then checks every masked slot. The pairs emitted, and the rules
-    /// that admit them, are exactly those of the scan in
-    /// [`Self::expand_unit`].
+    /// The ceiling-sized `(x, p)` and `(p, x)` pairs. Each is only a goal
+    /// check, so for every rotation of `x` the partners come from `index`
+    /// by the value the op needs at the first masked slot, and only those
+    /// whose union with `x` makes exactly `max_c` components are kept;
+    /// `emit_goal` then checks every masked slot. The pairs emitted, and
+    /// the rules that admit them, are exactly those of a scan of every
+    /// partner.
     #[allow(clippy::too_many_arguments)]
     fn expand_ceiling_partners(
         &self,
@@ -555,6 +611,13 @@ impl<'s, 'a> Bank<'s, 'a> {
         ticker: &Ticker<'_>,
         local: &mut u64,
     ) -> Option<()> {
+        let x_sup = &self.terms[x as usize].support;
+        // An older partner's DAG is no larger than `x`'s, so a pair has at
+        // most `2|x| + 1` components: far below the ceiling, none is
+        // ceiling-sized.
+        if 2 * x_sup.len() + 1 < self.max_c {
+            return Some(());
+        }
         let (lhs_rots, rhs_rots) = self.ctx.hole_rots(sop);
         for (x_is_lhs, x_rots, p_rots) in [(true, lhs_rots, rhs_rots), (false, rhs_rots, lhs_rots)]
         {
@@ -562,20 +625,26 @@ impl<'s, 'a> Bank<'s, 'a> {
                 if ticker.check(local) {
                     return None;
                 }
-                let known = &self.rotated[x as usize][xr];
-                let hits: &[(u32, usize)] = match self.ctx.partner_need(&sop.op, known, x_is_lhs) {
-                    PartnerValue::Exactly(v) => index.by_value.get(&v).map_or(&[], Vec::as_slice),
-                    PartnerValue::Nothing => continue,
-                    PartnerValue::Any => &index.all,
-                };
+                let hits: &[(u32, usize)] =
+                    match self.ctx.partner_need(&sop.op, self.rot(x, xr), x_is_lhs) {
+                        PartnerValue::Exactly(v) => {
+                            index.by_value.get(&v).map_or(&[], Vec::as_slice)
+                        }
+                        PartnerValue::Nothing => continue,
+                        PartnerValue::Any => &index.all,
+                    };
                 for &(p, pr) in hits.iter().filter(|&&(p, pr)| p < x && pr < p_rots) {
+                    let size = union_len(x_sup, &self.terms[p as usize].support) + 1;
+                    if size != self.max_c {
+                        continue;
+                    }
                     let (a, lr, b, rr) = if x_is_lhs {
                         (x, xr, p, pr)
                     } else {
                         (p, pr, x, xr)
                     };
                     if !self.pair_skipped(sop, a, lr, b, rr) {
-                        self.emit(op_idx, sop, a, lr, Some((b, rr)), out);
+                        self.emit_goal(op_idx, sop, a, lr, Some((b, rr)), out);
                     }
                 }
             }
@@ -583,59 +652,30 @@ impl<'s, 'a> Bank<'s, 'a> {
         Some(())
     }
 
-    /// Builds (or goal-checks) one arithmetic candidate.
-    fn emit(
+    /// The attributes of the arithmetic candidate `op(a` rotated by `lr`,
+    /// `rhs)`, with an empty support for the caller to fill in.
+    fn cand(
         &self,
         op_idx: usize,
         sop: &SketchOp,
         a: u32,
         lr: usize,
         rhs: Option<(u32, usize)>,
-        out: &mut Vec<GenCand>,
-    ) {
+    ) -> Cand {
         let a_term = &self.terms[a as usize];
-        let lhs_v = &self.rotated[a as usize][lr];
-        let (b_sup, b_md, b_cost, rhs_v, rr) = match rhs {
-            Some((b, rr)) => {
+        let (b_md, b_cost) = match rhs {
+            Some((b, _)) => {
                 let bt = &self.terms[b as usize];
-                let extra = if b != a { bt.cost } else { 0.0 };
-                (
-                    bt.support.as_slice(),
-                    bt.mdepth,
-                    extra,
-                    Some(&self.rotated[b as usize][rr]),
-                    rr,
-                )
+                (bt.mdepth, if b != a { bt.cost } else { 0.0 })
             }
-            None => (&[] as &[u32], 0, 0.0, None, 0),
+            None => (0, 0.0),
         };
-        // Cheapest possible size: the larger operand DAG plus this node.
-        let floor = a_term.support.len().max(b_sup.len()) + 1;
-        if floor > self.max_c {
-            return;
-        }
-        // Ceiling fast path: a candidate that can only be goal-sized is
-        // checked on the masked slots before anything is allocated.
-        let at_ceiling_for_sure = floor == self.max_c;
-        if at_ceiling_for_sure
-            && !self
-                .ctx
-                .masked_match(&sop.op, op_idx, lhs_v, rhs_v.map(|v| v.as_slice()))
-        {
-            return;
-        }
-        let support = union_support(&a_term.support, b_sup);
-        let size = support.len() + 1;
-        if size > self.max_c {
-            return;
-        }
-        let is_mul = sop.op.is_mul();
-        let mdepth = a_term.mdepth.max(b_md) + is_mul as u32;
+        let mdepth = a_term.mdepth.max(b_md) + sop.op.is_mul() as u32;
         let mut cost = a_term.cost + b_cost + self.ctx.op_latencies[op_idx];
         if self.ctx.rots[lr] != 0 {
             cost += self.ctx.rot_latency;
         }
-        if rhs.is_some() && self.ctx.rots[rr] != 0 {
+        if rhs.is_some_and(|(_, rr)| self.ctx.rots[rr] != 0) {
             cost += self.ctx.rot_latency;
         }
         let node = Node::Arith {
@@ -654,69 +694,133 @@ impl<'s, 'a> Bank<'s, 'a> {
             Some((b, _)) if b != a => a < num_inputs && b < num_inputs,
             _ => a < num_inputs || a_term.chain,
         };
-        let cand = Cand {
+        Cand {
             node,
-            support,
+            support: Vec::new(),
             mdepth,
             cost,
             chain,
-        };
-        if size == self.max_c {
-            // Only a goal can live here; the masked check already passed
-            // for `at_ceiling_for_sure`, otherwise run it now.
-            if at_ceiling_for_sure
-                || self
-                    .ctx
-                    .masked_match(&sop.op, op_idx, lhs_v, rhs_v.map(|v| v.as_slice()))
-            {
-                out.push(GenCand {
-                    cand,
-                    vec: None,
-                    goal: true,
-                });
-            }
-            return;
         }
-        let vec = self
-            .ctx
-            .apply_op(&sop.op, op_idx, lhs_v, rhs_v.map(|v| v.as_slice()));
-        let goal = size >= self.min_c && self.ctx.matches_target(&vec);
-        out.push(GenCand {
-            cand,
-            vec: Some(vec),
-            goal,
-        });
     }
 
-    /// Builds one explicit-rotation candidate (ablation mode).
-    fn emit_rot(&self, x: u32, amount: i64, out: &mut Vec<GenCand>) {
+    /// The sorted DAG of `a` and `rhs`'s operand.
+    fn pair_support(&self, a: u32, rhs: Option<(u32, usize)>) -> Vec<u32> {
+        let a_sup = &self.terms[a as usize].support;
+        match rhs {
+            Some((b, _)) => union_support(a_sup, &self.terms[b as usize].support),
+            None => a_sup.clone(),
+        }
+    }
+
+    /// Goal-checks one arithmetic candidate of exactly `max_c`
+    /// components on the masked slots; only a hit is built.
+    fn emit_goal(
+        &self,
+        op_idx: usize,
+        sop: &SketchOp,
+        a: u32,
+        lr: usize,
+        rhs: Option<(u32, usize)>,
+        out: &mut Vec<GenCand>,
+    ) {
+        let rhs_v = rhs.map(|(b, rr)| self.rot(b, rr));
+        if self
+            .ctx
+            .masked_match(&sop.op, op_idx, self.rot(a, lr), rhs_v)
+        {
+            let mut cand = self.cand(op_idx, sop, a, lr, rhs);
+            cand.support = self.pair_support(a, rhs);
+            out.push(GenCand {
+                cand,
+                vec: None,
+                goal: true,
+            });
+        }
+    }
+
+    /// Builds (or, at the ceiling, goal-checks) one arithmetic candidate
+    /// of `size` components, computing its value in `buf`.
+    #[allow(clippy::too_many_arguments)]
+    fn emit(
+        &self,
+        op_idx: usize,
+        sop: &SketchOp,
+        a: u32,
+        lr: usize,
+        rhs: Option<(u32, usize)>,
+        size: usize,
+        buf: &mut Vec<u64>,
+        out: &mut Vec<GenCand>,
+    ) {
+        if size == self.max_c {
+            self.emit_goal(op_idx, sop, a, lr, rhs, out);
+            return;
+        }
+        let rhs_v = rhs.map(|(b, rr)| self.rot(b, rr));
+        self.ctx
+            .apply_op_into(&sop.op, op_idx, self.rot(a, lr), rhs_v, buf);
+        let cand = self.cand(op_idx, sop, a, lr, rhs);
+        self.emit_growth(cand, size, buf, || self.pair_support(a, rhs), out);
+    }
+
+    /// Builds (or goal-checks) one explicit-rotation candidate (ablation
+    /// mode).
+    fn emit_rot(&self, x: u32, amount: i64, buf: &mut Vec<u64>, out: &mut Vec<GenCand>) {
         let xt = &self.terms[x as usize];
         let size = xt.support.len() + 1;
         if size > self.max_c {
             return;
         }
-        let vec = self.ctx.rotate_concat(&self.rotated[x as usize][0], amount);
+        buf.clear();
+        self.ctx.rotate_onto(self.rot(x, 0), amount, buf);
         let cand = Cand {
             node: Node::Rot { src: x, amount },
-            support: xt.support.clone(),
+            support: Vec::new(),
             mdepth: xt.mdepth,
             cost: xt.cost + self.ctx.rot_latency,
             chain: x < self.ctx.num_inputs as u32 || xt.chain,
         };
-        let goal = size >= self.min_c && self.ctx.matches_target(&vec);
-        if size == self.max_c {
-            if goal {
-                out.push(GenCand {
-                    cand,
-                    vec: None,
-                    goal: true,
-                });
-            }
+        if size < self.max_c {
+            self.emit_growth(cand, size, buf, || xt.support.clone(), out);
+        } else if size >= self.min_c && self.ctx.matches_target(buf) {
+            out.push(GenCand {
+                cand: Cand {
+                    support: xt.support.clone(),
+                    ..cand
+                },
+                vec: None,
+                goal: true,
+            });
+        }
+    }
+
+    /// Emits a candidate of `size < max_c` components whose value is in
+    /// `value`, unless it cannot change the bank: a non-goal whose value
+    /// the bank already holds, or one a pending builder at least as cheap
+    /// already claims (the pending map only ever keeps the cheaper of
+    /// two). Only a survivor gets its `support` and value allocated.
+    fn emit_growth(
+        &self,
+        mut cand: Cand,
+        size: usize,
+        value: &[u64],
+        support: impl FnOnce() -> Vec<u32>,
+        out: &mut Vec<GenCand>,
+    ) {
+        let goal = size >= self.min_c && self.ctx.matches_target(value);
+        let redundant = || {
+            self.classes.contains(value)
+                || self.pending[size]
+                    .get(value)
+                    .is_some_and(|held| cand_rank(held) <= cand_rank(&cand))
+        };
+        if !goal && redundant() {
             return;
         }
+        cand.support = support();
         out.push(GenCand {
             cand,
-            vec: Some(vec),
+            vec: Some(value.to_vec()),
             goal,
         });
     }
@@ -779,13 +883,7 @@ impl<'s, 'a> Bank<'s, 'a> {
             let id = self.terms.len() as u32;
             let mut support = cand.support;
             support.push(id);
-            self.rotated.push(
-                self.ctx
-                    .rots
-                    .iter()
-                    .map(|&r| self.ctx.rotate_concat(&vec, r))
-                    .collect(),
-            );
+            self.rotated.push(self.rotations_of(&vec));
             self.classes.insert(vec);
             self.terms.push(BankTerm {
                 is_rot: matches!(cand.node, Node::Rot { .. }),
@@ -1092,96 +1190,210 @@ mod tests {
         }
     }
 
+    /// The brute-force oracle for one expansion unit: every `(x, x)`,
+    /// `(x, p)` and `(p, x)` pair and every rotation assignment the
+    /// symmetry rules admit, plus the unary ops and explicit rotations,
+    /// each filed by the size of its full support: over the ceiling it is
+    /// dropped, at the ceiling kept only if it matches every masked slot,
+    /// below it kept with its value whatever that is.
+    fn scan_unit(bank: &Bank<'_, '_>, x: u32) -> Vec<GenCand> {
+        let ctx = bank.ctx;
+        let mut out = Vec::new();
+        let mut file =
+            |cand: Cand, support: &[u32], hit: &dyn Fn() -> bool, value: &dyn Fn() -> Vec<u64>| {
+                let size = support.len() + 1;
+                let cand = Cand {
+                    support: support.to_vec(),
+                    ..cand
+                };
+                if size < bank.max_c {
+                    let vec = value();
+                    let goal = size >= bank.min_c && ctx.matches_target(&vec);
+                    out.push(GenCand {
+                        cand,
+                        vec: Some(vec),
+                        goal,
+                    });
+                } else if size == bank.max_c && hit() {
+                    out.push(GenCand {
+                        cand,
+                        vec: None,
+                        goal: true,
+                    });
+                }
+            };
+        let partners: Vec<u32> = (0..(ctx.num_inputs as u32).min(x))
+            .chain(bank.pool.iter().copied().filter(|&p| p < x))
+            .collect();
+        let xt = &bank.terms[x as usize];
+        for (op_idx, sop) in ctx.sketch.ops.iter().enumerate() {
+            let (lhs_rots, rhs_rots) = ctx.hole_rots(sop);
+            let op = &sop.op;
+            if !op.binary_ct() {
+                for lr in 0..lhs_rots {
+                    let lhs = bank.rot(x, lr);
+                    file(
+                        bank.cand(op_idx, sop, x, lr, None),
+                        &xt.support,
+                        &|| ctx.masked_match(op, op_idx, lhs, None),
+                        &|| ctx.apply_op(op, op_idx, lhs, None),
+                    );
+                }
+                continue;
+            }
+            let pairs =
+                std::iter::once((x, x)).chain(partners.iter().flat_map(|&p| [(x, p), (p, x)]));
+            for (a, b) in pairs {
+                let support = union_support(
+                    &bank.terms[a as usize].support,
+                    &bank.terms[b as usize].support,
+                );
+                for lr in 0..lhs_rots {
+                    for rr in 0..rhs_rots {
+                        if bank.pair_skipped(sop, a, lr, b, rr) {
+                            continue;
+                        }
+                        let (lhs, rhs) = (bank.rot(a, lr), Some(bank.rot(b, rr)));
+                        file(
+                            bank.cand(op_idx, sop, a, lr, Some((b, rr))),
+                            &support,
+                            &|| ctx.masked_match(op, op_idx, lhs, rhs),
+                            &|| ctx.apply_op(op, op_idx, lhs, rhs),
+                        );
+                    }
+                }
+            }
+        }
+        if ctx.sketch.mode == SketchMode::ExplicitRotate && !xt.is_rot {
+            for &amount in &ctx.sketch.rotation_amounts {
+                let cand = Cand {
+                    node: Node::Rot { src: x, amount },
+                    support: Vec::new(),
+                    mdepth: xt.mdepth,
+                    cost: xt.cost + ctx.rot_latency,
+                    chain: x < ctx.num_inputs as u32 || xt.chain,
+                };
+                let value = || ctx.rotate_concat(bank.rot(x, 0), amount);
+                file(cand, &xt.support, &|| ctx.matches_target(&value()), &value);
+            }
+        }
+        out
+    }
+
     type Rank = (u64, (u32, u32, i64, u32, i64));
 
-    /// Grows a bank up to its ceiling level and returns the ceiling goals
-    /// its lookup emits, as sorted ranks, with the bank.
-    fn lookup_goals<'s, 'a>(
-        ctx: &'s SearchContext<'a>,
-        max_c: usize,
-        jobs: NonZeroUsize,
-    ) -> (Vec<Rank>, Bank<'s, 'a>) {
-        let mut bank = Bank::new(ctx, 1, max_c);
-        for d in 0..max_c - 1 {
-            bank.expand_level(d, jobs).expect("no deadline");
-            bank.finalize_level(d + 1);
-        }
-        bank.goals[max_c].clear();
-        bank.expand_level(max_c - 1, jobs).expect("no deadline");
-        let mut ranks: Vec<Rank> = bank.goals[max_c].iter().map(cand_rank).collect();
-        ranks.sort_unstable();
-        (ranks, bank)
+    /// Every queued goal of `bank`, per size, as sorted ranks.
+    fn goal_ranks(bank: &Bank<'_, '_>) -> Vec<Vec<Rank>> {
+        bank.goals
+            .iter()
+            .map(|g| {
+                let mut ranks: Vec<Rank> = g.iter().map(cand_rank).collect();
+                ranks.sort_unstable();
+                ranks
+            })
+            .collect()
     }
 
-    /// The brute-force oracle: every `(term, partner, rotation pair)` of
-    /// the ceiling level through `emit`'s `masked_match`, as the levels
-    /// below the ceiling are expanded.
-    fn scanned_goals(bank: &Bank<'_, '_>) -> Vec<Rank> {
-        let timed_out = AtomicBool::new(false);
-        let ticker = Ticker {
-            deadline: None,
-            timed_out: &timed_out,
-        };
-        let mut ranks: Vec<Rank> = Vec::new();
-        for &x in &bank.levels[bank.max_c - 1] {
-            let unit = bank
-                .expand_unit(x, None, &ticker, &mut 0)
-                .expect("no deadline");
-            ranks.extend(
-                unit.iter()
-                    .filter(|gc| gc.goal)
-                    .map(|gc| cand_rank(&gc.cand)),
-            );
-        }
-        ranks.sort_unstable();
-        ranks
+    /// Everything a finalized term holds, its cost as bits.
+    fn term_key(t: &BankTerm) -> (Node, Vec<u32>, u32, u64, bool, bool) {
+        let cost = t.cost.to_bits();
+        (
+            t.node.clone(),
+            t.support.clone(),
+            t.mdepth,
+            cost,
+            t.is_rot,
+            t.chain,
+        )
     }
 
-    /// The ceiling lookup emits exactly the goals a scan of every pair
-    /// does: on a reduction and a stencil rotation set, in both sketch
-    /// modes, under the kernels' `t = 65537`, a small prime and a
+    /// Grows banks to `max_c` through `expand_level` at one and two jobs
+    /// and, beside them, through [`scan_unit`]; after every level their
+    /// goals, retained terms and value classes must agree. Returns the
+    /// ceiling goals found.
+    fn grow_beside_a_scan(ctx: &SearchContext<'_>, max_c: usize, case: &str) -> usize {
+        let key = |b: &Bank<'_, '_>| b.terms.iter().map(term_key).collect::<Vec<_>>();
+        let mut scanned = Bank::new(ctx, 1, max_c);
+        let mut grown = [Bank::new(ctx, 1, max_c), Bank::new(ctx, 1, max_c)];
+        for d in 0..max_c {
+            let units: Vec<GenCand> = scanned.levels[d]
+                .iter()
+                .flat_map(|&x| scan_unit(&scanned, x))
+                .collect();
+            for gc in units {
+                scanned.route(gc);
+            }
+            for (j, bank) in grown.iter_mut().enumerate() {
+                bank.expand_level(d, jobs(j + 1)).expect("no deadline");
+                let at = format!("{case} jobs={}: after expanding level {d}", j + 1);
+                assert_eq!(goal_ranks(bank), goal_ranks(&scanned), "{at}: goals");
+                if d + 1 < max_c {
+                    bank.finalize_level(d + 1);
+                }
+            }
+            if d + 1 < max_c {
+                scanned.finalize_level(d + 1);
+                for (j, bank) in grown.iter().enumerate() {
+                    let at = format!("{case} jobs={}: level {}", j + 1, d + 1);
+                    assert_eq!(key(bank), key(&scanned), "{at}: terms");
+                    assert!(bank.classes == scanned.classes, "{at}: classes");
+                }
+            }
+        }
+        scanned.goals[max_c].len()
+    }
+
+    /// Bank growth — the size-first pair filter, the ceiling lookup at
+    /// every level, the first-slot partner test and the redundancy
+    /// filter on growth candidates — builds exactly the bank a scan of
+    /// every pair does, to a ceiling of 2, 3 and 4 components, so the
+    /// ceiling is reached from one, two and three levels below, and at 4
+    /// a level-2 candidate meets the pending builders level 1 left of its
+    /// size. This runs on a reduction and a stencil rotation set, in both
+    /// sketch modes, under the kernels' `t = 65537`, a small prime and a
     /// composite `t`, at one and two jobs. A small `t` makes chance goals
     /// common, so every op meets the lookup with the partner on either
-    /// side, and under `t = 16` half the multiplies have no inverse.
+    /// side, and under `t = 16` half the multiplies have no inverse. Two
+    /// masked slots make the first-slot test a filter, not the whole
+    /// check. The vectors are short (one example of four slots, or of two
+    /// at a ceiling of 4) to keep the scan affordable.
     #[test]
     fn ceiling_lookup_matches_a_scan_of_every_pair() {
         let ops = vec![
-            SketchOp::rotated(ArithOp::SubCtCt),
+            SketchOp::rhs_rotated(ArithOp::SubCtCt),
             SketchOp::rhs_rotated(ArithOp::AddCtCt),
             SketchOp::rotated(ArithOp::MulCtCt),
         ];
-        let sketches = [
-            (8, RotationSet::PowersOfTwo { extent: 8 }),
-            (
-                9,
-                RotationSet::Window {
-                    stride: 3,
-                    radius: 1,
-                },
-            ),
+        let rotation_sets = [
+            RotationSet::PowersOfTwo { extent: 2 },
+            RotationSet::Window {
+                stride: 2,
+                radius: 1,
+            },
         ];
         let model = LatencyModel::profiled_default();
-        for (n, rotations) in sketches {
+        for rotations in rotation_sets {
             for t in [65537, 17, 16] {
-                let mut mask = vec![false; n];
-                mask[0] = true;
-                let spec = KernelSpec::new("mixed", n, 2, 0, mask, t, Box::new(Mixed));
-                let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-                let examples = vec![spec.sample_example(&mut rng), spec.sample_example(&mut rng)];
-                let local = Sketch::new(ops.clone(), rotations.clone(), 3);
-                let explicit = local.clone().with_explicit_rotations();
-                for (sketch, max_c) in [(local, 2), (explicit, 3)] {
-                    let ctx = SearchContext::new(&spec, &sketch, &examples, &model, None, None);
-                    let (lookup, bank) = lookup_goals(&ctx, max_c, jobs(1));
-                    let scan = scanned_goals(&bank);
-                    let case = format!("n={n} t={t} {:?}", sketch.mode);
-                    // Under t = 65537 chance goals are rare, and explicit
-                    // rotations build the target in four components, past
-                    // this ceiling.
-                    let chance_goals = t < 65537 || sketch.mode == SketchMode::LocalRotate;
-                    assert!(!chance_goals || !scan.is_empty(), "{case}: no goal");
-                    assert_eq!(lookup, scan, "{case}");
-                    assert_eq!(lookup_goals(&ctx, max_c, jobs(2)).0, scan, "{case} jobs=2");
+                for (n, ceilings) in [(4, 2..=3), (2, 4..=4)] {
+                    let mut mask = vec![false; n];
+                    mask[..2].fill(true);
+                    let spec = KernelSpec::new("mixed", n, 2, 0, mask, t, Box::new(Mixed));
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+                    let examples = vec![spec.sample_example(&mut rng)];
+                    let local = Sketch::new(ops.clone(), rotations.clone(), 3);
+                    let explicit = local.clone().with_explicit_rotations();
+                    for sketch in [local, explicit] {
+                        let ctx = SearchContext::new(&spec, &sketch, &examples, &model, None, None);
+                        for max_c in ceilings.clone() {
+                            let case = format!(
+                                "{rotations:?} t={t} n={n} {:?} max_c={max_c}",
+                                sketch.mode
+                            );
+                            let ceiling_goals = grow_beside_a_scan(&ctx, max_c, &case);
+                            // A small `t` meets chance goals at the ceiling.
+                            assert!(t == 65537 || max_c < 3 || ceiling_goals > 0, "{case}");
+                        }
+                    }
                 }
             }
         }

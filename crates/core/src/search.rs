@@ -63,12 +63,14 @@
 //!   plaintext operand values, and the latency table. It is `Sync` and
 //!   shared by reference across worker threads.
 //! * `WorkerState` — the mutable DFS state (placed components, the
-//!   available-value arena and its operand rotations, the
-//!   observational-equivalence map, the running cost). Each worker owns
-//!   one and restores it with snapshots on backtrack, exactly as the
-//!   sequential search always did. Each available value is rotated once,
-//!   when the first node that can use it enumerates its candidates; on
-//!   backtrack its rotation buffers are kept for the next value.
+//!   available-value arena and its operand rotations, the running cost).
+//!   Each worker owns one and restores it with snapshots on backtrack,
+//!   exactly as the sequential search always did. The arena doubles as
+//!   the observational-equivalence set: it holds a handful of values, so
+//!   a candidate is compared with each rather than hashed. Each available
+//!   value is rotated once, when the first node that can use it
+//!   enumerates its candidates; on backtrack its rotation buffers are
+//!   kept for the next value.
 //!
 //! # Subtree partitioning and the determinism contract
 //!
@@ -107,7 +109,6 @@ use crate::sketch::{ArithOp, Sketch, SketchMode, SketchOp};
 use crate::spec::{Example, KernelSpec};
 use quill::cost::LatencyModel;
 use quill::program::{Instr, Program, PtOperand, ValRef};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
@@ -819,13 +820,12 @@ impl<'a> SearchContext<'a> {
 
     pub(crate) fn rotate_concat(&self, v: &[u64], r: i64) -> Vec<u64> {
         let mut out = Vec::with_capacity(v.len());
-        self.rotate_into(v, r, &mut out);
+        self.rotate_onto(v, r, &mut out);
         out
     }
 
-    /// [`Self::rotate_concat`] into `out`'s buffer.
-    fn rotate_into(&self, v: &[u64], r: i64, out: &mut Vec<u64>) {
-        out.clear();
+    /// Appends [`Self::rotate_concat`]`(v, r)` to `out`.
+    pub(crate) fn rotate_onto(&self, v: &[u64], r: i64, out: &mut Vec<u64>) {
         let shift = r.rem_euclid(self.n as i64) as usize;
         for chunk in v.chunks_exact(self.n) {
             out.extend_from_slice(&chunk[shift..]);
@@ -840,32 +840,39 @@ impl<'a> SearchContext<'a> {
         lhs: &[u64],
         rhs: Option<&[u64]>,
     ) -> Vec<u64> {
-        let t = self.t as u128;
-        match op {
-            ArithOp::AddCtCt => zip_mod(lhs, rhs.unwrap(), self.t, |a, b| a + b),
-            ArithOp::SubCtCt => zip_mod(lhs, rhs.unwrap(), self.t, |a, b| a + self.t as u128 - b),
-            ArithOp::MulCtCt => lhs
-                .iter()
-                .zip(rhs.unwrap())
-                .map(|(&a, &b)| ((a as u128 * b as u128) % t) as u64)
-                .collect(),
-            ArithOp::AddCtPt(_) => zip_mod(
-                lhs,
-                self.pt_values[op_idx].as_ref().unwrap(),
-                self.t,
-                |a, b| a + b,
-            ),
-            ArithOp::SubCtPt(_) => zip_mod(
-                lhs,
-                self.pt_values[op_idx].as_ref().unwrap(),
-                self.t,
-                |a, b| a + self.t as u128 - b,
-            ),
-            ArithOp::MulCtPt(_) => lhs
-                .iter()
-                .zip(self.pt_values[op_idx].as_ref().unwrap())
-                .map(|(&a, &b)| ((a as u128 * b as u128) % t) as u64)
-                .collect(),
+        let mut out = Vec::with_capacity(lhs.len());
+        self.apply_op_into(op, op_idx, lhs, rhs, &mut out);
+        out
+    }
+
+    /// [`Self::apply_op`] into `out`'s buffer.
+    pub(crate) fn apply_op_into(
+        &self,
+        op: &ArithOp,
+        op_idx: usize,
+        lhs: &[u64],
+        rhs: Option<&[u64]>,
+        out: &mut Vec<u64>,
+    ) {
+        let rhs = self.right_operand(op, op_idx, rhs);
+        out.clear();
+        out.extend(lhs.iter().zip(rhs).map(|(&a, &b)| op_mod(op, a, b, self.t)));
+    }
+
+    /// The right operand of `op`: `rhs` for a ct×ct op, the sketch op's
+    /// plaintext values for a ct×pt one.
+    fn right_operand<'v>(
+        &'v self,
+        op: &ArithOp,
+        op_idx: usize,
+        rhs: Option<&'v [u64]>,
+    ) -> &'v [u64] {
+        if op.binary_ct() {
+            rhs.expect("a ct×ct op has a right operand")
+        } else {
+            self.pt_values[op_idx]
+                .as_deref()
+                .expect("a ct×pt op has plaintext values")
         }
     }
 
@@ -923,7 +930,7 @@ impl<'a> SearchContext<'a> {
     }
 
     /// Whether `partner` passes [`Self::partner_need`]'s first-slot test.
-    fn partner_admits(&self, need: PartnerValue, partner: &[u64]) -> bool {
+    pub(crate) fn partner_admits(&self, need: PartnerValue, partner: &[u64]) -> bool {
         match need {
             PartnerValue::Exactly(v) => partner[self.mask_idx[0]] == v,
             PartnerValue::Nothing => false,
@@ -1214,23 +1221,10 @@ impl<'a> SearchContext<'a> {
         lhs: &[u64],
         rhs: Option<&[u64]>,
     ) -> bool {
-        let t = self.t as u128;
-        let rhs: &[u64] = match op {
-            ArithOp::AddCtCt | ArithOp::SubCtCt | ArithOp::MulCtCt => rhs.unwrap(),
-            _ => self.pt_values[op_idx].as_ref().unwrap(),
-        };
-        for &i in &self.mask_idx {
-            let (a, b) = (lhs[i] as u128, rhs[i] as u128);
-            let v = match op {
-                ArithOp::AddCtCt | ArithOp::AddCtPt(_) => (a + b) % t,
-                ArithOp::SubCtCt | ArithOp::SubCtPt(_) => (a + t - b) % t,
-                ArithOp::MulCtCt | ArithOp::MulCtPt(_) => (a * b) % t,
-            };
-            if v as u64 != self.target[i] {
-                return false;
-            }
-        }
-        true
+        let rhs = self.right_operand(op, op_idx, rhs);
+        self.mask_idx
+            .iter()
+            .all(|&i| op_mod(op, lhs[i], rhs[i], self.t) == self.target[i])
     }
 
     fn consider(
@@ -1248,8 +1242,10 @@ impl<'a> SearchContext<'a> {
             }
         } else {
             // Observational equivalence: skip values identical to an
-            // existing one on every example.
-            if state.value_set.contains_key(&vec) {
+            // existing one on every example. A handful of values are
+            // available and two distinct ones differ in their first few
+            // slots, so a scan beats hashing the candidate.
+            if state.avail.iter().any(|a| a.vec == vec) {
                 return;
             }
         }
@@ -1360,7 +1356,6 @@ struct WorkerState {
     /// reused by the next value, so the DFS allocates none in steady state.
     rotated: Vec<Vec<Vec<u64>>>,
     rotated_filled: usize,
-    value_set: HashMap<Vec<u64>, u32>,
     /// `rot_reads[i · ctx.rots.len() + k]`: how many placed operands read
     /// `avail[i]` rotated by `ctx.rots[k]`. Kept in step with `avail`.
     rot_reads: Vec<u32>,
@@ -1396,14 +1391,12 @@ struct Priced {
 impl WorkerState {
     fn root(ctx: &SearchContext<'_>) -> Self {
         let mut avail = Vec::new();
-        let mut value_set: HashMap<Vec<u64>, u32> = HashMap::new();
         for j in 0..ctx.num_inputs {
             let vec: Vec<u64> = ctx
                 .examples
                 .iter()
                 .flat_map(|e| e.ct_inputs[j].iter().copied())
                 .collect();
-            *value_set.entry(vec.clone()).or_insert(0) += 1;
             avail.push(AvailEntry {
                 vec,
                 mdepth: 0,
@@ -1416,7 +1409,6 @@ impl WorkerState {
             avail,
             rotated: Vec::new(),
             rotated_filled: 0,
-            value_set,
             rots_charged: 0,
             latency_sum: 0.0,
             max_mdepth: 0,
@@ -1432,7 +1424,8 @@ impl WorkerState {
                 self.rotated.push(vec![Vec::new(); ctx.rots.len()]);
             }
             for (out, &r) in self.rotated[i].iter_mut().zip(&ctx.rots) {
-                ctx.rotate_into(&self.avail[i].vec, r, out);
+                out.clear();
+                ctx.rotate_onto(&self.avail[i].vec, r, out);
             }
         }
         self.rotated_filled = self.avail.len();
@@ -1505,7 +1498,6 @@ impl WorkerState {
         self.latency_sum = p.latency_sum;
         self.rots_charged = p.rots_charged;
         self.max_mdepth = self.max_mdepth.max(p.mdepth);
-        *self.value_set.entry(vec.clone()).or_insert(0) += 1;
         self.avail.push(AvailEntry {
             vec,
             mdepth: p.mdepth,
@@ -1517,15 +1509,9 @@ impl WorkerState {
     }
 
     fn pop(&mut self, ctx: &SearchContext<'_>, snap: Snapshot) {
-        let entry = self.avail.pop().expect("state underflow");
+        self.avail.pop().expect("state underflow");
         self.rotated_filled = self.rotated_filled.min(self.avail.len());
         self.rot_reads.truncate(self.avail.len() * ctx.rots.len());
-        if let Entry::Occupied(mut count) = self.value_set.entry(entry.vec) {
-            *count.get_mut() -= 1;
-            if *count.get() == 0 {
-                count.remove();
-            }
-        }
         for (val, k) in snap.operands.into_iter().flatten() {
             self.avail[val].uses -= 1;
             self.rot_reads[val * ctx.rots.len() + k] -= 1;
@@ -1572,11 +1558,10 @@ pub(crate) fn partner_value(
     known_is_lhs: bool,
     target: u64,
 ) -> PartnerValue {
-    let (t128, k, g) = (t as u128, known as u128, target as u128);
     let v = match op {
-        ArithOp::AddCtCt => (g + t128 - k) % t128,
-        ArithOp::SubCtCt if known_is_lhs => (k + t128 - g) % t128,
-        ArithOp::SubCtCt => (g + k) % t128,
+        ArithOp::AddCtCt => sub_mod(target, known, t),
+        ArithOp::SubCtCt if known_is_lhs => sub_mod(known, target, t),
+        ArithOp::SubCtCt => add_mod(target, known, t),
         ArithOp::MulCtCt if known == 0 => {
             return if target == 0 {
                 PartnerValue::Any
@@ -1585,19 +1570,74 @@ pub(crate) fn partner_value(
             };
         }
         ArithOp::MulCtCt => match inverse_mod(known, t) {
-            Some(inv) => g * inv as u128 % t128,
+            Some(inv) => mul_mod(target, inv, t),
             None => return PartnerValue::Any,
         },
         _ => unreachable!("partner values exist for binary ciphertext ops only"),
     };
-    PartnerValue::Exactly(v as u64)
+    PartnerValue::Exactly(v)
 }
 
-/// `a⁻¹ mod t`, if `a` is a unit. The remainders stay in `u64` (a 128-bit
-/// division is a slow library call, and the last-level DFS asks for an
-/// inverse per left operand); the Bézout coefficients, bounded by `t` in
-/// magnitude, need a sign.
+// Slot arithmetic on residues mod `t`. Every value the searches combine is
+// already reduced (`SearchContext::new` asserts it of the examples, and
+// every op below keeps it so), so sums and differences need one
+// conditional correction, not a division. Products need one; it is a
+// 64-bit one whenever `t < 2^32`, which holds for every kernel's
+// plaintext modulus, and a 128-bit one only past that.
+
+/// `a + b mod t`.
+fn add_mod(a: u64, b: u64, t: u64) -> u64 {
+    let (s, carry) = a.overflowing_add(b);
+    if carry || s >= t {
+        s.wrapping_sub(t)
+    } else {
+        s
+    }
+}
+
+/// `a − b mod t`.
+fn sub_mod(a: u64, b: u64, t: u64) -> u64 {
+    if a >= b {
+        a - b
+    } else {
+        a.wrapping_sub(b).wrapping_add(t)
+    }
+}
+
+/// `a · b mod t`.
+fn mul_mod(a: u64, b: u64, t: u64) -> u64 {
+    if t <= u32::MAX as u64 {
+        a * b % t
+    } else {
+        (a as u128 * b as u128 % t as u128) as u64
+    }
+}
+
+/// `op(a, b) mod t`, with `b` the plaintext value for a ct×pt op.
+fn op_mod(op: &ArithOp, a: u64, b: u64, t: u64) -> u64 {
+    match op {
+        ArithOp::AddCtCt | ArithOp::AddCtPt(_) => add_mod(a, b, t),
+        ArithOp::SubCtCt | ArithOp::SubCtPt(_) => sub_mod(a, b, t),
+        ArithOp::MulCtCt | ArithOp::MulCtPt(_) => mul_mod(a, b, t),
+    }
+}
+
+/// `a⁻¹ mod t`, if `a` is a unit, by the extended Euclid: the last-level
+/// DFS asks for an inverse per left operand. The remainders stay below
+/// `t` and the Bézout coefficients below `t` in magnitude, so a `t < 2^32`
+/// runs on 32-bit remainders and 64-bit coefficients; a wider `t` on
+/// 64-bit remainders and 128-bit coefficients.
 fn inverse_mod(a: u64, t: u64) -> Option<u64> {
+    if let Ok(t) = u32::try_from(t) {
+        let (mut r0, mut r1) = (t, (a % t as u64) as u32);
+        let (mut s0, mut s1) = (0i64, 1i64);
+        while r1 != 0 {
+            let q = r0 / r1;
+            (r0, r1) = (r1, r0 % r1);
+            (s0, s1) = (s1, s0 - q as i64 * s1);
+        }
+        return (r0 == 1).then(|| (if s0 < 0 { s0 + t as i64 } else { s0 }) as u64);
+    }
     let (mut r0, mut r1) = (t, a % t);
     let (mut s0, mut s1) = (0i128, 1i128);
     while r1 != 0 {
@@ -1606,13 +1646,6 @@ fn inverse_mod(a: u64, t: u64) -> Option<u64> {
         (s0, s1) = (s1, s0 - q as i128 * s1);
     }
     (r0 == 1).then(|| (if s0 < 0 { s0 + t as i128 } else { s0 }) as u64)
-}
-
-fn zip_mod(a: &[u64], b: &[u64], t: u64, f: impl Fn(u128, u128) -> u128) -> Vec<u64> {
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| (f(x as u128, y as u128) % t as u128) as u64)
-        .collect()
 }
 
 #[cfg(test)]
@@ -1776,6 +1809,130 @@ mod tests {
                             }
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// `op(a, b) mod t` the wide way: 128-bit sums and products, one `%`.
+    fn wide_op(op: &ArithOp, a: u64, b: u64, t: u64) -> u64 {
+        let (a, b, t) = (a as u128, b as u128, t as u128);
+        let v = match op {
+            ArithOp::AddCtCt | ArithOp::AddCtPt(_) => a + b,
+            ArithOp::SubCtCt | ArithOp::SubCtPt(_) => a + t - b,
+            ArithOp::MulCtCt | ArithOp::MulCtPt(_) => a * b,
+        };
+        (v % t) as u64
+    }
+
+    /// What [`partner_value`] must return, in 128-bit arithmetic given
+    /// [`inverse_mod`] (checked on its own).
+    fn wide_partner(
+        op: &ArithOp,
+        t: u64,
+        known: u64,
+        known_is_lhs: bool,
+        target: u64,
+    ) -> PartnerValue {
+        let (k, g, t128) = (known as u128, target as u128, t as u128);
+        let v = match op {
+            ArithOp::AddCtCt => (g + t128 - k) % t128,
+            ArithOp::SubCtCt if known_is_lhs => (k + t128 - g) % t128,
+            ArithOp::SubCtCt => (g + k) % t128,
+            _ if known == 0 && target == 0 => return PartnerValue::Any,
+            _ if known == 0 => return PartnerValue::Nothing,
+            _ => match inverse_mod(known, t) {
+                Some(inv) => g * inv as u128 % t128,
+                None => return PartnerValue::Any,
+            },
+        };
+        PartnerValue::Exactly(v as u64)
+    }
+
+    /// The slot arithmetic — the 64-bit path of every `t < 2^32` and the
+    /// 128-bit one past it — agrees with 128-bit reference arithmetic:
+    /// `apply_op` and `masked_match` for every op, `partner_value` for
+    /// every binary one on either side, and `inverse_mod` (a unit gets an
+    /// inverse, a non-unit none). Every residue pair under `t = 16` and
+    /// `17`; random residues, with 0, 1 and `t − 1`, under 65537 and the
+    /// prime `2^61 − 1`.
+    #[test]
+    fn slot_arithmetic_matches_wide_arithmetic() {
+        use rand::Rng;
+        let ops = [
+            ArithOp::AddCtCt,
+            ArithOp::SubCtCt,
+            ArithOp::MulCtCt,
+            ArithOp::AddCtPt(PtOperand::Input(0)),
+            ArithOp::SubCtPt(PtOperand::Input(0)),
+            ArithOp::MulCtPt(PtOperand::Input(0)),
+        ];
+        let sketch = Sketch::new(
+            ops.iter().cloned().map(SketchOp::plain).collect(),
+            RotationSet::Explicit(Vec::new()),
+            1,
+        );
+        let model = LatencyModel::uniform();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        for t in [16u64, 17, 65537, (1 << 61) - 1] {
+            let pairs: Vec<(u64, u64)> = if t < 32 {
+                (0..t).flat_map(|a| (0..t).map(move |b| (a, b))).collect()
+            } else {
+                let edges = [0, 1, t - 1];
+                let edge_pairs = edges.iter().flat_map(|&a| edges.map(|b| (a, b)));
+                let random = (0..300).map(|_| (rng.gen_range(0..t), rng.gen_range(0..t)));
+                edge_pairs.chain(random).collect()
+            };
+            let (lhs, rhs): (Vec<u64>, Vec<u64>) = pairs.iter().copied().unzip();
+            let n = pairs.len();
+            let spec = KernelSpec::new("arith", n, 2, 1, vec![true; n], t, Box::new(SumAll { n }));
+            let examples = [Example {
+                ct_inputs: vec![lhs.clone(), rhs.clone()],
+                pt_inputs: vec![rhs.clone()],
+                output: vec![0; n],
+            }];
+            let mut ctx = SearchContext::new(&spec, &sketch, &examples, &model, None, None);
+            for (op_idx, op) in ops.iter().enumerate() {
+                let case = format!("t={t} {op:?}");
+                let ct_rhs = op.binary_ct().then_some(rhs.as_slice());
+                let want: Vec<u64> = pairs.iter().map(|&(a, b)| wide_op(op, a, b, t)).collect();
+                assert_eq!(ctx.apply_op(op, op_idx, &lhs, ct_rhs), want, "{case}");
+                ctx.target = want.clone();
+                assert!(ctx.masked_match(op, op_idx, &lhs, ct_rhs), "{case}");
+                for (i, &v) in want.iter().enumerate() {
+                    ctx.target[i] = (v + 1) % t;
+                    assert!(
+                        !ctx.masked_match(op, op_idx, &lhs, ct_rhs),
+                        "{case} slot {i}"
+                    );
+                    ctx.target[i] = v;
+                }
+                if !op.binary_ct() {
+                    continue;
+                }
+                for &(known, target) in &pairs {
+                    for known_is_lhs in [true, false] {
+                        assert_eq!(
+                            partner_value(op, t, known, known_is_lhs, target),
+                            wide_partner(op, t, known, known_is_lhs, target),
+                            "{case} known={known} target={target} lhs={known_is_lhs}"
+                        );
+                    }
+                }
+            }
+            let gcd = |mut a: u64, mut b: u64| {
+                while b != 0 {
+                    (a, b) = (b, a % b);
+                }
+                a
+            };
+            for &(a, _) in &pairs {
+                match inverse_mod(a, t) {
+                    Some(v) => assert!(
+                        v < t && a as u128 * v as u128 % t as u128 == 1,
+                        "t={t} a={a}"
+                    ),
+                    None => assert_ne!(gcd(a, t), 1, "t={t} a={a}"),
                 }
             }
         }
