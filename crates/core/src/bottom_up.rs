@@ -37,11 +37,11 @@
 //!   one needs there (`target − x` for add, `x − target` or
 //!   `target + x` for sub, `target · x⁻¹` for mul).
 //! * The ceiling-sized `(x, p)`/`(p, x)` pairs of any level are looked
-//!   up rather than scanned: one index per level maps every partner's
-//!   rotated value at the first masked slot to its `(id, rotation)`
-//!   pairs, each rotation of `x` asks it for the value the op needs
-//!   there, and only hits whose union with `x` is ceiling-sized go
-//!   through the full masked check. A multiply by a value with no inverse
+//!   up rather than scanned: one index per level that can reach the
+//!   ceiling maps every partner's rotated value at the first masked slot
+//!   to its `(id, rotation)` pairs, each rotation of `x` asks it for the
+//!   value the op needs there, and only hits whose union with `x` is
+//!   ceiling-sized go through the full masked check. A multiply by a value with no inverse
 //!   falls back to every partner. The smaller pairs are scanned; the
 //!   pairs, symmetry rules and goal set are those of a scan of every
 //!   pair.
@@ -388,7 +388,11 @@ impl<'s, 'a> Bank<'s, 'a> {
             deadline: self.ctx.deadline,
             timed_out: &timed_out,
         };
-        let index = &self.partner_index();
+        // An older partner's DAG is no larger than a level-`level` term's,
+        // so a pair has at most `2·level + 1` components: below the
+        // ceiling, no pair needs the lookup.
+        let index = (2 * level + 1 >= self.max_c).then(|| self.partner_index());
+        let index = index.as_ref();
         let workers = jobs.get().min(ids.len());
         let results: Vec<Vec<GenCand>> = if workers <= 1 {
             let mut local = 0u64;
@@ -485,13 +489,14 @@ impl<'s, 'a> Bank<'s, 'a> {
     /// `(x, p)`/`(p, x)` for every older partner `p` (inputs always; other
     /// terms only through the cross pool), and explicit rotations. A pair
     /// whose DAG outgrows the ceiling is skipped whole; the ceiling-sized
-    /// `(x, p)`/`(p, x)` pairs come from the `index` lookup, the smaller
-    /// ones from a scan. Candidate order is a pure function of the bank,
+    /// `(x, p)`/`(p, x)` pairs come from the `index` lookup (absent on a
+    /// level that cannot reach the ceiling), the smaller ones from a scan.
+    /// Candidate order is a pure function of the bank,
     /// never of thread timing.
     fn expand_unit(
         &self,
         x: u32,
-        index: &PartnerIndex,
+        index: Option<&PartnerIndex>,
         ticker: &Ticker<'_>,
         local: &mut u64,
     ) -> Option<Vec<GenCand>> {
@@ -511,7 +516,9 @@ impl<'s, 'a> Bank<'s, 'a> {
         for (op_idx, sop) in self.ctx.sketch.ops.iter().enumerate() {
             if sop.op.binary_ct() {
                 self.expand_pair(op_idx, sop, x, x, x_size, &mut buf, &mut out, ticker, local)?;
-                self.expand_ceiling_partners(op_idx, sop, x, index, &mut out, ticker, local)?;
+                if let Some(index) = index {
+                    self.expand_ceiling_partners(op_idx, sop, x, index, &mut out, ticker, local)?;
+                }
                 for &(p, size) in &growth_partners {
                     self.expand_pair(op_idx, sop, x, p, size, &mut buf, &mut out, ticker, local)?;
                     self.expand_pair(op_idx, sop, p, x, size, &mut buf, &mut out, ticker, local)?;
@@ -612,12 +619,6 @@ impl<'s, 'a> Bank<'s, 'a> {
         local: &mut u64,
     ) -> Option<()> {
         let x_sup = &self.terms[x as usize].support;
-        // An older partner's DAG is no larger than `x`'s, so a pair has at
-        // most `2|x| + 1` components: far below the ceiling, none is
-        // ceiling-sized.
-        if 2 * x_sup.len() + 1 < self.max_c {
-            return Some(());
-        }
         let (lhs_rots, rhs_rots) = self.ctx.hole_rots(sop);
         for (x_is_lhs, x_rots, p_rots) in [(true, lhs_rots, rhs_rots), (false, rhs_rots, lhs_rots)]
         {
@@ -1310,8 +1311,8 @@ mod tests {
     /// Grows banks to `max_c` through `expand_level` at one and two jobs
     /// and, beside them, through [`scan_unit`]; after every level their
     /// goals, retained terms and value classes must agree. Returns the
-    /// ceiling goals found.
-    fn grow_beside_a_scan(ctx: &SearchContext<'_>, max_c: usize, case: &str) -> usize {
+    /// number of goals found at each size.
+    fn grow_beside_a_scan(ctx: &SearchContext<'_>, max_c: usize, case: &str) -> Vec<usize> {
         let key = |b: &Bank<'_, '_>| b.terms.iter().map(term_key).collect::<Vec<_>>();
         let mut scanned = Bank::new(ctx, 1, max_c);
         let mut grown = [Bank::new(ctx, 1, max_c), Bank::new(ctx, 1, max_c)];
@@ -1340,58 +1341,97 @@ mod tests {
                 }
             }
         }
-        scanned.goals[max_c].len()
+        scanned.goals.iter().map(Vec::len).collect()
     }
 
     /// Bank growth — the size-first pair filter, the ceiling lookup at
     /// every level, the first-slot partner test and the redundancy
     /// filter on growth candidates — builds exactly the bank a scan of
-    /// every pair does, to a ceiling of 2, 3 and 4 components, so the
-    /// ceiling is reached from one, two and three levels below, and at 4
-    /// a level-2 candidate meets the pending builders level 1 left of its
-    /// size. This runs on a reduction and a stencil rotation set, in both
-    /// sketch modes, under the kernels' `t = 65537`, a small prime and a
-    /// composite `t`, at one and two jobs. A small `t` makes chance goals
-    /// common, so every op meets the lookup with the partner on either
-    /// side, and under `t = 16` half the multiplies have no inverse. Two
-    /// masked slots make the first-slot test a filter, not the whole
-    /// check. The vectors are short (one example of four slots, or of two
-    /// at a ceiling of 4) to keep the scan affordable.
+    /// every pair does, under the kernels' `t = 65537`, a small prime and
+    /// a composite `t`, in both sketch modes, at one and two jobs. A small
+    /// `t` makes chance goals common, so every op meets the lookup with
+    /// the partner on either side, and under `t = 16` half the multiplies
+    /// have no inverse; under every `t` the target itself must be found
+    /// wherever it fits.
+    ///
+    /// Two configurations. Short vectors (one example of four slots, or of
+    /// two at a ceiling of 4, two of them masked so the first-slot test is
+    /// a filter, not the whole check) grow to a ceiling of 2, 3 and 4
+    /// components, so the ceiling is reached from one, two and three
+    /// levels below, and at 4 a level-2 candidate meets the pending
+    /// builders level 1 left of its size. The kernels' shape (two
+    /// examples of eight or nine slots, one masked, a subtraction rotated
+    /// on both sides) grows to the ceiling the target needs in local
+    /// mode, 2, and to 3 in explicit mode.
     #[test]
     fn ceiling_lookup_matches_a_scan_of_every_pair() {
-        let ops = vec![
-            SketchOp::rhs_rotated(ArithOp::SubCtCt),
-            SketchOp::rhs_rotated(ArithOp::AddCtCt),
-            SketchOp::rotated(ArithOp::MulCtCt),
-        ];
-        let rotation_sets = [
-            RotationSet::PowersOfTwo { extent: 2 },
-            RotationSet::Window {
-                stride: 2,
-                radius: 1,
-            },
+        struct Config {
+            n: usize,
+            rotations: RotationSet,
+            examples: usize,
+            masked: usize,
+            sub: SketchOp,
+            ceilings: [std::ops::RangeInclusive<usize>; 2],
+        }
+        let window = |stride| RotationSet::Window { stride, radius: 1 };
+        let short = |n, rotations, ceilings: std::ops::RangeInclusive<usize>| Config {
+            n,
+            rotations,
+            examples: 1,
+            masked: 2,
+            sub: SketchOp::rhs_rotated(ArithOp::SubCtCt),
+            ceilings: [ceilings.clone(), ceilings],
+        };
+        let kernel_shaped = |n, rotations| Config {
+            n,
+            rotations,
+            examples: 2,
+            masked: 1,
+            sub: SketchOp::rotated(ArithOp::SubCtCt),
+            ceilings: [2..=2, 3..=3],
+        };
+        let configs = [
+            short(4, RotationSet::PowersOfTwo { extent: 4 }, 2..=3),
+            short(4, window(2), 2..=3),
+            short(2, RotationSet::PowersOfTwo { extent: 2 }, 4..=4),
+            short(2, window(2), 4..=4),
+            kernel_shaped(8, RotationSet::PowersOfTwo { extent: 8 }),
+            kernel_shaped(9, window(3)),
         ];
         let model = LatencyModel::profiled_default();
-        for rotations in rotation_sets {
+        for c in configs {
             for t in [65537, 17, 16] {
-                for (n, ceilings) in [(4, 2..=3), (2, 4..=4)] {
-                    let mut mask = vec![false; n];
-                    mask[..2].fill(true);
-                    let spec = KernelSpec::new("mixed", n, 2, 0, mask, t, Box::new(Mixed));
-                    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-                    let examples = vec![spec.sample_example(&mut rng)];
-                    let local = Sketch::new(ops.clone(), rotations.clone(), 3);
-                    let explicit = local.clone().with_explicit_rotations();
-                    for sketch in [local, explicit] {
-                        let ctx = SearchContext::new(&spec, &sketch, &examples, &model, None, None);
-                        for max_c in ceilings.clone() {
-                            let case = format!(
-                                "{rotations:?} t={t} n={n} {:?} max_c={max_c}",
-                                sketch.mode
-                            );
-                            let ceiling_goals = grow_beside_a_scan(&ctx, max_c, &case);
-                            // A small `t` meets chance goals at the ceiling.
-                            assert!(t == 65537 || max_c < 3 || ceiling_goals > 0, "{case}");
+                let mut mask = vec![false; c.n];
+                mask[..c.masked].fill(true);
+                let spec = KernelSpec::new("mixed", c.n, 2, 0, mask, t, Box::new(Mixed));
+                let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+                let examples: Vec<_> = (0..c.examples)
+                    .map(|_| spec.sample_example(&mut rng))
+                    .collect();
+                let ops = vec![
+                    c.sub.clone(),
+                    SketchOp::rhs_rotated(ArithOp::AddCtCt),
+                    SketchOp::rotated(ArithOp::MulCtCt),
+                ];
+                let local = Sketch::new(ops, c.rotations.clone(), 3);
+                let explicit = local.clone().with_explicit_rotations();
+                // `x · rot(y, 1) − rot(x, 2)`: two components with operand
+                // rotations; with explicit ones, four, or three where a
+                // rotation by 2 is the identity.
+                let target_size = [2, if c.n == 2 { 3 } else { 4 }];
+                for (m, sketch) in [local, explicit].into_iter().enumerate() {
+                    let ctx = SearchContext::new(&spec, &sketch, &examples, &model, None, None);
+                    for max_c in c.ceilings[m].clone() {
+                        let case = format!(
+                            "{:?} t={t} n={} {:?} max_c={max_c}",
+                            c.rotations, c.n, sketch.mode
+                        );
+                        let goals = grow_beside_a_scan(&ctx, max_c, &case);
+                        if target_size[m] <= max_c {
+                            assert!(goals[target_size[m]] > 0, "{case}: no target");
+                        }
+                        if t < 65537 && max_c >= 3 {
+                            assert!(goals[max_c] > 0, "{case}: no chance goal");
                         }
                     }
                 }

@@ -1622,22 +1622,11 @@ fn op_mod(op: &ArithOp, a: u64, b: u64, t: u64) -> u64 {
     }
 }
 
-/// `a⁻¹ mod t`, if `a` is a unit, by the extended Euclid: the last-level
-/// DFS asks for an inverse per left operand. The remainders stay below
-/// `t` and the Bézout coefficients below `t` in magnitude, so a `t < 2^32`
-/// runs on 32-bit remainders and 64-bit coefficients; a wider `t` on
-/// 64-bit remainders and 128-bit coefficients.
+/// `a⁻¹ mod t`, if `a` is a unit. The remainders stay in `u64` (a 128-bit
+/// division is a slow library call, and the last-level DFS asks for an
+/// inverse per left operand); the Bézout coefficients, bounded by `t` in
+/// magnitude, need a sign.
 fn inverse_mod(a: u64, t: u64) -> Option<u64> {
-    if let Ok(t) = u32::try_from(t) {
-        let (mut r0, mut r1) = (t, (a % t as u64) as u32);
-        let (mut s0, mut s1) = (0i64, 1i64);
-        while r1 != 0 {
-            let q = r0 / r1;
-            (r0, r1) = (r1, r0 % r1);
-            (s0, s1) = (s1, s0 - q as i64 * s1);
-        }
-        return (r0 == 1).then(|| (if s0 < 0 { s0 + t as i64 } else { s0 }) as u64);
-    }
     let (mut r0, mut r1) = (t, a % t);
     let (mut s0, mut s1) = (0i128, 1i128);
     while r1 != 0 {
