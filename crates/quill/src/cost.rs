@@ -220,7 +220,8 @@ impl LatencyModel {
     /// multiply, and both hoisting entries) are dominated by `k²` NTTs and
     /// scale with `k²·N·log₂N`. This is a first-order model — constants and
     /// cache effects are not captured — but it turns the cross-parameter
-    /// `model_ratio` in `fig_opt` from tens into order-1.
+    /// `model_ratio` of the `reproduce` harness's `-O0`/`-O2` comparison
+    /// from tens into order-1.
     pub fn scaled_to(&self, n: usize, primes: usize) -> LatencyModel {
         const N0: f64 = 4096.0;
         const K0: f64 = 3.0;

@@ -5,18 +5,21 @@
 //!   relinearization immediately after every ct×ct multiply).
 //! * On the Harris and Sobel multistep pipelines, `-O2` strictly reduces
 //!   the relin + rotation instruction count *and* the modeled
-//!   `program_latency`, and the optimized programs decrypt bit-identically
-//!   to the `-O0` lowerings on the BFV backend.
+//!   `program_latency`.
+//! * On every paper baseline and both pipelines, the `-O2` lowering
+//!   decrypts bit-identically to the `-O0` lowering, on BFV and on BGV.
 //! * Re-running `-O2` on already-optimized programs is a fixpoint with
 //!   zero rewrites (the CI idempotence check).
 
+use bfv::params::ParamPolicy;
 use porcupine::codegen::Session;
-use porcupine::opt::{optimize, OptLevel};
-use porcupine::scheme::BfvScheme;
+use porcupine::opt::{optimize, optimize_with, OptLevel};
+use porcupine::scheme::{resolve_params, BfvScheme, BgvScheme, Scheme};
 use porcupine_kernels::{all_direct, composite, stencil};
 use quill::cost::LatencyModel;
 use quill::program::{Instr, Program, ValRef};
-use test_support::{sample_model_inputs, seeded_rng, small_ctx};
+use quill::scheme::SchemeId;
+use test_support::{sample_model_inputs, seeded_rng, small_ctx, T};
 
 fn pipelines() -> Vec<Program> {
     let img = stencil::default_image();
@@ -103,31 +106,78 @@ fn o2_strictly_reduces_pipeline_instructions_and_latency() {
     }
 }
 
-/// The `-O0` and `-O2` lowerings of each pipeline decrypt bit-identically
-/// on the BFV backend from the same encrypted input.
+/// Every paper baseline — the nine direct kernels and the three
+/// Sobel/Harris stages — and both pipelines, each with its slot count.
+fn paper_programs() -> Vec<(Program, usize)> {
+    let n = stencil::default_image().slots();
+    let stages = [
+        composite::sobel_combine(n),
+        composite::harris_det(n),
+        composite::harris_trace(n),
+    ];
+    let kernels = all_direct().into_iter().chain(stages);
+    let mut programs: Vec<(Program, usize)> = kernels.map(|k| (k.baseline, k.spec.n)).collect();
+    programs.extend(pipelines().into_iter().map(|p| (p, n)));
+    programs
+}
+
+/// Runs the `-O0` and `-O2` lowerings of `prog` for scheme `S` on the same
+/// encrypted input and asserts they decrypt bit-identically, with noise
+/// budget left.
+fn assert_lowerings_decrypt_alike<S: Scheme>(
+    ctx: &S::Context,
+    prog: &Program,
+    n: usize,
+    seed: u64,
+) {
+    let legality = S::ID.legality();
+    let (o0, _) = optimize_with(prog, OptLevel::O0, &legality);
+    let (o2, _) = optimize_with(prog, OptLevel::O2, &legality);
+    let mut rng = seeded_rng(seed);
+    let session = Session::<S>::new(ctx, &[&o0, &o2], &mut rng);
+    let ct_model = sample_model_inputs(prog.num_ct_inputs, n, 32, &mut rng);
+    let pt_model = sample_model_inputs(prog.num_pt_inputs, n, 32, &mut rng);
+    let run = |p: &Program| {
+        let (slots, budget) = session.run(p, &ct_model, &pt_model, &mut seeded_rng(seed));
+        assert!(
+            budget > 0,
+            "{} [{}]: noise budget exhausted ({budget})",
+            p.name,
+            S::ID
+        );
+        slots
+    };
+    assert_eq!(
+        run(&o0),
+        run(&o2),
+        "{} [{}]: decryptions differ",
+        prog.name,
+        S::ID
+    );
+}
+
+/// The `-O0` and `-O2` lowerings of every paper program decrypt
+/// bit-identically on the BFV backend from the same encrypted input.
 #[test]
-fn pipeline_lowerings_decrypt_bit_identically() {
+fn lowerings_decrypt_bit_identically_on_bfv() {
     let ctx = small_ctx();
-    let img = stencil::default_image();
-    for (seed, prog) in pipelines().into_iter().enumerate() {
-        let mut rng = seeded_rng(0x0B7 + seed as u64);
-        let (o0, _) = optimize(&prog, OptLevel::O0);
-        let (o2, _) = optimize(&prog, OptLevel::O2);
-        let session = Session::<BfvScheme>::new(&ctx, &[&o0, &o2], &mut rng);
+    for (seed, (prog, n)) in paper_programs().iter().enumerate() {
+        assert_lowerings_decrypt_alike::<BfvScheme>(&ctx, prog, *n, 0x0B7 + seed as u64);
+    }
+}
 
-        let inputs = sample_model_inputs(prog.num_ct_inputs, img.slots(), 32, &mut rng);
-        let cts: Vec<bfv::Ciphertext> = inputs
-            .iter()
-            .map(|v| session.encrypt(v, &mut rng))
-            .collect();
-        let refs: Vec<&bfv::Ciphertext> = cts.iter().collect();
-
-        let run = |p: &Program| {
-            let (slots, budget) = session.decrypt(&session.runner.run(p, &refs, &[]));
-            assert!(budget > 0, "{}: noise budget exhausted ({budget})", p.name);
-            slots
-        };
-        assert_eq!(run(&o0), run(&o2), "{}: decryptions differ", prog.name);
+/// [`lowerings_decrypt_bit_identically_on_bfv`] on the BGV backend, each
+/// program under its own auto-selected parameters (charged on the noisier
+/// `-O0` lowering): BGV's noise doubles per multiply, so no one small
+/// preset holds every program.
+#[test]
+fn lowerings_decrypt_bit_identically_on_bgv() {
+    for (seed, (prog, n)) in paper_programs().iter().enumerate() {
+        let (o0, _) = optimize_with(prog, OptLevel::O0, &SchemeId::Bgv.legality());
+        let params = resolve_params(SchemeId::Bgv, &ParamPolicy::auto(), &o0, *n, T)
+            .unwrap_or_else(|e| panic!("{}: {e}", prog.name));
+        let ctx = BgvScheme::context(params).expect("selected parameters are valid");
+        assert_lowerings_decrypt_alike::<BgvScheme>(&ctx, prog, *n, 0x0B7 + seed as u64);
     }
 }
 

@@ -13,13 +13,24 @@
 //! single `#[test]` functions — `porcupine::search_invocations` is a
 //! process-wide counter (and the memo is process-wide state), and
 //! splitting the assertions across tests would race under the parallel
-//! test runner.
+//! test runner. For the same reason every test holds [`exclusive`]: one
+//! test's search or memo clear must not land between another's query and
+//! its hit assertions.
 
 use porcupine::cegis::{synthesize, CachePolicy, SearchStrategy};
 use porcupine::{clear_synthesis_memo, search_invocations};
 use porcupine_kernels::{composite, reduction, stencil};
 use quill::scheme::SchemeId;
 use test_support::{fast_synthesis_options, with_strategy};
+
+/// Serializes this file's tests over the process-wide memo and search
+/// counter (a panicking test poisons the lock; the next one still runs).
+fn exclusive() -> std::sync::MutexGuard<'static, ()> {
+    static STATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    STATE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// A fresh cache directory under the target-dir scratch space.
 fn temp_cache_dir(tag: &str) -> std::path::PathBuf {
@@ -33,6 +44,7 @@ fn temp_cache_dir(tag: &str) -> std::path::PathBuf {
 /// program as a cache hit with **zero** search invocations.
 #[test]
 fn warm_cache_skips_the_search_entirely() {
+    let _state = exclusive();
     let dir = temp_cache_dir("warm");
     let k = stencil::box_blur(stencil::default_image());
     let mut options = fast_synthesis_options();
@@ -82,6 +94,7 @@ fn warm_cache_skips_the_search_entirely() {
 /// program.
 #[test]
 fn cache_keys_separate_distinct_queries() {
+    let _state = exclusive();
     let dir = temp_cache_dir("keys");
     let k = stencil::box_blur(stencil::default_image());
     let mut options = with_strategy(fast_synthesis_options(), SearchStrategy::BottomUp);
@@ -110,6 +123,7 @@ fn cache_keys_separate_distinct_queries() {
 /// for a BGV query would be a stale-result bug.
 #[test]
 fn changing_the_scheme_misses_the_cache() {
+    let _state = exclusive();
     let dir = temp_cache_dir("scheme");
     let k = reduction::hamming_distance(4);
     let mut options = fast_synthesis_options();
@@ -170,6 +184,7 @@ fn changing_the_scheme_misses_the_cache() {
 /// disk-tier paths as any kernel.
 #[test]
 fn corrupted_entries_rebuild_cold() {
+    let _state = exclusive();
     let dir = temp_cache_dir("corrupt");
     let k = composite::sobel_combine(stencil::default_image().slots());
     let mut options = fast_synthesis_options();
@@ -232,6 +247,7 @@ fn with_program_text(entry: &[u8], body: &str) -> Vec<u8> {
 /// a miss and a cold rebuild, never a crash.
 #[test]
 fn hostile_program_text_reads_as_a_miss() {
+    let _state = exclusive();
     let dir = temp_cache_dir("hostile");
     let k = composite::sobel_combine(stencil::default_image().slots());
     let mut options = fast_synthesis_options();

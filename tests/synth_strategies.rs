@@ -12,6 +12,7 @@ use porcupine::search::{spec_bounds, SpecBounds};
 use porcupine::verify::verify;
 use porcupine_kernels::{composite, reduction, stencil, PaperKernel};
 use proptest::prelude::*;
+use quill::program::Program;
 use quill::sexpr::parse_program;
 use test_support::{
     fast_synthesis_options, quick_synthesis_options, seeded_rng, with_jobs, with_strategy,
@@ -823,6 +824,221 @@ const PINNED: &[Pinned] = &[
         strategy_used: SearchStrategy::Dfs,
     },
 ];
+
+/// The committed paper-results ledger, `BENCH_paper.json` (written by
+/// `porcupine-bench`'s `reproduce` harness under [`fast_synthesis_options`]),
+/// agrees with [`PINNED`]: each Table 3 row with its kernel's bottom-up
+/// row, and each Table 2 row's synthesized column with the pinned programs,
+/// Sobel and Harris composed from the pinned stages. Baseline columns are
+/// recomputed from the kernel library. A ledger left stale by a change
+/// that moves a pin fails here.
+#[test]
+fn the_committed_ledger_matches_the_pins() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_paper.json");
+    let text = std::fs::read_to_string(path).expect("the committed ledger");
+    let ledger = Json::parse(&mut text.as_str());
+    let pin = |kernel: &str| {
+        PINNED
+            .iter()
+            .find(|r| r.kernel == kernel && r.strategy == SearchStrategy::BottomUp)
+            .unwrap_or_else(|| panic!("{kernel}: no pinned row"))
+    };
+
+    let table3 = ledger.get("table3").get("rows").items();
+    assert_eq!(table3.len(), PINNED.len() / 2, "one Table 3 row per kernel");
+    for row in table3 {
+        let kernel = row.get("kernel").str();
+        let pin = pin(kernel);
+        let bits = |bits: u64| format!("{bits:#018x}");
+        assert_eq!(
+            row.get("examples").num(),
+            pin.examples_used as f64,
+            "{kernel}"
+        );
+        assert_eq!(
+            row.get("components").num(),
+            pin.components as f64,
+            "{kernel}"
+        );
+        assert_eq!(
+            row.get("initial_cost_bits").str(),
+            bits(pin.initial_cost_bits),
+            "{kernel}"
+        );
+        assert_eq!(
+            row.get("final_cost_bits").str(),
+            bits(pin.final_cost_bits),
+            "{kernel}"
+        );
+        assert_eq!(
+            row.get("optimal"),
+            &Json::Bool(pin.proved_optimal),
+            "{kernel}"
+        );
+        assert_eq!(
+            row.get("strategy").str(),
+            pin.strategy_used.to_string(),
+            "{kernel}"
+        );
+    }
+
+    let program = |kernel: &str| parse_program(pin(kernel).program).expect("pinned programs parse");
+    let shape = |p: &Program| [p.len(), p.logic_depth(), p.mult_depth() as usize].map(|x| x as f64);
+    let row_shape = |row: &Json| ["instrs", "logic_depth", "mult_depth"].map(|k| row.get(k).num());
+    let img = stencil::default_image();
+    let table2 = ledger.get("table2").get("rows").items();
+    assert_eq!(table2.len(), porcupine_kernels::DIRECT_NAMES.len() + 2);
+    for row in table2 {
+        let name = row.get("kernel").str();
+        let (baseline, synthesized) = match name {
+            "sobel (multi-step)" => (
+                composite::sobel_baseline(img),
+                composite::sobel_from(&program("gx"), &program("gy"), &program("sobel-combine")),
+            ),
+            "harris (multi-step)" => (
+                composite::harris_baseline(img),
+                composite::harris_from(&composite::HarrisStages {
+                    gx: program("gx"),
+                    gy: program("gy"),
+                    blur: program("box-blur"),
+                    det: program("harris-det"),
+                    trace: program("harris-trace"),
+                }),
+            ),
+            kernel => {
+                let k = porcupine_kernels::direct_kernel(kernel, None).expect("a direct kernel");
+                (k.baseline, program(kernel))
+            }
+        };
+        assert_eq!(row_shape(row.get("baseline")), shape(&baseline), "{name}");
+        assert_eq!(
+            row_shape(row.get("synthesized")),
+            shape(&synthesized),
+            "{name}"
+        );
+    }
+}
+
+/// A JSON value: as much of JSON as the ledger test reads.
+#[derive(Debug, PartialEq)]
+enum Json {
+    Null,
+    Bool(bool),
+    Num(f64),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// Parses the value at the start of `s`, advancing `s` past it.
+    fn parse(s: &mut &str) -> Json {
+        *s = s.trim_start();
+        let Some(c) = s.chars().next() else {
+            panic!("ledger: a value expected at the end of the text")
+        };
+        if c == '[' || c == '{' {
+            let close = if c == '[' { ']' } else { '}' };
+            *s = &s[1..];
+            let (mut items, mut fields) = (Vec::new(), Vec::new());
+            loop {
+                *s = s.trim_start();
+                if let Some(rest) = s.strip_prefix(close) {
+                    *s = rest;
+                    return if c == '[' {
+                        Json::Arr(items)
+                    } else {
+                        Json::Obj(fields)
+                    };
+                }
+                if let Some(rest) = s.strip_prefix(',') {
+                    *s = rest;
+                } else if c == '[' {
+                    items.push(Json::parse(s));
+                } else {
+                    let key = Json::parse(s).str().to_string();
+                    *s = s
+                        .trim_start()
+                        .strip_prefix(':')
+                        .expect("ledger: ':' after a key");
+                    fields.push((key, Json::parse(s)));
+                }
+            }
+        }
+        if c == '"' {
+            let mut out = String::new();
+            let mut chars = s[1..].char_indices();
+            while let Some((i, c)) = chars.next() {
+                match c {
+                    '"' => {
+                        *s = &s[i + 2..];
+                        return Json::Str(out);
+                    }
+                    '\\' => match chars.next().map(|(_, e)| e) {
+                        Some('n') => out.push('\n'),
+                        Some('u') => {
+                            let hex: String = (0..4)
+                                .filter_map(|_| chars.next().map(|(_, h)| h))
+                                .collect();
+                            let code = u32::from_str_radix(&hex, 16).expect("ledger: \\u escape");
+                            out.push(char::from_u32(code).expect("ledger: \\u escape"));
+                        }
+                        Some(e) => out.push(e),
+                        None => panic!("ledger: unterminated escape"),
+                    },
+                    c => out.push(c),
+                }
+            }
+            panic!("ledger: unterminated string");
+        }
+        let end = s
+            .find(|c: char| c == ',' || c == ']' || c == '}' || c.is_whitespace())
+            .unwrap_or(s.len());
+        let (token, rest) = s.split_at(end);
+        *s = rest;
+        match token {
+            "null" => Json::Null,
+            "true" => Json::Bool(true),
+            "false" => Json::Bool(false),
+            number => Json::Num(
+                number
+                    .parse()
+                    .unwrap_or_else(|_| panic!("ledger: bad token {number:?}")),
+            ),
+        }
+    }
+
+    fn get(&self, key: &str) -> &Json {
+        let Json::Obj(fields) = self else {
+            panic!("ledger: {key:?} looked up in a non-object")
+        };
+        let field = fields.iter().find(|(k, _)| k == key);
+        &field
+            .unwrap_or_else(|| panic!("ledger: no field {key:?}"))
+            .1
+    }
+
+    fn items(&self) -> &[Json] {
+        let Json::Arr(items) = self else {
+            panic!("ledger: an array expected, got {self:?}")
+        };
+        items
+    }
+
+    fn str(&self) -> &str {
+        let Json::Str(s) = self else {
+            panic!("ledger: a string expected, got {self:?}")
+        };
+        s
+    }
+
+    fn num(&self) -> f64 {
+        let Json::Num(x) = self else {
+            panic!("ledger: a number expected, got {self:?}")
+        };
+        *x
+    }
+}
 
 /// A kernel at the direct-search wall — the 16-element dot product's
 /// monolithic spec is nine instructions, the scale the repo previously
