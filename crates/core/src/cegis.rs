@@ -8,7 +8,11 @@
 //! 2. **Optimization.** Re-issue the query with the constraint
 //!    `cost ≤ cost(best)` until the search returns the canonical cheapest
 //!    program under the bound (the optimum within the sketch) or the
-//!    timeout fires.
+//!    timeout fires. One cost-bounded search answers every round of this
+//!    loop: it verifies as it goes and returns each example-matching
+//!    program that costs no more than the cheapest correct one, and the
+//!    loop replays its counter-examples over that list (see
+//!    [`crate::search`]). It searches again only if every entry fails.
 //!
 //! Two enumeration strategies implement step 1 — the complete top-down DFS
 //! of [`crate::search`] and the bottom-up term bank of `crate::bottom_up`
@@ -29,7 +33,7 @@ use crate::opt::{self, OptLevel};
 use crate::search::{SearchContext, SearchOutcome};
 use crate::sketch::Sketch;
 use crate::spec::{Example, KernelSpec};
-use crate::verify::verify;
+use crate::verify::{self, verify};
 use quill::cost::{eager_cost, LatencyModel};
 use quill::program::Program;
 use quill::scheme::SchemeId;
@@ -249,6 +253,10 @@ pub struct SynthesisResult {
     /// True if the optimizer exhausted the space (proved optimality within
     /// the sketch) rather than hitting the timeout.
     pub proved_optimal: bool,
+    /// Searches the optimization phase ran: one, plus one more for each
+    /// candidate list in which no entry verified; 0 on a cache hit or
+    /// with [`SynthesisOptions::optimize`] off.
+    pub optimization_searches: usize,
     /// The strategy that produced the initial program: the requested one,
     /// or [`SearchStrategy::Dfs`] after a bottom-up bank exhausted and the
     /// complete search took over. On a cache hit: the requested strategy.
@@ -374,6 +382,7 @@ pub fn synthesize(
         if let Some(mut hit) = memo_lookup(dir, key) {
             cache::record_hit();
             hit.cache_hit = true;
+            hit.optimization_searches = 0;
             hit.time_to_initial = start.elapsed();
             hit.time_total = start.elapsed();
             return Ok(hit);
@@ -397,12 +406,22 @@ pub fn synthesize(
     // A verified entry stands in for both search phases: its program is
     // the initial and the final one.
     let cache_hit = cached.is_some();
-    let (entry, initial_program, initial_cost, time_to_initial, strategy_used) = match cached {
-        Some(entry) => {
-            let initial = entry.program.clone();
-            let cost = entry.final_cost;
-            (entry, initial, cost, start.elapsed(), options.strategy)
-        }
+    let Searched {
+        entry,
+        initial_program,
+        initial_cost,
+        time_to_initial,
+        strategy_used,
+        optimization_searches,
+    } = match cached {
+        Some(entry) => Searched {
+            initial_program: entry.program.clone(),
+            initial_cost: entry.final_cost,
+            entry,
+            time_to_initial: start.elapsed(),
+            strategy_used: options.strategy,
+            optimization_searches: 0,
+        },
         None => synthesize_uncached(spec, sketch, options, start, rng)?,
     };
 
@@ -437,6 +456,7 @@ pub fn synthesize(
         time_to_initial,
         time_total: start.elapsed(),
         proved_optimal: entry.proved_optimal,
+        optimization_searches,
         strategy_used,
         cache_hit,
     };
@@ -447,16 +467,24 @@ pub fn synthesize(
     Ok(result)
 }
 
-/// Both phases of Algorithm 1 from scratch. Returns the finished query as
-/// the cache stores it, plus the initial program, its cost, the time it
-/// took and the strategy that found it.
+/// The finished query as the cache stores it, and how the run got there.
+struct Searched {
+    entry: CacheEntry,
+    initial_program: Program,
+    initial_cost: f64,
+    time_to_initial: Duration,
+    strategy_used: SearchStrategy,
+    optimization_searches: usize,
+}
+
+/// Both phases of Algorithm 1 from scratch.
 fn synthesize_uncached(
     spec: &KernelSpec,
     sketch: &Sketch,
     options: &SynthesisOptions,
     start: Instant,
     mut rng: StdRng,
-) -> Result<(CacheEntry, Program, f64, Duration, SearchStrategy), SynthesisError> {
+) -> Result<Searched, SynthesisError> {
     let mut cegis = Refinement {
         spec,
         sketch,
@@ -464,6 +492,7 @@ fn synthesize_uncached(
         deadline: start + options.timeout,
         examples: vec![spec.sample_example(&mut rng)],
         rng,
+        searches: 0,
     };
 
     // Phase 1: find the initial solution at minimal component count.
@@ -491,9 +520,9 @@ fn synthesize_uncached(
             }
         })?;
         match outcome {
-            SearchOutcome::Found(program) => initial = Some((program, components)),
-            SearchOutcome::Unsat => strategy_used = SearchStrategy::Dfs,
-            SearchOutcome::Timeout { .. } => return Err(SynthesisError::Timeout),
+            Refined::Verified(program) => initial = Some((program, components)),
+            Refined::Unsat => strategy_used = SearchStrategy::Dfs,
+            Refined::Timeout(_) => return Err(SynthesisError::Timeout),
         }
     }
     // Top-down iterative deepening: the requested strategy, or the
@@ -506,15 +535,12 @@ fn synthesize_uncached(
         match cegis.refine(None, |searcher| {
             searcher.run(num_components, options.parallelism)
         })? {
-            SearchOutcome::Unsat => {} // try a larger sketch
+            Refined::Unsat => {} // try a larger sketch
             // A program salvaged just before the deadline still counts.
-            SearchOutcome::Found(program)
-            | SearchOutcome::Timeout {
-                best: Some(program),
-            } => {
+            Refined::Verified(program) | Refined::Timeout(Some(program)) => {
                 initial = Some((program, num_components));
             }
-            SearchOutcome::Timeout { best: None } => return Err(SynthesisError::Timeout),
+            Refined::Timeout(None) => return Err(SynthesisError::Timeout),
         }
     }
     let (initial_program, components) = initial.ok_or(SynthesisError::SketchTooRestrictive {
@@ -531,26 +557,29 @@ fn synthesize_uncached(
     let mut best = initial_program.clone();
     let mut best_cost = initial_cost;
     let mut proved_optimal = false;
+    let searches_before = cegis.searches;
     if options.optimize {
         match cegis.refine(Some(initial_cost), |searcher| {
             searcher.run(components, options.parallelism)
         })? {
             // With a cost bound the search is exhaustive and
-            // tie-inclusive: `Found` is the canonical cheapest
-            // example-satisfying program of cost ≤ the bound, so a
-            // verified result is optimal within the sketch (every
-            // spec-correct program also satisfies the examples), and —
-            // because the incumbent itself is in the space — `Unsat` is
-            // unreachable here.
-            SearchOutcome::Found(program) => {
+            // tie-inclusive: the first candidate that verifies is the
+            // canonical cheapest correct program of cost ≤ the bound, so
+            // it is optimal within the sketch (every spec-correct program
+            // also satisfies the examples).
+            Refined::Verified(program) => {
                 best_cost = eager_cost(&program, &options.latency);
                 best = program;
                 proved_optimal = true;
             }
-            SearchOutcome::Unsat => proved_optimal = true,
+            // No program of the space under the bound is correct, so the
+            // incumbent is optimal. It is in the space, but the DFS sums
+            // its cost in another order than `eager_cost` and can round
+            // it above the bound.
+            Refined::Unsat => proved_optimal = true,
             // Keep the best program the interrupted search saw instead of
             // discarding the optimization progress.
-            SearchOutcome::Timeout { best: partial } => {
+            Refined::Timeout(partial) => {
                 if let Some(program) = partial {
                     let c = eager_cost(&program, &options.latency);
                     if c < best_cost {
@@ -568,13 +597,14 @@ fn synthesize_uncached(
         final_cost: best_cost,
         proved_optimal,
     };
-    Ok((
+    Ok(Searched {
         entry,
         initial_program,
         initial_cost,
         time_to_initial,
         strategy_used,
-    ))
+        optimization_searches: cegis.searches - searches_before,
+    })
 }
 
 /// The state Algorithm 1 threads through every query: the examples so far
@@ -586,25 +616,50 @@ struct Refinement<'a> {
     deadline: Instant,
     examples: Vec<Example>,
     rng: StdRng,
+    /// Queries run so far.
+    searches: usize,
+}
+
+/// How a refinement loop ended.
+enum Refined {
+    /// A program that passed verification.
+    Verified(Program),
+    /// The query has no candidate left.
+    Unsat,
+    /// The deadline fired; the query's partial best, if it verifies.
+    Timeout(Option<Program>),
 }
 
 impl Refinement<'_> {
     /// The refinement loop: runs `query` on a searcher over the examples
-    /// (under the cost `bound`, if any) and verifies the program it finds;
-    /// a failed verification adds its counter-example and queries again.
+    /// (under the cost `bound`, if any) and [`replay`]s what it returns.
+    /// When every candidate fails, the grown example set is queried again.
     ///
-    /// Returns `Found` only for a verified program, `Unsat` when the query
-    /// has no candidate, and `Timeout` at the deadline, carrying the
-    /// query's partial best only if that verifies.
+    /// A first-solution query returns one program, which the replay
+    /// verifies as Algorithm 1 does. A cost-bounded query returns the
+    /// list of every example-matching program that costs no more than
+    /// the cheapest correct one, in the canonical order in which
+    /// Algorithm 1's later queries would return them: each of those is
+    /// the canonical cheapest program matching more examples, and the
+    /// correct optimum matches every example, so none costs more than it.
+    /// So the replay verifies what those queries would have returned, in
+    /// their order and with the same counter-examples, without searching.
+    /// The one exception: a later query deduplicates values on more
+    /// examples, so it can reach a program the first one pruned because a
+    /// value of it agreed with another on every slot of the first
+    /// examples without being the same polynomial. The replay never
+    /// returns such a program; it reaches one only through the fresh
+    /// search after a list in which no entry verified.
     fn refine(
         &mut self,
         bound: Option<f64>,
         mut query: impl FnMut(&SearchContext) -> SearchOutcome,
-    ) -> Result<SearchOutcome, SynthesisError> {
+    ) -> Result<Refined, SynthesisError> {
         loop {
             if Instant::now() >= self.deadline {
-                return Ok(SearchOutcome::Timeout { best: None });
+                return Ok(Refined::Timeout(None));
             }
+            self.searches += 1;
             let outcome = query(&SearchContext::new(
                 self.spec,
                 self.sketch,
@@ -613,23 +668,52 @@ impl Refinement<'_> {
                 Some(self.deadline),
                 bound,
             ));
-            match outcome {
-                SearchOutcome::Found(program) => match verify(&program, self.spec, &mut self.rng) {
-                    Ok(()) => return Ok(SearchOutcome::Found(program)),
-                    Err(failure) => self.examples.push(
-                        failure
-                            .counter_example()
-                            .ok_or(SynthesisError::CounterExampleExtraction)?,
-                    ),
-                },
+            let candidates = match outcome {
+                SearchOutcome::Found(program) => vec![program],
+                SearchOutcome::Candidates(programs) => programs,
                 SearchOutcome::Timeout { best } => {
                     let best = best.filter(|p| verify(p, self.spec, &mut self.rng).is_ok());
-                    return Ok(SearchOutcome::Timeout { best });
+                    return Ok(Refined::Timeout(best));
                 }
-                SearchOutcome::Unsat => return Ok(SearchOutcome::Unsat),
+                SearchOutcome::Unsat => return Ok(Refined::Unsat),
+            };
+            if let Some(program) = replay(candidates, self.spec, &mut self.examples, &mut self.rng)?
+            {
+                return Ok(Refined::Verified(program));
             }
         }
     }
+}
+
+/// Algorithm 1 over a query's `candidates`, in order, without searching:
+/// skips a candidate that a counter-example added here rejects, verifies
+/// the next one and adds its counter-example to `examples` if it fails.
+/// Returns the first candidate that verifies, or `None` when none does.
+pub(crate) fn replay(
+    candidates: Vec<Program>,
+    spec: &KernelSpec,
+    examples: &mut Vec<Example>,
+    rng: &mut StdRng,
+) -> Result<Option<Program>, SynthesisError> {
+    // The query's own examples are matched by every candidate.
+    let seen = examples.len();
+    for program in candidates {
+        if !examples[seen..]
+            .iter()
+            .all(|e| verify::agrees_with(&program, spec, e))
+        {
+            continue;
+        }
+        match verify(&program, spec, rng) {
+            Ok(()) => return Ok(Some(program)),
+            Err(failure) => examples.push(
+                failure
+                    .counter_example()
+                    .ok_or(SynthesisError::CounterExampleExtraction)?,
+            ),
+        }
+    }
+    Ok(None)
 }
 
 /// Renders the content-addressed cache key for one query (see
@@ -812,6 +896,55 @@ mod tests {
         let x = vec![11u64, 22, 33, 44];
         let out = interp::eval_concrete(&r.program, &[x], &[], 65537);
         assert_eq!(out[0], 110);
+    }
+
+    /// When no candidate of a cost-bounded query verifies, the loop
+    /// searches again over the grown example set instead of stopping. Here
+    /// the first query of [`crate::search::tests::dot_mod_17`] answers
+    /// with its wrong candidates only, as when the first examples' value
+    /// deduplication pruned the optimum: the replay rejects them all, and
+    /// the second search finds the optimum, which phase 2 takes as proved.
+    #[test]
+    fn a_candidate_list_that_fails_throughout_falls_back_to_a_fresh_search() {
+        let dot = crate::search::tests::dot_mod_17();
+        let options = SynthesisOptions {
+            latency: dot.model.clone(),
+            ..quick_options()
+        };
+        let mut cegis = Refinement {
+            spec: &dot.spec,
+            sketch: &dot.sketch,
+            options: &options,
+            deadline: Instant::now() + options.timeout,
+            examples: dot.examples[..1].to_vec(),
+            rng: StdRng::seed_from_u64(3),
+            searches: 0,
+        };
+        let mut wrong_only = true;
+        let outcome = cegis
+            .refine(Some(dot.bound), |searcher| {
+                let outcome = searcher.run(3, NonZeroUsize::new(2).unwrap());
+                match outcome {
+                    SearchOutcome::Candidates(programs) if wrong_only => {
+                        wrong_only = false;
+                        let wrong = programs
+                            .into_iter()
+                            .filter(|p| !verify::is_correct(p, &dot.spec));
+                        SearchOutcome::Candidates(wrong.collect())
+                    }
+                    other => other,
+                }
+            })
+            .expect("every failure has a witness");
+        let Refined::Verified(program) = outcome else {
+            panic!("the optimum is in the space");
+        };
+        assert_eq!(cegis.searches, 2);
+        assert!(cegis.examples.len() >= 2);
+        assert_eq!(
+            eager_cost(&program, &dot.model).to_bits(),
+            dot.bound.to_bits()
+        );
     }
 
     /// Stages synthesized one by one and appended compose into a pipeline

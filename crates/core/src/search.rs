@@ -23,11 +23,12 @@
 //!   lower bound already exceeds the bound are pruned. One bound prices
 //!   what the prefix has placed and every missing component at the
 //!   cheapest op; it floors every completion and is compared with the
-//!   cheapest cost found so far. A second one adds what the spec itself
-//!   forces on any *correct* completion: the multiplies still needed to
-//!   reach the output's degree, and the rotations still needed to gather
-//!   its slot offsets (see [`spec_bounds`]). It is compared with the
-//!   caller's fixed bound only, since a wrong program that matches the
+//!   cheapest *verified* cost found so far. A second one adds what the
+//!   spec itself forces on any *correct* completion: the multiplies still
+//!   needed to reach the output's degree, and the rotations still needed
+//!   to gather its slot offsets (see [`spec_bounds`]), which the remaining
+//!   components must have the rotated holes to place. It is compared with
+//!   the caller's fixed bound only, since a wrong program that matches the
 //!   examples may be cheaper (see `SearchContext::exceeds`). Both are
 //!   applied to each candidate before its value vector is computed, and
 //!   the last component is priced exactly.
@@ -35,6 +36,20 @@
 //! Like the SMT query, an exhausted search is a *proof* that no program (of
 //! the given component count, satisfying the examples, under the cost
 //! bound) exists in the sketch.
+//!
+//! # Cheapest mode answers every counter-example at once
+//!
+//! Algorithm 1 re-runs the cost-bounded query after each counter-example,
+//! and each re-run searches the same space again. Instead, a cheapest-mode
+//! query checks each example-matching completion that would lower the
+//! bound with the exact symbolic verifier, lowers the bound only for a
+//! correct one, and returns *every* example-matching completion that costs
+//! no more than the cheapest correct one it found
+//! ([`SearchOutcome::Candidates`]). Each later query of the loop would
+//! return the canonical cheapest program matching more examples, and that
+//! program costs no more than the correct optimum, so it is in the list;
+//! CEGIS replays its counter-examples over the list and searches again
+//! only if every entry fails.
 //!
 //! # Two strategies over one space
 //!
@@ -82,9 +97,10 @@
 //! Two pieces of shared state let workers prune each other:
 //!
 //! * a shared `AtomicU64` cost bound (bits of the cheapest complete program
-//!   found so far) — prefixes whose every completion costs *strictly more*
-//!   are cut, which can never cut a program tied with the eventual optimum.
-//!   The spec-derived bound, which floors only correct completions, is
+//!   found so far that passed the symbolic verifier) — prefixes whose every
+//!   completion costs *strictly more* are cut, which can never cut a
+//!   program tied with the correct optimum, nor a wrong one cheaper than
+//!   it. The spec-derived bound, which floors only correct completions, is
 //!   never compared with it, so what it cuts does not depend on timing;
 //! * a cancellation word — in first-solution mode, the lowest subtree index
 //!   that found a program; workers on higher-indexed subtrees stop early
@@ -98,8 +114,9 @@
 //!   program, in DFS order, of the lowest-indexed subtree containing one —
 //!   precisely what the single-threaded DFS returns.
 //! * **cheapest mode** (cost bound set): every subtree is exhausted under
-//!   branch-and-bound and the canonical minimum is returned, a
-//!   partition-independent value.
+//!   branch-and-bound. The cheapest correct cost is a function of the
+//!   query, and so is the set of example-matching completions costing no
+//!   more; it is returned sorted by `(cost, serialization)`.
 //!
 //! Only a deadline expiry ([`SearchOutcome::Timeout`]) may yield a
 //! thread-count-dependent result; it still carries the best program found
@@ -107,6 +124,7 @@
 
 use crate::sketch::{ArithOp, Sketch, SketchMode, SketchOp};
 use crate::spec::{Example, KernelSpec};
+use crate::verify;
 use quill::cost::LatencyModel;
 use quill::program::{Instr, Program, PtOperand, ValRef};
 use std::collections::HashMap;
@@ -131,11 +149,17 @@ pub(crate) enum Comp {
 /// Why the search stopped.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SearchOutcome {
-    /// A satisfying program. Without a cost bound this is the first program
-    /// in canonical DFS order; with one, the search space was exhausted and
-    /// this is the cheapest program of cost ≤ the bound (ties broken by
-    /// serialization), so a verified `Found` is optimal within the sketch.
+    /// A satisfying program: the first one in canonical DFS order (a query
+    /// without a cost bound).
     Found(Program),
+    /// A query with a cost bound exhausted its space. These are the
+    /// programs that match the examples and cost no more than both the
+    /// bound and the cheapest program in the space that passed the
+    /// symbolic verifier, in canonical `(cost bits, serialization)` order;
+    /// never empty. The head is the cheapest program matching the
+    /// examples, and the first entry that verifies is optimal within the
+    /// sketch.
+    Candidates(Vec<Program>),
     /// The space at this component count is exhausted — a completeness
     /// proof, like `unsat` from the SMT solver.
     Unsat,
@@ -162,8 +186,9 @@ struct AvailEntry {
 enum Goal {
     /// Return the first satisfying program in DFS order (CEGIS phase 1).
     First,
-    /// Exhaust the space and return the canonical cheapest program under
-    /// the bound (CEGIS optimization phase).
+    /// Exhaust the space and return every example-matching program that
+    /// costs no more than the cheapest correct one (CEGIS optimization
+    /// phase).
     Cheapest,
 }
 
@@ -172,6 +197,8 @@ enum Goal {
 /// workers of [`SearchContext::run`], and by the bottom-up term bank in
 /// [`crate::bottom_up`].
 pub(crate) struct SearchContext<'a> {
+    /// The spec the examples come from; cheapest mode verifies against it.
+    kernel: &'a KernelSpec,
     pub(crate) sketch: &'a Sketch,
     pub(crate) examples: &'a [Example],
     pub(crate) n: usize,
@@ -189,6 +216,10 @@ pub(crate) struct SearchContext<'a> {
     /// The cheapest multiply in the sketch (a ct×ct one with its eager
     /// relin), or infinity when the sketch has none.
     min_mul_latency: f64,
+    /// The most rotated holes of one multiply op, and of any op: how many
+    /// new rotations a multiply, and any component, can place at most.
+    mul_rot_holes: usize,
+    op_rot_holes: usize,
     pub(crate) rot_latency: f64,
     /// [`spec_bounds`] in cheapest mode, else [`SpecBounds::NONE`]; the
     /// rotation term is 0 in explicit-rotation mode, whose rotations are
@@ -274,9 +305,10 @@ struct SharedSearch {
     /// Lowest subtree index that found a program (first-solution mode);
     /// doubles as the cancellation flag for higher-indexed subtrees.
     found_idx: AtomicUsize,
-    /// Bits of the cheapest complete-program cost found so far (cheapest
-    /// mode). Monotonically non-increasing; `f64::to_bits` preserves order
-    /// for the positive finite costs the latency model produces.
+    /// Bits of the cheapest cost of a complete program found so far that
+    /// passed the symbolic verifier (cheapest mode). Monotonically
+    /// non-increasing; `f64::to_bits` preserves order for the positive
+    /// finite costs the latency model produces.
     best_bound: AtomicU64,
     /// Set once the deadline fires anywhere; every worker stops.
     timed_out: AtomicBool,
@@ -299,7 +331,7 @@ impl SharedSearch {
 struct Cut {
     /// The caller's cost bound, fixed for the query.
     query: f64,
-    /// `query` tightened to the cheapest complete program found anywhere
+    /// `query` tightened to the cheapest correct program found anywhere
     /// so far. Other workers lower it at moments that depend on timing.
     best: f64,
 }
@@ -315,18 +347,16 @@ enum Abort {
     TimedOut,
 }
 
-/// The best complete program a worker has seen, under the canonical
-/// `(cost bits, serialization)` order that makes the merge deterministic.
-struct Best {
-    cost_bits: u64,
-    ser: String,
-    prog: Program,
-}
-
-impl Best {
-    fn beats(&self, cost_bits: u64, ser: &str) -> bool {
-        (self.cost_bits, self.ser.as_str()) <= (cost_bits, ser)
-    }
+/// What one worker collects in cheapest mode, each program with its cost
+/// bits.
+#[derive(Default)]
+struct Matches {
+    /// Every example-matching completion that cost no more than the shared
+    /// bound when it was found.
+    all: Vec<(u64, Program)>,
+    /// The cheapest completion this worker verified: what a timed-out
+    /// query salvages.
+    verified: Option<(u64, Program)>,
 }
 
 /// Everything one worker brings back from the subtrees it claimed.
@@ -335,8 +365,8 @@ struct WorkerYield {
     /// First-solution mode: `(subtree index, program)` per subtree that
     /// found one. The merge keeps the lowest index.
     firsts: Vec<(usize, Program)>,
-    /// Cheapest mode: the canonical best across this worker's subtrees.
-    best: Option<Best>,
+    /// Cheapest mode.
+    matches: Matches,
 }
 
 impl<'a> SearchContext<'a> {
@@ -412,6 +442,16 @@ impl<'a> SearchContext<'a> {
             .filter(|(op, _)| op.op.is_mul())
             .map(|(_, &l)| l)
             .fold(f64::INFINITY, f64::min);
+        // Holes that range over more than rotation 0; explicit mode has none.
+        let rotated = !explicit && rots.len() > 1;
+        let rot_holes = |sop: &SketchOp| {
+            let rhs_rot = sop.rhs_rot && sop.op.binary_ct();
+            (rotated && sop.lhs_rot) as usize + (rotated && rhs_rot) as usize
+        };
+        let max_rot_holes = |muls_only: bool| {
+            let ops = sketch.ops.iter().filter(|op| !muls_only || op.op.is_mul());
+            ops.map(rot_holes).max().unwrap_or(0)
+        };
         // The spec terms only tighten a cost bound, so first-solution
         // queries (phase 1) skip them.
         let mut spec_terms = match cost_bound {
@@ -422,6 +462,7 @@ impl<'a> SearchContext<'a> {
             spec_terms.rotations = 0;
         }
         SearchContext {
+            kernel: spec,
             sketch,
             examples,
             n,
@@ -434,6 +475,8 @@ impl<'a> SearchContext<'a> {
             op_latencies,
             min_op_latency,
             min_mul_latency,
+            mul_rot_holes: max_rot_holes(true),
+            op_rot_holes: max_rot_holes(false),
             rot_latency: latency.rot_ct,
             spec: spec_terms,
             deadline,
@@ -483,22 +526,43 @@ impl<'a> SearchContext<'a> {
         };
 
         let timed_out = shared.timed_out.load(Relaxed);
-        let best = match goal {
-            Goal::First => yields
-                .into_iter()
-                .flat_map(|y| y.firsts)
-                .min_by_key(|(i, _)| *i)
-                .map(|(_, p)| p),
-            Goal::Cheapest => yields
-                .into_iter()
-                .filter_map(|y| y.best)
-                .min_by(|a, b| (a.cost_bits, &a.ser).cmp(&(b.cost_bits, &b.ser)))
-                .map(|b| b.prog),
-        };
-        match (timed_out, best) {
-            (true, best) => SearchOutcome::Timeout { best },
-            (false, Some(p)) => SearchOutcome::Found(p),
-            (false, None) => SearchOutcome::Unsat,
+        match goal {
+            Goal::First => {
+                let first = yields
+                    .into_iter()
+                    .flat_map(|y| y.firsts)
+                    .min_by_key(|(i, _)| *i)
+                    .map(|(_, p)| p);
+                match (timed_out, first) {
+                    (true, best) => SearchOutcome::Timeout { best },
+                    (false, Some(p)) => SearchOutcome::Found(p),
+                    (false, None) => SearchOutcome::Unsat,
+                }
+            }
+            Goal::Cheapest if timed_out => SearchOutcome::Timeout {
+                best: yields
+                    .into_iter()
+                    .filter_map(|y| y.matches.verified)
+                    .min_by_key(|(bits, _)| *bits)
+                    .map(|(_, p)| p),
+            },
+            Goal::Cheapest => {
+                let cut = self.cut(&shared).expect("cheapest mode has a bound");
+                let ceiling = cut.best.to_bits();
+                let mut kept: Vec<(u64, String, Program)> = yields
+                    .into_iter()
+                    .flat_map(|y| y.matches.all)
+                    .filter(|(bits, _)| *bits <= ceiling)
+                    .map(|(bits, p)| (bits, p.to_string(), p))
+                    .collect();
+                kept.sort_unstable_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+                kept.dedup_by(|a, b| a.1 == b.1);
+                if kept.is_empty() {
+                    SearchOutcome::Unsat
+                } else {
+                    SearchOutcome::Candidates(kept.into_iter().map(|(_, _, p)| p).collect())
+                }
+            }
         }
     }
 
@@ -528,7 +592,7 @@ impl<'a> SearchContext<'a> {
             let snap = state.push(self, &cand.comp, cand.vec.clone());
             comps.push(cand.comp.clone());
             let found = if num_components == 1 {
-                self.try_complete(sh, state, &comps, goal, &mut y.best)
+                self.try_complete(sh, state, &comps, goal, &mut y.matches)
             } else {
                 self.dfs(
                     sh,
@@ -536,7 +600,7 @@ impl<'a> SearchContext<'a> {
                     &mut comps,
                     num_components - 1,
                     goal,
-                    &mut y.best,
+                    &mut y.matches,
                     i,
                 )
             };
@@ -606,9 +670,9 @@ impl<'a> SearchContext<'a> {
     ///
     /// * without spec terms, [`Self::lower_bound`] floors *every*
     ///   completion, so a prefix it puts strictly above `cut.best` only
-    ///   extends to programs strictly costlier than one already found.
-    ///   Cutting it can never change the canonical minimum, however the
-    ///   workers' timing lowered `cut.best`;
+    ///   extends to programs strictly costlier than a correct one already
+    ///   found. Cutting it can never change the candidate list, however
+    ///   the workers' timing lowered `cut.best`;
     /// * with the spec terms, it floors only the *correct* completions.
     ///   A program that matches the examples without being correct may
     ///   cost less, and returning it is what makes CEGIS add a
@@ -618,12 +682,11 @@ impl<'a> SearchContext<'a> {
     ///
     /// Both comparisons are strict — the bound is *tie-inclusive* — so a
     /// program costing exactly the bound (or tied with the optimum) stays
-    /// alive in every subtree. That is what makes the canonical
-    /// `(cost, serialization)` merge partition-independent, and the
-    /// cheapest-mode result a canonical function of the query alone: the
-    /// CEGIS optimizer passes the incumbent's cost as the bound and gets
-    /// the canonical minimum of the tied-or-better class back, whichever
-    /// strategy produced the incumbent.
+    /// alive in every subtree. That is what makes the merge
+    /// partition-independent, and the cheapest-mode result a canonical
+    /// function of the query alone: the CEGIS optimizer passes the
+    /// incumbent's cost as the bound and gets the same candidate list
+    /// back, whichever strategy produced the incumbent.
     fn exceeds(
         &self,
         cut: Cut,
@@ -649,7 +712,10 @@ impl<'a> SearchContext<'a> {
     /// * the other remaining components cost at least the cheapest op;
     /// * such a program materializes at least `R` rotations, one per
     ///   distinct `(value, rotation)` pair, so `R − rots_charged` more are
-    ///   priced at the rotation latency;
+    ///   priced at the rotation latency. A component places at most one new
+    ///   rotation per rotated hole, so the bound is infinite when the
+    ///   remaining components (`D − m` of them multiplies) have fewer
+    ///   rotated holes than rotations are missing;
     /// * the final depth factor is at least `1 + max(m, D)`.
     ///
     /// Every term is what an extension adds at least, so the bound is
@@ -670,13 +736,19 @@ impl<'a> SearchContext<'a> {
         if muls > remaining {
             return f64::INFINITY;
         }
+        let rots_missing = spec.rotations.saturating_sub(rots_charged);
+        if rots_missing > 0
+            && rots_missing > muls * self.mul_rot_holes + (remaining - muls) * self.op_rot_holes
+        {
+            return f64::INFINITY;
+        }
         // `muls · ∞` for a sketch without multiplies only when one is needed.
         let mul_term = if muls == 0 {
             0.0
         } else {
             muls as f64 * self.min_mul_latency
         };
-        let rot_term = spec.rotations.saturating_sub(rots_charged) as f64 * self.rot_latency;
+        let rot_term = rots_missing as f64 * self.rot_latency;
         let rest = (remaining - muls) as f64 * self.min_op_latency;
         (latency_sum + mul_term + rot_term + rest)
             * (1.0 + max_mdepth.max(spec.mult_depth) as f64)
@@ -689,11 +761,11 @@ impl<'a> SearchContext<'a> {
     /// after it, its child [`Self::exceeds`] `cut`, or, for the last
     /// component, the completed program's exact cost exceeds `cut.best`:
     /// such a program is over the caller's bound or strictly costlier than
-    /// one already found, so dropping it never changes the result. The
-    /// spec terms stay out
-    /// of it: a completion below the spec's depth is wrong, but phase 2
-    /// returning it is what adds a counter-example today, so cutting it
-    /// would change how many examples a query ends with.
+    /// one already verified, so dropping it never changes the result. The
+    /// spec terms stay out of it: a completion below the spec's depth is
+    /// wrong, but it stays a candidate, and the replay that rejects it adds
+    /// its counter-example, so cutting it would change how many examples a
+    /// query ends with.
     fn prices_out(
         &self,
         state: &WorkerState,
@@ -717,15 +789,15 @@ impl<'a> SearchContext<'a> {
 
     /// Accepts or rejects a fully placed component list. In first-solution
     /// mode a surviving program is returned to short-circuit the DFS; in
-    /// cheapest mode it is folded into the worker's canonical best and the
-    /// shared bound is tightened.
+    /// cheapest mode it joins the worker's matches, and tightens the shared
+    /// bound if it is correct and cheaper than the bound.
     fn try_complete(
         &self,
         sh: &SharedSearch,
         state: &WorkerState,
         comps: &[Comp],
         goal: Goal,
-        best: &mut Option<Best>,
+        matches: &mut Matches,
     ) -> Option<Program> {
         // All components used check: every intermediate except the last
         // must have a use.
@@ -744,23 +816,24 @@ impl<'a> SearchContext<'a> {
             Goal::Cheapest => {
                 // Tie-inclusive: a program costing exactly the bound is
                 // kept and competes on the serialization tie-break.
-                if self.cost_bound.is_some_and(|b| final_cost > b) {
+                let cut = self.cut(sh).expect("cheapest mode has a bound");
+                if final_cost > cut.best {
                     return None;
                 }
-                let cost_bits = final_cost.to_bits();
-                sh.best_bound.fetch_min(cost_bits, Relaxed);
-                if best.as_ref().is_some_and(|b| b.cost_bits < cost_bits) {
-                    return None; // cheaper program already in hand; skip the serialization
-                }
                 let prog = self.materialize(comps);
-                let ser = prog.to_string();
-                if !best.as_ref().is_some_and(|b| b.beats(cost_bits, &ser)) {
-                    *best = Some(Best {
-                        cost_bits,
-                        ser,
-                        prog,
-                    });
+                let cost_bits = final_cost.to_bits();
+                // Only a correct program cheaper than the bound can lower
+                // it. One below the spec's depth or rotation count is
+                // wrong (`spec_bounds`) and needs no check.
+                let may_be_correct = state.max_mdepth >= self.spec.mult_depth
+                    && state.rots_charged >= self.spec.rotations;
+                if final_cost < cut.best && may_be_correct && verify::is_correct(&prog, self.kernel)
+                {
+                    sh.best_bound.fetch_min(cost_bits, Relaxed);
+                    matches.all.retain(|(bits, _)| *bits <= cost_bits);
+                    matches.verified = Some((cost_bits, prog.clone()));
                 }
+                matches.all.push((cost_bits, prog));
                 None
             }
         }
@@ -774,7 +847,7 @@ impl<'a> SearchContext<'a> {
         comps: &mut Vec<Comp>,
         remaining: usize,
         goal: Goal,
-        best: &mut Option<Best>,
+        matches: &mut Matches,
         my_idx: usize,
     ) -> Option<Program> {
         if self.tick(sh, state, goal, my_idx) {
@@ -805,9 +878,9 @@ impl<'a> SearchContext<'a> {
             let snap = state.push(self, &cand.comp, cand.vec);
             comps.push(cand.comp);
             let found = if is_last {
-                self.try_complete(sh, state, comps, goal, best)
+                self.try_complete(sh, state, comps, goal, matches)
             } else {
-                self.dfs(sh, state, comps, remaining - 1, goal, best, my_idx)
+                self.dfs(sh, state, comps, remaining - 1, goal, matches, my_idx)
             };
             comps.pop();
             state.pop(self, snap);
@@ -1638,7 +1711,7 @@ fn inverse_mod(a: u64, t: u64) -> Option<u64> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::sketch::{RotationSet, SketchOp};
     use crate::spec::GenericReference;
@@ -1980,9 +2053,57 @@ mod tests {
         assert_eq!(spec_bounds(&constant), bounds(0, 0));
     }
 
+    /// A component places at most one new rotation per rotated hole, so a
+    /// prefix with fewer rotated holes left than rotations missing has no
+    /// correct completion; the bound without spec terms never says so.
+    #[test]
+    fn rotation_room_prices_out_prefixes_that_cannot_gather_the_offsets() {
+        let model = LatencyModel::uniform();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        // Eight offsets need three rotations; an add places at most two.
+        let spec = sum_spec(8);
+        let sketch = Sketch::new(
+            vec![SketchOp::rotated(ArithOp::AddCtCt)],
+            RotationSet::PowersOfTwo { extent: 8 },
+            3,
+        );
+        let examples = [spec.sample_example(&mut rng)];
+        let ctx = SearchContext::new(&spec, &sketch, &examples, &model, None, Some(1e12));
+        assert_eq!((ctx.mul_rot_holes, ctx.op_rot_holes), (0, 2));
+        assert_eq!(ctx.lower_bound(ctx.spec, 0.0, 0, 0, 1), f64::INFINITY);
+        assert!(ctx.lower_bound(ctx.spec, 0.0, 0, 1, 1).is_finite());
+        assert!(ctx.lower_bound(SpecBounds::NONE, 0.0, 0, 0, 1).is_finite());
+        // Explicit rotations are components, priced as such.
+        let explicit = sketch.clone().with_explicit_rotations();
+        let ablation = SearchContext::new(&spec, &explicit, &examples, &model, None, Some(1e12));
+        assert!(ablation
+            .lower_bound(ablation.spec, 0.0, 0, 0, 1)
+            .is_finite());
+
+        // A squared distance needs a multiply, and the plain multiply
+        // places no rotation: one remaining component cannot also gather
+        // the two rotations, two can.
+        let spec = reduce_spec(4, true);
+        let sketch = Sketch::new(
+            vec![
+                SketchOp::plain(ArithOp::SubCtCt),
+                SketchOp::plain(ArithOp::MulCtCt),
+                SketchOp::rotated(ArithOp::AddCtCt),
+            ],
+            RotationSet::PowersOfTwo { extent: 4 },
+            4,
+        );
+        let examples = [spec.sample_example(&mut rng)];
+        let ctx = SearchContext::new(&spec, &sketch, &examples, &model, None, Some(1e12));
+        assert_eq!((ctx.mul_rot_holes, ctx.op_rot_holes), (0, 2));
+        assert_eq!(ctx.lower_bound(ctx.spec, 0.0, 0, 0, 1), f64::INFINITY);
+        assert!(ctx.lower_bound(ctx.spec, 0.0, 0, 0, 2).is_finite());
+        assert!(ctx.lower_bound(ctx.spec, 0.0, 1, 1, 1).is_finite());
+    }
+
     /// The spec terms only prune: cheapest mode returns the identical
-    /// program with them zeroed, at one and two workers; the terms are off
-    /// outside cheapest mode and the rotation term in explicit mode.
+    /// candidates with them zeroed, at one and two workers; the terms are
+    /// off outside cheapest mode and the rotation term in explicit mode.
     #[test]
     fn spec_terms_leave_the_cheapest_program_unchanged() {
         let model = LatencyModel::profiled_default();
@@ -2030,14 +2151,15 @@ mod tests {
             assert_eq!(ctx.spec, bounds);
             for j in [1, 2] {
                 ctx.spec = bounds;
-                let SearchOutcome::Found(priced) = ctx.run(components, jobs(j)) else {
+                let SearchOutcome::Candidates(priced) = ctx.run(components, jobs(j)) else {
                     panic!("{components} components, jobs={j}: no program");
                 };
                 ctx.spec = SpecBounds::NONE;
                 let plain = ctx.run(components, jobs(j));
-                assert_eq!(plain, SearchOutcome::Found(priced.clone()), "jobs={j}");
+                assert_eq!(plain, SearchOutcome::Candidates(priced.clone()), "jobs={j}");
+                let priced = &priced[0];
                 let out = interp::eval_concrete(
-                    &priced,
+                    priced,
                     &examples[0].ct_inputs,
                     &examples[0].pt_inputs,
                     65537,
@@ -2049,15 +2171,21 @@ mod tests {
         }
     }
 
-    /// A program that matches the examples without being correct can cost
-    /// less than every correct one, and the spec-derived bound floors only
-    /// correct completions. Whether it cuts such a program must not depend
-    /// on when a worker found a cheaper one: with one example of a dot
-    /// product under a small modulus, where many wrong programs match, a
-    /// cheapest query under the correct optimum's cost returns the same
-    /// outcome at every thread count and on every run.
-    #[test]
-    fn spec_terms_cut_the_same_programs_at_any_thread_count() {
+    /// A dot product of four slots mod 17 with one example, and the cost of
+    /// its correct optimum: under so small a modulus many wrong programs
+    /// match one example, and the cheapest of them costs less than the
+    /// optimum.
+    pub(crate) struct DotMod17 {
+        pub(crate) spec: KernelSpec,
+        pub(crate) sketch: Sketch,
+        /// Eight examples; the queries below use the first.
+        pub(crate) examples: Vec<Example>,
+        pub(crate) model: LatencyModel,
+        /// The optimum's cost.
+        pub(crate) bound: f64,
+    }
+
+    pub(crate) fn dot_mod_17() -> DotMod17 {
         let (n, t) = (4, 17);
         let mut mask = vec![false; n];
         mask[0] = true;
@@ -2078,41 +2206,138 @@ mod tests {
         let model = LatencyModel::profiled_default();
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let examples: Vec<Example> = (0..8).map(|_| spec.sample_example(&mut rng)).collect();
-        let correct = |p: &Program| {
-            examples
-                .iter()
-                .all(|e| interp::eval_concrete(p, &e.ct_inputs, &e.pt_inputs, t)[0] == e.output[0])
-        };
         let full = SearchContext::new(&spec, &sketch, &examples, &model, None, Some(1e12));
-        let SearchOutcome::Found(optimum) = full.run(3, jobs(1)) else {
+        let SearchOutcome::Candidates(programs) = full.run(3, jobs(1)) else {
             panic!("no dot product in the sketch");
         };
-        assert!(correct(&optimum));
-        let bound = quill::cost::eager_cost(&optimum, &model);
+        let mut verifier = rand::rngs::StdRng::seed_from_u64(0);
+        assert!(crate::verify::verify(&programs[0], &spec, &mut verifier).is_ok());
+        let bound = quill::cost::eager_cost(&programs[0], &model);
+        DotMod17 {
+            spec,
+            sketch,
+            examples,
+            model,
+            bound,
+        }
+    }
 
+    /// A program that matches the examples without being correct can cost
+    /// less than every correct one, and the spec-derived bound floors only
+    /// correct completions. Whether it cuts such a program must not depend
+    /// on when a worker found a cheaper one or a correct one: with one
+    /// example of [`dot_mod_17`], a cheapest query under the correct
+    /// optimum's cost returns the same candidate list at every thread
+    /// count and on every run.
+    #[test]
+    fn spec_terms_cut_the_same_programs_at_any_thread_count() {
+        let DotMod17 {
+            spec,
+            sketch,
+            examples,
+            model,
+            bound,
+        } = dot_mod_17();
         let one = &examples[..1];
         let mut ctx = SearchContext::new(&spec, &sketch, one, &model, None, Some(bound));
         let first = ctx.run(3, jobs(1));
-        let SearchOutcome::Found(cheapest) = &first else {
+        let SearchOutcome::Candidates(candidates) = &first else {
             panic!("the optimum matches its own examples: {first:?}");
         };
+        let cheapest = &candidates[0];
+        let correct = |p: &Program| crate::verify::is_correct(p, &spec);
         assert!(
             !correct(cheapest) && quill::cost::eager_cost(cheapest, &model) < bound,
             "one example admits a cheaper wrong program: {cheapest}"
         );
-        // The cheapest matching program of all has no multiply, and every
-        // prefix of it prices within the bound, so the spec terms keep it.
-        // Compared with the cheapest cost found so far, they would cut it
-        // once a costlier matching program had been found first.
-        assert_eq!(cheapest.mult_depth(), 0);
+        assert!(candidates.iter().any(correct), "the optimum is a candidate");
+        // The cheapest matching program has fewer rotations than any
+        // correct one, and every prefix of it prices within the bound, so
+        // the spec terms keep it. Compared with the cheapest cost found so
+        // far, they would cut it once a costlier matching program had been
+        // found first.
+        assert!(cheapest.rot_count() < spec_bounds(&spec).rotations);
+        // Zeroed, they keep every candidate, and cheaper wrong programs
+        // besides (the rotation room cuts one with too few rotated holes
+        // left for its missing rotations).
         ctx.spec = SpecBounds::NONE;
-        assert_eq!(ctx.run(3, jobs(1)), first, "spec terms zeroed");
+        let SearchOutcome::Candidates(unpriced) = ctx.run(3, jobs(1)) else {
+            panic!("spec terms zeroed: no candidates");
+        };
+        assert!(candidates.iter().all(|c| unpriced.contains(c)));
+        assert!(unpriced.len() > candidates.len());
         ctx.spec = spec_bounds(&spec);
         for round in 0..3 {
             for j in [1, 2, 4] {
                 assert_eq!(ctx.run(3, jobs(j)), first, "jobs={j}, round {round}");
             }
         }
+    }
+
+    /// A cheapest query cut short by its deadline salvages only a program
+    /// that passed the verifier, never the cheapest matching one, which
+    /// [`dot_mod_17`]'s one example makes wrong.
+    #[test]
+    fn a_timed_out_cheapest_query_salvages_only_a_verified_program() {
+        let DotMod17 {
+            spec,
+            sketch,
+            examples,
+            model,
+            ..
+        } = dot_mod_17();
+        // One worker: it reaches its first deadline check (every 4096
+        // nodes) before the query is exhausted.
+        let expired = Some(Instant::now());
+        let ctx = SearchContext::new(&spec, &sketch, &examples[..1], &model, expired, Some(1e12));
+        let SearchOutcome::Timeout { best } = ctx.run(3, jobs(1)) else {
+            panic!("the query outlives its first deadline check");
+        };
+        let best = best.expect("a correct program is found within 4096 nodes");
+        assert!(crate::verify::is_correct(&best, &spec), "{best}");
+    }
+
+    /// Replaying Algorithm 1 over one cheapest query's candidates returns
+    /// the program, and ends with the examples, that re-searching after
+    /// every counter-example does. The head of a query's list is what that
+    /// loop's query returns: the canonical cheapest matching program.
+    #[test]
+    fn replaying_the_candidates_matches_searching_after_each_counter_example() {
+        let DotMod17 {
+            spec,
+            sketch,
+            examples,
+            model,
+            bound,
+        } = dot_mod_17();
+        let query = |examples: &[Example]| {
+            let ctx = SearchContext::new(&spec, &sketch, examples, &model, None, Some(bound));
+            match ctx.run(3, jobs(2)) {
+                SearchOutcome::Candidates(programs) => programs,
+                other => panic!("the optimum is in the space: {other:?}"),
+            }
+        };
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let mut looped = examples[..1].to_vec();
+        let mut searches = 0;
+        let optimum = loop {
+            searches += 1;
+            let head = query(&looped).swap_remove(0);
+            match crate::verify::verify(&head, &spec, &mut rng) {
+                Ok(()) => break head,
+                Err(failure) => looped.push(failure.counter_example().expect("a witness")),
+            }
+        };
+        assert!(searches >= 2, "the cheapest matching program is wrong");
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let mut replayed = examples[..1].to_vec();
+        let candidates = query(&replayed);
+        let found = crate::cegis::replay(candidates, &spec, &mut replayed, &mut rng)
+            .expect("every failure has a witness");
+        assert_eq!(found, Some(optimum));
+        assert_eq!(replayed, looped);
     }
 
     /// The determinism contract at the search layer: any thread count
@@ -2141,11 +2366,11 @@ mod tests {
             assert_eq!(first.run(3, jobs(j)), sequential, "first mode, jobs={j}");
         }
 
-        // Cheapest mode: exhaustive, canonical-minimum merge.
+        // Cheapest mode: exhaustive, canonical-order merge.
         let bound = 1e12;
         let cheapest = SearchContext::new(&spec, &sketch, &examples, &model, None, Some(bound));
         let sequential = cheapest.run(3, jobs(1));
-        assert!(matches!(sequential, SearchOutcome::Found(_)));
+        assert!(matches!(sequential, SearchOutcome::Candidates(_)));
         for j in [2, 4, 7] {
             assert_eq!(
                 cheapest.run(3, jobs(j)),

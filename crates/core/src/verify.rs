@@ -92,10 +92,7 @@ pub fn verify<R: Rng + ?Sized>(
             spec: expected,
         });
     }
-    let prog_sym = interp::eval_symbolic(prog, spec.n, spec.t);
-    let spec_sym = spec.eval_symbolic();
-    let bad_slot = (0..spec.n).find(|&i| spec.output_mask[i] && prog_sym[i] != spec_sym[i]);
-    let slot = match bad_slot {
+    let slot = match first_mismatch(prog, spec) {
         None => return Ok(()),
         Some(s) => s,
     };
@@ -115,6 +112,32 @@ pub fn verify<R: Rng + ?Sized>(
         slot,
         counter_example: None,
     })
+}
+
+/// Whether `prog` computes the spec's polynomial on every masked slot:
+/// [`verify`]'s exact check, without sampling a counter-example (so it
+/// draws nothing from an rng).
+pub(crate) fn is_correct(prog: &Program, spec: &KernelSpec) -> bool {
+    (prog.num_ct_inputs, prog.num_pt_inputs) == (spec.num_ct_inputs, spec.num_pt_inputs)
+        && first_mismatch(prog, spec).is_none()
+}
+
+/// Whether `prog` agrees with `example` on every masked slot. A program
+/// over other inputs than the spec's agrees with no example.
+pub(crate) fn agrees_with(prog: &Program, spec: &KernelSpec, example: &Example) -> bool {
+    if (prog.num_ct_inputs, prog.num_pt_inputs) != (spec.num_ct_inputs, spec.num_pt_inputs) {
+        return false;
+    }
+    let got = interp::eval_concrete(prog, &example.ct_inputs, &example.pt_inputs, spec.t);
+    (0..spec.n).all(|i| !spec.output_mask[i] || got[i] == example.output[i])
+}
+
+/// The first masked slot whose polynomial under `prog` differs from the
+/// spec's. `prog` has the spec's input counts.
+fn first_mismatch(prog: &Program, spec: &KernelSpec) -> Option<usize> {
+    let prog_sym = interp::eval_symbolic(prog, spec.n, spec.t);
+    let spec_sym = spec.eval_symbolic();
+    (0..spec.n).find(|&i| spec.output_mask[i] && prog_sym[i] != spec_sym[i])
 }
 
 #[cfg(test)]
