@@ -556,7 +556,6 @@ impl<'a> SearchContext<'a> {
                     .map(|(bits, p)| (bits, p.to_string(), p))
                     .collect();
                 kept.sort_unstable_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-                kept.dedup_by(|a, b| a.1 == b.1);
                 if kept.is_empty() {
                     SearchOutcome::Unsat
                 } else {
