@@ -69,6 +69,7 @@
 
 use crate::search::{count_search_invocation, Comp, PartnerValue, SearchContext};
 use crate::sketch::{ArithOp, SketchMode, SketchOp};
+use quill::cost::eager_cost;
 use quill::program::Program;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -167,7 +168,8 @@ struct Cand {
     mdepth: u32,
     /// Additive cost estimate (operand costs + op + operand rotations);
     /// over-counts shared sub-terms, used only for deterministic ranking.
-    /// Exact DFS-consistent costs are computed at goal selection.
+    /// Goal selection prices each goal's program with
+    /// [`quill::cost::eager_cost`], as the DFS and CEGIS do.
     cost: f64,
     /// Pure chain term: every node combines one (chain) term with itself
     /// or an input. See [`CHAIN_BUCKET_CAP`].
@@ -912,8 +914,8 @@ impl<'s, 'a> Bank<'s, 'a> {
         goals.truncate(GOAL_CAP);
         let mut best: Option<(u64, String, Program)> = None;
         for g in &goals {
-            let (prog, cost) = self.materialize_goal(g);
-            let bits = cost.to_bits();
+            let prog = self.materialize_goal(g);
+            let bits = eager_cost(&prog, self.ctx.latency).to_bits();
             if best.as_ref().is_some_and(|(bb, _, _)| *bb < bits) {
                 continue; // cheaper program already in hand
             }
@@ -930,10 +932,9 @@ impl<'s, 'a> Bank<'s, 'a> {
     }
 
     /// Lowers a goal candidate's DAG to a component list (support order is
-    /// topological because ids are assigned in finalization order) and
-    /// prices it exactly the way the DFS does: op latencies, one rotation
-    /// charge per distinct `(value, rotation)` pair, times `1 + mdepth`.
-    fn materialize_goal(&self, g: &Cand) -> (Program, f64) {
+    /// topological because ids are assigned in finalization order), then
+    /// to a [`Program`].
+    fn materialize_goal(&self, g: &Cand) -> Program {
         let sup = &g.support;
         let num_inputs = self.ctx.num_inputs;
         let to_avail = |id: u32| -> usize {
@@ -962,27 +963,7 @@ impl<'s, 'a> Bank<'s, 'a> {
             .map(|&id| node_to_comp(&self.terms[id as usize].node))
             .collect();
         comps.push(node_to_comp(&g.node));
-        let mut latency = 0.0;
-        let mut rots_used: HashSet<(usize, i64)> = HashSet::new();
-        for c in &comps {
-            match c {
-                Comp::Arith { op_idx, lhs, rhs } => {
-                    latency += self.ctx.op_latencies[*op_idx];
-                    if lhs.1 != 0 {
-                        rots_used.insert(*lhs);
-                    }
-                    if let Some(r) = rhs {
-                        if r.1 != 0 {
-                            rots_used.insert(*r);
-                        }
-                    }
-                }
-                Comp::Rot { .. } => latency += self.ctx.rot_latency,
-            }
-        }
-        latency += self.ctx.rot_latency * rots_used.len() as f64;
-        let cost = latency * (1.0 + g.mdepth as f64);
-        (self.ctx.materialize(&comps), cost)
+        self.ctx.materialize(&comps)
     }
 }
 

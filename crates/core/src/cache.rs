@@ -68,8 +68,10 @@ pub const CACHE_FORMAT_VERSION: u32 = 2;
 /// price candidates: eager relinearization per multiply, one rotation
 /// charge per distinct `(value, rotation)`, latency × (1 + depth)). Part
 /// of the key because a different costing can prefer a different program
-/// for the same query.
-pub const COST_MODEL_VERSION: u32 = 1;
+/// for the same query. v2: every enumerator sums a program's latencies in
+/// instruction order (`quill::cost::eager_cost`); the term bank used to
+/// add its rotations last, which could round a goal's cost differently.
+pub const COST_MODEL_VERSION: u32 = 2;
 
 const MAGIC: &str = "porcupine-cache";
 

@@ -154,6 +154,7 @@ impl CachePolicy {
 pub struct SynthesisOptions {
     /// Total wall-clock budget (Algorithm 1 stops with the best program so
     /// far when it fires; the paper used a 20-minute no-progress timeout).
+    /// One past the clock's range, like [`Duration::MAX`], sets none.
     pub timeout: Duration,
     /// Run the cost-minimization phase after the initial solution.
     pub optimize: bool,
@@ -237,8 +238,8 @@ pub struct SynthesisResult {
     pub opt_report: opt::OptReport,
     /// The first verified program (upper bound used by the optimizer).
     pub initial_program: Program,
-    /// Cost of the initial program (with implicit eager relins charged,
-    /// [`quill::cost::eager_cost`]).
+    /// Cost of the initial program ([`quill::cost::eager_cost`]: every
+    /// multiply pays its eager relinearization).
     pub initial_cost: f64,
     /// Cost of the best program (same objective).
     pub final_cost: f64,
@@ -489,7 +490,7 @@ fn synthesize_uncached(
         spec,
         sketch,
         options,
-        deadline: start + options.timeout,
+        deadline: start.checked_add(options.timeout),
         examples: vec![spec.sample_example(&mut rng)],
         rng,
         searches: 0,
@@ -547,10 +548,9 @@ fn synthesize_uncached(
         max_components: sketch.max_components,
     })?;
     let time_to_initial = start.elapsed();
-    // Costs charge one implicit relinearization per multiply (the -O0
-    // lowering's price), matching the search's internal accounting — so
-    // the optimization phase's bound and "proved optimal" claim are over
-    // one consistent objective.
+    // The search, the bank and this driver price programs with one
+    // objective, so the optimization phase's bound and "proved optimal"
+    // claim are over the cost the search accumulates.
     let initial_cost = eager_cost(&initial_program, &options.latency);
 
     // Phase 2: minimize cost within the same sketch instance.
@@ -573,9 +573,9 @@ fn synthesize_uncached(
                 proved_optimal = true;
             }
             // No program of the space under the bound is correct, so the
-            // incumbent is optimal. It is in the space, but the DFS sums
-            // its cost in another order than `eager_cost` and can round
-            // it above the bound.
+            // incumbent is optimal. The search need not return it: a bank
+            // program's instructions can come in an order the DFS never
+            // enumerates, and the DFS's order sums them differently.
             Refined::Unsat => proved_optimal = true,
             // Keep the best program the interrupted search saw instead of
             // discarding the optimization progress.
@@ -613,7 +613,7 @@ struct Refinement<'a> {
     spec: &'a KernelSpec,
     sketch: &'a Sketch,
     options: &'a SynthesisOptions,
-    deadline: Instant,
+    deadline: Option<Instant>,
     examples: Vec<Example>,
     rng: StdRng,
     /// Queries run so far.
@@ -656,7 +656,7 @@ impl Refinement<'_> {
         mut query: impl FnMut(&SearchContext) -> SearchOutcome,
     ) -> Result<Refined, SynthesisError> {
         loop {
-            if Instant::now() >= self.deadline {
+            if self.deadline.is_some_and(|d| Instant::now() >= d) {
                 return Ok(Refined::Timeout(None));
             }
             self.searches += 1;
@@ -665,7 +665,7 @@ impl Refinement<'_> {
                 self.sketch,
                 &self.examples,
                 &self.options.latency,
-                Some(self.deadline),
+                self.deadline,
                 bound,
             ));
             let candidates = match outcome {
@@ -802,6 +802,28 @@ mod tests {
         assert_eq!(out[0], 36);
     }
 
+    /// A timeout too large to add to the clock, such as `Duration::MAX`,
+    /// sets no deadline instead of panicking: the run is the one a finite
+    /// timeout gives.
+    #[test]
+    fn a_timeout_past_the_clock_sets_no_deadline() {
+        let spec = sum_spec(8);
+        let sketch = Sketch::new(
+            vec![SketchOp::rotated(ArithOp::AddCtCt)],
+            RotationSet::PowersOfTwo { extent: 8 },
+            4,
+        );
+        let unbounded = SynthesisOptions {
+            timeout: Duration::MAX,
+            ..quick_options()
+        };
+        let r = synthesize(&spec, &sketch, &unbounded).unwrap();
+        let bounded = synthesize(&spec, &sketch, &quick_options()).unwrap();
+        assert_eq!(r.program, bounded.program);
+        assert_eq!(r.final_cost.to_bits(), bounded.final_cost.to_bits());
+        assert!(r.proved_optimal);
+    }
+
     /// A parameter policy the program cannot satisfy must not discard the
     /// verified program: resolution failure is recorded in `params`, and
     /// the synthesis result is otherwise intact.
@@ -915,7 +937,7 @@ mod tests {
             spec: &dot.spec,
             sketch: &dot.sketch,
             options: &options,
-            deadline: Instant::now() + options.timeout,
+            deadline: Instant::now().checked_add(options.timeout),
             examples: dot.examples[..1].to_vec(),
             rng: StdRng::seed_from_u64(3),
             searches: 0,

@@ -33,6 +33,11 @@
 //!   applied to each candidate before its value vector is computed, and
 //!   the last component is priced exactly.
 //!
+//! A prefix's cost is a running sum of [`LatencyModel::eager_latency`]s in
+//! the order `materialize` emits the instructions, so a completion costs
+//! bit for bit [`quill::cost::eager_cost`] of its program. Only the lower
+//! bounds sum in another order, so they carry a relative margin.
+//!
 //! Like the SMT query, an exhausted search is a *proof* that no program (of
 //! the given component count, satisfying the examples, under the cost
 //! bound) exists in the sketch.
@@ -125,7 +130,7 @@
 use crate::sketch::{ArithOp, Sketch, SketchMode, SketchOp};
 use crate::spec::{Example, KernelSpec};
 use crate::verify;
-use quill::cost::LatencyModel;
+use quill::cost::{eager_cost, objective, LatencyModel};
 use quill::program::{Instr, Program, PtOperand, ValRef};
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
@@ -211,6 +216,8 @@ pub(crate) struct SearchContext<'a> {
     pub(crate) rots: Vec<i64>,
     /// Plaintext operand value per sketch op (concatenated), if any.
     pub(crate) pt_values: Vec<Option<Vec<u64>>>,
+    pub(crate) latency: &'a LatencyModel,
+    /// What each sketch op adds to the running sum.
     pub(crate) op_latencies: Vec<f64>,
     pub(crate) min_op_latency: f64,
     /// The cheapest multiply in the sketch (a ct×ct one with its eager
@@ -417,22 +424,12 @@ impl<'a> SearchContext<'a> {
                 _ => None,
             })
             .collect();
+        // Each op is priced as the instruction it materializes to.
+        let x = ValRef::Input(0);
         let op_latencies: Vec<f64> = sketch
             .ops
             .iter()
-            .map(|op| match &op.op {
-                ArithOp::AddCtCt => latency.add_ct_ct,
-                ArithOp::SubCtCt => latency.sub_ct_ct,
-                // The searcher emits no explicit relin-ct; every multiply
-                // is charged its eager relinearization (what -O0 executes,
-                // and an upper bound on the -O2 placement), keeping the
-                // internal accounting consistent with
-                // `quill::cost::eager_cost` in the CEGIS driver.
-                ArithOp::MulCtCt => latency.mul_ct_ct + latency.relin_ct,
-                ArithOp::AddCtPt(_) => latency.add_ct_pt,
-                ArithOp::SubCtPt(_) => latency.sub_ct_pt,
-                ArithOp::MulCtPt(_) => latency.mul_ct_pt,
-            })
+            .map(|op| latency.eager_latency(&op.op.instr(x, Some(x))))
             .collect();
         let min_op_latency = op_latencies.iter().copied().fold(f64::INFINITY, f64::min);
         let min_mul_latency = sketch
@@ -472,12 +469,13 @@ impl<'a> SearchContext<'a> {
             mask_idx,
             rots,
             pt_values,
+            latency,
             op_latencies,
             min_op_latency,
             min_mul_latency,
             mul_rot_holes: max_rot_holes(true),
             op_rot_holes: max_rot_holes(false),
-            rot_latency: latency.rot_ct,
+            rot_latency: latency.eager_latency(&Instr::RotCt(x, 1)),
             spec: spec_terms,
             deadline,
             cost_bound,
@@ -780,7 +778,7 @@ impl<'a> SearchContext<'a> {
         let p = state.price(self, op_idx, lhs, rhs);
         let max_mdepth = state.max_mdepth.max(p.mdepth);
         if remaining == 0 {
-            final_cost(p.latency_sum, max_mdepth) > cut.best
+            objective(p.latency_sum, max_mdepth) > cut.best
         } else {
             self.exceeds(cut, p.latency_sum, max_mdepth, p.rots_charged, remaining)
         }
@@ -809,7 +807,12 @@ impl<'a> SearchContext<'a> {
         if !all_used {
             return None;
         }
-        let final_cost = final_cost(state.latency_sum, state.max_mdepth);
+        let final_cost = objective(state.latency_sum, state.max_mdepth);
+        debug_assert_eq!(
+            final_cost.to_bits(),
+            eager_cost(&self.materialize(comps), self.latency).to_bits(),
+            "the running sum prices a completion as `eager_cost` does"
+        );
         match goal {
             Goal::First => Some(self.materialize(comps)),
             Goal::Cheapest => {
@@ -1353,14 +1356,7 @@ impl<'a> SearchContext<'a> {
                         };
                     let l = resolve(*lhs, &mut instrs);
                     let r = rhs.map(|rhs| resolve(rhs, &mut instrs));
-                    let instr = match &self.sketch.ops[*op_idx].op {
-                        ArithOp::AddCtCt => Instr::AddCtCt(l, r.unwrap()),
-                        ArithOp::SubCtCt => Instr::SubCtCt(l, r.unwrap()),
-                        ArithOp::MulCtCt => Instr::MulCtCt(l, r.unwrap()),
-                        ArithOp::AddCtPt(p) => Instr::AddCtPt(l, p.clone()),
-                        ArithOp::SubCtPt(p) => Instr::SubCtPt(l, p.clone()),
-                        ArithOp::MulCtPt(p) => Instr::MulCtPt(l, p.clone()),
-                    };
+                    let instr = self.sketch.ops[*op_idx].op.instr(l, r);
                     instrs.push(instr);
                     refs.push(ValRef::Instr(instrs.len() - 1));
                 }
@@ -1451,9 +1447,10 @@ struct Snapshot {
 }
 
 /// What placing one component makes of the running cost: the latency sum
-/// (accumulated in the one order `push` uses, so a completion priced
-/// before it is placed costs bit-for-bit what `try_complete` computes),
-/// the new value's multiplicative depth and the distinct rotations charged.
+/// (its fresh operand rotations, then its op, in the order `materialize`
+/// emits them, so a completion priced before it is placed costs bit for
+/// bit what `try_complete` computes, and what `eager_cost` does), the new
+/// value's multiplicative depth and the distinct rotations charged.
 struct Priced {
     latency_sum: f64,
     mdepth: u32,
@@ -1595,15 +1592,12 @@ impl WorkerState {
 }
 
 /// The relative amount [`SearchContext::lower_bound`] is shrunk by, so a
-/// completion tied with the bound is never cut by rounding: far above the
-/// error of summing a few dozen latencies (~1e-15 relative). A smaller
-/// bound only prunes less, so the margin never changes a result.
+/// completion tied with the bound is never cut by rounding: the bound adds
+/// its terms in another order than a completion's running sum (which is
+/// `eager_cost`'s order), and the margin is far above the error of summing
+/// a few dozen latencies (~1e-15 relative). A smaller bound only prunes
+/// less, so the margin never changes a result.
 const BOUND_MARGIN: f64 = 1e-12;
-
-/// §5.2's objective of a complete program: latency × (1 + depth).
-fn final_cost(latency_sum: f64, max_mdepth: u32) -> f64 {
-    latency_sum * (1.0 + max_mdepth as f64)
-}
 
 /// What one slot of a binary ciphertext op's unknown operand must hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -2270,6 +2264,63 @@ pub(crate) mod tests {
             for j in [1, 2, 4] {
                 assert_eq!(ctx.run(3, jobs(j)), first, "jobs={j}, round {round}");
             }
+        }
+    }
+
+    /// A cheapest query's candidate list is in the order of the cost
+    /// `eager_cost` gives each program: the running sum prices every
+    /// completion as the objective does, rotations and ct×ct multiplies
+    /// included, so the cost bits the list is sorted by are those. Under
+    /// `t = 17` one example admits wrong programs cheaper than the optimum,
+    /// so each list holds several.
+    #[test]
+    fn candidate_lists_are_sorted_by_eager_cost() {
+        let dot = dot_mod_17();
+        let n = 4;
+        let mut distance = reduce_spec(n, true);
+        distance.t = 17;
+        let distance_sketch = Sketch::new(
+            vec![
+                SketchOp::plain(ArithOp::SubCtCt),
+                SketchOp::plain(ArithOp::MulCtCt),
+                SketchOp::rotated(ArithOp::AddCtCt),
+            ],
+            RotationSet::PowersOfTwo { extent: n },
+            4,
+        );
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let distance_examples: Vec<Example> =
+            (0..8).map(|_| distance.sample_example(&mut rng)).collect();
+        // (.., whether the optimum multiplies ciphertexts)
+        let queries = [
+            (&dot.spec, &dot.sketch, &dot.examples, 3, false),
+            (&distance, &distance_sketch, &distance_examples, 4, true),
+        ];
+        for (spec, sketch, examples, components, ct_ct) in queries {
+            let cheapest = |examples, bound| {
+                let ctx = SearchContext::new(spec, sketch, examples, &dot.model, None, bound);
+                match ctx.run(components, jobs(2)) {
+                    SearchOutcome::Candidates(programs) => programs,
+                    other => panic!("{other:?}"),
+                }
+            };
+            let optimum = &cheapest(&examples[..], Some(1e12))[0];
+            assert!(crate::verify::is_correct(optimum, spec), "{optimum}");
+            assert!(optimum.rot_count() > 0, "{optimum}");
+            assert_eq!(optimum.ct_ct_mul_count() > 0, ct_ct, "{optimum}");
+            let bound = eager_cost(optimum, &dot.model);
+            let programs = cheapest(&examples[..1], Some(bound));
+            assert!(
+                programs.len() > 1,
+                "{optimum}: one candidate shows no order"
+            );
+            let bits: Vec<u64> = programs
+                .iter()
+                .map(|p| eager_cost(p, &dot.model).to_bits())
+                .collect();
+            assert!(bits.windows(2).all(|w| w[0] <= w[1]), "{bits:x?}");
+            assert!(programs.contains(optimum), "{optimum}");
+            assert_eq!(bits.last(), Some(&bound.to_bits()), "{optimum}");
         }
     }
 

@@ -8,7 +8,7 @@
 //! component, shrinking the program space without losing solutions; the
 //! explicit-rotation mode is kept for the §7.4 ablation.
 
-use quill::program::PtOperand;
+use quill::program::{Instr, PtOperand, ValRef};
 
 /// An arithmetic opcode choice for a sketch component. For `*CtPt` ops the
 /// plaintext operand is fixed in the sketch (as in the paper's Gx sketch,
@@ -43,6 +43,19 @@ impl ArithOp {
     /// Does the op raise multiplicative depth (ct×ct or ct×pt)?
     pub fn is_mul(&self) -> bool {
         matches!(self, ArithOp::MulCtCt | ArithOp::MulCtPt(_))
+    }
+
+    /// The instruction this op computes on `lhs` and, if binary, `rhs`.
+    pub(crate) fn instr(&self, lhs: ValRef, rhs: Option<ValRef>) -> Instr {
+        let rhs = || rhs.expect("a binary ciphertext op has a right operand");
+        match self {
+            ArithOp::AddCtCt => Instr::AddCtCt(lhs, rhs()),
+            ArithOp::SubCtCt => Instr::SubCtCt(lhs, rhs()),
+            ArithOp::MulCtCt => Instr::MulCtCt(lhs, rhs()),
+            ArithOp::AddCtPt(p) => Instr::AddCtPt(lhs, p.clone()),
+            ArithOp::SubCtPt(p) => Instr::SubCtPt(lhs, p.clone()),
+            ArithOp::MulCtPt(p) => Instr::MulCtPt(lhs, p.clone()),
+        }
     }
 }
 

@@ -1,5 +1,6 @@
 //! The Quill cost model: per-instruction latencies and the paper's
-//! `cost(p) = latency(p) × (1 + mdepth(p))` objective (§5.2).
+//! `latency(p) × (1 + mdepth(p))` objective (§5.2), [`eager_cost`], the one
+//! function every part of the synthesizer prices a program with.
 //!
 //! The paper derives instruction latencies by profiling SEAL; we derive them
 //! by profiling the in-repo backends. perfbench's op layer (a `--trace 1`
@@ -25,8 +26,8 @@ pub struct LatencyModel {
     pub sub_ct_ct: f64,
     /// ct × ct, **excluding** relinearization — the raw tensor/rescale
     /// cost. Relinearization is its own op ([`LatencyModel::relin_ct`]) so
-    /// the middle-end's lazy-relinearization savings are visible to both
-    /// the search and [`LatencyModel::program_latency`].
+    /// the middle-end's lazy-relinearization savings are visible to
+    /// [`LatencyModel::program_latency`].
     pub mul_ct_ct: f64,
     /// ct + pt.
     pub add_ct_pt: f64,
@@ -138,8 +139,9 @@ impl LatencyModel {
         }
     }
 
-    /// A uniform model (every instruction costs 1): makes `cost` rank by
-    /// instruction count × (1 + mdepth), useful in tests and ablations.
+    /// A uniform model (every instruction costs 1): makes [`eager_cost`]
+    /// rank by instruction count × (1 + mdepth), a ct×ct multiply counting
+    /// twice for its relinearization; useful in tests and ablations.
     pub fn uniform() -> Self {
         LatencyModel {
             add_ct_ct: 1.0,
@@ -185,6 +187,17 @@ impl LatencyModel {
             Instr::MulCtPt(..) => self.mul_ct_pt,
             Instr::RotCt(..) => self.rot_ct,
             Instr::Relin(..) => self.relin_ct,
+        }
+    }
+
+    /// What one instruction adds to [`eager_cost`]'s sum: its latency, but
+    /// a `mul-ct-ct` adds `mul_ct_ct + relin_ct` as one summand (its eager
+    /// relinearization) and a `relin-ct` adds nothing.
+    pub fn eager_latency(&self, instr: &Instr) -> f64 {
+        match instr {
+            Instr::MulCtCt(..) => self.mul_ct_ct + self.relin_ct,
+            Instr::Relin(..) => 0.0,
+            other => self.instr_latency(other),
         }
     }
 
@@ -250,41 +263,28 @@ impl Default for LatencyModel {
     }
 }
 
-/// Straight-line sum of per-instruction latencies, with no hoisting
-/// credit — the synthesis-time pricing.
-fn instr_sum(prog: &Program, model: &LatencyModel) -> f64 {
-    prog.instrs.iter().map(|i| model.instr_latency(i)).sum()
+/// §5.2's `latency × (1 + depth)`: the last step of [`eager_cost`], and of
+/// the search's running sum when it completes a program.
+pub fn objective(latency_sum: f64, mult_depth: u32) -> f64 {
+    latency_sum * (1.0 + mult_depth as f64)
 }
 
-/// The paper's compound objective: `latency × (1 + multiplicative depth)`,
-/// penalizing high-noise programs that would force larger HE parameters.
-/// Sums the latencies of exactly the instructions present — a program with
-/// explicit `relin-ct` pays for each one, and a lazily-relinearized program
-/// is cheaper than its eagerly-lowered sibling.
+/// The synthesis objective: [`objective`] of the program's
+/// [`LatencyModel::eager_latency`] sum, added left to right from `0.0`, so
+/// a program and its `-O0` lowering cost the same bits. The search
+/// accumulates a completion's cost in this order, so the search, the term
+/// bank and the CEGIS driver price a program alike.
 ///
-/// Rotations are priced *unhoisted* here, unlike
-/// [`LatencyModel::program_latency`]: the searcher's branch-and-bound
-/// accounts cost instruction-by-instruction as it extends candidates, so
-/// the objective must stay a local sum (and §5.2's objective is exactly
-/// that). Rotation hoisting is an execution-engine effect the runner
-/// applies after lowering; the fan credit belongs to the measurement-side
-/// latency model, not the search ranking.
-pub fn cost(prog: &Program, model: &LatencyModel) -> f64 {
-    instr_sum(prog, model) * (1.0 + prog.mult_depth() as f64)
-}
-
-/// The synthesis-time objective: [`cost`] plus one implicit
-/// relinearization per not-yet-relinearized ct×ct multiply.
-///
-/// The searcher emits programs with no explicit `relin-ct` (relinearization
-/// placement is the middle-end's job), but every multiply will cost at
-/// least its eager relinearization once lowered at `-O0`. Charging that
-/// here keeps the CEGIS cost bound consistent with the search's internal
-/// accounting and with what the `-O0` lowering actually executes; the
-/// `-O2` lazy placement can only improve on it.
+/// Rotations are priced *unhoisted*, unlike
+/// [`LatencyModel::program_latency`]: branch-and-bound prices a candidate
+/// as it extends it, so the objective stays a local sum (§5.2's). The fan
+/// credit is the runner's, applied after lowering.
 pub fn eager_cost(prog: &Program, model: &LatencyModel) -> f64 {
-    let implicit = prog.ct_ct_mul_count().saturating_sub(prog.relin_count());
-    (instr_sum(prog, model) + implicit as f64 * model.relin_ct) * (1.0 + prog.mult_depth() as f64)
+    let sum = prog
+        .instrs
+        .iter()
+        .fold(0.0, |sum, i| sum + model.eager_latency(i));
+    objective(sum, prog.mult_depth())
 }
 
 #[cfg(test)]
@@ -306,21 +306,21 @@ mod tests {
     fn cost_penalizes_depth() {
         let flat = Program::new(
             "flat",
-            2,
+            1,
             0,
-            vec![Instr::AddCtCt(ValRef::Input(0), ValRef::Input(1))],
+            vec![Instr::AddCtPt(ValRef::Input(0), PtOperand::Splat(3))],
             ValRef::Instr(0),
         );
         let deep = Program::new(
             "deep",
-            2,
+            1,
             0,
-            vec![Instr::MulCtCt(ValRef::Input(0), ValRef::Input(1))],
+            vec![Instr::MulCtPt(ValRef::Input(0), PtOperand::Splat(3))],
             ValRef::Instr(0),
         );
         let uniform = LatencyModel::uniform();
-        assert_eq!(cost(&flat, &uniform), 1.0);
-        assert_eq!(cost(&deep, &uniform), 2.0); // same latency, 1 mult level
+        assert_eq!(eager_cost(&flat, &uniform), 1.0);
+        assert_eq!(eager_cost(&deep, &uniform), 2.0); // same latency, 1 mult level
     }
 
     #[test]
@@ -353,32 +353,48 @@ mod tests {
         assert!(bgv.add_ct_ct < bgv.rot_ct);
     }
 
-    /// `eager_cost` charges one implicit relinearization per multiply that
-    /// lacks an explicit one, and coincides with `cost` on programs whose
-    /// relinearizations are all explicit.
+    /// A ct×ct multiply pays its relinearization as one summand where it
+    /// stands and an explicit `relin-ct` adds nothing, so a program and its
+    /// eager lowering cost the same bits. The sum runs left to right from
+    /// `0.0`: the order the search accumulates a completion in.
     #[test]
-    fn eager_cost_charges_implicit_relins() {
+    fn eager_cost_sums_in_program_order_with_each_multiply_relinearized() {
         let raw = Program::new(
             "raw",
             2,
             0,
-            vec![Instr::MulCtCt(ValRef::Input(0), ValRef::Input(1))],
-            ValRef::Instr(0),
+            vec![
+                Instr::RotCt(ValRef::Input(0), 1),
+                Instr::MulCtCt(ValRef::Instr(0), ValRef::Input(1)),
+                Instr::AddCtCt(ValRef::Instr(1), ValRef::Input(0)),
+            ],
+            ValRef::Instr(2),
         );
         let lowered = Program::new(
             "lowered",
             2,
             0,
             vec![
-                Instr::MulCtCt(ValRef::Input(0), ValRef::Input(1)),
-                Instr::Relin(ValRef::Instr(0)),
+                Instr::RotCt(ValRef::Input(0), 1),
+                Instr::MulCtCt(ValRef::Instr(0), ValRef::Input(1)),
+                Instr::Relin(ValRef::Instr(1)),
+                Instr::AddCtCt(ValRef::Instr(2), ValRef::Input(0)),
             ],
-            ValRef::Instr(1),
+            ValRef::Instr(3),
         );
-        for m in [LatencyModel::uniform(), LatencyModel::profiled_default()] {
-            assert_eq!(eager_cost(&raw, &m), eager_cost(&lowered, &m));
-            assert_eq!(eager_cost(&lowered, &m), cost(&lowered, &m));
-            assert!(cost(&raw, &m) < eager_cost(&raw, &m));
+        // Summed in any other grouping, these round to other bits.
+        let rounding = LatencyModel {
+            rot_ct: 0.1,
+            mul_ct_ct: 0.2,
+            relin_ct: 0.3,
+            add_ct_ct: 0.7,
+            ..LatencyModel::uniform()
+        };
+        for m in [rounding, LatencyModel::profiled_default()] {
+            let sum = 0.0 + m.rot_ct + (m.mul_ct_ct + m.relin_ct) + m.add_ct_ct;
+            let expected = objective(sum, 1).to_bits();
+            assert_eq!(eager_cost(&raw, &m).to_bits(), expected);
+            assert_eq!(eager_cost(&lowered, &m).to_bits(), expected);
         }
     }
 
@@ -394,13 +410,13 @@ mod tests {
         let rot = single(Instr::RotCt(ValRef::Input(0), 1));
         let mul = single(Instr::MulCtCt(ValRef::Input(0), ValRef::Input(1)));
         for m in [LatencyModel::uniform(), LatencyModel::profiled_default()] {
-            assert!(cost(&add, &m) <= cost(&rot, &m));
-            assert!(cost(&rot, &m) <= cost(&mul, &m));
+            assert!(eager_cost(&add, &m) <= eager_cost(&rot, &m));
+            assert!(eager_cost(&rot, &m) <= eager_cost(&mul, &m));
         }
         // The profiled model separates them strictly.
         let p = LatencyModel::profiled_default();
-        assert!(cost(&add, &p) < cost(&rot, &p));
-        assert!(cost(&rot, &p) < cost(&mul, &p));
+        assert!(eager_cost(&add, &p) < eager_cost(&rot, &p));
+        assert!(eager_cost(&rot, &p) < eager_cost(&mul, &p));
     }
 
     /// Appending any instruction can only increase the objective: latency is
@@ -427,7 +443,7 @@ mod tests {
             Instr::RotCt(ValRef::Instr(1), 2),
         ];
         for m in [LatencyModel::uniform(), LatencyModel::profiled_default()] {
-            let before = cost(&base, &m);
+            let before = eager_cost(&base, &m);
             for extra in &appendables {
                 let mut instrs = base.instrs.clone();
                 instrs.push(extra.clone());
@@ -435,7 +451,7 @@ mod tests {
                 let longer = Program::new("longer", 1, 0, instrs, ValRef::Instr(last));
                 longer.validate().expect("appended program stays valid");
                 assert!(
-                    cost(&longer, &m) > before,
+                    eager_cost(&longer, &m) > before,
                     "appending {extra:?} must increase cost under {m:?}"
                 );
             }
@@ -466,8 +482,8 @@ mod tests {
         let plain_sum: f64 = fan3.instrs.iter().map(|i| m.instr_latency(i)).sum();
         assert!(m.program_latency(&fan3) < plain_sum);
         // The synthesis objective stays a plain per-instruction sum: the
-        // searcher prices rotations unhoisted (see `cost`'s docs).
-        assert!((cost(&fan3, &m) - plain_sum).abs() < 1e-6);
+        // searcher prices rotations unhoisted (see `eager_cost`'s docs).
+        assert!((eager_cost(&fan3, &m) - plain_sum).abs() < 1e-6);
         // A lone rotation gets no credit: hoisting it would cost more.
         let lone = Program::new(
             "lone",
@@ -539,6 +555,6 @@ mod tests {
             ValRef::Instr(2),
         );
         assert_eq!(m.program_latency(&p), 3.0);
-        assert_eq!(cost(&p, &m), 6.0); // mdepth 1 from mul-ct-pt
+        assert_eq!(eager_cost(&p, &m), 6.0); // mdepth 1 from mul-ct-pt
     }
 }

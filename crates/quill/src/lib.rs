@@ -17,8 +17,9 @@
 //! * [`scheme`] — which backend the pipeline targets ([`scheme::SchemeId`])
 //!   and which instructions that backend can execute
 //!   ([`scheme::SchemeLegality`]).
-//! * [`cost`](mod@cost) — the paper's `latency × (1 + mdepth)` objective, with
-//!   per-scheme latency tables profiled from the in-repo backends.
+//! * [`cost`] — the paper's `latency × (1 + mdepth)` objective,
+//!   [`cost::eager_cost`], with per-scheme latency tables profiled from the
+//!   in-repo backends.
 //! * [`sexpr`] — a Racket-flavoured surface syntax with a round-tripping
 //!   parser and printer.
 //!
@@ -44,7 +45,7 @@
 //! blur.validate()?;
 //! let out = interp::eval_concrete(&blur, &[vec![1; 25]], &[], 65537);
 //! assert_eq!(out[0], 4); // 2×2 window of ones
-//! let c = cost::cost(&blur, &cost::LatencyModel::uniform());
+//! let c = cost::eager_cost(&blur, &cost::LatencyModel::uniform());
 //! assert_eq!(c, 4.0);
 //! # Ok::<(), quill::program::ProgramError>(())
 //! ```
@@ -58,7 +59,7 @@ pub mod scheme;
 pub mod sexpr;
 pub mod symbolic;
 
-pub use cost::{cost, eager_cost, LatencyModel};
+pub use cost::{eager_cost, LatencyModel};
 pub use program::{Instr, Program, ProgramError, PtOperand, ValRef};
 pub use ring::{Ring, Zt};
 pub use scheme::{SchemeId, SchemeLegality};

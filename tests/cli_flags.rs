@@ -1,8 +1,8 @@
 //! `porcupine synth` rejects malformed numeric flags (and a malformed
 //! `--emit`) as usage errors before any synthesis starts, instead of
 //! silently running with the default; a closed stdout ends a command
-//! quietly instead of panicking; and a closed stderr costs only the report
-//! lines.
+//! quietly instead of panicking; a closed stderr costs only the report
+//! lines; and a timeout too large for the clock means no deadline.
 
 use std::process::Command;
 
@@ -45,6 +45,26 @@ fn malformed_numeric_flags_fail_before_synthesis() {
         .expect("run the porcupine binary");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--timeout requires"));
+}
+
+/// A timeout too large to add to the clock sets no deadline: the run
+/// prints what a run under the default timeout prints, where it used to
+/// panic (status 101) adding the timeout to the start time.
+#[test]
+fn a_timeout_past_the_clock_sets_no_deadline() {
+    let run = |extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_porcupine"))
+            .args(["synth", "linear-regression", "--no-cache"])
+            .args(extra)
+            .output()
+            .expect("run the porcupine binary")
+    };
+    let default = run(&[]);
+    let unbounded = run(&["--timeout", &u64::MAX.to_string()]);
+    let stderr = String::from_utf8_lossy(&unbounded.stderr);
+    assert!(unbounded.status.success(), "{}: {stderr}", unbounded.status);
+    assert!(!unbounded.stdout.is_empty(), "{stderr}");
+    assert_eq!(unbounded.stdout, default.stdout);
 }
 
 /// `--emit` takes `seal` or `quill`: a missing value is a usage error

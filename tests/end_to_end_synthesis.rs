@@ -10,7 +10,7 @@ use porcupine::codegen::run_encrypted;
 use porcupine::lift::check_padding_stable;
 use porcupine::verify::verify;
 use porcupine_kernels::{pointwise, reduction, stencil};
-use quill::cost::{cost, LatencyModel};
+use quill::cost::{eager_cost, LatencyModel};
 use quill::scheme::SchemeId;
 use std::num::NonZeroUsize;
 use test_support::{assert_masked_slots_eq, fast_synthesis_options, seeded_rng, with_jobs};
@@ -30,7 +30,7 @@ fn box_blur_matches_figure_5() {
     assert_eq!(r.program.mult_depth(), k.baseline.mult_depth());
     // And strictly lower modelled cost.
     let m = LatencyModel::profiled_default();
-    assert!(cost(&r.program, &m) < cost(&k.baseline, &m));
+    assert!(eager_cost(&r.program, &m) < eager_cost(&k.baseline, &m));
 }
 
 #[test]
@@ -247,7 +247,7 @@ fn synthesized_kernels_are_all_verified_and_liftable() {
         // Synthesized never loses to the expert baseline under the model.
         let m = LatencyModel::profiled_default();
         assert!(
-            cost(&r.program, &m) <= cost(&k.baseline, &m) + 1e-9,
+            eager_cost(&r.program, &m) <= eager_cost(&k.baseline, &m) + 1e-9,
             "{}: synthesized cost must not exceed baseline",
             k.name
         );

@@ -10,13 +10,15 @@
 //!   decrypts bit-identically to the `-O0` lowering, on BFV and on BGV.
 //! * Re-running `-O2` on already-optimized programs is a fixpoint with
 //!   zero rewrites (the CI idempotence check).
+//! * `-O0` keeps the synthesis objective to the bit, on every paper
+//!   baseline and every pinned synthesized program.
 
 use bfv::params::ParamPolicy;
 use porcupine::codegen::Session;
 use porcupine::opt::{optimize, optimize_with, OptLevel};
 use porcupine::scheme::{resolve_params, BfvScheme, BgvScheme, Scheme};
 use porcupine_kernels::{all_direct, composite, stencil};
-use quill::cost::LatencyModel;
+use quill::cost::{eager_cost, LatencyModel};
 use quill::program::{Instr, Program, ValRef};
 use quill::scheme::SchemeId;
 use test_support::{sample_model_inputs, seeded_rng, small_ctx, T};
@@ -103,6 +105,48 @@ fn o2_strictly_reduces_pipeline_instructions_and_latency() {
             model.program_latency(&o2),
             model.program_latency(&o0)
         );
+    }
+}
+
+/// Every synthesized program `tests/synth_strategies.rs` pins (initial
+/// and final, both strategies), read from its raw-string literals.
+fn pinned_synthesized_programs() -> Vec<Program> {
+    let source = include_str!("synth_strategies.rs");
+    let pins: Vec<Program> = source
+        .split("r\"(kernel ")
+        .skip(1)
+        .map(|rest| {
+            let text = rest.split('"').next().expect("a closing quote");
+            quill::sexpr::parse_program(&format!("(kernel {text}")).expect("pins parse")
+        })
+        .collect();
+    // Two programs per pinned row.
+    assert_eq!(pins.len(), 2 * source.matches("    Pinned {").count());
+    pins
+}
+
+/// `eager_cost` charges each multiply its relinearization where it stands
+/// and a `relin-ct` nothing, so the `-O0` lowering, which puts each relin
+/// right after its multiply, adds exact zeros to the same sum: the
+/// objective the synthesizer minimized is the one the lowered program
+/// carries, bit for bit.
+#[test]
+fn o0_keeps_the_synthesis_objective_to_the_bit() {
+    let programs = paper_programs().into_iter().map(|(p, _)| p);
+    for prog in programs.chain(pinned_synthesized_programs()) {
+        let (o0, _) = optimize(&prog, OptLevel::O0);
+        for model in [
+            LatencyModel::profiled_default(),
+            LatencyModel::profiled_bgv(),
+            LatencyModel::uniform(),
+        ] {
+            assert_eq!(
+                eager_cost(&o0, &model).to_bits(),
+                eager_cost(&prog, &model).to_bits(),
+                "{}",
+                prog.name
+            );
+        }
     }
 }
 

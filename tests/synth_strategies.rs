@@ -567,13 +567,13 @@ const PINNED: &[Pinned] = &[
         kernel: "gy",
         strategy: SearchStrategy::BottomUp,
         initial_program: r"(kernel gy (inputs (ct 1) (pt 0))
-  (let c1 (rot-ct c0 -1))
-  (let c2 (add-ct-ct c0 c1))
-  (let c3 (rot-ct c2 -1))
-  (let c4 (add-ct-ct c2 c3))
-  (let c5 (rot-ct c4 6))
-  (let c6 (rot-ct c4 -4))
-  (let c7 (sub-ct-ct c5 c6))
+  (let c1 (rot-ct c0 4))
+  (let c2 (rot-ct c0 -6))
+  (let c3 (sub-ct-ct c1 c2))
+  (let c4 (rot-ct c3 1))
+  (let c5 (add-ct-ct c3 c4))
+  (let c6 (rot-ct c5 1))
+  (let c7 (add-ct-ct c5 c6))
   (return c7))
 ",
         program: r"(kernel gy (inputs (ct 1) (pt 0))
@@ -588,7 +588,7 @@ const PINNED: &[Pinned] = &[
 ",
         components: 3,
         examples_used: 1,
-        initial_cost_bits: 0x40b0f06666666667,
+        initial_cost_bits: 0x40b0f06666666666,
         final_cost_bits: 0x40b0f06666666666,
         proved_optimal: true,
         strategy_used: SearchStrategy::BottomUp,
