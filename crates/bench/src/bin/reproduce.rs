@@ -166,7 +166,6 @@ fn table3(h: &mut Harness) -> Json {
             ("final_cost_bits", bits(r.final_cost)),
             ("optimal", r.proved_optimal.into()),
             ("instrs", r.program.len().into()),
-            ("strategy", r.strategy_used.to_string().into()),
         ]));
     }
     print_table(&rows);

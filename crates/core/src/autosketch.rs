@@ -22,10 +22,9 @@
 //! "all holes rotated" fallback.
 //!
 //! Synthesis against the generated sketch runs through
-//! [`crate::cegis::synthesize`], so it inherits the phase-1 strategy
-//! selection and the persistent synthesis cache — the derived sketch is
-//! part of the cache key, so regenerating the same sketch re-hits the
-//! same entry.
+//! [`crate::cegis::synthesize`], so it inherits the search and the
+//! persistent synthesis cache — the derived sketch is part of the cache
+//! key, so regenerating the same sketch re-hits the same entry.
 
 use crate::sketch::{ArithOp, RotationSet, Sketch, SketchOp};
 use crate::spec::KernelSpec;

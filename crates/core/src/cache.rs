@@ -20,8 +20,8 @@
 //!   deliberately excluded),
 //! * the sketch: mode, component bounds, rotation vocabulary, and each
 //!   component hole,
-//! * caller configuration lines: optimization level, whether phase-2 cost
-//!   minimization ran, search strategy, and the parameter policy.
+//! * caller configuration lines: scheme, optimization level, whether
+//!   phase-2 cost minimization ran, and the parameter policy.
 //!
 //! The RNG seed, thread count, and timeout are deliberately **not** part
 //! of the key: the search result is a canonical function of the query (see
@@ -64,8 +64,8 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 /// without one — can never be mistaken for BFV results.
 pub const CACHE_FORMAT_VERSION: u32 = 2;
 
-/// Version of the *internal search cost semantics* (how the enumerators
-/// price candidates: eager relinearization per multiply, one rotation
+/// Version of the *internal search cost semantics* (how the search prices
+/// candidates: eager relinearization per multiply, one rotation
 /// charge per distinct `(value, rotation)`, latency × (1 + depth)). Part
 /// of the key because a different costing can prefer a different program
 /// for the same query. v2: every enumerator sums a program's latencies in
@@ -142,8 +142,8 @@ pub struct CacheKey {
 
 impl CacheKey {
     /// Renders the key for one synthesis query. `config` carries the
-    /// driver-level knobs (opt level, optimize flag, strategy, params
-    /// policy) as `(name, value)` lines so this module does not depend on
+    /// driver-level knobs (scheme, opt level, optimize flag, params policy)
+    /// as `(name, value)` lines so this module does not depend on
     /// the CEGIS types.
     pub fn new(
         spec: &KernelSpec,
@@ -397,7 +397,7 @@ mod tests {
             &spec(),
             &sketch(),
             &LatencyModel::uniform(),
-            &[("opt-level", "O2".into()), ("strategy", "bottom-up".into())],
+            &[("opt-level", "O2".into()), ("optimize", "true".into())],
         )
     }
 

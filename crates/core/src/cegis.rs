@@ -14,12 +14,10 @@
 //!    loop replays its counter-examples over that list (see
 //!    [`crate::search`]). It searches again only if every entry fails.
 //!
-//! Two enumeration strategies implement step 1 — the complete top-down DFS
-//! of [`crate::search`] and the bottom-up term bank of `crate::bottom_up`
-//! — selected by [`SynthesisOptions::strategy`] (default:
-//! [`SearchStrategy::BottomUp`] with automatic DFS fallback, since the
-//! bank's retention caps make it incomplete). Finished queries are stored
-//! in a two-tier content-addressed cache governed by
+//! Both steps run the complete top-down DFS of [`crate::search`]: step 1
+//! deepens it one component at a time, so an exhausted sketch is a proof.
+//! Finished queries are stored in a two-tier content-addressed cache
+//! governed by
 //! [`SynthesisOptions::cache`]: an in-process memo (a repeated query in
 //! one process — staged pipelines re-issue identical stage queries —
 //! replays the already-verified result in microseconds) in front of the
@@ -27,7 +25,6 @@
 //! **re-verified on read** before being trusted. Either tier's hit skips
 //! the search entirely.
 
-use crate::bottom_up::BottomUpOutcome;
 use crate::cache::{self, CacheEntry, CacheKey};
 use crate::opt::{self, OptLevel};
 use crate::search::{SearchContext, SearchOutcome};
@@ -83,46 +80,15 @@ pub fn clear_synthesis_memo() {
     }
 }
 
-/// Which enumerator answers the phase-1 synthesis queries.
-///
-/// Both strategies honor the determinism contract — same query, same
-/// program, at any thread count — and phase 2 (cost minimization) always
-/// runs on the DFS, whose bounded query returns the canonical cheapest
-/// program of the space. They differ in scaling: the DFS is complete (its
-/// `Unsat` is a proof) but exponential in the component count; the term
-/// bank reuses deduplicated sub-terms and reaches past the ~10–12
-/// instruction wall, at the price of retention caps that make a fruitless
-/// search inconclusive.
+/// Kept so that callers which still name a strategy keep compiling: every
+/// variant runs the same iterative-deepening DFS, and none changes a
+/// result or the cache key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchStrategy {
-    /// Bottom-up observational-equivalence term bank, falling back to the
-    /// DFS when the capped bank exhausts without an answer (the default).
+    /// Formerly the bottom-up term bank; now the DFS.
     BottomUp,
-    /// Top-down iterative-deepening DFS only.
+    /// The iterative-deepening DFS.
     Dfs,
-}
-
-impl fmt::Display for SearchStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SearchStrategy::BottomUp => write!(f, "bottom-up"),
-            SearchStrategy::Dfs => write!(f, "dfs"),
-        }
-    }
-}
-
-impl std::str::FromStr for SearchStrategy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "bottom-up" => Ok(SearchStrategy::BottomUp),
-            "dfs" => Ok(SearchStrategy::Dfs),
-            _ => Err(format!(
-                "unknown strategy '{s}' (expected 'bottom-up' or 'dfs')"
-            )),
-        }
-    }
 }
 
 /// Where (and whether) finished synthesis queries are cached on disk.
@@ -182,8 +148,7 @@ pub struct SynthesisOptions {
     /// caller-fixed set. The resolved set lands in
     /// [`SynthesisResult::params`].
     pub params: ParamPolicy,
-    /// Phase-1 enumeration strategy. Defaults to bottom-up with DFS
-    /// fallback.
+    /// Ignored (see [`SearchStrategy`]): every query runs the DFS.
     pub strategy: SearchStrategy,
     /// Persistent synthesis cache policy. Defaults to
     /// [`CachePolicy::Enabled`]. Cached entries are re-verified against
@@ -194,9 +159,9 @@ pub struct SynthesisOptions {
 }
 
 impl Default for SynthesisOptions {
-    /// BFV at `-O2` with its profiled latency model, bottom-up search on
-    /// every available core, auto-selected parameters and the default
-    /// cache directory.
+    /// BFV at `-O2` with its profiled latency model, the search on every
+    /// available core, auto-selected parameters and the default cache
+    /// directory.
     fn default() -> Self {
         SynthesisOptions {
             timeout: Duration::from_secs(600),
@@ -207,7 +172,7 @@ impl Default for SynthesisOptions {
             opt_level: OptLevel::O2,
             scheme: SchemeId::Bfv,
             params: ParamPolicy::default(),
-            strategy: SearchStrategy::BottomUp,
+            strategy: SearchStrategy::Dfs,
             cache: CachePolicy::default(),
         }
     }
@@ -258,10 +223,6 @@ pub struct SynthesisResult {
     /// candidate list in which no entry verified; 0 on a cache hit or
     /// with [`SynthesisOptions::optimize`] off.
     pub optimization_searches: usize,
-    /// The strategy that produced the initial program: the requested one,
-    /// or [`SearchStrategy::Dfs`] after a bottom-up bank exhausted and the
-    /// complete search took over. On a cache hit: the requested strategy.
-    pub strategy_used: SearchStrategy,
     /// True when the program came from the persistent cache (re-verified,
     /// no search ran). `initial_*` then mirror the final program, and the
     /// reported times are the verification time.
@@ -412,7 +373,6 @@ pub fn synthesize(
         initial_program,
         initial_cost,
         time_to_initial,
-        strategy_used,
         optimization_searches,
     } = match cached {
         Some(entry) => Searched {
@@ -420,7 +380,6 @@ pub fn synthesize(
             initial_cost: entry.final_cost,
             entry,
             time_to_initial: start.elapsed(),
-            strategy_used: options.strategy,
             optimization_searches: 0,
         },
         None => synthesize_uncached(spec, sketch, options, start, rng)?,
@@ -458,7 +417,6 @@ pub fn synthesize(
         time_total: start.elapsed(),
         proved_optimal: entry.proved_optimal,
         optimization_searches,
-        strategy_used,
         cache_hit,
     };
     // Memoize under the same finished-only condition as the disk tier.
@@ -474,7 +432,6 @@ struct Searched {
     initial_program: Program,
     initial_cost: f64,
     time_to_initial: Duration,
-    strategy_used: SearchStrategy,
     optimization_searches: usize,
 }
 
@@ -496,43 +453,11 @@ fn synthesize_uncached(
         searches: 0,
     };
 
-    // Phase 1: find the initial solution at minimal component count.
-    // Bottom-up grows its bank level-by-level to the same effect as the
-    // DFS's iterative deepening: both return a program with the fewest
-    // components in the sketch.
-    let floor = sketch.min_components.max(1);
+    // Phase 1: find the initial solution at minimal component count by
+    // iterative deepening, from the sketch's floor (see
+    // `Sketch::min_components`).
     let mut initial = None;
-    let mut strategy_used = options.strategy;
-    if options.strategy == SearchStrategy::BottomUp {
-        let mut components = 0;
-        let outcome = cegis.refine(None, |searcher| {
-            match searcher.run_bottom_up(floor, sketch.max_components, options.parallelism) {
-                BottomUpOutcome::Found {
-                    program,
-                    components: c,
-                } => {
-                    components = c;
-                    SearchOutcome::Found(program)
-                }
-                // The capped bank came up dry; that is *not* an Unsat
-                // proof, so the complete DFS below takes the query over.
-                BottomUpOutcome::Exhausted => SearchOutcome::Unsat,
-                BottomUpOutcome::Timeout => SearchOutcome::Timeout { best: None },
-            }
-        })?;
-        match outcome {
-            Refined::Verified(program) => initial = Some((program, components)),
-            Refined::Unsat => strategy_used = SearchStrategy::Dfs,
-            Refined::Timeout(_) => return Err(SynthesisError::Timeout),
-        }
-    }
-    // Top-down iterative deepening: the requested strategy, or the
-    // completeness fallback after an exhausted bank (deepening starts at
-    // the sketch's floor — see `Sketch::min_components`).
-    for num_components in floor..=sketch.max_components {
-        if initial.is_some() {
-            break;
-        }
+    for num_components in sketch.min_components.max(1)..=sketch.max_components {
         match cegis.refine(None, |searcher| {
             searcher.run(num_components, options.parallelism)
         })? {
@@ -540,6 +465,7 @@ fn synthesize_uncached(
             // A program salvaged just before the deadline still counts.
             Refined::Verified(program) | Refined::Timeout(Some(program)) => {
                 initial = Some((program, num_components));
+                break;
             }
             Refined::Timeout(None) => return Err(SynthesisError::Timeout),
         }
@@ -548,9 +474,9 @@ fn synthesize_uncached(
         max_components: sketch.max_components,
     })?;
     let time_to_initial = start.elapsed();
-    // The search, the bank and this driver price programs with one
-    // objective, so the optimization phase's bound and "proved optimal"
-    // claim are over the cost the search accumulates.
+    // The search and this driver price programs with one objective, so
+    // the optimization phase's bound and "proved optimal" claim are over
+    // the cost the search accumulates.
     let initial_cost = eager_cost(&initial_program, &options.latency);
 
     // Phase 2: minimize cost within the same sketch instance.
@@ -573,9 +499,7 @@ fn synthesize_uncached(
                 proved_optimal = true;
             }
             // No program of the space under the bound is correct, so the
-            // incumbent is optimal. The search need not return it: a bank
-            // program's instructions can come in an order the DFS never
-            // enumerates, and the DFS's order sums them differently.
+            // incumbent is optimal.
             Refined::Unsat => proved_optimal = true,
             // Keep the best program the interrupted search saw instead of
             // discarding the optimization progress.
@@ -602,7 +526,6 @@ fn synthesize_uncached(
         initial_program,
         initial_cost,
         time_to_initial,
-        strategy_used,
         optimization_searches: cegis.searches - searches_before,
     })
 }
@@ -736,7 +659,6 @@ fn cache_key_for(spec: &KernelSpec, sketch: &Sketch, options: &SynthesisOptions)
             ("scheme", options.scheme.name().to_string()),
             ("opt-level", options.opt_level.to_string()),
             ("optimize", options.optimize.to_string()),
-            ("strategy", options.strategy.to_string()),
             ("params", params_desc),
         ],
     )
@@ -802,6 +724,30 @@ mod tests {
         assert_eq!(out[0], 36);
     }
 
+    /// [`SearchStrategy`] is a no-op: both variants key one cache entry
+    /// and synthesize the same program.
+    #[test]
+    fn the_strategy_changes_nothing() {
+        let spec = sum_spec(8);
+        let sketch = Sketch::new(
+            vec![SketchOp::rotated(ArithOp::AddCtCt)],
+            RotationSet::PowersOfTwo { extent: 8 },
+            4,
+        );
+        let with = |strategy| SynthesisOptions {
+            strategy,
+            ..quick_options()
+        };
+        let (bank, dfs) = (with(SearchStrategy::BottomUp), with(SearchStrategy::Dfs));
+        assert_eq!(
+            cache_key_for(&spec, &sketch, &bank).text(),
+            cache_key_for(&spec, &sketch, &dfs).text()
+        );
+        let [a, b] = [bank, dfs].map(|o| synthesize(&spec, &sketch, &o).unwrap());
+        assert_eq!(a.program, b.program);
+        assert_eq!(a.examples_used, b.examples_used);
+    }
+
     /// A timeout too large to add to the clock, such as `Duration::MAX`,
     /// sets no deadline instead of panicking: the run is the one a finite
     /// timeout gives.
@@ -844,6 +790,25 @@ mod tests {
         let r = synthesize(&spec, &sketch, &options).unwrap();
         assert!(r.params.is_err(), "resolution must fail: {:?}", r.params);
         assert_eq!(r.program.len(), 6, "the verified program survives");
+    }
+
+    /// `Sketch::min_components` is where iterative deepening starts: with
+    /// the floor above the natural two-add solution, the program returned
+    /// has the floor's size and is still correct.
+    #[test]
+    fn respects_the_component_floor() {
+        let spec = sum_spec(4);
+        let sketch = Sketch::new(
+            vec![SketchOp::rotated(ArithOp::AddCtCt)],
+            RotationSet::PowersOfTwo { extent: 4 },
+            3,
+        )
+        .with_min_components(3);
+        let r = synthesize(&spec, &sketch, &quick_options()).unwrap();
+        assert_eq!(r.components, 3);
+        let x: Vec<u64> = (1..=4).collect();
+        let out = interp::eval_concrete(&r.program, &[x], &[], 65537);
+        assert_eq!(out[0], 10);
     }
 
     #[test]
@@ -967,6 +932,47 @@ mod tests {
             eager_cost(&program, &dot.model).to_bits(),
             dot.bound.to_bits()
         );
+    }
+
+    /// A candidate list cut to its cheapest entries changes how often the
+    /// loop searches, not what it returns: when none of the first
+    /// entries of [`crate::search::tests::dot_mod_17`]'s list verifies,
+    /// the replay runs out and searches again over the grown example set,
+    /// and ends with the optimum an uncapped run returns.
+    #[test]
+    fn a_capped_candidate_list_returns_the_uncapped_program() {
+        let dot = crate::search::tests::dot_mod_17();
+        let options = SynthesisOptions {
+            latency: dot.model.clone(),
+            ..quick_options()
+        };
+        let optimize = |cap: Option<usize>| {
+            let mut cegis = Refinement {
+                spec: &dot.spec,
+                sketch: &dot.sketch,
+                options: &options,
+                deadline: Instant::now().checked_add(options.timeout),
+                examples: dot.examples[..1].to_vec(),
+                rng: StdRng::seed_from_u64(3),
+                searches: 0,
+            };
+            let jobs = NonZeroUsize::new(2).unwrap();
+            let outcome = cegis
+                .refine(Some(dot.bound), |searcher| match cap {
+                    Some(cap) => searcher.run_capped(3, jobs, cap),
+                    None => searcher.run(3, jobs),
+                })
+                .expect("every failure has a witness");
+            let Refined::Verified(program) = outcome else {
+                panic!("the optimum is in the space");
+            };
+            (program, cegis.searches)
+        };
+        let (uncapped, searches) = optimize(None);
+        assert_eq!(searches, 1);
+        let (capped, capped_searches) = optimize(Some(1));
+        assert_eq!(capped, uncapped);
+        assert!(capped_searches > 1, "the head alone does not verify");
     }
 
     /// Stages synthesized one by one and appended compose into a pipeline

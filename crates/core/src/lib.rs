@@ -10,9 +10,8 @@
 //! * [`cegis`] — the CEGIS engine (Algorithm 1): iterative sketch
 //!   deepening, counter-example refinement, cost minimization.
 //! * [`search`] — the pruned enumerative solver standing in for the paper's
-//!   Rosette/Boolector queries (sound and complete within a sketch), plus
-//!   a bottom-up observational-equivalence term bank for queries past the
-//!   DFS scaling wall (selected via `SynthesisOptions::strategy`).
+//!   Rosette/Boolector queries (sound and complete within a sketch): one
+//!   iterative-deepening DFS answers every query of both phases.
 //! * [`cache`] — the persistent content-addressed synthesis cache
 //!   (`$PORCUPINE_CACHE_DIR`, else `~/.cache/porcupine`): finished queries
 //!   are stored on disk and re-verified on read, so a warm process skips
@@ -70,7 +69,6 @@
 //! ```
 
 pub mod autosketch;
-pub(crate) mod bottom_up;
 pub mod cache;
 pub mod cegis;
 pub mod codegen;

@@ -56,23 +56,16 @@
 //! CEGIS replays its counter-examples over the list and searches again
 //! only if every entry fails.
 //!
-//! # Two strategies over one space
+//! The list is capped at its 4,096 cheapest entries; a replay that walks
+//! past them without a verified program searches again, as it does after
+//! any list in which no entry verifies.
 //!
-//! The same `SearchContext` drives two enumeration strategies, selected
-//! through [`crate::cegis::SynthesisOptions::strategy`]:
+//! # One search for both phases
 //!
-//! * **top-down DFS** (this module) — complete at a fixed component count;
-//!   an `Unsat` is a proof. This is what iterative deepening and the
-//!   cost-minimization phase run.
-//! * **bottom-up term bank** (the crate-private `bottom_up` module) — grows a bank of
-//!   sub-terms level by level, deduplicated by their output vector on the
-//!   CEGIS examples (observational equivalence) and by cost within a
-//!   class, so shared subprograms are derived once instead of re-derived
-//!   at every DFS prefix. The bank is capped for breadth, which makes the
-//!   strategy incomplete: CEGIS falls back to the DFS when the bank
-//!   exhausts without a solution, so `SketchTooRestrictive` remains a real
-//!   proof. See the `bottom_up` module docs for the bank layout, the
-//!   retention policy, and its determinism contract.
+//! The DFS is complete at a fixed component count, so an `Unsat` is a
+//! proof. CEGIS's first phase deepens it one component at a time (each
+//! query in first-solution mode), and its second phase runs it once more
+//! at the found count with a cost bound (cheapest mode).
 //!
 //! # Architecture: `SearchContext` + per-worker state
 //!
@@ -139,7 +132,7 @@ use std::time::Instant;
 
 /// One placed component.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Comp {
+enum Comp {
     /// Arithmetic component: sketch op index plus `(value, rotation)`
     /// operands (rotation 0 = none).
     Arith {
@@ -160,10 +153,10 @@ pub enum SearchOutcome {
     /// A query with a cost bound exhausted its space. These are the
     /// programs that match the examples and cost no more than both the
     /// bound and the cheapest program in the space that passed the
-    /// symbolic verifier, in canonical `(cost bits, serialization)` order;
-    /// never empty. The head is the cheapest program matching the
-    /// examples, and the first entry that verifies is optimal within the
-    /// sketch.
+    /// symbolic verifier, in canonical `(cost bits, serialization)` order,
+    /// cut to the first 4,096; never empty. The head is the cheapest
+    /// program matching the examples, and the first entry that verifies is
+    /// optimal within the sketch.
     Candidates(Vec<Program>),
     /// The space at this component count is exhausted — a completeness
     /// proof, like `unsat` from the SMT solver.
@@ -199,27 +192,26 @@ enum Goal {
 
 /// The immutable, `Sync` half of the search: everything a worker needs to
 /// read but never writes. Shared by reference across the `thread::scope`
-/// workers of [`SearchContext::run`], and by the bottom-up term bank in
-/// [`crate::bottom_up`].
+/// workers of [`SearchContext::run`].
 pub(crate) struct SearchContext<'a> {
     /// The spec the examples come from; cheapest mode verifies against it.
     kernel: &'a KernelSpec,
-    pub(crate) sketch: &'a Sketch,
-    pub(crate) examples: &'a [Example],
-    pub(crate) n: usize,
-    pub(crate) t: u64,
-    pub(crate) num_inputs: usize,
+    sketch: &'a Sketch,
+    examples: &'a [Example],
+    n: usize,
+    t: u64,
+    num_inputs: usize,
     /// Target output, concatenated; compared only at `mask_idx`.
-    pub(crate) target: Vec<u64>,
-    pub(crate) mask_idx: Vec<usize>,
+    target: Vec<u64>,
+    mask_idx: Vec<usize>,
     /// Operand rotation amounts, 0 first (`[0]` in explicit mode).
-    pub(crate) rots: Vec<i64>,
+    rots: Vec<i64>,
     /// Plaintext operand value per sketch op (concatenated), if any.
-    pub(crate) pt_values: Vec<Option<Vec<u64>>>,
-    pub(crate) latency: &'a LatencyModel,
+    pt_values: Vec<Option<Vec<u64>>>,
+    latency: &'a LatencyModel,
     /// What each sketch op adds to the running sum.
-    pub(crate) op_latencies: Vec<f64>,
-    pub(crate) min_op_latency: f64,
+    op_latencies: Vec<f64>,
+    min_op_latency: f64,
     /// The cheapest multiply in the sketch (a ct×ct one with its eager
     /// relin), or infinity when the sketch has none.
     min_mul_latency: f64,
@@ -227,14 +219,14 @@ pub(crate) struct SearchContext<'a> {
     /// new rotations a multiply, and any component, can place at most.
     mul_rot_holes: usize,
     op_rot_holes: usize,
-    pub(crate) rot_latency: f64,
+    rot_latency: f64,
     /// [`spec_bounds`] in cheapest mode, else [`SpecBounds::NONE`]; the
     /// rotation term is 0 in explicit-rotation mode, whose rotations are
     /// priced as components.
     spec: SpecBounds,
-    pub(crate) deadline: Option<Instant>,
-    pub(crate) cost_bound: Option<f64>,
-    pub(crate) name: String,
+    deadline: Option<Instant>,
+    cost_bound: Option<f64>,
+    name: String,
 }
 
 /// Lower bounds that every program correct for a spec meets, read off the
@@ -285,17 +277,17 @@ pub fn spec_bounds(spec: &KernelSpec) -> SpecBounds {
     bounds
 }
 
-/// Total [`SearchContext::run`] / bottom-up invocations in this process.
+/// Total [`SearchContext::run`] invocations in this process.
 /// The synthesis cache's "a hit skips the search entirely" contract is
 /// asserted against this counter (not just timing) in the test suite.
 static SEARCH_INVOCATIONS: AtomicU64 = AtomicU64::new(0);
 
-/// How many search queries (DFS or bottom-up) this process has started.
+/// How many search queries this process has started.
 pub fn search_invocations() -> u64 {
     SEARCH_INVOCATIONS.load(Relaxed)
 }
 
-pub(crate) fn count_search_invocation() {
+fn count_search_invocation() {
     SEARCH_INVOCATIONS.fetch_add(1, Relaxed);
 }
 
@@ -319,15 +311,18 @@ struct SharedSearch {
     best_bound: AtomicU64,
     /// Set once the deadline fires anywhere; every worker stops.
     timed_out: AtomicBool,
+    /// The most candidates the query returns (cheapest mode).
+    max_candidates: usize,
 }
 
 impl SharedSearch {
-    fn new() -> Self {
+    fn new(max_candidates: usize) -> Self {
         SharedSearch {
             next: AtomicUsize::new(0),
             found_idx: AtomicUsize::new(usize::MAX),
             best_bound: AtomicU64::new(f64::INFINITY.to_bits()),
             timed_out: AtomicBool::new(false),
+            max_candidates,
         }
     }
 }
@@ -354,16 +349,42 @@ enum Abort {
     TimedOut,
 }
 
+/// The most entries a cheapest-mode candidate list holds: the cheapest
+/// ones in canonical `(cost bits, serialization)` order. A loose bound
+/// under a small plaintext modulus lets millions of wrong programs match
+/// the examples, and without a cap the list grows with all of them. The
+/// paper kernels' lists hold at most a few dozen entries.
+pub(crate) const MAX_CANDIDATES: usize = 4096;
+
 /// What one worker collects in cheapest mode, each program with its cost
 /// bits.
 #[derive(Default)]
 struct Matches {
-    /// Every example-matching completion that cost no more than the shared
-    /// bound when it was found.
+    /// The example-matching completions that cost no more than the shared
+    /// bound when they were found, cut back to the canonically cheapest
+    /// `cap` whenever they reach `2 · cap`.
     all: Vec<(u64, Program)>,
     /// The cheapest completion this worker verified: what a timed-out
     /// query salvages.
     verified: Option<(u64, Program)>,
+}
+
+impl Matches {
+    /// Adds a completion. A cut keeps every entry that can still be among
+    /// the query's `cap` cheapest, since the merge only filters by cost.
+    fn keep(&mut self, cost_bits: u64, prog: Program, cap: usize) {
+        self.all.push((cost_bits, prog));
+        if self.all.len() >= cap.saturating_mul(2) {
+            cheapest_first(&mut self.all, cap);
+        }
+    }
+}
+
+/// Sorts `list` in canonical `(cost bits, serialization)` order and keeps
+/// its `cap` first entries.
+fn cheapest_first(list: &mut Vec<(u64, Program)>, cap: usize) {
+    list.sort_by_cached_key(|(bits, p)| (*bits, p.to_string()));
+    list.truncate(cap);
 }
 
 /// Everything one worker brings back from the subtrees it claimed.
@@ -485,12 +506,26 @@ impl<'a> SearchContext<'a> {
 
     /// Searches for a program with exactly `num_components` components,
     /// using up to `jobs` worker threads (capped at the subtree count; one
-    /// worker runs inline without spawning).
+    /// worker runs inline without spawning). A cheapest-mode answer holds
+    /// at most [`MAX_CANDIDATES`] programs.
     pub(crate) fn run(&self, num_components: usize, jobs: NonZeroUsize) -> SearchOutcome {
+        self.run_capped(num_components, jobs, MAX_CANDIDATES)
+    }
+
+    /// [`Self::run`] with a cheapest-mode answer of at most
+    /// `max_candidates` programs: the first `max_candidates` of the
+    /// uncapped list.
+    pub(crate) fn run_capped(
+        &self,
+        num_components: usize,
+        jobs: NonZeroUsize,
+        max_candidates: usize,
+    ) -> SearchOutcome {
         assert!(
             num_components >= 1,
             "a program needs at least one component"
         );
+        assert!(max_candidates >= 1, "a candidate list holds one program");
         count_search_invocation();
         let goal = if self.cost_bound.is_some() {
             Goal::Cheapest
@@ -499,7 +534,7 @@ impl<'a> SearchContext<'a> {
         };
         let mut root = WorkerState::root(self);
         root.fill_rotations(self);
-        let shared = SharedSearch::new();
+        let shared = SharedSearch::new(max_candidates);
         let subtrees = self.candidates(&root, None, num_components, self.cut(&shared));
         let workers = jobs.get().min(subtrees.len()).max(1);
         let yields: Vec<WorkerYield> = if workers == 1 {
@@ -547,17 +582,16 @@ impl<'a> SearchContext<'a> {
             Goal::Cheapest => {
                 let cut = self.cut(&shared).expect("cheapest mode has a bound");
                 let ceiling = cut.best.to_bits();
-                let mut kept: Vec<(u64, String, Program)> = yields
+                let mut kept: Vec<(u64, Program)> = yields
                     .into_iter()
                     .flat_map(|y| y.matches.all)
                     .filter(|(bits, _)| *bits <= ceiling)
-                    .map(|(bits, p)| (bits, p.to_string(), p))
                     .collect();
-                kept.sort_unstable_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+                cheapest_first(&mut kept, max_candidates);
                 if kept.is_empty() {
                     SearchOutcome::Unsat
                 } else {
-                    SearchOutcome::Candidates(kept.into_iter().map(|(_, _, p)| p).collect())
+                    SearchOutcome::Candidates(kept.into_iter().map(|(_, p)| p).collect())
                 }
             }
         }
@@ -683,7 +717,7 @@ impl<'a> SearchContext<'a> {
     /// partition-independent, and the cheapest-mode result a canonical
     /// function of the query alone: the CEGIS optimizer passes the
     /// incumbent's cost as the bound and gets the same candidate list
-    /// back, whichever strategy produced the incumbent.
+    /// back at any thread count.
     fn exceeds(
         &self,
         cut: Cut,
@@ -835,7 +869,7 @@ impl<'a> SearchContext<'a> {
                     matches.all.retain(|(bits, _)| *bits <= cost_bits);
                     matches.verified = Some((cost_bits, prog.clone()));
                 }
-                matches.all.push((cost_bits, prog));
+                matches.keep(cost_bits, prog, sh.max_candidates);
                 None
             }
         }
@@ -893,14 +927,14 @@ impl<'a> SearchContext<'a> {
         None
     }
 
-    pub(crate) fn rotate_concat(&self, v: &[u64], r: i64) -> Vec<u64> {
+    fn rotate_concat(&self, v: &[u64], r: i64) -> Vec<u64> {
         let mut out = Vec::with_capacity(v.len());
         self.rotate_onto(v, r, &mut out);
         out
     }
 
     /// Appends [`Self::rotate_concat`]`(v, r)` to `out`.
-    pub(crate) fn rotate_onto(&self, v: &[u64], r: i64, out: &mut Vec<u64>) {
+    fn rotate_onto(&self, v: &[u64], r: i64, out: &mut Vec<u64>) {
         let shift = r.rem_euclid(self.n as i64) as usize;
         for chunk in v.chunks_exact(self.n) {
             out.extend_from_slice(&chunk[shift..]);
@@ -908,30 +942,12 @@ impl<'a> SearchContext<'a> {
         }
     }
 
-    pub(crate) fn apply_op(
-        &self,
-        op: &ArithOp,
-        op_idx: usize,
-        lhs: &[u64],
-        rhs: Option<&[u64]>,
-    ) -> Vec<u64> {
-        let mut out = Vec::with_capacity(lhs.len());
-        self.apply_op_into(op, op_idx, lhs, rhs, &mut out);
-        out
-    }
-
-    /// [`Self::apply_op`] into `out`'s buffer.
-    pub(crate) fn apply_op_into(
-        &self,
-        op: &ArithOp,
-        op_idx: usize,
-        lhs: &[u64],
-        rhs: Option<&[u64]>,
-        out: &mut Vec<u64>,
-    ) {
+    fn apply_op(&self, op: &ArithOp, op_idx: usize, lhs: &[u64], rhs: Option<&[u64]>) -> Vec<u64> {
         let rhs = self.right_operand(op, op_idx, rhs);
-        out.clear();
-        out.extend(lhs.iter().zip(rhs).map(|(&a, &b)| op_mod(op, a, b, self.t)));
+        lhs.iter()
+            .zip(rhs)
+            .map(|(&a, &b)| op_mod(op, a, b, self.t))
+            .collect()
     }
 
     /// The right operand of `op`: `rhs` for a ct×ct op, the sketch op's
@@ -951,7 +967,7 @@ impl<'a> SearchContext<'a> {
         }
     }
 
-    pub(crate) fn matches_target(&self, v: &[u64]) -> bool {
+    fn matches_target(&self, v: &[u64]) -> bool {
         self.mask_idx.iter().all(|&i| v[i] == self.target[i])
     }
 
@@ -976,7 +992,7 @@ impl<'a> SearchContext<'a> {
 
     /// How many operand rotations each hole of `sop` ranges over (indices
     /// into `rots`; only rotation 0 in explicit mode or on a plain hole).
-    pub(crate) fn hole_rots(&self, sop: &SketchOp) -> (usize, usize) {
+    fn hole_rots(&self, sop: &SketchOp) -> (usize, usize) {
         let explicit = self.sketch.mode == SketchMode::ExplicitRotate;
         let count = |rotated: bool| {
             if !explicit && rotated {
@@ -992,12 +1008,7 @@ impl<'a> SearchContext<'a> {
     /// first masked slot for `op` to hit the target there, given one
     /// operand's value vector `known` (the left operand when
     /// `known_is_lhs`).
-    pub(crate) fn partner_need(
-        &self,
-        op: &ArithOp,
-        known: &[u64],
-        known_is_lhs: bool,
-    ) -> PartnerValue {
+    fn partner_need(&self, op: &ArithOp, known: &[u64], known_is_lhs: bool) -> PartnerValue {
         match self.mask_idx.first() {
             Some(&i) => partner_value(op, self.t, known[i], known_is_lhs, self.target[i]),
             None => PartnerValue::Any,
@@ -1005,7 +1016,7 @@ impl<'a> SearchContext<'a> {
     }
 
     /// Whether `partner` passes [`Self::partner_need`]'s first-slot test.
-    pub(crate) fn partner_admits(&self, need: PartnerValue, partner: &[u64]) -> bool {
+    fn partner_admits(&self, need: PartnerValue, partner: &[u64]) -> bool {
         match need {
             PartnerValue::Exactly(v) => partner[self.mask_idx[0]] == v,
             PartnerValue::Nothing => false,
@@ -1289,13 +1300,7 @@ impl<'a> SearchContext<'a> {
 
     /// Early-exit check that `op(lhs, rhs)` equals the target on every
     /// masked slot.
-    pub(crate) fn masked_match(
-        &self,
-        op: &ArithOp,
-        op_idx: usize,
-        lhs: &[u64],
-        rhs: Option<&[u64]>,
-    ) -> bool {
+    fn masked_match(&self, op: &ArithOp, op_idx: usize, lhs: &[u64], rhs: Option<&[u64]>) -> bool {
         let rhs = self.right_operand(op, op_idx, rhs);
         self.mask_idx
             .iter()
@@ -1335,7 +1340,7 @@ impl<'a> SearchContext<'a> {
 
     /// Lowers a component list to a Quill [`Program`], materializing each
     /// distinct `(value, rotation)` pair as one `rot-ct` instruction.
-    pub(crate) fn materialize(&self, comps: &[Comp]) -> Program {
+    fn materialize(&self, comps: &[Comp]) -> Program {
         let mut instrs: Vec<Instr> = Vec::new();
         // avail index → ValRef
         let mut refs: Vec<ValRef> = (0..self.num_inputs).map(ValRef::Input).collect();
@@ -1601,7 +1606,7 @@ const BOUND_MARGIN: f64 = 1e-12;
 
 /// What one slot of a binary ciphertext op's unknown operand must hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PartnerValue {
+enum PartnerValue {
     /// Exactly this residue.
     Exactly(u64),
     /// No residue: `0 · b` never equals a nonzero target.
@@ -1617,7 +1622,7 @@ pub(crate) enum PartnerValue {
 /// mod `t`. Add needs `target − known`; sub needs `known − target` as its
 /// right operand or `target + known` as its left; mul needs
 /// `target · known⁻¹`.
-pub(crate) fn partner_value(
+fn partner_value(
     op: &ArithOp,
     t: u64,
     known: u64,
@@ -1712,6 +1717,10 @@ pub(crate) mod tests {
     use quill::ring::Ring;
     use rand::SeedableRng;
 
+    /// A cap no candidate list reaches: for the tests of what a whole list
+    /// holds, which [`MAX_CANDIDATES`] would cut.
+    const UNCAPPED: usize = usize::MAX;
+
     fn jobs(n: usize) -> NonZeroUsize {
         NonZeroUsize::new(n).unwrap()
     }
@@ -1755,6 +1764,35 @@ pub(crate) mod tests {
                 assert_eq!(out[0], examples[0].output[0]);
                 // 2 adds + 2 rotations
                 assert_eq!(p.len(), 4);
+            }
+            other => panic!("expected solution, got {other:?}"),
+        }
+    }
+
+    /// Eight slots need log2(8) = 3 adds: two components exhaust the space
+    /// at any thread count, and three find the rotate-add tree.
+    #[test]
+    fn finds_tree_reduction_for_sum8() {
+        let spec = sum_spec(8);
+        let sketch = Sketch::new(
+            vec![SketchOp::rotated(ArithOp::AddCtCt)],
+            RotationSet::PowersOfTwo { extent: 8 },
+            4,
+        );
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let examples = vec![spec.sample_example(&mut rng)];
+        let model = LatencyModel::uniform();
+        let searcher = SearchContext::new(&spec, &sketch, &examples, &model, None, None);
+        for j in [1, 2] {
+            assert_eq!(searcher.run(2, jobs(j)), SearchOutcome::Unsat, "jobs={j}");
+        }
+        match searcher.run(3, jobs(1)) {
+            SearchOutcome::Found(p) => {
+                assert!(p.validate().is_ok());
+                let out = interp::eval_concrete(&p, &examples[0].ct_inputs, &[], 65537);
+                assert_eq!(out[0], examples[0].output[0]);
+                // 3 adds + 3 rotations
+                assert_eq!(p.len(), 6);
             }
             other => panic!("expected solution, got {other:?}"),
         }
@@ -2254,7 +2292,7 @@ pub(crate) mod tests {
         // besides (the rotation room cuts one with too few rotated holes
         // left for its missing rotations).
         ctx.spec = SpecBounds::NONE;
-        let SearchOutcome::Candidates(unpriced) = ctx.run(3, jobs(1)) else {
+        let SearchOutcome::Candidates(unpriced) = ctx.run_capped(3, jobs(1), UNCAPPED) else {
             panic!("spec terms zeroed: no candidates");
         };
         assert!(candidates.iter().all(|c| unpriced.contains(c)));
@@ -2299,7 +2337,7 @@ pub(crate) mod tests {
         for (spec, sketch, examples, components, ct_ct) in queries {
             let cheapest = |examples, bound| {
                 let ctx = SearchContext::new(spec, sketch, examples, &dot.model, None, bound);
-                match ctx.run(components, jobs(2)) {
+                match ctx.run_capped(components, jobs(2), UNCAPPED) {
                     SearchOutcome::Candidates(programs) => programs,
                     other => panic!("{other:?}"),
                 }
@@ -2321,6 +2359,37 @@ pub(crate) mod tests {
             assert!(bits.windows(2).all(|w| w[0] <= w[1]), "{bits:x?}");
             assert!(programs.contains(optimum), "{optimum}");
             assert_eq!(bits.last(), Some(&bound.to_bits()), "{optimum}");
+        }
+    }
+
+    /// A cheapest query whose matching set is larger than its cap returns
+    /// exactly the cap's worth of its cheapest entries, in order, at any
+    /// thread count: the head of the uncapped list. With one example of
+    /// [`dot_mod_17`] the list is long enough that each worker cuts its own
+    /// several times.
+    #[test]
+    fn a_capped_candidate_list_is_the_head_of_the_uncapped_one() {
+        let dot = dot_mod_17();
+        let one = &dot.examples[..1];
+        let ctx = SearchContext::new(
+            &dot.spec,
+            &dot.sketch,
+            one,
+            &dot.model,
+            None,
+            Some(dot.bound),
+        );
+        let SearchOutcome::Candidates(all) = ctx.run(3, jobs(1)) else {
+            panic!("the optimum matches its own examples");
+        };
+        let cap = 3;
+        assert!(all.len() > 4 * cap, "{} candidates", all.len());
+        for j in [1, 2] {
+            assert_eq!(
+                ctx.run_capped(3, jobs(j), cap),
+                SearchOutcome::Candidates(all[..cap].to_vec()),
+                "jobs={j}"
+            );
         }
     }
 

@@ -319,28 +319,16 @@ pub fn direct_components(name: &str, len: usize) -> Option<usize> {
     }
 }
 
-/// The §6.3 scaling wall: direct synthesis is exhaustive and stops being
-/// practical above this many components (the paper reports 10–12
-/// *instructions*; components materialize up to one rotation each).
+/// The §6.3 scaling wall: the direct search is an exhaustive DFS, and the
+/// CLI's `--size` switches a reduction over to [`synthesize_staged`] once
+/// it needs more components than this (the paper reports 10–12
+/// *instructions*; components materialize up to one rotation each). At
+/// the wall, a 16-element dot product (5 components, nine instructions)
+/// synthesizes directly in 0.12–0.16 s without cost minimization; one
+/// past it, a 32-element dot product, a 16-element Hamming distance and a
+/// 16-element L2 distance take 44, 76–81 and 74–80 s (two runs each;
+/// release build, one search thread, no cache, 2-CPU host).
 pub const DIRECT_SEARCH_MAX_COMPONENTS: usize = 5;
-
-/// The wall for the bottom-up term-bank strategy
-/// (`SearchStrategy::BottomUp`): observational-equivalence deduplication
-/// keeps the per-level work polynomial in the bank size, so monolithic
-/// specs that the DFS cannot finish (e.g. a 16-element dot product or a
-/// 16-element L2 distance, 5–6 components with their rotations) synthesize
-/// directly. Past this, stage-wise decomposition is still the answer.
-pub const BOTTOM_UP_MAX_COMPONENTS: usize = 6;
-
-/// The direct-search component wall for a strategy: how many components a
-/// monolithic reduction spec may need before the driver should switch to
-/// [`synthesize_staged`].
-pub fn direct_search_wall(strategy: porcupine::cegis::SearchStrategy) -> usize {
-    match strategy {
-        porcupine::cegis::SearchStrategy::BottomUp => BOTTOM_UP_MAX_COMPONENTS,
-        porcupine::cegis::SearchStrategy::Dfs => DIRECT_SEARCH_MAX_COMPONENTS,
-    }
-}
 
 /// Builds the `head` instructions (bound in order, from the first free
 /// `c` index) followed by a balanced rotate-add reduction over `len` slots

@@ -272,8 +272,8 @@ pub fn objective(latency_sum: f64, mult_depth: u32) -> f64 {
 /// The synthesis objective: [`objective`] of the program's
 /// [`LatencyModel::eager_latency`] sum, added left to right from `0.0`, so
 /// a program and its `-O0` lowering cost the same bits. The search
-/// accumulates a completion's cost in this order, so the search, the term
-/// bank and the CEGIS driver price a program alike.
+/// accumulates a completion's cost in this order, so the search and the
+/// CEGIS driver price a program alike.
 ///
 /// Rotations are priced *unhoisted*, unlike
 /// [`LatencyModel::program_latency`]: branch-and-bound prices a candidate

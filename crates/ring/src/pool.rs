@@ -32,6 +32,17 @@
 //! [`ScratchPool::stats`] exposes how many buffers were freshly allocated
 //! versus reused; the allocation-regression tests pin `fresh` to stay
 //! constant across steady-state operations.
+//!
+//! # Hand-off between pools
+//!
+//! A dropped pool leaves up to 1 MiB of its rows (its free
+//! rows first, then its matrices' rows) to its thread, and a later pool on
+//! that thread takes rows of the length it asks for from them before it
+//! allocates. A process that builds one context after another (a compile
+//! server, say) then reuses the memory it has already touched. Freed
+//! instead, the rows go back to the allocator, which can return the top of
+//! its heap to the OS, and the next context's first operations fault the
+//! pages in again.
 
 use std::cell::{Cell, RefCell};
 
@@ -42,8 +53,36 @@ pub struct PoolStats {
     /// Constant `fresh` across a window of operations proves the window
     /// allocated nothing.
     pub fresh: u64,
-    /// Buffers served from the free lists (pool hits).
+    /// Buffers served from the free lists (pool hits), rows a dropped pool
+    /// handed off included: nothing was allocated for them either.
     pub reused: u64,
+}
+
+/// The most bytes of rows a thread keeps from its dropped pools.
+pub(crate) const HANDOFF_BYTES: usize = 1 << 20;
+
+thread_local! {
+    /// Rows of this thread's dropped pools and their total size in bytes.
+    static HANDOFF: RefCell<(Vec<Vec<u64>>, usize)> = const { RefCell::new((Vec::new(), 0)) };
+}
+
+/// The bytes a row holds on to.
+fn row_bytes(row: &Vec<u64>) -> usize {
+    row.capacity() * std::mem::size_of::<u64>()
+}
+
+/// A handed-off row of exactly `len` elements, if this thread keeps one.
+fn handed_off(len: usize) -> Option<Vec<u64>> {
+    // No hand-off during thread teardown, when the list may be gone.
+    HANDOFF
+        .try_with(|handoff| {
+            let (rows, bytes) = &mut *handoff.borrow_mut();
+            let row = rows.swap_remove(rows.iter().position(|r| r.len() == len)?);
+            *bytes -= row_bytes(&row);
+            Some(row)
+        })
+        .ok()
+        .flatten()
 }
 
 /// Free lists of row (`N`-element) and matrix (`rows × N`) scratch buffers,
@@ -74,7 +113,8 @@ impl ScratchPool {
 
     /// A row of `len` u64s with unspecified contents.
     pub fn take_row(&self, len: usize) -> Vec<u64> {
-        match self.rows.borrow_mut().pop() {
+        let pooled = self.rows.borrow_mut().pop();
+        match pooled.or_else(|| handed_off(len)) {
             Some(mut row) => {
                 self.reused.set(self.reused.get() + 1);
                 debug_assert_eq!(row.len(), len, "pool rows have one length per context");
@@ -180,6 +220,26 @@ impl ScratchPool {
     }
 }
 
+impl Drop for ScratchPool {
+    /// Hands this pool's rows off to its thread, ahead of the rows it
+    /// already keeps, up to 1 MiB; the rest are freed.
+    fn drop(&mut self) {
+        let matrices = self.matrices.get_mut().drain(..).flatten();
+        let mine = self.rows.get_mut().drain(..).chain(matrices);
+        let _ = HANDOFF.try_with(|handoff| {
+            let (rows, bytes) = &mut *handoff.borrow_mut();
+            let older = std::mem::take(rows);
+            *bytes = 0;
+            for row in mine.chain(older) {
+                if *bytes + row_bytes(&row) <= HANDOFF_BYTES {
+                    *bytes += row_bytes(&row);
+                    rows.push(row);
+                }
+            }
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,6 +326,100 @@ mod tests {
             }
         );
         assert!(v.is_empty());
+    }
+
+    /// The rows this thread keeps from dropped pools, in bytes.
+    fn kept_bytes() -> usize {
+        HANDOFF.with(|h| h.borrow().1)
+    }
+
+    /// Runs `f` on a thread of its own, so no other pool's hand-off is
+    /// there beforehand.
+    fn on_a_new_thread(f: impl FnOnce() + Send + 'static) {
+        std::thread::spawn(f)
+            .join()
+            .expect("the test thread panicked");
+    }
+
+    #[test]
+    fn a_dropped_pools_rows_serve_the_next_pool() {
+        on_a_new_thread(|| {
+            let first = ScratchPool::new();
+            let m = first.take_matrix(2, 8);
+            let row = first.take_row(8);
+            let addr = row.as_ptr();
+            first.put_row(row);
+            first.put_matrix(m);
+            drop(first);
+            assert_eq!(kept_bytes(), 3 * 8 * 8);
+
+            let next = ScratchPool::new();
+            let row = next.take_row(8);
+            assert_eq!(row.as_ptr(), addr, "the free row is handed off first");
+            // A handed-off row allocated nothing: it counts as reused.
+            assert_eq!(
+                next.stats(),
+                PoolStats {
+                    fresh: 0,
+                    reused: 1
+                }
+            );
+            // The matrix shell is new; its two rows are the dropped
+            // matrix's.
+            let m = next.take_matrix(2, 8);
+            assert_eq!(
+                next.stats(),
+                PoolStats {
+                    fresh: 1,
+                    reused: 3
+                }
+            );
+            assert_eq!(kept_bytes(), 0);
+            next.put_matrix(m);
+        });
+    }
+
+    #[test]
+    fn handed_off_rows_keep_their_length() {
+        on_a_new_thread(|| {
+            let first = ScratchPool::new();
+            first.put_row(first.take_row(8));
+            drop(first);
+
+            let next = ScratchPool::new();
+            assert_eq!(next.take_row(16).len(), 16);
+            assert_eq!(next.stats().fresh, 1, "a row of 8 never serves 16");
+            assert_eq!(next.take_row(8).len(), 8);
+            assert_eq!(next.stats().reused, 1);
+        });
+    }
+
+    #[test]
+    fn a_thread_keeps_at_most_the_handoff_cap() {
+        on_a_new_thread(|| {
+            let len = 1024;
+            let per_row = len * std::mem::size_of::<u64>();
+            let rows = 2 * HANDOFF_BYTES / per_row;
+            for _ in 0..2 {
+                let pool = ScratchPool::new();
+                let taken: Vec<_> = (0..rows).map(|_| pool.take_row(len)).collect();
+                taken.into_iter().for_each(|r| pool.put_row(r));
+                drop(pool);
+                assert!(kept_bytes() <= HANDOFF_BYTES, "{}", kept_bytes());
+            }
+            let next = ScratchPool::new();
+            for _ in 0..rows {
+                next.take_row(len);
+            }
+            let kept = (HANDOFF_BYTES / per_row) as u64;
+            assert_eq!(
+                next.stats(),
+                PoolStats {
+                    fresh: rows as u64 - kept,
+                    reused: kept
+                }
+            );
+        });
     }
 
     #[test]

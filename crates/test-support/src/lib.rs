@@ -12,8 +12,8 @@
 //! Everything here is deterministic: the same seed always produces the same
 //! inputs, keys, and ciphertexts, and no fixture reads the environment. A
 //! contract that must hold across a knob (opt level, worker count,
-//! strategy, scheme, parameter policy) is tested by a suite that lists the
-//! values it compares.
+//! scheme, parameter policy) is tested by a suite that lists the values it
+//! compares.
 
 use bfv::params::{BfvContext, BfvParams, ParamPolicy};
 use porcupine::cegis::{CachePolicy, SynthesisOptions};
@@ -80,16 +80,6 @@ pub fn fast_synthesis_options() -> SynthesisOptions {
 /// determinism suites turn to compare jobs = 1 / 2 / 4 runs bit for bit.
 pub fn with_jobs(mut options: SynthesisOptions, jobs: usize) -> SynthesisOptions {
     options.parallelism = std::num::NonZeroUsize::new(jobs).expect("jobs must be nonzero");
-    options
-}
-
-/// The same options with an explicit phase-1 enumeration strategy — the
-/// knob the cross-strategy agreement suites turn.
-pub fn with_strategy(
-    mut options: SynthesisOptions,
-    strategy: porcupine::cegis::SearchStrategy,
-) -> SynthesisOptions {
-    options.strategy = strategy;
     options
 }
 

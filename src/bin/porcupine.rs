@@ -24,8 +24,7 @@
 //! decryptions are bit-identical at any setting. The printed program is
 //! the middle-end's output at the selected `-O` level (default `-O2`) —
 //! backend-legal IR with explicit `relin-ct` placement; `-O0` reproduces
-//! the eager relin-after-every-multiply lowering. `--strategy` (default
-//! `bottom-up`) picks the phase-1 enumerator.
+//! the eager relin-after-every-multiply lowering.
 //!
 //! `--scheme bfv|bgv` (default `bfv`) picks the backend the kernel targets: it selects the lowering legality, the
 //! latency model behind the cost objective, the noise model behind
@@ -70,7 +69,7 @@ impl Report {
 fn usage(err: &mut Report) -> ExitCode {
     writeln!(
         err,
-        "usage:\n  porcupine list\n  porcupine synth <kernel> [--timeout <s>] [--emit seal|quill] [--explicit] [--auto] [--seed <n>] [--jobs <n>] [-O<0|2>] [--scheme bfv|bgv] [--size <n>] [--params auto|paper] [--margin-bits <n>] [--strategy bottom-up|dfs] [--cache <dir>] [--no-cache] [--eval-jobs <n>]\n  porcupine baseline <kernel> [--emit seal|quill] [-O<0|2>]"
+        "usage:\n  porcupine list\n  porcupine synth <kernel> [--timeout <s>] [--emit seal|quill] [--explicit] [--auto] [--seed <n>] [--jobs <n>] [-O<0|2>] [--scheme bfv|bgv] [--size <n>] [--params auto|paper] [--margin-bits <n>] [--cache <dir>] [--no-cache] [--eval-jobs <n>]\n  porcupine baseline <kernel> [--emit seal|quill] [-O<0|2>]"
     );
     ExitCode::FAILURE
 }
@@ -405,12 +404,11 @@ fn main() -> ExitCode {
                     })?,
                     flag_with(&args, "--scheme", "'bfv' or 'bgv'", SchemeId::parse)?,
                     parse_opt_level(&args)?,
-                    flag_value(&args, "--strategy", "'bottom-up' or 'dfs'")?,
                     flag_with(&args, "--cache", "a directory", |v| Some(v.to_string()))?,
                     emit_seal(&args)?,
                 ))
             })();
-            let (params_mode, scheme, opt_level, strategy, cache_dir, seal) = match resolved {
+            let (params_mode, scheme, opt_level, cache_dir, seal) = match resolved {
                 Ok(resolved) => resolved,
                 Err(e) => {
                     writeln!(err, "{e}");
@@ -437,19 +435,16 @@ fn main() -> ExitCode {
                 opt_level: opt_level.unwrap_or(defaults.opt_level),
                 scheme,
                 params: policy,
-                strategy: strategy.unwrap_or(defaults.strategy),
                 cache,
                 ..defaults
             };
             let eval_jobs = flags.eval_jobs.unwrap_or(NonZeroUsize::MIN);
-            // Reductions scaled past the strategy's wall synthesize
-            // stage-wise (§6.3). The bottom-up term bank pushes the wall
-            // past the DFS's ~10–12 instructions, so sizes that used to
-            // require staging now go through the direct search.
+            // Reductions scaled past the direct search's wall synthesize
+            // stage-wise (§6.3).
             if let Some(len) = size {
                 use porcupine_kernels::reduction as red;
                 if red::direct_components(name, len)
-                    .is_some_and(|c| c > red::direct_search_wall(options.strategy))
+                    .is_some_and(|c| c > red::DIRECT_SEARCH_MAX_COMPONENTS)
                 {
                     let start = std::time::Instant::now();
                     let program = match red::synthesize_staged(name, len, &options)
@@ -519,12 +514,7 @@ fn main() -> ExitCode {
                         r.proved_optimal,
                         options.parallelism,
                     );
-                    writeln!(
-                        err,
-                        "; strategy: {}, cache: {}",
-                        r.strategy_used,
-                        if r.cache_hit { "hit" } else { "miss" },
-                    );
+                    writeln!(err, "; cache: {}", if r.cache_hit { "hit" } else { "miss" });
                     writeln!(
                         err,
                         "; cost {:.0} (baseline {:.0}, {} latency model)",

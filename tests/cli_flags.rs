@@ -173,7 +173,6 @@ fn explicit_eval_jobs_ignores_a_malformed_env_var() {
 const ENV_FLAGS: &[(&str, &[&str], &str)] = &[
     ("PORCUPINE_OPT", &["-O2"], "3"),
     ("PORCUPINE_OPT", &["-O2"], "1"),
-    ("PORCUPINE_STRATEGY", &["--strategy", "bottom-up"], "DFS"),
     ("PORCUPINE_JOBS", &["--jobs", "1"], "two"),
 ];
 

@@ -109,7 +109,7 @@ fn o2_strictly_reduces_pipeline_instructions_and_latency() {
 }
 
 /// Every synthesized program `tests/synth_strategies.rs` pins (initial
-/// and final, both strategies), read from its raw-string literals.
+/// and final), read from its raw-string literals.
 fn pinned_synthesized_programs() -> Vec<Program> {
     let source = include_str!("synth_strategies.rs");
     let pins: Vec<Program> = source

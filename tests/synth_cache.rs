@@ -17,11 +17,11 @@
 //! test's search or memo clear must not land between another's query and
 //! its hit assertions.
 
-use porcupine::cegis::{synthesize, CachePolicy, SearchStrategy};
+use porcupine::cegis::{synthesize, CachePolicy};
 use porcupine::{clear_synthesis_memo, search_invocations};
 use porcupine_kernels::{composite, reduction, stencil};
 use quill::scheme::SchemeId;
-use test_support::{fast_synthesis_options, with_strategy};
+use test_support::fast_synthesis_options;
 
 /// Serializes this file's tests over the process-wide memo and search
 /// counter (a panicking test poisons the lock; the next one still runs).
@@ -89,26 +89,24 @@ fn warm_cache_skips_the_search_entirely() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The cache key covers the whole query: changing the strategy, the
-/// optimization flag, or the kernel misses instead of returning a stale
-/// program.
+/// The cache key covers the whole query: changing the optimization flag
+/// or the kernel misses instead of returning a stale program.
 #[test]
 fn cache_keys_separate_distinct_queries() {
     let _state = exclusive();
     let dir = temp_cache_dir("keys");
     let k = stencil::box_blur(stencil::default_image());
-    let mut options = with_strategy(fast_synthesis_options(), SearchStrategy::BottomUp);
+    let mut options = fast_synthesis_options();
     options.cache = CachePolicy::At(dir.clone());
     let _ = synthesize(&k.spec, &k.sketch, &options).expect("cold box blur");
 
-    // Different strategy: same semantics, different key — a miss.
-    let dfs = synthesize(
-        &k.spec,
-        &k.sketch,
-        &with_strategy(options.clone(), SearchStrategy::Dfs),
-    )
-    .expect("dfs box blur");
-    assert!(!dfs.cache_hit, "strategy is part of the cache key");
+    // Phase 2 off: the same program space, another answer — a miss.
+    let unoptimized = porcupine::cegis::SynthesisOptions {
+        optimize: false,
+        ..options.clone()
+    };
+    let r = synthesize(&k.spec, &k.sketch, &unoptimized).expect("unoptimized box blur");
+    assert!(!r.cache_hit, "the optimize flag is part of the cache key");
 
     // Different kernel, same cache dir: a miss, not a collision.
     let other = reduction::hamming_distance(4);
